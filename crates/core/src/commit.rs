@@ -1,0 +1,438 @@
+//! The one sharded commit function and the one park/wake router.
+//!
+//! The paper has one state-changing primitive — the atomic transaction —
+//! and one way to wait — a delayed transaction blocks until some commit
+//! enables it. Over a [`ShardedDataspace`] both are decided here and
+//! nowhere else: [`Committer::commit`] is the only place a shard write
+//! epoch is taken, and [`WakeRouter`] is the only place a waiter is
+//! registered, re-checked, claimed or woken. The threaded executor
+//! ([`crate::parallel`]), the networked server's per-loop engines and the
+//! follower's apply thread each supply a footprint, a closure deciding
+//! the batch under the locks, and what to do with the payloads a commit
+//! wakes. (The serial scheduler keeps its own `&mut self` block/wake:
+//! single-threaded, there is no race to argue.)
+//!
+//! ## The commit sequence
+//!
+//! write-lock the footprint → the caller's closure decides under the
+//! locks ([`Decision`]) → `apply_batch` → mint the commit id and publish
+//! it on the footprint's shards → append the WAL record → drop the locks
+//! → bump the epoch → claim the woken waiters → fsync and offer a
+//! snapshot. The WAL append happens while the write footprint is still
+//! held: any conflicting commit is ordered behind these locks, so the
+//! log's append order is a valid serialisation of the run
+//! (disjoint-footprint commits commute). The fsync waits until the locks
+//! drop, letting concurrent committers share one (group commit).
+//!
+//! ## The no-lost-wakeup argument
+//!
+//! The race: a commit lands *after* a waiter's failed evaluation but
+//! *before* the waiter is visible in the router — the commit's wake scan
+//! would miss it.
+//!
+//! 1. A parker reads the epoch **before** its failed evaluation takes its
+//!    locks, registers its [`Slot`] under every shard its watch keys
+//!    route to, then re-reads the epoch. If it moved, some commit may
+//!    have run entirely between the evaluation and the registration: the
+//!    parker claims its own slot back and re-evaluates instead of
+//!    sleeping (the registrations left behind are stale stubs).
+//! 2. A committer bumps the epoch **after** its write locks drop and
+//!    **before** scanning the router. A slot registered too late for the
+//!    scan belongs to a parker that is guaranteed to observe the new
+//!    epoch in step 1. A commit that lands after the parker's first
+//!    epoch read is either serialised behind the evaluation's locks (the
+//!    evaluation saw its effects) or bumps the epoch.
+//! 3. A slot's payload can be taken exactly once, so a waiter is
+//!    delivered to exactly one of: a waking commit, its own re-check, an
+//!    explicit [`Slot::claim`] (cancel, disconnect), or the end-of-run
+//!    [`WakeRouter::drain`] — never two, never none.
+//!
+//! [`WakeRouter::testing_skip_park_recheck`] reverts step 1's re-check,
+//! seeding the lost-wakeup mutant the exploration suites must catch.
+//!
+//! Keys are registered and scanned in sorted order and every index is an
+//! ordered map, so the lock-acquisition and claim sequence is a function
+//! of the schedule alone — what the `sdl-sync` explorer's replay needs.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use sdl_dataspace::{
+    shard_of_watch_key, shards_of_watch_key, Action, BatchOutcome, ShardSet, ShardWriteView,
+    ShardedDataspace, TupleSource, WatchKey, WatchSet,
+};
+use sdl_durability::{Snapshotter, Wal, WalError};
+use sdl_metrics::{Counter, Hist, Metrics, ShardCounter};
+use sdl_sync::{AtomicU64, Mutex, Ordering};
+use sdl_tuple::{ProcId, Tuple, TupleId};
+
+use crate::trace::{self, SpanPhase, TraceRecord, Tracer, Track};
+
+/// A parked payload, shared between every router list its watch keys
+/// route to. Exactly one claimant takes the payload; what stays behind
+/// in the lists is a stale stub, dropped the next time its list is
+/// scanned or grown.
+#[derive(Debug)]
+pub struct Slot<T>(Mutex<Option<T>>);
+
+impl<T> Slot<T> {
+    /// A fresh, unclaimed slot holding `payload`.
+    pub fn new(payload: T) -> Arc<Slot<T>> {
+        Arc::new(Slot(Mutex::new(Some(payload))))
+    }
+
+    /// Takes the payload; `Some` for exactly one claimant.
+    pub fn claim(&self) -> Option<T> {
+        self.0.lock().take()
+    }
+}
+
+type SlotList<T> = Vec<Arc<Slot<T>>>;
+
+fn push_live<T>(list: &mut SlotList<T>, slot: &Arc<Slot<T>>) {
+    list.retain(|s| s.0.lock().is_some());
+    list.push(Arc::clone(slot));
+}
+
+/// The park/wake protocol over per-shard reverse indexes, generic over
+/// what a wake delivers (see the module docs for the protocol argument).
+pub struct WakeRouter<T> {
+    /// Bumped (SeqCst) after every commit's locks drop, before its wake
+    /// scan.
+    epoch: AtomicU64,
+    /// One reverse index per shard, following the wake-routing
+    /// partition: a commit that changed shard *s* looks up only its
+    /// published keys in `shards[s]`. A key-indexed hit already implies
+    /// the watch intersects the change, so no per-entry test remains.
+    shards: Vec<Mutex<BTreeMap<WatchKey, SlotList<T>>>>,
+    /// Parks with no watch key. No commit can wake them; they are held
+    /// so [`Self::visit`] and [`Self::drain`] still find them.
+    keyless: Mutex<SlotList<T>>,
+    skip_park_recheck: bool,
+}
+
+impl<T> WakeRouter<T> {
+    /// An empty router over `n_shards` shards at epoch 0.
+    pub fn new(n_shards: usize) -> WakeRouter<T> {
+        WakeRouter {
+            epoch: AtomicU64::new(0),
+            shards: (0..n_shards).map(|_| Mutex::default()).collect(),
+            keyless: Mutex::default(),
+            skip_park_recheck: false,
+        }
+    }
+
+    /// Test-only fault injection: disables [`Self::park`]'s epoch
+    /// re-check, reintroducing the lost-wakeup window the protocol
+    /// closes, so the exploration suites can prove they would catch a
+    /// regression of it. Never set it in real runs.
+    #[doc(hidden)]
+    pub fn testing_skip_park_recheck(mut self, on: bool) -> WakeRouter<T> {
+        self.skip_park_recheck = on;
+        self
+    }
+
+    /// Current commit epoch. Read it *before* an evaluation takes its
+    /// locks and hand it to [`Self::park`] if the evaluation fails.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Publishes a commit. Must run after the commit's write locks drop
+    /// and before its [`Self::wake`].
+    pub fn bump_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Registers `slot` under `keys` — functor and value keys in the one
+    /// shard that can publish them, arity keys in every shard — and
+    /// re-checks the epoch against `eval_epoch`. Returns the payload when
+    /// the epoch moved and this call claimed it back: the caller must
+    /// re-evaluate instead of sleeping. `None` means parked (or already
+    /// claimed by a waking commit, whose delivery is on its way).
+    pub fn park(&self, slot: &Arc<Slot<T>>, mut keys: Vec<WatchKey>, eval_epoch: u64) -> Option<T> {
+        let n = self.shards.len();
+        keys.sort_unstable();
+        for key in &keys {
+            for s in shards_of_watch_key(key, n).iter() {
+                push_live(self.shards[s].lock().entry(*key).or_default(), slot);
+            }
+        }
+        if keys.is_empty() {
+            push_live(&mut self.keyless.lock(), slot);
+        }
+        if !self.skip_park_recheck && self.epoch() != eval_epoch {
+            return slot.claim();
+        }
+        None
+    }
+
+    /// Claims every waiter subscribed to one of `changed`'s keys in the
+    /// `changed_shards` indexes, returning each payload with the key that
+    /// woke it. Must run after the commit's [`Self::bump_epoch`].
+    pub fn wake(&self, changed: &WatchSet, changed_shards: ShardSet) -> Vec<(WatchKey, T)> {
+        let mut woken = Vec::new();
+        if changed.is_empty() {
+            return woken;
+        }
+        let n = self.shards.len();
+        let mut keys: Vec<WatchKey> = changed.iter().copied().collect();
+        keys.sort_unstable();
+        for s in changed_shards.iter() {
+            let mut index = self.shards[s].lock();
+            for key in &keys {
+                // A routable key wakes through its own shard's index; an
+                // arity key is registered in every shard, so any changed
+                // shard's index covers it — later shards just drop the
+                // stubs the first one claimed.
+                if shard_of_watch_key(key, n).is_some_and(|r| r != s) {
+                    continue;
+                }
+                for slot in index.remove(key).into_iter().flatten() {
+                    if let Some(payload) = slot.claim() {
+                        woken.push((*key, payload));
+                    }
+                }
+            }
+        }
+        woken
+    }
+
+    fn for_each_slot(&self, mut f: impl FnMut(&Slot<T>)) {
+        for index in &self.shards {
+            index.lock().values().flatten().for_each(|s| f(s));
+        }
+        self.keyless.lock().iter().for_each(|s| f(s));
+    }
+
+    /// Visits every unclaimed registration under its slot's lock, once
+    /// per key and shard it sits under (the stall watchdog's scan; a
+    /// claimant takes the payload under the same lock, so what `f`
+    /// writes is seen by whoever claims next).
+    pub fn visit(&self, mut f: impl FnMut(&mut T)) {
+        self.for_each_slot(|slot| {
+            if let Some(payload) = slot.0.lock().as_mut() {
+                f(payload);
+            }
+        });
+    }
+
+    /// Claims everything still parked (end of run).
+    pub fn drain(&self) -> Vec<T> {
+        let mut out = Vec::new();
+        self.for_each_slot(|slot| out.extend(slot.claim()));
+        out
+    }
+}
+
+/// What a commit closure decided under the write locks.
+#[derive(Debug)]
+pub enum Decision {
+    /// Apply this batch.
+    Apply(Vec<Action>),
+    /// The evidence an earlier evaluation relied on no longer holds: a
+    /// concurrent commit won. Nothing is applied; the conflict is counted
+    /// and traced against the batch it lost to.
+    Conflict,
+    /// Nothing to do (a probe found no match). Nothing is applied.
+    Skip,
+}
+
+/// A commit that went through.
+#[derive(Debug)]
+pub struct Committed<T> {
+    /// What the batch retracted and the ids it minted.
+    pub out: BatchOutcome,
+    /// The watch keys the batch published.
+    pub changed: WatchSet,
+    /// The shards the batch actually changed.
+    pub changed_shards: ShardSet,
+    /// The tracer's commit id (`0` with tracing off).
+    pub commit_id: u64,
+    /// The waiters this commit claimed, each with the key that woke it.
+    /// They belong to the caller now: deliver every one.
+    pub woken: Vec<(WatchKey, T)>,
+}
+
+/// Everything a sharded commit touches besides the store itself: the
+/// wake router it publishes to, the write-ahead log with its background
+/// snapshot writer, and the instrumentation.
+pub struct Committer<T> {
+    /// The park/wake router commits publish to.
+    pub router: WakeRouter<T>,
+    wal: Option<Arc<Wal>>,
+    /// Commit threads capture the store and hand it off here instead of
+    /// serialising the snapshot inline.
+    snapshotter: Mutex<Option<Snapshotter>>,
+    metrics: Metrics,
+    tracer: Tracer,
+}
+
+impl<T> Committer<T> {
+    /// A committer without a write-ahead log.
+    pub fn new(router: WakeRouter<T>, metrics: Metrics, tracer: Tracer) -> Committer<T> {
+        Committer {
+            router,
+            wal: None,
+            snapshotter: Mutex::new(None),
+            metrics,
+            tracer,
+        }
+    }
+
+    /// Attaches a write-ahead log and its background snapshot writer.
+    /// Must run before the first commit, so every commit is logged.
+    pub fn attach_wal(&mut self, wal: Arc<Wal>) {
+        *self.snapshotter.lock() = Some(Snapshotter::new(Arc::clone(&wal)));
+        self.wal = Some(wal);
+    }
+
+    /// The attached write-ahead log, if any.
+    pub fn wal(&self) -> Option<&Arc<Wal>> {
+        self.wal.as_ref()
+    }
+
+    /// Commits one batch over `sds` under the `fp` write footprint (the
+    /// sequence in the module docs). `decide` runs under the locks, so
+    /// what it validates or probes is exactly the state the batch applies
+    /// to. `trace` and `pid` attribute the trace records.
+    ///
+    /// Returns `None` when `decide` did not return [`Decision::Apply`].
+    ///
+    /// # Errors
+    ///
+    /// A WAL append or fsync failure. The store has already applied the
+    /// batch by then, so callers must stop acknowledging.
+    pub fn commit(
+        &self,
+        sds: &ShardedDataspace,
+        fp: ShardSet,
+        trace: u64,
+        pid: ProcId,
+        decide: impl FnOnce(&ShardWriteView<'_>) -> Decision,
+    ) -> Result<Option<Committed<T>>, WalError> {
+        let commit_span = self.tracer.begin();
+        let lock_timer = self.metrics.start_timer();
+        let mut view = sds.write_shards(fp);
+        self.metrics
+            .observe_timer(Hist::ShardLockWaitSeconds, lock_timer);
+        self.tracer
+            .span(commit_span, trace, pid, SpanPhase::LockWaitWrite);
+        let actions = match decide(&view) {
+            Decision::Apply(actions) => actions,
+            Decision::Skip => return Ok(None),
+            Decision::Conflict => {
+                self.metrics.inc(Counter::TxnConflicts);
+                for s in fp.iter() {
+                    self.metrics.add_shard(s, ShardCounter::Conflicts, 1);
+                }
+                if self.tracer.enabled() {
+                    // Still under the write locks, so the per-shard
+                    // last-commit markers name a commit serialised
+                    // before us — the batch this abort lost to.
+                    self.tracer.record(TraceRecord::Conflict {
+                        trace,
+                        pid,
+                        track: Track::current(),
+                        against: sds.latest_commit_over(fp),
+                        t_us: self.tracer.now_us(),
+                    });
+                }
+                return Ok(None);
+            }
+        };
+        let mut changed = WatchSet::new();
+        let apply_timer = self.metrics.start_timer();
+        let (out, changed_shards) = view.apply_batch(actions, &mut changed);
+        self.metrics
+            .observe_timer(Hist::CommitApplySeconds, apply_timer);
+        // Mint the commit id inside the lock scope and publish it on the
+        // footprint: any attempt that later aborts against this batch
+        // holds an overlapping write lock, so it reads a marker
+        // serialised after this store.
+        let commit_id = self.tracer.new_commit();
+        if commit_id != 0 {
+            sds.note_commit(fp, commit_id);
+        }
+        let wal_commit = match &self.wal {
+            Some(wal) => {
+                let retracts: Vec<TupleId> = out.retracted.iter().map(|(id, _)| *id).collect();
+                let asserts: Vec<(TupleId, Tuple)> = out
+                    .asserted
+                    .iter()
+                    .map(|&id| (id, view.tuple(id).expect("just asserted").clone()))
+                    .collect();
+                Some(wal.append(&retracts, &asserts)?)
+            }
+            None => None,
+        };
+        drop(view);
+        self.router.bump_epoch();
+        for s in fp.iter() {
+            self.metrics.add_shard(s, ShardCounter::Commits, 1);
+        }
+        if commit_id != 0 {
+            let now = self.tracer.now_us();
+            let t0 = commit_span.unwrap_or(now);
+            self.tracer.record(TraceRecord::Commit {
+                trace,
+                pid,
+                track: Track::current(),
+                commit: commit_id,
+                t_us: t0,
+                dur_us: now.saturating_sub(t0),
+                keys: trace::watch_labels(&changed),
+                shards: fp.iter().collect(),
+            });
+        }
+        let woken = self.router.wake(&changed, changed_shards);
+        if let (Some(wal), Some(commit)) = (&self.wal, wal_commit) {
+            // Group commit: if another thread's fsync already covered
+            // this commit number, this returns without syncing.
+            wal.ensure_durable(commit)?;
+            if wal.snapshot_due() {
+                self.offer_snapshot(sds, wal);
+            }
+        }
+        Ok(Some(Committed {
+            out,
+            changed,
+            changed_shards,
+            commit_id,
+            woken,
+        }))
+    }
+
+    /// Hands a due snapshot to the background writer, paying for the
+    /// store copy only when the writer would accept it (a declined
+    /// snapshot just means the next due point offers again).
+    fn offer_snapshot(&self, sds: &ShardedDataspace, wal: &Wal) {
+        let snapshotter = self.snapshotter.lock();
+        let Some(snap) = snapshotter.as_ref().filter(|s| s.idle()) else {
+            return;
+        };
+        // Appends happen under shard write locks, so under a
+        // full-footprint read view the store is exactly the state after
+        // the highest appended commit — read `last_appended` while the
+        // view is held.
+        let view = sds.read_shards(sds.all_shards());
+        let commit = wal.last_appended();
+        let (cursors, tuples) = view.snapshot_state();
+        drop(view);
+        snap.offer(commit, cursors, tuples);
+    }
+
+    /// Drains the background snapshot writer, then makes whatever the
+    /// fsync policy deferred durable — the sync runs even when the
+    /// snapshot failed. Call once, after the last commit.
+    ///
+    /// # Errors
+    ///
+    /// The first of a snapshot write or fsync failure.
+    pub fn finish(&self) -> Result<(), WalError> {
+        let snapshotter = self.snapshotter.lock().take();
+        let snapshot = snapshotter.map_or(Ok(0), Snapshotter::finish);
+        let sync = self.wal.as_ref().map_or(Ok(()), |wal| wal.sync());
+        snapshot.and(sync)
+    }
+}

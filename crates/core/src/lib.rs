@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod builtins;
+pub mod commit;
 pub mod consensus;
 pub mod error;
 pub mod events;

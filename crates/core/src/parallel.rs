@@ -24,12 +24,10 @@
 //! unsharded for that attempt. With one shard this executor behaves
 //! bit-for-bit like the previous single-lock design.
 //!
-//! Blocked processes park on per-shard lists keyed by the same
-//! partition, so a commit only scans the lists of shards it changed. A
-//! global commit epoch (incremented after every commit's locks drop)
-//! closes the park/wake race: a parker re-checks the epoch after
-//! inserting itself and re-queues if anything committed since its
-//! evaluation.
+//! Commits go through [`crate::commit::Committer::commit`]; blocked
+//! processes park in its [`crate::commit::WakeRouter`], whose per-shard
+//! reverse indexes follow the same partition (a commit only looks at the
+//! shards it changed) and whose commit epoch closes the park/wake race.
 //!
 //! ## Supported fragment
 //!
@@ -43,7 +41,7 @@
 //!
 //! [`Runtime::run_rounds`]: crate::Runtime::run_rounds
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,17 +51,18 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use sdl_dataspace::{
-    shard_of_pattern, shard_of_watch_key, Action, Dataspace, PlanMode, ShardSet, ShardedDataspace,
+    shard_of_pattern, Action, Dataspace, PlanMode, ShardSet, ShardWriteView, ShardedDataspace,
     SolveLimits, WatchKey, WatchSet,
 };
-use sdl_durability::{RecoveredState, Snapshotter, Wal};
+use sdl_durability::{RecoveredState, Wal};
 use sdl_lang::ast::TxnKind;
 use sdl_lang::expr::eval;
-use sdl_metrics::{Counter, Gauge, Hist, Metrics, ShardCounter};
-use sdl_sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, RelaxedCounter};
-use sdl_tuple::{ProcId, Tuple, TupleId, Value};
+use sdl_metrics::{Counter, Gauge, Hist, Metrics};
+use sdl_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, RelaxedCounter};
+use sdl_tuple::{ProcId, Tuple, Value};
 
 use crate::builtins::Builtins;
+use crate::commit::{Committer, Decision, Slot, WakeRouter};
 use crate::error::RuntimeError;
 use crate::outcome::Outcome;
 use crate::process::{Frame, ProcessInstance};
@@ -424,18 +423,10 @@ struct Shared {
     program: Arc<CompiledProgram>,
     builtins: Arc<Builtins>,
     sds: ShardedDataspace,
-    /// Bumped (SeqCst) after every commit's locks drop. Parkers compare
-    /// it against the value read before evaluating to detect commits
-    /// that landed while they were off-lock.
-    epoch: AtomicU64,
+    /// The commit function and the router blocked processes park in.
+    committer: Committer<Parked>,
     queue: Mutex<VecDeque<ProcessInstance>>,
     cv: Condvar,
-    /// One blocked index per shard, following the wake-routing
-    /// partition, keyed by watch key: a commit that changed shard *s*
-    /// looks up only its published keys in `blocked[s]` — the threaded
-    /// counterpart of the serial scheduler's reverse `wake_index`,
-    /// replacing the per-shard linear scan.
-    blocked: Vec<Mutex<ShardBlocked>>,
     /// Tasks enqueued or being processed; 0 ⇒ nothing can ever wake.
     pending: AtomicUsize,
     done: AtomicBool,
@@ -447,57 +438,25 @@ struct Shared {
     plan_config: PlanConfig,
     next_pid: RelaxedCounter,
     error: Mutex<Option<RuntimeError>>,
-    /// Test-only fault injection: when set, [`park`] skips the
-    /// post-insert epoch re-check, reintroducing the lost-wakeup race
-    /// the protocol exists to close. The schedule explorer must find it.
-    skip_park_recheck: bool,
     metrics: Metrics,
-    /// Write-ahead log; appends happen inside commit write-lock scopes,
-    /// fsyncs after they drop.
-    wal: Option<Arc<Wal>>,
-    /// Background snapshot writer: commit threads capture the store and
-    /// hand it off instead of serialising the snapshot inline.
-    snapshotter: Mutex<Option<Snapshotter>>,
     tracer: Tracer,
     stall: Option<StallCfg>,
 }
 
-/// A blocked process. The entry is shared between every per-shard list
-/// its watch keys route to; `slot` holds the instance until exactly one
-/// claimant (a waking commit, the parker re-queueing itself, or the
-/// final collection) takes it. Entries whose slot has been emptied are
-/// stale stubs, dropped lazily the next time their list is scanned.
+/// A blocked process with its park metadata: what the router hands to
+/// whoever claims it (a waking commit, the parker re-queueing itself,
+/// or the final drain).
 struct Parked {
+    proc: ProcessInstance,
     watch: WatchSet,
-    slot: Mutex<Option<ProcessInstance>>,
     /// When it parked (for the blocked-time histogram and the stall
     /// watchdog; `None` when neither metrics nor the watchdog is on).
     since: Option<Instant>,
     /// Park start on the trace clock (`0` when tracing is off).
     park_t_us: u64,
-    /// Set once by the watchdog so the gauge and the trace flag each
-    /// stalled park exactly once across its shard-list replicas.
-    stalled: AtomicBool,
-}
-
-/// One shard's blocked processes, indexed by watch key. An entry
-/// appears under every one of its keys that routes to this shard (and
-/// in every shard for unroutable arity keys), so a wake-up is a hash
-/// lookup per published key instead of a scan over all parked entries.
-/// A key-indexed hit already implies the watch intersects the change,
-/// so no per-entry intersection test remains. Stale stubs (slot already
-/// claimed elsewhere) are dropped lazily when their key next fires.
-///
-/// The index is an ordered map so scans (watchdog, end-of-run drain)
-/// visit entries in a deterministic order — a requirement for the
-/// schedule explorer, whose replay assumes identical lock-acquisition
-/// sequences given identical decisions.
-#[derive(Default)]
-struct ShardBlocked {
-    by_key: BTreeMap<WatchKey, Vec<Arc<Parked>>>,
-    /// Entries with an empty watch set. No commit can ever wake them;
-    /// they are held only so the end-of-run drain reports them blocked.
-    keyless: Vec<Arc<Parked>>,
+    /// Set once by the watchdog, under the slot lock, so the gauge and
+    /// the trace flag each stalled park exactly once.
+    stalled: bool,
 }
 
 impl ParallelRuntime {
@@ -533,17 +492,19 @@ impl ParallelRuntime {
     /// Propagates the first [`RuntimeError`] any worker hit.
     pub fn run(self) -> Result<(ParallelReport, Dataspace), RuntimeError> {
         let index_mode = self.ds.index_mode();
-        let n_shards = self.ds.num_shards();
+        let router =
+            WakeRouter::new(self.ds.num_shards()).testing_skip_park_recheck(self.skip_park_recheck);
+        let mut committer = Committer::new(router, self.metrics.clone(), self.tracer.clone());
+        if let Some(wal) = self.wal {
+            committer.attach_wal(wal);
+        }
         let shared = Arc::new(Shared {
             program: self.program,
             builtins: self.builtins,
             sds: self.ds,
-            epoch: AtomicU64::new(0),
+            committer,
             queue: Mutex::new(self.initial.clone().into()),
             cv: Condvar::new(),
-            blocked: (0..n_shards)
-                .map(|_| Mutex::new(ShardBlocked::default()))
-                .collect(),
             pending: AtomicUsize::new(self.initial.len()),
             done: AtomicBool::new(self.initial.is_empty()),
             attempts: RelaxedCounter::new(0),
@@ -559,14 +520,11 @@ impl ParallelRuntime {
             next_pid: RelaxedCounter::new(self.next_pid),
             error: Mutex::new(None),
             metrics: self.metrics,
-            snapshotter: Mutex::new(self.wal.as_ref().map(|w| Snapshotter::new(Arc::clone(w)))),
-            wal: self.wal,
             tracer: self.tracer,
             stall: self.stall_threshold.map(|threshold| StallCfg {
                 threshold,
                 recent: Mutex::new(VecDeque::new()),
             }),
-            skip_park_recheck: self.skip_park_recheck,
         });
         sdl_sync::scope(|scope| {
             for w in 0..self.threads {
@@ -591,35 +549,12 @@ impl ParallelRuntime {
                 shared.metrics.inc(Counter::WakeSpurious);
             }
         }
-        // Drain the per-shard blocked indexes; taking each slot dedupes
-        // entries that sat under several keys or shards.
-        let blocked_pids: Vec<ProcId> = {
-            let mut pids = Vec::new();
-            for list in &shared.blocked {
-                let sb = list.lock();
-                for e in sb.by_key.values().flatten().chain(sb.keyless.iter()) {
-                    if let Some(p) = e.slot.lock().take() {
-                        shared.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
-                        if e.stalled.load(Ordering::SeqCst) {
-                            shared.metrics.add_gauge(Gauge::StalledProcesses, -1);
-                        }
-                        if shared.tracer.enabled() {
-                            let now = shared.tracer.now_us();
-                            shared.tracer.record(TraceRecord::Park {
-                                pid: p.id,
-                                t_us: e.park_t_us,
-                                dur_us: now.saturating_sub(e.park_t_us),
-                                keys: trace::watch_labels(&e.watch),
-                                outcome: ParkOutcome::Drained,
-                            });
-                        }
-                        pids.push(p.id);
-                    }
-                }
-            }
-            pids.sort_unstable();
-            pids
-        };
+        let mut blocked_pids: Vec<ProcId> = Vec::new();
+        for parked in shared.committer.router.drain() {
+            settle_park(&shared, &parked, ParkOutcome::Drained);
+            blocked_pids.push(parked.proc.id);
+        }
+        blocked_pids.sort_unstable();
         let outcome = if shared.step_limited.load(Ordering::SeqCst) {
             Outcome::StepLimit
         } else if blocked_pids.is_empty() {
@@ -629,15 +564,7 @@ impl ParallelRuntime {
                 blocked: blocked_pids,
             }
         };
-        // Drain the background snapshot writer, then make whatever the
-        // fsync policy deferred durable before the run is reported back.
-        let snapshotter = shared.snapshotter.lock().take();
-        if let Some(snap) = snapshotter {
-            snap.finish().map_err(wal_err)?;
-        }
-        if let Some(wal) = &shared.wal {
-            wal.sync().map_err(wal_err)?;
-        }
+        shared.committer.finish().map_err(wal_err)?;
         let ds = shared.sds.drain_into_dataspace();
         let report = ParallelReport {
             outcome,
@@ -680,11 +607,10 @@ fn worker(shared: &Shared, seed: u64, index: usize) {
     }
 }
 
-/// Periodically scans the per-shard blocked lists, flagging processes
-/// parked beyond the configured threshold: gauge `sdl_stalled_processes`
-/// goes up, and the trace gets a [`TraceRecord::Stall`] carrying the
-/// watch keys plus the nearest-miss recent commits (same relation,
-/// different values).
+/// Periodically scans the parked processes, flagging those parked beyond
+/// the configured threshold: gauge `sdl_stalled_processes` goes up, and
+/// the trace gets a [`TraceRecord::Stall`] carrying the watch keys plus
+/// the nearest-miss recent commits (same relation, different values).
 fn watchdog(shared: &Shared) {
     let cfg = shared.stall.as_ref().expect("watchdog spawned with config");
     let tick = cfg.threshold.div_f64(2.0).min(Duration::from_millis(20));
@@ -694,38 +620,29 @@ fn watchdog(shared: &Shared) {
         }
         sdl_sync::sleep(tick);
         let now = Instant::now();
-        for list in &shared.blocked {
-            let sb = list.lock();
-            for e in sb.by_key.values().flatten().chain(sb.keyless.iter()) {
-                let Some(since) = e.since else { continue };
-                let waited = now.saturating_duration_since(since);
-                if waited < cfg.threshold {
-                    continue;
-                }
-                // Flag while holding the slot lock: a waker claims the
-                // slot under the same lock, so exactly one side settles
-                // the gauge (flag set before a claim ⇒ the claimant
-                // decrements; claim first ⇒ the stub is never flagged).
-                let slot = e.slot.lock();
-                let Some(pid) = slot.as_ref().map(|p| p.id) else {
-                    continue; // stale stub: claimed elsewhere
-                };
-                if e.stalled.swap(true, Ordering::SeqCst) {
-                    continue; // already flagged via another key or shard
-                }
-                shared.metrics.add_gauge(Gauge::StalledProcesses, 1);
-                if shared.tracer.enabled() {
-                    let mut recent = cfg.recent.lock();
-                    shared.tracer.record(TraceRecord::Stall {
-                        pid,
-                        t_us: shared.tracer.now_us(),
-                        waited_us: waited.as_micros() as u64,
-                        keys: trace::watch_labels(&e.watch),
-                        near_misses: trace::near_misses(&e.watch, recent.make_contiguous()),
-                    });
-                }
+        // The visit runs under each slot's lock and a claimant takes the
+        // slot under the same lock, so exactly one side settles the
+        // gauge: flag set before a claim ⇒ the claimant decrements;
+        // claim first ⇒ the stub is never visited.
+        shared.committer.router.visit(|e| {
+            let Some(since) = e.since else { return };
+            let waited = now.saturating_duration_since(since);
+            if e.stalled || waited < cfg.threshold {
+                return;
             }
-        }
+            e.stalled = true;
+            shared.metrics.add_gauge(Gauge::StalledProcesses, 1);
+            if shared.tracer.enabled() {
+                let mut recent = cfg.recent.lock();
+                shared.tracer.record(TraceRecord::Stall {
+                    pid: e.proc.id,
+                    t_us: shared.tracer.now_us(),
+                    waited_us: waited.as_micros() as u64,
+                    keys: trace::watch_labels(&e.watch),
+                    near_misses: trace::near_misses(&e.watch, recent.make_contiguous()),
+                });
+            }
+        });
     }
 }
 
@@ -835,75 +752,22 @@ fn commit_footprint(shared: &Shared, proc: &ProcessInstance, p: &Pending) -> Sha
     pending_write_footprint(&shared.sds, p)
 }
 
-/// Wakes blocked processes subscribed to any of `changed`'s keys,
-/// looking each published key up in the changed shards' reverse
-/// indexes — no scan over unrelated parked entries. Must run after the
-/// commit's epoch increment: a parker that inserts too late to be seen
-/// here is guaranteed to observe the new epoch and re-queue itself.
-fn wake(shared: &Shared, changed: &WatchSet, changed_shards: ShardSet, commit: u64) {
-    if changed.is_empty() {
-        return;
+/// Settles a park whose slot was just claimed: the depth and stall
+/// gauges come down and the park interval closes in the trace.
+fn settle_park(shared: &Shared, e: &Parked, outcome: ParkOutcome) {
+    shared.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
+    if e.stalled {
+        shared.metrics.add_gauge(Gauge::StalledProcesses, -1);
     }
-    let n = shared.sds.num_shards();
-    // Sort the published keys: `WatchSet` iterates in hash order, and
-    // the blocked-list lock and slot-claim sequence must be identical
-    // across runs for schedule replay to hold.
-    let mut keys: Vec<WatchKey> = changed.iter().copied().collect();
-    keys.sort_unstable();
-    let mut woken: Vec<(Arc<Parked>, ProcessInstance, WatchKey)> = Vec::new();
-    for s in changed_shards.iter() {
-        let mut sb = shared.blocked[s].lock();
-        for key in &keys {
-            // A routable key wakes through its own shard's index; an
-            // unroutable (arity) key is registered in every shard, so
-            // any changed shard's index covers it — later shards just
-            // clean up the stubs the first one left.
-            if shard_of_watch_key(key, n).is_some_and(|r| r != s) {
-                continue;
-            }
-            let Some(list) = sb.by_key.get_mut(key) else {
-                continue;
-            };
-            for e in list.drain(..) {
-                // A key-indexed hit implies the watch intersects the
-                // change; an empty slot is a stale stub claimed via
-                // another key or shard.
-                let claimed = e.slot.lock().take();
-                if let Some(mut p) = claimed {
-                    p.woken = true;
-                    woken.push((e, p, *key));
-                }
-            }
-            sb.by_key.remove(key);
-        }
-    }
-    for (e, p, key) in woken {
-        shared.metrics.inc(Counter::WakeupCommit);
-        shared.metrics.observe_timer(Hist::BlockedSeconds, e.since);
-        shared.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
-        if e.stalled.load(Ordering::SeqCst) {
-            shared.metrics.add_gauge(Gauge::StalledProcesses, -1);
-        }
-        if shared.tracer.enabled() {
-            // The park interval closes here, and the wake edge carries
-            // the committing transaction's id — the causality arrow the
-            // exporter draws from commit slice to wake point.
-            let now = shared.tracer.now_us();
-            shared.tracer.record(TraceRecord::Park {
-                pid: p.id,
-                t_us: e.park_t_us,
-                dur_us: now.saturating_sub(e.park_t_us),
-                keys: trace::watch_labels(&e.watch),
-                outcome: ParkOutcome::Woken,
-            });
-            shared.tracer.record(TraceRecord::Wake {
-                pid: p.id,
-                commit,
-                key: key.label(),
-                t_us: now,
-            });
-        }
-        enqueue(shared, p);
+    if shared.tracer.enabled() {
+        let now = shared.tracer.now_us();
+        shared.tracer.record(TraceRecord::Park {
+            pid: e.proc.id,
+            t_us: e.park_t_us,
+            dur_us: now.saturating_sub(e.park_t_us),
+            keys: trace::watch_labels(&e.watch),
+            outcome,
+        });
     }
 }
 
@@ -952,7 +816,7 @@ fn attempt(
         // this point is either serialised behind our locks (we see its
         // effects) or bumps the epoch (a parker re-queues). Either way no
         // wake-up is lost.
-        let epoch = shared.epoch.load(Ordering::SeqCst);
+        let epoch = shared.committer.router.epoch();
         // Query under the read-footprint locks; effect construction
         // (which may run expensive host functions) outside any lock.
         let timer = shared.metrics.start_timer();
@@ -1031,146 +895,59 @@ fn attempt(
         shared
             .tracer
             .span(effects_span, trace_id, proc.id, SpanPhase::Effects);
-        let commit_span = shared.tracer.begin();
-        let (changed, changed_shards, wal_commit, commit_id) = {
-            let lock_timer = shared.metrics.start_timer();
-            let lock_span = shared.tracer.begin();
-            let mut ds = shared.sds.write_shards(write_fp);
-            shared
-                .metrics
-                .observe_timer(Hist::ShardLockWaitSeconds, lock_timer);
-            shared
-                .tracer
-                .span(lock_span, trace_id, proc.id, SpanPhase::LockWaitWrite);
-            // Validation runs against the write footprint, which covers
-            // every shard the evidence patterns route to — by the routing
-            // invariant the answers equal the whole store's.
-            if !p.validate(&ds) {
-                shared.conflicts.fetch_add(1);
-                shared.metrics.inc(Counter::TxnConflicts);
-                for s in write_fp.iter() {
-                    shared.metrics.add_shard(s, ShardCounter::Conflicts, 1);
-                }
-                if shared.tracer.enabled() {
-                    // Still under the write locks, so the per-shard
-                    // last-commit markers name a commit serialised
-                    // before us — the batch this abort lost to.
-                    shared.tracer.record(TraceRecord::Conflict {
-                        trace: trace_id,
-                        pid: proc.id,
-                        track: Track::current(),
-                        against: shared.sds.latest_commit_over(write_fp),
-                        t_us: shared.tracer.now_us(),
-                    });
-                }
-                drop(ds);
-                continue; // somebody raced us; re-evaluate
-            }
-            // Export filtering runs against the pre-retraction store, so
-            // a commit's own retractions cannot disable its exports.
-            let allowed: Vec<bool> = p
-                .asserts
-                .iter()
-                .map(|tu| proc.def.view.exports(tu, &ds, &proc.env, &shared.builtins))
-                .collect();
-            let dropped = allowed.iter().filter(|ok| !**ok).count() as u64;
-            if dropped > 0 {
-                shared.metrics.add(Counter::ExportDropped, dropped);
+        // Validation runs against the write footprint, which covers
+        // every shard the evidence patterns route to — by the routing
+        // invariant the answers equal the whole store's.
+        let decide = |ds: &ShardWriteView<'_>| {
+            if !p.validate(ds) {
+                return Decision::Conflict;
             }
             let mut actions: Vec<Action> = Vec::with_capacity(p.retracts.len() + p.asserts.len());
             actions.extend(p.retracts.iter().map(|id| Action::Retract(*id)));
-            actions.extend(
-                p.asserts
-                    .iter()
-                    .zip(&allowed)
-                    .filter(|(_, ok)| **ok)
-                    .map(|(tu, _)| Action::Assert(proc.id, tu.clone())),
-            );
-            let mut changed = WatchSet::new();
-            let apply_timer = shared.metrics.start_timer();
-            let (out, changed_shards) = ds.apply_batch(actions, &mut changed);
-            shared
-                .metrics
-                .observe_timer(Hist::CommitApplySeconds, apply_timer);
-            // Mint the commit id inside the lock scope and publish it on
-            // the written shards: any attempt that later aborts against
-            // this batch holds an overlapping write lock, so it reads a
-            // marker serialised after this store.
-            let commit_id = shared.tracer.new_commit();
-            if commit_id != 0 {
-                shared.sds.note_commit(write_fp, commit_id);
-            }
-            // Append while still holding the write footprint: any
-            // conflicting commit is ordered behind these locks, so the
-            // log's append order is a valid serialisation of the run
-            // (disjoint-footprint commits commute). The fsync waits
-            // until the locks drop.
-            let wal_commit = match &shared.wal {
-                Some(wal) => {
-                    let retracts: Vec<TupleId> = out.retracted.iter().map(|(id, _)| *id).collect();
-                    let applied = p
-                        .asserts
-                        .iter()
-                        .zip(&allowed)
-                        .filter(|(_, ok)| **ok)
-                        .map(|(tu, _)| tu.clone());
-                    let asserts: Vec<(TupleId, Tuple)> =
-                        out.asserted.iter().copied().zip(applied).collect();
-                    Some(wal.append(&retracts, &asserts).map_err(wal_err)?)
+            // Export filtering runs against the pre-retraction store, so
+            // a commit's own retractions cannot disable its exports.
+            for tu in &p.asserts {
+                if proc.def.view.exports(tu, ds, &proc.env, &shared.builtins) {
+                    actions.push(Action::Assert(proc.id, tu.clone()));
+                } else {
+                    shared.metrics.inc(Counter::ExportDropped);
                 }
-                None => None,
-            };
-            (changed, changed_shards, wal_commit, commit_id)
+            }
+            Decision::Apply(actions)
         };
-        // Locks are down; publish the commit before scanning blocked
-        // lists so parkers that miss the scan catch the epoch change.
-        shared.epoch.fetch_add(1, Ordering::SeqCst);
+        let committed = shared
+            .committer
+            .commit(&shared.sds, write_fp, trace_id, proc.id, decide)
+            .map_err(wal_err)?;
+        let Some(done) = committed else {
+            shared.conflicts.fetch_add(1);
+            continue; // somebody raced us; re-evaluate
+        };
         shared.commits.fetch_add(1);
         shared.metrics.inc(committed_counter(t.kind));
-        for s in write_fp.iter() {
-            shared.metrics.add_shard(s, ShardCounter::Commits, 1);
+        if let (Some(cfg), true) = (&shared.stall, done.commit_id != 0) {
+            cfg.push_recent(done.commit_id, done.changed, batch_desc(&p));
         }
-        if commit_id != 0 {
-            let now = shared.tracer.now_us();
-            let t0 = commit_span.unwrap_or(now);
-            shared.tracer.record(TraceRecord::Commit {
-                trace: trace_id,
-                pid: proc.id,
-                track: Track::current(),
-                commit: commit_id,
-                t_us: t0,
-                dur_us: now.saturating_sub(t0),
-                keys: trace::watch_labels(&changed),
-                shards: write_fp.iter().collect(),
-            });
-            if let Some(cfg) = &shared.stall {
-                cfg.push_recent(commit_id, changed.clone(), batch_desc(&p));
+        for (key, mut parked) in done.woken {
+            shared.metrics.inc(Counter::WakeupCommit);
+            shared
+                .metrics
+                .observe_timer(Hist::BlockedSeconds, parked.since);
+            settle_park(shared, &parked, ParkOutcome::Woken);
+            if shared.tracer.enabled() {
+                // The wake edge carries the committing transaction's id
+                // — the causality arrow the exporter draws from commit
+                // slice to wake point.
+                shared.tracer.record(TraceRecord::Wake {
+                    pid: parked.proc.id,
+                    commit: done.commit_id,
+                    key: key.label(),
+                    t_us: shared.tracer.now_us(),
+                });
             }
+            parked.proc.woken = true;
+            enqueue(shared, parked.proc);
         }
-        if let Some(wal) = &shared.wal {
-            // Group commit: if another thread's fsync already covered
-            // this commit number, this returns without syncing.
-            let commit = wal_commit.expect("appended under the write locks");
-            wal.ensure_durable(commit).map_err(wal_err)?;
-            if wal.snapshot_due() {
-                let snapshotter = shared.snapshotter.lock();
-                if let Some(snap) = snapshotter.as_ref() {
-                    if snap.idle() {
-                        // A full-footprint read view is consistent with
-                        // the log: appends happen under shard write
-                        // locks, so the state under all read locks is
-                        // exactly "after the highest appended commit" —
-                        // read `last_appended` while the view is held.
-                        let view = shared.sds.read_shards(shared.sds.all_shards());
-                        let commit = wal.last_appended();
-                        let (cursors, tuples) = view.snapshot_state();
-                        drop(view);
-                        snap.offer(commit, cursors, tuples);
-                    }
-                }
-            }
-        }
-        wake(shared, &changed, changed_shards, commit_id);
         return Ok(TxnOutcome::Committed(p));
     }
 }
@@ -1404,18 +1181,8 @@ fn guards(
     Ok(ProcFate::Continue)
 }
 
-/// Parks a blocked process without losing wake-ups.
-///
-/// The race: a commit lands *after* our failed evaluation but *before*
-/// we are visible in the blocked lists — its `wake` scan would miss us.
-/// The protocol: insert the entry into every list its watch keys route
-/// to, then re-read the commit epoch. If it differs from the one the
-/// evaluation read, something committed in between: claim the slot back
-/// and re-queue (the entries left behind are stale stubs, dropped on the
-/// next scan of their lists). If it is unchanged, no commit published
-/// since evaluation — and any later commit increments the epoch *before*
-/// scanning, so it either sees our entry or we would have seen its
-/// epoch.
+/// Parks a blocked process in the router (whose module docs argue why no
+/// wake-up is lost), or re-queues it when a commit raced the park.
 fn park(shared: &Shared, watch: WatchSet, eval_epoch: u64, mut proc: ProcessInstance) {
     // Parking after a wakeup means the wake key matched but the query
     // still failed — classify the wake as spurious.
@@ -1423,80 +1190,29 @@ fn park(shared: &Shared, watch: WatchSet, eval_epoch: u64, mut proc: ProcessInst
         proc.woken = false;
         shared.metrics.inc(Counter::WakeSpurious);
     }
-    let n = shared.sds.num_shards();
-    let entry = Arc::new(Parked {
+    let keys: Vec<WatchKey> = watch.iter().copied().collect();
+    let slot = Slot::new(Parked {
         since: shared
             .metrics
             .start_timer()
             .or_else(|| shared.stall.as_ref().map(|_| Instant::now())),
         park_t_us: shared.tracer.now_us(),
-        stalled: AtomicBool::new(false),
-        slot: Mutex::new(Some(proc)),
+        stalled: false,
+        proc,
         watch,
     });
-    // The depth gauge goes up *before* the entry becomes claimable: a
+    // The depth gauge goes up *before* the slot becomes claimable: a
     // waker that beats the epoch re-check decrements on claim, and if
     // that ran ahead of a late increment the gauge would dip negative.
     shared.metrics.add_gauge(Gauge::BlockedQueueDepth, 1);
-    // Register the entry under each watch key in the key's shard's
-    // reverse index: functor and value keys pin one shard, arity keys
-    // go in every shard (any of them may publish the change). An empty
-    // watch can never be woken; it parks keyless on shard 0 so the
-    // end-of-run drain still finds it. Keys are visited in sorted order
-    // so the lock sequence replays deterministically under exploration.
-    let mut keys: Vec<WatchKey> = entry.watch.iter().copied().collect();
-    keys.sort_unstable();
-    let mut any_key = false;
-    for key in &keys {
-        any_key = true;
-        match shard_of_watch_key(key, n) {
-            Some(s) => shared.blocked[s]
-                .lock()
-                .by_key
-                .entry(*key)
-                .or_default()
-                .push(entry.clone()),
-            None => {
-                for s in 0..n {
-                    shared.blocked[s]
-                        .lock()
-                        .by_key
-                        .entry(*key)
-                        .or_default()
-                        .push(entry.clone());
-                }
-            }
-        }
-    }
-    if !any_key {
-        shared.blocked[0].lock().keyless.push(entry.clone());
-    }
-    if !shared.skip_park_recheck && shared.epoch.load(Ordering::SeqCst) != eval_epoch {
+    if let Some(parked) = shared.committer.router.park(&slot, keys, eval_epoch) {
         // A commit published while we were parking; whether or not its
-        // wake saw us, re-evaluating is the safe answer.
-        if let Some(p) = entry.slot.lock().take() {
-            shared.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
-            if entry.stalled.load(Ordering::SeqCst) {
-                shared.metrics.add_gauge(Gauge::StalledProcesses, -1);
-            }
-            if shared.tracer.enabled() {
-                // The park never stuck; close it immediately so spans
-                // stay balanced (no wake edge — the waking commit raced
-                // past the lists before this entry was visible).
-                let now = shared.tracer.now_us();
-                shared.tracer.record(TraceRecord::Park {
-                    pid: p.id,
-                    t_us: entry.park_t_us,
-                    dur_us: now.saturating_sub(entry.park_t_us),
-                    keys: trace::watch_labels(&entry.watch),
-                    outcome: ParkOutcome::Woken,
-                });
-            }
-            enqueue(shared, p);
-            return;
-        }
-        // A waker beat us to the slot and already re-queued us (and
-        // settled the depth gauge when it claimed).
+        // wake saw us, re-evaluating is the safe answer. The park never
+        // stuck: close it immediately so spans stay balanced (no wake
+        // edge — the commit raced past before this slot was visible).
+        settle_park(shared, &parked, ParkOutcome::Woken);
+        enqueue(shared, parked.proc);
+        return;
     }
     shared.metrics.inc(Counter::ProcessesBlocked);
 }
@@ -1506,6 +1222,7 @@ mod tests {
     use super::*;
     use crate::CompiledProgram;
     use sdl_dataspace::{shard_of_tuple, TupleSource};
+    use sdl_metrics::ShardCounter;
     use sdl_tuple::tuple;
 
     fn job_program() -> CompiledProgram {

@@ -35,7 +35,7 @@ use crate::events::Event;
 use crate::outcome::Outcome;
 use crate::process::Frame;
 use crate::program::{CompiledBranch, CompiledStmt};
-use crate::sched::{attempts_counter, committed_counter, failed_counter, GuardMode, Runtime};
+use crate::sched::{attempts_counter, failed_counter, GuardMode, Runtime};
 use crate::RunReport;
 
 use sdl_metrics::Counter;
@@ -135,13 +135,7 @@ impl Runtime {
                                 Some(p) => {
                                     if p.validate(&self.ds) {
                                         self.advance_seq(pid);
-                                        let changed = self.commit_single(pid, &p)?;
-                                        self.metrics.inc(committed_counter(t.kind));
-                                        self.emit(Event::TxnCommitted {
-                                            by: pid,
-                                            kind: t.kind,
-                                        });
-                                        let _ = changed;
+                                        self.commit_single(pid, &p, t.kind)?;
                                         self.apply_control(pid, &p)?;
                                         Ok((1, true))
                                     } else {
@@ -243,12 +237,7 @@ impl Runtime {
                 if mode == GuardMode::Select {
                     self.advance_seq(pid);
                 }
-                self.commit_single(pid, &p)?;
-                self.metrics.inc(committed_counter(guard.kind));
-                self.emit(Event::TxnCommitted {
-                    by: pid,
-                    kind: guard.kind,
-                });
+                self.commit_single(pid, &p, guard.kind)?;
                 self.enter_branch(pid, &p, branches[i].rest.clone(), mode)?;
                 return Ok((1, true));
             }
@@ -315,12 +304,7 @@ impl Runtime {
                     break;
                 };
                 if p.validate(&self.ds) {
-                    self.commit_single(pid, &p)?;
-                    self.metrics.inc(committed_counter(guard.kind));
-                    self.emit(Event::TxnCommitted {
-                        by: pid,
-                        kind: guard.kind,
-                    });
+                    self.commit_single(pid, &p, guard.kind)?;
                     commits += 1;
                     for id in &p.retracts {
                         local.retract(*id);

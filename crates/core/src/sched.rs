@@ -844,12 +844,7 @@ impl Runtime {
         match self.evaluate_for(pid, t, None)? {
             Some(p) => {
                 self.advance_seq(pid);
-                let changed = self.commit_single(pid, &p)?;
-                self.metrics.inc(committed_counter(t.kind));
-                self.emit(Event::TxnCommitted {
-                    by: pid,
-                    kind: t.kind,
-                });
+                let changed = self.commit_single(pid, &p, t.kind)?;
                 self.wake(&changed);
                 self.apply_control(pid, &p)?;
                 Ok(StepResult::Progressed)
@@ -902,12 +897,7 @@ impl Runtime {
                 if mode == GuardMode::Select {
                     self.advance_seq(pid);
                 }
-                let changed = self.commit_single(pid, &p)?;
-                self.metrics.inc(committed_counter(guard.kind));
-                self.emit(Event::TxnCommitted {
-                    by: pid,
-                    kind: guard.kind,
-                });
+                let changed = self.commit_single(pid, &p, guard.kind)?;
                 self.wake(&changed);
                 self.enter_branch(pid, &p, branches[i].rest.clone(), mode)?;
                 return Ok(StepResult::Progressed);
@@ -1078,37 +1068,74 @@ impl Runtime {
         w
     }
 
-    /// Applies a single pending commit's dataspace effects (export
-    /// filtering against the pre-state, then retracts, then asserts) and
-    /// returns the changed watch keys.
+    /// Applies one process's pending commit: the one-contribution case
+    /// of [`Runtime::commit_composite`]. Returns the changed watch keys.
+    pub(crate) fn commit_single(
+        &mut self,
+        pid: ProcId,
+        p: &Pending,
+        kind: TxnKind,
+    ) -> Result<WatchSet, RuntimeError> {
+        let (changed, _) = self.commit_composite(&[(pid, p)], kind, || batch_desc(p))?;
+        if let Some(proc) = self.procs.get_mut(&pid) {
+            if proc.woken {
+                proc.woken = false;
+                self.metrics.inc(Counter::WakeProgress);
+            }
+        }
+        Ok(changed)
+    }
+
+    /// Commits the contributions of one or more processes as one atomic
+    /// transaction: export sets evaluated against the pre-commit
+    /// configuration, then all retractions (set-union), then all
+    /// assertions, one `TxnCommitted` per contribution, one WAL record
+    /// (recovery replays the whole composite or none of it) and one
+    /// trace commit. Returns the changed watch keys and the commit id.
     ///
     /// The whole commit goes through [`Dataspace::apply_batch`], so index
     /// maintenance is grouped per index entry and the store version bumps
     /// once — a high-fanout `forall` commit touches each `(functor,
     /// arity)` bucket a single time instead of once per tuple.
-    pub(crate) fn commit_single(
+    fn commit_composite(
         &mut self,
-        pid: ProcId,
-        p: &Pending,
-    ) -> Result<WatchSet, RuntimeError> {
-        let (def, env) = {
-            let proc = &self.procs[&pid];
-            (proc.def.clone(), proc.env.clone())
-        };
-        let allowed: Vec<bool> = p
-            .asserts
+        parts: &[(ProcId, &Pending)],
+        kind: TxnKind,
+        desc: impl FnOnce() -> String,
+    ) -> Result<(WatchSet, u64), RuntimeError> {
+        let allowed: Vec<Vec<bool>> = parts
             .iter()
-            .map(|t| def.view.exports(t, &self.ds, &env, &self.builtins))
+            .map(|(pid, p)| {
+                let proc = &self.procs[pid];
+                p.asserts
+                    .iter()
+                    .map(|t| {
+                        proc.def
+                            .view
+                            .exports(t, &self.ds, &proc.env, &self.builtins)
+                    })
+                    .collect()
+            })
             .collect();
-        let mut actions: Vec<Action> = Vec::with_capacity(p.retracts.len() + p.asserts.len());
-        actions.extend(p.retracts.iter().map(|id| Action::Retract(*id)));
-        actions.extend(
-            p.asserts
-                .iter()
-                .zip(&allowed)
-                .filter(|(_, ok)| **ok)
-                .map(|(t, _)| Action::Assert(pid, t.clone())),
-        );
+        let mut retract_by = HashMap::new();
+        let mut actions: Vec<Action> = Vec::new();
+        for (pid, p) in parts {
+            for id in &p.retracts {
+                if let std::collections::hash_map::Entry::Vacant(e) = retract_by.entry(*id) {
+                    e.insert(*pid);
+                    actions.push(Action::Retract(*id));
+                }
+            }
+        }
+        for ((pid, p), allow) in parts.iter().zip(&allowed) {
+            actions.extend(
+                p.asserts
+                    .iter()
+                    .zip(allow)
+                    .filter(|(_, ok)| **ok)
+                    .map(|(t, _)| Action::Assert(*pid, t.clone())),
+            );
+        }
         let apply_timer = self.metrics.start_timer();
         let commit_span = self.tracer.begin();
         let mut changed = WatchSet::new();
@@ -1120,31 +1147,33 @@ impl Runtime {
             if logging {
                 wal_retracts.push(id);
             }
-            self.emit(Event::TupleRetracted {
-                by: pid,
-                id,
-                tuple: t,
-            });
+            let by = retract_by[&id];
+            self.emit(Event::TupleRetracted { by, id, tuple: t });
         }
         let mut ids = out.asserted.into_iter();
-        for (t, ok) in p.asserts.iter().zip(&allowed) {
-            if *ok {
-                let id = ids.next().expect("one id per applied assert");
-                if logging {
-                    wal_asserts.push((id, t.clone()));
+        for ((pid, p), allow) in parts.iter().zip(&allowed) {
+            for (t, ok) in p.asserts.iter().zip(allow) {
+                if *ok {
+                    let id = ids.next().expect("one id per applied assert");
+                    if logging {
+                        wal_asserts.push((id, t.clone()));
+                    }
+                    self.emit(Event::TupleAsserted {
+                        by: *pid,
+                        id,
+                        tuple: t.clone(),
+                    });
+                } else {
+                    self.metrics.inc(Counter::ExportDropped);
+                    self.emit(Event::ExportDropped {
+                        by: *pid,
+                        tuple: t.clone(),
+                    });
                 }
-                self.emit(Event::TupleAsserted {
-                    by: pid,
-                    id,
-                    tuple: t.clone(),
-                });
-            } else {
-                self.metrics.inc(Counter::ExportDropped);
-                self.emit(Event::ExportDropped {
-                    by: pid,
-                    tuple: t.clone(),
-                });
             }
+            self.report.commits += 1;
+            self.metrics.inc(committed_counter(kind));
+            self.emit(Event::TxnCommitted { by: *pid, kind });
         }
         self.wal_append(wal_retracts, wal_asserts)?;
         self.metrics
@@ -1156,7 +1185,7 @@ impl Runtime {
             let t0 = commit_span.unwrap_or(now);
             self.tracer.record(TraceRecord::Commit {
                 trace: self.cur_trace,
-                pid,
+                pid: parts[0].0,
                 track: Track::current(),
                 commit: commit_id,
                 t_us: t0,
@@ -1165,17 +1194,10 @@ impl Runtime {
                 shards: Vec::new(),
             });
             if let Some(stall) = &mut self.stall {
-                stall.push_recent(commit_id, changed.clone(), batch_desc(p));
+                stall.push_recent(commit_id, changed.clone(), desc());
             }
         }
-        if let Some(proc) = self.procs.get_mut(&pid) {
-            if proc.woken {
-                proc.woken = false;
-                self.metrics.inc(Counter::WakeProgress);
-            }
-        }
-        self.report.commits += 1;
-        Ok(changed)
+        Ok((changed, commit_id))
     }
 
     /// Appends one committed batch to the write-ahead log (if any),
@@ -1587,114 +1609,11 @@ impl Runtime {
         self.report.consensus_rounds += 1;
         self.metrics.inc(Counter::ConsensusRounds);
 
-        // Export allowance against the pre-composite state.
-        let mut allowed: Vec<Vec<bool>> = Vec::with_capacity(contributions.len());
-        for (pid, _, p) in &contributions {
-            let proc = &self.procs[pid];
-            allowed.push(
-                p.asserts
-                    .iter()
-                    .map(|t| {
-                        proc.def
-                            .view
-                            .exports(t, &self.ds, &proc.env, &self.builtins)
-                    })
-                    .collect(),
-            );
-        }
-
-        // Composite: retraction set-union, then additions — applied as
-        // one batch so the whole community's effects share a single
-        // index-maintenance pass and version bump.
-        let mut retract_by = std::collections::HashMap::new();
-        let mut actions: Vec<Action> = Vec::new();
-        for (pid, _, p) in &contributions {
-            for id in &p.retracts {
-                if let std::collections::hash_map::Entry::Vacant(e) = retract_by.entry(*id) {
-                    e.insert(*pid);
-                    actions.push(Action::Retract(*id));
-                }
-            }
-        }
-        for ((pid, _, p), allow) in contributions.iter().zip(&allowed) {
-            actions.extend(
-                p.asserts
-                    .iter()
-                    .zip(allow)
-                    .filter(|(_, ok)| **ok)
-                    .map(|(t, _)| Action::Assert(*pid, t.clone())),
-            );
-        }
-        let apply_timer = self.metrics.start_timer();
-        let commit_span = self.tracer.begin();
-        let mut changed = WatchSet::new();
-        let out = self.ds.apply_batch(&actions, &mut changed);
-        let logging = self.wal.is_some();
-        let mut wal_retracts = Vec::new();
-        let mut wal_asserts = Vec::new();
-        for (id, t) in out.retracted {
-            if logging {
-                wal_retracts.push(id);
-            }
-            let by = retract_by[&id];
-            self.emit(Event::TupleRetracted { by, id, tuple: t });
-        }
-        let mut ids = out.asserted.into_iter();
-        for ((pid, _, p), allow) in contributions.iter().zip(&allowed) {
-            for (t, ok) in p.asserts.iter().zip(allow) {
-                if *ok {
-                    let id = ids.next().expect("one id per applied assert");
-                    if logging {
-                        wal_asserts.push((id, t.clone()));
-                    }
-                    self.emit(Event::TupleAsserted {
-                        by: *pid,
-                        id,
-                        tuple: t.clone(),
-                    });
-                } else {
-                    self.metrics.inc(Counter::ExportDropped);
-                    self.emit(Event::ExportDropped {
-                        by: *pid,
-                        tuple: t.clone(),
-                    });
-                }
-            }
-            self.report.commits += 1;
-            self.metrics.inc(Counter::TxnCommittedConsensus);
-            self.emit(Event::TxnCommitted {
-                by: *pid,
-                kind: TxnKind::Consensus,
-            });
-        }
-        // The composite is one atomic transaction, so it is one WAL
-        // record: recovery replays the whole community or none of it.
-        self.wal_append(wal_retracts, wal_asserts)?;
-        self.metrics
-            .observe_timer(Hist::CommitApplySeconds, apply_timer);
-        let commit_id = self.tracer.new_commit();
-        if commit_id != 0 {
-            self.last_commit_id = commit_id;
-            let now = self.tracer.now_us();
-            let t0 = commit_span.unwrap_or(now);
-            self.tracer.record(TraceRecord::Commit {
-                trace: self.cur_trace,
-                pid: participants[0],
-                track: Track::current(),
-                commit: commit_id,
-                t_us: t0,
-                dur_us: now.saturating_sub(t0),
-                keys: trace::watch_labels(&changed),
-                shards: Vec::new(),
-            });
-            if let Some(stall) = &mut self.stall {
-                stall.push_recent(
-                    commit_id,
-                    changed.clone(),
-                    format!("consensus of {} processes", participants.len()),
-                );
-            }
-        }
+        let parts: Vec<(ProcId, &Pending)> =
+            contributions.iter().map(|(pid, _, p)| (*pid, p)).collect();
+        let (changed, commit_id) = self.commit_composite(&parts, TxnKind::Consensus, || {
+            format!("consensus of {} processes", participants.len())
+        })?;
 
         // Per-participant control advance. Every participant's wake ends
         // in this commit, so it counts as progress.

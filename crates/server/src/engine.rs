@@ -1,19 +1,18 @@
 //! The per-loop request engine: maps decoded wire requests onto the
-//! shared [`ShardedDataspace`] through footprint locking.
+//! shared [`sdl_dataspace::ShardedDataspace`] through footprint locking.
 //!
 //! Each event loop owns one `Engine`. Connection state (the parked-op
 //! table, the assert buffer, reply routing) is loop-local and
 //! lock-free; the store itself is shared, and every op acquires exactly
-//! the shard locks its footprint routes to — the same discipline
-//! `core::parallel` uses — so ops over disjoint relations on different
-//! loops evaluate and commit truly in parallel:
+//! the shard locks its footprint routes to, so ops over disjoint
+//! relations on different loops evaluate and commit truly in parallel:
 //!
 //! * **Batched commits** — consecutive `out` requests buffer into one
 //!   `apply_batch` under one write footprint, flushed before the first
 //!   read-type op needs to observe them (per-connection program order).
 //! * **Zero-polling parks** — blocking ops register claimable
-//!   [`Waiter`] stubs in the shared per-shard wake routers
-//!   ([`NetShared`]) under the commit-epoch park protocol, so a parked
+//!   [`Waiter`] stubs in the shared wake router ([`NetShared`]) under
+//!   the commit-epoch park protocol ([`sdl_core::commit`]), so a parked
 //!   request costs nothing until a commit publishes one of its keys —
 //!   no matter which loop commits it.
 //! * **Cross-loop wakes** — a commit's wake scan claims waiters
@@ -30,12 +29,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
+use sdl_core::commit::Decision;
 use sdl_core::parallel::{pending_write_footprint, txn_read_footprint};
 use sdl_core::program::{compile_txn, CompiledTxn};
 use sdl_core::txn::{build_effects, evaluate_query, watch_set_on, PlanConfig};
 use sdl_core::Builtins;
 use sdl_dataspace::{
-    Action, ShardSet, ShardedDataspace, SolveLimits, TupleSource, WatchKey, WatchSet,
+    Action, BatchOutcome, ShardSet, ShardWriteView, SolveLimits, TupleSource, WatchKey, WatchSet,
 };
 use sdl_lang::parse_transaction;
 use sdl_metrics::{Counter, Gauge, Hist, LoopCounter, Metrics};
@@ -274,90 +274,26 @@ impl Engine {
 
     // -- commit path ------------------------------------------------------
 
-    /// Commits `actions` under the `fp` write footprint: apply, note the
-    /// commit, drop locks, bump the epoch, then scan the wake routers.
-    /// The single commit path for flushes, takes, and transactions.
-    fn commit(&mut self, fp: ShardSet, actions: Vec<Action>) -> sdl_dataspace::BatchOutcome {
-        let mut watch = WatchSet::new();
-        let mut view = self.shared.sds.write_shards(fp);
-        let (out, changed) = view.apply_batch(actions, &mut watch);
-        self.shared
-            .sds
-            .note_commit(changed, self.shared.next_commit());
-        let wal_commit = self.wal_append(&view, &out);
-        drop(view);
-        self.shared.bump_epoch();
-        self.after_commit(&watch, changed);
-        self.make_durable(wal_commit);
-        out
-    }
-
-    /// Post-commit bookkeeping: affinity touch counts, the wake scan,
-    /// and the kick mask for cross-loop handoffs.
-    fn after_commit(&mut self, watch: &WatchSet, changed: ShardSet) {
-        self.shared.touch_shards(self.loop_id, changed);
-        let (local, kicks) = self.shared.wake(self.loop_id, watch, changed);
-        self.wake_queue.extend(local);
-        self.kick_mask |= kicks;
-    }
-
-    /// Appends the applied batch to the WAL *while the write view is
-    /// still held*: any conflicting commit is ordered behind these
-    /// locks, so the log's append order is a valid serialisation of the
-    /// run (disjoint-footprint commits commute) — the same argument
-    /// `core::parallel` makes. The fsync waits for [`Engine::make_durable`]
-    /// after the locks drop.
+    /// The engine's one way to change the store: the shared commit
+    /// function under the `fp` write footprint, then affinity touch
+    /// counts and wake delivery (this loop's wake queue, or the owner's
+    /// mailbox plus the kick mask). `None` when `decide` applied nothing.
     ///
     /// A WAL failure is fatal: the store has already applied the batch,
     /// so a leader that cannot log it must not stay up and acknowledge.
-    fn wal_append<S: TupleSource + ?Sized>(
-        &self,
-        view: &S,
-        out: &sdl_dataspace::BatchOutcome,
-    ) -> Option<u64> {
-        let wal = self.shared.wal.as_ref()?;
-        let retracts: Vec<TupleId> = out.retracted.iter().map(|(id, _)| *id).collect();
-        let asserts: Vec<(TupleId, Tuple)> = out
-            .asserted
-            .iter()
-            .map(|&id| (id, view.tuple(id).expect("just asserted").clone()))
-            .collect();
-        match wal.append(&retracts, &asserts) {
-            Ok(commit) => Some(commit),
-            Err(e) => panic!("wal append failed; cannot acknowledge unlogged commits: {e}"),
-        }
-    }
-
-    /// Group-commit fsync for `wal_commit` (after the write locks
-    /// dropped, so concurrent committers share one fsync), then hands a
-    /// due snapshot to the background [`sdl_durability::Snapshotter`] —
-    /// the commit path never writes snapshot files inline.
-    fn make_durable(&self, wal_commit: Option<u64>) {
-        let Some(commit) = wal_commit else { return };
-        let Some(wal) = self.shared.wal.as_ref() else {
-            return;
-        };
-        if let Err(e) = wal.ensure_durable(commit) {
-            panic!("wal fsync failed; cannot acknowledge unlogged commits: {e}");
-        }
-        if wal.snapshot_due() {
-            let snapshotter = self.shared.snapshotter.lock();
-            if let Some(snap) = snapshotter.as_ref() {
-                // Only pay for the store copy when the writer thread
-                // would accept it; a declined snapshot just means the
-                // next due point offers again.
-                if snap.idle() {
-                    let view = self.shared.sds.read_shards(self.shared.sds.all_shards());
-                    // Appends happen under shard write locks, so under a
-                    // full-footprint read view the store is exactly the
-                    // state after the highest appended commit.
-                    let commit = wal.last_appended();
-                    let (cursors, tuples) = view.snapshot_state();
-                    drop(view);
-                    snap.offer(commit, cursors, tuples);
-                }
-            }
-        }
+    fn commit(
+        &mut self,
+        fp: ShardSet,
+        decide: impl FnOnce(&ShardWriteView<'_>) -> Decision,
+    ) -> Option<BatchOutcome> {
+        let done = self.shared.commit(fp, decide).unwrap_or_else(|e| {
+            panic!("wal write failed; cannot acknowledge unlogged commits: {e}")
+        })?;
+        self.shared.touch_shards(self.loop_id, done.changed_shards);
+        let (local, kicks) = self.shared.route(self.loop_id, done.woken);
+        self.wake_queue.extend(local);
+        self.kick_mask |= kicks;
+        Some(done.out)
     }
 
     fn flush(&mut self, replies: &mut Vec<Reply>) {
@@ -374,7 +310,7 @@ impl Engine {
                 Action::Retract(id) => fp.insert(self.shared.sds.shard_of_id(*id)),
             }
         }
-        self.commit(fp, actions);
+        self.commit(fp, |_| Decision::Apply(actions));
         for (conn, req_id) in std::mem::take(&mut self.pending_acks) {
             replies.push((conn, req_id, Response::Ok));
         }
@@ -395,19 +331,12 @@ impl Engine {
     /// Probe-and-retract under one write footprint, so no concurrent
     /// loop can take the same instance.
     fn take_match(&mut self, p: &Pattern) -> Option<Tuple> {
-        let fp = self.pattern_footprint(p);
-        let mut watch = WatchSet::new();
-        let mut view = self.shared.sds.write_shards(fp);
-        let id = first_match_in(&view, p)?;
-        let (out, changed) = view.apply_batch(vec![Action::Retract(id)], &mut watch);
-        self.shared
-            .sds
-            .note_commit(changed, self.shared.next_commit());
-        let wal_commit = self.wal_append(&view, &out);
-        drop(view);
-        self.shared.bump_epoch();
-        self.after_commit(&watch, changed);
-        self.make_durable(wal_commit);
+        let out = self.commit(self.pattern_footprint(p), |view| {
+            match first_match_in(view, p) {
+                Some(id) => Decision::Apply(vec![Action::Retract(id)]),
+                None => Decision::Skip,
+            }
+        })?;
         out.retracted.into_iter().next().map(|(_, t)| t)
     }
 
@@ -435,8 +364,7 @@ impl Engine {
 
     /// One optimistic attempt loop for a transaction: evaluate under the
     /// read footprint, build effects outside any lock, validate + apply
-    /// under the write footprint, retry on conflict — the same shape as
-    /// `core::parallel::attempt`.
+    /// under the write footprint, retry on conflict.
     fn attempt_txn(
         &mut self,
         conn: ConnId,
@@ -484,14 +412,6 @@ impl Engine {
                 return Attempt::Done(Response::Failed);
             }
             let cfp = pending_write_footprint(&self.shared.sds, &p);
-            let mut watch = WatchSet::new();
-            let mut view = self.shared.sds.write_shards(cfp);
-            if !p.validate(&view) {
-                // A concurrent commit invalidated the evaluation's
-                // evidence: classic optimistic conflict, retry.
-                drop(view);
-                continue;
-            }
             let mut actions: Vec<Action> = Vec::with_capacity(p.retracts.len() + p.asserts.len());
             actions.extend(p.retracts.iter().map(|&id| Action::Retract(id)));
             actions.extend(
@@ -499,16 +419,18 @@ impl Engine {
                     .iter()
                     .map(|t| Action::Assert(conn_pid(conn), t.clone())),
             );
-            let (out, changed) = view.apply_batch(actions, &mut watch);
-            self.shared
-                .sds
-                .note_commit(changed, self.shared.next_commit());
-            let wal_commit = self.wal_append(&view, &out);
-            drop(view);
-            self.shared.bump_epoch();
-            self.after_commit(&watch, changed);
-            self.make_durable(wal_commit);
-            return Attempt::Done(Response::Ok);
+            let committed = self.commit(cfp, |view| {
+                if p.validate(view) {
+                    Decision::Apply(actions)
+                } else {
+                    // A concurrent commit invalidated the evaluation's
+                    // evidence: classic optimistic conflict.
+                    Decision::Conflict
+                }
+            });
+            if committed.is_some() {
+                return Attempt::Done(Response::Ok);
+            }
         }
     }
 
@@ -641,13 +563,10 @@ fn op_counter(req: &Request) -> Counter {
     }
 }
 
-// Unused import guard: ShardedDataspace appears in doc comments/paths.
-#[allow(unused)]
-fn _doc_type_anchor(_: &ShardedDataspace) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdl_metrics::ShardCounter;
     use sdl_tuple::{pattern, tuple};
 
     fn engine() -> Engine {
@@ -660,7 +579,8 @@ mod tests {
 
     #[test]
     fn out_batches_and_inp_flushes() {
-        let mut e = engine();
+        let (metrics, registry) = Metrics::registry();
+        let mut e = Engine::new(metrics);
         let mut r = Vec::new();
         e.submit(1, 1, Request::Out(tuple![Value::atom("m"), 1]), &mut r);
         e.submit(1, 2, Request::Out(tuple![Value::atom("m"), 2]), &mut r);
@@ -673,6 +593,13 @@ mod tests {
         assert_eq!(got[2], (1, 3, Response::Tuple(tuple![Value::atom("m"), 1])));
         e.finish(&mut r);
         assert_eq!(e.store_len(), 1);
+        // The flush and the take went through the instrumented commit
+        // function: one shard's commit counter and the apply timer moved.
+        let shard_commits: u64 = (0..4)
+            .map(|s| registry.shard_counter(s, ShardCounter::Commits))
+            .sum();
+        assert_eq!(shard_commits, 2);
+        assert_eq!(registry.hist_count(Hist::CommitApplySeconds), 2);
     }
 
     #[test]

@@ -39,7 +39,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sdl_dataspace::{Action, ShardSet, WatchSet};
+use sdl_core::commit::Decision;
+use sdl_dataspace::{Action, ShardSet};
 use sdl_durability::{recover, CommitRecord, FsyncPolicy, Wal, WalConfig, WalError};
 use sdl_metrics::{Counter, Gauge, Hist, Metrics};
 use sdl_replication::{serve_ship, FollowEvent, FollowerConn, ShipConfig, ShipServer};
@@ -195,21 +196,11 @@ impl Server {
         if let Some(mut ship) = self.ship.take() {
             ship.shutdown();
         }
-        let snapshotter = self.shared.snapshotter.lock().take();
-        if let Some(snap) = snapshotter {
-            if let Err(e) = snap.finish() {
-                if result.is_ok() {
-                    result = Err(io::Error::other(e.to_string()));
-                }
-            }
-        }
-        if let Some(wal) = &self.shared.wal {
-            // Whatever the fsync policy deferred becomes durable before
-            // the server reports itself down.
-            if let Err(e) = wal.sync() {
-                if result.is_ok() {
-                    result = Err(io::Error::other(e.to_string()));
-                }
+        // Whatever the fsync policy deferred becomes durable before the
+        // server reports itself down.
+        if let Err(e) = self.shared.finish_durable() {
+            if result.is_ok() {
+                result = Err(io::Error::other(e.to_string()));
             }
         }
         result
@@ -300,7 +291,7 @@ pub fn serve(cfg: ServerConfig, metrics: Metrics) -> io::Result<Server> {
     // Leader-side replication listener, shipping the WAL just attached.
     let ship = match &cfg.repl_addr {
         Some(repl_addr) => {
-            let wal = Arc::clone(shared.wal.as_ref().expect("validated above"));
+            let wal = Arc::clone(shared.wal().expect("validated above"));
             let client_addr = cfg.advertise.clone().unwrap_or_else(|| addr.to_string());
             Some(serve_ship(
                 ShipConfig::new(repl_addr.clone(), client_addr),
@@ -511,10 +502,10 @@ fn follow_stream(
     }
 }
 
-/// Applies one shipped commit record to the live store, exactly as the
-/// leader's engine committed it: same batch discipline, same wake scan.
-/// Minted ids are verified against the record — any divergence from the
-/// leader's byte-for-byte state is an error, not a warning.
+/// Applies one shipped commit record to the live store through the same
+/// commit function the leader's engines use. Minted ids are verified
+/// against the record — any divergence from the leader's byte-for-byte
+/// state is an error, not a warning.
 fn apply_shipped(
     shared: &Arc<NetShared>,
     wakefds: &[Arc<WakeFd>],
@@ -530,29 +521,14 @@ fn apply_shipped(
         fp.insert(shared.sds.shard_of_tuple(t));
         actions.push(Action::Assert(id.owner, t.clone()));
     }
-    let mut watch = WatchSet::new();
-    let mut view = shared.sds.write_shards(fp);
-    let (out, changed) = view.apply_batch(actions, &mut watch);
-    let minted: Vec<TupleId> = out.asserted.clone();
-    let expected: Vec<TupleId> = rec.asserts.iter().map(|(id, _)| *id).collect();
-    if minted != expected {
-        drop(view);
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "replica id divergence at commit {}: minted {minted:?}, leader had \
-                 {expected:?}",
-                rec.commit
-            ),
-        ));
-    }
-    shared.sds.note_commit(changed, shared.next_commit());
-    drop(view);
-    shared.bump_epoch();
+    let done = shared
+        .commit(fp, |_| Decision::Apply(actions))
+        .map_err(|e| io::Error::other(e.to_string()))?
+        .expect("Decision::Apply always commits");
     // Waiters on this follower are all read-only (`rd`/`rdp`); the
     // shipped commit may satisfy them. No loop is "ours" — route every
     // wake through the mailboxes and kick each loop the mask names.
-    let (wakes, mut kicks) = shared.wake(usize::MAX, &watch, changed);
+    let (wakes, mut kicks) = shared.route(usize::MAX, done.woken);
     debug_assert!(wakes.is_empty());
     while kicks != 0 {
         let l = kicks.trailing_zeros() as usize;
@@ -560,6 +536,16 @@ fn apply_shipped(
         if l < wakefds.len() {
             wakefds[l].kick();
         }
+    }
+    let expected: Vec<TupleId> = rec.asserts.iter().map(|(id, _)| *id).collect();
+    if done.out.asserted != expected {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "replica id divergence at commit {}: minted {:?}, leader had {expected:?}",
+                rec.commit, done.out.asserted
+            ),
+        ));
     }
     Ok(())
 }

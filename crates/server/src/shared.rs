@@ -1,86 +1,55 @@
 //! State shared by every event-loop worker: the sharded store, the
-//! commit epoch, the per-shard reverse wake routers, and the per-loop
-//! mailboxes that carry cross-loop wakes.
+//! commit function with its wake router, and the per-loop mailboxes that
+//! carry cross-loop wakes.
 //!
 //! This module is the server's *protocol core*: it is built exclusively
 //! on [`sdl_sync`] primitives so the whole cross-loop handoff — park,
 //! commit, claim, mailbox push, epoch re-check — is explorable under the
-//! deterministic scheduler, exactly like `core::parallel`'s park/wake
-//! protocol. File descriptors never appear here; the event loop layers
-//! the wake-fd kick on top of the kick mask this module returns, and the
-//! exploration tests drive the mailboxes directly.
-//!
-//! ## The no-lost-wakeup argument
-//!
-//! The protocol mirrors the commit-epoch discipline `core::parallel`
-//! proved out (PR 3, explored in PR 8):
-//!
-//! 1. A parker reads the epoch **before** its failed probe's locks are
-//!    taken, registers its [`Waiter`] stubs under the routed shards'
-//!    routers, then re-checks the epoch. If it moved, some commit may
-//!    have run entirely between the probe and the registration — the
-//!    parker claims its own stub and retries inline instead of sleeping.
-//! 2. A committer bumps the epoch **after** its write locks drop and
-//!    **before** scanning the routers. A stub registered too late to be
-//!    seen by the scan belongs to a parker that is guaranteed to observe
-//!    the new epoch in step 1 and self-claim.
-//! 3. Claims are exactly-once (`AtomicBool::swap`), so a wake is
-//!    delivered either inline (self-claim) or through exactly one
-//!    mailbox — never both, never zero.
-//!
-//! The `testing_skip_park_recheck` hook reverts step 1's re-check,
-//! seeding the lost-wakeup mutant the exploration suite must catch.
+//! deterministic scheduler. The park/wake protocol itself (and the
+//! argument that it loses no wakeup) is [`sdl_core::commit`]'s; what
+//! this module adds is *delivery*: a claimed wake goes to its owner
+//! inline or through exactly one mailbox. File descriptors never appear
+//! here; the event loop layers the wake-fd kick on top of the kick mask
+//! this module returns, and the exploration tests drive the mailboxes
+//! directly.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use sdl_dataspace::{shards_of_watch_key, ShardSet, ShardedDataspace, WatchKey, WatchSet};
-use sdl_durability::{Snapshotter, Wal};
+use sdl_core::commit::{Committed, Committer, Decision, Slot, WakeRouter};
+use sdl_core::Tracer;
+use sdl_dataspace::{ShardSet, ShardWriteView, ShardedDataspace, WatchKey, WatchSet};
+use sdl_durability::{Wal, WalError};
 use sdl_metrics::{LoopCounter, Metrics};
-use sdl_sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, RelaxedCounter};
+use sdl_sync::{AtomicUsize, Mutex, RelaxedCounter};
+use sdl_tuple::ProcId;
 
 /// Connection identifier, unique across all loops.
 pub type ConnId = u64;
 
-/// A parked request's claimable stub in the wake routers. The owning
+/// What the wake router holds for a parked request: the loop whose
+/// mailbox a cross-loop wake must go to, and the wake itself.
+type Target = (usize, Wake);
+
+/// A parked request's claimable stub in the wake router. The owning
 /// loop's engine keeps the op itself; the stub only carries the address
-/// a wake must be delivered to and the claim token that makes delivery
+/// a wake must be delivered to, and taking it is what makes delivery
 /// exactly-once.
 #[derive(Debug)]
-pub struct Waiter {
-    /// The loop whose mailbox a cross-loop wake must go to.
-    pub loop_id: usize,
-    /// Owning connection.
-    pub conn: ConnId,
-    /// The parked request on that connection.
-    pub req_id: u64,
-    /// Park order across loops (local seq interleaved by loop id), for
-    /// FIFO retry fairness within one commit's wake set.
-    pub seq: u64,
-    claimed: AtomicBool,
-}
+pub struct Waiter(Arc<Slot<Target>>);
 
 impl Waiter {
-    /// A fresh, unclaimed stub.
+    /// A fresh, unclaimed stub for request `req_id` of `conn`, owned by
+    /// loop `loop_id`. `seq` is the park order across loops (local seq
+    /// interleaved by loop id), for FIFO retry fairness within one
+    /// commit's wake set.
     pub fn new(loop_id: usize, conn: ConnId, req_id: u64, seq: u64) -> Waiter {
-        Waiter {
-            loop_id,
-            conn,
-            req_id,
-            seq,
-            claimed: AtomicBool::new(false),
-        }
+        Waiter(Slot::new((loop_id, Wake { conn, req_id, seq })))
     }
 
     /// Claims the stub; true exactly once across all claimants.
     pub fn claim(&self) -> bool {
-        !self.claimed.swap(true, Ordering::SeqCst)
-    }
-
-    /// Whether some claimant already owns this stub.
-    pub fn is_claimed(&self) -> bool {
-        self.claimed.load(Ordering::SeqCst)
+        self.0.claim().is_some()
     }
 }
 
@@ -95,28 +64,16 @@ pub struct Wake {
     pub seq: u64,
 }
 
-/// One shard's reverse wake index. `BTreeMap` (not `HashMap`) so wake
-/// scans lock and claim in a deterministic order — schedule replay
-/// depends on it.
-#[derive(Default)]
-struct Router {
-    by_key: BTreeMap<WatchKey, Vec<Arc<Waiter>>>,
-}
-
 /// Everything the event-loop workers share. One instance per server.
 pub struct NetShared {
-    /// The sharded store; ops lock footprints exactly like
-    /// `core::parallel` does.
+    /// The sharded store.
     pub sds: ShardedDataspace,
     /// Shared metrics handle.
     pub metrics: Metrics,
-    /// Commit epoch: bumped (SeqCst) after every commit's locks drop,
-    /// before the wake scan.
-    epoch: AtomicU64,
-    /// Commit sequence for `ShardedDataspace::note_commit`.
-    commit_seq: AtomicU64,
-    /// Per-shard wake routers, indexed by shard.
-    routers: Vec<Mutex<Router>>,
+    /// The commit function, its wake router and (on a durable leader)
+    /// the write-ahead log. A follower's state is the shipped log, so it
+    /// runs without one.
+    committer: Committer<Target>,
     /// Per-loop mailboxes of cross-loop wakes.
     mailboxes: Vec<Mutex<Vec<Wake>>>,
     /// Requests parked across every loop (global backpressure input).
@@ -129,17 +86,6 @@ pub struct NetShared {
     /// Round-robin cursor for placement without an affinity hint.
     rr: AtomicUsize,
     n_loops: usize,
-    /// Seeded lost-wakeup mutant: skip the park epoch re-check.
-    skip_park_recheck: bool,
-    /// Write-ahead log (leader durability). Engines append inside their
-    /// commit write-lock scopes — the same serialisation argument as
-    /// `core::parallel` — and fsync after the locks drop. `None` runs
-    /// in-memory (and on followers, whose state is the shipped log).
-    pub wal: Option<Arc<Wal>>,
-    /// Background snapshot writer for `wal`; commits offer consistent
-    /// store copies here instead of writing snapshot files inline. Taken
-    /// out (and joined) at server shutdown.
-    pub snapshotter: Mutex<Option<Snapshotter>>,
     /// Follower mode: the leader's client address. When set, engines
     /// answer every mutating request with `Response::NotLeader` carrying
     /// this address instead of touching the store.
@@ -153,9 +99,9 @@ impl NetShared {
         NetShared::with_mutant(shards, n_loops, metrics, false)
     }
 
-    /// [`NetShared::new`] with the lost-wakeup mutant toggled — reverts
-    /// the park epoch re-check so the exploration suite can prove it
-    /// catches the bug the re-check prevents. Test-only by convention.
+    /// [`NetShared::new`] with the router's lost-wakeup mutant toggled
+    /// ([`WakeRouter::testing_skip_park_recheck`]). Test-only by
+    /// convention.
     pub fn with_mutant(
         shards: usize,
         n_loops: usize,
@@ -166,12 +112,11 @@ impl NetShared {
         let n_loops = n_loops.max(1);
         let mut sds = ShardedDataspace::new(shards);
         sds.set_metrics(metrics.clone());
+        let router = WakeRouter::new(shards).testing_skip_park_recheck(skip_park_recheck);
         NetShared {
             sds,
+            committer: Committer::new(router, metrics.clone(), Tracer::disabled()),
             metrics,
-            epoch: AtomicU64::new(0),
-            commit_seq: AtomicU64::new(0),
-            routers: (0..shards).map(|_| Mutex::new(Router::default())).collect(),
             mailboxes: (0..n_loops).map(|_| Mutex::new(Vec::new())).collect(),
             parked_total: AtomicUsize::new(0),
             touch: (0..n_loops)
@@ -180,9 +125,6 @@ impl NetShared {
             conns: (0..n_loops).map(|_| AtomicUsize::new(0)).collect(),
             rr: AtomicUsize::new(0),
             n_loops,
-            skip_park_recheck,
-            wal: None,
-            snapshotter: Mutex::new(None),
             redirect: None,
         }
     }
@@ -191,8 +133,22 @@ impl NetShared {
     /// Must run before the state is shared — i.e. before any engine
     /// commits — so every commit is logged.
     pub fn attach_wal(&mut self, wal: Arc<Wal>) {
-        *self.snapshotter.lock() = Some(Snapshotter::new(Arc::clone(&wal)));
-        self.wal = Some(wal);
+        self.committer.attach_wal(wal);
+    }
+
+    /// The attached write-ahead log (leader durability), if any.
+    pub fn wal(&self) -> Option<&Arc<Wal>> {
+        self.committer.wal()
+    }
+
+    /// Drains the background snapshot writer and syncs the WAL (server
+    /// shutdown).
+    ///
+    /// # Errors
+    ///
+    /// The first snapshot-write or fsync failure.
+    pub fn finish_durable(&self) -> Result<(), WalError> {
+        self.committer.finish()
     }
 
     /// Marks this state read-only (follower mode): mutating requests
@@ -208,112 +164,72 @@ impl NetShared {
 
     /// Current commit epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+        self.committer.router.epoch()
     }
 
-    /// Bumps the epoch. Must run after a commit's write locks drop and
-    /// before its wake scan (see the module docs).
+    /// Bumps the epoch (see [`WakeRouter::bump_epoch`]).
     pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.committer.router.bump_epoch();
     }
 
-    /// Mints the next commit id for `ShardedDataspace::note_commit`.
-    pub fn next_commit(&self) -> u64 {
-        self.commit_seq.fetch_add(1, Ordering::SeqCst) + 1
+    /// Commits one batch through the shared commit function; the caller
+    /// owns the returned wakes and must [`Self::route`] them.
+    ///
+    /// # Errors
+    ///
+    /// A WAL append or fsync failure (see [`Committer::commit`]).
+    pub fn commit(
+        &self,
+        fp: ShardSet,
+        decide: impl FnOnce(&ShardWriteView<'_>) -> Decision,
+    ) -> Result<Option<Committed<Target>>, WalError> {
+        self.committer.commit(&self.sds, fp, 0, ProcId::ENV, decide)
     }
 
     // -- park / wake ------------------------------------------------------
 
-    /// Registers `waiter` under `keys` in the routed shards' routers and
-    /// re-checks the epoch against `eval_epoch` (read before the failed
-    /// probe's locks). Returns `true` when the request is parked; `false`
-    /// when the epoch moved and this call claimed the waiter back — the
+    /// Parks `waiter` on `keys` (see [`WakeRouter::park`]). Returns
+    /// `true` when the request is parked; `false` when the epoch moved
+    /// since `eval_epoch` and this call claimed the waiter back — the
     /// caller must retry the op inline instead of sleeping.
     ///
     /// An empty `keys` parks unwakeably (no store change can ever
     /// satisfy the op); such requests complete only via cancel or
-    /// disconnect, mirroring the executor's keyless parks.
+    /// disconnect.
     pub fn park(&self, waiter: &Arc<Waiter>, keys: &[WatchKey], eval_epoch: u64) -> bool {
-        let n = self.sds.num_shards();
-        // Sorted key insertion for deterministic lock order under the
-        // explorer (WatchSet iterates in hash order).
-        let mut sorted: Vec<WatchKey> = keys.to_vec();
-        sorted.sort_unstable();
-        for key in &sorted {
-            for s in shards_of_watch_key(key, n).iter() {
-                let mut router = self.routers[s].lock();
-                let list = router.by_key.entry(*key).or_default();
-                // Opportunistic stale-stub cleanup: claimed stubs are
-                // dead weight a wake scan would skip anyway.
-                list.retain(|w| !w.is_claimed());
-                list.push(Arc::clone(waiter));
-            }
-        }
-        if !self.skip_park_recheck && self.epoch() != eval_epoch && waiter.claim() {
-            // A commit may have slipped in whole between the probe and
-            // the registration: reclaim and retry. Failing the claim
-            // means a committer saw the stub first — its wake is already
-            // in (or on its way to) our mailbox.
-            return false;
-        }
-        true
+        self.committer
+            .router
+            .park(&waiter.0, keys.to_vec(), eval_epoch)
+            .is_none()
     }
 
-    /// Wake scan for a commit by `my_loop` whose effects changed
-    /// `changed_shards` and published `changed`: claims every subscribed
-    /// waiter, returning the wakes owned by `my_loop` (sorted by park
-    /// seq) plus a bitmask of other loops whose mailboxes received
-    /// handoffs and must be kicked. Must run after [`Self::bump_epoch`].
+    /// Wake scan for a commit by `my_loop` that changed `changed_shards`
+    /// and published `changed`, routed as [`Self::route`] does. Must run
+    /// after [`Self::bump_epoch`].
     pub fn wake(
         &self,
         my_loop: usize,
         changed: &WatchSet,
         changed_shards: ShardSet,
     ) -> (Vec<Wake>, u64) {
-        if changed.is_empty() {
-            return (Vec::new(), 0);
-        }
-        let n = self.sds.num_shards();
-        let mut keys: Vec<WatchKey> = changed.iter().copied().collect();
-        keys.sort_unstable();
-        let mut claimed: Vec<Arc<Waiter>> = Vec::new();
-        for s in changed_shards.iter() {
-            let mut router = self.routers[s].lock();
-            for key in &keys {
-                // A routable key wakes through its own shard's router;
-                // an unroutable (arity) key is registered everywhere, so
-                // any changed shard's router covers it — later shards
-                // just clean up the stubs the first one claimed.
-                if sdl_dataspace::shard_of_watch_key(key, n).is_some_and(|r| r != s) {
-                    continue;
-                }
-                let Some(list) = router.by_key.remove(key) else {
-                    continue;
-                };
-                for w in list {
-                    if w.claim() {
-                        claimed.push(w);
-                    }
-                }
-            }
-        }
+        self.route(my_loop, self.committer.router.wake(changed, changed_shards))
+    }
+
+    /// Delivers claimed wakes: returns those owned by `my_loop` (sorted
+    /// by park seq) and pushes the rest into their loops' mailboxes,
+    /// returning a bitmask of the loops that must be kicked.
+    pub fn route(&self, my_loop: usize, mut woken: Vec<(WatchKey, Target)>) -> (Vec<Wake>, u64) {
         // FIFO fairness within this commit's wake set.
-        claimed.sort_by_key(|w| w.seq);
+        woken.sort_by_key(|(_, (_, wake))| wake.seq);
         let mut local = Vec::new();
         let mut kick_mask = 0u64;
-        for w in claimed {
-            let wake = Wake {
-                conn: w.conn,
-                req_id: w.req_id,
-                seq: w.seq,
-            };
-            if w.loop_id == my_loop {
+        for (_, (loop_id, wake)) in woken {
+            if loop_id == my_loop {
                 local.push(wake);
             } else {
-                self.mailboxes[w.loop_id].lock().push(wake);
-                kick_mask |= 1u64 << (w.loop_id % 64);
-                self.metrics
-                    .add_loop(w.loop_id, LoopCounter::WakeHandoffs, 1);
+                self.mailboxes[loop_id].lock().push(wake);
+                kick_mask |= 1u64 << (loop_id % 64);
+                self.metrics.add_loop(loop_id, LoopCounter::WakeHandoffs, 1);
             }
         }
         (local, kick_mask)
@@ -325,20 +241,12 @@ impl NetShared {
         std::mem::take(&mut *self.mailboxes[loop_id].lock())
     }
 
-    /// Unclaimed waiter stubs across every router (leak check in tests;
+    /// Unclaimed waiter stubs across the router (leak check in tests;
     /// claimed stubs are logically dead and dropped lazily).
     pub fn live_stubs(&self) -> usize {
-        self.routers
-            .iter()
-            .map(|r| {
-                r.lock()
-                    .by_key
-                    .values()
-                    .flatten()
-                    .filter(|w| !w.is_claimed())
-                    .count()
-            })
-            .sum()
+        let mut n = 0;
+        self.committer.router.visit(|_| n += 1);
+        n
     }
 
     // -- global backpressure ----------------------------------------------
@@ -422,6 +330,7 @@ impl NetShared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdl_dataspace::shards_of_watch_key;
     use sdl_tuple::{pattern, Value};
 
     fn waiter(loop_id: usize, conn: ConnId, req: u64, seq: u64) -> Arc<Waiter> {
@@ -476,7 +385,7 @@ mod tests {
         sh.bump_epoch(); // a commit lands between probe and park
         let w = waiter(0, 1, 1, 1);
         assert!(!sh.park(&w, &keys, epoch), "parker must retry inline");
-        assert!(w.is_claimed());
+        assert!(!w.claim(), "the re-check took the stub");
         // The mutant reverts the re-check: the same race parks.
         let sh = NetShared::with_mutant(4, 1, Metrics::disabled(), true);
         let epoch = sh.epoch();

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use sdl_metrics::{Gauge, Metrics};
+use sdl_metrics::{Counter, Gauge, Metrics};
 use sdl_server::wire::{Request, Response};
 use sdl_server::Engine;
 use sdl_sync::explore::{choose, Explore};
@@ -108,6 +108,13 @@ fn run_scenario() {
     );
     assert_eq!(registry.gauge(Gauge::BlockedQueueDepth), 0);
     assert!(registry.gauge_min(Gauge::BlockedQueueDepth) >= 0);
+    // The wake ledger the in-process executors are held to: every wake
+    // a commit delivered ends as exactly one progress or spurious.
+    assert_eq!(
+        registry.counter(Counter::WakeupCommit),
+        registry.counter(Counter::WakeProgress) + registry.counter(Counter::WakeSpurious),
+        "wake ledger out of balance"
+    );
 
     // Store contents: <done, 5> always remains (the relay always runs,
     // consuming <job2, 5>); <job, 7> remains exactly when the In on

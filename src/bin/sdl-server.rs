@@ -54,7 +54,6 @@
 //! The process runs until SIGINT/SIGTERM kills it.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use sdl::metrics::Metrics;
@@ -181,19 +180,23 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
 
-    let (metrics, registry) = Metrics::registry();
-    let metrics_server = match &args.metrics_addr {
-        Some(addr) => match sdl::metrics_http::serve(addr, Arc::clone(&registry)) {
-            Ok(s) => {
-                eprintln!("sdl-server: metrics at http://{}/metrics", s.addr());
-                Some(s)
+    // Without an endpoint nobody can read a registry, so the server
+    // runs uninstrumented (every metrics site is then one branch).
+    let (metrics, metrics_server) = match &args.metrics_addr {
+        Some(addr) => {
+            let (metrics, registry) = Metrics::registry();
+            match sdl::metrics_http::serve(addr, registry) {
+                Ok(s) => {
+                    eprintln!("sdl-server: metrics at http://{}/metrics", s.addr());
+                    (metrics, Some(s))
+                }
+                Err(e) => {
+                    eprintln!("sdl-server: cannot serve metrics on {addr}: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
-            Err(e) => {
-                eprintln!("sdl-server: cannot serve metrics on {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+        }
+        None => (Metrics::disabled(), None),
     };
 
     let server = match serve(args.cfg, metrics) {
