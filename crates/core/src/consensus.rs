@@ -8,20 +8,23 @@
 //! ```
 //!
 //! i.e. communities formed by import-set overlap *on the current
-//! dataspace configuration*. This module computes the partition of the
-//! process society into consensus sets with a union-find over shared
-//! imported tuple instances. Processes with unrestricted views act as
-//! hubs: they overlap with every process that imports anything (and with
-//! each other whenever the dataspace is non-empty).
+//! dataspace configuration*. [`CommunityIndex`] keeps every restricted
+//! view's import set current from commit deltas; the partition of the
+//! process society into consensus sets is then a union-find over those
+//! sets. Processes with unrestricted views act as hubs: they overlap with
+//! every process that imports anything (and with each other whenever the
+//! dataspace is non-empty).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use sdl_dataspace::Dataspace;
-use sdl_tuple::{ProcId, TupleId};
+use sdl_dataspace::{Dataspace, TupleSource};
+use sdl_metrics::Counter;
+use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
 use crate::builtins::Builtins;
 use crate::error::RuntimeError;
 use crate::process::ProcessInstance;
+use crate::view::ResolvedRules;
 
 struct UnionFind {
     parent: Vec<usize>,
@@ -71,70 +74,240 @@ impl UnionFind {
     }
 }
 
-/// Partitions `procs` into consensus sets over the current dataspace.
-///
-/// Each returned set is sorted by process id; the sets are ordered by
-/// their smallest member, so the output is deterministic.
-///
-/// # Errors
-///
-/// Fails if evaluating a view rule's environment expression fails.
-pub fn consensus_sets(
-    procs: &[&ProcessInstance],
-    ds: &Dataspace,
-    builtins: &Builtins,
-) -> Result<Vec<Vec<ProcId>>, RuntimeError> {
-    let n = procs.len();
-    let mut uf = UnionFind::new(n);
+/// One restricted-view process in the index.
+#[derive(Clone, Debug)]
+struct Member {
+    /// The import rules under `env`.
+    rules: ResolvedRules,
+    /// The process constants the rules and their predicates read.
+    env: HashMap<String, Value>,
+    /// `Import(p) ∩ D` as of the last commit, ascending — unless `stale`.
+    ids: Vec<TupleId>,
+    /// A tuple covered by a rule *condition* came or went (or the member
+    /// is new): tuples already in the store may have changed sides, so
+    /// `ids` is recomputed from the store at the next query.
+    stale: bool,
+}
 
-    // Unrestricted-import processes overlap with each other whenever the
-    // dataspace is non-empty.
-    let full: Vec<usize> = (0..n)
-        .filter(|&i| procs[i].def.view.imports_everything())
-        .collect();
-    if !ds.is_empty() {
-        for w in full.windows(2) {
-            uf.union(w[0], w[1]);
+/// The society's import sets, maintained from commit deltas.
+///
+/// Invariant, for every member that is not stale: `ids` equals
+/// `rules.import_ids(D)` for the store `D` passed to the latest
+/// [`CommunityIndex::commit`], and `importers` holds exactly the pairs
+/// `(id, pid)` with `id ∈ members[pid].ids`, stale members included.
+/// Membership of a tuple depends on the store only through the rules'
+/// tuple conditions, so a commit that touches no condition-covered tuple
+/// changes a set by exactly its own retractions and admitted assertions;
+/// any other commit marks the member stale instead of guessing.
+#[derive(Clone, Debug, Default)]
+pub struct CommunityIndex {
+    members: BTreeMap<ProcId, Member>,
+    /// `TupleId → importers`: how a retraction finds the sets it leaves.
+    importers: HashMap<TupleId, Vec<ProcId>>,
+    /// Processes whose view imports everything.
+    hubs: BTreeSet<ProcId>,
+}
+
+impl CommunityIndex {
+    /// An index over `procs`, every import set still to be computed.
+    pub fn build(procs: &[&ProcessInstance], builtins: &Builtins) -> CommunityIndex {
+        let mut index = CommunityIndex::default();
+        for p in procs {
+            index.insert(p, builtins);
+        }
+        index
+    }
+
+    /// Adds a process, or re-reads one whose constants changed (`let`).
+    pub fn insert(&mut self, p: &ProcessInstance, builtins: &Builtins) {
+        let Some(rules) = p.def.view.resolve_import(&p.env, builtins) else {
+            self.hubs.insert(p.id);
+            return;
+        };
+        let ids = self
+            .members
+            .remove(&p.id)
+            .map(|m| m.ids)
+            .unwrap_or_default();
+        self.members.insert(
+            p.id,
+            Member {
+                rules,
+                env: p.env.clone(),
+                ids,
+                stale: true,
+            },
+        );
+    }
+
+    /// Forgets a terminated process.
+    pub fn remove(&mut self, pid: ProcId) {
+        self.hubs.remove(&pid);
+        if let Some(m) = self.members.remove(&pid) {
+            for id in &m.ids {
+                self.forget_importer(*id, pid);
+            }
         }
     }
-    let hub = full.first().copied();
 
-    // Restricted-import processes join through shared instances, and join
-    // the full-view hub if they import anything at all.
-    let mut owner_of: HashMap<TupleId, usize> = HashMap::new();
-    for (i, p) in procs.iter().enumerate() {
-        if p.def.view.imports_everything() {
-            continue;
+    fn forget_importer(&mut self, id: TupleId, pid: ProcId) {
+        if let Some(pids) = self.importers.get_mut(&id) {
+            pids.retain(|p| *p != pid);
+            if pids.is_empty() {
+                self.importers.remove(&id);
+            }
         }
-        let ids = p.def.view.import_ids(ds, &p.env, builtins)?;
-        if ids.is_empty() {
-            continue;
+    }
+
+    /// Applies one committed batch: `ds` is the store *after* it,
+    /// `retracted` the instances it removed and `asserted` the ids it
+    /// minted.
+    pub fn commit(
+        &mut self,
+        retracted: &[(TupleId, Tuple)],
+        asserted: &[TupleId],
+        ds: &Dataspace,
+        builtins: &Builtins,
+    ) {
+        if self.members.is_empty() {
+            return;
         }
-        if let Some(h) = hub {
-            uf.union(i, h);
+        for (id, _) in retracted {
+            for pid in self.importers.remove(id).unwrap_or_default() {
+                let m = self.members.get_mut(&pid).expect("importers are members");
+                if let Ok(at) = m.ids.binary_search(id) {
+                    m.ids.remove(at);
+                }
+            }
         }
-        for id in ids {
-            match owner_of.get(&id) {
-                Some(&j) => uf.union(i, j),
-                None => {
-                    owner_of.insert(id, i);
+        let asserted: Vec<(TupleId, &Tuple)> = asserted
+            .iter()
+            .filter_map(|id| Some((*id, ds.tuple(*id)?)))
+            .collect();
+        for (pid, m) in &mut self.members {
+            if m.stale {
+                continue;
+            }
+            if retracted.iter().any(|(_, t)| m.rules.condition_covers(t))
+                || asserted.iter().any(|(_, t)| m.rules.condition_covers(t))
+            {
+                m.stale = true;
+                continue;
+            }
+            for (id, t) in &asserted {
+                ds.metrics().inc(Counter::WindowAdmitChecks);
+                if m.rules.admits(t, ds, &m.env, builtins) {
+                    if let Err(at) = m.ids.binary_search(id) {
+                        m.ids.insert(at, *id);
+                        self.importers.entry(*id).or_default().push(*pid);
+                    }
                 }
             }
         }
     }
 
-    // Collect classes.
-    let mut classes: HashMap<usize, Vec<ProcId>> = HashMap::new();
-    for (i, p) in procs.iter().enumerate() {
-        let root = uf.find(i);
-        classes.entry(root).or_default().push(p.id);
+    /// Recomputes the stale import sets from `ds`.
+    fn refresh(&mut self, ds: &Dataspace, builtins: &Builtins) {
+        let stale: Vec<ProcId> = self
+            .members
+            .iter()
+            .filter(|(_, m)| m.stale)
+            .map(|(pid, _)| *pid)
+            .collect();
+        for pid in stale {
+            ds.metrics().inc(Counter::ConsensusImportRecomputes);
+            let m = self.members.get_mut(&pid).expect("listed above");
+            let fresh = m.rules.import_ids(ds, &m.env, builtins);
+            let old = std::mem::replace(&mut m.ids, fresh.clone());
+            m.stale = false;
+            for id in old.iter().filter(|id| fresh.binary_search(id).is_err()) {
+                self.forget_importer(*id, pid);
+            }
+            for id in fresh.iter().filter(|id| old.binary_search(id).is_err()) {
+                self.importers.entry(*id).or_default().push(pid);
+            }
+        }
     }
-    let mut out: Vec<Vec<ProcId>> = classes.into_values().collect();
-    for set in &mut out {
-        set.sort_unstable();
+
+    /// Every restricted-view process with its current import set.
+    pub fn import_sets(
+        &mut self,
+        ds: &Dataspace,
+        builtins: &Builtins,
+    ) -> Vec<(ProcId, Vec<TupleId>)> {
+        self.refresh(ds, builtins);
+        self.members
+            .iter()
+            .map(|(pid, m)| (*pid, m.ids.clone()))
+            .collect()
     }
-    out.sort_by_key(|s| s[0]);
-    Ok(out)
+
+    /// Partitions the society into consensus sets over `ds`.
+    ///
+    /// Each returned set is sorted by process id; the sets are ordered by
+    /// their smallest member, so the output is deterministic.
+    pub fn partition(&mut self, ds: &Dataspace, builtins: &Builtins) -> Vec<Vec<ProcId>> {
+        self.refresh(ds, builtins);
+        let pids: Vec<ProcId> = {
+            let mut v: Vec<ProcId> = self
+                .hubs
+                .iter()
+                .chain(self.members.keys())
+                .copied()
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let at = |pid: &ProcId| pids.binary_search(pid).expect("every process is listed");
+        let mut uf = UnionFind::new(pids.len());
+
+        // Unrestricted-import processes overlap with each other whenever
+        // the dataspace is non-empty.
+        let hubs: Vec<usize> = self.hubs.iter().map(at).collect();
+        if !ds.is_empty() {
+            for w in hubs.windows(2) {
+                uf.union(w[0], w[1]);
+            }
+        }
+        // Restricted-import processes join the hub if they import
+        // anything at all, and each other through shared instances.
+        if let Some(&hub) = hubs.first() {
+            for (pid, m) in &self.members {
+                if !m.ids.is_empty() {
+                    uf.union(at(pid), hub);
+                }
+            }
+        }
+        for sharers in self.importers.values() {
+            for pid in &sharers[1..] {
+                uf.union(at(&sharers[0]), at(pid));
+            }
+        }
+
+        let mut classes: BTreeMap<usize, Vec<ProcId>> = BTreeMap::new();
+        for (i, pid) in pids.iter().enumerate() {
+            classes.entry(uf.find(i)).or_default().push(*pid);
+        }
+        // `pids` ascends, so every class is sorted already.
+        let mut out: Vec<Vec<ProcId>> = classes.into_values().collect();
+        out.sort_by_key(|s| s[0]);
+        out
+    }
+}
+
+/// Partitions `procs` into consensus sets over the current dataspace:
+/// [`CommunityIndex::partition`] of an index built from scratch.
+///
+/// # Errors
+///
+/// Never, today: a view rule whose environment expression cannot
+/// evaluate admits nothing.
+pub fn consensus_sets(
+    procs: &[&ProcessInstance],
+    ds: &Dataspace,
+    builtins: &Builtins,
+) -> Result<Vec<Vec<ProcId>>, RuntimeError> {
+    Ok(CommunityIndex::build(procs, builtins).partition(ds, builtins))
 }
 
 #[cfg(test)]

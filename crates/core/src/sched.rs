@@ -29,7 +29,7 @@ use sdl_metrics::{Counter, Gauge, Hist, Metrics};
 use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
 use crate::builtins::Builtins;
-use crate::consensus::consensus_sets;
+use crate::consensus::CommunityIndex;
 use crate::error::RuntimeError;
 use crate::events::{Event, EventLog, EventSink};
 use crate::outcome::{Outcome, RunLimits, RunReport};
@@ -371,6 +371,7 @@ impl RuntimeBuilder {
                 exact_wakes: self.exact_wakes,
             },
             wal: self.wal,
+            communities: CommunityIndex::default(),
         };
         let env = HashMap::new();
         if let Some(state) = recovered {
@@ -490,6 +491,10 @@ pub struct Runtime {
     /// Write-ahead log; when present, every commit appends one record
     /// before the transaction is acknowledged.
     wal: Option<Arc<Wal>>,
+    /// Every process's import set, kept current by [`Runtime::adopt`],
+    /// [`Runtime::bury`], `let` and the one serial commit — what
+    /// consensus detection reads instead of re-deriving the partition.
+    pub(crate) communities: CommunityIndex,
 }
 
 /// Stringifies a durability error into the runtime's error type.
@@ -555,9 +560,11 @@ impl Runtime {
     }
 
     /// Explains a quiescent outcome: one line per blocked process with
-    /// its definition name and whether it waits on a delayed transaction
-    /// or a consensus that never completed — the first thing to read when
-    /// a society deadlocks.
+    /// its definition name and what it waits on — a delayed transaction,
+    /// or a consensus, in which case the line names the process's
+    /// community and the members that are not at a consensus guard (none
+    /// means every member arrived and some member's query fails). The
+    /// first thing to read when a society deadlocks.
     ///
     /// # Examples
     ///
@@ -575,6 +582,16 @@ impl Runtime {
     /// ```
     pub fn blocked_report(&self) -> String {
         use std::fmt::Write as _;
+        let list = |pids: &[ProcId]| {
+            let names: Vec<String> = pids.iter().map(ProcId::to_string).collect();
+            names.join(", ")
+        };
+        // A report may not disturb the run: partition a copy.
+        let communities = if self.blocked.values().any(|info| info.has_consensus) {
+            self.communities.clone().partition(&self.ds, &self.builtins)
+        } else {
+            Vec::new()
+        };
         let mut out = String::new();
         for (pid, info) in &self.blocked {
             let name = self
@@ -583,9 +600,29 @@ impl Runtime {
                 .map(|p| p.def.name.as_str())
                 .unwrap_or("?");
             let kind = if info.has_consensus {
-                "consensus (community incomplete or query failing)"
+                let set = communities
+                    .iter()
+                    .find(|set| set.contains(pid))
+                    .expect("every process is in one community");
+                let absent: Vec<ProcId> = set
+                    .iter()
+                    .copied()
+                    .filter(|m| !self.blocked.get(m).is_some_and(|b| b.has_consensus))
+                    .collect();
+                if absent.is_empty() {
+                    format!(
+                        "consensus (community {{{}}} is all at a consensus guard: a member's query is failing)",
+                        list(set)
+                    )
+                } else {
+                    format!(
+                        "consensus (community {{{}}} incomplete: {{{}}} not at a consensus guard)",
+                        list(set),
+                        list(&absent)
+                    )
+                }
             } else {
-                "delayed transaction (query never enabled)"
+                "delayed transaction (query never enabled)".to_owned()
             };
             let keys = info.watch.iter().count();
             let _ = writeln!(
@@ -632,6 +669,8 @@ impl Runtime {
         let mut changed = WatchSet::new();
         changed.add_tuple(&t);
         let id = self.ds.assert_tuple(ProcId::ENV, t.clone());
+        self.communities
+            .commit(&[], &[id], &self.ds, &self.builtins);
         self.wal_append(Vec::new(), vec![(id, t.clone())])
             .expect("write-ahead log append failed");
         self.emit(Event::TupleAsserted {
@@ -975,8 +1014,7 @@ impl Runtime {
                 {
                     *active += 1;
                 }
-                self.procs.insert(helper_id, helper);
-                self.ready.push_back(helper_id);
+                self.adopt(helper);
             }
             return Ok(());
         }
@@ -1140,6 +1178,8 @@ impl Runtime {
         let commit_span = self.tracer.begin();
         let mut changed = WatchSet::new();
         let out = self.ds.apply_batch(&actions, &mut changed);
+        self.communities
+            .commit(&out.retracted, &out.asserted, &self.ds, &self.builtins);
         let logging = self.wal.is_some();
         let mut wal_retracts = Vec::new();
         let mut wal_asserts = Vec::new();
@@ -1229,6 +1269,10 @@ impl Runtime {
             for (name, v) in &p.lets {
                 proc.env.insert(name.clone(), v.clone());
             }
+            if !p.lets.is_empty() {
+                // The view's rules read the process constants.
+                self.communities.insert(proc, &self.builtins);
+            }
         }
         for (name, args) in &p.spawns {
             self.spawn_process(name, args.clone(), pid)?;
@@ -1301,17 +1345,31 @@ impl Runtime {
             args: args.clone(),
             by,
         });
-        self.procs.insert(id, ProcessInstance::new(id, def, args));
-        self.ready.push_back(id);
+        self.adopt(ProcessInstance::new(id, def, args));
         self.report.processes_created += 1;
         Ok(id)
     }
 
+    /// Adds a process to the society, runnable.
+    fn adopt(&mut self, proc: ProcessInstance) {
+        self.communities.insert(&proc, &self.builtins);
+        self.ready.push_back(proc.id);
+        self.procs.insert(proc.id, proc);
+    }
+
+    /// Removes a process from the society, the blocked set and the
+    /// community index.
+    fn bury(&mut self, pid: ProcId) -> Option<ProcessInstance> {
+        let proc = self.procs.remove(&pid)?;
+        self.communities.remove(pid);
+        self.unblock(pid);
+        Some(proc)
+    }
+
     pub(crate) fn terminate(&mut self, pid: ProcId, aborted: bool) {
-        let Some(proc) = self.procs.remove(&pid) else {
+        let Some(proc) = self.bury(pid) else {
             return;
         };
-        self.unblock(pid);
         self.emit(Event::ProcessTerminated { id: pid, aborted });
         // Notify a replication parent.
         if let Some(parent_id) = proc.parent {
@@ -1340,8 +1398,7 @@ impl Runtime {
                     self.cancel_helpers(v);
                     // Remove directly — no parent notification (the Repl
                     // frame is being dismantled).
-                    self.procs.remove(&v);
-                    self.unblock(v);
+                    self.bury(v);
                     self.emit(Event::ProcessTerminated {
                         id: v,
                         aborted: true,
@@ -1510,12 +1567,10 @@ impl Runtime {
 
     /// Attempts to fire one complete consensus community; true if fired.
     pub(crate) fn try_consensus_any(&mut self) -> Result<bool, RuntimeError> {
-        let procs: Vec<&ProcessInstance> = self.procs.values().collect();
-        if procs.is_empty() {
+        if self.procs.is_empty() {
             return Ok(false);
         }
-        let sets = consensus_sets(&procs, &self.ds, &self.builtins)?;
-        for set in sets {
+        for set in self.communities.partition(&self.ds, &self.builtins) {
             // Every member must be blocked with a consensus guard.
             if !set
                 .iter()
@@ -1537,10 +1592,12 @@ impl Runtime {
                 }
             }
             if complete {
+                self.metrics.inc(Counter::ConsensusChecksFired);
                 self.fire_consensus(contributions)?;
                 return Ok(true);
             }
         }
+        self.metrics.inc(Counter::ConsensusChecksIncomplete);
         Ok(false)
     }
 

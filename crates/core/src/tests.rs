@@ -951,3 +951,158 @@ fn blocked_report_explains_quiescence() {
     rt2.run().unwrap();
     assert!(rt2.blocked_report().contains("no blocked"));
 }
+
+#[test]
+fn blocked_report_names_the_community_and_who_is_missing() {
+    // Two workers share <job, 1, *>; A reaches its consensus guard, B
+    // waits on a tuple nobody asserts. C is alone with a failing query.
+    let program = CompiledProgram::from_source(
+        "process A() { import { <job, 1, *>; } <job, 1, 7> @> skip; }
+         process B() { import { <job, 1, *>; <never>; } <never> => skip; }
+         process C() { import { <job, 2, *>; } <job, 2, 0> @> skip; }
+         init { <job, 1, 7>; <job, 2, 9>; spawn A(); spawn B(); spawn C(); }",
+    )
+    .unwrap();
+    let mut rt = Runtime::builder(program).build().unwrap();
+    rt.run().unwrap();
+    let report = rt.blocked_report();
+    let line = |name: &str| {
+        report
+            .lines()
+            .find(|l| l.contains(name))
+            .unwrap_or_else(|| panic!("no line for {name} in {report}"))
+            .to_owned()
+    };
+    assert!(
+        line(" A:").contains("community {p1, p2} incomplete: {p2} not at a consensus guard"),
+        "{report}"
+    );
+    assert!(line(" B:").contains("delayed"), "{report}");
+    assert!(
+        line(" C:").contains("community {p3} is all at a consensus guard"),
+        "{report}"
+    );
+}
+
+/// The community index the runtime maintained equals one built from the
+/// society and the store as they stand.
+fn assert_index_current(rt: &Runtime, ctx: &str) {
+    let mut rebuilt = crate::consensus::CommunityIndex::build(&rt.processes(), rt.builtins());
+    let mut kept = rt.communities.clone();
+    assert_eq!(
+        kept.import_sets(&rt.ds, rt.builtins()),
+        rebuilt.import_sets(&rt.ds, rt.builtins()),
+        "import sets {ctx}"
+    );
+    assert_eq!(
+        kept.partition(&rt.ds, rt.builtins()),
+        rebuilt.partition(&rt.ds, rt.builtins()),
+        "partition {ctx}"
+    );
+}
+
+#[test]
+fn environment_asserts_reach_the_community_index() {
+    let program = CompiledProgram::from_source(
+        "process W(k) { import { <job, k, *>; } <go, k> @> skip; }
+         init { <job, 1, 0>; spawn W(1); spawn W(1); spawn W(2); }",
+    )
+    .unwrap();
+    let mut rt = Runtime::builder(program).build().unwrap();
+    rt.run().unwrap(); // quiescent; the last consensus check settled every set
+    rt.add_tuple(sdl_tuple::tuple![atom("job"), 2, 5]);
+    rt.add_tuple(sdl_tuple::tuple![atom("job"), 1, 5]);
+    assert_index_current(&rt, "after add_tuple");
+    assert_eq!(
+        rt.communities.clone().import_sets(&rt.ds, rt.builtins())[2]
+            .1
+            .len(),
+        1
+    );
+}
+
+/// Wherever a run can stop, the community index the runtime maintained
+/// from spawns, terminations, `let`s and commits equals one built from
+/// the society and the store as they stand.
+#[test]
+fn runtime_keeps_the_community_index_current() {
+    use crate::RunLimits;
+
+    // Spawn under a dataspace-dependent view, consensus exits
+    // (terminations that retract condition tuples), a `let` that moves a
+    // view, and replication helpers that inherit one.
+    let labeling = "
+        process Threshold() {
+            par { exists p, v : <image, p, v>! -> <threshold, p, T(v)>, spawn Label(p, T(v)) }
+        }
+        process Label(r, t) {
+            import {
+                <threshold, r, t>; <label, r, *>; <image, r, *>;
+                forall p : neighbor(p, r) => <threshold, p, t>;
+                forall p2, l : neighbor(p2, r), <threshold, p2, t> => <label, p2, l>;
+                forall p3, v : neighbor(p3, r) => <image, p3, v>;
+            }
+            export { <label, *, *>; }
+            -> <label, r, r>;
+            not <image, *, *> => skip;
+            loop {
+                exists l, p4, l2 : <label, r, l>!, <label, p4, l2> : l < l2 -> <label, r, l2>
+              | forall p5, l3, l4 : <threshold, r, t>!, <label, p5, l3>, <label, r, l4> :
+                    l3 == l4 @> exit
+            }
+        }
+        init { <image, 0, 9>; <image, 1, 9>; <image, 2, 0>; <image, 3, 9>;
+               <image, 4, 0>; <image, 5, 0>; spawn Threshold(); }";
+    let walkers = "
+        process Walker(k) {
+            import { <cell, k, *>; forall v : <open, k> => <prize, k, v>; }
+            loop {
+                exists v : <cell, k, v>! -> let k = v, <open, v>
+              | exists w : <prize, k, w>! @> exit
+            }
+        }
+        process Batch(k) {
+            import { <cell, k, *>; }
+            par { exists v : <cell, k, v>! -> let J = v; -> skip; }
+        }
+        init { <cell, 1, 2>; <cell, 2, 3>; <cell, 3, 3>; <cell, 5, 6>; <cell, 5, 7>;
+               <prize, 3, 0>; <prize, 2, 0>;
+               spawn Walker(1); spawn Walker(2); spawn Batch(5); }";
+    let mut b = Builtins::standard();
+    b.register_grid_neighbor(3, 2);
+    b.register("T", |args: &[Value]| {
+        args[0].as_int().map(|v| Value::Int(i64::from(v > 4)))
+    });
+
+    for (src, rounds) in [
+        (labeling, false),
+        (labeling, true),
+        (walkers, false),
+        (walkers, true),
+    ] {
+        let mut finished = false;
+        for limit in 1..400 {
+            let program = CompiledProgram::from_source(src).unwrap();
+            let mut rt = Runtime::builder(program)
+                .seed(11)
+                .builtins(b.clone())
+                .limits(RunLimits {
+                    max_attempts: limit,
+                })
+                .build()
+                .unwrap();
+            let report = if rounds {
+                rt.run_rounds().unwrap()
+            } else {
+                rt.run().unwrap()
+            };
+            assert_index_current(&rt, &format!("after {limit} attempts (rounds: {rounds})"));
+            if report.outcome != Outcome::StepLimit {
+                assert!(report.consensus_rounds > 0, "{report:?}");
+                finished = true;
+                break;
+            }
+        }
+        assert!(finished, "400 attempts cover the whole run");
+    }
+}

@@ -116,8 +116,8 @@ impl ViewStats {
 /// A compiled view.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledView {
-    import: Option<Vec<CompiledViewRule>>,
-    export: Option<Vec<CompiledViewRule>>,
+    import: Option<Arc<[CompiledViewRule]>>,
+    export: Option<Arc<[CompiledViewRule]>>,
     stats: Arc<ViewStats>,
 }
 
@@ -181,8 +181,8 @@ impl CompiledView {
         export: Option<Vec<CompiledViewRule>>,
     ) -> CompiledView {
         CompiledView {
-            import,
-            export,
+            import: import.map(Arc::from),
+            export: export.map(Arc::from),
             stats: Arc::default(),
         }
     }
@@ -207,6 +207,16 @@ impl CompiledView {
         self.export.is_none()
     }
 
+    /// The import rules as they read under `env` (`None` = unrestricted).
+    pub fn resolve_import(
+        &self,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> Option<ResolvedRules> {
+        let rules = self.import.as_ref()?;
+        Some(ResolvedRules::new(rules, env, builtins))
+    }
+
     /// Computes the window `W = Import(p) ∩ D` for a transaction.
     ///
     /// The window is *lazy*: rather than materialising the imported
@@ -215,11 +225,13 @@ impl CompiledView {
     /// unchanging dataspace — which is exactly a transaction's evaluation
     /// context — the two are observationally identical, and laziness
     /// keeps "transaction types that might be expensive … comfortable
-    /// when the number of tuples they examine is small".
+    /// when the number of tuples they examine is small". The rules'
+    /// environment expressions are evaluated here, once per window.
     ///
     /// # Errors
     ///
-    /// Fails if an environment expression in a rule cannot evaluate.
+    /// Never, today: a rule whose environment expression cannot evaluate
+    /// admits nothing (see [`ResolvedRules`]).
     pub fn window<'a>(
         &'a self,
         ds: &'a dyn TupleSource,
@@ -228,17 +240,18 @@ impl CompiledView {
     ) -> Result<QuerySource<'a>, RuntimeError> {
         let metrics = ds.metrics();
         metrics.inc(Counter::WindowsBuilt);
-        if self.import.is_none() {
+        let Some(rules) = self.resolve_import(env, builtins) else {
             // A full window's size is just the store size; lazy windows
             // are deliberately not counted (materialising them would
             // defeat their purpose) — their cost shows up as
             // `WindowAdmitChecks` instead.
             metrics.observe(Hist::WindowSize, ds.tuple_count() as f64);
             return Ok(QuerySource::Full(ds));
-        }
+        };
         Ok(QuerySource::Lazy {
             ds,
             view: self,
+            rules,
             env,
             builtins,
         })
@@ -250,7 +263,7 @@ impl CompiledView {
     ///
     /// # Errors
     ///
-    /// Fails if an environment expression in a rule cannot evaluate.
+    /// As for [`CompiledView::window`].
     pub fn materialize_window(
         &self,
         ds: &Dataspace,
@@ -269,115 +282,24 @@ impl CompiledView {
         Ok(w)
     }
 
-    /// The instance ids currently in the import set (empty-vec shortcut is
-    /// *not* taken for full views — call [`CompiledView::imports_everything`]
-    /// first; this method materialises).
+    /// The instance ids currently in the import set, ascending (the
+    /// empty-vec shortcut is *not* taken for full views — call
+    /// [`CompiledView::imports_everything`] first; this method
+    /// materialises).
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledView::window`].
     pub fn import_ids(
         &self,
         ds: &Dataspace,
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> Result<Vec<TupleId>, RuntimeError> {
-        match &self.import {
-            None => Ok(ds.iter().map(|(id, _)| id).collect()),
-            Some(rules) => self.import_ids_rules(rules, ds, env, builtins),
-        }
-    }
-
-    fn import_ids_rules(
-        &self,
-        rules: &[CompiledViewRule],
-        ds: &Dataspace,
-        env: &HashMap<String, Value>,
-        builtins: &Builtins,
-    ) -> Result<Vec<TupleId>, RuntimeError> {
-        let ctx = EnvCtx {
-            env,
-            vars: None,
-            builtins,
-        };
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for rule in rules {
-            let resolved = resolve_fields(&rule.pattern, &ctx, "import rule pattern")?;
-            // Conditions-first: when the rule has tuple conditions, they
-            // usually bind the pattern's variables far more selectively
-            // than scanning every pattern candidate and re-checking the
-            // conditions per candidate (e.g. the Label rule's
-            // `<threshold, p2, t>` pins `p2` to a handful of neighbours).
-            let tuple_conds: Vec<Pattern> = rule
-                .conditions
-                .iter()
-                .filter_map(|c| match c {
-                    CompiledCond::Tuple(fields) => {
-                        resolve_fields(fields, &ctx, "view rule condition").ok()
-                    }
-                    CompiledCond::Pred { .. } => None,
-                })
-                .collect();
-            if !tuple_conds.is_empty() {
-                let atoms: Vec<QueryAtom> = tuple_conds.into_iter().map(QueryAtom::read).collect();
-                let preds: Vec<&CompiledCond> = rule
-                    .conditions
-                    .iter()
-                    .filter(|c| matches!(c, CompiledCond::Pred { .. }))
-                    .collect();
-                let n_positive = atoms.len();
-                let solver = Solver::new(ds, &atoms, rule.n_vars);
-                let solutions = solver.all_staged(
-                    None,
-                    &mut |depth, b| {
-                        depth < n_positive
-                            || preds.iter().all(|c| {
-                                let CompiledCond::Pred {
-                                    name,
-                                    args,
-                                    var_names,
-                                } = c
-                                else {
-                                    unreachable!("filtered to predicates")
-                                };
-                                let pctx = EnvCtx {
-                                    env,
-                                    vars: Some((var_names, b)),
-                                    builtins,
-                                };
-                                let mut vals = Vec::with_capacity(args.len());
-                                for a in args {
-                                    match eval(a, &pctx) {
-                                        Ok(v) => vals.push(v),
-                                        Err(_) => return false,
-                                    }
-                                }
-                                builtins.call(name, &vals) == Some(Value::Bool(true))
-                            })
-                    },
-                    sdl_dataspace::SolveLimits::default(),
-                );
-                for sol in solutions {
-                    let b = sol.to_bindings();
-                    let p = sdl_dataspace::solve::resolve_pattern(&resolved, &b);
-                    for id in ds.find_all(&p) {
-                        if seen.insert(id) {
-                            out.push(id);
-                        }
-                    }
-                }
-                continue;
-            }
-            for id in ds.candidate_ids(&resolved) {
-                if seen.contains(&id) {
-                    continue;
-                }
-                let tuple = ds.tuple(id).expect("candidate is live");
-                if rule_admits(rule, &resolved, tuple, ds, env, builtins) {
-                    seen.insert(id);
-                    out.push(id);
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        Ok(match self.resolve_import(env, builtins) {
+            None => ds.iter().map(|(id, _)| id).collect(),
+            Some(rules) => rules.import_ids(ds, env, builtins),
+        })
     }
 
     /// True if `tuple` is in the import set.
@@ -388,10 +310,7 @@ impl CompiledView {
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> bool {
-        match &self.import {
-            None => true,
-            Some(rules) => self.rules_admit(rules, tuple, ds, env, builtins),
-        }
+        Self::side_admits(&self.import, tuple, ds, env, builtins)
     }
 
     /// True if `tuple` is in the export set (assertions outside it are
@@ -403,160 +322,232 @@ impl CompiledView {
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> bool {
-        match &self.export {
-            None => true,
-            Some(rules) => self.rules_admit(rules, tuple, ds, env, builtins),
-        }
+        Self::side_admits(&self.export, tuple, ds, env, builtins)
     }
 
-    fn rules_admit<S: TupleSource + ?Sized>(
-        &self,
-        rules: &[CompiledViewRule],
+    fn side_admits<S: TupleSource + ?Sized>(
+        side: &Option<Arc<[CompiledViewRule]>>,
         tuple: &Tuple,
         ds: &S,
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> bool {
+        side.as_ref().is_none_or(|rules| {
+            ResolvedRules::new(rules, env, builtins).admits(tuple, ds, env, builtins)
+        })
+    }
+}
+
+/// One rule with its environment expressions evaluated.
+#[derive(Clone, Debug)]
+struct ResolvedRule {
+    /// Position in the rule list.
+    rule: usize,
+    pattern: Pattern,
+    /// The tuple conditions, in source order.
+    conds: Vec<Pattern>,
+}
+
+/// A view's import or export rules as they read for one process: every
+/// environment expression evaluated under its constants, rule variables
+/// left free. Built once per window by [`CompiledView::window`] and kept
+/// per process by the consensus community index, so a membership test is
+/// pattern matches and condition lookups only.
+///
+/// A rule whose pattern or tuple condition does not evaluate is left
+/// out: it admits nothing, for the lazy test ([`ResolvedRules::admits`])
+/// and the materialised set ([`ResolvedRules::import_ids`]) alike.
+#[derive(Clone, Debug)]
+pub struct ResolvedRules {
+    rules: Arc<[CompiledViewRule]>,
+    resolved: Vec<ResolvedRule>,
+}
+
+impl ResolvedRules {
+    fn new(
+        rules: &Arc<[CompiledViewRule]>,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> ResolvedRules {
         let ctx = EnvCtx {
             env,
             vars: None,
             builtins,
         };
-        rules.iter().any(
-            |rule| match resolve_fields(&rule.pattern, &ctx, "view rule pattern") {
-                Ok(resolved) => rule_admits(rule, &resolved, tuple, ds, env, builtins),
-                Err(_) => false,
-            },
-        )
+        let resolve = |i: usize, rule: &CompiledViewRule| {
+            let pattern = resolve_fields(&rule.pattern, &ctx, "view rule pattern").ok()?;
+            let mut conds = Vec::new();
+            for c in &rule.conditions {
+                if let CompiledCond::Tuple(fields) = c {
+                    conds.push(resolve_fields(fields, &ctx, "view rule condition").ok()?);
+                }
+            }
+            Some(ResolvedRule {
+                rule: i,
+                pattern,
+                conds,
+            })
+        };
+        ResolvedRules {
+            rules: rules.clone(),
+            resolved: rules
+                .iter()
+                .enumerate()
+                .filter_map(|(i, rule)| resolve(i, rule))
+                .collect(),
+        }
+    }
+
+    /// True if some rule covers `tuple` and that rule's conditions hold
+    /// in `ds`.
+    pub(crate) fn admits<S: TupleSource + ?Sized>(
+        &self,
+        tuple: &Tuple,
+        ds: &S,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> bool {
+        self.resolved
+            .iter()
+            .any(|r| self.rule_admits(r, tuple, ds, env, builtins))
+    }
+
+    /// True if `tuple` matches a tuple condition of some rule, i.e. its
+    /// assertion or retraction can change which *other* tuples the rules
+    /// admit.
+    pub(crate) fn condition_covers(&self, tuple: &Tuple) -> bool {
+        self.resolved.iter().any(|r| {
+            r.conds.iter().any(|c| {
+                may_match(c, tuple)
+                    && c.matches(tuple, &mut Bindings::new(self.rules[r.rule].n_vars))
+            })
+        })
+    }
+
+    /// The ids of the instances in `ds` the rules admit, ascending.
+    pub(crate) fn import_ids(
+        &self,
+        ds: &Dataspace,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> Vec<TupleId> {
+        let mut seen = std::collections::BTreeSet::new();
+        for r in &self.resolved {
+            let rule = &self.rules[r.rule];
+            if r.conds.is_empty() {
+                let mut b = Bindings::new(rule.n_vars);
+                for id in ds.candidate_ids(&r.pattern) {
+                    let tuple = ds.tuple(id).expect("candidate is live");
+                    if r.pattern.matches(tuple, &mut b) {
+                        if preds_hold(rule, &b, env, builtins) {
+                            seen.insert(id);
+                        }
+                        b.undo_to(0);
+                    }
+                }
+                continue;
+            }
+            // Conditions-first: tuple conditions usually bind the
+            // pattern's variables far more selectively than scanning
+            // every pattern candidate and re-checking the conditions per
+            // candidate (e.g. the Label rule's `<threshold, p2, t>` pins
+            // `p2` to a handful of neighbours).
+            let atoms: Vec<QueryAtom> = r.conds.iter().cloned().map(QueryAtom::read).collect();
+            let solutions = Solver::new(ds, &atoms, rule.n_vars).all_staged(
+                None,
+                &mut |depth, b| depth < atoms.len() || preds_hold(rule, b, env, builtins),
+                sdl_dataspace::SolveLimits::default(),
+            );
+            for sol in solutions {
+                let p = sdl_dataspace::solve::resolve_pattern(&r.pattern, &sol.to_bindings());
+                seen.extend(ds.find_all(&p));
+            }
+        }
+        seen.into_iter().collect()
+    }
+
+    /// Checks one rule against one tuple: the tuple must match the rule's
+    /// pattern, and the rule's conditions must then hold in the dataspace
+    /// under the bindings the match produced.
+    fn rule_admits<S: TupleSource + ?Sized>(
+        &self,
+        r: &ResolvedRule,
+        tuple: &Tuple,
+        ds: &S,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> bool {
+        let rule = &self.rules[r.rule];
+        if !may_match(&r.pattern, tuple) {
+            return false;
+        }
+        let mut bindings = Bindings::new(rule.n_vars);
+        if !r.pattern.matches(tuple, &mut bindings) {
+            return false;
+        }
+        // A condition the pattern match grounded is a membership test —
+        // the hot case for tuples in hand (lazy windows, export
+        // filtering). Those still holding free variables become a small
+        // existential query seeded with the pattern's bindings;
+        // predicates run once everything is bound.
+        let mut open = Vec::new();
+        for c in &r.conds {
+            let p = sdl_dataspace::solve::resolve_pattern(c, &bindings);
+            if p.vars().next().is_some() {
+                open.push(QueryAtom::read(p));
+            } else if !ds.contains_match(&p) {
+                return false;
+            }
+        }
+        if open.is_empty() {
+            return preds_hold(rule, &bindings, env, builtins);
+        }
+        Solver::new(ds, &open, rule.n_vars)
+            .first_staged(Some(&bindings), &mut |depth, b| {
+                depth < open.len() || preds_hold(rule, b, env, builtins)
+            })
+            .is_some()
     }
 }
 
-/// Checks one rule against one tuple: the tuple must match the rule's
-/// pattern, and the rule's conditions must then hold in the dataspace
-/// under the bindings the match produced.
-fn rule_admits<S: TupleSource + ?Sized>(
+/// False if arity or leading constant already rule the match out — the
+/// common case when a tuple in hand is tried against every rule of a
+/// view, decided before any bindings are allocated.
+fn may_match(pattern: &Pattern, tuple: &Tuple) -> bool {
+    pattern.arity() == tuple.arity()
+        && !matches!(pattern.fields().first(), Some(Field::Const(c)) if *c != tuple[0])
+}
+
+/// True if every predicate condition of `rule` holds under `b`; an
+/// argument that does not evaluate fails its predicate.
+fn preds_hold(
     rule: &CompiledViewRule,
-    resolved_pattern: &Pattern,
-    tuple: &Tuple,
-    ds: &S,
+    b: &Bindings,
     env: &HashMap<String, Value>,
     builtins: &Builtins,
 ) -> bool {
-    let mut bindings = Bindings::new(rule.n_vars);
-    if !resolved_pattern.matches(tuple, &mut bindings) {
-        return false;
-    }
-    if rule.conditions.is_empty() {
-        return true;
-    }
-    // Fast path: when the pattern match bound every variable a condition
-    // mentions, each condition is a ground membership test / direct
-    // predicate call — no solver needed. This is the hot case: membership
-    // checks against tuples in hand (lazy windows, export filtering).
-    let eval_pred =
-        |name: &str, args: &[Expr], var_names: &[String], b: &Bindings| -> Option<bool> {
-            let pctx = EnvCtx {
+    rule.conditions.iter().all(|c| match c {
+        CompiledCond::Tuple(_) => true,
+        CompiledCond::Pred {
+            name,
+            args,
+            var_names,
+        } => {
+            let ctx = EnvCtx {
                 env,
                 vars: Some((var_names, b)),
                 builtins,
             };
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval(a, &pctx).ok()?);
-            }
-            Some(builtins.call(name, &vals)? == Value::Bool(true))
-        };
-    let ctx = EnvCtx {
-        env,
-        vars: None,
-        builtins,
-    };
-    let mut all_fast = true;
-    for cond in &rule.conditions {
-        let fast = match cond {
-            CompiledCond::Tuple(fields) => {
-                match resolve_fields(fields, &ctx, "view rule condition") {
-                    Ok(p) => {
-                        let resolved = sdl_dataspace::solve::resolve_pattern(&p, &bindings);
-                        if resolved.vars().next().is_none() {
-                            Some(ds.contains_match(&resolved))
-                        } else {
-                            None // free variable: needs the solver
-                        }
-                    }
+                match eval(a, &ctx) {
+                    Ok(v) => vals.push(v),
                     Err(_) => return false,
                 }
             }
-            CompiledCond::Pred {
-                name,
-                args,
-                var_names,
-            } => match eval_pred(name, args, var_names, &bindings) {
-                Some(ok) => Some(ok),
-                None => Some(false),
-            },
-        };
-        match fast {
-            Some(false) => return false,
-            Some(true) => {}
-            None => {
-                all_fast = false;
-                break;
-            }
+            builtins.call(name, &vals) == Some(Value::Bool(true))
         }
-    }
-    if all_fast {
-        return true;
-    }
-    // General path: tuple conditions become a small existential query
-    // seeded with the pattern's bindings; predicate conditions run as the
-    // final test.
-    let mut atoms = Vec::new();
-    for cond in &rule.conditions {
-        if let CompiledCond::Tuple(fields) = cond {
-            match resolve_fields(fields, &ctx, "view rule condition") {
-                Ok(p) => atoms.push(QueryAtom::read(p)),
-                Err(_) => return false,
-            }
-        }
-    }
-    let preds: Vec<&CompiledCond> = rule
-        .conditions
-        .iter()
-        .filter(|c| matches!(c, CompiledCond::Pred { .. }))
-        .collect();
-    let n_positive = atoms.len();
-    let solver = Solver::new(ds, &atoms, rule.n_vars);
-    solver
-        .first_staged(Some(&bindings), &mut |depth, b| {
-            if depth < n_positive {
-                return true;
-            }
-            preds.iter().all(|c| {
-                let CompiledCond::Pred {
-                    name,
-                    args,
-                    var_names,
-                } = c
-                else {
-                    unreachable!("filtered to predicates")
-                };
-                let pctx = EnvCtx {
-                    env,
-                    vars: Some((var_names, b)),
-                    builtins,
-                };
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    match eval(a, &pctx) {
-                        Ok(v) => vals.push(v),
-                        Err(_) => return false,
-                    }
-                }
-                builtins.call(name, &vals) == Some(Value::Bool(true))
-            })
-        })
-        .is_some()
+    })
 }
 
 /// What a transaction queries: the whole dataspace (full view), a lazily
@@ -576,6 +567,8 @@ pub enum QuerySource<'a> {
         ds: &'a dyn TupleSource,
         /// The process view.
         view: &'a CompiledView,
+        /// The view's import rules, resolved under `env`.
+        rules: ResolvedRules,
         /// The process environment.
         env: &'a HashMap<String, Value>,
         /// Host functions.
@@ -605,11 +598,12 @@ impl QuerySource<'_> {
             QuerySource::Lazy {
                 ds,
                 view,
+                rules,
                 env,
                 builtins,
             } => {
                 ds.metrics().inc(Counter::WindowAdmitChecks);
-                let admitted = view.imports(tuple, *ds, env, builtins);
+                let admitted = rules.admits(tuple, *ds, env, builtins);
                 view.stats.record(admitted);
                 admitted
             }

@@ -86,7 +86,8 @@ pub enum Counter {
     PlanReplans,
     /// Query windows (views) constructed.
     WindowsBuilt,
-    /// Import-clause admission tests on lazy windows.
+    /// Import-clause admission tests: on lazy windows, and by the
+    /// consensus community index on asserted tuples.
     WindowAdmitChecks,
     /// Processes that entered the blocked set.
     ProcessesBlocked,
@@ -103,6 +104,15 @@ pub enum Counter {
     WakeSpurious,
     /// Consensus transactions fired.
     ConsensusRounds,
+    /// `sdl_consensus_checks_total{result="fired"}` — a community check
+    /// that found a complete community and fired it.
+    ConsensusChecksFired,
+    /// `sdl_consensus_checks_total{result="incomplete"}` — a community
+    /// check that found no community ready to fire.
+    ConsensusChecksIncomplete,
+    /// Import sets the community index recomputed from the store (a new
+    /// process, a `let`, or a commit that touched a rule condition).
+    ConsensusImportRecomputes,
     /// Processes spawned.
     ProcessesSpawned,
     /// Events dropped by a bounded event log or a streaming sink.
@@ -152,7 +162,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters in exposition order.
-    pub const ALL: [Counter; 54] = [
+    pub const ALL: [Counter; 57] = [
         Counter::TxnAttemptsImmediate,
         Counter::TxnAttemptsDelayed,
         Counter::TxnAttemptsConsensus,
@@ -187,6 +197,9 @@ impl Counter {
         Counter::WakeProgress,
         Counter::WakeSpurious,
         Counter::ConsensusRounds,
+        Counter::ConsensusChecksFired,
+        Counter::ConsensusChecksIncomplete,
+        Counter::ConsensusImportRecomputes,
         Counter::ProcessesSpawned,
         Counter::EventsDropped,
         Counter::WalRecords,
@@ -247,6 +260,10 @@ impl Counter {
             Counter::WakeupCommit | Counter::WakeupConsensus => "sdl_wakeups_total",
             Counter::WakeProgress | Counter::WakeSpurious => "sdl_wakes_total",
             Counter::ConsensusRounds => "sdl_consensus_rounds_total",
+            Counter::ConsensusChecksFired | Counter::ConsensusChecksIncomplete => {
+                "sdl_consensus_checks_total"
+            }
+            Counter::ConsensusImportRecomputes => "sdl_consensus_import_recomputes_total",
             Counter::ProcessesSpawned => "sdl_processes_spawned_total",
             Counter::EventsDropped => "sdl_events_dropped_total",
             Counter::WalRecords => "sdl_wal_records_total",
@@ -295,6 +312,8 @@ impl Counter {
             Counter::WakeupConsensus => "cause=\"consensus\"",
             Counter::WakeProgress => "result=\"progress\"",
             Counter::WakeSpurious => "result=\"spurious\"",
+            Counter::ConsensusChecksFired => "result=\"fired\"",
+            Counter::ConsensusChecksIncomplete => "result=\"incomplete\"",
             Counter::NetReqOut => "op=\"out\"",
             Counter::NetReqIn => "op=\"in\"",
             Counter::NetReqRd => "op=\"rd\"",
@@ -338,7 +357,9 @@ impl Counter {
                 "Query-plan cache lookups, by event."
             }
             Counter::WindowsBuilt => "Query windows (view intersections) constructed.",
-            Counter::WindowAdmitChecks => "Import-clause admission tests on lazy windows.",
+            Counter::WindowAdmitChecks => {
+                "Import-clause admission tests (lazy windows and the consensus community index)."
+            }
             Counter::ProcessesBlocked => "Processes that entered the blocked set.",
             Counter::WakeupCommit | Counter::WakeupConsensus => {
                 "Blocked-process wakeups, by cause."
@@ -347,6 +368,12 @@ impl Counter {
                 "Wake outcomes: the woken process committed (progress) or re-blocked (spurious)."
             }
             Counter::ConsensusRounds => "Consensus transactions fired.",
+            Counter::ConsensusChecksFired | Counter::ConsensusChecksIncomplete => {
+                "Consensus community checks, by whether one fired."
+            }
+            Counter::ConsensusImportRecomputes => {
+                "Import sets the community index recomputed from the store."
+            }
             Counter::ProcessesSpawned => "Processes spawned.",
             Counter::EventsDropped => "Events dropped by a bounded log or streaming sink.",
             Counter::WalRecords => "Commit records appended to the write-ahead log.",
