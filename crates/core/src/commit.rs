@@ -176,11 +176,9 @@ impl<T> WakeRouter<T> {
             return woken;
         }
         let n = self.shards.len();
-        let mut keys: Vec<WatchKey> = changed.iter().copied().collect();
-        keys.sort_unstable();
         for s in changed_shards.iter() {
             let mut index = self.shards[s].lock();
-            for key in &keys {
+            for key in changed.iter() {
                 // A routable key wakes through its own shard's index; an
                 // arity key is registered in every shard, so any changed
                 // shard's index covers it — later shards just drop the

@@ -982,9 +982,7 @@ mod tests {
     }
 
     fn watch_keys(w: &sdl_dataspace::WatchSet) -> Vec<sdl_dataspace::WatchKey> {
-        let mut keys: Vec<_> = w.iter().cloned().collect();
-        keys.sort_unstable_by_key(|k| format!("{k:?}"));
-        keys
+        w.iter().copied().collect()
     }
 
     #[test]

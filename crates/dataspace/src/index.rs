@@ -1,0 +1,493 @@
+//! The one tuple index behind [`Dataspace`](crate::Dataspace) and
+//! [`Window`](crate::Window).
+//!
+//! A tuple lives in `instances` and in at most two *postings* (ascending
+//! id lists): a **coarse** one for its head — `(arity, functor)`, or
+//! `(arity, hash of the non-atom value in slot 0)` — and, from arity 2
+//! up, a **fine** one for slot 1 — `(arity, functor, hash of slot 1)`,
+//! the functor left out when the head is not an atom. Values enter the
+//! keys as their [`value_hash`], computed once per tuple and handed back
+//! so the commit's [`WatchKey::Value`](crate::WatchKey) keys reuse it.
+//! Two values that share a hash share a posting; that only widens
+//! `candidate_ids`, whose contract is "superset, caller re-matches".
+
+use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+use sdl_metrics::Counter;
+use sdl_tuple::{Atom, Field, Pattern, Tuple, TupleId, Value};
+
+use crate::watch::value_hash;
+
+/// Hasher for fine-posting keys: one multiply-rotate step per word. The
+/// keys are small integers and `value_hash` outputs (SipHash with fixed
+/// keys, so already spread and already not secret); hashing them a second
+/// time cryptographically bought nothing.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A posting longer than this becomes a tree. `TupleId` orders
+/// owner-first, so with several writers new ids land mid-list: a sorted
+/// `Vec` pays a memmove per insert, bounded here to 512 bytes. (A tree
+/// is no slower to update at any size; the `Vec` is there for its
+/// footprint and for reads that are one `memcpy`.)
+const FEW_MAX: usize = 32;
+
+/// The ids under one index key, ascending. Most fine postings hold one id
+/// (`<mbox, k, v>` keyed by `k`) and must not cost an allocation.
+#[derive(Clone, Debug)]
+enum Posting {
+    One(TupleId),
+    Few(Vec<TupleId>),
+    Many(BTreeSet<TupleId>),
+}
+
+impl Posting {
+    fn insert(&mut self, id: TupleId) {
+        match self {
+            Posting::One(a) => {
+                *self = Posting::Few(if *a < id { vec![*a, id] } else { vec![id, *a] });
+            }
+            Posting::Few(v) => {
+                if let Err(at) = v.binary_search(&id) {
+                    v.insert(at, id);
+                }
+                if v.len() > FEW_MAX {
+                    *self = Posting::Many(std::mem::take(v).into_iter().collect());
+                }
+            }
+            Posting::Many(s) => {
+                s.insert(id);
+            }
+        }
+    }
+
+    /// Removes `id`; true when the posting is now empty and must be
+    /// dropped from its map.
+    fn remove(&mut self, id: TupleId) -> bool {
+        match self {
+            Posting::One(a) => *a == id,
+            Posting::Few(v) => {
+                if let Ok(at) = v.binary_search(&id) {
+                    v.remove(at);
+                }
+                v.is_empty()
+            }
+            Posting::Many(s) => {
+                s.remove(&id);
+                s.is_empty()
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Posting::One(_) => 1,
+            Posting::Few(v) => v.len(),
+            Posting::Many(s) => s.len(),
+        }
+    }
+
+    fn contains(&self, id: TupleId) -> bool {
+        match self {
+            Posting::One(a) => *a == id,
+            Posting::Few(v) => v.binary_search(&id).is_ok(),
+            Posting::Many(s) => s.contains(&id),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = TupleId> + '_ {
+        let (few, many) = match self {
+            Posting::One(a) => (std::slice::from_ref(a), None),
+            Posting::Few(v) => (v.as_slice(), None),
+            Posting::Many(s) => (&[][..], Some(s)),
+        };
+        few.iter().chain(many.into_iter().flatten()).copied()
+    }
+}
+
+/// What sits in slot 0, as the coarse key sees it. `Value` sorts before
+/// `Atom`, so within one arity the functors are the tail of the map.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Head {
+    /// Hash of a non-atom value; `0` for the empty tuple, which has no
+    /// slot 0 and shares arity 0 with nothing.
+    Value(u64),
+    /// The tuple's functor.
+    Atom(Atom),
+}
+
+impl Head {
+    fn functor(self) -> Option<Atom> {
+        match self {
+            Head::Atom(f) => Some(f),
+            Head::Value(_) => None,
+        }
+    }
+}
+
+type FineKey = (u32, Option<Atom>, u64);
+
+/// `instances` plus the two posting maps; see the module docs.
+#[derive(Clone)]
+pub(crate) struct TupleIndex {
+    instances: BTreeMap<TupleId, Tuple>,
+    coarse: BTreeMap<(u32, Head), Posting>,
+    fine: HashMap<FineKey, Posting, BuildHasherDefault<KeyHasher>>,
+    /// Live tuples per arity (position = arity): what a variable-head
+    /// pattern's estimate reads now that no posting lists them.
+    arity_counts: Vec<usize>,
+    /// `false` for `IndexMode::None`: no postings, every lookup scans.
+    postings: bool,
+    /// ANDed onto every value hash before it enters a key. All ones,
+    /// except in the test that forces distinct values onto one key.
+    hash_mask: u64,
+}
+
+impl Default for TupleIndex {
+    fn default() -> TupleIndex {
+        TupleIndex::new(true)
+    }
+}
+
+impl TupleIndex {
+    pub(crate) fn new(postings: bool) -> TupleIndex {
+        TupleIndex {
+            instances: BTreeMap::new(),
+            coarse: BTreeMap::new(),
+            fine: HashMap::default(),
+            arity_counts: Vec::new(),
+            postings,
+            hash_mask: u64::MAX,
+        }
+    }
+
+    /// An index in which every value hashes to the same key.
+    #[cfg(test)]
+    pub(crate) fn colliding() -> TupleIndex {
+        TupleIndex {
+            hash_mask: 0,
+            ..TupleIndex::new(true)
+        }
+    }
+
+    /// Number of postings held (coarse + fine).
+    #[cfg(test)]
+    pub(crate) fn posting_count(&self) -> usize {
+        self.coarse.len() + self.fine.len()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.instances.len()
+    }
+
+    pub(crate) fn get(&self, id: TupleId) -> Option<&Tuple> {
+        self.instances.get(&id)
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
+        self.instances.iter().map(|(id, t)| (*id, t))
+    }
+
+    pub(crate) fn ids(&self) -> impl Iterator<Item = TupleId> + '_ {
+        self.instances.keys().copied()
+    }
+
+    fn head_of(&self, slot0: Option<&Value>) -> Head {
+        match slot0 {
+            None => Head::Value(0),
+            Some(Value::Atom(f)) => Head::Atom(*f),
+            Some(v) => Head::Value(value_hash(v) & self.hash_mask),
+        }
+    }
+
+    /// The keys `tuple` is posted under, and the unmasked slot-1 hash.
+    fn keys_of(&self, tuple: &Tuple) -> ((u32, Head), Option<(FineKey, u64)>) {
+        let arity = tuple.arity() as u32;
+        let head = self.head_of(tuple.get(0));
+        let fine = tuple.get(1).map(|v| {
+            let h = value_hash(v);
+            ((arity, head.functor(), h & self.hash_mask), h)
+        });
+        ((arity, head), fine)
+    }
+
+    /// Enters an instance. Returns the hash of slot 1 when it was
+    /// computed, for the caller's watch keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is already present.
+    pub(crate) fn insert(&mut self, id: TupleId, tuple: Tuple) -> Option<u64> {
+        let arity = tuple.arity();
+        let keys = self.postings.then(|| self.keys_of(&tuple));
+        let prev = self.instances.insert(id, tuple);
+        assert!(prev.is_none(), "instance {id:?} already live");
+        if self.arity_counts.len() <= arity {
+            self.arity_counts.resize(arity + 1, 0);
+        }
+        self.arity_counts[arity] += 1;
+        let (coarse, fine) = keys?;
+        self.coarse
+            .entry(coarse)
+            .and_modify(|p| p.insert(id))
+            .or_insert(Posting::One(id));
+        let (fine, slot1) = fine?;
+        self.fine
+            .entry(fine)
+            .and_modify(|p| p.insert(id))
+            .or_insert(Posting::One(id));
+        Some(slot1)
+    }
+
+    /// Removes an instance, returning its tuple and (as
+    /// [`TupleIndex::insert`] does) the hash of slot 1.
+    pub(crate) fn remove(&mut self, id: TupleId) -> Option<(Tuple, Option<u64>)> {
+        let tuple = self.instances.remove(&id)?;
+        self.arity_counts[tuple.arity()] -= 1;
+        if !self.postings {
+            return Some((tuple, None));
+        }
+        let (coarse, fine) = self.keys_of(&tuple);
+        if let btree_map::Entry::Occupied(mut e) = self.coarse.entry(coarse) {
+            if e.get_mut().remove(id) {
+                e.remove();
+            }
+        }
+        let slot1 = fine.map(|(fine, slot1)| {
+            if let hash_map::Entry::Occupied(mut e) = self.fine.entry(fine) {
+                if e.get_mut().remove(id) {
+                    e.remove();
+                }
+            }
+            slot1
+        });
+        Some((tuple, slot1))
+    }
+
+    /// The constant head and constant slot 1 of `pattern`, as keys.
+    fn pattern_keys(&self, pattern: &Pattern) -> (Option<Head>, Option<u64>) {
+        let head = match pattern.fields().first() {
+            None => Some(self.head_of(None)),
+            Some(Field::Const(v)) => Some(self.head_of(Some(v))),
+            Some(_) => None,
+        };
+        let slot1 = match pattern.fields().get(1) {
+            Some(Field::Const(v)) => Some(value_hash(v) & self.hash_mask),
+            _ => None,
+        };
+        (head, slot1)
+    }
+
+    /// The fine postings a variable-head pattern with this constant
+    /// slot 1 reads: the functor-less one, then one per functor of the
+    /// arity — a handful of probes, since relations are few.
+    fn fine_across_heads(&self, arity: u32, slot1: u64) -> impl Iterator<Item = &Posting> {
+        let functors = self
+            .coarse
+            .range((arity, Head::Value(u64::MAX))..)
+            .take_while(move |((a, _), _)| *a == arity)
+            .filter_map(|((_, head), _)| head.functor());
+        std::iter::once(None)
+            .chain(functors.map(Some))
+            .filter_map(move |f| self.fine.get(&(arity, f, slot1)))
+    }
+
+    /// Appends a superset of the ids matching `pattern`, ascending, and
+    /// names the lookup that served it.
+    pub(crate) fn candidates_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) -> Counter {
+        if !self.postings {
+            out.extend(self.ids());
+            return Counter::IndexScanFull;
+        }
+        let arity = pattern.arity() as u32;
+        match self.pattern_keys(pattern) {
+            // SDL style keys tuples as <kind, entity, …>, so this is the
+            // common point lookup (<threshold, p, t> with p known).
+            (Some(Head::Atom(f)), Some(slot1)) => {
+                let posting = self.fine.get(&(arity, Some(f), slot1));
+                out.extend(posting.into_iter().flat_map(Posting::iter));
+                Counter::IndexHitArg1
+            }
+            (Some(head), None) => {
+                let posting = self.coarse.get(&(arity, head));
+                out.extend(posting.into_iter().flat_map(Posting::iter));
+                match head {
+                    Head::Atom(_) => Counter::IndexHitFunctor,
+                    Head::Value(_) => Counter::IndexHitValue,
+                }
+            }
+            // Constant non-atom head and constant slot 1: walk the
+            // smaller posting, keep what the larger one holds.
+            (Some(head), Some(slot1)) => {
+                let pair = self
+                    .coarse
+                    .get(&(arity, head))
+                    .zip(self.fine.get(&(arity, None, slot1)));
+                if let Some((a, b)) = pair {
+                    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+                    out.extend(small.iter().filter(|id| large.contains(*id)));
+                }
+                Counter::IndexHitIntersect
+            }
+            (None, Some(slot1)) => {
+                let start = out.len();
+                let mut contributors = 0;
+                for p in self.fine_across_heads(arity, slot1) {
+                    out.extend(p.iter());
+                    contributors += 1;
+                }
+                if contributors > 1 {
+                    out[start..].sort_unstable();
+                }
+                Counter::IndexHitValue
+            }
+            // Nothing constant to key on: the instances of this arity.
+            // No posting lists them — every assert would pay for it —
+            // so this pattern shape pays with a walk of the store.
+            (None, None) => {
+                let of_arity = self
+                    .instances
+                    .iter()
+                    .filter(|(_, t)| t.arity() as u32 == arity);
+                out.extend(of_arity.map(|(id, _)| *id));
+                Counter::IndexHitArity
+            }
+        }
+    }
+
+    /// Upper bound on what [`TupleIndex::candidates_into`] would append,
+    /// from posting lengths alone.
+    pub(crate) fn estimate(&self, pattern: &Pattern) -> usize {
+        if !self.postings {
+            return self.instances.len();
+        }
+        let arity = pattern.arity() as u32;
+        let coarse = |head| self.coarse.get(&(arity, head)).map_or(0, Posting::len);
+        let fine = |f, slot1| self.fine.get(&(arity, f, slot1)).map_or(0, Posting::len);
+        match self.pattern_keys(pattern) {
+            (Some(Head::Atom(f)), Some(slot1)) => fine(Some(f), slot1),
+            (Some(head), None) => coarse(head),
+            (Some(head), Some(slot1)) => coarse(head).min(fine(None, slot1)),
+            (None, Some(slot1)) => self.fine_across_heads(arity, slot1).map(Posting::len).sum(),
+            (None, None) => self.arity_counts.get(arity as usize).copied().unwrap_or(0),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdl_tuple::{pattern, tuple, ProcId};
+
+    fn id(owner: u64, seq: u64) -> TupleId {
+        TupleId {
+            owner: ProcId(owner),
+            seq,
+        }
+    }
+
+    fn candidates(ix: &TupleIndex, p: &Pattern) -> Vec<TupleId> {
+        let mut out = Vec::new();
+        ix.candidates_into(p, &mut out);
+        out
+    }
+
+    #[test]
+    fn a_tuple_enters_at_most_two_postings() {
+        let mut ix = TupleIndex::default();
+        for (seq, (t, postings)) in [
+            (tuple![], 1),
+            (tuple![Value::atom("flag")], 1),
+            (tuple![7], 1),
+            (tuple![Value::atom("mbox"), 1, 2], 2),
+            (tuple![7, 8, 9, 10], 2),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let before = ix.posting_count();
+            ix.insert(id(1, seq as u64), t.clone());
+            assert_eq!(ix.posting_count() - before, postings, "{t}");
+        }
+        for seq in 0..5 {
+            ix.remove(id(1, seq));
+        }
+        assert_eq!(ix.posting_count(), 0);
+    }
+
+    #[test]
+    fn postings_stay_ascending_across_owners_and_forms() {
+        // Two owners interleave, so ids land mid-list; 200 ids cross
+        // One -> Few -> Many.
+        let mut ix = TupleIndex::default();
+        for seq in 0..200u64 {
+            ix.insert(
+                id(1 + seq % 2, seq),
+                tuple![Value::atom("k"), seq as i64 % 3],
+            );
+        }
+        let all = candidates(&ix, &pattern![Value::atom("k"), any]);
+        assert_eq!(all.len(), 200);
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        let some = candidates(&ix, &pattern![Value::atom("k"), 1]);
+        assert_eq!(some.len(), 67);
+        assert!(some.windows(2).all(|w| w[0] < w[1]));
+        // Draining a tree-form posting drops its entry too.
+        for seq in 0..200u64 {
+            ix.remove(id(1 + seq % 2, seq));
+        }
+        assert_eq!(ix.posting_count(), 0);
+    }
+
+    #[test]
+    fn variable_head_with_constant_slot_one_reads_every_relation() {
+        let mut ix = TupleIndex::default();
+        ix.insert(id(1, 1), tuple![Value::atom("a"), 5]);
+        ix.insert(id(1, 2), tuple![9, 5]);
+        ix.insert(id(1, 3), tuple![Value::atom("b"), 5]);
+        ix.insert(id(1, 4), tuple![Value::atom("b"), 6]);
+        ix.insert(id(1, 5), tuple![Value::atom("b"), 5, 5]);
+        let p = pattern![var 0, 5];
+        assert_eq!(candidates(&ix, &p), vec![id(1, 1), id(1, 2), id(1, 3)]);
+        assert_eq!(ix.estimate(&p), 3);
+        assert_eq!(ix.estimate(&pattern![any, any]), 4);
+        assert_eq!(ix.estimate(&pattern![9, 5]), 1);
+        assert_eq!(candidates(&ix, &pattern![9, 6]), vec![]);
+    }
+
+    #[test]
+    fn key_hasher_handles_unaligned_writes() {
+        let mut a = KeyHasher::default();
+        a.write(&[1, 2, 3]);
+        let mut b = KeyHasher::default();
+        b.write(&[1, 2, 4]);
+        assert_ne!(a.finish(), b.finish());
+    }
+}

@@ -5,7 +5,7 @@
 //! and modified by atomic transactions. It provides:
 //!
 //! * [`Dataspace`] — the multiset store with tuple-instance identity,
-//!   ownership, secondary indexes (functor/arity), and a version counter;
+//!   ownership, a two-posting index (head, slot 1) and a version counter;
 //! * [`Window`] — a materialised subset of the dataspace (the `W =
 //!   Import(p) ∩ D` of the paper's view semantics) that answers the same
 //!   queries;
@@ -37,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+mod index;
 pub mod plan;
 pub mod shard;
 pub mod solve;
@@ -50,7 +51,7 @@ pub use shard::{
     ShardSet, ShardWriteView, ShardedDataspace, MAX_SHARDS,
 };
 pub use solve::{AtomMode, ForallEvidence, QueryAtom, Solution, SolveLimits, Solver};
-pub use store::{intersect_sorted, Action, BatchOutcome, Dataspace, IndexMode, TupleSource};
+pub use store::{Action, BatchOutcome, Dataspace, IndexMode, TupleSource};
 pub use watch::{value_hash, WatchKey, WatchSet};
 pub use window::Window;
 

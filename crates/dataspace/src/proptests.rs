@@ -8,6 +8,7 @@ use crate::plan::plan_query;
 use crate::solve::{QueryAtom, SolveLimits, Solver};
 use crate::store::{Action, Dataspace, IndexMode, TupleSource};
 use crate::watch::WatchSet;
+use crate::window::Window;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -30,6 +31,20 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             (0usize..64).prop_map(Op::RetractNth),
         ],
         0..64,
+    )
+}
+
+/// [`arb_ops`] with three asserts per retract, so stores grow to dozens
+/// of tuples and index keys are shared across heads and owners.
+fn arb_growing_ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(
+        prop_oneof![
+            arb_tuple().prop_map(Op::Assert),
+            arb_tuple().prop_map(Op::Assert),
+            arb_tuple().prop_map(Op::Assert),
+            (0usize..64).prop_map(Op::RetractNth),
+        ],
+        0..96,
     )
 }
 
@@ -296,5 +311,74 @@ proptest! {
         let solver = Solver::new(&d, &atoms, 0);
         let neg_holds = solver.first(&mut |_| true).is_some();
         prop_assert_eq!(neg_holds, !d.contains_match(&p));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One index, two users: for every pattern shape the index serves
+    /// differently, the store, a window over the same instances and the
+    /// unindexed oracle report the same matches in the same order, and
+    /// the planner's estimate never undercounts them.
+    #[test]
+    fn store_window_and_oracle_agree_on_every_pattern_shape(
+        ops in arb_growing_ops(),
+        probe in arb_tuple(),
+        free in arb_pattern(),
+    ) {
+        use sdl_tuple::{Field, VarId};
+        let mut indexed = Dataspace::new();
+        let mut flat = Dataspace::with_index_mode(IndexMode::None);
+        let mut live: Vec<TupleId> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                // Two owners: ids land mid-posting, not only at the end.
+                Op::Assert(t) => {
+                    let owner = ProcId(1 + i as u64 % 2);
+                    let id = indexed.assert_tuple(owner, t.clone());
+                    prop_assert_eq!(flat.assert_tuple(owner, t.clone()), id);
+                    live.push(id);
+                }
+                Op::RetractNth(n) if !live.is_empty() => {
+                    let id = live.remove(n % live.len());
+                    prop_assert_eq!(indexed.retract(id), flat.retract(id));
+                }
+                Op::RetractNth(_) => {}
+            }
+        }
+        let window = Window::from_instances(indexed.to_instances());
+
+        let consts: Vec<Field> = probe.iter().cloned().map(Field::Const).collect();
+        let keep = |n: usize, var_head: bool| -> Pattern {
+            consts
+                .iter()
+                .enumerate()
+                .map(|(i, f)| match i {
+                    0 if var_head => Field::Var(VarId(0)),
+                    i if i < n => f.clone(),
+                    _ => Field::Any,
+                })
+                .collect()
+        };
+        let shapes = [
+            keep(probe.arity(), false), // ground
+            keep(2, false),             // functor / non-atom head, constant slot 1
+            keep(1, false),             // functor / non-atom head alone
+            keep(2, true),              // variable head, constant slot 1
+            keep(0, true),              // variable head alone
+            Pattern::new(Vec::new()),   // empty
+            free,
+        ];
+        for p in &shapes {
+            let expected = flat.matching_ids(p);
+            for (name, src) in [("store", &indexed as &dyn TupleSource), ("window", &window)] {
+                let candidates = src.candidate_ids(p);
+                prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{} {:?}", name, p);
+                prop_assert_eq!(&src.matching_ids(p), &expected, "{} {:?}", name, p);
+                prop_assert!(src.estimate_candidates(p) >= expected.len(), "{} {:?}", name, p);
+                prop_assert_eq!(src.contains_match(p), !expected.is_empty(), "{} {:?}", name, p);
+            }
+        }
     }
 }

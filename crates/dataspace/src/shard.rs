@@ -587,16 +587,31 @@ impl<G: DerefMut<Target = Dataspace>> ShardView<'_, G> {
     ) -> (crate::store::BatchOutcome, ShardSet) {
         use crate::store::{Action, BatchOutcome};
         let n = self.owner.num_shards();
+        let route = |action: &Action| match action {
+            Action::Retract(id) => self.owner.shard_of_id(*id),
+            Action::Assert(_, t) => self.owner.shard_of_tuple(t),
+        };
+        // Every wire op and most transactions write one shard: hand it
+        // the batch as it stands, nothing to scatter or gather.
+        let mut routes = actions.iter().map(route);
+        if let Some(s) = routes.next().filter(|&s| routes.all(|r| r == s)) {
+            let out = self.guards[s]
+                .as_deref_mut()
+                .expect("batched action's shard must be in the write footprint")
+                .apply_batch(&actions, watch);
+            let mut changed = ShardSet::new();
+            if !out.retracted.is_empty() || !out.asserted.is_empty() {
+                changed.insert(s);
+            }
+            return (out, changed);
+        }
         let mut per_shard: Vec<Vec<Action>> = (0..n).map(|_| Vec::new()).collect();
         // Remember each assert's ordinal in the global action order so
         // per-shard outcomes scatter back into one action-ordered list.
         let mut assert_slots: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
         let mut n_asserts = 0;
         for action in actions {
-            let s = match &action {
-                Action::Retract(id) => self.owner.shard_of_id(*id),
-                Action::Assert(_, t) => self.owner.shard_of_tuple(t),
-            };
+            let s = route(&action);
             if matches!(action, Action::Assert(..)) {
                 assert_slots[s].push(n_asserts);
                 n_asserts += 1;

@@ -1,24 +1,22 @@
 //! The dataspace store: an indexed multiset of tuple instances.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::Hash;
 
 use sdl_metrics::{Counter, Metrics};
-use sdl_tuple::{Atom, Bindings, Field, Pattern, ProcId, Tuple, TupleId, TupleInstance, Value};
+use sdl_tuple::{Bindings, Field, Pattern, ProcId, Tuple, TupleId, TupleInstance};
 
-use crate::watch::WatchSet;
+use crate::index::TupleIndex;
+use crate::watch::{WatchKey, WatchSet};
 
 /// Index configuration for a [`Dataspace`].
 ///
-/// The default indexes tuples by `(leading atom, arity)` — SDL style puts a
-/// discriminating symbol first (`<label, …>`, `<threshold, …>`) — falling
-/// back to an arity index. `None` disables secondary indexes entirely and
-/// is provided for the E4 ablation benchmark.
+/// The default indexes tuples by head and arity and by the value in
+/// slot 1 — SDL style puts a discriminating symbol first (`<label, …>`,
+/// `<threshold, …>`) and the entity second. `None` disables secondary
+/// indexes entirely and is provided for the E4 ablation benchmark.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum IndexMode {
-    /// Index by `(functor, arity)` with an arity fallback (default).
+    /// Index by `(head, arity)` and by slot 1 (default).
     #[default]
     FunctorArity,
     /// No secondary indexes: every query scans the whole store.
@@ -47,7 +45,8 @@ pub trait TupleSource {
     /// Cheap upper-bound estimate of how many candidates
     /// [`TupleSource::candidate_ids`] would return — the query planner's
     /// selectivity probe. Must not allocate or record index metrics;
-    /// indexed sources answer from index cardinalities in O(1).
+    /// indexed sources answer from posting lengths in O(1) (a variable
+    /// head with a constant slot 1 probes once per functor of the arity).
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {
         self.candidate_ids(pattern).len()
     }
@@ -126,19 +125,7 @@ pub trait TupleSource {
 /// ```
 #[derive(Clone)]
 pub struct Dataspace {
-    instances: BTreeMap<TupleId, Tuple>,
-    functor_index: HashMap<(Atom, usize), BTreeSet<TupleId>>,
-    arg1_index: HashMap<(Atom, usize, Value), BTreeSet<TupleId>>,
-    arity_index: HashMap<usize, BTreeSet<TupleId>>,
-    /// Point index on *non-atom* head values, keyed `(arity, head)` —
-    /// atom heads are already served by `functor_index`. Serves computed
-    /// heads like the paper's `<k - 2^(j-1), α, j>`.
-    head_value_index: HashMap<(usize, Value), BTreeSet<TupleId>>,
-    /// Point index on second-field values keyed `(arity, arg1)`,
-    /// independent of the head — serves variable-head patterns with a
-    /// constant second field, alone or intersected with the head index.
-    arg1_value_index: HashMap<(usize, Value), BTreeSet<TupleId>>,
-    value_counts: HashMap<Tuple, usize>,
+    index: TupleIndex,
     index_mode: IndexMode,
     next_seq: u64,
     /// Distance between consecutive minted sequence numbers. 1 for a
@@ -159,13 +146,7 @@ impl Dataspace {
     /// Creates an empty dataspace with the given index configuration.
     pub fn with_index_mode(index_mode: IndexMode) -> Dataspace {
         Dataspace {
-            instances: BTreeMap::new(),
-            functor_index: HashMap::new(),
-            arg1_index: HashMap::new(),
-            arity_index: HashMap::new(),
-            head_value_index: HashMap::new(),
-            arg1_value_index: HashMap::new(),
-            value_counts: HashMap::new(),
+            index: TupleIndex::new(index_mode != IndexMode::None),
             index_mode,
             next_seq: 1,
             seq_stride: 1,
@@ -203,7 +184,7 @@ impl Dataspace {
     pub fn set_seq_stride(&mut self, start: u64, stride: u64) {
         assert!(stride > 0, "sequence stride must be positive");
         assert!(
-            self.instances.is_empty() && self.version == 0,
+            self.is_empty() && self.version == 0,
             "stride must be set before the store is used"
         );
         self.next_seq = start;
@@ -234,19 +215,16 @@ impl Dataspace {
 
     /// Inserts an instance under a caller-provided id, preserving it
     /// exactly — the shard-merge primitive, also useful for rebuilding
-    /// snapshots. Updates indexes and multiset counts but neither the
-    /// version counter nor metrics (the mutation was already accounted
-    /// for where the id was minted); advances `next_seq` past `id.seq` so
-    /// later asserts cannot collide.
+    /// snapshots. Updates the index but neither the version counter nor
+    /// metrics (the mutation was already accounted for where the id was
+    /// minted); advances `next_seq` past `id.seq` so later asserts cannot
+    /// collide.
     ///
     /// # Panics
     ///
     /// Panics if `id` is already live.
     pub fn insert_instance(&mut self, id: TupleId, tuple: Tuple) {
-        self.index_insert(id, &tuple);
-        *self.value_counts.entry(tuple.clone()).or_insert(0) += 1;
-        let prev = self.instances.insert(id, tuple);
-        assert!(prev.is_none(), "instance {id:?} already live");
+        self.index.insert(id, tuple);
         if id.seq >= self.next_seq {
             self.next_seq = id.seq + self.seq_stride;
         }
@@ -254,25 +232,28 @@ impl Dataspace {
 
     /// Number of live tuple instances.
     pub fn len(&self) -> usize {
-        self.instances.len()
+        self.index.len()
     }
 
     /// True if no instances are live.
     pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
+        self.index.len() == 0
     }
 
-    /// Asserts a tuple on behalf of `owner`, returning the fresh instance
-    /// id.
-    pub fn assert_tuple(&mut self, owner: ProcId, tuple: Tuple) -> TupleId {
+    fn mint(&mut self, owner: ProcId) -> TupleId {
         let id = TupleId {
             owner,
             seq: self.next_seq,
         };
         self.next_seq += self.seq_stride;
-        self.index_insert(id, &tuple);
-        *self.value_counts.entry(tuple.clone()).or_insert(0) += 1;
-        self.instances.insert(id, tuple);
+        id
+    }
+
+    /// Asserts a tuple on behalf of `owner`, returning the fresh instance
+    /// id.
+    pub fn assert_tuple(&mut self, owner: ProcId, tuple: Tuple) -> TupleId {
+        let id = self.mint(owner);
+        self.index.insert(id, tuple);
         self.version += 1;
         self.metrics.inc(Counter::TuplesAsserted);
         self.metrics.inc(Counter::StoreVersionBumps);
@@ -281,14 +262,7 @@ impl Dataspace {
 
     /// Retracts the instance `id`, returning its tuple if it was live.
     pub fn retract(&mut self, id: TupleId) -> Option<Tuple> {
-        let tuple = self.instances.remove(&id)?;
-        self.index_remove(id, &tuple);
-        if let Some(n) = self.value_counts.get_mut(&tuple) {
-            *n -= 1;
-            if *n == 0 {
-                self.value_counts.remove(&tuple);
-            }
-        }
+        let (tuple, _) = self.index.remove(id)?;
         self.version += 1;
         self.metrics.inc(Counter::TuplesRetracted);
         self.metrics.inc(Counter::StoreVersionBumps);
@@ -297,10 +271,11 @@ impl Dataspace {
 
     /// True if instance `id` is live.
     pub fn contains_id(&self, id: TupleId) -> bool {
-        self.instances.contains_key(&id)
+        self.index.get(id).is_some()
     }
 
-    /// Multiset count of instances whose value equals `tuple`.
+    /// Multiset count of instances whose value equals `tuple` — a ground
+    /// lookup through the index, like any other.
     ///
     /// # Examples
     ///
@@ -315,12 +290,12 @@ impl Dataspace {
     /// assert_eq!(d.count_value(&tuple![2]), 0);
     /// ```
     pub fn count_value(&self, tuple: &Tuple) -> usize {
-        self.value_counts.get(tuple).copied().unwrap_or(0)
+        self.count_matches(&tuple.iter().cloned().map(Field::Const).collect())
     }
 
     /// Iterates over all live instances in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
-        self.instances.iter().map(|(id, t)| (*id, t))
+        self.index.iter()
     }
 
     /// Collects all live instances (id order) — handy for snapshots and
@@ -333,101 +308,12 @@ impl Dataspace {
 
     /// All instance ids matching `pattern` with fresh bindings, id order.
     pub fn find_all(&self, pattern: &Pattern) -> Vec<TupleId> {
-        let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-        let mut b = Bindings::new(n_vars);
-        self.candidate_ids(pattern)
-            .into_iter()
-            .filter(|id| {
-                let m = b.mark();
-                let ok = pattern.matches(&self.instances[id], &mut b);
-                b.undo_to(m);
-                ok
-            })
-            .collect()
+        TupleSource::matching_ids(self, pattern)
     }
 
     /// Number of instances matching `pattern`.
     pub fn count_matches(&self, pattern: &Pattern) -> usize {
         self.find_all(pattern).len()
-    }
-
-    fn index_insert(&mut self, id: TupleId, tuple: &Tuple) {
-        if self.index_mode == IndexMode::None {
-            return;
-        }
-        if let Some(f) = tuple.functor() {
-            self.functor_index
-                .entry((f, tuple.arity()))
-                .or_default()
-                .insert(id);
-            if let Some(arg1) = tuple.get(1) {
-                self.arg1_index
-                    .entry((f, tuple.arity(), arg1.clone()))
-                    .or_default()
-                    .insert(id);
-            }
-        } else if let Some(head) = tuple.get(0) {
-            self.head_value_index
-                .entry((tuple.arity(), head.clone()))
-                .or_default()
-                .insert(id);
-        }
-        if let Some(arg1) = tuple.get(1) {
-            self.arg1_value_index
-                .entry((tuple.arity(), arg1.clone()))
-                .or_default()
-                .insert(id);
-        }
-        self.arity_index
-            .entry(tuple.arity())
-            .or_default()
-            .insert(id);
-    }
-
-    fn index_remove(&mut self, id: TupleId, tuple: &Tuple) {
-        if self.index_mode == IndexMode::None {
-            return;
-        }
-        if let Some(f) = tuple.functor() {
-            if let Some(set) = self.functor_index.get_mut(&(f, tuple.arity())) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.functor_index.remove(&(f, tuple.arity()));
-                }
-            }
-            if let Some(arg1) = tuple.get(1) {
-                let key = (f, tuple.arity(), arg1.clone());
-                if let Some(set) = self.arg1_index.get_mut(&key) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        self.arg1_index.remove(&key);
-                    }
-                }
-            }
-        } else if let Some(head) = tuple.get(0) {
-            let key = (tuple.arity(), head.clone());
-            if let Some(set) = self.head_value_index.get_mut(&key) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.head_value_index.remove(&key);
-                }
-            }
-        }
-        if let Some(arg1) = tuple.get(1) {
-            let key = (tuple.arity(), arg1.clone());
-            if let Some(set) = self.arg1_value_index.get_mut(&key) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.arg1_value_index.remove(&key);
-                }
-            }
-        }
-        if let Some(set) = self.arity_index.get_mut(&tuple.arity()) {
-            set.remove(&id);
-            if set.is_empty() {
-                self.arity_index.remove(&tuple.arity());
-            }
-        }
     }
 }
 
@@ -450,177 +336,40 @@ pub struct BatchOutcome {
     pub asserted: Vec<TupleId>,
 }
 
-/// Pending id insertions/removals for one index entry — accumulated per
-/// distinct key so the batch touches each index entry exactly once.
-#[derive(Default)]
-struct IdDelta {
-    add: Vec<TupleId>,
-    del: Vec<TupleId>,
-}
-
-/// Applies one accumulated [`IdDelta`] to an index entry: a single hash
-/// lookup per distinct key, a bulk extend of the sorted-id set (batch
-/// asserts mint ascending ids, so this appends), and entry cleanup.
-fn apply_delta<K: Eq + Hash>(index: &mut HashMap<K, BTreeSet<TupleId>>, key: K, d: IdDelta) {
-    match index.entry(key) {
-        Entry::Occupied(mut e) => {
-            let set = e.get_mut();
-            // Every deleted id was live under this key, so if the
-            // removal set covers the whole entry the entry dies — drop
-            // it in one step instead of per-id removes. This is the
-            // forall-retracts-a-relation fast path.
-            if d.add.is_empty() && d.del.len() == set.len() {
-                e.remove();
-                return;
-            }
-            set.extend(d.add);
-            for id in &d.del {
-                set.remove(id);
-            }
-            if set.is_empty() {
-                e.remove();
-            }
-        }
-        Entry::Vacant(e) => {
-            let mut set: BTreeSet<TupleId> = d.add.into_iter().collect();
-            for id in &d.del {
-                set.remove(id);
-            }
-            if !set.is_empty() {
-                e.insert(set);
-            }
-        }
-    }
-}
-
-/// The per-tuple grouping twin of [`Dataspace::index_insert`] /
-/// [`Dataspace::index_remove`]: records which index entries `tuple`
-/// belongs to, without touching the (much larger) real indexes yet.
-struct IndexDeltas {
-    functor: HashMap<(Atom, usize), IdDelta>,
-    arg1: HashMap<(Atom, usize, Value), IdDelta>,
-    head_value: HashMap<(usize, Value), IdDelta>,
-    arg1_value: HashMap<(usize, Value), IdDelta>,
-    arity: HashMap<usize, IdDelta>,
-}
-
-impl IndexDeltas {
-    fn new() -> IndexDeltas {
-        IndexDeltas {
-            functor: HashMap::new(),
-            arg1: HashMap::new(),
-            head_value: HashMap::new(),
-            arg1_value: HashMap::new(),
-            arity: HashMap::new(),
-        }
-    }
-
-    fn record(&mut self, id: TupleId, tuple: &Tuple, add: bool) {
-        fn push<K: Eq + Hash>(m: &mut HashMap<K, IdDelta>, k: K, id: TupleId, add: bool) {
-            let d = m.entry(k).or_default();
-            if add {
-                d.add.push(id);
-            } else {
-                d.del.push(id);
-            }
-        }
-        if let Some(f) = tuple.functor() {
-            push(&mut self.functor, (f, tuple.arity()), id, add);
-            if let Some(arg1) = tuple.get(1) {
-                push(&mut self.arg1, (f, tuple.arity(), arg1.clone()), id, add);
-            }
-        } else if let Some(head) = tuple.get(0) {
-            push(&mut self.head_value, (tuple.arity(), head.clone()), id, add);
-        }
-        if let Some(arg1) = tuple.get(1) {
-            push(&mut self.arg1_value, (tuple.arity(), arg1.clone()), id, add);
-        }
-        push(&mut self.arity, tuple.arity(), id, add);
-    }
-}
-
 impl Dataspace {
     /// Applies a whole commit's write set in one pass.
     ///
     /// Semantically equivalent to calling [`Dataspace::retract`] /
-    /// [`Dataspace::assert_tuple`] per action, but the secondary indexes
-    /// are maintained with one hash lookup and one sorted-id merge per
-    /// *distinct index entry* instead of per tuple, the version counter
+    /// [`Dataspace::assert_tuple`] per action, but the version counter
     /// and metrics are bumped once, and the published [`WatchKey`]s of
-    /// every changed tuple are merged into `watch` — the single
-    /// [`WatchSet`] the commit hands to the wake scan. High-fanout
-    /// `forall` commits and consensus composites hit one relation with
-    /// thousands of tuples; this path touches that relation's indexes
-    /// once.
+    /// every changed tuple — built from the value hashes the index just
+    /// computed — are merged into `watch`, the single [`WatchSet`] the
+    /// commit hands to the wake scan, in one sort however many tuples a
+    /// high-fanout `forall` or consensus composite changes.
     ///
     /// Retracts of ids that are not live are skipped (mirroring
     /// [`Dataspace::retract`] returning `None`); callers validate
     /// liveness beforehand.
-    ///
-    /// [`WatchKey`]: crate::WatchKey
     pub fn apply_batch(&mut self, actions: &[Action], watch: &mut WatchSet) -> BatchOutcome {
         let mut out = BatchOutcome::default();
-        let mut deltas = IndexDeltas::new();
-        let index = self.index_mode != IndexMode::None;
-        // Grouping pays for itself when index keys repeat across the
-        // batch; small commits (the common case) go straight to the
-        // per-tuple index maintenance they'd have used anyway.
-        let group = index && actions.len() >= 8;
-
         for action in actions {
             match action {
                 Action::Retract(id) => {
-                    let Some(tuple) = self.instances.remove(id) else {
+                    let Some((tuple, slot1)) = self.index.remove(*id) else {
                         continue;
                     };
-                    watch.add_tuple(&tuple);
-                    if group {
-                        deltas.record(*id, &tuple, false);
-                    } else if index {
-                        self.index_remove(*id, &tuple);
-                    }
-                    if let Some(n) = self.value_counts.get_mut(&tuple) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.value_counts.remove(&tuple);
-                        }
-                    }
+                    watch.extend_unsorted(WatchKey::of_hashed_tuple(&tuple, slot1));
                     out.retracted.push((*id, tuple));
                 }
                 Action::Assert(owner, tuple) => {
-                    let id = TupleId {
-                        owner: *owner,
-                        seq: self.next_seq,
-                    };
-                    self.next_seq += self.seq_stride;
-                    watch.add_tuple(tuple);
-                    if group {
-                        deltas.record(id, tuple, true);
-                    } else if index {
-                        self.index_insert(id, tuple);
-                    }
-                    *self.value_counts.entry(tuple.clone()).or_insert(0) += 1;
-                    self.instances.insert(id, tuple.clone());
+                    let id = self.mint(*owner);
+                    let slot1 = self.index.insert(id, tuple.clone());
+                    watch.extend_unsorted(WatchKey::of_hashed_tuple(tuple, slot1));
                     out.asserted.push(id);
                 }
             }
         }
-
-        for (k, d) in deltas.functor {
-            apply_delta(&mut self.functor_index, k, d);
-        }
-        for (k, d) in deltas.arg1 {
-            apply_delta(&mut self.arg1_index, k, d);
-        }
-        for (k, d) in deltas.head_value {
-            apply_delta(&mut self.head_value_index, k, d);
-        }
-        for (k, d) in deltas.arg1_value {
-            apply_delta(&mut self.arg1_value_index, k, d);
-        }
-        for (k, d) in deltas.arity {
-            apply_delta(&mut self.arity_index, k, d);
-        }
+        watch.normalize();
 
         let mutations = (out.retracted.len() + out.asserted.len()) as u64;
         if mutations > 0 {
@@ -635,64 +384,6 @@ impl Dataspace {
     }
 }
 
-/// Intersects two ascending id lists into a new ascending list — the
-/// index-intersection primitive for patterns served by more than one
-/// point index.
-///
-/// # Examples
-///
-/// ```
-/// use sdl_dataspace::intersect_sorted;
-/// use sdl_tuple::{ProcId, TupleId};
-///
-/// let id = |seq| TupleId { owner: ProcId(1), seq };
-/// let a = [id(1), id(3), id(5)];
-/// let b = [id(3), id(4), id(5)];
-/// assert_eq!(intersect_sorted(&a, &b), vec![id(3), id(5)]);
-/// ```
-pub fn intersect_sorted(a: &[TupleId], b: &[TupleId]) -> Vec<TupleId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Walks the smaller of two id sets, keeping members of the larger —
-/// `O(min · log max)`, ascending output.
-fn intersect_sets(a: &BTreeSet<TupleId>, b: &BTreeSet<TupleId>, out: &mut Vec<TupleId>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    out.extend(small.iter().filter(|id| large.contains(id)).copied());
-}
-
-impl Dataspace {
-    /// The point-index sets applicable to a functor-less pattern:
-    /// `(head-value set, arg1-value set)`.
-    fn point_sets(
-        &self,
-        pattern: &Pattern,
-    ) -> (Option<&BTreeSet<TupleId>>, Option<&BTreeSet<TupleId>>) {
-        let head = match pattern.fields().first() {
-            Some(Field::Const(v)) => self.head_value_index.get(&(pattern.arity(), v.clone())),
-            _ => None,
-        };
-        let arg1 = match pattern.fields().get(1) {
-            Some(Field::Const(v)) => self.arg1_value_index.get(&(pattern.arity(), v.clone())),
-            _ => None,
-        };
-        (head, arg1)
-    }
-}
-
 impl TupleSource for Dataspace {
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
         let mut out = Vec::new();
@@ -701,120 +392,27 @@ impl TupleSource for Dataspace {
     }
 
     fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
-        match self.index_mode {
-            IndexMode::None => {
-                self.metrics.inc(Counter::IndexScanFull);
-                out.extend(self.instances.keys().copied());
-            }
-            IndexMode::FunctorArity => {
-                if let Some(f) = pattern.functor() {
-                    // A constant second field narrows further: SDL style
-                    // keys tuples as <kind, entity, …>, so this is the
-                    // common point lookup (e.g. <threshold, p, t> with p
-                    // known).
-                    if let Some(Field::Const(arg1)) = pattern.fields().get(1) {
-                        self.metrics.inc(Counter::IndexHitArg1);
-                        if let Some(s) = self.arg1_index.get(&(f, pattern.arity(), arg1.clone())) {
-                            out.extend(s.iter().copied());
-                        }
-                        return;
-                    }
-                    // Only tuples whose head is exactly this atom can match.
-                    self.metrics.inc(Counter::IndexHitFunctor);
-                    if let Some(s) = self.functor_index.get(&(f, pattern.arity())) {
-                        out.extend(s.iter().copied());
-                    }
-                    return;
-                }
-                // No functor: a constant (non-atom) head and/or a constant
-                // second field each select a point index; with both,
-                // intersect the smaller into the larger rather than
-                // scanning either list whole.
-                match self.point_sets(pattern) {
-                    (Some(h), Some(g)) => {
-                        self.metrics.inc(Counter::IndexHitIntersect);
-                        intersect_sets(h, g, out);
-                    }
-                    (Some(s), None) | (None, Some(s)) => {
-                        self.metrics.inc(Counter::IndexHitValue);
-                        out.extend(s.iter().copied());
-                    }
-                    (None, None) => {
-                        // Variable head, no constant arg1: the arity
-                        // index narrows the scan.
-                        self.metrics.inc(Counter::IndexHitArity);
-                        if let Some(s) = self.arity_index.get(&pattern.arity()) {
-                            out.extend(s.iter().copied());
-                        }
-                    }
-                }
-            }
-        }
+        self.metrics.inc(self.index.candidates_into(pattern, out));
     }
 
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {
-        match self.index_mode {
-            IndexMode::None => self.instances.len(),
-            IndexMode::FunctorArity => {
-                if let Some(f) = pattern.functor() {
-                    if let Some(Field::Const(arg1)) = pattern.fields().get(1) {
-                        return self
-                            .arg1_index
-                            .get(&(f, pattern.arity(), arg1.clone()))
-                            .map_or(0, BTreeSet::len);
-                    }
-                    return self
-                        .functor_index
-                        .get(&(f, pattern.arity()))
-                        .map_or(0, BTreeSet::len);
-                }
-                match self.point_sets(pattern) {
-                    (Some(h), Some(g)) => h.len().min(g.len()),
-                    (Some(s), None) | (None, Some(s)) => s.len(),
-                    (None, None) => self
-                        .arity_index
-                        .get(&pattern.arity())
-                        .map_or(0, BTreeSet::len),
-                }
-            }
-        }
+        self.index.estimate(pattern)
     }
 
     fn tuple(&self, id: TupleId) -> Option<&Tuple> {
-        self.instances.get(&id)
+        self.index.get(id)
     }
 
     fn tuple_count(&self) -> usize {
-        self.instances.len()
+        self.index.len()
     }
 
     fn all_ids(&self) -> Vec<TupleId> {
-        self.instances.keys().copied().collect()
+        self.index.ids().collect()
     }
 
     fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    fn contains_match(&self, pattern: &Pattern) -> bool {
-        if pattern.is_ground() {
-            // O(1) ground membership via the multiset counts.
-            if let Some(t) = pattern.instantiate(&Bindings::new(0)) {
-                return self.count_value(&t) > 0;
-            }
-        }
-        let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-        let mut b = Bindings::new(n_vars);
-        self.candidate_ids(pattern).iter().any(|id| {
-            let m = b.mark();
-            let ok = pattern.matches(&self.instances[id], &mut b);
-            b.undo_to(m);
-            ok
-        })
-    }
-
-    fn matching_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        self.find_all(pattern)
     }
 }
 
@@ -986,7 +584,7 @@ mod tests {
         d.assert_tuple(ProcId(1), tuple![atom("k"), 2]);
         d.candidate_ids(&pattern![atom("k"), 2]); // arg1 point lookup
         d.candidate_ids(&pattern![atom("k"), any]); // functor index
-        d.candidate_ids(&pattern![var 0, any]); // arity fallback
+        d.candidate_ids(&pattern![var 0, any]); // arity-filtered walk
         assert_eq!(reg.counter(Counter::IndexHitArg1), 1);
         assert_eq!(reg.counter(Counter::IndexHitFunctor), 1);
         assert_eq!(reg.counter(Counter::IndexHitArity), 1);
@@ -1097,6 +695,47 @@ mod tests {
         assert_eq!(reg.counter(Counter::TuplesAsserted), 3);
         assert_eq!(reg.counter(Counter::TuplesRetracted), 1);
         assert_eq!(reg.counter(Counter::StoreVersionBumps), 4);
+    }
+
+    #[test]
+    fn colliding_index_keys_only_widen_candidates() {
+        // Every value hashes to one key: <k, 1> and <k, 2> share a fine
+        // posting, <5, 1> and <6, 1> share a coarse one.
+        let mut d = Dataspace {
+            index: TupleIndex::colliding(),
+            ..Dataspace::new()
+        };
+        let one = d.assert_tuple(ProcId(1), tuple![atom("k"), 1]);
+        let two = d.assert_tuple(ProcId(1), tuple![atom("k"), 2]);
+        let five = d.assert_tuple(ProcId(1), tuple![5, 1]);
+        let six = d.assert_tuple(ProcId(1), tuple![6, 1]);
+        assert_eq!(d.candidate_ids(&pattern![atom("k"), 1]), vec![one, two]);
+        assert_eq!(d.find_all(&pattern![atom("k"), 1]), vec![one]);
+        assert_eq!(d.matching_ids(&pattern![atom("k"), 2]), vec![two]);
+        assert_eq!(d.find_all(&pattern![5, any]), vec![five]);
+        assert_eq!(d.find_all(&pattern![6, 1]), vec![six]);
+        assert_eq!(d.find_all(&pattern![any, 1]), vec![one, five, six]);
+        assert!(d.contains_match(&pattern![atom("k"), 2]));
+        assert!(!d.contains_match(&pattern![atom("k"), 3]));
+        assert_eq!(d.count_value(&tuple![atom("k"), 1]), 1);
+        assert!(d.estimate_candidates(&pattern![atom("k"), 1]) >= 1);
+
+        d.retract(one);
+        assert_eq!(d.find_all(&pattern![atom("k"), var 0]), vec![two]);
+        assert!(!d.contains_match(&pattern![atom("k"), 1]));
+        assert!(d.contains_match(&pattern![atom("k"), 2]));
+
+        // No posting outlives its last id.
+        let baseline = d.index.posting_count();
+        for i in 0..10_000i64 {
+            let id = d.assert_tuple(ProcId(1 + (i % 3) as u64), tuple![atom("cycle"), i, i]);
+            if i % 2 == 0 {
+                d.retract(id);
+            } else {
+                d.apply_batch(&[Action::Retract(id)], &mut WatchSet::new());
+            }
+        }
+        assert_eq!(d.index.posting_count(), baseline);
     }
 
     #[test]

@@ -18,16 +18,15 @@
 //! complete (any matching tuple publishes the subscribed key) while
 //! shrinking the wake fan-out by the relation's value diversity.
 
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use sdl_tuple::{Atom, Field, Pattern, Tuple, Value};
 
 /// A coarse description of which tuples a change could affect.
 ///
-/// `Ord` exists so callers that fan out over a `WatchSet`'s hash-ordered
-/// keys can sort first: wake scans must visit keys in a deterministic
-/// order or schedule exploration could not replay.
+/// `Ord` is the order a [`WatchSet`] keeps and iterates its keys in: wake
+/// scans must visit keys in a deterministic order or schedule exploration
+/// could not replay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WatchKey {
     /// Tuples with this leading atom and arity.
@@ -59,11 +58,26 @@ impl WatchKey {
     /// it), and one [`WatchKey::Value`] key per argument slot so that
     /// value-subscribed patterns wake exactly.
     pub fn of_tuple(tuple: &Tuple) -> impl Iterator<Item = WatchKey> + '_ {
+        WatchKey::of_hashed_tuple(tuple, None)
+    }
+
+    /// [`WatchKey::of_tuple`] for a caller that already holds
+    /// `value_hash` of slot 1 — the index computes it for the tuple's
+    /// fine posting, and a value is hashed once per commit, not twice.
+    pub(crate) fn of_hashed_tuple(
+        tuple: &Tuple,
+        slot1: Option<u64>,
+    ) -> impl Iterator<Item = WatchKey> + '_ {
         let arity = tuple.arity();
         let functor = tuple.functor();
         let values = functor.into_iter().flat_map(move |f| {
-            (1..arity)
-                .map(move |slot| WatchKey::Value(f, arity, slot, value_hash(&tuple.fields()[slot])))
+            (1..arity).map(move |slot| {
+                let hash = match slot1 {
+                    Some(h) if slot == 1 => h,
+                    _ => value_hash(&tuple.fields()[slot]),
+                };
+                WatchKey::Value(f, arity, slot, hash)
+            })
         });
         functor
             .map(|f| WatchKey::Functor(f, arity))
@@ -159,7 +173,10 @@ impl WatchKey {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WatchSet {
-    keys: HashSet<WatchKey>,
+    /// Ascending, no duplicates: a commit publishes four keys and a
+    /// parked pattern subscribes one or two, so a sorted vector is both
+    /// the smallest set and the one whose order needs no caller's care.
+    keys: Vec<WatchKey>,
 }
 
 impl WatchSet {
@@ -180,12 +197,12 @@ impl WatchSet {
 
     /// Subscribes to the conservative key of `pattern`.
     pub fn add_pattern(&mut self, pattern: &Pattern) {
-        self.keys.insert(WatchKey::of_pattern(pattern));
+        self.add_key(WatchKey::of_pattern(pattern));
         // A constant non-atom head still needs the arity channel; a
         // wildcard/variable head already *is* the arity channel.
         if matches!(pattern.fields().first(), Some(Field::Const(_))) && pattern.functor().is_none()
         {
-            self.keys.insert(WatchKey::Arity(pattern.arity()));
+            self.add_key(WatchKey::Arity(pattern.arity()));
         }
     }
 
@@ -195,26 +212,49 @@ impl WatchSet {
     /// losing completeness: tuples publish a value key per argument slot.
     pub fn add_pattern_exact(&mut self, pattern: &Pattern) {
         match WatchKey::value_of_pattern(pattern) {
-            Some(k) => {
-                self.keys.insert(k);
-            }
+            Some(k) => self.add_key(k),
             None => self.add_pattern(pattern),
         }
     }
 
-    /// Publishes the keys of `tuple`.
+    /// Publishes the keys of `tuple`. Each key is an insertion into the
+    /// sorted vector — right for the handful of keys a set holds; a
+    /// commit of many tuples publishes through
+    /// [`Dataspace::apply_batch`](crate::Dataspace::apply_batch), which
+    /// sorts once.
     pub fn add_tuple(&mut self, tuple: &Tuple) {
-        self.keys.extend(WatchKey::of_tuple(tuple));
+        for key in WatchKey::of_tuple(tuple) {
+            self.add_key(key);
+        }
     }
 
     /// Inserts a raw key.
     pub fn add_key(&mut self, key: WatchKey) {
-        self.keys.insert(key);
+        if let Err(at) = self.keys.binary_search(&key) {
+            self.keys.insert(at, key);
+        }
     }
 
     /// Merges another set into this one.
     pub fn extend(&mut self, other: &WatchSet) {
-        self.keys.extend(other.keys.iter().copied());
+        self.extend_unsorted(other.keys.iter().copied());
+        self.normalize();
+    }
+
+    /// Appends keys in any order; the set is not one again until
+    /// [`WatchSet::normalize`] ran. Lets a batch of any size publish
+    /// with one sort instead of one shifting insert per key.
+    pub(crate) fn extend_unsorted(&mut self, keys: impl IntoIterator<Item = WatchKey>) {
+        self.keys.extend(keys);
+    }
+
+    /// Restores ascending order and uniqueness. The stable sort merges
+    /// runs that are already ascending, so appending to a set that held
+    /// keys before (a later shard of the same commit) costs one merge,
+    /// not a sort from scratch.
+    pub(crate) fn normalize(&mut self) {
+        self.keys.sort();
+        self.keys.dedup();
     }
 
     /// True if the two sets share a key.
@@ -224,10 +264,10 @@ impl WatchSet {
         } else {
             (&other.keys, &self.keys)
         };
-        small.iter().any(|k| large.contains(k))
+        small.iter().any(|k| large.binary_search(k).is_ok())
     }
 
-    /// Iterates over the keys.
+    /// Iterates over the keys, ascending.
     pub fn iter(&self) -> impl Iterator<Item = &WatchKey> {
         self.keys.iter()
     }
@@ -356,6 +396,29 @@ mod tests {
         let mut change_atom = WatchSet::new();
         change_atom.add_tuple(&tuple![Value::atom("x"), 9]);
         assert!(sub.intersects(&change_atom), "conservative wake");
+    }
+
+    #[test]
+    fn iteration_order_ignores_insertion_order() {
+        let t1 = tuple![Value::atom("job"), 7, 8];
+        let t2 = tuple![Value::atom("done"), 7];
+        let p = pattern![3, var 0];
+        let mut a = WatchSet::new();
+        a.add_tuple(&t1);
+        a.add_tuple(&t2);
+        a.add_pattern(&p);
+        let mut b = WatchSet::new();
+        b.add_pattern(&p);
+        b.add_key(WatchKey::Arity(3));
+        b.add_tuple(&t2);
+        b.add_tuple(&t1);
+        let mut c = WatchSet::new();
+        c.extend(&b);
+        let keys: Vec<WatchKey> = a.iter().copied().collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending, no dups");
+        assert_eq!(keys, b.iter().copied().collect::<Vec<_>>());
+        assert_eq!(keys, c.iter().copied().collect::<Vec<_>>());
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -3,22 +3,16 @@
 //! In SDL, "invisible to the transaction, the dataspace is replaced by a
 //! window W on which the transaction is evaluated". The window is computed
 //! at transaction start and discarded on commit. A [`Window`] is exactly
-//! that: a snapshot of the instances a process may see, carrying the same
-//! indexes and answering the same [`TupleSource`] queries as the full
+//! that: a snapshot of the instances a process may see, held in the same
+//! index type and answering the same [`TupleSource`] queries as the full
 //! store.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
-use sdl_tuple::{Atom, Field, Pattern, Tuple, TupleId, TupleInstance, Value};
+use sdl_tuple::{Pattern, Tuple, TupleId, TupleInstance};
 
+use crate::index::TupleIndex;
 use crate::store::TupleSource;
-
-/// Walks the smaller of two id sets, keeping members of the larger.
-fn intersect_sets(a: &BTreeSet<TupleId>, b: &BTreeSet<TupleId>, out: &mut Vec<TupleId>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    out.extend(small.iter().filter(|id| large.contains(id)).copied());
-}
 
 /// A snapshot of the visible part of the dataspace (`W = Import(p) ∩ D`).
 ///
@@ -44,12 +38,7 @@ fn intersect_sets(a: &BTreeSet<TupleId>, b: &BTreeSet<TupleId>, out: &mut Vec<Tu
 /// ```
 #[derive(Clone, Default)]
 pub struct Window {
-    instances: BTreeMap<TupleId, Tuple>,
-    functor_index: HashMap<(Atom, usize), BTreeSet<TupleId>>,
-    arg1_index: HashMap<(Atom, usize, Value), BTreeSet<TupleId>>,
-    arity_index: HashMap<usize, BTreeSet<TupleId>>,
-    head_value_index: HashMap<(usize, Value), BTreeSet<TupleId>>,
-    arg1_value_index: HashMap<(usize, Value), BTreeSet<TupleId>>,
+    index: TupleIndex,
 }
 
 impl Window {
@@ -68,71 +57,32 @@ impl Window {
     }
 
     /// Adds an instance to the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window already holds `id`.
     pub fn insert(&mut self, id: TupleId, tuple: Tuple) {
-        if let Some(f) = tuple.functor() {
-            self.functor_index
-                .entry((f, tuple.arity()))
-                .or_default()
-                .insert(id);
-            if let Some(arg1) = tuple.get(1) {
-                self.arg1_index
-                    .entry((f, tuple.arity(), arg1.clone()))
-                    .or_default()
-                    .insert(id);
-            }
-        } else if let Some(head) = tuple.get(0) {
-            self.head_value_index
-                .entry((tuple.arity(), head.clone()))
-                .or_default()
-                .insert(id);
-        }
-        if let Some(arg1) = tuple.get(1) {
-            self.arg1_value_index
-                .entry((tuple.arity(), arg1.clone()))
-                .or_default()
-                .insert(id);
-        }
-        self.arity_index
-            .entry(tuple.arity())
-            .or_default()
-            .insert(id);
-        self.instances.insert(id, tuple);
-    }
-
-    /// The point-index sets applicable to a functor-less pattern.
-    fn point_sets(
-        &self,
-        pattern: &Pattern,
-    ) -> (Option<&BTreeSet<TupleId>>, Option<&BTreeSet<TupleId>>) {
-        let head = match pattern.fields().first() {
-            Some(Field::Const(v)) => self.head_value_index.get(&(pattern.arity(), v.clone())),
-            _ => None,
-        };
-        let arg1 = match pattern.fields().get(1) {
-            Some(Field::Const(v)) => self.arg1_value_index.get(&(pattern.arity(), v.clone())),
-            _ => None,
-        };
-        (head, arg1)
+        self.index.insert(id, tuple);
     }
 
     /// True if the window holds instance `id`.
     pub fn contains_id(&self, id: TupleId) -> bool {
-        self.instances.contains_key(&id)
+        self.index.get(id).is_some()
     }
 
     /// Iterates over the window's instances in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
-        self.instances.iter().map(|(id, t)| (*id, t))
+        self.index.iter()
     }
 
     /// Number of instances in the window.
     pub fn len(&self) -> usize {
-        self.instances.len()
+        self.index.len()
     }
 
     /// True if the window is empty.
     pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
+        self.index.len() == 0
     }
 }
 
@@ -144,62 +94,23 @@ impl TupleSource for Window {
     }
 
     fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
-        if let Some(f) = pattern.functor() {
-            if let Some(Field::Const(arg1)) = pattern.fields().get(1) {
-                if let Some(s) = self.arg1_index.get(&(f, pattern.arity(), arg1.clone())) {
-                    out.extend(s.iter().copied());
-                }
-                return;
-            }
-            if let Some(s) = self.functor_index.get(&(f, pattern.arity())) {
-                out.extend(s.iter().copied());
-            }
-            return;
-        }
-        match self.point_sets(pattern) {
-            (Some(h), Some(g)) => intersect_sets(h, g, out),
-            (Some(s), None) | (None, Some(s)) => out.extend(s.iter().copied()),
-            (None, None) => {
-                if let Some(s) = self.arity_index.get(&pattern.arity()) {
-                    out.extend(s.iter().copied());
-                }
-            }
-        }
+        self.index.candidates_into(pattern, out);
     }
 
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {
-        if let Some(f) = pattern.functor() {
-            if let Some(Field::Const(arg1)) = pattern.fields().get(1) {
-                return self
-                    .arg1_index
-                    .get(&(f, pattern.arity(), arg1.clone()))
-                    .map_or(0, BTreeSet::len);
-            }
-            return self
-                .functor_index
-                .get(&(f, pattern.arity()))
-                .map_or(0, BTreeSet::len);
-        }
-        match self.point_sets(pattern) {
-            (Some(h), Some(g)) => h.len().min(g.len()),
-            (Some(s), None) | (None, Some(s)) => s.len(),
-            (None, None) => self
-                .arity_index
-                .get(&pattern.arity())
-                .map_or(0, BTreeSet::len),
-        }
+        self.index.estimate(pattern)
     }
 
     fn tuple(&self, id: TupleId) -> Option<&Tuple> {
-        self.instances.get(&id)
+        self.index.get(id)
     }
 
     fn tuple_count(&self) -> usize {
-        self.instances.len()
+        self.index.len()
     }
 
     fn all_ids(&self) -> Vec<TupleId> {
-        self.instances.keys().copied().collect()
+        self.index.ids().collect()
     }
 }
 
@@ -245,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn variable_head_uses_arity_index() {
+    fn variable_head_sees_its_arity() {
         let w = Window::from_instances(vec![
             inst(1, tuple![1, 2]),
             inst(2, tuple![Value::atom("a"), 2]),
