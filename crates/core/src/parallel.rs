@@ -69,8 +69,8 @@ use crate::process::{Frame, ProcessInstance};
 use crate::program::{CompiledBranch, CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::sched::{attempts_counter, batch_desc, committed_counter, failed_counter, wal_err};
 use crate::trace::{self, ParkOutcome, SpanPhase, TraceRecord, Tracer, Track};
-use crate::txn::{self, EvalProbe, Pending, PlanConfig};
-use crate::view::{resolve_fields, EnvCtx};
+use crate::txn::{self, EvalProbe, Pending, PlanConfig, ResolvedAtoms};
+use crate::view::EnvCtx;
 
 /// Outcome and statistics of a parallel run.
 #[derive(Clone, Debug)]
@@ -241,7 +241,7 @@ impl ParallelBuilder {
         let env = std::collections::HashMap::new();
         let ctx = EnvCtx {
             env: &env,
-            vars: None,
+            vars: &[],
             builtins: &self.builtins,
         };
         if let Some(state) = &self.recovered {
@@ -674,24 +674,22 @@ pub fn txn_read_footprint(
     env: &HashMap<String, Value>,
     builtins: &Builtins,
 ) -> ShardSet {
+    read_footprint(sds, &txn::resolve_atoms(t, env, builtins))
+}
+
+/// [`txn_read_footprint`] over atoms the caller already resolved.
+pub fn read_footprint(sds: &ShardedDataspace, atoms: &ResolvedAtoms) -> ShardSet {
     let n = sds.num_shards();
     let all = sds.all_shards();
+    let Ok(atoms) = atoms else { return all };
     if n == 1 {
         return all;
     }
-    let ctx = EnvCtx {
-        env,
-        vars: None,
-        builtins,
-    };
     let mut fp = ShardSet::new();
-    for a in &t.atoms {
-        match resolve_fields(&a.fields, &ctx, "footprint pattern") {
-            Ok(p) => match shard_of_pattern(&p, n) {
-                Some(s) => fp.insert(s),
-                None => return all,
-            },
-            Err(_) => return all,
+    for a in atoms {
+        match shard_of_pattern(&a.pattern, n) {
+            Some(s) => fp.insert(s),
+            None => return all,
         }
     }
     fp
@@ -733,14 +731,14 @@ pub fn pending_write_footprint(sds: &ShardedDataspace, p: &Pending) -> ShardSet 
     fp
 }
 
-/// [`txn_read_footprint`] plus the executor's view-restriction fallback
+/// [`read_footprint`] plus the executor's view-restriction fallback
 /// (admission tests run rule-condition queries over patterns outside the
 /// transaction's own atom list).
-fn eval_footprint(shared: &Shared, proc: &ProcessInstance, t: &CompiledTxn) -> ShardSet {
+fn eval_footprint(shared: &Shared, proc: &ProcessInstance, atoms: &ResolvedAtoms) -> ShardSet {
     if !proc.def.view.imports_everything() {
         return shared.sds.all_shards();
     }
-    txn_read_footprint(&shared.sds, t, &proc.env, &shared.builtins)
+    read_footprint(&shared.sds, atoms)
 }
 
 /// [`pending_write_footprint`] plus the executor's export-rule fallback
@@ -802,6 +800,9 @@ fn attempt(
     t: &CompiledTxn,
     want_watch: bool,
 ) -> Result<TxnOutcome, RuntimeError> {
+    // One resolution serves the footprint, the evaluation and the park
+    // subscription of every retry: the environment cannot change here.
+    let atoms = txn::resolve_atoms(t, &proc.env, &shared.builtins);
     loop {
         if shared.attempts.fetch_add(1) >= shared.max_attempts {
             shared.step_limited.store(true, Ordering::SeqCst);
@@ -823,7 +824,7 @@ fn attempt(
         let eval_span = shared.tracer.begin();
         let mut probe = eval_span.map(|_| EvalProbe::new());
         let (query, park_watch) = {
-            let read_fp = eval_footprint(shared, proc, t);
+            let read_fp = eval_footprint(shared, proc, &atoms);
             let lock_timer = shared.metrics.start_timer();
             let lock_span = shared.tracer.begin();
             let view = shared.sds.read_shards(read_fp);
@@ -834,8 +835,9 @@ fn attempt(
                 .tracer
                 .span(lock_span, trace_id, proc.id, SpanPhase::LockWaitRead);
             let source = proc.def.view.window(&view, &proc.env, &shared.builtins)?;
-            let query = txn::evaluate_query_probed(
+            let query = txn::evaluate_resolved(
                 t,
+                &atoms,
                 &source,
                 &proc.env,
                 &shared.builtins,
@@ -849,10 +851,9 @@ fn attempt(
             // commits after these locks drop bumps the epoch, making
             // the parker re-queue instead of trusting a stale probe.
             let park_watch = if query.is_none() && want_watch {
-                Some(txn::watch_set_on(
+                Some(txn::watch_set_resolved(
                     t,
-                    &proc.env,
-                    &shared.builtins,
+                    &atoms,
                     shared.plan_config.exact_wakes,
                     Some(&source),
                 ))

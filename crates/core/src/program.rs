@@ -460,8 +460,7 @@ fn compile_view_rule(rule: &sdl_lang::ast::ViewRule) -> Result<CompiledViewRule,
             CondAtom::Tuple(p) => Ok(CompiledCond::Tuple(compile_fields(p)?)),
             CondAtom::Pred(name, args) => Ok(CompiledCond::Pred {
                 name: name.clone(),
-                args: args.clone(),
-                var_names: rule.vars.clone(),
+                args: args.iter().map(|a| bound(a, &vars)).collect(),
             }),
         })
         .collect::<Result<Vec<_>, CompileError>>()?;
@@ -605,7 +604,7 @@ fn compile_txn_interned(
                                     depth,
                                     check: TestCheck::HiddenEq {
                                         var: hid,
-                                        expr: e.clone(),
+                                        expr: bound(e, &var_ids),
                                     },
                                 });
                                 CompiledField::Var(hid)
@@ -658,7 +657,7 @@ fn compile_txn_interned(
                 let depth = depth_of(&expr, &var_ids, &bind_depth).unwrap_or(usize::MAX);
                 binding_tests.push(ScheduledTest {
                     depth,
-                    check: TestCheck::Expr(expr),
+                    check: TestCheck::Expr(bound(&expr, &var_ids)),
                 });
             }
         }
@@ -683,7 +682,7 @@ fn compile_txn_interned(
                 .min(positive_depth);
             property_tests.push(ScheduledTest {
                 depth,
-                check: TestCheck::Expr(conjunct.clone()),
+                check: TestCheck::Expr(bound(conjunct, &var_ids)),
             });
         }
     }
@@ -695,8 +694,16 @@ fn compile_txn_interned(
             check_spawn(name, args.len(), signatures)?;
         }
         let per_solution = action_refs_vars(action, &var_ids);
+        let of = |e: &Expr| bound(e, &var_ids);
         actions.push(CompiledAction {
-            action: action.clone(),
+            action: match action {
+                Action::Assert(fields) => Action::Assert(fields.iter().map(of).collect()),
+                Action::Let(name, e) => Action::Let(name.clone(), of(e)),
+                Action::Spawn(name, args) => {
+                    Action::Spawn(name.clone(), args.iter().map(of).collect())
+                }
+                Action::Skip | Action::Exit | Action::Abort => action.clone(),
+            },
             per_solution,
         });
     }
@@ -720,6 +727,14 @@ fn compile_txn_interned(
         actions,
         plan_cache,
     })
+}
+
+/// `e` with its quantified-variable names resolved to their indices, so
+/// evaluation reads a binding by position instead of comparing names.
+fn bound(e: &Expr, var_ids: &HashMap<&str, VarId>) -> Expr {
+    let mut e = e.clone();
+    e.bind_vars(&|n| var_ids.get(n).copied());
+    e
 }
 
 fn action_refs_vars(action: &Action, var_ids: &HashMap<&str, VarId>) -> bool {

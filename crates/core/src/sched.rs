@@ -388,7 +388,7 @@ impl RuntimeBuilder {
             for fields in &init_tuples {
                 let ctx = EnvCtx {
                     env: &env,
-                    vars: None,
+                    vars: &[],
                     builtins: &rt.builtins,
                 };
                 let mut vals = Vec::with_capacity(fields.len());
@@ -418,7 +418,7 @@ impl RuntimeBuilder {
         for (name, args) in &init_spawns {
             let ctx = EnvCtx {
                 env: &env,
-                vars: None,
+                vars: &[],
                 builtins: &rt.builtins,
             };
             let mut vals = Vec::with_capacity(args.len());

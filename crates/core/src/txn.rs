@@ -10,13 +10,15 @@
 //! * the threaded executor evaluates under a read lock and
 //!   validates/applies under the write lock, retrying on conflict.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use sdl_dataspace::{
-    ForallEvidence, IndexMode, PlanMode, QueryAtom, SolveLimits, Solver, TupleSource,
+    AtomMode, ForallEvidence, IndexMode, PlanMode, QueryAtom, SolveLimits, Solver, TupleSource,
+    WatchKey, WatchSet,
 };
 use sdl_lang::ast::{Action, Quant};
-use sdl_lang::expr::{eval, eval_test};
+use sdl_lang::expr::{eval, eval_test, EvalContext};
 use sdl_tuple::{Bindings, Pattern, Tuple, TupleId, Value};
 
 use crate::builtins::Builtins;
@@ -125,6 +127,35 @@ pub struct QueryOutcome {
     pub forall_checks: Vec<ForallEvidence>,
 }
 
+/// A transaction's query atoms with their environment expressions
+/// evaluated ([`resolve_atoms`]), or why a pattern field did not evaluate.
+pub type ResolvedAtoms = Result<Vec<QueryAtom>, RuntimeError>;
+
+/// Resolves `txn`'s atoms against `env` — once per attempt: the read
+/// footprint ([`crate::parallel::read_footprint`]), the evaluation
+/// ([`evaluate_resolved`]) and, should it fail, the watch set
+/// ([`watch_set_resolved`]) all read this one result.
+pub fn resolve_atoms(
+    txn: &CompiledTxn,
+    env: &HashMap<String, Value>,
+    builtins: &Builtins,
+) -> ResolvedAtoms {
+    let ctx = EnvCtx {
+        env,
+        vars: &[],
+        builtins,
+    };
+    txn.atoms
+        .iter()
+        .map(|a| {
+            Ok(QueryAtom {
+                pattern: resolve_fields(&a.fields, &ctx, "pattern field")?,
+                mode: a.mode,
+            })
+        })
+        .collect()
+}
+
 /// Evaluates `txn` over `source`.
 ///
 /// Returns `Ok(None)` when the query does not (currently) hold — for an
@@ -162,7 +193,8 @@ pub fn evaluate_probed(
     plan: PlanConfig,
     probe: Option<&mut EvalProbe>,
 ) -> Result<Option<Pending>, RuntimeError> {
-    match evaluate_query_probed(txn, source, env, builtins, limits, plan, probe)? {
+    let atoms = resolve_atoms(txn, env, builtins);
+    match evaluate_resolved(txn, &atoms, source, env, builtins, limits, plan, probe)? {
         Some(query) => build_effects(txn, &query, env, builtins).map(Some),
         None => Ok(None),
     }
@@ -214,17 +246,22 @@ pub fn evaluate_query(
     limits: SolveLimits,
     plan: PlanConfig,
 ) -> Result<Option<QueryOutcome>, RuntimeError> {
-    evaluate_query_probed(txn, source, env, builtins, limits, plan, None)
+    let atoms = resolve_atoms(txn, env, builtins);
+    evaluate_resolved(txn, &atoms, source, env, builtins, limits, plan, None)
 }
 
-/// [`evaluate_query`] with an optional [`EvalProbe`] recording nested
-/// phase timings (the plan-cache lookup).
+/// [`evaluate_query`] over atoms the caller already resolved, with an
+/// optional [`EvalProbe`] recording nested phase timings (the plan-cache
+/// lookup).
 ///
 /// # Errors
 ///
-/// As [`evaluate`].
-pub fn evaluate_query_probed(
+/// As [`evaluate`]; an `Err` in `atoms` surfaces here, after the tests
+/// that need no quantified variable had their chance to fail the query.
+#[allow(clippy::too_many_arguments)]
+pub fn evaluate_resolved(
     txn: &CompiledTxn,
+    atoms: &ResolvedAtoms,
     source: &dyn TupleSource,
     env: &HashMap<String, Value>,
     builtins: &Builtins,
@@ -234,7 +271,7 @@ pub fn evaluate_query_probed(
 ) -> Result<Option<QueryOutcome>, RuntimeError> {
     let plain_ctx = EnvCtx {
         env,
-        vars: None,
+        vars: &[],
         builtins,
     };
 
@@ -257,16 +294,7 @@ pub fn evaluate_query_probed(
             }
         }
     }
-
-    // Resolve environment expressions in pattern fields.
-    let mut atoms = Vec::with_capacity(txn.atoms.len());
-    for a in &txn.atoms {
-        let pattern = resolve_fields(&a.fields, &plain_ctx, "pattern field")?;
-        atoms.push(QueryAtom {
-            pattern,
-            mode: a.mode,
-        });
-    }
+    let atoms = atoms.as_ref().map_err(RuntimeError::clone)?;
 
     // Plan the join (or take the cached plan). Plan-ordered execution
     // re-schedules the statement's tests against the plan's bind depths;
@@ -277,12 +305,12 @@ pub fn evaluate_query_probed(
         PlanMode::Planned => match probe {
             Some(pr) => {
                 let t0 = pr.anchor.elapsed().as_micros() as u64;
-                let cached = txn.plan_for(&atoms, source, plan.index_mode);
+                let cached = txn.plan_for(atoms, source, plan.index_mode);
                 let t1 = pr.anchor.elapsed().as_micros() as u64;
                 pr.plan_us = Some((t0, t1.saturating_sub(t0)));
                 Some(cached)
             }
-            None => Some(txn.plan_for(&atoms, source, plan.index_mode)),
+            None => Some(txn.plan_for(atoms, source, plan.index_mode)),
         },
         PlanMode::SourceOrder => None,
     };
@@ -293,31 +321,32 @@ pub fn evaluate_query_probed(
 
     let solver = Solver::with_plan(
         source,
-        &atoms,
+        atoms,
         txn.n_vars,
         cached.as_deref().map(|c| &c.plan.query),
     );
-    let check_tests = |tests: &[ScheduledTest], depth: usize, b: &Bindings| -> bool {
-        tests.iter().filter(|t| t.depth == depth).all(|t| {
-            let ctx = EnvCtx {
-                env,
-                vars: Some((&txn.var_names, b)),
-                builtins,
-            };
-            match &t.check {
+    let check_tests = |tests: &[ScheduledTest], depth: usize, vars: &[Option<Value>]| -> bool {
+        let ctx = EnvCtx {
+            env,
+            vars,
+            builtins,
+        };
+        tests
+            .iter()
+            .filter(|t| t.depth == depth)
+            .all(|t| match &t.check {
                 TestCheck::Expr(e) => eval_test(e, &ctx),
-                TestCheck::HiddenEq { var, expr } => match (b.get(*var), eval(expr, &ctx)) {
-                    (Some(bound), Ok(v)) => *bound == v,
-                    _ => false,
-                },
-            }
-        })
+                TestCheck::HiddenEq { var, expr } => {
+                    matches!((ctx.var(*var), eval(expr, &ctx)), (Some(bound), Ok(v)) if bound == v)
+                }
+            })
     };
 
     let outcome = match txn.quant {
         Quant::Exists => {
             let mut staged = |depth: usize, b: &Bindings| {
-                check_tests(binding_tests, depth, b) && check_tests(property_tests, depth, b)
+                check_tests(binding_tests, depth, b.slots())
+                    && check_tests(property_tests, depth, b.slots())
             };
             match solver.first_staged(None, &mut staged) {
                 Some(s) => QueryOutcome {
@@ -344,12 +373,12 @@ pub fn evaluate_query_probed(
                 .collect();
             // Binding constraints prune; property tests are the checked
             // property — every binding solution must satisfy them.
-            let mut staged = |depth: usize, b: &Bindings| check_tests(binding_tests, depth, b);
+            let mut staged =
+                |depth: usize, b: &Bindings| check_tests(binding_tests, depth, b.slots());
             let sols = solver.all_staged(None, &mut staged, limits);
             for sol in &sols {
-                let b = sol.to_bindings();
                 for depth in 1..=solver.positive_count() {
-                    if !check_tests(property_tests, depth, &b) {
+                    if !check_tests(property_tests, depth, &sol.bindings) {
                         return Ok(None);
                     }
                 }
@@ -377,51 +406,49 @@ pub fn build_effects(
     env: &HashMap<String, Value>,
     builtins: &Builtins,
 ) -> Result<Pending, RuntimeError> {
-    // Assemble effects.
     let solutions = &query.solutions;
     let mut pending = Pending {
         forall_checks: query.forall_checks.clone(),
         ..Pending::default()
     };
-    let mut retracted: HashSet<TupleId> = HashSet::new();
     for sol in solutions {
-        for id in &sol.retracts {
-            if retracted.insert(*id) {
-                pending.retracts.push(*id);
-            }
-        }
+        pending.retracts.extend_from_slice(&sol.retracts);
         pending.reads.extend_from_slice(&sol.reads);
         pending.neg_checks.extend_from_slice(&sol.neg_checks);
     }
+    // One solution's retracts are pairwise distinct already; two
+    // solutions of a `forall` may have taken the same instance.
+    if solutions.len() > 1 {
+        let mut seen = HashSet::new();
+        pending.retracts.retain(|id| seen.insert(*id));
+    }
 
-    let empty = Bindings::new(0);
-    let no_vars: Vec<String> = Vec::new();
     // `let` actions are visible to the actions that follow them in the
     // same list (the paper's `let N = α, <found, N>` idiom), so action
-    // evaluation runs over an overlay of the process environment.
-    let mut action_env = env.clone();
+    // evaluation runs over an overlay of the process environment —
+    // copied when the first `let` runs, not before.
+    let mut action_env = Cow::Borrowed(env);
     for ca in &txn.actions {
-        // `forall`: per-solution actions run once per solution; others
-        // once. `exists` has exactly one solution either way.
-        let runs: Vec<(&[String], Bindings)> = if ca.per_solution {
-            solutions
-                .iter()
-                .map(|s| (txn.var_names.as_slice(), s.to_bindings()))
-                .collect()
-        } else {
-            vec![(no_vars.as_slice(), empty.clone())]
-        };
-        for (names, b) in &runs {
+        let mut run = |vars: &[Option<Value>]| -> Result<(), RuntimeError> {
             let before = pending.lets.len();
             let ctx = EnvCtx {
                 env: &action_env,
-                vars: Some((names, b)),
+                vars,
                 builtins,
             };
             apply_action(&ca.action, &ctx, &mut pending)?;
-            for (name, v) in pending.lets[before..].iter().cloned() {
-                action_env.insert(name, v);
+            for (name, v) in &pending.lets[before..] {
+                action_env.to_mut().insert(name.clone(), v.clone());
             }
+            Ok(())
+        };
+        // `forall`: per-solution actions run once per solution, over its
+        // bindings; the others once, over none. `exists` has exactly one
+        // solution either way.
+        if ca.per_solution {
+            solutions.iter().try_for_each(|s| run(&s.bindings))?;
+        } else {
+            run(&[])?;
         }
     }
     Ok(pending)
@@ -482,7 +509,7 @@ pub fn watch_set(
     env: &HashMap<String, Value>,
     builtins: &Builtins,
     exact: bool,
-) -> sdl_dataspace::WatchSet {
+) -> WatchSet {
     watch_set_on(txn, env, builtins, exact, None)
 }
 
@@ -510,53 +537,45 @@ pub fn watch_set_on(
     builtins: &Builtins,
     exact: bool,
     source: Option<&dyn TupleSource>,
-) -> sdl_dataspace::WatchSet {
-    let ctx = EnvCtx {
-        env,
-        vars: None,
-        builtins,
+) -> WatchSet {
+    watch_set_resolved(txn, &resolve_atoms(txn, env, builtins), exact, source)
+}
+
+/// [`watch_set_on`] over atoms the caller already resolved. When they
+/// did not resolve, the subscription is every atom's arity channel: any
+/// change of that arity re-examines the transaction.
+pub fn watch_set_resolved(
+    txn: &CompiledTxn,
+    atoms: &ResolvedAtoms,
+    exact: bool,
+    source: Option<&dyn TupleSource>,
+) -> WatchSet {
+    let mut w = WatchSet::new();
+    let Ok(atoms) = atoms else {
+        for a in &txn.atoms {
+            w.add_key(WatchKey::Arity(a.fields.len()));
+        }
+        return w;
     };
-    if exact {
-        if let Some(src) = source {
-            let mut best: Option<(bool, Pattern)> = None;
-            for a in &txn.atoms {
-                if a.mode == sdl_dataspace::AtomMode::Neg {
-                    continue;
-                }
-                let Ok(p) = resolve_fields(&a.fields, &ctx, "watch pattern") else {
-                    continue;
-                };
-                if src.estimate_candidates(&p) != 0 {
-                    continue;
-                }
-                let has_value_key = sdl_dataspace::WatchKey::value_of_pattern(&p).is_some();
-                if has_value_key {
-                    best = Some((true, p));
-                    break; // Best possible: first empty atom with a value key.
-                }
-                if best.is_none() {
-                    best = Some((false, p));
-                }
-            }
-            if let Some((_, p)) = best {
-                let mut w = sdl_dataspace::WatchSet::new();
-                w.add_pattern_exact(&p);
-                return w;
-            }
+    if let (true, Some(src)) = (exact, source) {
+        let empty: Vec<&Pattern> = atoms
+            .iter()
+            .filter(|a| a.mode != AtomMode::Neg && src.estimate_candidates(&a.pattern) == 0)
+            .map(|a| &a.pattern)
+            .collect();
+        let valued = empty
+            .iter()
+            .find(|p| WatchKey::value_of_pattern(p).is_some());
+        if let Some(p) = valued.or(empty.first()) {
+            w.add_pattern_exact(p);
+            return w;
         }
     }
-    let mut w = sdl_dataspace::WatchSet::new();
-    for a in &txn.atoms {
-        match resolve_fields(&a.fields, &ctx, "watch pattern") {
-            Ok(p) => {
-                if exact && a.mode != sdl_dataspace::AtomMode::Neg {
-                    w.add_pattern_exact(&p);
-                } else {
-                    w.add_pattern(&p);
-                }
-            }
-            // Unresolvable field: listen on the arity channel.
-            Err(_) => w.add_key(sdl_dataspace::WatchKey::Arity(a.fields.len())),
+    for a in atoms {
+        if exact && a.mode != AtomMode::Neg {
+            w.add_pattern_exact(&a.pattern);
+        } else {
+            w.add_pattern(&a.pattern);
         }
     }
     w

@@ -49,8 +49,6 @@ pub enum CompiledCond {
         name: String,
         /// Argument expressions (over rule variables and constants).
         args: Vec<Expr>,
-        /// Rule variable names, for argument evaluation.
-        var_names: Vec<String>,
     },
 }
 
@@ -121,29 +119,24 @@ pub struct CompiledView {
     stats: Arc<ViewStats>,
 }
 
-/// Evaluation context over a process environment, optional query-variable
-/// bindings, and the built-in registry.
+/// Evaluation context over a process environment, the bindings of the
+/// query's variables (empty outside a query), and the built-in registry.
 pub(crate) struct EnvCtx<'a> {
     /// Process constants (parameters and `let`s).
     pub env: &'a HashMap<String, Value>,
-    /// Variable names and their bindings, if inside a query.
-    pub vars: Option<(&'a [String], &'a Bindings)>,
+    /// Bindings of the quantified variables, indexed by `VarId`.
+    pub vars: &'a [Option<Value>],
     /// Host functions.
     pub builtins: &'a Builtins,
 }
 
 impl EvalContext for EnvCtx<'_> {
     fn lookup(&self, name: &str) -> Option<Value> {
-        if let Some((names, bindings)) = &self.vars {
-            if let Some(pos) = names.iter().position(|n| n == name) {
-                if let Some(v) = bindings.get(VarId(pos as u16)) {
-                    return Some(v.clone());
-                }
-                // Declared but unbound: fall through to the environment
-                // (a shadowing bug would surface as a failing test).
-            }
-        }
         self.env.get(name).cloned()
+    }
+
+    fn var(&self, v: VarId) -> Option<Value> {
+        self.vars.get(v.0 as usize)?.clone()
     }
 
     fn call(&self, name: &str, args: &[Value]) -> Option<Value> {
@@ -371,7 +364,7 @@ impl ResolvedRules {
     ) -> ResolvedRules {
         let ctx = EnvCtx {
             env,
-            vars: None,
+            vars: &[],
             builtins,
         };
         let resolve = |i: usize, rule: &CompiledViewRule| {
@@ -528,14 +521,10 @@ fn preds_hold(
 ) -> bool {
     rule.conditions.iter().all(|c| match c {
         CompiledCond::Tuple(_) => true,
-        CompiledCond::Pred {
-            name,
-            args,
-            var_names,
-        } => {
+        CompiledCond::Pred { name, args } => {
             let ctx = EnvCtx {
                 env,
-                vars: Some((var_names, b)),
+                vars: b.slots(),
                 builtins,
             };
             let mut vals = Vec::with_capacity(args.len());
@@ -632,15 +621,15 @@ impl TupleSource for QuerySource<'_> {
         }
     }
 
-    fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
+    fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
         match self {
-            QuerySource::Full(d) => d.candidate_ids_into(pattern, out),
-            QuerySource::Lazy { ds, .. } => out.extend(
-                ds.candidate_ids(pattern)
-                    .into_iter()
-                    .filter(|id| ds.tuple(*id).is_some_and(|t| self.admits(t))),
-            ),
-            QuerySource::Restricted(w) => w.candidate_ids_into(pattern, out),
+            QuerySource::Full(d) => d.visit_candidates(pattern, visit),
+            // The import test runs once per candidate the caller gets to
+            // see, and not at all on those behind an early stop.
+            QuerySource::Lazy { ds, .. } => {
+                ds.visit_candidates(pattern, &mut |id, t| !self.admits(t) || visit(id, t));
+            }
+            QuerySource::Restricted(w) => w.visit_candidates(pattern, visit),
         }
     }
 
@@ -694,16 +683,18 @@ impl TupleSource for QuerySource<'_> {
     fn contains_match(&self, pattern: &Pattern) -> bool {
         match self {
             QuerySource::Full(d) => d.contains_match(pattern),
+            // Match first, admit second: the import test is the dearer.
             QuerySource::Lazy { ds, .. } => {
                 let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-                let mut b = sdl_tuple::Bindings::new(n_vars);
-                ds.candidate_ids(pattern).into_iter().any(|id| {
-                    let t = ds.tuple(id).expect("candidate live");
-                    let m = b.mark();
-                    let ok = pattern.matches(t, &mut b);
-                    b.undo_to(m);
-                    ok && self.admits(t)
-                })
+                let mut b = Bindings::new(n_vars);
+                let mut found = false;
+                ds.visit_candidates(pattern, &mut |_, t| {
+                    let matched = pattern.matches(t, &mut b);
+                    b.undo_to(0);
+                    found = matched && self.admits(t);
+                    !found
+                });
+                found
             }
             QuerySource::Restricted(w) => w.contains_match(pattern),
         }

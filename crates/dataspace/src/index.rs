@@ -319,11 +319,17 @@ impl TupleIndex {
             .filter_map(move |f| self.fine.get(&(arity, f, slot1)))
     }
 
-    /// Appends a superset of the ids matching `pattern`, ascending, and
-    /// names the lookup that served it.
-    pub(crate) fn candidates_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) -> Counter {
+    /// Hands `visit` a superset of the ids matching `pattern`, ascending,
+    /// until it returns `false`, and names the lookup that served it.
+    /// Postings are walked in place; only a variable head with a constant
+    /// slot 1 that several relations carry is gathered and sorted first.
+    pub(crate) fn visit_ids(
+        &self,
+        pattern: &Pattern,
+        mut visit: impl FnMut(TupleId) -> bool,
+    ) -> Counter {
         if !self.postings {
-            out.extend(self.ids());
+            self.ids().all(visit);
             return Counter::IndexScanFull;
         }
         let arity = pattern.arity() as u32;
@@ -332,12 +338,12 @@ impl TupleIndex {
             // common point lookup (<threshold, p, t> with p known).
             (Some(Head::Atom(f)), Some(slot1)) => {
                 let posting = self.fine.get(&(arity, Some(f), slot1));
-                out.extend(posting.into_iter().flat_map(Posting::iter));
+                posting.into_iter().flat_map(Posting::iter).all(visit);
                 Counter::IndexHitArg1
             }
             (Some(head), None) => {
                 let posting = self.coarse.get(&(arity, head));
-                out.extend(posting.into_iter().flat_map(Posting::iter));
+                posting.into_iter().flat_map(Posting::iter).all(visit);
                 match head {
                     Head::Atom(_) => Counter::IndexHitFunctor,
                     Head::Value(_) => Counter::IndexHitValue,
@@ -352,19 +358,18 @@ impl TupleIndex {
                     .zip(self.fine.get(&(arity, None, slot1)));
                 if let Some((a, b)) = pair {
                     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-                    out.extend(small.iter().filter(|id| large.contains(*id)));
+                    small.iter().filter(|id| large.contains(*id)).all(visit);
                 }
                 Counter::IndexHitIntersect
             }
             (None, Some(slot1)) => {
-                let start = out.len();
-                let mut contributors = 0;
-                for p in self.fine_across_heads(arity, slot1) {
-                    out.extend(p.iter());
-                    contributors += 1;
-                }
-                if contributors > 1 {
-                    out[start..].sort_unstable();
+                let postings: Vec<&Posting> = self.fine_across_heads(arity, slot1).collect();
+                if let [one] = postings[..] {
+                    one.iter().all(visit);
+                } else {
+                    let mut ids: Vec<TupleId> = postings.iter().flat_map(|p| p.iter()).collect();
+                    ids.sort_unstable();
+                    ids.into_iter().all(visit);
                 }
                 Counter::IndexHitValue
             }
@@ -372,18 +377,40 @@ impl TupleIndex {
             // No posting lists them — every assert would pay for it —
             // so this pattern shape pays with a walk of the store.
             (None, None) => {
-                let of_arity = self
+                let mut of_arity = self
                     .instances
                     .iter()
                     .filter(|(_, t)| t.arity() as u32 == arity);
-                out.extend(of_arity.map(|(id, _)| *id));
+                of_arity.all(|(id, _)| visit(*id));
                 Counter::IndexHitArity
             }
         }
     }
 
-    /// Upper bound on what [`TupleIndex::candidates_into`] would append,
-    /// from posting lengths alone.
+    /// Every id [`TupleIndex::visit_ids`] hands out for `pattern`, and
+    /// the lookup that served it.
+    pub(crate) fn candidate_ids(&self, pattern: &Pattern) -> (Vec<TupleId>, Counter) {
+        let mut out = Vec::new();
+        let served = self.visit_ids(pattern, |id| {
+            out.push(id);
+            true
+        });
+        (out, served)
+    }
+
+    /// [`TupleIndex::visit_ids`], each id with the tuple stored under it.
+    pub(crate) fn visit(
+        &self,
+        pattern: &Pattern,
+        visit: &mut dyn FnMut(TupleId, &Tuple) -> bool,
+    ) -> Counter {
+        self.visit_ids(pattern, |id| {
+            visit(id, self.get(id).expect("posted id is live"))
+        })
+    }
+
+    /// Upper bound on how many ids [`TupleIndex::visit_ids`] would hand
+    /// out, from posting lengths alone.
     pub(crate) fn estimate(&self, pattern: &Pattern) -> usize {
         if !self.postings {
             return self.instances.len();
@@ -414,9 +441,7 @@ mod tests {
     }
 
     fn candidates(ix: &TupleIndex, p: &Pattern) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        ix.candidates_into(p, &mut out);
-        out
+        ix.candidate_ids(p).0
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use shard::{
     ShardSet, ShardWriteView, ShardedDataspace, MAX_SHARDS,
 };
 pub use solve::{AtomMode, ForallEvidence, QueryAtom, Solution, SolveLimits, Solver};
-pub use store::{Action, BatchOutcome, Dataspace, IndexMode, TupleSource};
+pub use store::{first_match, Action, BatchOutcome, Dataspace, IndexMode, TupleSource};
 pub use watch::{value_hash, WatchKey, WatchSet};
 pub use window::Window;
 

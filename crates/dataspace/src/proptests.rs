@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use sdl_tuple::{Pattern, ProcId, Tuple, TupleId, Value};
 
 use crate::plan::plan_query;
+use crate::shard::{ShardSet, ShardedDataspace};
 use crate::solve::{QueryAtom, SolveLimits, Solver};
 use crate::store::{Action, Dataspace, IndexMode, TupleSource};
 use crate::watch::WatchSet;
@@ -74,6 +75,32 @@ fn arb_pattern() -> impl Strategy<Value = Pattern> {
         Just(sdl_tuple::Field::Any),
     ];
     proptest::collection::vec(field, 0..4).prop_map(Pattern::new)
+}
+
+/// One pattern per shape the index serves differently, cut from `probe`
+/// (whose head is an atom or not, by chance), plus `free`.
+fn pattern_shapes(probe: &Tuple, free: Pattern) -> Vec<Pattern> {
+    use sdl_tuple::{Field, VarId};
+    let keep = |n: usize, var_head: bool| -> Pattern {
+        probe
+            .iter()
+            .enumerate()
+            .map(|(i, v)| match i {
+                0 if var_head => Field::Var(VarId(0)),
+                i if i < n => Field::Const(v.clone()),
+                _ => Field::Any,
+            })
+            .collect()
+    };
+    vec![
+        keep(probe.arity(), false), // ground
+        keep(2, false),             // functor / non-atom head, constant slot 1
+        keep(1, false),             // functor / non-atom head alone
+        keep(2, true),              // variable head, constant slot 1
+        keep(0, true),              // variable head alone
+        Pattern::new(Vec::new()),   // empty
+        free,
+    ]
 }
 
 /// Order-independent fingerprint of a solution: bindings plus sorted
@@ -327,7 +354,6 @@ proptest! {
         probe in arb_tuple(),
         free in arb_pattern(),
     ) {
-        use sdl_tuple::{Field, VarId};
         let mut indexed = Dataspace::new();
         let mut flat = Dataspace::with_index_mode(IndexMode::None);
         let mut live: Vec<TupleId> = Vec::new();
@@ -349,28 +375,7 @@ proptest! {
         }
         let window = Window::from_instances(indexed.to_instances());
 
-        let consts: Vec<Field> = probe.iter().cloned().map(Field::Const).collect();
-        let keep = |n: usize, var_head: bool| -> Pattern {
-            consts
-                .iter()
-                .enumerate()
-                .map(|(i, f)| match i {
-                    0 if var_head => Field::Var(VarId(0)),
-                    i if i < n => f.clone(),
-                    _ => Field::Any,
-                })
-                .collect()
-        };
-        let shapes = [
-            keep(probe.arity(), false), // ground
-            keep(2, false),             // functor / non-atom head, constant slot 1
-            keep(1, false),             // functor / non-atom head alone
-            keep(2, true),              // variable head, constant slot 1
-            keep(0, true),              // variable head alone
-            Pattern::new(Vec::new()),   // empty
-            free,
-        ];
-        for p in &shapes {
+        for p in &pattern_shapes(&probe, free) {
             let expected = flat.matching_ids(p);
             for (name, src) in [("store", &indexed as &dyn TupleSource), ("window", &window)] {
                 let candidates = src.candidate_ids(p);
@@ -378,6 +383,87 @@ proptest! {
                 prop_assert_eq!(&src.matching_ids(p), &expected, "{} {:?}", name, p);
                 prop_assert!(src.estimate_candidates(p) >= expected.len(), "{} {:?}", name, p);
                 prop_assert_eq!(src.contains_match(p), !expected.is_empty(), "{} {:?}", name, p);
+            }
+        }
+    }
+
+    /// The visitor *is* `candidate_ids`: for every source and every
+    /// pattern shape it hands out the same ids in the same order with the
+    /// tuples stored under them, stops after exactly the visits it was
+    /// allowed, and a callback that queries the source again — as the
+    /// join does at every nesting level — sees the same answer.
+    #[test]
+    fn visitor_is_candidate_ids(
+        ops in arb_growing_ops(),
+        probe in arb_tuple(),
+        free in arb_pattern(),
+        stop_after in 1usize..6,
+    ) {
+        let mut indexed = Dataspace::new();
+        let mut flat = Dataspace::with_index_mode(IndexMode::None);
+        let sharded = ShardedDataspace::new(3);
+        let mut live: Vec<(TupleId, TupleId)> = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                Op::Assert(t) => {
+                    let owner = ProcId(1 + i as u64 % 2);
+                    let id = indexed.assert_tuple(owner, t.clone());
+                    flat.assert_tuple(owner, t.clone());
+                    live.push((id, sharded.assert_tuple(owner, t.clone())));
+                }
+                Op::RetractNth(n) if !live.is_empty() => {
+                    let (id, sharded_id) = live.remove(n % live.len());
+                    indexed.retract(id);
+                    flat.retract(id);
+                    sharded.write_shards(sharded.all_shards()).retract(sharded_id);
+                }
+                Op::RetractNth(_) => {}
+            }
+        }
+        let window = Window::from_instances(indexed.to_instances());
+        let all_shards = sharded.read_shards(sharded.all_shards());
+
+        for p in &pattern_shapes(&probe, free) {
+            // The one shard the pattern routes to, when it routes.
+            let mut one = ShardSet::new();
+            match sharded.shard_of_pattern(p) {
+                Some(s) => one.insert(s),
+                None => one = sharded.all_shards(),
+            }
+            let routed = sharded.read_shards(one);
+            for (name, src) in [
+                ("store", &indexed as &dyn TupleSource),
+                ("unindexed", &flat),
+                ("window", &window),
+                ("all shards", &all_shards),
+                ("routed shard", &routed),
+            ] {
+                let listed = src.candidate_ids(p);
+                let visit_all = |src: &dyn TupleSource| {
+                    let mut seen = Vec::new();
+                    src.visit_candidates(p, &mut |id, t| {
+                        assert_eq!(src.tuple(id), Some(t), "{name} {p:?}");
+                        seen.push(id);
+                        true
+                    });
+                    seen
+                };
+                prop_assert_eq!(&visit_all(src), &listed, "{} {:?}", name, p);
+
+                let mut visits = 0;
+                src.visit_candidates(p, &mut |_, _| {
+                    visits += 1;
+                    visits < stop_after
+                });
+                prop_assert_eq!(visits, stop_after.min(listed.len()), "{} {:?}", name, p);
+
+                let mut outer = Vec::new();
+                src.visit_candidates(p, &mut |id, _| {
+                    assert_eq!(visit_all(src), listed, "nested in {name} {p:?}");
+                    outer.push(id);
+                    true
+                });
+                prop_assert_eq!(&outer, &listed, "re-entered {} {:?}", name, p);
             }
         }
     }

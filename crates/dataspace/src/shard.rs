@@ -56,7 +56,7 @@ use sdl_metrics::Metrics;
 use sdl_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sdl_tuple::{Field, Pattern, ProcId, Tuple, TupleId};
 
-use crate::store::{Dataspace, IndexMode, TupleSource};
+use crate::store::{visit_listed, Dataspace, IndexMode, TupleSource};
 use crate::watch::WatchKey;
 
 /// Most shards a [`ShardedDataspace`] will split into; also the capacity
@@ -484,12 +484,27 @@ impl<G: Deref<Target = Dataspace>> ShardView<'_, G> {
 impl<G: Deref<Target = Dataspace>> TupleSource for ShardView<'_, G> {
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
         let mut out = Vec::new();
-        self.candidate_ids_into(pattern, &mut out);
+        self.merged_into(pattern, &mut out, |d, p, o| o.extend(d.candidate_ids(p)));
         out
     }
 
-    fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
-        self.merged_into(pattern, out, |d, p, o| d.candidate_ids_into(p, o));
+    fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
+        match self.owner.shard_of_pattern(pattern) {
+            Some(s) => {
+                if let Some(d) = self.shard(s) {
+                    d.visit_candidates(pattern, visit);
+                }
+            }
+            None => {
+                let mut locked = self.locked();
+                match (locked.next(), locked.next()) {
+                    (Some(d), None) => d.visit_candidates(pattern, visit),
+                    // Several shards' ids interleave: merge the lists
+                    // first, so the order stays ascending.
+                    _ => visit_listed(self, pattern, visit),
+                }
+            }
+        }
     }
 
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {

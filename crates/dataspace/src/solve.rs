@@ -30,6 +30,8 @@
 //!   (see [`Solver::enumerate`]) and the caller applies the paper's rule —
 //!   the transaction succeeds iff every solution satisfies the test.
 
+use std::borrow::Cow;
+
 use sdl_metrics::Counter;
 use sdl_tuple::{Bindings, Field, Pattern, TupleId, Value};
 
@@ -186,23 +188,50 @@ pub struct Solver<'a, S: TupleSource + ?Sized> {
     source: &'a S,
     atoms: &'a [QueryAtom],
     n_vars: usize,
+    positives: usize,
     plan: Option<&'a QueryPlan>,
 }
 
-/// The borrowed shape of a solution while the search still owns the
-/// scratch buffers; emit callbacks copy out only what they keep.
-type EmitFn<'e> = dyn FnMut(&Bindings, &[TupleId], &[TupleId], &[Pattern]) -> bool + 'e;
+/// The branch the search stands on: the bindings and the read / retract
+/// / negation evidence gathered on the way down, pushed and popped in
+/// place. At a leaf this *is* the solution; `emit` callbacks copy it
+/// only when the search goes on.
+struct Branch {
+    bindings: Bindings,
+    reads: Vec<TupleId>,
+    retracts: Vec<TupleId>,
+    neg_checks: Vec<Pattern>,
+}
+
+impl Branch {
+    fn into_solution(self) -> Solution {
+        Solution {
+            bindings: self.bindings.into_vec(),
+            reads: self.reads,
+            retracts: self.retracts,
+            neg_checks: self.neg_checks,
+        }
+    }
+
+    fn evidence(&mut self, mode: AtomMode) -> &mut Vec<TupleId> {
+        match mode {
+            AtomMode::Read => &mut self.reads,
+            AtomMode::Retract => &mut self.retracts,
+            AtomMode::Neg => unreachable!("negated atoms are checked, not matched"),
+        }
+    }
+}
+
+/// Called at each leaf; returns `false` to stop the search, which then
+/// unwinds without touching the branch.
+type EmitFn<'e> = dyn FnMut(&Branch) -> bool + 'e;
 
 impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
     /// Creates a solver for `atoms` with `n_vars` quantified variables,
-    /// matching positive atoms in source order (no plan).
+    /// matching positive atoms in source order and checking every
+    /// negation at the leaf (no plan).
     pub fn new(source: &'a S, atoms: &'a [QueryAtom], n_vars: usize) -> Solver<'a, S> {
-        Solver {
-            source,
-            atoms,
-            n_vars,
-            plan: None,
-        }
+        Solver::with_plan(source, atoms, n_vars, None)
     }
 
     /// Creates a solver that follows `plan` (built by
@@ -214,10 +243,11 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
         n_vars: usize,
         plan: Option<&'a QueryPlan>,
     ) -> Solver<'a, S> {
+        let positives = atoms.iter().filter(|a| a.mode != AtomMode::Neg).count();
         if let Some(p) = plan {
             debug_assert_eq!(
                 p.positive_order.len(),
-                atoms.iter().filter(|a| a.mode != AtomMode::Neg).count(),
+                positives,
                 "plan was built for a different atom list"
             );
         }
@@ -225,6 +255,7 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
             source,
             atoms,
             n_vars,
+            positives,
             plan,
         }
     }
@@ -232,7 +263,7 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
     /// First solution satisfying negations and `test` (existential
     /// quantification), or `None`.
     pub fn first(&self, test: &mut dyn FnMut(&Bindings) -> bool) -> Option<Solution> {
-        let positives = self.positive_count();
+        let positives = self.positives;
         self.first_staged(None, &mut |depth, b| depth < positives || test(b))
     }
 
@@ -243,7 +274,7 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
         test: &mut dyn FnMut(&Bindings) -> bool,
         limits: SolveLimits,
     ) -> Vec<Solution> {
-        let positives = self.positive_count();
+        let positives = self.positives;
         self.all_staged(None, &mut |depth, b| depth < positives || test(b), limits)
     }
 
@@ -257,10 +288,7 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
     /// Number of positive (read/retract) atoms — the maximum `depth`
     /// passed to a staged test.
     pub fn positive_count(&self) -> usize {
-        self.atoms
-            .iter()
-            .filter(|a| a.mode != AtomMode::Neg)
-            .count()
+        self.positives
     }
 
     /// Like [`Solver::first`], but with a *staged* test invoked after
@@ -273,17 +301,13 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
         init: Option<&Bindings>,
         staged: &mut dyn FnMut(usize, &Bindings) -> bool,
     ) -> Option<Solution> {
-        let mut found = None;
-        self.search(init, staged, &mut |b, reads, retracts, negs| {
-            found = Some(Solution {
-                bindings: b.to_vec(),
-                reads: reads.to_vec(),
-                retracts: retracts.to_vec(),
-                neg_checks: negs.to_vec(),
-            });
-            false // stop
+        let mut branch = self.root(init);
+        let mut found = false;
+        self.descend(0, &mut branch, staged, &mut |_| {
+            found = true;
+            false // stop: the branch is left standing on the solution
         });
-        found
+        found.then(|| branch.into_solution())
     }
 
     /// Staged variant of [`Solver::all`].
@@ -294,213 +318,136 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
         limits: SolveLimits,
     ) -> Vec<Solution> {
         let mut out = Vec::new();
-        self.search(init, staged, &mut |b, reads, retracts, negs| {
+        self.descend(0, &mut self.root(init), staged, &mut |b| {
             out.push(Solution {
-                bindings: b.to_vec(),
-                reads: reads.to_vec(),
-                retracts: retracts.to_vec(),
-                neg_checks: negs.to_vec(),
+                bindings: b.bindings.to_vec(),
+                reads: b.reads.clone(),
+                retracts: b.retracts.clone(),
+                neg_checks: b.neg_checks.clone(),
             });
             out.len() < limits.max_solutions
         });
         out
     }
 
-    /// The execution schedule: positive atoms in matching order, plus the
-    /// negated atoms to check at each depth. Without a plan this is the
-    /// historic behaviour — source order, all negations at the leaf.
-    fn schedule(&self) -> (Vec<&'a QueryAtom>, Vec<Vec<&'a QueryAtom>>) {
-        match self.plan {
-            Some(plan) => {
-                let positives: Vec<&QueryAtom> = plan
-                    .positive_order
-                    .iter()
-                    .map(|&i| &self.atoms[i])
-                    .collect();
-                let negs_at = plan
-                    .neg_at_depth
-                    .iter()
-                    .map(|idxs| idxs.iter().map(|&i| &self.atoms[i]).collect())
-                    .collect();
-                (positives, negs_at)
-            }
-            None => {
-                let positives: Vec<&QueryAtom> = self
-                    .atoms
-                    .iter()
-                    .filter(|a| a.mode != AtomMode::Neg)
-                    .collect();
-                let mut negs_at: Vec<Vec<&QueryAtom>> = vec![Vec::new(); positives.len() + 1];
-                negs_at[positives.len()] = self
-                    .atoms
-                    .iter()
-                    .filter(|a| a.mode == AtomMode::Neg)
-                    .collect();
-                (positives, negs_at)
-            }
-        }
-    }
-
-    /// Depth-first search over positive atoms; `emit` receives borrowed
-    /// solution parts and returns `false` to stop the search.
-    fn search(
-        &self,
-        init: Option<&Bindings>,
-        staged: &mut dyn FnMut(usize, &Bindings) -> bool,
-        emit: &mut EmitFn<'_>,
-    ) {
-        let (positives, negs_at) = self.schedule();
-        let mut bindings = match init {
-            Some(b) => {
-                let mut seeded = Bindings::new(self.n_vars.max(b.len()));
-                seeded.restore(&b.to_vec());
-                seeded
-            }
-            None => Bindings::new(self.n_vars),
-        };
-        let mut scratch = SearchScratch {
+    fn root(&self, init: Option<&Bindings>) -> Branch {
+        Branch {
+            bindings: init.map_or_else(|| Bindings::new(self.n_vars), Bindings::clone),
             reads: Vec::new(),
             retracts: Vec::new(),
             neg_checks: Vec::new(),
-            candidates: vec![Vec::new(); positives.len()],
-        };
-        self.descend(
-            &positives,
-            &negs_at,
-            0,
-            &mut bindings,
-            &mut scratch,
-            staged,
-            emit,
-        );
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The positive atom matched at `depth`: plan order, or source order
+    /// without a plan.
+    fn positive(&self, depth: usize) -> &'a QueryAtom {
+        match self.plan {
+            Some(plan) => &self.atoms[plan.positive_order[depth]],
+            None => self
+                .atoms
+                .iter()
+                .filter(|a| a.mode != AtomMode::Neg)
+                .nth(depth)
+                .expect("depth is below the positive count"),
+        }
+    }
+
+    /// The negated atoms checked once `depth` positive atoms have
+    /// matched: the plan's schedule, or all of them at the leaf.
+    fn negs_at(&self, depth: usize) -> impl Iterator<Item = &'a QueryAtom> {
+        let atoms = self.atoms;
+        let planned = self.plan.map(|p| p.neg_at_depth[depth].iter());
+        let at_leaf = (self.plan.is_none() && depth == self.positives)
+            .then(|| atoms.iter().filter(|a| a.mode == AtomMode::Neg));
+        planned
+            .into_iter()
+            .flatten()
+            .map(move |&i| &atoms[i])
+            .chain(at_leaf.into_iter().flatten())
+    }
+
+    /// One level of the depth-first search; returns `false` once `emit`
+    /// has stopped it.
     fn descend(
         &self,
-        positives: &[&QueryAtom],
-        negs_at: &[Vec<&QueryAtom>],
         depth: usize,
-        bindings: &mut Bindings,
-        scratch: &mut SearchScratch,
+        branch: &mut Branch,
         staged: &mut dyn FnMut(usize, &Bindings) -> bool,
         emit: &mut EmitFn<'_>,
     ) -> bool {
         // Negations scheduled at this depth have every boundable variable
         // bound, so the resolved pattern is final: check now and kill the
         // branch before the remaining join is enumerated.
-        let neg_base = scratch.neg_checks.len();
-        for neg in &negs_at[depth] {
-            let resolved = resolve_pattern(&neg.pattern, bindings);
+        let neg_base = branch.neg_checks.len();
+        for neg in self.negs_at(depth) {
+            let resolved = resolve_pattern(&neg.pattern, &branch.bindings);
             if self.source.contains_match(&resolved) {
-                scratch.neg_checks.truncate(neg_base);
+                branch.neg_checks.truncate(neg_base);
                 return true; // this branch fails; keep searching
             }
-            scratch.neg_checks.push(resolved);
+            branch.neg_checks.push(resolved);
         }
 
-        let keep_going = if depth == positives.len() {
-            // With no positive atoms the staged test has not run yet.
-            if positives.is_empty() && !staged(0, bindings) {
-                true
-            } else {
-                emit(
-                    bindings,
-                    &scratch.reads,
-                    &scratch.retracts,
-                    &scratch.neg_checks,
-                )
-            }
+        let keep_going = if depth < self.positives {
+            self.match_atom(depth, branch, staged, emit)
+        } else if depth == 0 && !staged(0, &branch.bindings) {
+            true // no positive atoms: the staged test has its only run here
         } else {
-            self.match_atom(positives, negs_at, depth, bindings, scratch, staged, emit)
+            emit(branch)
         };
-        scratch.neg_checks.truncate(neg_base);
+        if keep_going {
+            branch.neg_checks.truncate(neg_base);
+        }
         keep_going
     }
 
-    /// The candidate loop for the positive atom at `depth`.
-    #[allow(clippy::too_many_arguments)]
+    /// The candidate walk for the positive atom at `depth`: candidates
+    /// stream out of the source, so a search that stops at its first
+    /// solution has looked at the tuples it used and no further.
     fn match_atom(
         &self,
-        positives: &[&QueryAtom],
-        negs_at: &[Vec<&QueryAtom>],
         depth: usize,
-        bindings: &mut Bindings,
-        scratch: &mut SearchScratch,
+        branch: &mut Branch,
         staged: &mut dyn FnMut(usize, &Bindings) -> bool,
         emit: &mut EmitFn<'_>,
     ) -> bool {
-        let atom = positives[depth];
-        let resolved = resolve_pattern(&atom.pattern, bindings);
+        let atom = self.positive(depth);
+        // The pattern as written serves when none of its variables is
+        // bound yet — every atom of a join on constants alone.
+        let bound = |v| branch.bindings.is_bound(v);
+        let resolved = if atom.pattern.vars().any(bound) {
+            Cow::Owned(resolve_pattern(&atom.pattern, &branch.bindings))
+        } else {
+            Cow::Borrowed(&atom.pattern)
+        };
         let metrics = self.source.metrics();
-        // Reuse this depth's candidate buffer across siblings and
-        // attempts instead of allocating per join node.
-        let mut candidates = std::mem::take(&mut scratch.candidates[depth]);
-        candidates.clear();
-        self.source.candidate_ids_into(&resolved, &mut candidates);
-        metrics.add(Counter::MatchCandidates, candidates.len() as u64);
         let mut keep_going = true;
-        for &id in &candidates {
-            if atom.mode == AtomMode::Retract && scratch.retracts.contains(&id) {
-                continue; // retract atoms take pairwise-distinct instances
+        self.source.visit_candidates(&resolved, &mut |id, tuple| {
+            metrics.inc(Counter::MatchCandidates);
+            if atom.mode == AtomMode::Retract && branch.retracts.contains(&id) {
+                return true; // retract atoms take pairwise-distinct instances
             }
-            let tuple = match self.source.tuple(id) {
-                Some(t) => t,
-                None => continue,
-            };
-            let mark = bindings.mark();
+            let mark = branch.bindings.mark();
             metrics.inc(Counter::MatchAttempts);
-            if !atom.pattern.matches(tuple, bindings) {
-                continue;
+            if !atom.pattern.matches(tuple, &mut branch.bindings) {
+                return true;
             }
-            if !staged(depth + 1, bindings) {
-                bindings.undo_to(mark);
-                metrics.inc(Counter::SolverBacktracks);
-                continue;
-            }
-            match atom.mode {
-                AtomMode::Read => scratch.reads.push(id),
-                AtomMode::Retract => scratch.retracts.push(id),
-                AtomMode::Neg => unreachable!("negatives filtered out"),
-            }
-            keep_going = self.descend(
-                positives,
-                negs_at,
-                depth + 1,
-                bindings,
-                scratch,
-                staged,
-                emit,
-            );
-            match atom.mode {
-                AtomMode::Read => {
-                    scratch.reads.pop();
+            if staged(depth + 1, &branch.bindings) {
+                branch.evidence(atom.mode).push(id);
+                keep_going = self.descend(depth + 1, branch, staged, emit);
+                if !keep_going {
+                    metrics.inc(Counter::SolverBacktracks);
+                    return false;
                 }
-                AtomMode::Retract => {
-                    scratch.retracts.pop();
-                }
-                AtomMode::Neg => unreachable!(),
+                branch.evidence(atom.mode).pop();
             }
-            bindings.undo_to(mark);
+            branch.bindings.undo_to(mark);
             metrics.inc(Counter::SolverBacktracks);
-            if !keep_going {
-                break;
-            }
-        }
-        scratch.candidates[depth] = candidates;
+            true
+        });
         keep_going
     }
-}
-
-/// Truncate-and-reuse buffers threaded through the search: the read /
-/// retract / negation evidence for the current branch, plus one candidate
-/// buffer per join depth. Nothing here is cloned per solution — emit
-/// callbacks copy out only the solutions they keep.
-struct SearchScratch {
-    reads: Vec<TupleId>,
-    retracts: Vec<TupleId>,
-    neg_checks: Vec<Pattern>,
-    candidates: Vec<Vec<TupleId>>,
 }
 
 #[cfg(test)]

@@ -34,12 +34,19 @@ pub trait TupleSource {
     /// matches), in deterministic (id) order.
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId>;
 
-    /// Appends the candidate ids for `pattern` to `out` (same contract as
-    /// [`TupleSource::candidate_ids`]). The solver calls this with a
-    /// reused scratch buffer so the per-join-node `Vec` allocation
-    /// disappears; sources with direct index access should override it.
-    fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
-        out.extend(self.candidate_ids(pattern));
+    /// Hands `visit` each candidate for `pattern` — the ids
+    /// [`TupleSource::candidate_ids`] lists, in that (ascending) order,
+    /// with the tuple stored under each — until it returns `false`. An
+    /// `exists` query that stops at its first solution so touches the
+    /// tuples it uses, not the whole posting they sit in. `visit` may
+    /// query this source again (the join does, once per nesting level).
+    ///
+    /// Indexed sources walk their postings in place; one that has to
+    /// merge several id lists to keep the order (an unroutable pattern
+    /// over several shards) may gather and sort them before the first
+    /// call.
+    fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
+        visit_listed(self, pattern, visit);
     }
 
     /// Cheap upper-bound estimate of how many candidates
@@ -71,14 +78,7 @@ pub trait TupleSource {
 
     /// True if some visible instance matches `pattern` (no bindings kept).
     fn contains_match(&self, pattern: &Pattern) -> bool {
-        let mut b = Bindings::new(pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0));
-        self.candidate_ids(pattern).iter().any(|id| {
-            let m = b.mark();
-            let t = self.tuple(*id).expect("candidate id must be live");
-            let ok = pattern.matches(t, &mut b);
-            b.undo_to(m);
-            ok
-        })
+        first_match(self, pattern).is_some()
     }
 
     /// Ids of all visible instances that actually match `pattern`
@@ -87,19 +87,55 @@ pub trait TupleSource {
     /// time: ids are never reused, so an equal id set implies the same
     /// tuples — and hence the same solution set — for that atom.
     fn matching_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-        let mut b = Bindings::new(n_vars);
-        self.candidate_ids(pattern)
-            .into_iter()
-            .filter(|id| {
-                let m = b.mark();
-                let t = self.tuple(*id).expect("candidate id must be live");
-                let ok = pattern.matches(t, &mut b);
-                b.undo_to(m);
-                ok
-            })
-            .collect()
+        let mut out = Vec::new();
+        visit_matches(self, pattern, &mut |id| {
+            out.push(id);
+            true
+        });
+        out
     }
+}
+
+/// [`TupleSource::visit_candidates`] over the list
+/// [`TupleSource::candidate_ids`] returns: for sources with nothing to
+/// walk in place.
+pub(crate) fn visit_listed<S: TupleSource + ?Sized>(
+    source: &S,
+    pattern: &Pattern,
+    visit: &mut dyn FnMut(TupleId, &Tuple) -> bool,
+) {
+    for id in source.candidate_ids(pattern) {
+        let tuple = source.tuple(id).expect("candidate id must be live");
+        if !visit(id, tuple) {
+            break;
+        }
+    }
+}
+
+/// Hands `visit` the id of each visible instance matching `pattern`
+/// (fresh bindings per instance), ascending, until it returns `false`.
+fn visit_matches<S: TupleSource + ?Sized>(
+    source: &S,
+    pattern: &Pattern,
+    visit: &mut dyn FnMut(TupleId) -> bool,
+) {
+    let mut b = Bindings::new(pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0));
+    source.visit_candidates(pattern, &mut |id, tuple| {
+        let matched = pattern.matches(tuple, &mut b);
+        b.undo_to(0);
+        !matched || visit(id)
+    });
+}
+
+/// The first visible instance matching `pattern`, in id order — what a
+/// Linda `inp`/`rdp` takes.
+pub fn first_match<S: TupleSource + ?Sized>(source: &S, pattern: &Pattern) -> Option<TupleId> {
+    let mut found = None;
+    visit_matches(source, pattern, &mut |id| {
+        found = Some(id);
+        false
+    });
+    found
 }
 
 /// The SDL dataspace: a multiset of tuples with instance identity.
@@ -386,13 +422,13 @@ impl Dataspace {
 
 impl TupleSource for Dataspace {
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        self.candidate_ids_into(pattern, &mut out);
+        let (out, served) = self.index.candidate_ids(pattern);
+        self.metrics.inc(served);
         out
     }
 
-    fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
-        self.metrics.inc(self.index.candidates_into(pattern, out));
+    fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
+        self.metrics.inc(self.index.visit(pattern, visit));
     }
 
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {

@@ -88,13 +88,11 @@ impl Window {
 
 impl TupleSource for Window {
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        self.candidate_ids_into(pattern, &mut out);
-        out
+        self.index.candidate_ids(pattern).0
     }
 
-    fn candidate_ids_into(&self, pattern: &Pattern, out: &mut Vec<TupleId>) {
-        self.index.candidates_into(pattern, out);
+    fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
+        self.index.visit(pattern, visit);
     }
 
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {

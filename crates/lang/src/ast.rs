@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use sdl_tuple::Value;
+use sdl_tuple::{Atom, Value, VarId};
 
 /// A complete SDL program: process definitions plus an optional initial
 /// configuration.
@@ -320,6 +320,41 @@ pub enum UnOp {
     Not,
 }
 
+/// A name as written, its spelling interned when parsed: should it turn
+/// out to be an atom literal, evaluation copies the atom instead of
+/// taking the interner's lock on every use.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Name {
+    text: String,
+    atom: Atom,
+}
+
+impl Name {
+    /// Interns `text`.
+    pub fn new(text: &str) -> Name {
+        Name {
+            text: text.to_owned(),
+            atom: Atom::new(text),
+        }
+    }
+
+    /// The spelling.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// The atom this name denotes when nothing else binds it.
+    pub fn atom(&self) -> Atom {
+        self.atom
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.text)
+    }
+}
+
 /// An expression.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
@@ -327,7 +362,11 @@ pub enum Expr {
     Lit(Value),
     /// A name: quantified variable, process constant, or atom literal —
     /// classified by the compiler.
-    Name(String),
+    Name(Name),
+    /// A name the compiler classified as a quantified variable
+    /// ([`Expr::bind_vars`]): evaluation reads the binding by index. The
+    /// parser never produces this.
+    Var(VarId, Name),
     /// Unary application.
     Unary(UnOp, Box<Expr>),
     /// Binary application.
@@ -344,7 +383,7 @@ impl Expr {
 
     /// Name shorthand.
     pub fn name(n: &str) -> Expr {
-        Expr::Name(n.to_owned())
+        Expr::Name(Name::new(n))
     }
 
     /// Applies a binary operator.
@@ -352,12 +391,30 @@ impl Expr {
         Expr::Binary(op, Box::new(lhs), Box::new(rhs))
     }
 
-    /// Collects every [`Expr::Name`] occurring in the expression into
-    /// `out` (used by the compiler to schedule test conjuncts).
+    /// Turns every name `var_of` resolves into an [`Expr::Var`].
+    pub fn bind_vars(&mut self, var_of: &dyn Fn(&str) -> Option<VarId>) {
+        match self {
+            Expr::Lit(_) | Expr::Var(..) => {}
+            Expr::Name(n) => {
+                if let Some(v) = var_of(n.as_str()) {
+                    *self = Expr::Var(v, n.clone());
+                }
+            }
+            Expr::Unary(_, e) => e.bind_vars(var_of),
+            Expr::Binary(_, l, r) => {
+                l.bind_vars(var_of);
+                r.bind_vars(var_of);
+            }
+            Expr::Call(_, args) => args.iter_mut().for_each(|a| a.bind_vars(var_of)),
+        }
+    }
+
+    /// Collects every name occurring in the expression into `out` (used
+    /// by the compiler to schedule test conjuncts).
     pub fn collect_names<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Expr::Lit(_) => {}
-            Expr::Name(n) => out.push(n),
+            Expr::Name(n) | Expr::Var(_, n) => out.push(n.as_str()),
             Expr::Unary(_, e) => e.collect_names(out),
             Expr::Binary(_, l, r) => {
                 l.collect_names(out);

@@ -44,7 +44,7 @@ pub mod e {
 
     /// A name (variable, constant, or atom — classified by the compiler).
     pub fn name(n: &str) -> Expr {
-        Expr::Name(n.to_owned())
+        Expr::name(n)
     }
 
     /// Built-in call.
@@ -144,7 +144,7 @@ impl PatternBuilder {
 
     /// Appends a name field (variable/constant/atom).
     pub fn var(self, name: &str) -> PatternBuilder {
-        self.field(Expr::Name(name.to_owned()))
+        self.field(Expr::name(name))
     }
 
     /// Appends an atom-name field (same as [`PatternBuilder::var`]; reads

@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use sdl_tuple::Value;
+use sdl_tuple::{Value, VarId};
 
 use crate::ast::{BinOp, Expr, UnOp};
 
@@ -19,6 +19,13 @@ pub trait EvalContext {
     /// Resolves a name to a value: a quantified variable binding or a
     /// process constant. `None` makes the name an atom literal.
     fn lookup(&self, name: &str) -> Option<Value>;
+
+    /// The binding of quantified variable `v`, for names the compiler
+    /// resolved to an index ([`Expr::Var`]). `None` (unbound, or a context
+    /// without variables) falls back to [`EvalContext::lookup`] by name.
+    fn var(&self, _v: VarId) -> Option<Value> {
+        None
+    }
 
     /// Calls a built-in function/predicate. `None` if unknown.
     fn call(&self, name: &str, args: &[Value]) -> Option<Value>;
@@ -105,7 +112,11 @@ fn type_mismatch(op: impl fmt::Display, a: &Value, b: &Value) -> EvalError {
 pub fn eval(expr: &Expr, ctx: &dyn EvalContext) -> Result<Value, EvalError> {
     match expr {
         Expr::Lit(v) => Ok(v.clone()),
-        Expr::Name(n) => Ok(ctx.lookup(n).unwrap_or_else(|| Value::atom(n))),
+        Expr::Name(n) => Ok(ctx.lookup(n.as_str()).unwrap_or(Value::Atom(n.atom()))),
+        Expr::Var(v, n) => Ok(ctx
+            .var(*v)
+            .or_else(|| ctx.lookup(n.as_str()))
+            .unwrap_or(Value::Atom(n.atom()))),
         Expr::Unary(op, e) => {
             let v = eval(e, ctx)?;
             match (op, &v) {

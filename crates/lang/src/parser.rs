@@ -718,7 +718,7 @@ impl Parser {
                     self.expect(&Tok::RParen)?;
                     Ok(Expr::Call(name, args))
                 } else {
-                    Ok(Expr::Name(name))
+                    Ok(Expr::name(&name))
                 }
             }
             Tok::LParen => {

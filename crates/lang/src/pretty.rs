@@ -32,7 +32,7 @@ impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Lit(v) => write!(f, "{v}"),
-            Expr::Name(n) => f.write_str(n),
+            Expr::Name(n) | Expr::Var(_, n) => f.write_str(n.as_str()),
             Expr::Unary(UnOp::Neg, e) => write!(f, "(-{e})"),
             Expr::Unary(UnOp::Not, e) => write!(f, "(not {e})"),
             Expr::Binary(op, l, r) => write!(f, "({l} {op} {r})"),

@@ -22,7 +22,7 @@ fn arb_name() -> impl Strategy<Value = String> {
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         (0i64..100).prop_map(Expr::int),
-        arb_name().prop_map(Expr::Name),
+        arb_name().prop_map(|n| Expr::name(&n)),
         any::<bool>().prop_map(|b| Expr::Lit(sdl_tuple::Value::Bool(b))),
     ];
     leaf.prop_recursive(3, 16, 3, |inner| {
@@ -44,7 +44,7 @@ fn arb_pattern() -> impl Strategy<Value = PatternExpr> {
     proptest::collection::vec(
         prop_oneof![
             Just(FieldExpr::Any),
-            arb_name().prop_map(|n| FieldExpr::Expr(Expr::Name(n))),
+            arb_name().prop_map(|n| FieldExpr::Expr(Expr::name(&n))),
             (0i64..50).prop_map(|i| FieldExpr::Expr(Expr::int(i))),
         ],
         0..4,

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use sdl_dataspace::{Dataspace, TupleSource};
-use sdl_tuple::{Bindings, Pattern, ProcId, Tuple};
+use sdl_dataspace::{first_match, Dataspace, TupleSource};
+use sdl_tuple::{Pattern, ProcId, Tuple};
 
 struct Inner {
     ds: Dataspace,
@@ -165,17 +165,6 @@ impl std::fmt::Debug for TupleSpace {
             .field("closed", &self.is_closed())
             .finish()
     }
-}
-
-fn first_match(ds: &Dataspace, p: &Pattern) -> Option<sdl_tuple::TupleId> {
-    let n_vars = p.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-    let mut b = Bindings::new(n_vars);
-    ds.candidate_ids(p).into_iter().find(|id| {
-        let m = b.mark();
-        let ok = p.matches(ds.tuple(*id).expect("candidate live"), &mut b);
-        b.undo_to(m);
-        ok
-    })
 }
 
 #[cfg(test)]

@@ -30,16 +30,19 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use sdl_core::commit::Decision;
-use sdl_core::parallel::{pending_write_footprint, txn_read_footprint};
+use sdl_core::parallel::{pending_write_footprint, read_footprint};
 use sdl_core::program::{compile_txn, CompiledTxn};
-use sdl_core::txn::{build_effects, evaluate_query, watch_set_on, PlanConfig};
+use sdl_core::txn::{
+    build_effects, evaluate_resolved, resolve_atoms, watch_set_resolved, PlanConfig,
+};
 use sdl_core::Builtins;
 use sdl_dataspace::{
-    Action, BatchOutcome, ShardSet, ShardWriteView, SolveLimits, TupleSource, WatchKey, WatchSet,
+    first_match, Action, BatchOutcome, ShardSet, ShardWriteView, SolveLimits, TupleSource,
+    WatchKey, WatchSet,
 };
 use sdl_lang::parse_transaction;
 use sdl_metrics::{Counter, Gauge, Hist, LoopCounter, Metrics};
-use sdl_tuple::{Bindings, Pattern, ProcId, Tuple, TupleId, Value};
+use sdl_tuple::{Pattern, ProcId, Tuple, Value};
 
 use crate::shared::{NetShared, Waiter, Wake};
 use crate::wire::{Request, Response};
@@ -52,6 +55,12 @@ pub type Reply = (ConnId, u64, Response);
 // Client-owned tuples get ProcIds in a reserved high range so they can
 // never collide with in-process society pids.
 const CONN_PID_BASE: u64 = 1 << 62;
+
+/// Most compiled transactions one engine keeps. Source text is client
+/// input — one that inlines its constants sends a new text per request —
+/// so the cache must not grow with it; a real client's statement
+/// vocabulary is a handful.
+const TXN_CACHE_MAX: usize = 1024;
 
 #[derive(Debug)]
 enum ParkedOp {
@@ -91,7 +100,8 @@ pub struct Engine {
     pending_acks: Vec<(ConnId, u64)>,
     parked: HashMap<(ConnId, u64), ParkedLocal>,
     by_conn: HashMap<ConnId, HashSet<u64>>,
-    // Compiled-transaction cache keyed by source text.
+    // Compiled-transaction cache keyed by source text, at most
+    // TXN_CACHE_MAX entries.
     txn_cache: HashMap<String, Arc<CompiledTxn>>,
     // Local park counter; waiter seqs interleave it across loops.
     park_seq: u64,
@@ -332,7 +342,7 @@ impl Engine {
     /// loop can take the same instance.
     fn take_match(&mut self, p: &Pattern) -> Option<Tuple> {
         let out = self.commit(self.pattern_footprint(p), |view| {
-            match first_match_in(view, p) {
+            match first_match(view, p) {
                 Some(id) => Decision::Apply(vec![Action::Retract(id)]),
                 None => Decision::Skip,
             }
@@ -343,7 +353,7 @@ impl Engine {
     fn read_match(&self, p: &Pattern) -> Option<Tuple> {
         let fp = self.pattern_footprint(p);
         let view = self.shared.sds.read_shards(fp);
-        let id = first_match_in(&view, p)?;
+        let id = first_match(&view, p)?;
         view.tuple(id).cloned()
     }
 
@@ -358,6 +368,11 @@ impl Engine {
         let txn =
             compile_txn(&parsed, &HashMap::new()).map_err(|e| format!("compile error: {e}"))?;
         let txn = Arc::new(txn);
+        // Full: start over. Parked transactions hold their own `Arc`, and
+        // a live statement is back after one more compilation.
+        if self.txn_cache.len() >= TXN_CACHE_MAX {
+            self.txn_cache.clear();
+        }
         self.txn_cache.insert(source.to_owned(), Arc::clone(&txn));
         Ok(txn)
     }
@@ -368,14 +383,29 @@ impl Engine {
     fn attempt_txn(
         &mut self,
         conn: ConnId,
-        txn: &Arc<CompiledTxn>,
+        txn: &CompiledTxn,
         env: &HashMap<String, Value>,
     ) -> Attempt {
+        // Resolved once: footprint, evaluation and park subscription of
+        // every retry read the same patterns.
+        let atoms = resolve_atoms(txn, env, &self.builtins);
         loop {
-            let efp = txn_read_footprint(&self.shared.sds, txn, env, &self.builtins);
             let query = {
-                let view = self.shared.sds.read_shards(efp);
-                match evaluate_query(txn, &view, env, &self.builtins, self.limits, self.plan) {
+                let view = self
+                    .shared
+                    .sds
+                    .read_shards(read_footprint(&self.shared.sds, &atoms));
+                let evaluated = evaluate_resolved(
+                    txn,
+                    &atoms,
+                    &view,
+                    env,
+                    &self.builtins,
+                    self.limits,
+                    self.plan,
+                    None,
+                );
+                match evaluated {
                     Err(e) => return Attempt::Done(Response::Error(format!("eval error: {e}"))),
                     Ok(None) => {
                         if txn.kind == sdl_lang::ast::TxnKind::Delayed {
@@ -384,13 +414,8 @@ impl Engine {
                             // describes exactly the state the failed
                             // evaluation saw, and the park epoch
                             // re-check invalidates it if stale.
-                            let watch = watch_set_on(
-                                txn,
-                                env,
-                                &self.builtins,
-                                self.plan.exact_wakes,
-                                Some(&view),
-                            );
+                            let watch =
+                                watch_set_resolved(txn, &atoms, self.plan.exact_wakes, Some(&view));
                             return Attempt::Park(watch.iter().copied().collect());
                         }
                         return Attempt::Done(Response::Failed);
@@ -399,7 +424,7 @@ impl Engine {
                 }
             };
             // Effects (which may run host functions) outside any lock.
-            let p = match build_effects(txn, &query, env, &self.builtins) {
+            let mut p = match build_effects(txn, &query, env, &self.builtins) {
                 Err(e) => return Attempt::Done(Response::Error(format!("eval error: {e}"))),
                 Ok(p) => p,
             };
@@ -414,10 +439,12 @@ impl Engine {
             let cfp = pending_write_footprint(&self.shared.sds, &p);
             let mut actions: Vec<Action> = Vec::with_capacity(p.retracts.len() + p.asserts.len());
             actions.extend(p.retracts.iter().map(|&id| Action::Retract(id)));
+            // Validation reads the evidence only; the tuples move.
+            let asserts = std::mem::take(&mut p.asserts);
             actions.extend(
-                p.asserts
-                    .iter()
-                    .map(|t| Action::Assert(conn_pid(conn), t.clone())),
+                asserts
+                    .into_iter()
+                    .map(|t| Action::Assert(conn_pid(conn), t)),
             );
             let committed = self.commit(cfp, |view| {
                 if p.validate(view) {
@@ -446,10 +473,7 @@ impl Engine {
                 Some(t) => Attempt::Done(Response::Tuple(t)),
                 None => Attempt::Park(exact_keys(p)),
             },
-            ParkedOp::Txn { txn, env } => {
-                let (txn, env) = (Arc::clone(txn), env.clone());
-                self.attempt_txn(conn, &txn, &env)
-            }
+            ParkedOp::Txn { txn, env } => self.attempt_txn(conn, txn, env),
         }
     }
 
@@ -515,18 +539,6 @@ impl Engine {
         self.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
         Some(pl.op)
     }
-}
-
-/// First instance in `src` matching `p`, in id order.
-fn first_match_in<S: TupleSource + ?Sized>(src: &S, p: &Pattern) -> Option<TupleId> {
-    let n_vars = p.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-    let mut b = Bindings::new(n_vars);
-    src.candidate_ids(p).into_iter().find(|id| {
-        let m = b.mark();
-        let ok = src.tuple(*id).is_some_and(|t| p.matches(t, &mut b));
-        b.undo_to(m);
-        ok
-    })
 }
 
 /// The exact-wake subscription for a plain `in`/`rd` pattern.
@@ -703,6 +715,144 @@ mod tests {
             &mut r,
         );
         e.finish(&mut r);
+        assert!(matches!(r[0].2, Response::Tuple(_)));
+    }
+
+    fn txn(source: &str, env: &[(&str, i64)]) -> Request {
+        Request::Txn {
+            source: source.to_owned(),
+            env: env
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), Value::Int(*v)))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn exists_txn_visits_the_tuples_it_uses() {
+        let (metrics, registry) = Metrics::registry();
+        let mut e = Engine::new(metrics);
+        let mut r = Vec::new();
+        for j in 0..1000 {
+            e.submit(
+                1,
+                j,
+                Request::Out(tuple![Value::atom("job"), 7, j as i64]),
+                &mut r,
+            );
+        }
+        e.submit(
+            1,
+            1000,
+            Request::Out(tuple![Value::atom("worker"), 7]),
+            &mut r,
+        );
+        e.finish(&mut r);
+        drain(&mut r);
+        let lookups = || -> u64 {
+            [
+                Counter::IndexHitArg1,
+                Counter::IndexHitFunctor,
+                Counter::IndexHitArity,
+                Counter::IndexHitValue,
+                Counter::IndexHitIntersect,
+                Counter::IndexScanFull,
+            ]
+            .into_iter()
+            .map(|c| registry.counter(c))
+            .sum()
+        };
+        let (lookups0, visited0) = (lookups(), registry.counter(Counter::MatchCandidates));
+
+        let claim = "exists j : <job, w, j>!, <worker, w> -> <done, w, j>";
+        e.submit(2, 1, txn(claim, &[("w", 7)]), &mut r);
+        e.finish(&mut r);
+        assert_eq!(drain(&mut r), vec![(2, 1, Response::Ok)]);
+        // One lookup per atom, and of the 1 000-entry posting the one
+        // candidate that was taken.
+        assert_eq!(lookups() - lookups0, 2);
+        assert!(registry.counter(Counter::MatchCandidates) - visited0 <= 2);
+        // First match is the smallest id: the job asserted first.
+        e.submit(
+            2,
+            2,
+            Request::Rdp(pattern![Value::atom("done"), 7, any]),
+            &mut r,
+        );
+        e.submit(
+            2,
+            3,
+            Request::Rdp(pattern![Value::atom("job"), 7, 0]),
+            &mut r,
+        );
+        assert_eq!(
+            drain(&mut r),
+            vec![
+                (2, 2, Response::Tuple(tuple![Value::atom("done"), 7, 0])),
+                (2, 3, Response::Failed),
+            ]
+        );
+    }
+
+    #[test]
+    fn retract_pair_takes_distinct_instances() {
+        let mut e = engine();
+        let mut r = Vec::new();
+        for i in 0..3 {
+            e.submit(
+                1,
+                i,
+                Request::Out(tuple![Value::atom("t"), i as i64]),
+                &mut r,
+            );
+        }
+        e.submit(
+            1,
+            9,
+            txn("exists a, b : <t, a>!, <t, b>! -> <pair, a, b>", &[]),
+            &mut r,
+        );
+        e.submit(
+            1,
+            10,
+            Request::Rdp(pattern![Value::atom("pair"), any, any]),
+            &mut r,
+        );
+        let got = drain(&mut r);
+        // Both atoms stream the same posting from its start; the second
+        // skips the instance the first one holds.
+        assert_eq!(got[3], (1, 9, Response::Ok));
+        assert_eq!(
+            got[4],
+            (1, 10, Response::Tuple(tuple![Value::atom("pair"), 0, 1]))
+        );
+        assert_eq!(
+            e.store_len(),
+            2,
+            "two of three <t, _> taken, one pair asserted"
+        );
+    }
+
+    #[test]
+    fn txn_cache_is_bounded_and_parked_txns_survive_its_reset() {
+        let mut e = engine();
+        let mut r = Vec::new();
+        e.submit(1, 1, txn("exists a : <late, a>! => <got, a>", &[]), &mut r);
+        assert_eq!(drain(&mut r), vec![(1, 1, Response::Parked)]);
+        // A client that inlines its constants: every request a new text.
+        for i in 0..10 * TXN_CACHE_MAX {
+            let source = format!("exists j : <job, {i}, j>! -> <done, {i}, j>");
+            e.submit(2, i as u64, txn(&source, &[]), &mut r);
+            assert!(e.txn_cache.len() <= TXN_CACHE_MAX);
+        }
+        assert!(drain(&mut r)
+            .iter()
+            .all(|(_, _, resp)| *resp == Response::Failed));
+        // The parked transaction's source left the cache long ago.
+        e.submit(3, 1, Request::Out(tuple![Value::atom("late"), 5]), &mut r);
+        e.finish(&mut r);
+        assert!(drain(&mut r).contains(&(1, 1, Response::Ok)));
+        e.submit(3, 2, Request::Rdp(pattern![Value::atom("got"), 5]), &mut r);
         assert!(matches!(r[0].2, Response::Tuple(_)));
     }
 

@@ -94,6 +94,17 @@ impl Bindings {
         self.slots.clone()
     }
 
+    /// The current bindings, indexed by `VarId`.
+    pub fn slots(&self) -> &[Option<Value>] {
+        &self.slots
+    }
+
+    /// The current bindings as a plain vector, without the copy
+    /// [`Bindings::to_vec`] makes.
+    pub fn into_vec(self) -> Vec<Option<Value>> {
+        self.slots
+    }
+
     /// Restores a snapshot taken with [`Bindings::to_vec`], resetting the
     /// trail.
     pub fn restore(&mut self, snapshot: &[Option<Value>]) {
