@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 
+mod builder;
 mod builtins;
 pub mod commit;
 pub mod consensus;
@@ -56,14 +57,14 @@ mod trace;
 pub mod txn;
 mod view;
 
+pub use builder::RuntimeBuilder;
 pub use builtins::Builtins;
 pub use events::{Event, EventLog, EventSink, JsonlSink};
 use outcome::RunReport;
 pub use outcome::{Outcome, RunLimits};
 pub use process::ProcessInstance;
 pub use program::CompiledProgram;
-pub use sched::{Runtime, RuntimeBuilder};
-pub use sdl_dataspace::PlanMode;
+pub use sched::Runtime;
 pub use trace::{ParkOutcome, SpanPhase, TraceRecord, Tracer, Track};
 
 #[cfg(test)]

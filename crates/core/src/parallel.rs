@@ -51,16 +51,15 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use sdl_dataspace::{
-    shard_of_pattern, Action, Dataspace, PlanMode, ShardSet, ShardWriteView, ShardedDataspace,
-    SolveLimits, WatchKey, WatchSet,
+    shard_of_pattern, Action, Dataspace, ShardSet, ShardWriteView, ShardedDataspace, SolveLimits,
+    WatchKey, WatchSet,
 };
-use sdl_durability::{RecoveredState, Wal};
 use sdl_lang::ast::TxnKind;
-use sdl_lang::expr::eval;
 use sdl_metrics::{Counter, Gauge, Hist, Metrics};
 use sdl_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, RelaxedCounter};
-use sdl_tuple::{ProcId, Tuple, Value};
+use sdl_tuple::{ProcId, Value};
 
+use crate::builder::{Config, RuntimeBuilder};
 use crate::builtins::Builtins;
 use crate::commit::{Committer, Decision, Slot, WakeRouter};
 use crate::error::RuntimeError;
@@ -69,8 +68,7 @@ use crate::process::{Frame, ProcessInstance};
 use crate::program::{CompiledBranch, CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::sched::{attempts_counter, batch_desc, committed_counter, failed_counter, wal_err};
 use crate::trace::{self, ParkOutcome, SpanPhase, TraceRecord, Tracer, Track};
-use crate::txn::{self, EvalProbe, Pending, PlanConfig, ResolvedAtoms};
-use crate::view::EnvCtx;
+use crate::txn::{self, EvalProbe, Pending, ResolvedAtoms};
 
 /// Outcome and statistics of a parallel run.
 #[derive(Clone, Debug)]
@@ -87,112 +85,18 @@ pub struct ParallelReport {
     pub final_tuples: usize,
 }
 
-/// Configures and creates a [`ParallelRuntime`].
-#[derive(Debug)]
-pub struct ParallelBuilder {
-    program: Arc<CompiledProgram>,
-    threads: usize,
-    shards: usize,
-    seed: u64,
-    builtins: Builtins,
-    max_attempts: u64,
-    plan_mode: PlanMode,
-    exact_wakes: bool,
-    tuples: Vec<Tuple>,
-    spawns: Vec<(String, Vec<Value>)>,
-    metrics: Metrics,
-    wal: Option<Arc<Wal>>,
-    recovered: Option<RecoveredState>,
-    tracer: Tracer,
-    stall_threshold: Option<Duration>,
-    skip_park_recheck: bool,
-}
-
-impl ParallelBuilder {
+impl RuntimeBuilder<ParallelRuntime> {
     /// Number of worker threads (default: available parallelism).
-    pub fn threads(mut self, n: usize) -> ParallelBuilder {
-        self.threads = n.max(1);
+    pub fn threads(mut self, n: usize) -> Self {
+        self.config.threads = n.max(1);
         self
     }
 
     /// Number of dataspace shards (default 1, which reproduces the
     /// single-lock executor bit-for-bit; clamped to
     /// [`sdl_dataspace::MAX_SHARDS`]).
-    pub fn shards(mut self, n: usize) -> ParallelBuilder {
-        self.shards = n.clamp(1, sdl_dataspace::MAX_SHARDS);
-        self
-    }
-
-    /// Scheduler seed.
-    pub fn seed(mut self, seed: u64) -> ParallelBuilder {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the built-in registry.
-    pub fn builtins(mut self, builtins: Builtins) -> ParallelBuilder {
-        self.builtins = builtins;
-        self
-    }
-
-    /// Caps evaluation attempts.
-    pub fn max_attempts(mut self, n: u64) -> ParallelBuilder {
-        self.max_attempts = n;
-        self
-    }
-
-    /// Sets the query-plan mode (default selectivity-planned; pass
-    /// [`PlanMode::SourceOrder`] for the ablation baseline).
-    pub fn plan_mode(mut self, mode: PlanMode) -> ParallelBuilder {
-        self.plan_mode = mode;
-        self
-    }
-
-    /// Enables or disables value-level watch keys (default on; pass
-    /// `false` for the `--coarse-wakes` ablation baseline).
-    pub fn exact_wakes(mut self, on: bool) -> ParallelBuilder {
-        self.exact_wakes = on;
-        self
-    }
-
-    /// Adds an initial tuple.
-    pub fn tuple(mut self, t: Tuple) -> ParallelBuilder {
-        self.tuples.push(t);
-        self
-    }
-
-    /// Adds initial tuples.
-    pub fn tuples<I: IntoIterator<Item = Tuple>>(mut self, ts: I) -> ParallelBuilder {
-        self.tuples.extend(ts);
-        self
-    }
-
-    /// Adds an initial process.
-    pub fn spawn(mut self, name: &str, args: Vec<Value>) -> ParallelBuilder {
-        self.spawns.push((name.to_owned(), args));
-        self
-    }
-
-    /// Attaches a metrics handle. Counters use relaxed atomics, so the
-    /// overhead under contention stays negligible.
-    pub fn metrics(mut self, metrics: Metrics) -> ParallelBuilder {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attaches a tracer recording the causal span chain of every
-    /// attempt (eval, plan, lock waits, effects, commits, parks, wakes,
-    /// conflicts). Disabled tracers cost one branch per site.
-    pub fn tracer(mut self, tracer: Tracer) -> ParallelBuilder {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Arms the stall watchdog: a process parked longer than `threshold`
-    /// is flagged in the `sdl_stalled_processes` gauge and recorded in
-    /// the trace with its watch keys and nearest-miss commits.
-    pub fn stall_threshold(mut self, threshold: Duration) -> ParallelBuilder {
-        self.stall_threshold = Some(threshold);
+    pub fn shards(mut self, n: usize) -> Self {
+        self.config.shards = n.clamp(1, sdl_dataspace::MAX_SHARDS);
         self
     }
 
@@ -201,26 +105,8 @@ impl ParallelBuilder {
     /// so the schedule-exploration tests can prove the explorer would
     /// catch a regression of the re-check; never set it in real runs.
     #[doc(hidden)]
-    pub fn testing_skip_park_recheck(mut self, on: bool) -> ParallelBuilder {
-        self.skip_park_recheck = on;
-        self
-    }
-
-    /// Attaches a write-ahead log: every commit appends one record
-    /// *inside* its write-footprint lock scope, so the log order is a
-    /// valid serialisation of the run. Fsyncs happen after the locks
-    /// drop, letting concurrent committers share one (group commit).
-    pub fn wal(mut self, wal: Arc<Wal>) -> ParallelBuilder {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// Seeds the sharded store from recovered state instead of the
-    /// program's `init` tuples. The shard count must match the one the
-    /// log was written under, so each recovered id lands back on the
-    /// shard whose strided sequence minted it.
-    pub fn recover_from(mut self, state: RecoveredState) -> ParallelBuilder {
-        self.recovered = Some(state);
+    pub fn testing_skip_park_recheck(mut self, on: bool) -> Self {
+        self.config.skip_park_recheck = on;
         self
     }
 
@@ -229,99 +115,31 @@ impl ParallelBuilder {
     /// # Errors
     ///
     /// Fails if the program uses consensus or replication, if init
-    /// expressions cannot evaluate, or if an initial spawn is invalid.
-    pub fn build(self) -> Result<ParallelRuntime, RuntimeError> {
-        for def in self.program.defs() {
+    /// expressions cannot evaluate, if an initial spawn is invalid, or
+    /// if the write-ahead log rejects the recovered state or genesis
+    /// snapshot.
+    pub fn build(mut self) -> Result<ParallelRuntime, RuntimeError> {
+        for def in self.config.program.defs() {
             check_supported(&def.body)?;
         }
         // Init tuples go through the sharded store so every id is minted
         // on its shard's strided sequence — id→shard stays O(1).
-        let mut ds = ShardedDataspace::new(self.shards);
-        ds.set_metrics(self.metrics.clone());
-        let env = std::collections::HashMap::new();
-        let ctx = EnvCtx {
-            env: &env,
-            vars: &[],
-            builtins: &self.builtins,
-        };
-        if let Some(state) = &self.recovered {
-            // Recovered ids must land back on the shards whose strided
-            // sequences minted them, and the cursors must advance past
-            // every id ever minted (even since-retracted ones).
-            state.check_shards(self.shards as u64).map_err(wal_err)?;
-            for (id, t) in &state.tuples {
-                ds.insert_instance(*id, t.clone());
-            }
-            ds.advance_cursors(&state.cursors);
-        } else {
-            for fields in &self.program.init_tuples {
-                let mut vals = Vec::with_capacity(fields.len());
-                for f in fields {
-                    vals.push(eval(f, &ctx).map_err(|source| RuntimeError::Eval {
-                        source,
-                        context: "init tuple".to_owned(),
-                    })?);
-                }
-                ds.assert_tuple(ProcId::ENV, Tuple::new(vals));
-            }
-            for t in self.tuples {
-                ds.assert_tuple(ProcId::ENV, t);
-            }
-            // Builder-time asserts bypass the commit path; a fresh log
-            // captures them as a genesis snapshot.
-            if let Some(wal) = &self.wal {
-                if wal.last_appended() == 0 {
-                    let (cursors, tuples) = ds.read_shards(ds.all_shards()).snapshot_state();
-                    wal.write_snapshot(&cursors, &tuples).map_err(wal_err)?;
-                }
-            }
-        }
-        let mut initial = Vec::new();
-        let mut next_pid = 1u64;
-        let mut spawn_list: Vec<(String, Vec<Value>)> = Vec::new();
-        for (name, args) in &self.program.init_spawns {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, &ctx).map_err(|source| RuntimeError::Eval {
-                    source,
-                    context: "init spawn argument".to_owned(),
-                })?);
-            }
-            spawn_list.push((name.clone(), vals));
-        }
-        spawn_list.extend(self.spawns);
-        for (name, args) in spawn_list {
-            let def = self
-                .program
-                .def(&name)
-                .ok_or_else(|| RuntimeError::UnknownProcess(name.clone()))?
-                .clone();
-            if def.params.len() != args.len() {
-                return Err(RuntimeError::SpawnArity {
-                    process: name,
-                    expected: def.params.len(),
-                    found: args.len(),
-                });
-            }
-            initial.push(ProcessInstance::new(ProcId(next_pid), def, args));
-            next_pid += 1;
+        let mut ds = ShardedDataspace::new(self.config.shards);
+        ds.set_metrics(self.config.metrics.clone());
+        let spawns = self.seed_store(&mut ds)?;
+        let mut initial = Vec::with_capacity(spawns.len());
+        for (pid, (name, args)) in (1..).zip(spawns) {
+            initial.push(ProcessInstance::spawn(
+                &self.config.program,
+                ProcId(pid),
+                &name,
+                args,
+            )?);
         }
         Ok(ParallelRuntime {
-            program: self.program,
-            threads: self.threads,
-            seed: self.seed,
-            builtins: Arc::new(self.builtins),
-            max_attempts: self.max_attempts,
-            plan_mode: self.plan_mode,
-            exact_wakes: self.exact_wakes,
+            config: self.config,
             ds,
             initial,
-            next_pid,
-            metrics: self.metrics,
-            wal: self.wal,
-            tracer: self.tracer,
-            stall_threshold: self.stall_threshold,
-            skip_park_recheck: self.skip_park_recheck,
         })
     }
 }
@@ -384,21 +202,9 @@ fn check_supported(stmts: &[CompiledStmt]) -> Result<(), RuntimeError> {
 /// ```
 #[derive(Debug)]
 pub struct ParallelRuntime {
-    program: Arc<CompiledProgram>,
-    threads: usize,
-    seed: u64,
-    builtins: Arc<Builtins>,
-    max_attempts: u64,
-    plan_mode: PlanMode,
-    exact_wakes: bool,
+    config: Config,
     ds: ShardedDataspace,
     initial: Vec<ProcessInstance>,
-    next_pid: u64,
-    metrics: Metrics,
-    wal: Option<Arc<Wal>>,
-    tracer: Tracer,
-    stall_threshold: Option<Duration>,
-    skip_park_recheck: bool,
 }
 
 /// Stall-watchdog configuration shared by the workers and the watchdog
@@ -435,7 +241,6 @@ struct Shared {
     conflicts: RelaxedCounter,
     step_limited: AtomicBool,
     max_attempts: u64,
-    plan_config: PlanConfig,
     next_pid: RelaxedCounter,
     error: Mutex<Option<RuntimeError>>,
     metrics: Metrics,
@@ -461,27 +266,9 @@ struct Parked {
 
 impl ParallelRuntime {
     /// Starts configuring a parallel runtime.
-    pub fn builder(program: CompiledProgram) -> ParallelBuilder {
-        ParallelBuilder {
-            program: Arc::new(program),
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            shards: 1,
-            seed: 0,
-            builtins: Builtins::standard(),
-            max_attempts: 500_000_000,
-            plan_mode: PlanMode::default(),
-            exact_wakes: true,
-            tuples: Vec::new(),
-            spawns: Vec::new(),
-            metrics: Metrics::disabled(),
-            wal: None,
-            recovered: None,
-            tracer: Tracer::disabled(),
-            stall_threshold: None,
-            skip_park_recheck: false,
-        }
+    pub fn builder(program: CompiledProgram) -> RuntimeBuilder<ParallelRuntime> {
+        let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());
+        RuntimeBuilder::new(program).threads(cpus)
     }
 
     /// Runs to completion or quiescence, returning the report and the
@@ -491,16 +278,28 @@ impl ParallelRuntime {
     ///
     /// Propagates the first `RuntimeError` any worker hit.
     pub fn run(self) -> Result<(ParallelReport, Dataspace), RuntimeError> {
-        let index_mode = self.ds.index_mode();
+        let Config {
+            program,
+            seed,
+            builtins,
+            metrics,
+            tracer,
+            stall_threshold,
+            limits,
+            wal,
+            threads,
+            skip_park_recheck,
+            ..
+        } = self.config;
         let router =
-            WakeRouter::new(self.ds.num_shards()).testing_skip_park_recheck(self.skip_park_recheck);
-        let mut committer = Committer::new(router, self.metrics.clone(), self.tracer.clone());
-        if let Some(wal) = self.wal {
+            WakeRouter::new(self.ds.num_shards()).testing_skip_park_recheck(skip_park_recheck);
+        let mut committer = Committer::new(router, metrics.clone(), tracer.clone());
+        if let Some(wal) = wal {
             committer.attach_wal(wal);
         }
         let shared = Arc::new(Shared {
-            program: self.program,
-            builtins: self.builtins,
+            program,
+            builtins: Arc::new(builtins),
             sds: self.ds,
             committer,
             queue: Mutex::new(self.initial.clone().into()),
@@ -511,25 +310,20 @@ impl ParallelRuntime {
             commits: RelaxedCounter::new(0),
             conflicts: RelaxedCounter::new(0),
             step_limited: AtomicBool::new(false),
-            max_attempts: self.max_attempts,
-            plan_config: PlanConfig {
-                mode: self.plan_mode,
-                index_mode,
-                exact_wakes: self.exact_wakes,
-            },
-            next_pid: RelaxedCounter::new(self.next_pid),
+            max_attempts: limits.max_attempts,
+            next_pid: RelaxedCounter::new(self.initial.len() as u64 + 1),
             error: Mutex::new(None),
-            metrics: self.metrics,
-            tracer: self.tracer,
-            stall: self.stall_threshold.map(|threshold| StallCfg {
+            metrics,
+            tracer,
+            stall: stall_threshold.map(|threshold| StallCfg {
                 threshold,
                 recent: Mutex::new(VecDeque::new()),
             }),
         });
         sdl_sync::scope(|scope| {
-            for w in 0..self.threads {
+            for w in 0..threads {
                 let shared = shared.clone();
-                let seed = self.seed.wrapping_add(w as u64);
+                let seed = seed.wrapping_add(w as u64);
                 scope.spawn(move || worker(&shared, seed, w));
             }
             if shared.stall.is_some() {
@@ -842,7 +636,6 @@ fn attempt(
                 &proc.env,
                 &shared.builtins,
                 SolveLimits::default(),
-                shared.plan_config,
                 probe.as_mut(),
             )?;
             // Probe the narrowed subscription while the read locks are
@@ -851,12 +644,7 @@ fn attempt(
             // commits after these locks drop bumps the epoch, making
             // the parker re-queue instead of trusting a stale probe.
             let park_watch = if query.is_none() && want_watch {
-                Some(txn::watch_set_resolved(
-                    t,
-                    &atoms,
-                    shared.plan_config.exact_wakes,
-                    Some(&source),
-                ))
+                Some(txn::watch_set_resolved(t, &atoms, Some(&source)))
             } else {
                 None
             };
@@ -960,21 +748,10 @@ fn control(shared: &Shared, proc: &mut ProcessInstance, p: &Pending) -> Result<b
         proc.env.insert(name.clone(), v.clone());
     }
     for (name, args) in &p.spawns {
-        let def = shared
-            .program
-            .def(name)
-            .ok_or_else(|| RuntimeError::UnknownProcess(name.clone()))?
-            .clone();
-        if def.params.len() != args.len() {
-            return Err(RuntimeError::SpawnArity {
-                process: name.clone(),
-                expected: def.params.len(),
-                found: args.len(),
-            });
-        }
         let id = ProcId(shared.next_pid.fetch_add(1));
+        let proc = ProcessInstance::spawn(&shared.program, id, name, args.clone())?;
         shared.metrics.inc(Counter::ProcessesSpawned);
-        enqueue(shared, ProcessInstance::new(id, def, args.clone()));
+        enqueue(shared, proc);
     }
     if p.abort {
         return Ok(true);
@@ -1074,12 +851,7 @@ fn step_once(
                                 // read locks; full fallback if the probe
                                 // was skipped.
                                 watch: watch.unwrap_or_else(|| {
-                                    txn::watch_set(
-                                        &t,
-                                        &proc.env,
-                                        &shared.builtins,
-                                        shared.plan_config.exact_wakes,
-                                    )
+                                    txn::watch_set(&t, &proc.env, &shared.builtins)
                                 }),
                                 epoch,
                             }),
@@ -1161,12 +933,7 @@ fn guards(
         for (i, b) in branches.iter().enumerate() {
             match branch_watch[i].take() {
                 Some(bw) => w.extend(&bw),
-                None => w.extend(&txn::watch_set(
-                    &b.guard,
-                    &proc.env,
-                    &shared.builtins,
-                    shared.plan_config.exact_wakes,
-                )),
+                None => w.extend(&txn::watch_set(&b.guard, &proc.env, &shared.builtins)),
             }
         }
         return Ok(ProcFate::Park {
@@ -1332,7 +1099,7 @@ mod tests {
         let mut b = ParallelRuntime::builder(job_program())
             .threads(1)
             .seed(5)
-            .max_attempts(3);
+            .limits(crate::RunLimits { max_attempts: 3 });
         for j in 0..10i64 {
             b = b.tuple(tuple![Value::atom("job"), j]);
         }

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use sdl_tuple::{ProcId, Value};
 
-use crate::program::{CompiledBranch, CompiledProcess, CompiledStmt};
+use crate::error::RuntimeError;
+use crate::program::{CompiledBranch, CompiledProcess, CompiledProgram, CompiledStmt};
 
 /// One frame of a process's control stack.
 #[derive(Clone, Debug)]
@@ -83,6 +84,27 @@ impl ProcessInstance {
             parent: None,
             woken: false,
         }
+    }
+
+    /// Instantiates the definition `program` calls `name`, checking that
+    /// it exists and takes `args.len()` arguments.
+    pub(crate) fn spawn(
+        program: &CompiledProgram,
+        id: ProcId,
+        name: &str,
+        args: Vec<Value>,
+    ) -> Result<ProcessInstance, RuntimeError> {
+        let def = program
+            .def(name)
+            .ok_or_else(|| RuntimeError::UnknownProcess(name.to_owned()))?;
+        if def.params.len() != args.len() {
+            return Err(RuntimeError::SpawnArity {
+                process: name.to_owned(),
+                expected: def.params.len(),
+                found: args.len(),
+            });
+        }
+        Ok(ProcessInstance::new(id, def.clone(), args))
     }
 
     /// A replication body helper: runs `body` with `env`, sharing the

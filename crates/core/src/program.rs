@@ -12,8 +12,7 @@ use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use sdl_dataspace::{
-    estimate_positives, estimates_drifted, plan_query, AtomMode, IndexMode, QueryAtom, QueryPlan,
-    TupleSource,
+    estimate_positives, estimates_drifted, plan_query, AtomMode, QueryAtom, QueryPlan, TupleSource,
 };
 use sdl_lang::ast::{
     Action, CondAtom, Expr, FieldExpr, GuardedSeq, PatternExpr, ProcessDef, Program, Quant, Stmt,
@@ -237,17 +236,7 @@ pub(crate) struct TxnPlan {
     pub(crate) property_tests: Vec<ScheduledTest>,
 }
 
-/// One cached plan, tagged with the index mode it was estimated under.
-#[derive(Debug)]
-pub(crate) struct CachedPlan {
-    /// The index mode the selectivity estimates were probed under.
-    pub(crate) index_mode: IndexMode,
-    /// The plan itself.
-    pub(crate) plan: TxnPlan,
-}
-
-/// Per-statement plan cache: one plan per (statement, index-mode),
-/// shared by every process instance executing the statement and reused
+/// Per-statement plan cache: one plan per statement, shared by every process instance executing the statement and reused
 /// across attempts and wakeup retries. Re-planning happens only when the
 /// observed candidate estimates drift past the [`estimates_drifted`]
 /// threshold. A stale plan is still *correct* — join order never changes
@@ -259,7 +248,7 @@ pub(crate) struct CachedPlan {
 /// statements with equal atom shapes, variable counts, and scheduled
 /// tests plan once and reuse each other's plan (see [`PlanInterner`]).
 #[derive(Clone, Default)]
-pub(crate) struct PlanCache(Arc<RwLock<Option<Arc<CachedPlan>>>>);
+pub(crate) struct PlanCache(Arc<RwLock<Option<Arc<TxnPlan>>>>);
 
 impl fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -279,23 +268,15 @@ impl fmt::Debug for PlanCache {
 /// built by any of them serves all of them (the paper's programs lean on
 /// textually repeated transactions across process definitions). Keyed on
 /// the derived `Debug` rendering of those inputs, which is a faithful
-/// fingerprint of the structures. Index mode is deliberately *not* part
-/// of the key: [`CompiledTxn::plan_for`] tags each cached plan with the
-/// mode it was estimated under and replans on mismatch.
+/// fingerprint of the structures.
 type PlanInterner = HashMap<(usize, String), PlanCache>;
 
 impl CompiledTxn {
     /// The execution plan for this statement's query against `source`,
-    /// served from the per-statement cache when the cached plan was built
-    /// under the same `index_mode` and the store's candidate estimates
-    /// have not drifted. Records `sdl_plan_cache_total` hit / miss /
+    /// served from the per-statement cache when the store's candidate
+    /// estimates have not drifted since it was built. Records `sdl_plan_cache_total` hit / miss /
     /// replan events on the source's metrics sink.
-    pub(crate) fn plan_for(
-        &self,
-        atoms: &[QueryAtom],
-        source: &dyn TupleSource,
-        index_mode: IndexMode,
-    ) -> Arc<CachedPlan> {
+    pub(crate) fn plan_for(&self, atoms: &[QueryAtom], source: &dyn TupleSource) -> Arc<TxnPlan> {
         let metrics = source.metrics();
         let cached = self
             .plan_cache
@@ -305,11 +286,7 @@ impl CompiledTxn {
             .clone();
         match cached {
             Some(c)
-                if c.index_mode == index_mode
-                    && !estimates_drifted(
-                        &c.plan.query.estimates,
-                        &estimate_positives(atoms, source),
-                    ) =>
+                if !estimates_drifted(&c.query.estimates, &estimate_positives(atoms, source)) =>
             {
                 metrics.inc(Counter::PlanCacheHit);
                 return c;
@@ -317,10 +294,7 @@ impl CompiledTxn {
             Some(_) => metrics.inc(Counter::PlanReplans),
             None => metrics.inc(Counter::PlanCacheMiss),
         }
-        let fresh = Arc::new(CachedPlan {
-            index_mode,
-            plan: self.build_plan(atoms, source),
-        });
+        let fresh = Arc::new(self.build_plan(atoms, source));
         *self.plan_cache.0.write().expect("plan cache poisoned") = Some(fresh.clone());
         fresh
     }

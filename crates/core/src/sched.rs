@@ -21,13 +21,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use sdl_dataspace::{Action, Dataspace, IndexMode, PlanMode, SolveLimits, WatchKey, WatchSet};
-use sdl_durability::{RecoveredState, Wal};
+use sdl_dataspace::{Action, Dataspace, SolveLimits, WatchKey, WatchSet};
+use sdl_durability::Wal;
 use sdl_lang::ast::TxnKind;
-use sdl_lang::expr::eval;
 use sdl_metrics::{Counter, Gauge, Hist, Metrics};
 use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
+use crate::builder::{Config, RuntimeBuilder, RuntimeStore};
 use crate::builtins::Builtins;
 use crate::consensus::CommunityIndex;
 use crate::error::RuntimeError;
@@ -36,8 +36,7 @@ use crate::outcome::{Outcome, RunLimits, RunReport};
 use crate::process::{Frame, ProcessInstance};
 use crate::program::{CompiledBranch, CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::trace::{self, ParkOutcome, SpanPhase, TraceRecord, Tracer, Track};
-use crate::txn::{self, EvalProbe, Pending, PlanConfig};
-use crate::view::EnvCtx;
+use crate::txn::{self, EvalProbe, Pending};
 
 /// What a single step did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -171,40 +170,7 @@ pub(crate) enum ConsensusSite {
     },
 }
 
-/// Configures and creates a [`Runtime`].
-#[derive(Debug)]
-pub struct RuntimeBuilder {
-    program: Arc<CompiledProgram>,
-    seed: u64,
-    builtins: Builtins,
-    trace: bool,
-    trace_capacity: Option<usize>,
-    tracer: Tracer,
-    stall_threshold: Option<Duration>,
-    metrics: Metrics,
-    sinks: Sinks,
-    limits: RunLimits,
-    plan_mode: PlanMode,
-    exact_wakes: bool,
-    extra_tuples: Vec<Tuple>,
-    extra_spawns: Vec<(String, Vec<Value>)>,
-    wal: Option<Arc<Wal>>,
-    recovered: Option<RecoveredState>,
-}
-
 impl RuntimeBuilder {
-    /// Sets the scheduler seed (default 0).
-    pub fn seed(mut self, seed: u64) -> RuntimeBuilder {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the built-in registry (default: [`Builtins::standard`]).
-    pub fn builtins(mut self, builtins: Builtins) -> RuntimeBuilder {
-        self.builtins = builtins;
-        self
-    }
-
     /// Enables event tracing (see [`Runtime::event_log`]).
     pub fn trace(mut self, on: bool) -> RuntimeBuilder {
         self.trace = on;
@@ -219,30 +185,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Attaches a metrics handle; counters and histograms from the
-    /// scheduler, dataspace, and solver are recorded into it. The default
-    /// ([`Metrics::disabled`]) makes every recording site a single branch.
-    pub fn metrics(mut self, metrics: Metrics) -> RuntimeBuilder {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attaches a causal [`Tracer`]: every transaction attempt gets a
-    /// span chain and every wake/conflict a causality edge. The default
-    /// ([`Tracer::disabled`]) makes every site a single branch.
-    pub fn tracer(mut self, tracer: Tracer) -> RuntimeBuilder {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Arms the stall watchdog: processes parked beyond `threshold` are
-    /// flagged in the `sdl_stalled_processes` gauge and annotated in the
-    /// trace with their watch keys and nearest-miss commits.
-    pub fn stall_threshold(mut self, threshold: Duration) -> RuntimeBuilder {
-        self.stall_threshold = Some(threshold);
-        self
-    }
-
     /// Adds a streaming event sink (e.g. [`crate::events::JsonlSink`])
     /// that receives every event as it is emitted, independently of the
     /// in-memory trace log. May be called multiple times.
@@ -251,171 +193,56 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets run limits.
-    pub fn limits(mut self, limits: RunLimits) -> RuntimeBuilder {
-        self.limits = limits;
-        self
-    }
-
-    /// Sets the query-plan mode (default selectivity-planned; pass
-    /// [`PlanMode::SourceOrder`] for the `--no-plan` ablation baseline).
-    pub fn plan_mode(mut self, mode: PlanMode) -> RuntimeBuilder {
-        self.plan_mode = mode;
-        self
-    }
-
-    /// Enables or disables value-level watch keys (default on; pass
-    /// `false` for the `--coarse-wakes` ablation baseline, which parks
-    /// blocked transactions on functor/arity keys only).
-    pub fn exact_wakes(mut self, on: bool) -> RuntimeBuilder {
-        self.exact_wakes = on;
-        self
-    }
-
-    /// Adds an initial tuple programmatically (alongside the program's
-    /// `init` block) — how examples seed large workloads.
-    pub fn tuple(mut self, t: Tuple) -> RuntimeBuilder {
-        self.extra_tuples.push(t);
-        self
-    }
-
-    /// Adds tuples programmatically.
-    pub fn tuples<I: IntoIterator<Item = Tuple>>(mut self, ts: I) -> RuntimeBuilder {
-        self.extra_tuples.extend(ts);
-        self
-    }
-
-    /// Adds an initial process programmatically.
-    pub fn spawn(mut self, name: &str, args: Vec<Value>) -> RuntimeBuilder {
-        self.extra_spawns.push((name.to_owned(), args));
-        self
-    }
-
-    /// Attaches a write-ahead log: every commit is appended as one
-    /// durable record. On a fresh log, `build` writes a genesis
-    /// snapshot capturing the initial tuples so recovery can replay
-    /// from an exact base.
-    pub fn wal(mut self, wal: Arc<Wal>) -> RuntimeBuilder {
-        self.wal = Some(wal);
-        self
-    }
-
-    /// Seeds the dataspace from recovered state instead of the
-    /// program's `init` tuples (the recovered store already contains
-    /// them). Tuple ids, owners, and the id-mint cursor are restored
-    /// bit-for-bit; the process society restarts fresh. The state must
-    /// have been logged single-shard (the serial store is one shard).
-    pub fn recover_from(mut self, state: RecoveredState) -> RuntimeBuilder {
-        self.recovered = Some(state);
-        self
-    }
-
-    /// Builds the runtime: asserts initial tuples and spawns the initial
-    /// society. With [`RuntimeBuilder::recover_from`], the recovered
-    /// store replaces the initial tuples (including any added with
-    /// [`RuntimeBuilder::tuple`]).
+    /// Builds the runtime: fills the store and spawns the initial
+    /// society (see [`RuntimeBuilder::recover_from`] for a recovered
+    /// store).
     ///
     /// # Errors
     ///
     /// Fails if an init tuple expression cannot evaluate, an initial
     /// spawn names an unknown process, or the write-ahead log rejects
     /// the recovered state or genesis snapshot.
-    pub fn build(self) -> Result<Runtime, RuntimeError> {
+    pub fn build(mut self) -> Result<Runtime, RuntimeError> {
         let mut ds = Dataspace::new();
-        ds.set_metrics(self.metrics.clone());
-        let recovered = self.recovered;
+        ds.set_metrics(self.config.metrics.clone());
+        let spawns = self.seed_store(&mut ds)?;
+        let Config {
+            program,
+            seed,
+            builtins,
+            metrics,
+            tracer,
+            stall_threshold,
+            limits,
+            wal,
+            ..
+        } = self.config;
         let mut rt = Runtime {
-            program: self.program,
+            program,
             ds,
             procs: HashMap::new(),
             ready: VecDeque::new(),
             blocked: BTreeMap::new(),
             wake_index: HashMap::new(),
             next_pid: 1,
-            rng: StdRng::seed_from_u64(self.seed),
-            builtins: self.builtins,
-            trace: if self.trace {
-                Some(match self.trace_capacity {
-                    Some(cap) => EventLog::with_capacity(cap),
-                    None => EventLog::new(),
-                })
-            } else {
-                None
-            },
-            tracer: self.tracer,
+            rng: StdRng::seed_from_u64(seed),
+            builtins,
+            trace: self.trace.then(|| match self.trace_capacity {
+                Some(cap) => EventLog::with_capacity(cap),
+                None => EventLog::new(),
+            }),
+            tracer,
             cur_trace: 0,
             last_commit_id: 0,
-            stall: self.stall_threshold.map(StallState::new),
-            metrics: self.metrics,
+            stall: stall_threshold.map(StallState::new),
+            metrics,
             sinks: self.sinks,
             report: RunReport::new(),
-            limits: self.limits,
-            plan_config: PlanConfig {
-                mode: self.plan_mode,
-                index_mode: IndexMode::default(),
-                exact_wakes: self.exact_wakes,
-            },
-            wal: self.wal,
+            limits,
+            wal,
             communities: CommunityIndex::default(),
         };
-        let env = HashMap::new();
-        if let Some(state) = recovered {
-            // The serial store is a single shard; a log written under
-            // more shards cannot reproduce its strided ids here.
-            state.check_shards(1).map_err(wal_err)?;
-            for (id, t) in &state.tuples {
-                rt.ds.insert_instance(*id, t.clone());
-            }
-            rt.ds.advance_seq_to(state.cursors[0]);
-        } else {
-            // Program init tuples are ground expressions over built-ins.
-            let init_tuples = rt.program.init_tuples.clone();
-            for fields in &init_tuples {
-                let ctx = EnvCtx {
-                    env: &env,
-                    vars: &[],
-                    builtins: &rt.builtins,
-                };
-                let mut vals = Vec::with_capacity(fields.len());
-                for f in fields {
-                    vals.push(eval(f, &ctx).map_err(|source| RuntimeError::Eval {
-                        source,
-                        context: "init tuple".to_owned(),
-                    })?);
-                }
-                rt.ds.assert_tuple(ProcId::ENV, Tuple::new(vals));
-            }
-            for t in self.extra_tuples {
-                rt.ds.assert_tuple(ProcId::ENV, t);
-            }
-            // Builder-time asserts bypass the commit path, so a fresh
-            // log gets them as a genesis snapshot: recovery always has
-            // an exact base to replay from.
-            if let Some(wal) = &rt.wal {
-                if wal.last_appended() == 0 {
-                    let tuples: Vec<_> = rt.ds.iter().map(|(id, t)| (id, t.clone())).collect();
-                    wal.write_snapshot(&[rt.ds.next_seq()], &tuples)
-                        .map_err(wal_err)?;
-                }
-            }
-        }
-        let init_spawns = rt.program.init_spawns.clone();
-        for (name, args) in &init_spawns {
-            let ctx = EnvCtx {
-                env: &env,
-                vars: &[],
-                builtins: &rt.builtins,
-            };
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, &ctx).map_err(|source| RuntimeError::Eval {
-                    source,
-                    context: "init spawn argument".to_owned(),
-                })?);
-            }
-            rt.spawn_process(name, vals, ProcId::ENV)?;
-        }
-        for (name, args) in self.extra_spawns {
+        for (name, args) in spawns {
             rt.spawn_process(&name, args, ProcId::ENV)?;
         }
         Ok(rt)
@@ -471,7 +298,6 @@ pub struct Runtime {
     sinks: Sinks,
     pub(crate) report: RunReport,
     limits: RunLimits,
-    plan_config: PlanConfig,
     /// Write-ahead log; when present, every commit appends one record
     /// before the transaction is acknowledged.
     wal: Option<Arc<Wal>>,
@@ -489,24 +315,7 @@ pub(crate) fn wal_err(e: sdl_durability::WalError) -> RuntimeError {
 impl Runtime {
     /// Starts configuring a runtime for `program`.
     pub fn builder(program: CompiledProgram) -> RuntimeBuilder {
-        RuntimeBuilder {
-            program: Arc::new(program),
-            seed: 0,
-            builtins: Builtins::standard(),
-            trace: false,
-            trace_capacity: None,
-            tracer: Tracer::disabled(),
-            stall_threshold: None,
-            metrics: Metrics::disabled(),
-            sinks: Sinks::default(),
-            limits: RunLimits::default(),
-            plan_mode: PlanMode::default(),
-            exact_wakes: true,
-            extra_tuples: Vec::new(),
-            extra_spawns: Vec::new(),
-            wal: None,
-            recovered: None,
-        }
+        RuntimeBuilder::new(program)
     }
 
     /// The current dataspace.
@@ -973,7 +782,6 @@ impl Runtime {
             &proc.env,
             &self.builtins,
             SolveLimits::default(),
-            self.plan_config,
             probe.as_mut(),
         );
         self.metrics.observe_timer(Hist::QueryEvalSeconds, timer);
@@ -1007,13 +815,7 @@ impl Runtime {
     /// subscriptions concurrently with commits.
     pub(crate) fn txn_watch(&self, pid: ProcId, t: &CompiledTxn) -> WatchSet {
         let proc = &self.procs[&pid];
-        txn::watch_set_on(
-            t,
-            &proc.env,
-            &self.builtins,
-            self.plan_config.exact_wakes,
-            Some(&self.ds),
-        )
+        txn::watch_set_on(t, &proc.env, &self.builtins, Some(&self.ds))
     }
 
     fn guards_watch(&self, pid: ProcId, branches: &Arc<[CompiledBranch]>) -> WatchSet {
@@ -1173,9 +975,8 @@ impl Runtime {
         let commit = wal.append(&retracts, &asserts).map_err(wal_err)?;
         wal.ensure_durable(commit).map_err(wal_err)?;
         if wal.snapshot_due() {
-            let tuples: Vec<_> = self.ds.iter().map(|(id, t)| (id, t.clone())).collect();
-            wal.write_snapshot(&[self.ds.next_seq()], &tuples)
-                .map_err(wal_err)?;
+            let (cursors, tuples) = self.ds.snapshot();
+            wal.write_snapshot(&cursors, &tuples).map_err(wal_err)?;
         }
         Ok(())
     }
@@ -1243,27 +1044,17 @@ impl Runtime {
         args: Vec<Value>,
         by: ProcId,
     ) -> Result<ProcId, RuntimeError> {
-        let def = self
-            .program
-            .def(name)
-            .ok_or_else(|| RuntimeError::UnknownProcess(name.to_owned()))?
-            .clone();
-        if def.params.len() != args.len() {
-            return Err(RuntimeError::SpawnArity {
-                process: name.to_owned(),
-                expected: def.params.len(),
-                found: args.len(),
-            });
-        }
-        let id = self.alloc_pid();
+        let id = ProcId(self.next_pid);
+        let proc = ProcessInstance::spawn(&self.program, id, name, args.clone())?;
+        self.next_pid += 1;
         self.metrics.inc(Counter::ProcessesSpawned);
         self.emit(Event::ProcessCreated {
             id,
             name: name.to_owned(),
-            args: args.clone(),
+            args,
             by,
         });
-        self.adopt(ProcessInstance::new(id, def, args));
+        self.adopt(proc);
         self.report.processes_created += 1;
         Ok(id)
     }

@@ -14,8 +14,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use sdl_dataspace::{
-    AtomMode, ForallEvidence, IndexMode, PlanMode, QueryAtom, SolveLimits, Solver, TupleSource,
-    WatchKey, WatchSet,
+    AtomMode, ForallEvidence, QueryAtom, SolveLimits, Solver, TupleSource, WatchKey, WatchSet,
 };
 use sdl_lang::ast::{Action, Quant};
 use sdl_lang::expr::{eval, eval_test, EvalContext};
@@ -23,36 +22,14 @@ use sdl_tuple::{Bindings, Pattern, Tuple, TupleId, Value};
 
 use crate::builtins::Builtins;
 use crate::error::RuntimeError;
-use crate::program::{CachedPlan, CompiledTxn, ScheduledTest, TestCheck};
+use crate::program::{CompiledTxn, ScheduledTest, TestCheck};
 use crate::view::{resolve_fields, EnvCtx};
 
-/// How a transaction's query is planned.
-///
-/// `mode` selects planned vs source-order execution (the ablation
-/// baseline); `index_mode` keys the per-statement plan cache so plans
-/// estimated under one index configuration are not reused under another.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanConfig {
-    /// Planned (default) or source-order execution.
-    pub(crate) mode: PlanMode,
-    /// The index mode of the store being queried (plan-cache key).
-    pub(crate) index_mode: IndexMode,
-    /// Subscribe blocked transactions to exact value-level watch keys
-    /// (default). Off, the coarse functor/arity keys are used everywhere
-    /// — the pre-exact behaviour, kept as the wake-storm ablation
-    /// baseline (`sdl-run --coarse-wakes`).
-    pub exact_wakes: bool,
-}
-
-impl Default for PlanConfig {
-    fn default() -> PlanConfig {
-        PlanConfig {
-            mode: PlanMode::default(),
-            index_mode: IndexMode::default(),
-            exact_wakes: true,
-        }
-    }
-}
+/// How a transaction's query is planned. Every query is planned the
+/// same way, so this carries nothing; it stays a parameter of
+/// [`evaluate_query`] so that function's callers need not change.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanConfig;
 
 /// The effects of a successfully evaluated transaction, not yet applied.
 #[derive(Clone, Debug, Default)]
@@ -156,11 +133,10 @@ pub(crate) fn evaluate_probed(
     env: &HashMap<String, Value>,
     builtins: &Builtins,
     limits: SolveLimits,
-    plan: PlanConfig,
     probe: Option<&mut EvalProbe>,
 ) -> Result<Option<Pending>, RuntimeError> {
     let atoms = resolve_atoms(txn, env, builtins);
-    match evaluate_resolved(txn, &atoms, source, env, builtins, limits, plan, probe)? {
+    match evaluate_resolved(txn, &atoms, source, env, builtins, limits, probe)? {
         Some(query) => build_effects(txn, &query, env, builtins).map(Some),
         None => Ok(None),
     }
@@ -174,8 +150,7 @@ pub(crate) fn evaluate_probed(
 #[derive(Debug)]
 pub struct EvalProbe {
     anchor: std::time::Instant,
-    /// `(offset_us, dur_us)` of the plan-cache lookup / planning step,
-    /// when plan-ordered execution ran one.
+    /// `(offset_us, dur_us)` of the plan-cache lookup / planning step.
     pub(crate) plan_us: Option<(u64, u64)>,
 }
 
@@ -211,10 +186,10 @@ pub fn evaluate_query(
     env: &HashMap<String, Value>,
     builtins: &Builtins,
     limits: SolveLimits,
-    plan: PlanConfig,
+    _plan: PlanConfig,
 ) -> Result<Option<QueryOutcome>, RuntimeError> {
     let atoms = resolve_atoms(txn, env, builtins);
-    evaluate_resolved(txn, &atoms, source, env, builtins, limits, plan, None)
+    evaluate_resolved(txn, &atoms, source, env, builtins, limits, None)
 }
 
 /// [`evaluate_query`] over atoms the caller already resolved, with an
@@ -226,7 +201,6 @@ pub fn evaluate_query(
 /// When a pattern field cannot evaluate; an `Err` in `atoms` surfaces
 /// here, after the tests that need no quantified variable had their
 /// chance to fail the query.
-#[allow(clippy::too_many_arguments)]
 pub fn evaluate_resolved(
     txn: &CompiledTxn,
     atoms: &ResolvedAtoms,
@@ -234,7 +208,6 @@ pub fn evaluate_resolved(
     env: &HashMap<String, Value>,
     builtins: &Builtins,
     limits: SolveLimits,
-    plan: PlanConfig,
     probe: Option<&mut EvalProbe>,
 ) -> Result<Option<QueryOutcome>, RuntimeError> {
     let plain_ctx = EnvCtx {
@@ -264,35 +237,23 @@ pub fn evaluate_resolved(
     }
     let atoms = atoms.as_ref().map_err(RuntimeError::clone)?;
 
-    // Plan the join (or take the cached plan). Plan-ordered execution
-    // re-schedules the statement's tests against the plan's bind depths;
-    // source order uses the compile-time schedule unchanged. Depth-0
-    // tests are plan-invariant (no quantified variables), so the
-    // prefilter above needed no plan.
-    let cached: Option<std::sync::Arc<CachedPlan>> = match plan.mode {
-        PlanMode::Planned => match probe {
-            Some(pr) => {
-                let t0 = pr.anchor.elapsed().as_micros() as u64;
-                let cached = txn.plan_for(atoms, source, plan.index_mode);
-                let t1 = pr.anchor.elapsed().as_micros() as u64;
-                pr.plan_us = Some((t0, t1.saturating_sub(t0)));
-                Some(cached)
-            }
-            None => Some(txn.plan_for(atoms, source, plan.index_mode)),
-        },
-        PlanMode::SourceOrder => None,
+    // Plan the join (or take the cached plan), which re-schedules the
+    // statement's tests against the plan's bind depths. Depth-0 tests
+    // are plan-invariant (no quantified variables), so the prefilter
+    // above needed no plan.
+    let plan = match probe {
+        Some(pr) => {
+            let t0 = pr.anchor.elapsed().as_micros() as u64;
+            let plan = txn.plan_for(atoms, source);
+            let t1 = pr.anchor.elapsed().as_micros() as u64;
+            pr.plan_us = Some((t0, t1.saturating_sub(t0)));
+            plan
+        }
+        None => txn.plan_for(atoms, source),
     };
-    let (binding_tests, property_tests): (&[ScheduledTest], &[ScheduledTest]) = match &cached {
-        Some(c) => (&c.plan.binding_tests, &c.plan.property_tests),
-        None => (&txn.binding_tests, &txn.property_tests),
-    };
+    let (binding_tests, property_tests) = (&plan.binding_tests, &plan.property_tests);
 
-    let solver = Solver::with_plan(
-        source,
-        atoms,
-        txn.n_vars,
-        cached.as_deref().map(|c| &c.plan.query),
-    );
+    let solver = Solver::with_plan(source, atoms, txn.n_vars, Some(&plan.query));
     let check_tests = |tests: &[ScheduledTest], depth: usize, vars: &[Option<Value>]| -> bool {
         let ctx = EnvCtx {
             env,
@@ -463,8 +424,8 @@ fn apply_action(
 /// its patterns (positive and negated), resolved against the process
 /// environment.
 ///
-/// With `exact` on, a positive atom whose resolved pattern has an atom
-/// head and a constant argument subscribes to its value-level key
+/// A positive atom whose resolved pattern has an atom head and a
+/// constant argument subscribes to its value-level key
 /// ([`sdl_dataspace::WatchKey::Value`]) instead of the functor channel,
 /// so a transaction blocked on `<count, 7, α>` wakes only when a `count`
 /// tuple carrying `7` changes. Negated atoms and patterns without a
@@ -476,9 +437,8 @@ pub(crate) fn watch_set(
     txn: &CompiledTxn,
     env: &HashMap<String, Value>,
     builtins: &Builtins,
-    exact: bool,
 ) -> WatchSet {
-    watch_set_on(txn, env, builtins, exact, None)
+    watch_set_on(txn, env, builtins, None)
 }
 
 /// [`watch_set`] with an optional store probe that sharpens the
@@ -503,10 +463,9 @@ pub(crate) fn watch_set_on(
     txn: &CompiledTxn,
     env: &HashMap<String, Value>,
     builtins: &Builtins,
-    exact: bool,
     source: Option<&dyn TupleSource>,
 ) -> WatchSet {
-    watch_set_resolved(txn, &resolve_atoms(txn, env, builtins), exact, source)
+    watch_set_resolved(txn, &resolve_atoms(txn, env, builtins), source)
 }
 
 /// `watch_set_on` over atoms the caller already resolved. When they
@@ -515,7 +474,6 @@ pub(crate) fn watch_set_on(
 pub fn watch_set_resolved(
     txn: &CompiledTxn,
     atoms: &ResolvedAtoms,
-    exact: bool,
     source: Option<&dyn TupleSource>,
 ) -> WatchSet {
     let mut w = WatchSet::new();
@@ -525,7 +483,7 @@ pub fn watch_set_resolved(
         }
         return w;
     };
-    if let (true, Some(src)) = (exact, source) {
+    if let Some(src) = source {
         let empty: Vec<&Pattern> = atoms
             .iter()
             .filter(|a| a.mode != AtomMode::Neg && src.estimate_candidates(&a.pattern) == 0)
@@ -540,7 +498,7 @@ pub fn watch_set_resolved(
         }
     }
     for a in atoms {
-        if exact && a.mode != AtomMode::Neg {
+        if a.mode != AtomMode::Neg {
             w.add_pattern_exact(&a.pattern);
         } else {
             w.add_pattern(&a.pattern);
@@ -567,9 +525,8 @@ mod tests {
         env: &HashMap<String, Value>,
         builtins: &Builtins,
         limits: SolveLimits,
-        plan: PlanConfig,
     ) -> Result<Option<Pending>, RuntimeError> {
-        evaluate_probed(txn, source, env, builtins, limits, plan, None)
+        evaluate_probed(txn, source, env, builtins, limits, None)
     }
 
     fn env(pairs: &[(&str, i64)]) -> HashMap<String, Value> {
@@ -587,7 +544,6 @@ mod tests {
             &env(env_pairs),
             &Builtins::standard(),
             SolveLimits::default(),
-            PlanConfig::default(),
         )
         .unwrap()
     }
@@ -733,7 +689,6 @@ mod tests {
             &env(&[("k", 1)]),
             &Builtins::new(),
             SolveLimits::default(),
-            PlanConfig::default(),
         )
         .unwrap()
         .unwrap();
@@ -816,7 +771,7 @@ mod tests {
     #[test]
     fn watch_set_resolves_env() {
         let txn = compile("exists a : <k, a>, not <done> => skip");
-        let w = watch_set(&txn, &env(&[("k", 3)]), &Builtins::new(), true);
+        let w = watch_set(&txn, &env(&[("k", 3)]), &Builtins::new());
         // <3, a> has no functor → arity key; <done> has functor key.
         let mut change = sdl_dataspace::WatchSet::new();
         change.add_tuple(&tuple![3, 9]);
@@ -834,24 +789,21 @@ mod tests {
         // <count, k, a> with k = 7 resolved from the environment: exact
         // keys wake only on count tuples carrying 7.
         let txn = compile("exists a : <count, k, a>! => skip");
-        let w = watch_set(&txn, &env(&[("k", 7)]), &Builtins::new(), true);
+        let w = watch_set(&txn, &env(&[("k", 7)]), &Builtins::new());
         let mut hit = sdl_dataspace::WatchSet::new();
         hit.add_tuple(&tuple![Value::atom("count"), 7, 1]);
         assert!(w.intersects(&hit));
         let mut miss = sdl_dataspace::WatchSet::new();
         miss.add_tuple(&tuple![Value::atom("count"), 8, 1]);
         assert!(!w.intersects(&miss), "exact key skips other values");
-        // Coarse mode wakes on any count change of the right arity.
-        let coarse = watch_set(&txn, &env(&[("k", 7)]), &Builtins::new(), false);
-        assert!(coarse.intersects(&miss));
     }
 
     #[test]
     fn watch_set_negated_atoms_stay_coarse() {
-        // not <lock, 7>: conservative functor subscription even under
-        // exact wakes, so any lock retraction re-examines the txn.
+        // not <lock, 7>: conservative functor subscription, so any lock
+        // retraction re-examines the txn.
         let txn = compile("exists a : <job, a>, not <lock, 7> => skip");
-        let w = watch_set(&txn, &env(&[]), &Builtins::new(), true);
+        let w = watch_set(&txn, &env(&[]), &Builtins::new());
         let mut other_lock = sdl_dataspace::WatchSet::new();
         other_lock.add_tuple(&tuple![Value::atom("lock"), 8]);
         assert!(w.intersects(&other_lock), "neg atom keeps coarse channel");
@@ -870,17 +822,7 @@ mod tests {
         let txn = compile("exists a : <x, a>, <y, a> -> skip");
         let e = env(&[]);
         let b = Builtins::standard();
-        let run = |ds: &Dataspace| {
-            evaluate(
-                &txn,
-                ds,
-                &e,
-                &b,
-                SolveLimits::default(),
-                PlanConfig::default(),
-            )
-            .unwrap()
-        };
+        let run = |ds: &Dataspace| evaluate(&txn, ds, &e, &b, SolveLimits::default()).unwrap();
         run(&ds);
         assert_eq!(reg.counter(Counter::PlanCacheMiss), 1, "first plan");
         run(&ds);
@@ -909,29 +851,24 @@ mod tests {
         let txn = compile("exists a : <big, a>!, <small, a>!, not <lock, a> -> <got, a>");
         let e = env(&[]);
         let b = Builtins::standard();
-        let planned = evaluate(
+        let planned = evaluate(&txn, &ds, &e, &b, SolveLimits::default())
+            .unwrap()
+            .expect("join holds");
+        // Source order: the same atoms through the unplanned solver.
+        let atoms = resolve_atoms(&txn, &e, &b).unwrap();
+        let first = Solver::new(&ds, &atoms, txn.n_vars)
+            .first(&mut |_| true)
+            .expect("join holds");
+        let naive = build_effects(
             &txn,
-            &ds,
-            &e,
-            &b,
-            SolveLimits::default(),
-            PlanConfig::default(),
-        )
-        .unwrap()
-        .expect("join holds");
-        let naive = evaluate(
-            &txn,
-            &ds,
-            &e,
-            &b,
-            SolveLimits::default(),
-            PlanConfig {
-                mode: PlanMode::SourceOrder,
-                ..PlanConfig::default()
+            &QueryOutcome {
+                solutions: vec![first],
+                forall_checks: Vec::new(),
             },
+            &e,
+            &b,
         )
-        .unwrap()
-        .expect("join holds");
+        .unwrap();
         assert_eq!(planned.asserts, naive.asserts);
         let mut pr = planned.retracts.clone();
         let mut nr = naive.retracts.clone();
@@ -951,7 +888,6 @@ mod tests {
             &HashMap::new(),
             &Builtins::new(),
             SolveLimits::default(),
-            PlanConfig::default(),
         );
         assert!(matches!(r, Err(RuntimeError::Eval { .. })));
     }
@@ -966,17 +902,8 @@ mod tests {
         let view = &compiled.defs().next().unwrap().view;
         let (e, b) = (HashMap::new(), Builtins::new());
         let source = view.window(&ds, &e, &b).unwrap();
-        let outcome = |src: &str| {
-            evaluate(
-                &compile(src),
-                &source,
-                &e,
-                &b,
-                SolveLimits::default(),
-                PlanConfig::default(),
-            )
-            .unwrap()
-        };
+        let outcome =
+            |src: &str| evaluate(&compile(src), &source, &e, &b, SolveLimits::default()).unwrap();
         assert!(
             outcome("exists v : <b, v> -> skip").is_none(),
             "b is outside the window"
@@ -996,7 +923,7 @@ mod tests {
         ds.assert_tuple(ProcId::ENV, tuple![Value::atom("item"), 7]);
         let txn = compile("exists a : <item, a>!, <ack, a> => <done>");
         let b = Builtins::standard();
-        let narrowed = watch_set_on(&txn, &HashMap::new(), &b, true, Some(&ds));
+        let narrowed = watch_set_on(&txn, &HashMap::new(), &b, Some(&ds));
         let keys = watch_keys(&narrowed);
         assert_eq!(keys.len(), 1, "single-atom subscription: {keys:?}");
         match &keys[0] {
@@ -1020,8 +947,8 @@ mod tests {
         ds.assert_tuple(ProcId::ENV, tuple![Value::atom("ack"), 9]);
         let txn = compile("exists a : <item, a>!, <ack, a> => <done>");
         let b = Builtins::standard();
-        let probed = watch_set_on(&txn, &HashMap::new(), &b, true, Some(&ds));
-        let full = watch_set(&txn, &HashMap::new(), &b, true);
+        let probed = watch_set_on(&txn, &HashMap::new(), &b, Some(&ds));
+        let full = watch_set(&txn, &HashMap::new(), &b);
         assert_eq!(
             watch_keys(&probed),
             watch_keys(&full),
@@ -1030,22 +957,18 @@ mod tests {
     }
 
     #[test]
-    fn selective_watch_ignores_negations_and_respects_coarse_mode() {
+    fn selective_watch_ignores_negations() {
         let ds = Dataspace::new();
         // The negated atom is empty but must never be chosen as the
         // narrowed subscription — only positive atoms enable a txn.
         let txn = compile("exists a : <req, a>, not <busy, a> => <go, a>");
         let b = Builtins::standard();
-        let w = watch_set_on(&txn, &HashMap::new(), &b, true, Some(&ds));
+        let w = watch_set_on(&txn, &HashMap::new(), &b, Some(&ds));
         let keys = watch_keys(&w);
         assert_eq!(keys.len(), 1, "{keys:?}");
         match &keys[0] {
             sdl_dataspace::WatchKey::Functor(f, _) => assert_eq!(f.as_str(), "req"),
             other => panic!("expected req functor key, got {other:?}"),
         }
-        // Coarse mode (exact_wakes off) never narrows.
-        let coarse = watch_set_on(&txn, &HashMap::new(), &b, false, Some(&ds));
-        let full_coarse = watch_set(&txn, &HashMap::new(), &b, false);
-        assert_eq!(watch_keys(&coarse), watch_keys(&full_coarse));
     }
 }

@@ -13,10 +13,10 @@
 //! → epoch re-check vs. commit → epoch bump → wake scan) all interleave.
 
 use sdl_core::parallel::ParallelRuntime;
-use sdl_core::CompiledProgram;
+use sdl_core::{CompiledProgram, RunLimits};
 use sdl_metrics::{Counter, Gauge, Metrics};
 use sdl_sync::explore::Explore;
-use sdl_tuple::{tuple, Value};
+use sdl_tuple::{tuple, Tuple, Value};
 
 /// One producer, one delayed consumer: the canonical lost-wakeup shape.
 /// The consumer's evaluation fails, it parks; the producer's commit must
@@ -247,7 +247,7 @@ fn wake_ledger_balances_at_step_limit() {
             let (_report, _ds) = ParallelRuntime::builder(program)
                 .threads(2)
                 .seed(3)
-                .max_attempts(3)
+                .limits(RunLimits { max_attempts: 3 })
                 .metrics(metrics)
                 .spawn("Producer", vec![])
                 .spawn("Grabber", vec![])
@@ -273,65 +273,65 @@ fn wake_ledger_balances_at_step_limit() {
     );
 }
 
-/// The threaded path now parks on the narrowed watch set probed inside
-/// the eval read locks. A two-atom query re-parks with a different
-/// narrow subscription after each producer fires; exploration proves no
-/// interleaving of the probes and the commits loses a wakeup.
-fn run_narrowed(exact: bool) {
-    let program = CompiledProgram::from_source(
-        "process A() { true -> <a, 1> }
-         process B() { true -> <b, 2> }
-         process C() { exists x, y : <a, x>!, <b, y>! => <done, x, y> }",
-    )
-    .unwrap();
+/// Runs `src`, whose `init` block spawns the society, threaded, and
+/// checks it completes with `done` in the store.
+fn run_to_done(src: &str, done: Tuple) {
+    let program = CompiledProgram::from_source(src).unwrap();
     let (report, ds) = ParallelRuntime::builder(program)
         .threads(2)
         .seed(11)
-        .exact_wakes(exact)
-        .spawn("A", vec![])
-        .spawn("B", vec![])
-        .spawn("C", vec![])
         .build()
         .unwrap()
         .run()
         .unwrap();
     assert!(
         report.outcome.is_completed(),
-        "narrowed subscription lost a wakeup: {:?}",
+        "a parked subscription lost a wakeup: {:?}",
         report.outcome
     );
-    assert_eq!(
-        ds.count_value(&tuple![Value::atom("done"), 1, 2]),
-        1,
-        "missing <done, 1, 2>"
+    assert_eq!(ds.count_value(&done), 1, "missing {done}");
+}
+
+/// Explores every schedule of [`run_to_done`] within a preemption bound
+/// of two.
+fn explore_to_done(src: &'static str, done: Tuple) {
+    let report = Explore::new()
+        .max_schedules(40_000)
+        .max_steps(40_000)
+        .preemption_bound(2)
+        .run(|| run_to_done(src, done.clone()));
+    assert!(
+        report.failure.is_none(),
+        "a parked subscription lost a wakeup under exploration:\n{}",
+        report.failure.unwrap()
     );
 }
 
+/// The threaded path parks on the narrowed watch set probed inside the
+/// eval read locks. A two-atom query re-parks with a different narrow
+/// subscription after each producer fires; exploration proves no
+/// interleaving of the probes and the commits loses a wakeup.
 #[test]
 fn narrowed_watch_never_loses_wakeups() {
-    let report = Explore::new()
-        .max_schedules(40_000)
-        .max_steps(40_000)
-        .preemption_bound(2)
-        .run(|| run_narrowed(true));
-    assert!(
-        report.failure.is_none(),
-        "narrowed watch lost a wakeup under exploration:\n{}",
-        report.failure.unwrap()
+    explore_to_done(
+        "process A() { true -> <a, 1> }
+         process B() { true -> <b, 2> }
+         process C() { exists x, y : <a, x>!, <b, y>! => <done, x, y> }
+         init { spawn A(); spawn B(); spawn C(); }",
+        tuple![Value::atom("done"), 1, 2],
     );
 }
 
+/// A join over two non-empty relations that fails leaves nothing to
+/// narrow to, so the consumer parks on the full per-atom subscription;
+/// the producer's tuple must still wake it in every interleaving.
 #[test]
-fn coarse_wakes_ablation_never_loses_wakeups() {
-    let report = Explore::new()
-        .max_schedules(40_000)
-        .max_steps(40_000)
-        .preemption_bound(2)
-        .run(|| run_narrowed(false));
-    assert!(
-        report.failure.is_none(),
-        "--coarse-wakes lost a wakeup under exploration:\n{}",
-        report.failure.unwrap()
+fn full_subscription_never_loses_wakeups() {
+    explore_to_done(
+        "process P() { true -> <b, 1> }
+         process C() { exists x : <a, x>!, <b, x>! => <done, x> }
+         init { <a, 1>; <b, 2>; spawn P(); spawn C(); }",
+        tuple![Value::atom("done"), 1],
     );
 }
 

@@ -162,8 +162,6 @@ pub(crate) struct TupleIndex {
     /// Live tuples per arity (position = arity): what a variable-head
     /// pattern's estimate reads now that no posting lists them.
     arity_counts: Vec<usize>,
-    /// `false` for `IndexMode::None`: no postings, every lookup scans.
-    postings: bool,
     /// ANDed onto every value hash before it enters a key. All ones,
     /// except in the test that forces distinct values onto one key.
     hash_mask: u64,
@@ -171,28 +169,23 @@ pub(crate) struct TupleIndex {
 
 impl Default for TupleIndex {
     fn default() -> TupleIndex {
-        TupleIndex::new(true)
-    }
-}
-
-impl TupleIndex {
-    pub(crate) fn new(postings: bool) -> TupleIndex {
         TupleIndex {
             instances: BTreeMap::new(),
             coarse: BTreeMap::new(),
             fine: HashMap::default(),
             arity_counts: Vec::new(),
-            postings,
             hash_mask: u64::MAX,
         }
     }
+}
 
+impl TupleIndex {
     /// An index in which every value hashes to the same key.
     #[cfg(test)]
     pub(crate) fn colliding() -> TupleIndex {
         TupleIndex {
             hash_mask: 0,
-            ..TupleIndex::new(true)
+            ..TupleIndex::default()
         }
     }
 
@@ -237,22 +230,21 @@ impl TupleIndex {
         ((arity, head), fine)
     }
 
-    /// Enters an instance. Returns the hash of slot 1 when it was
-    /// computed, for the caller's watch keys.
+    /// Enters an instance. Returns the hash of slot 1, when the tuple
+    /// has one, for the caller's watch keys.
     ///
     /// # Panics
     ///
     /// Panics if `id` is already present.
     pub(crate) fn insert(&mut self, id: TupleId, tuple: Tuple) -> Option<u64> {
         let arity = tuple.arity();
-        let keys = self.postings.then(|| self.keys_of(&tuple));
+        let (coarse, fine) = self.keys_of(&tuple);
         let prev = self.instances.insert(id, tuple);
         assert!(prev.is_none(), "instance {id:?} already live");
         if self.arity_counts.len() <= arity {
             self.arity_counts.resize(arity + 1, 0);
         }
         self.arity_counts[arity] += 1;
-        let (coarse, fine) = keys?;
         self.coarse
             .entry(coarse)
             .and_modify(|p| p.insert(id))
@@ -270,9 +262,6 @@ impl TupleIndex {
     pub(crate) fn remove(&mut self, id: TupleId) -> Option<(Tuple, Option<u64>)> {
         let tuple = self.instances.remove(&id)?;
         self.arity_counts[tuple.arity()] -= 1;
-        if !self.postings {
-            return Some((tuple, None));
-        }
         let (coarse, fine) = self.keys_of(&tuple);
         if let btree_map::Entry::Occupied(mut e) = self.coarse.entry(coarse) {
             if e.get_mut().remove(id) {
@@ -327,10 +316,6 @@ impl TupleIndex {
         pattern: &Pattern,
         mut visit: impl FnMut(TupleId) -> bool,
     ) -> Counter {
-        if !self.postings {
-            self.ids().all(visit);
-            return Counter::IndexScanFull;
-        }
         let arity = pattern.arity() as u32;
         match self.pattern_keys(pattern) {
             // SDL style keys tuples as <kind, entity, …>, so this is the
@@ -411,9 +396,6 @@ impl TupleIndex {
     /// Upper bound on how many ids [`TupleIndex::visit_ids`] would hand
     /// out, from posting lengths alone.
     pub(crate) fn estimate(&self, pattern: &Pattern) -> usize {
-        if !self.postings {
-            return self.instances.len();
-        }
         let arity = pattern.arity() as u32;
         let coarse = |head| self.coarse.get(&(arity, head)).map_or(0, Posting::len);
         let fine = |f, slot1| self.fine.get(&(arity, f, slot1)).map_or(0, Posting::len);

@@ -41,13 +41,13 @@ pub mod solve;
 mod store;
 mod watch;
 
-pub use plan::{estimate_positives, estimates_drifted, plan_query, PlanMode, QueryPlan};
+pub use plan::{estimate_positives, estimates_drifted, plan_query, QueryPlan};
 pub use shard::{
     shard_of_pattern, shard_of_tuple, shard_of_watch_key, shards_of_watch_key, ShardSet,
     ShardWriteView, ShardedDataspace, MAX_SHARDS,
 };
 pub use solve::{AtomMode, ForallEvidence, QueryAtom, Solution, SolveLimits, Solver};
-pub use store::{first_match, Action, BatchOutcome, Dataspace, IndexMode, TupleSource};
+pub use store::{first_match, Action, BatchOutcome, Dataspace, TupleSource};
 pub use watch::{WatchKey, WatchSet};
 
 #[cfg(test)]

@@ -30,20 +30,6 @@ use sdl_tuple::{Field, VarId};
 use crate::solve::{AtomMode, QueryAtom};
 use crate::store::TupleSource;
 
-/// Whether the solver orders the join itself or trusts source order.
-///
-/// `SourceOrder` is the ablation baseline: it reproduces the historic
-/// left-to-right behaviour exactly (all negations checked at the leaf).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Order positive atoms by estimated selectivity and schedule
-    /// negations early (default).
-    #[default]
-    Planned,
-    /// Match atoms left to right in source order (ablation baseline).
-    SourceOrder,
-}
-
 /// A compiled execution order for one conjunctive query.
 ///
 /// Indices refer to positions in the atom slice the plan was built from;

@@ -2,12 +2,12 @@
 
 use proptest::prelude::*;
 
-use sdl_tuple::{Pattern, ProcId, Tuple, TupleId, Value};
+use sdl_tuple::{Bindings, Pattern, ProcId, Tuple, TupleId, Value};
 
 use crate::plan::plan_query;
 use crate::shard::{ShardSet, ShardedDataspace};
 use crate::solve::{AtomMode, QueryAtom, SolveLimits, Solver};
-use crate::store::{Action, Dataspace, IndexMode, TupleSource};
+use crate::store::{Action, Dataspace, TupleSource};
 use crate::watch::WatchSet;
 
 #[derive(Clone, Debug)]
@@ -114,24 +114,66 @@ fn normalize_solution(
     (s.bindings, reads, retracts)
 }
 
-/// Reference model: a plain list of (id, tuple).
-fn run_ops(d: &mut Dataspace, ops: &[Op]) -> Vec<(TupleId, Tuple)> {
+/// A store [`run_ops`] can drive: assert under an owner, retract by id.
+trait Store {
+    fn put(&mut self, owner: ProcId, t: Tuple) -> TupleId;
+    fn take(&mut self, id: TupleId) -> Option<Tuple>;
+}
+
+impl Store for Dataspace {
+    fn put(&mut self, owner: ProcId, t: Tuple) -> TupleId {
+        self.assert_tuple(owner, t)
+    }
+
+    fn take(&mut self, id: TupleId) -> Option<Tuple> {
+        self.retract(id)
+    }
+}
+
+impl Store for ShardedDataspace {
+    fn put(&mut self, owner: ProcId, t: Tuple) -> TupleId {
+        self.assert_tuple(owner, t)
+    }
+
+    fn take(&mut self, id: TupleId) -> Option<Tuple> {
+        let (out, _) = self
+            .write_shards(self.all_shards())
+            .apply_batch(vec![Action::Retract(id)], &mut WatchSet::new());
+        out.retracted.into_iter().next().map(|(_, t)| t)
+    }
+}
+
+/// Reference model: a plain list of (id, tuple). Two owners take turns,
+/// so ids land mid-posting, not only at the end.
+fn run_ops(d: &mut impl Store, ops: &[Op]) -> Vec<(TupleId, Tuple)> {
     let mut model: Vec<(TupleId, Tuple)> = Vec::new();
-    for op in ops {
+    for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Assert(t) => {
-                let id = d.assert_tuple(ProcId(1), t.clone());
+                let id = d.put(ProcId(1 + i as u64 % 2), t.clone());
                 model.push((id, t.clone()));
             }
             Op::RetractNth(n) => {
                 if !model.is_empty() {
                     let (id, t) = model.remove(n % model.len());
-                    assert_eq!(d.retract(id), Some(t));
+                    assert_eq!(d.take(id), Some(t));
                 }
             }
         }
     }
     model
+}
+
+/// The oracle: the ids of the model's tuples that `p` matches, ascending
+/// — a linear scan, no index.
+fn model_matches(model: &[(TupleId, Tuple)], p: &Pattern) -> Vec<TupleId> {
+    let mut ids: Vec<TupleId> = model
+        .iter()
+        .filter(|(_, t)| p.matches(t, &mut Bindings::new(3)))
+        .map(|(id, _)| *id)
+        .collect();
+    ids.sort_unstable();
+    ids
 }
 
 proptest! {
@@ -154,23 +196,22 @@ proptest! {
         }
     }
 
-    /// Indexed and unindexed stores answer every query identically.
+    /// The indexed store answers every query as a scan of the model does.
     #[test]
     fn index_is_transparent(ops in arb_ops(), query in arb_tuple()) {
-        let mut indexed = Dataspace::new();
-        let mut flat = Dataspace::with_index_mode(IndexMode::None);
-        run_ops(&mut indexed, &ops);
-        run_ops(&mut flat, &ops);
+        let mut d = Dataspace::new();
+        let model = run_ops(&mut d, &ops);
         // Ground query on the tuple value.
         let p = Pattern::new(
             query.iter().cloned().map(sdl_tuple::Field::Const).collect(),
         );
-        prop_assert_eq!(indexed.count_matches(&p), flat.count_matches(&p));
-        prop_assert_eq!(indexed.contains_match(&p), flat.contains_match(&p));
+        let expected = model_matches(&model, &p);
+        prop_assert_eq!(d.count_matches(&p), expected.len());
+        prop_assert_eq!(d.contains_match(&p), !expected.is_empty());
         // Wildcard query per arity.
         for arity in 0..4usize {
             let w = Pattern::new(vec![sdl_tuple::Field::Any; arity]);
-            prop_assert_eq!(indexed.count_matches(&w), flat.count_matches(&w));
+            prop_assert_eq!(d.count_matches(&w), model_matches(&model, &w).len());
         }
     }
 
@@ -344,48 +385,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// For every pattern shape the index serves differently, the store
-    /// and the unindexed oracle report the same matches in the same
-    /// order, and the planner's estimate never undercounts them.
+    /// reports the model's matches in id order, and the planner's
+    /// estimate never undercounts them.
     #[test]
     fn store_and_oracle_agree_on_every_pattern_shape(
         ops in arb_growing_ops(),
         probe in arb_tuple(),
         free in arb_pattern(),
     ) {
-        let mut indexed = Dataspace::new();
-        let mut flat = Dataspace::with_index_mode(IndexMode::None);
-        let mut live: Vec<TupleId> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                // Two owners: ids land mid-posting, not only at the end.
-                Op::Assert(t) => {
-                    let owner = ProcId(1 + i as u64 % 2);
-                    let id = indexed.assert_tuple(owner, t.clone());
-                    prop_assert_eq!(flat.assert_tuple(owner, t.clone()), id);
-                    live.push(id);
-                }
-                Op::RetractNth(n) if !live.is_empty() => {
-                    let id = live.remove(n % live.len());
-                    prop_assert_eq!(indexed.retract(id), flat.retract(id));
-                }
-                Op::RetractNth(_) => {}
-            }
-        }
+        let mut d = Dataspace::new();
+        let model = run_ops(&mut d, &ops);
         for p in &pattern_shapes(&probe, free) {
-            let expected = flat.matching_ids(p);
-            let candidates = indexed.candidate_ids(p);
+            let expected = model_matches(&model, p);
+            let candidates = d.candidate_ids(p);
             prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{:?}", p);
-            prop_assert_eq!(&indexed.matching_ids(p), &expected, "{:?}", p);
-            prop_assert!(indexed.estimate_candidates(p) >= expected.len(), "{:?}", p);
-            prop_assert_eq!(indexed.contains_match(p), !expected.is_empty(), "{:?}", p);
+            prop_assert_eq!(&d.matching_ids(p), &expected, "{:?}", p);
+            prop_assert!(d.estimate_candidates(p) >= expected.len(), "{:?}", p);
+            prop_assert_eq!(d.contains_match(p), !expected.is_empty(), "{:?}", p);
         }
     }
 
     /// The visitor *is* `candidate_ids`: for every source and every
     /// pattern shape it hands out the same ids in the same order with the
-    /// tuples stored under them, stops after exactly the visits it was
-    /// allowed, and a callback that queries the source again — as the
-    /// join does at every nesting level — sees the same answer.
+    /// tuples stored under them — among which are exactly the model's
+    /// matches — stops after exactly the visits it was allowed, and a
+    /// callback that queries the source again — as the join does at every
+    /// nesting level — sees the same answer.
     #[test]
     fn visitor_is_candidate_ids(
         ops in arb_growing_ops(),
@@ -394,28 +419,9 @@ proptest! {
         stop_after in 1usize..6,
     ) {
         let mut indexed = Dataspace::new();
-        let mut flat = Dataspace::with_index_mode(IndexMode::None);
-        let sharded = ShardedDataspace::new(3);
-        let mut live: Vec<(TupleId, TupleId)> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                Op::Assert(t) => {
-                    let owner = ProcId(1 + i as u64 % 2);
-                    let id = indexed.assert_tuple(owner, t.clone());
-                    flat.assert_tuple(owner, t.clone());
-                    live.push((id, sharded.assert_tuple(owner, t.clone())));
-                }
-                Op::RetractNth(n) if !live.is_empty() => {
-                    let (id, sharded_id) = live.remove(n % live.len());
-                    indexed.retract(id);
-                    flat.retract(id);
-                    sharded
-                        .write_shards(sharded.all_shards())
-                        .apply_batch(vec![Action::Retract(sharded_id)], &mut WatchSet::new());
-                }
-                Op::RetractNth(_) => {}
-            }
-        }
+        let model = run_ops(&mut indexed, &ops);
+        let mut sharded = ShardedDataspace::new(3);
+        let sharded_model = run_ops(&mut sharded, &ops);
         let all_shards = sharded.read_shards(sharded.all_shards());
 
         for p in &pattern_shapes(&probe, free) {
@@ -426,11 +432,10 @@ proptest! {
                 None => one = sharded.all_shards(),
             }
             let routed = sharded.read_shards(one);
-            for (name, src) in [
-                ("store", &indexed as &dyn TupleSource),
-                ("unindexed", &flat),
-                ("all shards", &all_shards),
-                ("routed shard", &routed),
+            for (name, src, model) in [
+                ("store", &indexed as &dyn TupleSource, &model),
+                ("all shards", &all_shards, &sharded_model),
+                ("routed shard", &routed, &sharded_model),
             ] {
                 let listed = src.candidate_ids(p);
                 let visit_all = |src: &dyn TupleSource| {
@@ -443,6 +448,12 @@ proptest! {
                     seen
                 };
                 prop_assert_eq!(&visit_all(src), &listed, "{} {:?}", name, p);
+                let matched: Vec<TupleId> = listed
+                    .iter()
+                    .copied()
+                    .filter(|id| p.matches(src.tuple(*id).expect("live"), &mut Bindings::new(3)))
+                    .collect();
+                prop_assert_eq!(matched, model_matches(model, p), "{} {:?}", name, p);
 
                 let mut visits = 0;
                 src.visit_candidates(p, &mut |_, _| {

@@ -56,7 +56,7 @@ use sdl_metrics::Metrics;
 use sdl_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sdl_tuple::{Field, Pattern, ProcId, Tuple, TupleId};
 
-use crate::store::{visit_listed, Dataspace, IndexMode, TupleSource};
+use crate::store::{visit_listed, Dataspace, TupleSource};
 use crate::watch::WatchKey;
 
 /// Most shards a [`ShardedDataspace`] will split into; also the capacity
@@ -200,7 +200,6 @@ impl fmt::Debug for ShardSet {
 /// ```
 pub struct ShardedDataspace {
     shards: Vec<RwLock<Dataspace>>,
-    index_mode: IndexMode,
     metrics: Metrics,
     /// Commit id of the last committed batch whose write footprint
     /// included each shard (`0` = never written). Written under the
@@ -211,18 +210,12 @@ pub struct ShardedDataspace {
 }
 
 impl ShardedDataspace {
-    /// Creates `n` empty shards (clamped to `1..=`[`MAX_SHARDS`]) with
-    /// default indexing.
+    /// Creates `n` empty shards (clamped to `1..=`[`MAX_SHARDS`]).
     pub fn new(n: usize) -> ShardedDataspace {
-        ShardedDataspace::with_index_mode(n, IndexMode::default())
-    }
-
-    /// Creates `n` empty shards with the given index configuration.
-    pub(crate) fn with_index_mode(n: usize, index_mode: IndexMode) -> ShardedDataspace {
         let n = n.clamp(1, MAX_SHARDS);
         let shards = (0..n)
             .map(|i| {
-                let mut d = Dataspace::with_index_mode(index_mode);
+                let mut d = Dataspace::new();
                 d.set_seq_stride(i as u64 + 1, n as u64);
                 RwLock::new(d)
             })
@@ -230,7 +223,6 @@ impl ShardedDataspace {
         ShardedDataspace {
             last_commit: (0..n).map(|_| AtomicU64::new(0)).collect(),
             shards,
-            index_mode,
             metrics: Metrics::disabled(),
         }
     }
@@ -257,11 +249,6 @@ impl ShardedDataspace {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shared index configuration.
-    pub fn index_mode(&self) -> IndexMode {
-        self.index_mode
     }
 
     /// Installs a metrics handle on every shard (mutations and index
@@ -364,7 +351,7 @@ impl ShardedDataspace {
     /// leaving the shards empty. Used to hand the final store back to the
     /// caller when a run ends.
     pub fn drain_into_dataspace(&self) -> Dataspace {
-        let mut out = Dataspace::with_index_mode(self.index_mode);
+        let mut out = Dataspace::new();
         for lock in &self.shards {
             let shard = std::mem::take(&mut *lock.write());
             for (id, t) in shard.iter() {
@@ -379,7 +366,6 @@ impl fmt::Debug for ShardedDataspace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedDataspace")
             .field("shards", &self.num_shards())
-            .field("index_mode", &self.index_mode)
             .finish()
     }
 }

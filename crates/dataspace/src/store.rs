@@ -8,21 +8,6 @@ use sdl_tuple::{Bindings, Field, Pattern, ProcId, Tuple, TupleId};
 use crate::index::TupleIndex;
 use crate::watch::{WatchKey, WatchSet};
 
-/// Index configuration for a [`Dataspace`].
-///
-/// The default indexes tuples by head and arity and by the value in
-/// slot 1 — SDL style puts a discriminating symbol first (`<label, …>`,
-/// `<threshold, …>`) and the entity second. `None` disables secondary
-/// indexes entirely: the oracle the index proptests compare against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IndexMode {
-    /// Index by `(head, arity)` and by slot 1 (default).
-    #[default]
-    FunctorArity,
-    /// No secondary indexes: every query scans the whole store.
-    None,
-}
-
 /// Anything tuples can be matched against: the full [`Dataspace`], a
 /// locked shard footprint, or a process's view of either.
 ///
@@ -172,15 +157,13 @@ pub struct Dataspace {
 }
 
 impl Dataspace {
-    /// Creates an empty dataspace with default indexing.
+    /// Creates an empty dataspace. Tuples are indexed by head and arity
+    /// and by the value in slot 1 — SDL style puts a discriminating
+    /// symbol first (`<label, …>`, `<threshold, …>`) and the entity
+    /// second.
     pub fn new() -> Dataspace {
-        Dataspace::with_index_mode(IndexMode::FunctorArity)
-    }
-
-    /// Creates an empty dataspace with the given index configuration.
-    pub(crate) fn with_index_mode(index_mode: IndexMode) -> Dataspace {
         Dataspace {
-            index: TupleIndex::new(index_mode != IndexMode::None),
+            index: TupleIndex::default(),
             next_seq: 1,
             seq_stride: 1,
             metrics: Metrics::disabled(),
@@ -507,17 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn no_index_mode_scans_everything() {
-        let mut d = Dataspace::with_index_mode(IndexMode::None);
-        for i in 0..5 {
-            d.assert_tuple(ProcId(1), tuple![atom("a"), i]);
-            d.assert_tuple(ProcId(1), tuple![atom("b")]);
-        }
-        assert_eq!(d.candidate_ids(&pattern![atom("a"), any]).len(), 10);
-        assert_eq!(d.count_matches(&pattern![atom("a"), any]), 5);
-    }
-
-    #[test]
     fn find_all_and_count() {
         let mut d = Dataspace::new();
         for i in 0..4 {
@@ -589,13 +561,6 @@ mod tests {
         assert_eq!(reg.counter(Counter::IndexHitArg1), 1);
         assert_eq!(reg.counter(Counter::IndexHitFunctor), 1);
         assert_eq!(reg.counter(Counter::IndexHitArity), 1);
-        assert_eq!(reg.counter(Counter::IndexScanFull), 0);
-
-        let (m2, reg2) = Metrics::registry();
-        let mut flat = Dataspace::with_index_mode(IndexMode::None);
-        flat.set_metrics(m2);
-        flat.candidate_ids(&pattern![atom("k"), any]);
-        assert_eq!(reg2.counter(Counter::IndexScanFull), 1);
     }
 
     #[test]

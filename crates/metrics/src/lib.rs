@@ -70,8 +70,6 @@ pub enum Counter {
     IndexHitValue,
     /// Candidate lookups answered by intersecting two point indexes.
     IndexHitIntersect,
-    /// Candidate lookups that fell back to a full scan.
-    IndexScanFull,
     /// Pattern-match tests performed by the solver.
     MatchAttempts,
     /// Candidate tuples enumerated by the solver.
@@ -162,7 +160,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters in exposition order.
-    pub(crate) const ALL: [Counter; 57] = [
+    pub(crate) const ALL: [Counter; 56] = [
         Counter::TxnAttemptsImmediate,
         Counter::TxnAttemptsDelayed,
         Counter::TxnAttemptsConsensus,
@@ -182,7 +180,6 @@ impl Counter {
         Counter::IndexHitArity,
         Counter::IndexHitValue,
         Counter::IndexHitIntersect,
-        Counter::IndexScanFull,
         Counter::MatchAttempts,
         Counter::MatchCandidates,
         Counter::SolverBacktracks,
@@ -246,8 +243,7 @@ impl Counter {
             | Counter::IndexHitFunctor
             | Counter::IndexHitArity
             | Counter::IndexHitValue
-            | Counter::IndexHitIntersect
-            | Counter::IndexScanFull => "sdl_index_lookups_total",
+            | Counter::IndexHitIntersect => "sdl_index_lookups_total",
             Counter::MatchAttempts => "sdl_match_attempts_total",
             Counter::MatchCandidates => "sdl_match_candidates_total",
             Counter::SolverBacktracks => "sdl_solver_backtracks_total",
@@ -304,7 +300,6 @@ impl Counter {
             Counter::IndexHitArity => "index=\"arity\"",
             Counter::IndexHitValue => "index=\"value\"",
             Counter::IndexHitIntersect => "index=\"intersect\"",
-            Counter::IndexScanFull => "index=\"scan\"",
             Counter::PlanCacheHit => "event=\"hit\"",
             Counter::PlanCacheMiss => "event=\"miss\"",
             Counter::PlanReplans => "event=\"replan\"",
@@ -348,8 +343,7 @@ impl Counter {
             | Counter::IndexHitFunctor
             | Counter::IndexHitArity
             | Counter::IndexHitValue
-            | Counter::IndexHitIntersect
-            | Counter::IndexScanFull => "Candidate lookups, by index used.",
+            | Counter::IndexHitIntersect => "Candidate lookups, by index used.",
             Counter::MatchAttempts => "Tuple pattern-match tests performed by the solver.",
             Counter::MatchCandidates => "Candidate tuples enumerated by the solver.",
             Counter::SolverBacktracks => "Solver binding rollbacks during search.",

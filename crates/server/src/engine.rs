@@ -32,9 +32,7 @@ use std::sync::Arc;
 use sdl_core::commit::Decision;
 use sdl_core::parallel::{pending_write_footprint, read_footprint};
 use sdl_core::program::{compile_txn, CompiledTxn};
-use sdl_core::txn::{
-    build_effects, evaluate_resolved, resolve_atoms, watch_set_resolved, PlanConfig,
-};
+use sdl_core::txn::{build_effects, evaluate_resolved, resolve_atoms, watch_set_resolved};
 use sdl_core::Builtins;
 use sdl_dataspace::{
     first_match, Action, BatchOutcome, ShardSet, ShardWriteView, SolveLimits, TupleSource,
@@ -92,7 +90,6 @@ pub struct Engine {
     shared: Arc<NetShared>,
     loop_id: usize,
     builtins: Builtins,
-    plan: PlanConfig,
     limits: SolveLimits,
     metrics: Metrics,
     // Buffered `out` asserts awaiting the next flush, plus their acks.
@@ -127,7 +124,6 @@ impl Engine {
             shared,
             loop_id,
             builtins: Builtins::standard(),
-            plan: PlanConfig::default(),
             limits: SolveLimits::default(),
             metrics,
             pending: Vec::new(),
@@ -390,16 +386,8 @@ impl Engine {
                     .shared
                     .sds
                     .read_shards(read_footprint(&self.shared.sds, &atoms));
-                let evaluated = evaluate_resolved(
-                    txn,
-                    &atoms,
-                    &view,
-                    env,
-                    &self.builtins,
-                    self.limits,
-                    self.plan,
-                    None,
-                );
+                let evaluated =
+                    evaluate_resolved(txn, &atoms, &view, env, &self.builtins, self.limits, None);
                 match evaluated {
                     Err(e) => return Attempt::Done(Response::Error(format!("eval error: {e}"))),
                     Ok(None) => {
@@ -409,8 +397,7 @@ impl Engine {
                             // describes exactly the state the failed
                             // evaluation saw, and the park epoch
                             // re-check invalidates it if stale.
-                            let watch =
-                                watch_set_resolved(txn, &atoms, self.plan.exact_wakes, Some(&view));
+                            let watch = watch_set_resolved(txn, &atoms, Some(&view));
                             return Attempt::Park(watch.iter().copied().collect());
                         }
                         return Attempt::Done(Response::Failed);
@@ -751,7 +738,6 @@ mod tests {
                 Counter::IndexHitArity,
                 Counter::IndexHitValue,
                 Counter::IndexHitIntersect,
-                Counter::IndexScanFull,
             ]
             .into_iter()
             .map(|c| registry.counter(c))

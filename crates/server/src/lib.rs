@@ -7,8 +7,8 @@
 //! `poll(2)` elsewhere — see `poll`), decoding the length-prefixed
 //! `SDLNET01` protocol ([`wire`]), and mapping client operations onto
 //! one shared sharded store through the batching, park/wake
-//! [`engine`]. An acceptor thread places connections shard-affinely
-//! ([`Placement`]); cross-loop wakes travel through per-loop mailboxes
+//! [`engine`]. An acceptor thread places connections shard-affinely;
+//! cross-loop wakes travel through per-loop mailboxes
 //! and eventfd kicks ([`shared`], `wakefd`):
 //!
 //! | wire op | dataspace semantics                                   |
@@ -36,6 +36,6 @@ pub mod wire;
 pub use client::Client;
 pub use engine::Engine;
 pub use load::{run_load, LoadConfig};
-pub use server::{serve, Placement, Server, ServerConfig};
+pub use server::{serve, Server, ServerConfig};
 pub use shared::NetShared;
 pub use wire::{Request, Response};

@@ -12,10 +12,9 @@
 //! The acceptor performs the `SDLNET01` handshake itself and holds each
 //! new connection in a short *nursery* until its first request frame
 //! arrives, so placement can route the connection to the loop whose
-//! traffic already touches the shards that request hits
-//! ([`Placement::Affinity`], via [`NetShared::pick_loop`]); connections
-//! whose first frame doesn't show up in time — or all of them, under
-//! [`Placement::RoundRobin`] — fall back to least-connections
+//! traffic already touches the shards that request hits (via
+//! [`NetShared::pick_loop`]); connections whose first frame carries no
+//! shard, or doesn't show up in time, fall back to least-connections
 //! round-robin. Handoff is a vector push plus a wake-fd kick.
 //!
 //! Each loop is shaped for pipelined load exactly like the PR 7
@@ -61,18 +60,6 @@ const WAKE_TOKEN: u64 = 0;
 /// affinity hint and placing round-robin.
 const NURSERY_PATIENCE: u32 = 4;
 
-/// How the acceptor assigns new connections to event loops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Placement {
-    /// Route to the loop whose traffic already touches the shards the
-    /// connection's first request hits; least-connections otherwise.
-    #[default]
-    Affinity,
-    /// Ignore first-request hints; always least-connections
-    /// round-robin. Deterministic spreading for tests and benchmarks.
-    RoundRobin,
-}
-
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -94,11 +81,6 @@ pub struct ServerConfig {
     pub loops: usize,
     /// Store shards (clamped to the dataspace maximum).
     pub shards: usize,
-    /// Pin loop `i` to core `i % cores` with `sched_setaffinity` (Linux
-    /// only; ignored elsewhere).
-    pub pin_cores: bool,
-    /// New-connection placement policy.
-    pub placement: Placement,
     /// Durability: log every commit to a WAL in this directory (created
     /// if missing; existing history is recovered and the store seeded
     /// from it). `None` runs in-memory.
@@ -135,8 +117,6 @@ impl Default for ServerConfig {
             poll_timeout_ms: 25,
             loops: 1,
             shards: 8,
-            pin_cores: false,
-            placement: Placement::Affinity,
             wal_dir: None,
             fsync: FsyncPolicy::default(),
             snapshot_every: None,
@@ -323,9 +303,6 @@ pub fn serve(cfg: ServerConfig, metrics: Metrics) -> io::Result<Server> {
             std::thread::Builder::new()
                 .name(format!("sdl-loop-{loop_id}"))
                 .spawn(move || {
-                    if cfg.pin_cores {
-                        pin_to_core(loop_id);
-                    }
                     event_loop(loop_id, shared, cfg, metrics, &wakefds, &intake, &stop)
                 })?,
         );
@@ -616,10 +593,6 @@ fn acceptor(
                 continue;
             };
             poller.deregister(token);
-            let hint = match cfg.placement {
-                Placement::Affinity => hint,
-                Placement::RoundRobin => None,
-            };
             let loop_id = shared.pick_loop(hint);
             shared.conn_opened(loop_id);
             intakes[loop_id].lock().unwrap().push(NewConn {
@@ -975,25 +948,3 @@ fn decode_pending(
         }
     }
 }
-
-// -- core pinning --------------------------------------------------------
-
-/// Pins the calling thread to core `i % cores` (Linux). Best-effort:
-/// failure is ignored — affinity is an optimisation, not a contract.
-#[cfg(target_os = "linux")]
-fn pin_to_core(i: usize) {
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let core = i % cores;
-    // cpu_set_t is 1024 bits.
-    let mut mask = [0u64; 16];
-    mask[(core / 64) % 16] |= 1u64 << (core % 64);
-    unsafe {
-        sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_i: usize) {}

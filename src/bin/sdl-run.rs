@@ -5,8 +5,8 @@
 //!         [--metrics] [--metrics-addr HOST:PORT] [--serve-for-ms N]
 //!         [--trace-out FILE] [--stall-ms N] [--events-out FILE]
 //!         [--trace-cap N] [--threads N] [--shards N] [--max-attempts N]
-//!         [--grid WxH] [--no-plan] [--coarse-wakes] [--wal DIR]
-//!         [--fsync POLICY] [--snapshot-every N] [--recover]
+//!         [--grid WxH] [--wal DIR] [--fsync POLICY]
+//!         [--snapshot-every N] [--recover]
 //! sdl-run --replay DIR [<file.sdl> ...]
 //! ```
 //!
@@ -14,11 +14,8 @@
 //! * `--threaded`        use the multithreaded optimistic executor
 //! * `--threads N`       worker threads for `--threaded` (default: CPUs)
 //! * `--shards N`        dataspace shards for `--threaded` (default:
-//!   CPUs; `1` reproduces the single-lock executor bit-for-bit)
-//! * `--no-plan`         disable selectivity-driven query planning
-//!   (source-order ablation baseline)
-//! * `--coarse-wakes`    park blocked transactions on functor/arity
-//!   watch keys only, without value-level keys (ablation baseline)
+//!   CPUs; `1` reproduces the single-lock executor bit-for-bit); the
+//!   other schedulers run on one shard and reject both flags
 //! * `--trace`           print the event timeline after the run
 //! * `--trace-cap N`     keep at most N events in the trace log
 //! * `--stats`           print per-process statistics (streams; does not
@@ -58,7 +55,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdl::core::{Builtins, CompiledProgram, JsonlSink, PlanMode, RunLimits, Runtime, Tracer};
+use sdl::core::parallel::ParallelRuntime;
+use sdl::core::{Builtins, CompiledProgram, JsonlSink, RunLimits, Runtime, RuntimeBuilder, Tracer};
 use sdl::dataspace::{Dataspace, MAX_SHARDS};
 use sdl::durability::{apply_log, read_log, recover, FsyncPolicy, RecoveredState, Wal, WalConfig};
 use sdl::metrics::Metrics;
@@ -84,8 +82,6 @@ struct Args {
     events_out: Option<String>,
     max_attempts: u64,
     grid: Option<(i64, i64)>,
-    no_plan: bool,
-    coarse_wakes: bool,
     wal: Option<PathBuf>,
     fsync: FsyncPolicy,
     snapshot_every: Option<u64>,
@@ -98,9 +94,8 @@ fn usage() -> ! {
         "usage: sdl-run <file.sdl> [--seed N] [--rounds] [--threaded] [--trace] \
          [--stats] [--metrics] [--metrics-addr HOST:PORT] [--serve-for-ms N] \
          [--trace-out FILE] [--stall-ms N] [--events-out FILE] [--trace-cap N] \
-         [--threads N] [--shards N] [--max-attempts N] [--grid WxH] [--no-plan] \
-         [--coarse-wakes] [--wal DIR] [--fsync always|interval[:<ms>]|never] \
-         [--snapshot-every N] [--recover]\n\
+         [--threads N] [--shards N] [--max-attempts N] [--grid WxH] [--wal DIR] \
+         [--fsync always|interval[:<ms>]|never] [--snapshot-every N] [--recover]\n\
          \x20      sdl-run --replay DIR [<file.sdl> ...]"
     );
     std::process::exit(2)
@@ -125,8 +120,6 @@ fn parse_args() -> Args {
         events_out: None,
         max_attempts: RunLimits::default().max_attempts,
         grid: None,
-        no_plan: false,
-        coarse_wakes: false,
         wal: None,
         fsync: FsyncPolicy::default(),
         snapshot_every: None,
@@ -199,8 +192,6 @@ fn parse_args() -> Args {
                     h.parse().unwrap_or_else(|_| usage()),
                 ));
             }
-            "--no-plan" => args.no_plan = true,
-            "--coarse-wakes" => args.coarse_wakes = true,
             "--wal" => args.wal = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
             "--fsync" => {
                 let spec = it.next().unwrap_or_else(|| usage());
@@ -233,6 +224,13 @@ fn parse_args() -> Args {
     }
     if args.replay.is_some() && args.wal.is_some() {
         eprintln!("sdl-run: --replay is read-only; it cannot be combined with --wal");
+        std::process::exit(2)
+    }
+    // The serial and rounds schedulers run on one shard; --replay takes
+    // its shard count from the log.
+    if !args.threaded && args.replay.is_none() && (args.threads.is_some() || args.shards.is_some())
+    {
+        eprintln!("sdl-run: --threads and --shards need --threaded");
         std::process::exit(2)
     }
     args
@@ -272,6 +270,47 @@ fn open_wal(args: &Args, n_shards: u64, metrics: &Metrics) -> Result<WalSetup, S
     } else {
         let wal = Wal::create(config, n_shards, metrics.clone()).map_err(|e| e.to_string())?;
         Ok(WalSetup::Fresh(Arc::new(wal)))
+    }
+}
+
+/// Applies the flags every runtime shares, plus its metrics, tracer and
+/// write-ahead log.
+fn configure<R>(
+    b: RuntimeBuilder<R>,
+    args: &Args,
+    builtins: Builtins,
+    metrics: Metrics,
+    tracer: Tracer,
+    wal: WalSetup,
+) -> RuntimeBuilder<R> {
+    let mut b = b
+        .seed(args.seed)
+        .builtins(builtins)
+        .metrics(metrics)
+        .tracer(tracer)
+        .limits(RunLimits {
+            max_attempts: args.max_attempts,
+        });
+    if let Some(ms) = args.stall_ms {
+        b = b.stall_threshold(Duration::from_millis(ms));
+    }
+    match wal {
+        WalSetup::None => b,
+        WalSetup::Fresh(wal) => b.wal(wal),
+        WalSetup::Recovered(wal, state) => b.wal(wal).recover_from(state),
+    }
+}
+
+/// A threaded-executor builder over `shards` shards, with `--threads`.
+fn threaded(
+    args: &Args,
+    program: CompiledProgram,
+    shards: usize,
+) -> RuntimeBuilder<ParallelRuntime> {
+    let b = ParallelRuntime::builder(program).shards(shards);
+    match args.threads {
+        Some(n) => b.threads(n),
+        None => b,
     }
 }
 
@@ -320,11 +359,9 @@ fn run_threaded(
     registry: Option<std::sync::Arc<sdl::metrics::MetricsRegistry>>,
     tracer: Tracer,
 ) -> ExitCode {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    // Mirror ParallelBuilder's clamp so the WAL header records the
-    // shard count the runtime actually uses.
+    let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());
+    // Mirror the builder's clamp so the WAL header records the shard
+    // count the runtime actually uses.
     let shards = args.shards.unwrap_or(cpus).clamp(1, MAX_SHARDS);
     let wal_setup = match open_wal(args, shards as u64, &metrics) {
         Ok(w) => w,
@@ -333,29 +370,8 @@ fn run_threaded(
             return ExitCode::FAILURE;
         }
     };
-    let mut b = sdl::core::parallel::ParallelRuntime::builder(program)
-        .seed(args.seed)
-        .builtins(builtins)
-        .metrics(metrics)
-        .max_attempts(args.max_attempts)
-        .threads(args.threads.unwrap_or(cpus))
-        .shards(shards)
-        .tracer(tracer.clone());
-    if args.no_plan {
-        b = b.plan_mode(PlanMode::SourceOrder);
-    }
-    if args.coarse_wakes {
-        b = b.exact_wakes(false);
-    }
-    if let Some(ms) = args.stall_ms {
-        b = b.stall_threshold(Duration::from_millis(ms));
-    }
-    match wal_setup {
-        WalSetup::None => {}
-        WalSetup::Fresh(wal) => b = b.wal(wal),
-        WalSetup::Recovered(wal, state) => b = b.wal(wal).recover_from(state),
-    }
-    let rt = match b.build() {
+    let b = threaded(args, program, shards);
+    let rt = match configure(b, args, builtins, metrics, tracer.clone(), wal_setup).build() {
         Ok(rt) => rt,
         Err(e) => {
             eprintln!("sdl-run: init failed: {e}");
@@ -397,39 +413,19 @@ fn live_final_store(
     builtins: Builtins,
     n_shards: u64,
 ) -> Result<Vec<(TupleId, Tuple)>, String> {
+    let (metrics, tracer) = (Metrics::disabled(), Tracer::disabled());
     let mut pairs: Vec<(TupleId, Tuple)> = if args.threaded || n_shards > 1 {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        let mut b = sdl::core::parallel::ParallelRuntime::builder(program)
-            .seed(args.seed)
-            .builtins(builtins)
-            .max_attempts(args.max_attempts)
-            .threads(args.threads.unwrap_or(cpus))
-            .shards(n_shards as usize);
-        if args.no_plan {
-            b = b.plan_mode(PlanMode::SourceOrder);
-        }
-        if args.coarse_wakes {
-            b = b.exact_wakes(false);
-        }
-        let rt = b.build().map_err(|e| e.to_string())?;
-        let (_, ds) = rt.run().map_err(|e| e.to_string())?;
+        let b = threaded(args, program, n_shards as usize);
+        let b = configure(b, args, builtins, metrics, tracer, WalSetup::None);
+        let (_, ds) = b
+            .build()
+            .and_then(|rt| rt.run())
+            .map_err(|e| e.to_string())?;
         ds.iter().map(|(id, t)| (id, t.clone())).collect()
     } else {
-        let mut builder = Runtime::builder(program)
-            .seed(args.seed)
-            .builtins(builtins)
-            .limits(RunLimits {
-                max_attempts: args.max_attempts,
-            });
-        if args.no_plan {
-            builder = builder.plan_mode(PlanMode::SourceOrder);
-        }
-        if args.coarse_wakes {
-            builder = builder.exact_wakes(false);
-        }
-        let mut rt = builder.build().map_err(|e| e.to_string())?;
+        let b = Runtime::builder(program);
+        let b = configure(b, args, builtins, metrics, tracer, WalSetup::None);
+        let mut rt = b.build().map_err(|e| e.to_string())?;
         if args.rounds {
             rt.run_rounds().map_err(|e| e.to_string())?;
         } else {
@@ -604,28 +600,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut builder = Runtime::builder(program)
-        .seed(args.seed)
-        .builtins(builtins)
-        .metrics(metrics.clone())
-        .tracer(tracer.clone())
-        .limits(RunLimits {
-            max_attempts: args.max_attempts,
-        });
-    if let Some(ms) = args.stall_ms {
-        builder = builder.stall_threshold(Duration::from_millis(ms));
-    }
-    match wal_setup {
-        WalSetup::None => {}
-        WalSetup::Fresh(wal) => builder = builder.wal(wal),
-        WalSetup::Recovered(wal, state) => builder = builder.wal(wal).recover_from(state),
-    }
-    if args.no_plan {
-        builder = builder.plan_mode(PlanMode::SourceOrder);
-    }
-    if args.coarse_wakes {
-        builder = builder.exact_wakes(false);
-    }
+    let b = Runtime::builder(program);
+    let mut builder = configure(
+        b,
+        &args,
+        builtins,
+        metrics.clone(),
+        tracer.clone(),
+        wal_setup,
+    );
     if let Some(cap) = args.trace_cap {
         builder = builder.trace_capacity(cap);
     } else if args.trace {

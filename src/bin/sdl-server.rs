@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! sdl-server [--addr HOST:PORT] [--metrics-addr HOST:PORT]
-//!            [--loops N] [--shards N] [--pin-cores]
-//!            [--placement affinity|rr]
-//!            [--max-parked N] [--max-frame BYTES] [--write-buf BYTES]
+//!            [--loops N] [--shards N] [--max-parked N]
+//!            [--max-frame BYTES] [--write-buf BYTES]
 //!            [--read-chunk BYTES] [--poll-timeout-ms N]
 //!            [--wal-dir DIR] [--fsync always|interval[:MS]|never]
 //!            [--snapshot-every N] [--wal-retain N]
@@ -20,11 +19,6 @@
 //! * `--loops N`           event-loop worker threads over the shared
 //!   sharded store (default 1; clamped to 64)
 //! * `--shards N`          store shards (default 8)
-//! * `--pin-cores`         pin loop `i` to core `i % cores` (Linux)
-//! * `--placement P`       new-connection placement: `affinity` routes
-//!   a connection to the loop already touching the shards its first
-//!   request hits; `rr` is plain least-connections round-robin
-//!   (default `affinity`)
 //! * `--max-parked N`      parked-request high watermark (across all
 //!   loops) before the server stops reading new requests
 //!   (default 100000)
@@ -57,7 +51,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use sdl::metrics::Metrics;
-use sdl::server::{serve, Placement, ServerConfig};
+use sdl::server::{serve, ServerConfig};
 
 struct Args {
     cfg: ServerConfig,
@@ -67,9 +61,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: sdl-server [--addr HOST:PORT] [--metrics-addr HOST:PORT] \
-         [--loops N] [--shards N] [--pin-cores] [--placement affinity|rr] \
-         [--max-parked N] [--max-frame BYTES] [--write-buf BYTES] \
-         [--read-chunk BYTES] [--poll-timeout-ms N] \
+         [--loops N] [--shards N] [--max-parked N] \
+         [--max-frame BYTES] [--write-buf BYTES] [--read-chunk BYTES] [--poll-timeout-ms N] \
          [--wal-dir DIR] [--fsync always|interval[:MS]|never] \
          [--snapshot-every N] [--wal-retain N] \
          [--repl-addr HOST:PORT] [--advertise HOST:PORT] [--follow HOST:PORT]"
@@ -103,14 +96,6 @@ fn parse_args() -> Args {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage())
-            }
-            "--pin-cores" => args.cfg.pin_cores = true,
-            "--placement" => {
-                args.cfg.placement = match it.next().as_deref() {
-                    Some("affinity") => Placement::Affinity,
-                    Some("rr") | Some("round-robin") => Placement::RoundRobin,
-                    _ => usage(),
-                }
             }
             "--max-parked" => {
                 args.cfg.max_parked = it
@@ -148,10 +133,11 @@ fn parse_args() -> Args {
             }
             "--wal-dir" => args.cfg.wal_dir = Some(it.next().unwrap_or_else(|| usage()).into()),
             "--fsync" => {
-                args.cfg.fsync = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+                let spec = it.next().unwrap_or_else(|| usage());
+                args.cfg.fsync = spec.parse().unwrap_or_else(|e| {
+                    eprintln!("sdl-server: {e}");
+                    usage()
+                })
             }
             "--snapshot-every" => {
                 args.cfg.snapshot_every = Some(

@@ -319,3 +319,35 @@ fn wal_flag_validation() {
     assert!(!ok);
     assert!(stderr.contains("unknown fsync policy"), "{stderr}");
 }
+
+/// Runs `bin` with `args` and returns its exit code and stderr.
+fn exit_code(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("binary spawns");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn threads_and_shards_need_threaded() {
+    for flag in ["--threads", "--shards"] {
+        let (code, stderr) = exit_code(
+            env!("CARGO_BIN_EXE_sdl-run"),
+            &["examples/programs/hello.sdl", flag, "4"],
+        );
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains("need --threaded"), "{flag}: {stderr}");
+    }
+}
+
+#[test]
+fn server_reports_a_bad_fsync_policy() {
+    let (code, stderr) = exit_code(env!("CARGO_BIN_EXE_sdl-server"), &["--fsync", "bogus"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown fsync policy"), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
+}

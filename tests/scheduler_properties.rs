@@ -18,7 +18,7 @@ use sdl_tuple::{pattern, tuple, Value};
 /// one hot relation, plus `n` producers serialised by a token chain so
 /// every `<item, k>` assert lands while the other consumers are still
 /// parked. Returns the (spurious, progress) wake counters.
-fn wake_storm_counters(n: i64, exact: bool) -> (u64, u64) {
+fn wake_storm_counters(n: i64) -> (u64, u64) {
     let program = CompiledProgram::from_source(
         "process C(k) {
             exists x : <item, k, x>! => <got, k>, <tok, k + 1, 0>;
@@ -31,7 +31,6 @@ fn wake_storm_counters(n: i64, exact: bool) -> (u64, u64) {
     let (metrics, registry) = sdl::metrics::Metrics::registry();
     let mut b = Runtime::builder(program)
         .metrics(metrics)
-        .exact_wakes(exact)
         .tuple(tuple![Value::atom("tok"), 0, 0]);
     for k in 0..n {
         b = b.spawn("C", vec![Value::Int(k)]);
@@ -54,31 +53,20 @@ fn wake_storm_counters(n: i64, exact: bool) -> (u64, u64) {
 }
 
 /// Regression: value-level watch keys must eliminate the spurious-wake
-/// storm on keyed-park workloads. Coarse functor/arity keys wake every
-/// parked consumer of the hot relation on every commit; exact keys wake
+/// storm on keyed-park workloads. A functor/arity key would wake every
+/// parked consumer of the hot relation on every commit; value keys wake
 /// only the matching one.
 #[test]
 fn exact_wakes_eliminate_the_wake_storm() {
     let n = 48i64;
-    let (coarse_spurious, coarse_progress) = wake_storm_counters(n, false);
-    let (exact_spurious, exact_progress) = wake_storm_counters(n, true);
+    let (spurious, progress) = wake_storm_counters(n);
     assert!(
-        exact_progress >= n as u64,
-        "every parked process still wakes and commits (progress {exact_progress})"
+        progress >= n as u64,
+        "every parked process still wakes and commits (progress {progress})"
     );
-    assert!(coarse_progress >= n as u64);
     assert_eq!(
-        exact_spurious, 0,
+        spurious, 0,
         "distinct keys never cross-wake under value-level keys"
-    );
-    assert!(
-        coarse_spurious >= n as u64,
-        "the coarse baseline storms ({coarse_spurious} spurious wakes)"
-    );
-    assert!(
-        exact_spurious * 2 <= coarse_spurious,
-        "exact wakes must at least halve spurious wakeups: \
-         exact {exact_spurious} vs coarse {coarse_spurious}"
     );
 }
 

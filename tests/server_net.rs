@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use sdl::metrics::{Gauge, LoopCounter, Metrics, MetricsRegistry};
-use sdl::server::{serve, Client, Placement, Request, Response, Server, ServerConfig};
+use sdl::server::{serve, Client, Request, Response, Server, ServerConfig};
 use sdl_tuple::{pattern, tuple, Value};
 
 fn start() -> (Server, std::sync::Arc<MetricsRegistry>) {
@@ -15,13 +15,13 @@ fn start() -> (Server, std::sync::Arc<MetricsRegistry>) {
     (server, registry)
 }
 
-/// A 2-loop server placing connections round-robin, so two clients
-/// deterministically land on different event loops.
+/// A 2-loop server. A connection whose first request names no shard (a
+/// ping) goes to the loop with fewer connections, so two clients can be
+/// put on different event loops deterministically.
 fn start_two_loops() -> (Server, std::sync::Arc<MetricsRegistry>) {
     let (metrics, registry) = Metrics::registry();
     let cfg = ServerConfig {
         loops: 2,
-        placement: Placement::RoundRobin,
         ..ServerConfig::default()
     };
     let server = serve(cfg, metrics).expect("bind ephemeral server");
@@ -206,8 +206,9 @@ fn cross_loop_park_is_woken_by_commit_on_the_other_loop() {
     a.set_timeout(Some(Duration::from_secs(10))).unwrap();
     b.set_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    // Round-robin placement puts a and b on different loops (the first
-    // request each sends is what releases them from the nursery).
+    // The first request each sends is what releases it from the
+    // nursery. b's ping names no shard, so b goes to the loop a is not
+    // on; an `out` first would follow a to the loop touching `bridge`.
     let id = a
         .send(&Request::In(pattern![Value::atom("bridge"), any]))
         .unwrap();
@@ -215,6 +216,7 @@ fn cross_loop_park_is_woken_by_commit_on_the_other_loop() {
     assert_eq!(pid, id);
     assert!(matches!(parked, Response::Parked), "{parked:?}");
     assert_eq!(registry.gauge(Gauge::BlockedQueueDepth), 1);
+    b.ping().expect("ping");
 
     // B's commit runs on the other loop; the wake must cross through
     // the mailbox + wake-fd handoff, never by polling.
@@ -282,7 +284,6 @@ fn four_loop_server_survives_mixed_load() {
     let (metrics, registry) = Metrics::registry();
     let cfg = ServerConfig {
         loops: 4,
-        placement: Placement::Affinity,
         ..ServerConfig::default()
     };
     let server = serve(cfg, metrics).expect("bind ephemeral server");

@@ -13,31 +13,38 @@ use sdl::core::CompiledProgram;
 use sdl::metrics::{Counter, Metrics};
 use sdl_tuple::{tuple, Value};
 
-/// Token-chain workload: every consumer parks on its own item key and
-/// the producers run serialised by a token, forcing real wakes (and,
-/// with coarse watch keys, spurious ones).
-fn chain_program() -> CompiledProgram {
-    CompiledProgram::from_source(
-        "process C(k) {
-            exists x : <item, k, x>! => <got, k>, <tok, k + 1, 0>;
-         }
-         process P(k) {
+/// Token-chain workload: the producers run serialised by a token, and
+/// every consumer parks until its item arrives, forcing real wakes. A
+/// `keyed` consumer names its key in the pattern and parks on that
+/// value; the other tests the key after matching, so its pattern has no
+/// constant slot, it parks on the whole `item` relation, and every item
+/// wakes it — spuriously unless the item is its own.
+fn chain_program(keyed: bool) -> CompiledProgram {
+    let consume = if keyed {
+        "exists x : <item, k, x>!"
+    } else {
+        "exists j, x : <item, j, x>! : j == k"
+    };
+    CompiledProgram::from_source(&format!(
+        "process C(k) {{
+            {consume} => <got, k>, <tok, k + 1, 0>;
+         }}
+         process P(k) {{
             exists x : <tok, k, x>! => <item, k, 0>;
-         }",
-    )
+         }}"
+    ))
     .expect("compiles")
 }
 
 /// Runs the chain threaded; returns (wakeup_commit, progress, spurious,
 /// completed).
-fn run_chain(seed: u64, shards: usize, n: i64, exact_wakes: bool) -> (u64, u64, u64, bool) {
+fn run_chain(seed: u64, shards: usize, n: i64, keyed: bool) -> (u64, u64, u64, bool) {
     let (metrics, registry) = Metrics::registry();
-    let mut b = ParallelRuntime::builder(chain_program())
+    let mut b = ParallelRuntime::builder(chain_program(keyed))
         .threads(4)
         .shards(shards)
         .seed(seed)
         .metrics(metrics)
-        .exact_wakes(exact_wakes)
         .tuple(tuple![Value::atom("tok"), 0, 0]);
     for k in 0..n {
         b = b.spawn("C", vec![Value::Int(k)]);
@@ -58,15 +65,15 @@ proptest! {
     #[test]
     fn wake_classification_balances(seed in 0u64..64, n in 2i64..8) {
         for shards in [1usize, 4] {
-            for exact in [true, false] {
+            for keyed in [true, false] {
                 let (wakeups, progress, spurious, completed) =
-                    run_chain(seed, shards, n, exact);
+                    run_chain(seed, shards, n, keyed);
                 prop_assert!(completed, "chain must complete (shards={shards})");
                 prop_assert_eq!(
                     progress + spurious,
                     wakeups,
-                    "shards={} exact={}: progress {} + spurious {} != wakeups {}",
-                    shards, exact, progress, spurious, wakeups
+                    "shards={} keyed={}: progress {} + spurious {} != wakeups {}",
+                    shards, keyed, progress, spurious, wakeups
                 );
             }
         }
@@ -76,12 +83,21 @@ proptest! {
 #[test]
 fn chain_actually_parks_and_wakes() {
     // Guard against the property passing vacuously (0 == 0): at one
-    // shard with a long chain, at least one wake must be observed.
-    let mut any = 0;
+    // shard with a long chain, at least one wake must be observed, and
+    // the unkeyed chain must wake spuriously at least once, so both
+    // sides of the ledger are exercised.
+    let (mut any, mut spurious) = (0, 0);
     for seed in 0..8 {
         let (wakeups, _, _, completed) = run_chain(seed, 1, 8, true);
         assert!(completed);
         any += wakeups;
+        let (_, _, unkeyed_spurious, completed) = run_chain(seed, 1, 8, false);
+        assert!(completed);
+        spurious += unkeyed_spurious;
     }
     assert!(any > 0, "no run of the chain ever parked a process");
+    assert!(
+        spurious > 0,
+        "the unkeyed chain never woke a consumer spuriously"
+    );
 }
