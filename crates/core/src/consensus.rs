@@ -83,9 +83,10 @@ struct Member {
     env: HashMap<String, Value>,
     /// `Import(p) ∩ D` as of the last commit, ascending — unless `stale`.
     ids: Vec<TupleId>,
-    /// A tuple covered by a rule *condition* came or went (or the member
-    /// is new): tuples already in the store may have changed sides, so
-    /// `ids` is recomputed from the store at the next query.
+    /// A tuple covered by a rule *condition* came or went — under bindings
+    /// the rule's predicates do not already rule out — or the member is
+    /// new: tuples already in the store may have changed sides, so `ids`
+    /// is recomputed from the store at the next query.
     stale: bool,
 }
 
@@ -188,9 +189,8 @@ impl CommunityIndex {
             if m.stale {
                 continue;
             }
-            if retracted.iter().any(|(_, t)| m.rules.condition_covers(t))
-                || asserted.iter().any(|(_, t)| m.rules.condition_covers(t))
-            {
+            let covers = |t: &Tuple| m.rules.condition_covers(t, &m.env, builtins);
+            if retracted.iter().any(|(_, t)| covers(t)) || asserted.iter().any(|(_, t)| covers(t)) {
                 m.stale = true;
                 continue;
             }
@@ -432,6 +432,32 @@ mod tests {
         let sets = consensus_sets(&refs, &ds, &Builtins::new()).unwrap();
         assert_eq!(sets.len(), 1);
         assert_eq!(sets[0].len(), 100_000);
+    }
+
+    #[test]
+    fn only_a_neighbours_threshold_stales_a_label() {
+        // Label(5, 1) on a 4×4 grid imports its same-class neighbours'
+        // labels; pixel 15's threshold cannot change that, pixel 6's can.
+        let src = "process Label(r, t) {
+            import { forall p, l : neighbor(p, r), <threshold, p, t> => <label, p, l>; }
+            -> skip;
+        }";
+        let procs = make_procs(src, &[("Label", vec![Value::Int(5), Value::Int(1)])]);
+        let mut b = Builtins::new();
+        b.register_grid_neighbor(4, 4);
+        let mut index = CommunityIndex::build(&[&procs[0]], &b);
+        let mut ds = Dataspace::new();
+        index.import_sets(&ds, &b);
+        let stale = |index: &CommunityIndex| index.members[&procs[0].id].stale;
+        assert!(!stale(&index));
+        let mut assert = |index: &mut CommunityIndex, t: Tuple| {
+            let id = ds.assert_tuple(ProcId::ENV, t);
+            index.commit(&[], &[id], &ds, &b);
+        };
+        assert(&mut index, tuple![Value::atom("threshold"), 15, 1]);
+        assert!(!stale(&index), "a non-neighbour's threshold");
+        assert(&mut index, tuple![Value::atom("threshold"), 6, 1]);
+        assert!(stale(&index), "a neighbour's threshold");
     }
 
     #[test]

@@ -69,3 +69,5 @@ pub use trace::{ParkOutcome, SpanPhase, TraceRecord, Tracer, Track};
 
 #[cfg(test)]
 mod tests;
+#[cfg(test)]
+mod view_proptests;

@@ -628,7 +628,7 @@ fn attempt(
             shared
                 .tracer
                 .span(lock_span, trace_id, proc.id, SpanPhase::LockWaitRead);
-            let source = proc.def.view.window(&view, &proc.env, &shared.builtins)?;
+            let source = proc.def.view.window(&view, &proc.env, &shared.builtins);
             let query = txn::evaluate_resolved(
                 t,
                 &atoms,
@@ -644,7 +644,7 @@ fn attempt(
             // commits after these locks drop bumps the epoch, making
             // the parker re-queue instead of trusting a stale probe.
             let park_watch = if query.is_none() && want_watch {
-                Some(txn::watch_set_resolved(t, &atoms, Some(&source)))
+                Some(txn::watch_set_resolved(t, &atoms, &source))
             } else {
                 None
             };
@@ -847,12 +847,7 @@ fn step_once(
                                 Ok(ProcFate::Continue)
                             }
                             TxnKind::Delayed => Ok(ProcFate::Park {
-                                // The narrowed set probed under the eval
-                                // read locks; full fallback if the probe
-                                // was skipped.
-                                watch: watch.unwrap_or_else(|| {
-                                    txn::watch_set(&t, &proc.env, &shared.builtins)
-                                }),
+                                watch: watch.expect("a delayed attempt subscribes"),
                                 epoch,
                             }),
                             TxnKind::Consensus => unreachable!("rejected at build"),
@@ -890,7 +885,12 @@ fn guards(
     order.shuffle(rng);
     let mut delayed_present = false;
     let mut earliest_epoch = u64::MAX;
-    let mut branch_watch: Vec<Option<WatchSet>> = vec![None; branches.len()];
+    // A parked select retries every branch on wake, so the subscription
+    // is the union of the per-guard sets — each one narrowed under its
+    // own evaluation's read locks. The park epoch re-check runs against
+    // the *earliest* epoch any guard read, so a commit racing any probe
+    // re-queues the process.
+    let mut w = WatchSet::new();
     for &i in &order {
         let guard = branches[i].guard.clone();
         if guard.kind == TxnKind::Delayed {
@@ -918,24 +918,12 @@ fn guards(
             }
             TxnOutcome::Failed { epoch, watch } => {
                 earliest_epoch = earliest_epoch.min(epoch);
-                branch_watch[i] = watch;
+                w.extend(&watch.expect("a guard attempt subscribes"));
             }
             TxnOutcome::StepLimited => return Ok(ProcFate::Halted),
         }
     }
     if delayed_present {
-        // A parked select retries every branch on wake, so the
-        // subscription is the union of the per-guard sets — each one
-        // narrowed under its own evaluation's read locks. The park
-        // epoch re-check runs against the *earliest* epoch any guard
-        // read, so a commit racing any probe re-queues the process.
-        let mut w = WatchSet::new();
-        for (i, b) in branches.iter().enumerate() {
-            match branch_watch[i].take() {
-                Some(bw) => w.extend(&bw),
-                None => w.extend(&txn::watch_set(&b.guard, &proc.env, &shared.builtins)),
-            }
-        }
         return Ok(ProcFate::Park {
             watch: w,
             epoch: earliest_epoch,

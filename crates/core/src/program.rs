@@ -22,7 +22,7 @@ use sdl_metrics::Counter;
 use sdl_tuple::VarId;
 
 use crate::error::CompileError;
-use crate::view::{CompiledCond, CompiledField, CompiledView, CompiledViewRule};
+use crate::view::{CompiledField, CompiledView, CompiledViewRule};
 
 /// A compiled SDL program: the static set of process definitions plus the
 /// initial configuration.
@@ -427,22 +427,21 @@ fn compile_view_rule(rule: &sdl_lang::ast::ViewRule) -> Result<CompiledViewRule,
             .collect()
     };
     let pattern = compile_fields(&rule.pattern)?;
-    let conditions = rule
-        .conditions
-        .iter()
-        .map(|c| match c {
-            CondAtom::Tuple(p) => Ok(CompiledCond::Tuple(compile_fields(p)?)),
-            CondAtom::Pred(name, args) => Ok(CompiledCond::Pred {
-                name: name.clone(),
-                args: args.iter().map(|a| bound(a, &vars)).collect(),
-            }),
-        })
-        .collect::<Result<Vec<_>, CompileError>>()?;
-    Ok(CompiledViewRule {
-        n_vars: rule.vars.len(),
+    let (mut conds, mut preds) = (Vec::new(), Vec::new());
+    for c in &rule.conditions {
+        match c {
+            CondAtom::Tuple(p) => conds.push(compile_fields(p)?),
+            CondAtom::Pred(name, args) => {
+                preds.push((name.clone(), args.iter().map(|a| bound(a, &vars)).collect()));
+            }
+        }
+    }
+    Ok(CompiledViewRule::new(
+        rule.vars.len(),
         pattern,
-        conditions,
-    })
+        conds,
+        preds,
+    ))
 }
 
 fn compile_stmts(

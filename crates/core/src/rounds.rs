@@ -131,8 +131,8 @@ impl Runtime {
                             self.report.attempts += 1;
                             self.metrics.inc(attempts_counter(t.kind));
                             self.cur_trace = self.tracer.new_trace();
-                            return match self.evaluate_for(pid, &t, Some(snap))? {
-                                Some(p) => {
+                            return match self.evaluate_for(pid, &t, Some(snap), &[])? {
+                                Ok(p) => {
                                     if p.validate(&self.ds) {
                                         self.advance_seq(pid);
                                         self.commit_single(pid, &p, t.kind)?;
@@ -146,7 +146,7 @@ impl Runtime {
                                         Ok((0, false))
                                     }
                                 }
-                                None => {
+                                Err(_) => {
                                     self.metrics.inc(failed_counter(t.kind));
                                     match t.kind {
                                         TxnKind::Immediate => {
@@ -228,7 +228,7 @@ impl Runtime {
             self.report.attempts += 1;
             self.metrics.inc(attempts_counter(guard.kind));
             self.cur_trace = self.tracer.new_trace();
-            if let Some(p) = self.evaluate_for(pid, &guard, Some(snap))? {
+            if let Ok(p) = self.evaluate_for(pid, &guard, Some(snap), &[])? {
                 if !p.validate(&self.ds) {
                     self.metrics.inc(Counter::TxnConflicts);
                     self.trace_conflict(pid);
@@ -299,7 +299,7 @@ impl Runtime {
                 self.report.attempts += 1;
                 self.metrics.inc(attempts_counter(guard.kind));
                 self.cur_trace = self.tracer.new_trace();
-                let Some(p) = self.evaluate_for(pid, &guard, Some(&local))? else {
+                let Ok(p) = self.evaluate_for(pid, &guard, Some(&local), &[])? else {
                     self.metrics.inc(failed_counter(guard.kind));
                     break;
                 };

@@ -607,15 +607,20 @@ impl Runtime {
         self.report.attempts += 1;
         self.metrics.inc(attempts_counter(t.kind));
         self.cur_trace = self.tracer.new_trace();
-        match self.evaluate_for(pid, t, None)? {
-            Some(p) => {
+        let park: &[&CompiledTxn] = if t.kind == TxnKind::Delayed {
+            &[t]
+        } else {
+            &[]
+        };
+        match self.evaluate_for(pid, t, None, park)? {
+            Ok(p) => {
                 self.advance_seq(pid);
                 let changed = self.commit_single(pid, &p, t.kind)?;
                 self.wake(&changed);
                 self.apply_control(pid, &p)?;
                 Ok(StepResult::Progressed)
             }
-            None => {
+            Err(watch) => {
                 self.metrics.inc(failed_counter(t.kind));
                 match t.kind {
                     TxnKind::Immediate => {
@@ -625,10 +630,7 @@ impl Runtime {
                         self.advance_seq(pid);
                         Ok(StepResult::Progressed)
                     }
-                    TxnKind::Delayed => {
-                        let watch = self.txn_watch(pid, t);
-                        Ok(self.block(pid, watch, false))
-                    }
+                    TxnKind::Delayed => Ok(self.block(pid, watch, false)),
                     TxnKind::Consensus => unreachable!("handled above"),
                 }
             }
@@ -643,30 +645,47 @@ impl Runtime {
     ) -> Result<StepResult, RuntimeError> {
         let mut order: Vec<usize> = (0..branches.len()).collect();
         order.shuffle(&mut self.rng);
-        let mut delayed_present = false;
-        let mut consensus_present = false;
+        let kind_present = |k| branches.iter().any(|b| b.guard.kind == k);
+        let delayed_present = kind_present(TxnKind::Delayed);
+        let consensus_present = kind_present(TxnKind::Consensus);
+        // A parked construct retries every branch on wake, so it listens
+        // on the union of the per-guard subscriptions, each taken through
+        // a failed evaluation's window — the consensus guards', which are
+        // not evaluated here, through the first one's.
+        let may_park = mode == GuardMode::Repl || delayed_present || consensus_present;
+        let mut unsubscribed: Vec<&CompiledTxn> = branches
+            .iter()
+            .filter(|b| may_park && b.guard.kind == TxnKind::Consensus)
+            .map(|b| &*b.guard)
+            .collect();
+        let mut watch = WatchSet::new();
 
         for &i in &order {
-            let guard = branches[i].guard.clone();
-            match guard.kind {
-                TxnKind::Consensus => {
-                    consensus_present = true;
-                    continue;
-                }
-                TxnKind::Delayed => delayed_present = true,
-                TxnKind::Immediate => {}
+            let guard = &branches[i].guard;
+            if guard.kind == TxnKind::Consensus {
+                continue;
             }
             self.report.attempts += 1;
             self.metrics.inc(attempts_counter(guard.kind));
             self.cur_trace = self.tracer.new_trace();
-            if let Some(p) = self.evaluate_for(pid, &guard, None)? {
-                if mode == GuardMode::Select {
-                    self.advance_seq(pid);
+            let park: Vec<&CompiledTxn> = if may_park {
+                std::iter::once(&**guard)
+                    .chain(unsubscribed.drain(..))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            match self.evaluate_for(pid, guard, None, &park)? {
+                Ok(p) => {
+                    if mode == GuardMode::Select {
+                        self.advance_seq(pid);
+                    }
+                    let changed = self.commit_single(pid, &p, guard.kind)?;
+                    self.wake(&changed);
+                    self.enter_branch(pid, &p, branches[i].rest.clone(), mode)?;
+                    return Ok(StepResult::Progressed);
                 }
-                let changed = self.commit_single(pid, &p, guard.kind)?;
-                self.wake(&changed);
-                self.enter_branch(pid, &p, branches[i].rest.clone(), mode)?;
-                return Ok(StepResult::Progressed);
+                Err(w) => watch.extend(&w),
             }
             self.metrics.inc(failed_counter(guard.kind));
         }
@@ -682,7 +701,9 @@ impl Runtime {
         let must_wait =
             delayed_present || consensus_present || (mode == GuardMode::Repl && repl_active > 0);
         if must_wait {
-            let watch = self.guards_watch(pid, branches);
+            for t in unsubscribed {
+                watch.extend(&self.txn_watch(pid, t));
+            }
             return Ok(self.block(pid, watch, consensus_present));
         }
         match mode {
@@ -763,27 +784,45 @@ impl Runtime {
 
     /// Evaluates `t` for `pid`, building the process window over
     /// `source_ds` (defaults to the live dataspace — the rounds scheduler
-    /// passes the round snapshot).
+    /// passes the round snapshot). `Ok(Err(watch))` is a failed query;
+    /// `watch` is what a park after it listens on: the subscriptions of
+    /// the transactions in `park` (`t` itself, and the unevaluated guards
+    /// of its construct, or none), taken through the window the
+    /// evaluation failed against.
     pub(crate) fn evaluate_for(
         &self,
         pid: ProcId,
         t: &CompiledTxn,
         source_ds: Option<&Dataspace>,
-    ) -> Result<Option<Pending>, RuntimeError> {
+        park: &[&CompiledTxn],
+    ) -> Result<Result<Pending, WatchSet>, RuntimeError> {
         let proc = &self.procs[&pid];
         let ds = source_ds.unwrap_or(&self.ds);
         let timer = self.metrics.start_timer();
         let span = self.tracer.begin();
         let mut probe = span.map(|_| EvalProbe::new());
-        let source = proc.def.view.window(ds, &proc.env, &self.builtins)?;
-        let result = txn::evaluate_probed(
+        let source = proc.def.view.window(ds, &proc.env, &self.builtins);
+        let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
+        let result = txn::evaluate_resolved(
             t,
+            &atoms,
             &source,
             &proc.env,
             &self.builtins,
             SolveLimits::default(),
             probe.as_mut(),
-        );
+        )
+        .and_then(|query| match query {
+            Some(query) => txn::build_effects(t, &query, &proc.env, &self.builtins).map(Ok),
+            None => {
+                let mut watch = WatchSet::new();
+                for p in park {
+                    let atoms = txn::resolve_atoms(p, &proc.env, &self.builtins);
+                    watch.extend(&txn::watch_set_resolved(p, &atoms, &source));
+                }
+                Ok(Err(watch))
+            }
+        });
         self.metrics.observe_timer(Hist::QueryEvalSeconds, timer);
         if let (Some(t0), Some(pr)) = (span, &probe) {
             // Plan-cache lookup nests inside the eval span.
@@ -802,28 +841,21 @@ impl Runtime {
         result
     }
 
-    /// The watch subscription for a transaction about to park.
+    /// The watch subscription for a transaction about to park that was
+    /// not just evaluated (a consensus transaction waits without one; the
+    /// rounds scheduler evaluated against the round snapshot), through
+    /// the process window over the live store.
     ///
-    /// Probes the live store so [`txn::watch_set_on`] can narrow the
-    /// subscription to a single provably-empty atom. Sound here because
-    /// the serial and rounds schedulers run park and probe on one thread
-    /// against the same store (no commit can interleave), the
-    /// subscription is recomputed on every re-park, and a process view
-    /// only *filters* the store (an atom empty store-wide is empty in
-    /// every window). The threaded executor keeps the full per-atom
-    /// subscription — its park/commit-epoch protocol installs
-    /// subscriptions concurrently with commits.
+    /// [`txn::watch_set_resolved`] may narrow the subscription to a
+    /// single provably-empty atom. Sound here because the serial and
+    /// rounds schedulers run park and probe on one thread against the
+    /// same store (no commit can interleave) and the subscription is
+    /// recomputed on every re-park.
     pub(crate) fn txn_watch(&self, pid: ProcId, t: &CompiledTxn) -> WatchSet {
         let proc = &self.procs[&pid];
-        txn::watch_set_on(t, &proc.env, &self.builtins, Some(&self.ds))
-    }
-
-    fn guards_watch(&self, pid: ProcId, branches: &Arc<[CompiledBranch]>) -> WatchSet {
-        let mut w = WatchSet::new();
-        for b in branches.iter() {
-            w.extend(&self.txn_watch(pid, &b.guard));
-        }
-        w
+        let source = proc.def.view.window(&self.ds, &proc.env, &self.builtins);
+        let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
+        txn::watch_set_resolved(t, &atoms, &source)
     }
 
     /// Applies one process's pending commit: the one-contribution case
@@ -1322,7 +1354,8 @@ impl Runtime {
                 Some(CompiledStmt::Txn(t)) if t.kind == TxnKind::Consensus => {
                     self.metrics.inc(Counter::TxnAttemptsConsensus);
                     Ok(self
-                        .evaluate_for(pid, t, None)?
+                        .evaluate_for(pid, t, None, &[])?
+                        .ok()
                         .map(|p| (ConsensusSite::PlainTxn, p)))
                 }
                 Some(CompiledStmt::Select(branches)) => {
@@ -1347,7 +1380,7 @@ impl Runtime {
                 continue;
             }
             self.metrics.inc(Counter::TxnAttemptsConsensus);
-            if let Some(p) = self.evaluate_for(pid, &b.guard, None)? {
+            if let Ok(p) = self.evaluate_for(pid, &b.guard, None, &[])? {
                 return Ok(Some((
                     ConsensusSite::Guard {
                         mode,

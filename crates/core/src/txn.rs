@@ -114,34 +114,6 @@ pub fn resolve_atoms(
         .collect()
 }
 
-/// Evaluates `txn` over `source`, with an optional [`EvalProbe`] for
-/// tracing the phases nested inside evaluation (currently the plan-cache
-/// lookup).
-///
-/// Returns `Ok(None)` when the query does not (currently) hold — for an
-/// immediate transaction that is failure, for a delayed one it means
-/// "keep blocking".
-///
-/// # Errors
-///
-/// Returns [`RuntimeError`] when an expression outside a test position
-/// (pattern field, action argument) cannot evaluate — a program bug, not
-/// a query failure.
-pub(crate) fn evaluate_probed(
-    txn: &CompiledTxn,
-    source: &dyn TupleSource,
-    env: &HashMap<String, Value>,
-    builtins: &Builtins,
-    limits: SolveLimits,
-    probe: Option<&mut EvalProbe>,
-) -> Result<Option<Pending>, RuntimeError> {
-    let atoms = resolve_atoms(txn, env, builtins);
-    match evaluate_resolved(txn, &atoms, source, env, builtins, limits, probe)? {
-        Some(query) => build_effects(txn, &query, env, builtins).map(Some),
-        None => Ok(None),
-    }
-}
-
 /// Sub-phase timings observed inside one [`evaluate_query`] call, for
 /// tracing. All offsets are microseconds relative to the probe's
 /// creation, which callers should anchor at the start of their own eval
@@ -420,61 +392,36 @@ fn apply_action(
     Ok(())
 }
 
-/// The watch keys a blocked instance of `txn` listens on: the keys of all
-/// its patterns (positive and negated), resolved against the process
-/// environment.
+/// The watch keys a blocked instance of `txn` listens on, subscribed
+/// through `source` — the window its failed evaluation ran over, in the
+/// state that evaluation saw ([`TupleSource::subscribe`]).
 ///
-/// A positive atom whose resolved pattern has an atom head and a
-/// constant argument subscribes to its value-level key
-/// ([`sdl_dataspace::WatchKey::Value`]) instead of the functor channel,
-/// so a transaction blocked on `<count, 7, α>` wakes only when a `count`
-/// tuple carrying `7` changes. Negated atoms and patterns without a
-/// constant argument keep the conservative functor/arity keys — for
-/// negations the enabling change is a retraction anywhere in the
-/// pattern's match set, and the coarse channel is the simplest complete
-/// subscription.
-pub(crate) fn watch_set(
-    txn: &CompiledTxn,
-    env: &HashMap<String, Value>,
-    builtins: &Builtins,
-) -> WatchSet {
-    watch_set_on(txn, env, builtins, None)
-}
-
-/// [`watch_set`] with an optional store probe that sharpens the
-/// subscription to the *most selective* atom instead of every atom.
+/// Each atom subscribes what can change its matches: over the store, a
+/// positive atom with an atom head and a constant argument listens on its
+/// value-level key ([`sdl_dataspace::WatchKey::Value`]), so a transaction
+/// blocked on `<count, 7, α>` wakes only when a `count` tuple carrying
+/// `7` changes; a negated atom keeps its conservative functor/arity
+/// channel. A restricted window narrows a positive atom to the values
+/// its import rules admit, and adds the rules' conditions.
 ///
-/// When `source` is given and some resolvable positive atom currently
-/// has zero candidates ([`TupleSource::estimate_candidates`] is an
-/// upper bound on the candidate superset, so 0 is a sound emptiness
-/// proof), the transaction cannot become enabled until a commit asserts
-/// a tuple matching that atom — and any such assert publishes that
-/// atom's watch key. Subscribing to that single atom is therefore
-/// complete, as long as the caller recomputes the subscription on every
-/// re-park (a spurious wake must refresh the probe: the previously
-/// empty atom may now be populated while a different one is empty).
+/// When some positive atom currently has zero candidates
+/// ([`TupleSource::estimate_candidates`] is an upper bound on the
+/// candidate superset, so 0 is a sound emptiness proof), the transaction
+/// cannot become enabled until a commit asserts a tuple matching that
+/// atom, so that atom's subscription alone is complete — as long as the
+/// caller recomputes the subscription on every re-park (a spurious wake
+/// must refresh the probe: the previously empty atom may now be
+/// populated while a different one is empty). Among several provably
+/// empty atoms the one with an exact value key
+/// ([`sdl_dataspace::WatchKey::value_of_pattern`]) is preferred, source
+/// order breaking ties.
 ///
-/// Among several provably-empty atoms the one with an exact value key
-/// ([`sdl_dataspace::WatchKey::value_of_pattern`]) is preferred — value
-/// keys wake on matching *values*, not just the functor channel — with
-/// source order breaking ties. With no emptiness proof (or `source`
-/// `None`) the subscription falls back to the full per-atom set.
-pub(crate) fn watch_set_on(
-    txn: &CompiledTxn,
-    env: &HashMap<String, Value>,
-    builtins: &Builtins,
-    source: Option<&dyn TupleSource>,
-) -> WatchSet {
-    watch_set_resolved(txn, &resolve_atoms(txn, env, builtins), source)
-}
-
-/// `watch_set_on` over atoms the caller already resolved. When they
-/// did not resolve, the subscription is every atom's arity channel: any
-/// change of that arity re-examines the transaction.
+/// When the atoms did not resolve, the subscription is every atom's
+/// arity channel: any change of that arity re-examines the transaction.
 pub fn watch_set_resolved(
     txn: &CompiledTxn,
     atoms: &ResolvedAtoms,
-    source: Option<&dyn TupleSource>,
+    source: &dyn TupleSource,
 ) -> WatchSet {
     let mut w = WatchSet::new();
     let Ok(atoms) = atoms else {
@@ -483,26 +430,19 @@ pub fn watch_set_resolved(
         }
         return w;
     };
-    if let Some(src) = source {
-        let empty: Vec<&Pattern> = atoms
-            .iter()
-            .filter(|a| a.mode != AtomMode::Neg && src.estimate_candidates(&a.pattern) == 0)
-            .map(|a| &a.pattern)
-            .collect();
-        let valued = empty
-            .iter()
-            .find(|p| WatchKey::value_of_pattern(p).is_some());
-        if let Some(p) = valued.or(empty.first()) {
-            w.add_pattern_exact(p);
-            return w;
-        }
+    let empty: Vec<&QueryAtom> = atoms
+        .iter()
+        .filter(|a| a.mode != AtomMode::Neg && source.estimate_candidates(&a.pattern) == 0)
+        .collect();
+    let valued = empty
+        .iter()
+        .find(|a| WatchKey::value_of_pattern(&a.pattern).is_some());
+    if let Some(a) = valued.or(empty.first()) {
+        source.subscribe(a, &mut w);
+        return w;
     }
     for a in atoms {
-        if a.mode != AtomMode::Neg {
-            w.add_pattern_exact(&a.pattern);
-        } else {
-            w.add_pattern(&a.pattern);
-        }
+        source.subscribe(a, &mut w);
     }
     w
 }
@@ -526,7 +466,15 @@ mod tests {
         builtins: &Builtins,
         limits: SolveLimits,
     ) -> Result<Option<Pending>, RuntimeError> {
-        evaluate_probed(txn, source, env, builtins, limits, None)
+        match evaluate_query(txn, source, env, builtins, limits, PlanConfig)? {
+            Some(query) => build_effects(txn, &query, env, builtins).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The park subscription of `txn` over `ds`.
+    fn watch(txn: &CompiledTxn, env: &HashMap<String, Value>, ds: &Dataspace) -> WatchSet {
+        watch_set_resolved(txn, &resolve_atoms(txn, env, &Builtins::standard()), ds)
     }
 
     fn env(pairs: &[(&str, i64)]) -> HashMap<String, Value> {
@@ -771,7 +719,9 @@ mod tests {
     #[test]
     fn watch_set_resolves_env() {
         let txn = compile("exists a : <k, a>, not <done> => skip");
-        let w = watch_set(&txn, &env(&[("k", 3)]), &Builtins::new());
+        let mut ds = Dataspace::new();
+        ds.assert_tuple(ProcId::ENV, tuple![3, 1]);
+        let w = watch(&txn, &env(&[("k", 3)]), &ds);
         // <3, a> has no functor → arity key; <done> has functor key.
         let mut change = sdl_dataspace::WatchSet::new();
         change.add_tuple(&tuple![3, 9]);
@@ -789,7 +739,7 @@ mod tests {
         // <count, k, a> with k = 7 resolved from the environment: exact
         // keys wake only on count tuples carrying 7.
         let txn = compile("exists a : <count, k, a>! => skip");
-        let w = watch_set(&txn, &env(&[("k", 7)]), &Builtins::new());
+        let w = watch(&txn, &env(&[("k", 7)]), &Dataspace::new());
         let mut hit = sdl_dataspace::WatchSet::new();
         hit.add_tuple(&tuple![Value::atom("count"), 7, 1]);
         assert!(w.intersects(&hit));
@@ -803,7 +753,9 @@ mod tests {
         // not <lock, 7>: conservative functor subscription, so any lock
         // retraction re-examines the txn.
         let txn = compile("exists a : <job, a>, not <lock, 7> => skip");
-        let w = watch_set(&txn, &env(&[]), &Builtins::new());
+        let mut ds = Dataspace::new();
+        ds.assert_tuple(ProcId::ENV, tuple![Value::atom("job"), 1]);
+        let w = watch(&txn, &env(&[]), &ds);
         let mut other_lock = sdl_dataspace::WatchSet::new();
         other_lock.add_tuple(&tuple![Value::atom("lock"), 8]);
         assert!(w.intersects(&other_lock), "neg atom keeps coarse channel");
@@ -901,7 +853,7 @@ mod tests {
         let compiled = crate::program::CompiledProgram::compile(&prog).unwrap();
         let view = &compiled.defs().next().unwrap().view;
         let (e, b) = (HashMap::new(), Builtins::new());
-        let source = view.window(&ds, &e, &b).unwrap();
+        let source = view.window(&ds, &e, &b);
         let outcome =
             |src: &str| evaluate(&compile(src), &source, &e, &b, SolveLimits::default()).unwrap();
         assert!(
@@ -922,8 +874,7 @@ mod tests {
         let mut ds = Dataspace::new();
         ds.assert_tuple(ProcId::ENV, tuple![Value::atom("item"), 7]);
         let txn = compile("exists a : <item, a>!, <ack, a> => <done>");
-        let b = Builtins::standard();
-        let narrowed = watch_set_on(&txn, &HashMap::new(), &b, Some(&ds));
+        let narrowed = watch(&txn, &HashMap::new(), &ds);
         let keys = watch_keys(&narrowed);
         assert_eq!(keys.len(), 1, "single-atom subscription: {keys:?}");
         match &keys[0] {
@@ -946,9 +897,11 @@ mod tests {
         ds.assert_tuple(ProcId::ENV, tuple![Value::atom("item"), 7]);
         ds.assert_tuple(ProcId::ENV, tuple![Value::atom("ack"), 9]);
         let txn = compile("exists a : <item, a>!, <ack, a> => <done>");
-        let b = Builtins::standard();
-        let probed = watch_set_on(&txn, &HashMap::new(), &b, Some(&ds));
-        let full = watch_set(&txn, &HashMap::new(), &b);
+        let probed = watch(&txn, &HashMap::new(), &ds);
+        let mut full = WatchSet::new();
+        for a in resolve_atoms(&txn, &HashMap::new(), &Builtins::standard()).unwrap() {
+            full.add_pattern_exact(&a.pattern);
+        }
         assert_eq!(
             watch_keys(&probed),
             watch_keys(&full),
@@ -962,8 +915,7 @@ mod tests {
         // The negated atom is empty but must never be chosen as the
         // narrowed subscription — only positive atoms enable a txn.
         let txn = compile("exists a : <req, a>, not <busy, a> => <go, a>");
-        let b = Builtins::standard();
-        let w = watch_set_on(&txn, &HashMap::new(), &b, Some(&ds));
+        let w = watch(&txn, &HashMap::new(), &ds);
         let keys = watch_keys(&w);
         assert_eq!(keys.len(), 1, "{keys:?}");
         match &keys[0] {

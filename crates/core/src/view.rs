@@ -12,13 +12,20 @@
 //!
 //! Import rules may be conditional on the current dataspace (the `Label`
 //! process of §3.3 imports the label tuples of 4-connected, same-threshold
-//! neighbours), so membership checks may themselves run small queries.
+//! neighbours). A window does not test candidates against the rules one
+//! at a time: it *expands* each rule once — the rule pattern under every
+//! solution of the rule's tuple conditions — and composes the expansion
+//! with the query's pattern, so a `Label` process probes the store for
+//! its own and its ≤ 4 neighbours' labels by value, and a parked one
+//! listens on exactly those.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sdl_dataspace::{Dataspace, QueryAtom, Solver, TupleSource};
+use sdl_dataspace::solve::resolve_pattern;
+use sdl_dataspace::{AtomMode, QueryAtom, SolveLimits, Solver, TupleSource, WatchSet};
 use sdl_lang::ast::Expr;
 use sdl_lang::expr::{eval, EvalContext};
 use sdl_metrics::{Counter, Hist, Metrics};
@@ -38,74 +45,131 @@ pub(crate) enum CompiledField {
     Env(Expr),
 }
 
-/// A compiled view-rule condition.
+/// A predicate condition of a compiled view rule.
 #[derive(Clone, Debug)]
-pub(crate) enum CompiledCond {
-    /// A tuple matching these fields must exist in the dataspace.
-    Tuple(Vec<CompiledField>),
-    /// A built-in predicate must hold.
-    Pred {
-        /// Predicate name.
-        name: String,
-        /// Argument expressions (over rule variables and constants).
-        args: Vec<Expr>,
-    },
+struct RulePred {
+    name: String,
+    args: Vec<Expr>,
+    /// The rule variables the arguments read.
+    vars: Vec<VarId>,
+    /// How many of the rule's tuple conditions, matched in order, bind
+    /// every variable the predicate reads — or `None` when the rule
+    /// pattern alone binds one of them, so the predicate waits for a
+    /// candidate tuple.
+    stage: Option<usize>,
+}
+
+impl RulePred {
+    /// Whether the predicate holds under `b`; `None` when `b` leaves a
+    /// variable it reads unbound or an argument does not evaluate.
+    fn verdict(
+        &self,
+        b: &Bindings,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> Option<bool> {
+        if !self.vars.iter().all(|v| b.is_bound(*v)) {
+            return None;
+        }
+        let ctx = EnvCtx {
+            env,
+            vars: b.slots(),
+            builtins,
+        };
+        let vals = self
+            .args
+            .iter()
+            .map(|a| eval(a, &ctx).ok())
+            .collect::<Option<Vec<Value>>>()?;
+        Some(builtins.call(&self.name, &vals) == Some(Value::Bool(true)))
+    }
 }
 
 /// A compiled import/export rule.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledViewRule {
     /// Rule-local variable count.
-    pub(crate) n_vars: usize,
+    n_vars: usize,
     /// The covered tuple shape.
-    pub(crate) pattern: Vec<CompiledField>,
-    /// Conditions over the current dataspace.
-    pub(crate) conditions: Vec<CompiledCond>,
+    pattern: Vec<CompiledField>,
+    /// The tuple conditions, in source order — the order they are solved
+    /// in.
+    conds: Vec<Vec<CompiledField>>,
+    /// The predicate conditions.
+    preds: Vec<RulePred>,
 }
 
-/// A tiny per-view cardinality sketch: admission checks and admissions
-/// observed on the lazy-window path, so the query planner's estimates
-/// reflect how selective the import filter actually is instead of using
-/// the raw store count as an upper bound forever.
-///
-/// Shared (via `Arc`) between every clone of the view, so the process
-/// definition accumulates evidence across all its instances.
-#[derive(Debug, Default)]
-pub(crate) struct ViewStats {
-    checks: AtomicU64,
-    admits: AtomicU64,
-}
-
-impl ViewStats {
-    fn record(&self, admitted: bool) {
-        self.checks.fetch_add(1, Ordering::Relaxed);
-        if admitted {
-            self.admits.fetch_add(1, Ordering::Relaxed);
+impl CompiledViewRule {
+    /// A rule over `n_vars` variables covering `pattern` when tuples
+    /// matching `conds` exist and the built-in predicates `preds` (name,
+    /// arguments over rule variables and constants) hold. Each predicate
+    /// is staged at the first tuple condition that leaves all its
+    /// variables bound.
+    pub(crate) fn new(
+        n_vars: usize,
+        pattern: Vec<CompiledField>,
+        conds: Vec<Vec<CompiledField>>,
+        preds: Vec<(String, Vec<Expr>)>,
+    ) -> CompiledViewRule {
+        let bound_at = |v: VarId| {
+            conds
+                .iter()
+                .position(|c| {
+                    c.iter()
+                        .any(|f| matches!(f, CompiledField::Var(w) if *w == v))
+                })
+                .map(|i| i + 1)
+        };
+        let preds = preds
+            .into_iter()
+            .map(|(name, args)| {
+                let mut vars = Vec::new();
+                args.iter().for_each(|a| expr_vars(a, &mut vars));
+                let stage = vars
+                    .iter()
+                    .try_fold(0, |stage, v| Some(stage.max(bound_at(*v)?)));
+                RulePred {
+                    name,
+                    args,
+                    vars,
+                    stage,
+                }
+            })
+            .collect();
+        CompiledViewRule {
+            n_vars,
+            pattern,
+            conds,
+            preds,
         }
     }
 
-    /// Admission checks observed so far.
-    pub(crate) fn checks(&self) -> u64 {
-        self.checks.load(Ordering::Relaxed)
+    /// True if every predicate staged at `stage` holds under `b`.
+    fn preds_hold(
+        &self,
+        stage: Option<usize>,
+        b: &Bindings,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> bool {
+        self.preds
+            .iter()
+            .filter(|p| p.stage == stage)
+            .all(|p| p.verdict(b, env, builtins) == Some(true))
     }
+}
 
-    /// Admissions observed so far.
-    pub(crate) fn admits(&self) -> u64 {
-        self.admits.load(Ordering::Relaxed)
-    }
-
-    /// Scales a raw store estimate by the observed admit rate. Cold
-    /// sketches pass the raw estimate through; warm ones apply the
-    /// Laplace-smoothed rate `(admits + 1) / (checks + 2)`, floored at 1
-    /// so a matching pattern is never estimated as empty.
-    pub(crate) fn scale(&self, raw: usize) -> usize {
-        let checks = self.checks();
-        if raw == 0 || checks == 0 {
-            return raw;
+/// Pushes every quantified variable `e` reads onto `out`.
+fn expr_vars(e: &Expr, out: &mut Vec<VarId>) {
+    match e {
+        Expr::Var(v, _) => out.push(*v),
+        Expr::Unary(_, e) => expr_vars(e, out),
+        Expr::Binary(_, l, r) => {
+            expr_vars(l, out);
+            expr_vars(r, out);
         }
-        let admits = self.admits();
-        let scaled = (raw as u128 * (admits as u128 + 1)) / (checks as u128 + 2);
-        (scaled as usize).max(1)
+        Expr::Call(_, args) => args.iter().for_each(|a| expr_vars(a, out)),
+        Expr::Lit(_) | Expr::Name(_) => {}
     }
 }
 
@@ -114,7 +178,6 @@ impl ViewStats {
 pub struct CompiledView {
     import: Option<Arc<[CompiledViewRule]>>,
     export: Option<Arc<[CompiledViewRule]>>,
-    stats: Arc<ViewStats>,
 }
 
 /// Evaluation context over a process environment, the bindings of the
@@ -174,7 +237,6 @@ impl CompiledView {
         CompiledView {
             import: import.map(Arc::from),
             export: export.map(Arc::from),
-            stats: Arc::default(),
         }
     }
 
@@ -202,40 +264,32 @@ impl CompiledView {
     ///
     /// The window is *lazy*: rather than materialising the imported
     /// instances (the paper's conceptual model), the returned source
-    /// filters candidates through the import test on demand. Over an
+    /// expands the import rules as queries reach them ([`Lazy`]). Over an
     /// unchanging dataspace — which is exactly a transaction's evaluation
     /// context — the two are observationally identical, and laziness
     /// keeps "transaction types that might be expensive … comfortable
     /// when the number of tuples they examine is small". The rules'
-    /// environment expressions are evaluated here, once per window.
-    ///
-    /// # Errors
-    ///
-    /// Never, today: a rule whose environment expression cannot evaluate
-    /// admits nothing (see [`ResolvedRules`]).
+    /// environment expressions are evaluated here, once per window; a
+    /// rule whose expression cannot evaluate admits nothing (see
+    /// [`ResolvedRules`]).
     pub(crate) fn window<'a>(
         &'a self,
         ds: &'a dyn TupleSource,
         env: &'a HashMap<String, Value>,
         builtins: &'a Builtins,
-    ) -> Result<QuerySource<'a>, RuntimeError> {
+    ) -> QuerySource<'a> {
         let metrics = ds.metrics();
         metrics.inc(Counter::WindowsBuilt);
-        let Some(rules) = self.resolve_import(env, builtins) else {
-            // A full window's size is just the store size; lazy windows
-            // are deliberately not counted (materialising them would
-            // defeat their purpose) — their cost shows up as
-            // `WindowAdmitChecks` instead.
-            metrics.observe(Hist::WindowSize, ds.tuple_count() as f64);
-            return Ok(QuerySource::Full(ds));
-        };
-        Ok(QuerySource::Lazy {
-            ds,
-            view: self,
-            rules,
-            env,
-            builtins,
-        })
+        match self.resolve_import(env, builtins) {
+            Some(rules) => QuerySource::Lazy(Lazy::new(ds, rules, env, builtins)),
+            None => {
+                // A full window's size is just the store size; lazy
+                // windows are deliberately not counted (materialising
+                // them would defeat their purpose).
+                metrics.observe(Hist::WindowSize, ds.tuple_count() as f64);
+                QuerySource::Full(ds)
+            }
+        }
     }
 
     /// The instance ids currently in the import set, ascending (the
@@ -245,10 +299,11 @@ impl CompiledView {
     ///
     /// # Errors
     ///
-    /// As for [`CompiledView::window`].
+    /// Never, today: a rule whose environment expression cannot evaluate
+    /// admits nothing.
     pub fn import_ids(
         &self,
-        ds: &Dataspace,
+        ds: &sdl_dataspace::Dataspace,
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> Result<Vec<TupleId>, RuntimeError> {
@@ -307,12 +362,11 @@ struct ResolvedRule {
 /// A view's import or export rules as they read for one process: every
 /// environment expression evaluated under its constants, rule variables
 /// left free. Built once per window by [`CompiledView::window`] and kept
-/// per process by the consensus community index, so a membership test is
-/// pattern matches and condition lookups only.
+/// per process by the consensus community index.
 ///
 /// A rule whose pattern or tuple condition does not evaluate is left
-/// out: it admits nothing, for the lazy test ([`ResolvedRules::admits`])
-/// and the materialised set ([`ResolvedRules::import_ids`]) alike.
+/// out: it admits nothing, for the test of a tuple in hand
+/// ([`ResolvedRules::admits`]) and the expansion ([`Lazy`]) alike.
 #[derive(Clone, Debug)]
 pub(crate) struct ResolvedRules {
     rules: Arc<[CompiledViewRule]>,
@@ -332,12 +386,11 @@ impl ResolvedRules {
         };
         let resolve = |i: usize, rule: &CompiledViewRule| {
             let pattern = resolve_fields(&rule.pattern, &ctx, "view rule pattern").ok()?;
-            let mut conds = Vec::new();
-            for c in &rule.conditions {
-                if let CompiledCond::Tuple(fields) = c {
-                    conds.push(resolve_fields(fields, &ctx, "view rule condition").ok()?);
-                }
-            }
+            let conds = rule
+                .conds
+                .iter()
+                .map(|c| resolve_fields(c, &ctx, "view rule condition").ok())
+                .collect::<Option<Vec<Pattern>>>()?;
             Some(ResolvedRule {
                 rule: i,
                 pattern,
@@ -355,7 +408,8 @@ impl ResolvedRules {
     }
 
     /// True if some rule covers `tuple` and that rule's conditions hold
-    /// in `ds`.
+    /// in `ds` — the test of one tuple in hand (export filtering, a
+    /// window's `tuple(id)`, a commit's asserted tuples).
     pub(crate) fn admits<S: TupleSource + ?Sized>(
         &self,
         tuple: &Tuple,
@@ -368,58 +422,93 @@ impl ResolvedRules {
             .any(|r| self.rule_admits(r, tuple, ds, env, builtins))
     }
 
-    /// True if `tuple` matches a tuple condition of some rule, i.e. its
+    /// True if `tuple` matches a tuple condition of some rule under
+    /// bindings that leave the rule's predicates able to hold, i.e. its
     /// assertion or retraction can change which *other* tuples the rules
-    /// admit.
-    pub(crate) fn condition_covers(&self, tuple: &Tuple) -> bool {
+    /// admit. A predicate reading a variable the condition does not bind
+    /// may hold.
+    pub(crate) fn condition_covers(
+        &self,
+        tuple: &Tuple,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> bool {
         self.resolved.iter().any(|r| {
+            let rule = &self.rules[r.rule];
             r.conds.iter().any(|c| {
+                let mut b = Bindings::new(rule.n_vars);
                 may_match(c, tuple)
-                    && c.matches(tuple, &mut Bindings::new(self.rules[r.rule].n_vars))
+                    && c.matches(tuple, &mut b)
+                    && rule
+                        .preds
+                        .iter()
+                        .all(|p| p.verdict(&b, env, builtins) != Some(false))
             })
         })
     }
 
-    /// The ids of the instances in `ds` the rules admit, ascending.
+    /// The ids of the instances in `ds` the rules admit, ascending: the
+    /// window's expansion over the whole store.
     pub(crate) fn import_ids(
         &self,
-        ds: &Dataspace,
+        ds: &dyn TupleSource,
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> Vec<TupleId> {
-        let mut seen = std::collections::BTreeSet::new();
-        for r in &self.resolved {
-            let rule = &self.rules[r.rule];
-            if r.conds.is_empty() {
-                let mut b = Bindings::new(rule.n_vars);
-                for id in ds.candidate_ids(&r.pattern) {
-                    let tuple = ds.tuple(id).expect("candidate is live");
-                    if r.pattern.matches(tuple, &mut b) {
-                        if preds_hold(rule, &b, env, builtins) {
-                            seen.insert(id);
-                        }
-                        b.undo_to(0);
-                    }
-                }
-                continue;
-            }
-            // Conditions-first: tuple conditions usually bind the
-            // pattern's variables far more selectively than scanning
-            // every pattern candidate and re-checking the conditions per
-            // candidate (e.g. the Label rule's `<threshold, p2, t>` pins
-            // `p2` to a handful of neighbours).
-            let atoms: Vec<QueryAtom> = r.conds.iter().cloned().map(QueryAtom::read).collect();
-            let solutions = Solver::new(ds, &atoms, rule.n_vars).all_staged(
-                None,
-                &mut |depth, b| depth < atoms.len() || preds_hold(rule, b, env, builtins),
-                sdl_dataspace::SolveLimits::default(),
-            );
-            for sol in solutions {
-                let p = sdl_dataspace::solve::resolve_pattern(&r.pattern, &sol.to_bindings());
-                seen.extend(ds.find_all(&p));
-            }
+        Lazy::new(ds, self.clone(), env, builtins).all_ids()
+    }
+
+    /// What rule `r` admits over `ds`, as patterns: the rule pattern
+    /// under each distinct solution of its tuple conditions.
+    ///
+    /// Conditions-first: a condition such as the Label rule's
+    /// `<threshold, p2, t>` pins the pattern's variables to a handful of
+    /// values, where walking the pattern's candidates and checking the
+    /// conditions per candidate would not. Each predicate runs at the
+    /// depth its stage names; those reading a variable only the pattern
+    /// binds wait for the candidate ([`Lazy::admitted_by`]).
+    fn expand(
+        &self,
+        r: &ResolvedRule,
+        ds: &dyn TupleSource,
+        env: &HashMap<String, Value>,
+        builtins: &Builtins,
+    ) -> Vec<Admitted> {
+        let rule = &self.rules[r.rule];
+        let unbound = Bindings::new(rule.n_vars);
+        // The solver stages a test at depth 0 only for an empty query.
+        if !rule.preds_hold(Some(0), &unbound, env, builtins) {
+            return Vec::new();
         }
-        seen.into_iter().collect()
+        let mut solutions = if r.conds.is_empty() {
+            vec![unbound.into_vec()]
+        } else {
+            let atoms: Vec<QueryAtom> = r.conds.iter().cloned().map(QueryAtom::read).collect();
+            Solver::new(ds, &atoms, rule.n_vars)
+                .all_staged(
+                    None,
+                    &mut |depth, b| depth == 0 || rule.preds_hold(Some(depth), b, env, builtins),
+                    SolveLimits::default(),
+                )
+                .into_iter()
+                .map(|s| s.bindings)
+                .collect()
+        };
+        // Condition tuples that repeat a value give the same solution.
+        solutions.sort_unstable();
+        solutions.dedup();
+        solutions
+            .into_iter()
+            .map(|slots| {
+                let mut bindings = Bindings::new(rule.n_vars);
+                bindings.restore(&slots);
+                Admitted {
+                    rule: r.rule,
+                    pattern: resolve_pattern(&r.pattern, &bindings),
+                    bindings,
+                }
+            })
+            .collect()
     }
 
     /// Checks one rule against one tuple: the tuple must match the rule's
@@ -441,14 +530,18 @@ impl ResolvedRules {
         if !r.pattern.matches(tuple, &mut bindings) {
             return false;
         }
+        let all_hold = |b: &Bindings| {
+            rule.preds
+                .iter()
+                .all(|p| p.verdict(b, env, builtins) == Some(true))
+        };
         // A condition the pattern match grounded is a membership test —
-        // the hot case for tuples in hand (lazy windows, export
-        // filtering). Those still holding free variables become a small
-        // existential query seeded with the pattern's bindings;
-        // predicates run once everything is bound.
+        // the hot case for tuples in hand. Those still holding free
+        // variables become a small existential query seeded with the
+        // pattern's bindings; predicates run once everything is bound.
         let mut open = Vec::new();
         for c in &r.conds {
-            let p = sdl_dataspace::solve::resolve_pattern(c, &bindings);
+            let p = resolve_pattern(c, &bindings);
             if p.vars().next().is_some() {
                 open.push(QueryAtom::read(p));
             } else if !ds.contains_match(&p) {
@@ -456,11 +549,11 @@ impl ResolvedRules {
             }
         }
         if open.is_empty() {
-            return preds_hold(rule, &bindings, env, builtins);
+            return all_hold(&bindings);
         }
         Solver::new(ds, &open, rule.n_vars)
             .first_staged(Some(&bindings), &mut |depth, b| {
-                depth < open.len() || preds_hold(rule, b, env, builtins)
+                depth < open.len() || all_hold(b)
             })
             .is_some()
     }
@@ -474,197 +567,335 @@ fn may_match(pattern: &Pattern, tuple: &Tuple) -> bool {
         && !matches!(pattern.fields().first(), Some(Field::Const(c)) if *c != tuple[0])
 }
 
-/// True if every predicate condition of `rule` holds under `b`; an
-/// argument that does not evaluate fails its predicate.
-fn preds_hold(
-    rule: &CompiledViewRule,
-    b: &Bindings,
-    env: &HashMap<String, Value>,
-    builtins: &Builtins,
-) -> bool {
-    rule.conditions.iter().all(|c| match c {
-        CompiledCond::Tuple(_) => true,
-        CompiledCond::Pred { name, args } => {
-            let ctx = EnvCtx {
-                env,
-                vars: b.slots(),
-                builtins,
-            };
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                match eval(a, &ctx) {
-                    Ok(v) => vals.push(v),
-                    Err(_) => return false,
+/// False if no tuple can match both patterns as far as their constants
+/// tell: arities differ or a position holds two different constants.
+fn may_meet(a: &Pattern, b: &Pattern) -> bool {
+    a.arity() == b.arity()
+        && a.fields()
+            .iter()
+            .zip(b.fields())
+            .all(|f| !matches!(f, (Field::Const(x), Field::Const(y)) if x != y))
+}
+
+/// The store probe for the candidates of `pattern` an admitted pattern
+/// can cover: `pattern`'s constants, and the admitted pattern's where
+/// `pattern` has none. Every candidate of `pattern` the admitted pattern
+/// matches is a candidate of the probe.
+fn probe_key(pattern: &Pattern, admitted: &Pattern) -> Pattern {
+    pattern
+        .fields()
+        .iter()
+        .zip(admitted.fields())
+        .map(|(p, a)| match (p, a) {
+            (Field::Const(_), _) => p.clone(),
+            (_, Field::Const(_)) => a.clone(),
+            _ => Field::Any,
+        })
+        .collect()
+}
+
+/// One way a rule admits tuples: its pattern resolved under one solution
+/// of its tuple conditions, and that solution.
+#[derive(Debug)]
+struct Admitted {
+    /// Position of the rule in the rule list.
+    rule: usize,
+    pattern: Pattern,
+    bindings: Bindings,
+}
+
+/// A restricted window: the store as a process's import rules let it
+/// see it.
+///
+/// Each rule is expanded ([`ResolvedRules::expand`]) the first time a
+/// query reaches it and kept for the window's life — a transaction's
+/// evaluation context, over which the store does not change. A query for
+/// a pattern then probes the store once per admitted pattern of each
+/// rule that can meet it, instead of testing each of the pattern's
+/// candidates against every rule.
+pub(crate) struct Lazy<'a> {
+    ds: &'a dyn TupleSource,
+    rules: ResolvedRules,
+    /// Per resolved rule, its admitted patterns once expanded.
+    expanded: Vec<OnceCell<Vec<Admitted>>>,
+    env: &'a HashMap<String, Value>,
+    builtins: &'a Builtins,
+}
+
+impl<'a> Lazy<'a> {
+    fn new(
+        ds: &'a dyn TupleSource,
+        rules: ResolvedRules,
+        env: &'a HashMap<String, Value>,
+        builtins: &'a Builtins,
+    ) -> Lazy<'a> {
+        Lazy {
+            ds,
+            expanded: rules.resolved.iter().map(|_| OnceCell::new()).collect(),
+            rules,
+            env,
+            builtins,
+        }
+    }
+
+    /// The admitted patterns of resolved rule `i`.
+    fn admitted(&self, i: usize) -> &[Admitted] {
+        self.expanded[i].get_or_init(|| {
+            self.rules
+                .expand(&self.rules.resolved[i], self.ds, self.env, self.builtins)
+        })
+    }
+
+    /// The store probes that together list the admitted candidates of
+    /// `pattern` (of every instance, for `None`), each with the admitted
+    /// pattern whose tuples it looks for.
+    fn probes(&self, pattern: Option<&Pattern>) -> Vec<(Cow<'_, Pattern>, &Admitted)> {
+        let mut out = Vec::new();
+        for (i, r) in self.rules.resolved.iter().enumerate() {
+            if pattern.is_some_and(|p| !may_meet(&r.pattern, p)) {
+                continue;
+            }
+            for adm in self.admitted(i) {
+                let key = match pattern {
+                    Some(p) => Cow::Owned(probe_key(p, &adm.pattern)),
+                    None => Cow::Borrowed(&adm.pattern),
+                };
+                out.push((key, adm));
+            }
+        }
+        out
+    }
+
+    /// True if `adm`'s rule admits `tuple` through it: the tuple matches
+    /// the admitted pattern and the predicates left for the candidate
+    /// hold. `b` holds `adm`'s bindings and is left as it came.
+    fn admitted_by(&self, adm: &Admitted, tuple: &Tuple, b: &mut Bindings) -> bool {
+        let mark = b.mark();
+        let ok = adm.pattern.matches(tuple, b)
+            && self.rules.rules[adm.rule].preds_hold(None, b, self.env, self.builtins);
+        b.undo_to(mark);
+        ok
+    }
+
+    /// Hands `visit` the admitted candidates of `pattern` (every admitted
+    /// instance, for `None`), ascending and each once, until it returns
+    /// `false`.
+    fn visit_admitted(
+        &self,
+        pattern: Option<&Pattern>,
+        visit: &mut dyn FnMut(TupleId, &Tuple) -> bool,
+    ) {
+        let probes = self.probes(pattern);
+        if let [(key, adm)] = &probes[..] {
+            let mut b = adm.bindings.clone();
+            self.ds.visit_candidates(key, &mut |id, t| {
+                !self.admitted_by(adm, t, &mut b) || visit(id, t)
+            });
+            return;
+        }
+        // Several probes' ids interleave and two rules may admit one
+        // tuple: gather, sort and deduplicate before the first visit.
+        let mut ids = Vec::new();
+        for (key, adm) in &probes {
+            let mut b = adm.bindings.clone();
+            self.ds.visit_candidates(key, &mut |id, t| {
+                if self.admitted_by(adm, t, &mut b) {
+                    ids.push(id);
+                }
+                true
+            });
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        for id in ids {
+            let tuple = self.ds.tuple(id).expect("admitted candidate is live");
+            if !visit(id, tuple) {
+                break;
+            }
+        }
+    }
+
+    /// The ids [`Lazy::visit_admitted`] hands out.
+    fn admitted_ids(&self, pattern: Option<&Pattern>) -> Vec<TupleId> {
+        let mut out = Vec::new();
+        self.visit_admitted(pattern, &mut |id, _| {
+            out.push(id);
+            true
+        });
+        out
+    }
+}
+
+impl TupleSource for Lazy<'_> {
+    fn metrics(&self) -> &Metrics {
+        self.ds.metrics()
+    }
+
+    fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
+        self.admitted_ids(Some(pattern))
+    }
+
+    fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
+        self.visit_admitted(Some(pattern), visit);
+    }
+
+    /// The store's estimate: the window only narrows it.
+    fn estimate_candidates(&self, pattern: &Pattern) -> usize {
+        self.ds.estimate_candidates(pattern)
+    }
+
+    fn tuple(&self, id: TupleId) -> Option<&Tuple> {
+        let t = self.ds.tuple(id)?;
+        self.ds.metrics().inc(Counter::WindowAdmitChecks);
+        self.rules
+            .admits(t, self.ds, self.env, self.builtins)
+            .then_some(t)
+    }
+
+    fn tuple_count(&self) -> usize {
+        self.admitted_ids(None).len()
+    }
+
+    fn all_ids(&self) -> Vec<TupleId> {
+        self.admitted_ids(None)
+    }
+
+    /// Match first, admit second: any probe's match will do, in any
+    /// order.
+    fn contains_match(&self, pattern: &Pattern) -> bool {
+        let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
+        let mut matched = Bindings::new(n_vars);
+        self.probes(Some(pattern)).iter().any(|(key, adm)| {
+            let mut b = adm.bindings.clone();
+            let mut found = false;
+            self.ds.visit_candidates(key, &mut |_, t| {
+                found = pattern.matches(t, &mut matched) && self.admitted_by(adm, t, &mut b);
+                matched.undo_to(0);
+                !found
+            });
+            found
+        })
+    }
+
+    /// Deliberately *unfiltered*: validation runs against the full store,
+    /// so forall evidence recorded here must describe the full store too
+    /// — filtering through the import rules would make the sets
+    /// incomparable and retry forever whenever a matching tuple sits
+    /// outside the view.
+    fn matching_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
+        self.ds.matching_ids(pattern)
+    }
+
+    /// The exact keys of each probe a positive atom's query makes (a
+    /// negated atom keeps its coarse channel), plus, for every rule that
+    /// can admit a match of the atom, its tuple conditions narrowed by the
+    /// atom's constants: a condition tuple that comes or goes moves tuples
+    /// already in the store into or out of the window.
+    fn subscribe(&self, atom: &QueryAtom, watch: &mut WatchSet) {
+        let p = &atom.pattern;
+        if atom.mode == AtomMode::Neg {
+            watch.add_pattern(p);
+        } else {
+            for (key, _) in self.probes(Some(p)) {
+                watch.add_pattern_exact(&key);
+            }
+        }
+        for r in &self.rules.resolved {
+            if r.conds.is_empty() || !may_meet(&r.pattern, p) {
+                continue;
+            }
+            let mut b = Bindings::new(self.rules.rules[r.rule].n_vars);
+            for (f, c) in r.pattern.fields().iter().zip(p.fields()) {
+                if let (Field::Var(v), Field::Const(c)) = (f, c) {
+                    if !b.is_bound(*v) {
+                        b.bind(*v, c.clone());
+                    }
                 }
             }
-            builtins.call(name, &vals) == Some(Value::Bool(true))
+            for c in &r.conds {
+                watch.add_pattern_exact(&resolve_pattern(c, &b));
+            }
         }
-    })
+    }
 }
 
 /// What a transaction queries: the whole dataspace (full view) or a
-/// lazily filtered view of it.
+/// process window over it.
 ///
 /// The backing store is a `dyn TupleSource` rather than a concrete
-/// [`Dataspace`] so the threaded executor can evaluate against a locked
-/// shard footprint ([`sdl_dataspace::ShardReadView`]) through the same
-/// machinery.
+/// [`sdl_dataspace::Dataspace`] so the threaded executor can evaluate
+/// against a locked shard footprint through the same machinery.
 pub(crate) enum QuerySource<'a> {
     /// Unrestricted view — queries run straight on the store.
     Full(&'a dyn TupleSource),
-    /// Restricted view — candidates are filtered through the import test
-    /// on demand.
-    Lazy {
-        /// The backing store.
-        ds: &'a dyn TupleSource,
-        /// The process view.
-        view: &'a CompiledView,
-        /// The view's import rules, resolved under `env`.
-        rules: ResolvedRules,
-        /// The process environment.
-        env: &'a HashMap<String, Value>,
-        /// Host functions.
-        builtins: &'a Builtins,
-    },
+    /// Restricted view — queries run through the expanded import rules.
+    Lazy(Lazy<'a>),
 }
 
 impl std::fmt::Debug for QuerySource<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QuerySource::Full(_) => f.write_str("QuerySource::Full"),
-            QuerySource::Lazy { .. } => f.write_str("QuerySource::Lazy"),
+            QuerySource::Lazy(_) => f.write_str("QuerySource::Lazy"),
         }
     }
 }
 
 impl QuerySource<'_> {
-    fn admits(&self, tuple: &Tuple) -> bool {
+    fn source(&self) -> &dyn TupleSource {
         match self {
-            QuerySource::Full(_) => true,
-            QuerySource::Lazy {
-                ds,
-                view,
-                rules,
-                env,
-                builtins,
-            } => {
-                ds.metrics().inc(Counter::WindowAdmitChecks);
-                let admitted = rules.admits(tuple, *ds, env, builtins);
-                view.stats.record(admitted);
-                admitted
-            }
+            QuerySource::Full(d) => *d,
+            QuerySource::Lazy(w) => w,
         }
     }
 }
 
 impl TupleSource for QuerySource<'_> {
     fn metrics(&self) -> &Metrics {
-        match self {
-            QuerySource::Full(d) => d.metrics(),
-            QuerySource::Lazy { ds, .. } => ds.metrics(),
-        }
+        self.source().metrics()
     }
 
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        match self {
-            QuerySource::Full(d) => d.candidate_ids(pattern),
-            QuerySource::Lazy { ds, .. } => ds
-                .candidate_ids(pattern)
-                .into_iter()
-                .filter(|id| ds.tuple(*id).is_some_and(|t| self.admits(t)))
-                .collect(),
-        }
+        self.source().candidate_ids(pattern)
     }
 
     fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
-        match self {
-            QuerySource::Full(d) => d.visit_candidates(pattern, visit),
-            // The import test runs once per candidate the caller gets to
-            // see, and not at all on those behind an early stop.
-            QuerySource::Lazy { ds, .. } => {
-                ds.visit_candidates(pattern, &mut |id, t| !self.admits(t) || visit(id, t));
-            }
-        }
+        self.source().visit_candidates(pattern, visit);
     }
 
     fn estimate_candidates(&self, pattern: &Pattern) -> usize {
-        match self {
-            QuerySource::Full(d) => d.estimate_candidates(pattern),
-            // The import filter only shrinks the candidate list, so the
-            // store's estimate is a valid upper bound; the view's sketch
-            // then scales it by the observed admit rate so join ordering
-            // sees the filter's real selectivity.
-            QuerySource::Lazy { ds, view, .. } => view.stats.scale(ds.estimate_candidates(pattern)),
-        }
+        self.source().estimate_candidates(pattern)
     }
 
     fn tuple(&self, id: TupleId) -> Option<&Tuple> {
-        match self {
-            QuerySource::Full(d) => d.tuple(id),
-            QuerySource::Lazy { ds, .. } => {
-                let t = ds.tuple(id)?;
-                self.admits(t).then_some(t)
-            }
-        }
+        self.source().tuple(id)
     }
 
     fn tuple_count(&self) -> usize {
-        match self {
-            QuerySource::Full(d) => d.tuple_count(),
-            QuerySource::Lazy { ds, .. } => ds
-                .all_ids()
-                .into_iter()
-                .filter(|id| ds.tuple(*id).is_some_and(|t| self.admits(t)))
-                .count(),
-        }
+        self.source().tuple_count()
     }
 
     fn all_ids(&self) -> Vec<TupleId> {
-        match self {
-            QuerySource::Full(d) => d.all_ids(),
-            QuerySource::Lazy { ds, .. } => ds
-                .all_ids()
-                .into_iter()
-                .filter(|id| ds.tuple(*id).is_some_and(|t| self.admits(t)))
-                .collect(),
-        }
+        self.source().all_ids()
     }
 
     fn contains_match(&self, pattern: &Pattern) -> bool {
-        match self {
-            QuerySource::Full(d) => d.contains_match(pattern),
-            // Match first, admit second: the import test is the dearer.
-            QuerySource::Lazy { ds, .. } => {
-                let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
-                let mut b = Bindings::new(n_vars);
-                let mut found = false;
-                ds.visit_candidates(pattern, &mut |_, t| {
-                    let matched = pattern.matches(t, &mut b);
-                    b.undo_to(0);
-                    found = matched && self.admits(t);
-                    !found
-                });
-                found
-            }
-        }
+        self.source().contains_match(pattern)
     }
 
     fn matching_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        match self {
-            QuerySource::Full(d) => d.matching_ids(pattern),
-            // Deliberately *unfiltered*: validation runs against the full
-            // store, so forall evidence recorded here must describe the
-            // full store too — filtering through the import test would
-            // make the sets incomparable and retry forever whenever a
-            // matching tuple sits outside the view.
-            QuerySource::Lazy { ds, .. } => ds.matching_ids(pattern),
-        }
+        self.source().matching_ids(pattern)
+    }
+
+    fn subscribe(&self, atom: &QueryAtom, watch: &mut WatchSet) {
+        self.source().subscribe(atom, watch);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdl_dataspace::Dataspace;
     use sdl_tuple::{tuple, ProcId};
 
     fn env(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
@@ -695,7 +926,7 @@ mod tests {
         assert!(v.exports(&tuple![99], &ds, &env(&[]), &Builtins::new()));
         let e = env(&[]);
         let b = Builtins::new();
-        match v.window(&ds, &e, &b).unwrap() {
+        match v.window(&ds, &e, &b) {
             QuerySource::Full(d) => assert_eq!(d.tuple_count(), 1),
             other => panic!("expected full source, got {other:?}"),
         }
@@ -713,8 +944,8 @@ mod tests {
         assert!(!v.imports(&tuple![2, 20], &ds, &e, &b));
         let ids = v.import_ids(&ds, &e, &b).unwrap();
         assert_eq!(ids, vec![a]);
-        let lazy = v.window(&ds, &e, &b).unwrap();
-        assert!(matches!(lazy, QuerySource::Lazy { .. }));
+        let lazy = v.window(&ds, &e, &b);
+        assert!(matches!(lazy, QuerySource::Lazy(_)));
         assert_eq!(lazy.tuple_count(), 1);
     }
 
@@ -763,6 +994,57 @@ mod tests {
     }
 
     #[test]
+    fn predicate_over_a_pattern_only_variable_waits_for_the_candidate() {
+        // `neighbor(l, r)` reads `l`, which only the rule pattern binds:
+        // the conditions-first solve cannot decide it, the candidate can.
+        let v = import_rules(
+            r#"process Label(r, t) {
+                import {
+                    forall p, l : neighbor(l, r), <threshold, p, t> => <label, p, l>;
+                }
+                -> skip;
+            }"#,
+        );
+        let mut b = Builtins::new();
+        b.register_grid_neighbor(4, 4);
+        let e = env(&[("r", Value::Int(5)), ("t", Value::Int(1))]);
+        let mut ds = Dataspace::new();
+        ds.assert_tuple(ProcId::ENV, tuple![Value::atom("threshold"), 6, 1]);
+        let label = ds.assert_tuple(ProcId::ENV, tuple![Value::atom("label"), 6, 4]);
+        ds.assert_tuple(ProcId::ENV, tuple![Value::atom("label"), 6, 7]);
+        assert!(v.imports(&tuple![Value::atom("label"), 6, 4], &ds, &e, &b));
+        assert!(!v.imports(&tuple![Value::atom("label"), 6, 7], &ds, &e, &b));
+        assert_eq!(v.import_ids(&ds, &e, &b).unwrap(), vec![label]);
+        let w = v.window(&ds, &e, &b);
+        assert_eq!(w.all_ids(), vec![label]);
+        assert!(w.contains_match(&sdl_tuple::pattern![Value::atom("label"), 6, var 0]));
+        assert!(!w.contains_match(&sdl_tuple::pattern![Value::atom("label"), 6, 7]));
+    }
+
+    #[test]
+    fn condition_covers_only_where_the_predicates_may_hold() {
+        let mut b = Builtins::new();
+        b.register_grid_neighbor(4, 4);
+        let e = env(&[("r", Value::Int(5)), ("t", Value::Int(1))]);
+        let covers = |rule: &str, p: i64, t: i64| {
+            let v = import_rules(&format!(
+                "process Label(r, t) {{ import {{ {rule} }} -> skip; }}"
+            ));
+            let rules = v.resolve_import(&e, &b).unwrap();
+            rules.condition_covers(&tuple![Value::atom("threshold"), p, t], &e, &b)
+        };
+        let by_p = "forall p, l : neighbor(p, r), <threshold, p, t> => <label, p, l>;";
+        assert!(covers(by_p, 6, 1), "a neighbour's threshold");
+        assert!(!covers(by_p, 15, 1), "not a neighbour");
+        assert!(!covers(by_p, 6, 2), "another class");
+        // The predicate reads `l`, which the condition does not bind:
+        // every same-class threshold may matter.
+        let by_l = "forall p, l : neighbor(l, r), <threshold, p, t> => <label, p, l>;";
+        assert!(covers(by_l, 15, 1));
+        assert!(!covers(by_l, 15, 2));
+    }
+
+    #[test]
     fn export_filtering() {
         let v = import_rules("process P() { export { <out, *>; } -> skip; }");
         let ds = Dataspace::new();
@@ -784,46 +1066,63 @@ mod tests {
         ds.assert_tuple(ProcId::ENV, tuple![Value::atom("b"), 2]);
         let e = env(&[]);
         let b = Builtins::new();
-        let w = v.window(&ds, &e, &b).unwrap();
+        let w = v.window(&ds, &e, &b);
         assert_eq!(w.tuple_count(), 1);
         assert!(w.contains_match(&sdl_tuple::pattern![Value::atom("a"), any]));
         assert!(!w.contains_match(&sdl_tuple::pattern![Value::atom("b"), any]));
     }
 
     #[test]
-    fn lazy_view_estimates_learn_the_admit_rate() {
-        // One admitted tuple out of many candidates: after the sketch
-        // warms up, the lazy view's estimate drops below the raw store
-        // estimate the planner saw cold.
-        let v = import_rules("process P(this) { import { <this, *>; } -> skip; }");
+    fn window_probes_the_neighbours_by_value() {
+        // Label's query for any label visits its own and its
+        // same-threshold neighbours' labels, and a parked process
+        // listens on exactly those values plus the same-class thresholds.
+        let v = import_rules(
+            r#"process Label(r, t) {
+                import {
+                    <label, r, *>;
+                    forall p, l : neighbor(p, r), <threshold, p, t> => <label, p, l>;
+                }
+                -> skip;
+            }"#,
+        );
+        let mut b = Builtins::new();
+        b.register_grid_neighbor(4, 4);
+        let e = env(&[("r", Value::Int(5)), ("t", Value::Int(1))]);
+        let (m, reg) = Metrics::registry();
         let mut ds = Dataspace::new();
-        for i in 0..100 {
-            ds.assert_tuple(ProcId::ENV, tuple![i, i]);
+        ds.set_metrics(m);
+        for p in 0..16i64 {
+            ds.assert_tuple(ProcId::ENV, tuple![Value::atom("threshold"), p, p % 2]);
+            ds.assert_tuple(ProcId::ENV, tuple![Value::atom("label"), p, p]);
         }
-        let e = env(&[("this", Value::Int(1))]);
-        let b = Builtins::new();
-        let pat = sdl_tuple::pattern![any, any];
-        let raw = ds.estimate_candidates(&pat);
-        assert_eq!(raw, 100);
-        let lazy = v.window(&ds, &e, &b).unwrap();
-        assert_eq!(
-            lazy.estimate_candidates(&pat),
-            raw,
-            "cold sketch passes the raw estimate through"
-        );
-        // Warm the sketch: scanning candidates runs the admit test.
-        let admitted = lazy.candidate_ids(&pat).len();
-        assert_eq!(admitted, 1);
-        assert_eq!(v.stats.checks(), 100);
-        assert_eq!(v.stats.admits(), 1);
-        let warm = lazy.estimate_candidates(&pat);
+        let w = v.window(&ds, &e, &b);
+        let labels = |ids: Vec<TupleId>| -> Vec<i64> {
+            ids.iter()
+                .map(|id| ds.tuple(*id).unwrap()[1].as_int().unwrap())
+                .collect()
+        };
+        let any_label = sdl_tuple::pattern![Value::atom("label"), var 0, var 1];
+        // 5's neighbours are 1, 4, 6, 9; of those 1 and 9 share its class.
+        assert_eq!(labels(w.candidate_ids(&any_label)), vec![1, 5, 9]);
+        assert_eq!(reg.counter(Counter::WindowAdmitChecks), 0);
+
+        let mut watch = WatchSet::new();
+        w.subscribe(&QueryAtom::read(any_label), &mut watch);
+        let publishes = |t: Tuple| {
+            let mut p = WatchSet::new();
+            p.add_tuple(&t);
+            p.intersects(&watch)
+        };
+        assert!(publishes(tuple![Value::atom("label"), 9, 3]));
+        assert!(publishes(tuple![Value::atom("label"), 5, 3]));
         assert!(
-            warm < raw / 10,
-            "warm estimate {warm} should reflect the ~1% admit rate"
+            !publishes(tuple![Value::atom("label"), 6, 3]),
+            "other class"
         );
-        assert!(warm >= 1, "estimates never report a matching pattern empty");
-        // Clones share the sketch through the definition.
-        assert_eq!(v.clone().stats.checks(), 100);
+        assert!(!publishes(tuple![Value::atom("label"), 15, 3]), "far away");
+        assert!(publishes(tuple![Value::atom("threshold"), 6, 1]));
+        assert!(!publishes(tuple![Value::atom("threshold"), 6, 0]));
     }
 
     #[test]

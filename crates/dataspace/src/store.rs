@@ -6,6 +6,7 @@ use sdl_metrics::{Counter, Metrics};
 use sdl_tuple::{Bindings, Field, Pattern, ProcId, Tuple, TupleId};
 
 use crate::index::TupleIndex;
+use crate::solve::{AtomMode, QueryAtom};
 use crate::watch::{WatchKey, WatchSet};
 
 /// Anything tuples can be matched against: the full [`Dataspace`], a
@@ -78,6 +79,21 @@ pub trait TupleSource {
             true
         });
         out
+    }
+
+    /// Adds to `watch` the keys a transaction parked on `atom` listens
+    /// on: keys published by every commit that can change which visible
+    /// instances match the atom. A store subscribes the atom's own
+    /// pattern — its exact value key when positive, its coarse channel
+    /// when negated (the enabling change is a retraction anywhere in the
+    /// match set). A source that filters the store (a process window)
+    /// also listens on what moves tuples in and out of it.
+    fn subscribe(&self, atom: &QueryAtom, watch: &mut WatchSet) {
+        if atom.mode == AtomMode::Neg {
+            watch.add_pattern(&atom.pattern);
+        } else {
+            watch.add_pattern_exact(&atom.pattern);
+        }
     }
 }
 

@@ -397,7 +397,7 @@ impl Engine {
                             // describes exactly the state the failed
                             // evaluation saw, and the park epoch
                             // re-check invalidates it if stale.
-                            let watch = watch_set_resolved(txn, &atoms, Some(&view));
+                            let watch = watch_set_resolved(txn, &atoms, &view);
                             return Attempt::Park(watch.iter().copied().collect());
                         }
                         return Attempt::Done(Response::Failed);
