@@ -176,14 +176,18 @@ impl<T> WakeRouter<T> {
             return woken;
         }
         let n = self.shards.len();
+        let routed: Vec<(&WatchKey, Option<usize>)> = changed
+            .iter()
+            .map(|k| (k, shard_of_watch_key(k, n)))
+            .collect();
         for s in changed_shards.iter() {
             let mut index = self.shards[s].lock();
-            for key in changed.iter() {
+            for &(key, route) in &routed {
                 // A routable key wakes through its own shard's index; an
                 // arity key is registered in every shard, so any changed
                 // shard's index covers it — later shards just drop the
                 // stubs the first one claimed.
-                if shard_of_watch_key(key, n).is_some_and(|r| r != s) {
+                if route.is_some_and(|r| r != s) {
                     continue;
                 }
                 for slot in index.remove(key).into_iter().flatten() {

@@ -1,13 +1,15 @@
 //! The tuple index behind [`Dataspace`](crate::Dataspace).
 //!
-//! A tuple lives in `instances` and in at most two *postings* (ascending
-//! id lists): a **coarse** one for its head — `(arity, functor)`, or
-//! `(arity, hash of the non-atom value in slot 0)` — and, from arity 2
-//! up, a **fine** one for slot 1 — `(arity, functor, hash of slot 1)`,
-//! the functor left out when the head is not an atom. Values enter the
-//! keys as their [`value_hash`], computed once per tuple and handed back
-//! so the commit's [`WatchKey::Value`](crate::WatchKey) keys reuse it.
-//! Two values that share a hash share a posting; that only widens
+//! A tuple lives in `instances` (a hash map: no order) and in at most two
+//! *postings* (ascending id lists): a **coarse** one for its head —
+//! `(arity, functor)`, or `(arity, hash of the non-atom value in slot
+//! 0)` — and, from arity 2 up, a **fine** one for slot 1 — `(arity,
+//! functor, hash of slot 1)`, the functor left out when the head is not
+//! an atom. Every ascending order the index hands out comes from the
+//! postings or from a sort. Values enter the keys as their
+//! [`value_hash`], computed once per tuple and handed back so the
+//! commit's [`WatchKey::Value`](crate::WatchKey) keys reuse it. Two
+//! values that share a hash share a posting; that only widens
 //! `candidate_ids`, whose contract is "superset, caller re-matches".
 
 use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet, HashMap};
@@ -18,10 +20,13 @@ use sdl_tuple::{Atom, Field, Pattern, Tuple, TupleId, Value};
 
 use crate::watch::value_hash;
 
-/// Hasher for fine-posting keys: one multiply-rotate step per word. The
-/// keys are small integers and `value_hash` outputs (SipHash with fixed
-/// keys, so already spread and already not secret); hashing them a second
-/// time cryptographically bought nothing.
+/// Hasher for the instance table and the fine postings: one
+/// multiply-rotate step per word. The keys are store-minted ids, small
+/// integers and `value_hash` outputs (SipHash with fixed keys, so already
+/// spread and already not secret) — nothing a client chooses, so no
+/// flooding protection is given up. A shard's ids share their low hash
+/// bits (its sequence stride), yet each is still found in the first
+/// 16-slot probe group: DESIGN.md, "The store".
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -153,12 +158,14 @@ impl Head {
 
 type FineKey = (u32, Option<Atom>, u64);
 
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 /// `instances` plus the two posting maps; see the module docs.
 #[derive(Clone)]
 pub(crate) struct TupleIndex {
-    instances: BTreeMap<TupleId, Tuple>,
+    instances: KeyMap<TupleId, Tuple>,
     coarse: BTreeMap<(u32, Head), Posting>,
-    fine: HashMap<FineKey, Posting, BuildHasherDefault<KeyHasher>>,
+    fine: KeyMap<FineKey, Posting>,
     /// Live tuples per arity (position = arity): what a variable-head
     /// pattern's estimate reads now that no posting lists them.
     arity_counts: Vec<usize>,
@@ -170,7 +177,7 @@ pub(crate) struct TupleIndex {
 impl Default for TupleIndex {
     fn default() -> TupleIndex {
         TupleIndex {
-            instances: BTreeMap::new(),
+            instances: HashMap::default(),
             coarse: BTreeMap::new(),
             fine: HashMap::default(),
             arity_counts: Vec::new(),
@@ -203,12 +210,24 @@ impl TupleIndex {
         self.instances.get(&id)
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
+    /// Every instance, in no particular order: for callers that sort
+    /// anyway or need none.
+    pub(crate) fn unordered(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
         self.instances.iter().map(|(id, t)| (*id, t))
     }
 
-    pub(crate) fn ids(&self) -> impl Iterator<Item = TupleId> + '_ {
-        self.instances.keys().copied()
+    /// Every instance, ascending by id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
+        let mut all: Vec<(TupleId, &Tuple)> = self.unordered().collect();
+        all.sort_unstable_by_key(|(id, _)| *id);
+        all.into_iter()
+    }
+
+    /// Every id, ascending.
+    pub(crate) fn ids(&self) -> Vec<TupleId> {
+        let mut ids: Vec<TupleId> = self.instances.keys().copied().collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn head_of(&self, slot0: Option<&Value>) -> Head {
@@ -230,17 +249,20 @@ impl TupleIndex {
         ((arity, head), fine)
     }
 
-    /// Enters an instance. Returns the hash of slot 1, when the tuple
-    /// has one, for the caller's watch keys.
+    /// Enters an instance. Returns the tuple where it now lives and the
+    /// hash of slot 1, when the tuple has one, for the caller's watch
+    /// keys.
     ///
     /// # Panics
     ///
     /// Panics if `id` is already present.
-    pub(crate) fn insert(&mut self, id: TupleId, tuple: Tuple) -> Option<u64> {
+    pub(crate) fn insert(&mut self, id: TupleId, tuple: Tuple) -> (&Tuple, Option<u64>) {
         let arity = tuple.arity();
         let (coarse, fine) = self.keys_of(&tuple);
-        let prev = self.instances.insert(id, tuple);
-        assert!(prev.is_none(), "instance {id:?} already live");
+        let hash_map::Entry::Vacant(slot) = self.instances.entry(id) else {
+            panic!("instance {id:?} already live");
+        };
+        let tuple = slot.insert(tuple);
         if self.arity_counts.len() <= arity {
             self.arity_counts.resize(arity + 1, 0);
         }
@@ -249,12 +271,14 @@ impl TupleIndex {
             .entry(coarse)
             .and_modify(|p| p.insert(id))
             .or_insert(Posting::One(id));
-        let (fine, slot1) = fine?;
-        self.fine
-            .entry(fine)
-            .and_modify(|p| p.insert(id))
-            .or_insert(Posting::One(id));
-        Some(slot1)
+        let slot1 = fine.map(|(fine, slot1)| {
+            self.fine
+                .entry(fine)
+                .and_modify(|p| p.insert(id))
+                .or_insert(Posting::One(id));
+            slot1
+        });
+        (tuple, slot1)
     }
 
     /// Removes an instance, returning its tuple and (as
@@ -293,28 +317,52 @@ impl TupleIndex {
         (head, slot1)
     }
 
+    /// The coarse postings of one arity, from `from` on: `Head::Value(0)`
+    /// for all of them, `Head::Value(u64::MAX)` for the functors.
+    fn coarse_of_arity(&self, arity: u32, from: Head) -> impl Iterator<Item = (Head, &Posting)> {
+        self.coarse
+            .range((arity, from)..)
+            .take_while(move |((a, _), _)| *a == arity)
+            .map(|((_, head), posting)| (*head, posting))
+    }
+
     /// The fine postings a variable-head pattern with this constant
     /// slot 1 reads: the functor-less one, then one per functor of the
     /// arity — a handful of probes, since relations are few.
     fn fine_across_heads(&self, arity: u32, slot1: u64) -> impl Iterator<Item = &Posting> {
         let functors = self
-            .coarse
-            .range((arity, Head::Value(u64::MAX))..)
-            .take_while(move |((a, _), _)| *a == arity)
-            .filter_map(|((_, head), _)| head.functor());
+            .coarse_of_arity(arity, Head::Value(u64::MAX))
+            .filter_map(|(head, _)| head.functor());
         std::iter::once(None)
             .chain(functors.map(Some))
             .filter_map(move |f| self.fine.get(&(arity, f, slot1)))
     }
 
+    /// Hands `visit` the union of disjoint `postings`, ascending: in
+    /// place when there is one, gathered and sorted when several
+    /// interleave.
+    fn visit_union<'p>(
+        postings: impl Iterator<Item = &'p Posting>,
+        visit: impl FnMut(TupleId) -> bool,
+    ) {
+        let postings: Vec<&Posting> = postings.collect();
+        if let [one] = postings[..] {
+            one.iter().all(visit);
+        } else {
+            let mut ids: Vec<TupleId> = postings.iter().flat_map(|p| p.iter()).collect();
+            ids.sort_unstable();
+            ids.into_iter().all(visit);
+        }
+    }
+
     /// Hands `visit` a superset of the ids matching `pattern`, ascending,
     /// until it returns `false`, and names the lookup that served it.
-    /// Postings are walked in place; only a variable head with a constant
-    /// slot 1 that several relations carry is gathered and sorted first.
+    /// Postings are walked in place; only a variable head over several
+    /// relations is gathered and sorted first.
     pub(crate) fn visit_ids(
         &self,
         pattern: &Pattern,
-        mut visit: impl FnMut(TupleId) -> bool,
+        visit: impl FnMut(TupleId) -> bool,
     ) -> Counter {
         let arity = pattern.arity() as u32;
         match self.pattern_keys(pattern) {
@@ -347,25 +395,16 @@ impl TupleIndex {
                 Counter::IndexHitIntersect
             }
             (None, Some(slot1)) => {
-                let postings: Vec<&Posting> = self.fine_across_heads(arity, slot1).collect();
-                if let [one] = postings[..] {
-                    one.iter().all(visit);
-                } else {
-                    let mut ids: Vec<TupleId> = postings.iter().flat_map(|p| p.iter()).collect();
-                    ids.sort_unstable();
-                    ids.into_iter().all(visit);
-                }
+                Self::visit_union(self.fine_across_heads(arity, slot1), visit);
                 Counter::IndexHitValue
             }
-            // Nothing constant to key on: the instances of this arity.
-            // No posting lists them — every assert would pay for it —
-            // so this pattern shape pays with a walk of the store.
+            // Nothing constant to key on: the instances of this arity,
+            // which the arity's coarse postings partition. No posting
+            // lists them together — every assert would pay for it — so
+            // this pattern shape pays with a sort.
             (None, None) => {
-                let mut of_arity = self
-                    .instances
-                    .iter()
-                    .filter(|(_, t)| t.arity() as u32 == arity);
-                of_arity.all(|(id, _)| visit(*id));
+                let postings = self.coarse_of_arity(arity, Head::Value(0));
+                Self::visit_union(postings.map(|(_, p)| p), visit);
                 Counter::IndexHitArity
             }
         }

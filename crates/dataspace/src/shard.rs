@@ -56,8 +56,8 @@ use sdl_metrics::Metrics;
 use sdl_sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sdl_tuple::{Field, Pattern, ProcId, Tuple, TupleId};
 
-use crate::store::{visit_listed, Dataspace, TupleSource};
-use crate::watch::WatchKey;
+use crate::store::{visit_listed, Action, BatchOutcome, Dataspace, TupleSource};
+use crate::watch::{WatchKey, WatchSet};
 
 /// Most shards a [`ShardedDataspace`] will split into; also the capacity
 /// of [`ShardSet`]'s bitmask and the per-shard metrics arrays.
@@ -354,7 +354,7 @@ impl ShardedDataspace {
         let mut out = Dataspace::new();
         for lock in &self.shards {
             let shard = std::mem::take(&mut *lock.write());
-            for (id, t) in shard.iter() {
+            for (id, t) in shard.unordered() {
                 out.insert_instance(id, t.clone());
             }
         }
@@ -411,39 +411,21 @@ impl<G: Deref<Target = Dataspace>> ShardView<'_, G> {
                 .as_deref()
                 .expect("snapshot_state requires a full-footprint view");
             cursors.push(d.next_seq());
-            tuples.extend(d.iter().map(|(id, t)| (id, t.clone())));
+            tuples.extend(d.unordered().map(|(id, t)| (id, t.clone())));
         }
         tuples.sort_unstable_by_key(|(id, _)| *id);
         (cursors, tuples)
     }
 
-    /// Merges per-shard ascending id lists produced by `fill` back into
-    /// one ascending list in `out`.
-    fn merged_into(
-        &self,
-        pattern: &Pattern,
-        out: &mut Vec<TupleId>,
-        fill: impl Fn(&Dataspace, &Pattern, &mut Vec<TupleId>),
-    ) {
-        let start = out.len();
+    /// The ascending id lists `fill` produces for `pattern`'s shards,
+    /// merged back into one ascending list.
+    fn merged(&self, pattern: &Pattern, fill: impl Fn(&Dataspace) -> Vec<TupleId>) -> Vec<TupleId> {
         match self.owner.shard_of_pattern(pattern) {
-            Some(s) => {
-                if let Some(d) = self.shard(s) {
-                    fill(d, pattern, out);
-                }
-            }
+            Some(s) => self.shard(s).map_or_else(Vec::new, fill),
             None => {
-                let mut contributors = 0;
-                for d in self.locked() {
-                    let before = out.len();
-                    fill(d, pattern, out);
-                    if out.len() > before {
-                        contributors += 1;
-                    }
-                }
-                if contributors > 1 {
-                    out[start..].sort_unstable();
-                }
+                let mut out: Vec<TupleId> = self.locked().flat_map(fill).collect();
+                out.sort_unstable();
+                out
             }
         }
     }
@@ -451,9 +433,7 @@ impl<G: Deref<Target = Dataspace>> ShardView<'_, G> {
 
 impl<G: Deref<Target = Dataspace>> TupleSource for ShardView<'_, G> {
     fn candidate_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        self.merged_into(pattern, &mut out, |d, p, o| o.extend(d.candidate_ids(p)));
-        out
+        self.merged(pattern, |d| d.candidate_ids(pattern))
     }
 
     fn visit_candidates(&self, pattern: &Pattern, visit: &mut dyn FnMut(TupleId, &Tuple) -> bool) {
@@ -491,18 +471,11 @@ impl<G: Deref<Target = Dataspace>> TupleSource for ShardView<'_, G> {
     }
 
     fn all_ids(&self) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        let mut contributors = 0;
-        for d in self.locked() {
-            let before = out.len();
-            out.extend(d.all_ids());
-            if out.len() > before {
-                contributors += 1;
-            }
-        }
-        if contributors > 1 {
-            out.sort_unstable();
-        }
+        let mut out: Vec<TupleId> = self
+            .locked()
+            .flat_map(|d| d.unordered().map(|(id, _)| id))
+            .collect();
+        out.sort_unstable();
         out
     }
 
@@ -518,19 +491,16 @@ impl<G: Deref<Target = Dataspace>> TupleSource for ShardView<'_, G> {
     }
 
     fn matching_ids(&self, pattern: &Pattern) -> Vec<TupleId> {
-        let mut out = Vec::new();
-        self.merged_into(pattern, &mut out, |d, p, o| o.extend(d.find_all(p)));
-        out
+        self.merged(pattern, |d| d.find_all(pattern))
     }
 }
 
 impl<G: DerefMut<Target = Dataspace>> ShardView<'_, G> {
-    /// Applies a whole commit's write set, routing each action to its
-    /// shard and running one [`Dataspace::apply_batch`] per touched shard
-    /// — so a commit that hits k shards pays k index passes, not one per
-    /// tuple. Returns the merged outcome (assert ids in action order, as
-    /// the store-level batch does) plus the set of shards that actually
-    /// changed, which is exactly the wake scan's fan-out.
+    /// Applies a whole commit's write set in one pass, handing each
+    /// action straight to its shard and moving each asserted tuple in.
+    /// Returns the outcome (retractions and minted ids in action order,
+    /// as the store-level batch does) plus the set of shards that
+    /// actually changed, which is exactly the wake scan's fan-out.
     ///
     /// # Panics
     ///
@@ -538,68 +508,25 @@ impl<G: DerefMut<Target = Dataspace>> ShardView<'_, G> {
     /// footprint.
     pub fn apply_batch(
         &mut self,
-        actions: Vec<crate::store::Action>,
-        watch: &mut crate::watch::WatchSet,
-    ) -> (crate::store::BatchOutcome, ShardSet) {
-        use crate::store::{Action, BatchOutcome};
-        let n = self.owner.num_shards();
-        let route = |action: &Action| match action {
-            Action::Retract(id) => self.owner.shard_of_id(*id),
-            Action::Assert(_, t) => self.owner.shard_of_tuple(t),
-        };
-        // Every wire op and most transactions write one shard: hand it
-        // the batch as it stands, nothing to scatter or gather.
-        let mut routes = actions.iter().map(route);
-        if let Some(s) = routes.next().filter(|&s| routes.all(|r| r == s)) {
-            let out = self.guards[s]
-                .as_deref_mut()
-                .expect("batched action's shard must be in the write footprint")
-                .apply_batch(&actions, watch);
-            let mut changed = ShardSet::new();
-            if !out.retracted.is_empty() || !out.asserted.is_empty() {
-                changed.insert(s);
-            }
-            return (out, changed);
-        }
-        let mut per_shard: Vec<Vec<Action>> = (0..n).map(|_| Vec::new()).collect();
-        // Remember each assert's ordinal in the global action order so
-        // per-shard outcomes scatter back into one action-ordered list.
-        let mut assert_slots: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-        let mut n_asserts = 0;
-        for action in actions {
-            let s = route(&action);
-            if matches!(action, Action::Assert(..)) {
-                assert_slots[s].push(n_asserts);
-                n_asserts += 1;
-            }
-            per_shard[s].push(action);
-        }
+        actions: Vec<Action>,
+        watch: &mut WatchSet,
+    ) -> (BatchOutcome, ShardSet) {
         let mut out = BatchOutcome::default();
-        let mut asserted: Vec<Option<TupleId>> = vec![None; n_asserts];
         let mut changed = ShardSet::new();
-        for (s, batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
+        for action in actions {
+            let s = match &action {
+                Action::Retract(id) => self.owner.shard_of_id(*id),
+                Action::Assert(_, t) => self.owner.shard_of_tuple(t),
+            };
             let shard = self.guards[s]
                 .as_deref_mut()
                 .expect("batched action's shard must be in the write footprint");
-            let BatchOutcome {
-                retracted,
-                asserted: shard_asserted,
-            } = shard.apply_batch(&batch, watch);
-            if !retracted.is_empty() || !shard_asserted.is_empty() {
+            if shard.apply_action(action, watch, &mut out) {
                 changed.insert(s);
             }
-            for (slot, id) in assert_slots[s].iter().zip(shard_asserted) {
-                asserted[*slot] = Some(id);
-            }
-            out.retracted.extend(retracted);
         }
-        out.asserted = asserted
-            .into_iter()
-            .map(|id| id.expect("every assert mints an id"))
-            .collect();
+        watch.normalize();
+        out.record(&self.owner.metrics);
         (out, changed)
     }
 }
@@ -724,8 +651,6 @@ mod tests {
 
     #[test]
     fn write_view_batches_across_shards() {
-        use crate::store::Action;
-        use crate::watch::WatchSet;
         let sds = ShardedDataspace::new(4);
         let a = sds.assert_tuple(ProcId::ENV, tuple![atom("job"), 1]);
         let b = sds.assert_tuple(ProcId::ENV, tuple![atom("task"), 2]);
@@ -759,6 +684,27 @@ mod tests {
         let mut sub = WatchSet::new();
         sub.add_pattern_exact(&pattern![atom("done"), 2]);
         assert!(watch.intersects(&sub), "batched watch carries value keys");
+    }
+
+    #[test]
+    fn multi_shard_batch_reports_retractions_in_action_order() {
+        let sds = ShardedDataspace::new(2);
+        let on = |shard| {
+            (0i64..)
+                .map(|i| tuple![atom(&format!("r{i}")), i])
+                .find(|t| sds.shard_of_tuple(t) == shard)
+                .expect("some relation routes to each shard")
+        };
+        // The first retraction routes to the higher shard.
+        let (high, low) = (on(1), on(0));
+        let a = sds.assert_tuple(ProcId::ENV, high.clone());
+        let b = sds.assert_tuple(ProcId::ENV, low.clone());
+        let actions = vec![Action::Retract(a), Action::Retract(b)];
+        let (out, changed) = sds
+            .write_shards(sds.all_shards())
+            .apply_batch(actions, &mut WatchSet::new());
+        assert_eq!(out.retracted, vec![(a, high), (b, low)]);
+        assert_eq!(changed, sds.all_shards());
     }
 
     #[test]

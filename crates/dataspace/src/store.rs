@@ -305,9 +305,16 @@ impl Dataspace {
         self.count_matches(&tuple.iter().cloned().map(Field::Const).collect())
     }
 
-    /// Iterates over all live instances in id order.
+    /// Iterates over all live instances in id order (sorted per call:
+    /// the instance table itself has no order).
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
         self.index.iter()
+    }
+
+    /// All live instances in no particular order (see
+    /// [`Dataspace::iter`] for id order).
+    pub(crate) fn unordered(&self) -> impl Iterator<Item = (TupleId, &Tuple)> {
+        self.index.unordered()
     }
 
     /// All instance ids matching `pattern` with fresh bindings, id order.
@@ -340,6 +347,16 @@ pub struct BatchOutcome {
     pub asserted: Vec<TupleId>,
 }
 
+impl BatchOutcome {
+    /// Counts the batch's mutations into `metrics`, once per batch.
+    pub(crate) fn record(&self, metrics: &Metrics) {
+        let (retracted, asserted) = (self.retracted.len() as u64, self.asserted.len() as u64);
+        metrics.add(Counter::TuplesRetracted, retracted);
+        metrics.add(Counter::TuplesAsserted, asserted);
+        metrics.add(Counter::StoreVersionBumps, retracted + asserted);
+    }
+}
+
 impl Dataspace {
     /// Applies a whole commit's write set in one pass.
     ///
@@ -357,33 +374,39 @@ impl Dataspace {
     pub fn apply_batch(&mut self, actions: &[Action], watch: &mut WatchSet) -> BatchOutcome {
         let mut out = BatchOutcome::default();
         for action in actions {
-            match action {
-                Action::Retract(id) => {
-                    let Some((tuple, slot1)) = self.index.remove(*id) else {
-                        continue;
-                    };
-                    watch.extend_unsorted(WatchKey::of_hashed_tuple(&tuple, slot1));
-                    out.retracted.push((*id, tuple));
-                }
-                Action::Assert(owner, tuple) => {
-                    let id = self.mint(*owner);
-                    let slot1 = self.index.insert(id, tuple.clone());
-                    watch.extend_unsorted(WatchKey::of_hashed_tuple(tuple, slot1));
-                    out.asserted.push(id);
-                }
-            }
+            self.apply_action(action.clone(), watch, &mut out);
         }
         watch.normalize();
-
-        let mutations = (out.retracted.len() + out.asserted.len()) as u64;
-        if mutations > 0 {
-            self.metrics
-                .add(Counter::TuplesRetracted, out.retracted.len() as u64);
-            self.metrics
-                .add(Counter::TuplesAsserted, out.asserted.len() as u64);
-            self.metrics.add(Counter::StoreVersionBumps, mutations);
-        }
+        out.record(&self.metrics);
         out
+    }
+
+    /// One action of a batch: appends its outcome to `out` and its watch
+    /// keys to `watch` (unsorted), and moves an asserted tuple in. True
+    /// when the store changed. The caller normalises `watch` and records
+    /// the metrics once per batch.
+    pub(crate) fn apply_action(
+        &mut self,
+        action: Action,
+        watch: &mut WatchSet,
+        out: &mut BatchOutcome,
+    ) -> bool {
+        match action {
+            Action::Retract(id) => {
+                let Some((tuple, slot1)) = self.index.remove(id) else {
+                    return false;
+                };
+                watch.extend_unsorted(WatchKey::of_hashed_tuple(&tuple, slot1));
+                out.retracted.push((id, tuple));
+            }
+            Action::Assert(owner, tuple) => {
+                let id = self.mint(owner);
+                let (tuple, slot1) = self.index.insert(id, tuple);
+                watch.extend_unsorted(WatchKey::of_hashed_tuple(tuple, slot1));
+                out.asserted.push(id);
+            }
+        }
+        true
     }
 }
 
@@ -411,7 +434,7 @@ impl TupleSource for Dataspace {
     }
 
     fn all_ids(&self) -> Vec<TupleId> {
-        self.index.ids().collect()
+        self.index.ids()
     }
 
     fn metrics(&self) -> &Metrics {
