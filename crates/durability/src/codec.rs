@@ -15,13 +15,16 @@ pub(crate) const FRAME_HEADER: usize = 8;
 pub(crate) type DecodeResult<T> = Result<T, String>;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), slice-by-8:
+// `CRC_TABLES[0]` is the bytewise table, and `CRC_TABLES[k][b]` is the
+// CRC of byte `b` followed by `k` zero bytes, so eight table lookups
+// advance the checksum by eight input bytes.
 // ---------------------------------------------------------------------------
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -34,17 +37,40 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
 /// CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -237,11 +263,39 @@ mod tests {
     use super::*;
     use sdl_tuple::tuple;
 
+    /// The bytewise loop the slice-by-8 version must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_reference_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Every length 0..300 at every start offset 0..8 (so every
+        /// alignment of the 8-byte steps and every remainder length).
+        #[test]
+        fn crc32_slice_by_8_matches_bytewise(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 308),
+        ) {
+            for start in 0..8 {
+                for len in 0..300 {
+                    let data = &bytes[start..start + len];
+                    proptest::prop_assert_eq!(crc32(data), crc32_bytewise(data));
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,9 +87,20 @@ pub(crate) fn parse_stmts(src: &str) -> Result<Vec<Stmt>, ParseError> {
     Ok(stmts)
 }
 
+/// Deepest expression a source may nest, counting operators, calls and
+/// brackets. Parsing, compiling, evaluating and dropping an expression
+/// each recurse once per level, so this bounds their stack use whatever
+/// a (possibly hostile) source holds.
+const MAX_EXPR_DEPTH: u32 = 128;
+
+/// An expression with its depth.
+type Deep = (Expr, u32);
+
 struct Parser {
     toks: Vec<Spanned>,
     i: usize,
+    // Expression recursion levels entered and not yet left.
+    nesting: u32,
 }
 
 impl Parser {
@@ -97,6 +108,7 @@ impl Parser {
         Ok(Parser {
             toks: lex(src)?,
             i: 0,
+            nesting: 0,
         })
     }
 
@@ -550,7 +562,7 @@ impl Parser {
                     self.bump();
                     fields.push(FieldExpr::Any);
                 } else {
-                    fields.push(FieldExpr::Expr(self.add_expr()?));
+                    fields.push(FieldExpr::Expr(self.add_expr()?.0));
                 }
                 if !self.eat(&Tok::Comma) {
                     break;
@@ -570,7 +582,7 @@ impl Parser {
                 if self.peek() == &Tok::Star && matches!(self.peek2(), Tok::Comma | Tok::Gt) {
                     return Err(self.err("wildcard `*` is not allowed in an asserted tuple"));
                 }
-                fields.push(self.add_expr()?);
+                fields.push(self.add_expr()?.0);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
@@ -594,30 +606,59 @@ impl Parser {
     }
 
     // ---------------- expressions ----------------
+    //
+    // The functions below return each expression with its depth, and
+    // refuse to build or recurse past `MAX_EXPR_DEPTH` levels.
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        Ok(self.or_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+    /// One level above `depth`, or an error past [`MAX_EXPR_DEPTH`].
+    fn level(&self, depth: u32) -> Result<u32, ParseError> {
+        if depth >= MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(depth + 1)
+    }
+
+    fn binary(&self, op: BinOp, (l, dl): Deep, (r, dr): Deep) -> Result<Deep, ParseError> {
+        Ok((Expr::bin(op, l, r), self.level(dl.max(dr))?))
+    }
+
+    /// Runs `f` one recursion level down, refusing to go past
+    /// [`MAX_EXPR_DEPTH`] before the depth of what it parses is known.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.nesting = self.level(self.nesting)?;
+        let r = f(self);
+        self.nesting -= 1;
+        r
+    }
+
+    fn or_expr(&mut self) -> Result<Deep, ParseError> {
         let mut lhs = self.and_expr()?;
         while self.eat(&Tok::Or) {
             let rhs = self.and_expr()?;
-            lhs = Expr::bin(BinOp::Or, lhs, rhs);
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    fn and_expr(&mut self) -> Result<Deep, ParseError> {
         let mut lhs = self.cmp_expr()?;
         while self.eat(&Tok::And) {
             let rhs = self.cmp_expr()?;
-            lhs = Expr::bin(BinOp::And, lhs, rhs);
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
+    fn cmp_expr(&mut self) -> Result<Deep, ParseError> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Tok::EqEq | Tok::Assign => BinOp::Eq,
@@ -630,10 +671,10 @@ impl Parser {
         };
         self.bump();
         let rhs = self.add_expr()?;
-        Ok(Expr::bin(op, lhs, rhs))
+        self.binary(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
+    fn add_expr(&mut self) -> Result<Deep, ParseError> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -643,12 +684,12 @@ impl Parser {
             };
             self.bump();
             let rhs = self.mul_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    fn mul_expr(&mut self) -> Result<Deep, ParseError> {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -659,73 +700,73 @@ impl Parser {
             };
             self.bump();
             let rhs = self.unary_expr()?;
-            lhs = Expr::bin(op, lhs, rhs);
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&Tok::Minus) {
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Neg, Box::new(e)));
-        }
-        if self.eat(&Tok::Not) {
-            let e = self.unary_expr()?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(e)));
-        }
-        self.pow_expr()
+    fn unary_expr(&mut self) -> Result<Deep, ParseError> {
+        let op = if self.eat(&Tok::Minus) {
+            UnOp::Neg
+        } else if self.eat(&Tok::Not) {
+            UnOp::Not
+        } else {
+            return self.pow_expr();
+        };
+        let (e, d) = self.nested(Parser::unary_expr)?;
+        Ok((Expr::Unary(op, Box::new(e)), self.level(d)?))
     }
 
-    fn pow_expr(&mut self) -> Result<Expr, ParseError> {
+    fn pow_expr(&mut self) -> Result<Deep, ParseError> {
         let base = self.primary()?;
         if self.eat(&Tok::Caret) {
             // Right-associative: 2^3^2 = 2^(3^2).
-            let exp = self.unary_expr()?;
-            return Ok(Expr::bin(BinOp::Pow, base, exp));
+            let exp = self.nested(Parser::unary_expr)?;
+            return self.binary(BinOp::Pow, base, exp);
         }
         Ok(base)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Int(i)))
-            }
-            Tok::Float(f) => {
-                self.bump();
-                Ok(Expr::Lit(Value::Float(f)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Value::str(&s)))
-            }
-            Tok::True => {
-                self.bump();
-                Ok(Expr::Lit(Value::Bool(true)))
-            }
-            Tok::False => {
-                self.bump();
-                Ok(Expr::Lit(Value::Bool(false)))
-            }
+    fn primary(&mut self) -> Result<Deep, ParseError> {
+        let lit = match self.peek().clone() {
+            Tok::Int(i) => Value::Int(i),
+            Tok::Float(f) => Value::Float(f),
+            Tok::Str(s) => Value::str(&s),
+            Tok::True => Value::Bool(true),
+            Tok::False => Value::Bool(false),
             Tok::Ident(name) => {
                 self.bump();
-                if self.eat(&Tok::LParen) {
-                    let args = self.expr_list(&Tok::RParen)?;
-                    self.expect(&Tok::RParen)?;
-                    Ok(Expr::Call(name, args))
-                } else {
-                    Ok(Expr::name(&name))
+                if !self.eat(&Tok::LParen) {
+                    return Ok((Expr::name(&name), 0));
                 }
+                let (args, d) = self.nested(|p| {
+                    let mut args = Vec::new();
+                    let mut d = 0;
+                    if p.peek() != &Tok::RParen {
+                        loop {
+                            let (a, da) = p.or_expr()?;
+                            args.push(a);
+                            d = d.max(da);
+                            if !p.eat(&Tok::Comma) {
+                                break;
+                            }
+                        }
+                    }
+                    p.expect(&Tok::RParen)?;
+                    Ok((args, d))
+                })?;
+                return Ok((Expr::Call(name, args), self.level(d)?));
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Parser::or_expr)?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            other => Err(self.err(format!("expected an expression, found {other}"))),
-        }
+            other => return Err(self.err(format!("expected an expression, found {other}"))),
+        };
+        self.bump();
+        Ok((Expr::Lit(lit), 0))
     }
 }
 
@@ -966,6 +1007,28 @@ mod tests {
         match &t.atoms[0] {
             TxnAtom::Tuple { pattern, .. } => assert!(pattern.fields.is_empty()),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        let at = MAX_EXPR_DEPTH as usize;
+        let parens = |n: usize| format!("{}1{} -> skip", "(".repeat(n), ")".repeat(n));
+        let shapes: [(&str, &dyn Fn(usize) -> String); 5] = [
+            ("brackets", &parens),
+            ("negations", &|n| format!("{}1 -> skip", "-".repeat(n))),
+            ("a sum", &|n| format!("{}1 -> skip", "1+".repeat(n))),
+            ("powers", &|n| format!("{}1 -> skip", "2^".repeat(n))),
+            // The outermost call is a predicate atom; its arguments nest.
+            ("calls", &|n| {
+                format!("{}1{} -> skip", "f(".repeat(n + 1), ")".repeat(n + 1))
+            }),
+        ];
+        for (what, src) in shapes {
+            assert!(parse_transaction(&src(at)).is_ok(), "{what} at the cap");
+            assert!(parse_transaction(&src(at + 1)).is_err(), "{what} past it");
+            // Far past it: rejected before the recursion runs out of stack.
+            assert!(parse_transaction(&src(200_000)).is_err(), "{what}");
         }
     }
 

@@ -147,3 +147,106 @@ proptest! {
         prop_assert!(parse_transaction(&src).is_ok(), "source: {}", src);
     }
 }
+
+/// What hostile transaction sources are built from: SDL tokens, lone
+/// brackets, quote and comment openers, odd numbers and non-ASCII text.
+const PIECES: &[&str] = &[
+    "exists",
+    "forall",
+    "a",
+    "x1",
+    "<",
+    ">",
+    "(",
+    ")",
+    "[",
+    "]",
+    "{",
+    "}",
+    ",",
+    ":",
+    ";",
+    "!",
+    "->",
+    "=>",
+    "@>",
+    "-",
+    "+",
+    "*",
+    "/",
+    "^",
+    "==",
+    "<=",
+    "and",
+    "or",
+    "not",
+    "skip",
+    "exit",
+    "abort",
+    "let",
+    "spawn",
+    "_",
+    "0",
+    "42",
+    "-7",
+    "3.5",
+    "1e99",
+    "99999999999999999999",
+    "\"",
+    "\"s\"",
+    "'",
+    "#",
+    "//",
+    "/*",
+    " ",
+    "\n",
+    "\t",
+    "é",
+    "日本",
+    "🦀",
+    "\u{0}",
+    "\u{feff}",
+    "\u{202e}",
+];
+
+fn arb_hostile_source() -> impl Strategy<Value = String> {
+    prop_oneof![
+        // Token soup.
+        proptest::collection::vec(0..PIECES.len(), 0..48)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect::<String>()),
+        // Arbitrary scalar values.
+        proptest::collection::vec(0u32..0x11_0000, 0..48).prop_map(|cs| cs
+            .into_iter()
+            .filter_map(char::from_u32)
+            .collect::<String>()),
+        // A valid transaction with pieces spliced in at any char boundary.
+        (
+            arb_txn(),
+            any::<usize>(),
+            proptest::collection::vec(0..PIECES.len(), 1..4)
+        )
+            .prop_map(|(t, at, ix)| {
+                let mut s = t.to_string();
+                let mut at = at % (s.len() + 1);
+                while !s.is_char_boundary(at) {
+                    at -= 1;
+                }
+                let splice: String = ix.into_iter().map(|i| PIECES[i]).collect();
+                s.insert_str(at, &splice);
+                s
+            }),
+        // Deep, unbalanced nesting.
+        (0..PIECES.len(), 0usize..1 << 17).prop_map(|(i, n)| PIECES[i].repeat(n)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The wire's `Txn` source is untrusted: whatever the text, parsing
+    /// returns a result and never panics.
+    #[test]
+    fn hostile_source_never_panics(src in arb_hostile_source()) {
+        let _ = parse_transaction(&src);
+    }
+}

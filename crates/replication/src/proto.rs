@@ -377,4 +377,24 @@ mod tests {
         assert!(decode_msg(&[99]).is_err());
         assert!(decode_msg(&[]).is_err());
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Hostile bytes off a replication socket are rejected, never a
+        /// panic. A leading tag byte in range steers half the cases past
+        /// the tag check into each message's body decoder.
+        #[test]
+        fn hostile_bytes_never_panic(
+            tag in 0u8..9,
+            steer in proptest::any::<bool>(),
+            mut bytes in proptest::collection::vec(proptest::any::<u8>(), 0..256),
+        ) {
+            if steer && !bytes.is_empty() {
+                bytes[0] = tag;
+            }
+            let _ = try_frame(&bytes);
+            let _ = decode_msg(&bytes);
+        }
+    }
 }

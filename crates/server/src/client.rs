@@ -106,8 +106,8 @@ impl Client {
         framed.extend_from_slice(&header);
         framed.resize(FRAME_HEADER + len, 0);
         self.stream.read_exact(&mut framed[FRAME_HEADER..])?;
-        match wire::try_frame(&framed, self.max_frame).map_err(wire_err)? {
-            Some((payload, _)) => wire::decode_response(&payload).map_err(wire_err),
+        match wire::frame_len(&framed, self.max_frame).map_err(wire_err)? {
+            Some(used) => wire::decode_response(&framed[FRAME_HEADER..used]).map_err(wire_err),
             None => Err(wire_err(WireError::Truncated)),
         }
     }

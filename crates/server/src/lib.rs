@@ -34,6 +34,8 @@ mod wakefd;
 pub mod wire;
 
 pub use client::Client;
+#[doc(hidden)]
+pub use conn::WriteBuf;
 pub use engine::Engine;
 pub use load::{run_load, LoadConfig};
 pub use server::{serve, Server, ServerConfig};

@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::io;
 use std::os::fd::RawFd;
-use std::os::raw::c_int;
 
 /// One readiness event.
 #[derive(Clone, Copy, Debug)]
@@ -369,11 +368,6 @@ mod poll_backend {
         }
         Ok(())
     }
-}
-
-/// A millisecond timeout clamped for the backends' `c_int` argument.
-pub(crate) fn clamp_timeout(ms: u64) -> i32 {
-    ms.min(c_int::MAX as u64) as i32
 }
 
 #[cfg(test)]

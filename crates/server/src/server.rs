@@ -17,10 +17,11 @@
 //! shard, or doesn't show up in time, fall back to least-connections
 //! round-robin. Handoff is a vector push plus a wake-fd kick.
 //!
-//! Each loop is shaped for pipelined load exactly like the PR 7
-//! single-loop server: each readiness pass reads whole socket buffers,
-//! decodes *every* complete frame, runs the lot through the engine as
-//! one batch, and drains replies with vectored writes. Backpressure is
+//! Each loop is shaped for pipelined load: each readiness pass reads
+//! what the socket holds straight into the connection's buffer, decodes
+//! *every* complete frame where it lies, runs the lot through the
+//! engine as one batch, frames the replies in place, and writes them
+//! with one `write` per connection. Backpressure is
 //! engine-coupled and now *global*: when the parked-request count
 //! across all loops passes [`ServerConfig::max_parked`], every loop
 //! stops reading (the kernel's TCP window queues on the client's side)
@@ -47,12 +48,15 @@ use sdl_tuple::TupleId;
 
 use crate::conn::{FillOutcome, ReadBuf, WriteBuf};
 use crate::engine::{Engine, Reply};
-use crate::poll::{clamp_timeout, Interest, PollEvent, Poller};
+use crate::poll::{Interest, PollEvent, Poller};
 use crate::shared::NetShared;
 use crate::wakefd::WakeFd;
-use crate::wire::{self, Request, MAGIC};
+use crate::wire::{self, Request, FRAME_HEADER, MAGIC};
 
 const LISTENER_TOKEN: u64 = 0;
+/// Poll timeout between passes: loops are kicked through their wake fd,
+/// so this only paces shutdown checks and nursery aging.
+const POLL_TIMEOUT_MS: i32 = 25;
 /// Every loop's wake fd lives at token 0 in that loop's poller;
 /// connection tokens start at 1 and are globally unique.
 const WAKE_TOKEN: u64 = 0;
@@ -67,16 +71,12 @@ pub struct ServerConfig {
     pub addr: String,
     /// Per-frame payload cap; larger frames drop the connection.
     pub max_frame: usize,
-    /// Bytes read per connection per loop pass (bounds one pass's work).
-    pub read_chunk_limit: usize,
     /// Parked-request high watermark across all loops: at or above, all
     /// reads pause.
     pub max_parked: usize,
     /// Per-connection write-buffer cap: at or above, that connection's
     /// reads pause until the client drains replies below half.
     pub write_buf_limit: usize,
-    /// Poll timeout between passes (also the shutdown-check cadence).
-    pub poll_timeout_ms: u64,
     /// Event-loop worker threads (clamped to 1..=64).
     pub loops: usize,
     /// Store shards (clamped to the dataspace maximum).
@@ -111,10 +111,8 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             max_frame: wire::DEFAULT_MAX_FRAME,
-            read_chunk_limit: 256 * 1024,
             max_parked: 100_000,
             write_buf_limit: 4 * 1024 * 1024,
-            poll_timeout_ms: 25,
             loops: 1,
             shards: 8,
             wal_dir: None,
@@ -559,7 +557,7 @@ fn acceptor(
     let mut to_place: Vec<(u64, Option<usize>)> = Vec::new();
 
     while !stop.load(Ordering::SeqCst) {
-        poller.wait(&mut events, clamp_timeout(cfg.poll_timeout_ms))?;
+        poller.wait(&mut events, POLL_TIMEOUT_MS)?;
 
         for &ev in &events {
             if ev.token == LISTENER_TOKEN {
@@ -630,7 +628,7 @@ fn nurse(
     cfg: &ServerConfig,
     metrics: &Metrics,
 ) -> NurseOutcome {
-    let outcome = match n.rbuf.fill(&mut n.stream, cfg.read_chunk_limit) {
+    let outcome = match n.rbuf.fill(&mut n.stream) {
         Ok(o) => o,
         Err(_) => return NurseOutcome::Close,
     };
@@ -648,7 +646,7 @@ fn nurse(
             return NurseOutcome::Close;
         }
         n.rbuf.consume(MAGIC.len());
-        n.wbuf.push(MAGIC.to_vec());
+        n.wbuf.push(MAGIC);
         n.handshaken = true;
     }
     // The client blocks on the echo before sending its first request —
@@ -656,8 +654,9 @@ fn nurse(
     if !n.wbuf.is_empty() && n.wbuf.flush(&mut n.stream).is_err() {
         return NurseOutcome::Close;
     }
-    match wire::try_frame(n.rbuf.pending(), cfg.max_frame) {
-        Ok(Some((payload, _used))) => match wire::decode_request(&payload) {
+    let pending = n.rbuf.pending();
+    match wire::frame_len(pending, cfg.max_frame) {
+        Ok(Some(used)) => match wire::decode_request(&pending[FRAME_HEADER..used]) {
             // The frame stays in rbuf; the owning loop decodes it again
             // through its normal batch path.
             Ok((_req_id, req)) => NurseOutcome::Place(shard_hint(shared, &req)),
@@ -719,8 +718,8 @@ fn accept_all(
                     token,
                     Nursling {
                         stream,
-                        rbuf: ReadBuf::new(),
-                        wbuf: WriteBuf::new(),
+                        rbuf: ReadBuf::default(),
+                        wbuf: WriteBuf::default(),
                         handshaken: false,
                         passes: 0,
                     },
@@ -759,7 +758,7 @@ fn event_loop(
     let mut stalled = false;
 
     while !stop.load(Ordering::SeqCst) {
-        poller.wait(&mut events, clamp_timeout(cfg.poll_timeout_ms))?;
+        poller.wait(&mut events, POLL_TIMEOUT_MS)?;
 
         if events.iter().any(|e| e.token == WAKE_TOKEN) {
             wakefds[loop_id].drain();
@@ -805,18 +804,28 @@ fn event_loop(
             if !ev.readable || stalled || conn.write_paused {
                 continue;
             }
-            match read_and_decode(ev.token, conn, &cfg, &mut batch, &metrics) {
-                Ok(true) => {}
-                Ok(false) | Err(_) => to_close.push(ev.token),
+            // Frames read before an EOF still run; a read error or a bad
+            // frame closes the connection.
+            let open = match conn.rbuf.fill(&mut conn.stream) {
+                Ok(outcome) => {
+                    decode_pending(ev.token, conn, &cfg, &mut batch, &metrics).is_ok()
+                        && outcome == FillOutcome::Open
+                }
+                Err(_) => false,
+            };
+            if !open {
+                to_close.push(ev.token);
             }
         }
 
         // A freshly adopted connection may already hold its first frame
         // (read in the nursery) with no readiness event to show for it.
+        // One already closing was decoded (a bad frame counted) above.
         for (&token, conn) in conns.iter_mut() {
             if !conn.rbuf.pending().is_empty()
                 && !stalled
                 && !conn.write_paused
+                && !to_close.contains(&token)
                 && decode_pending(token, conn, &cfg, &mut batch, &metrics).is_err()
             {
                 to_close.push(token);
@@ -843,8 +852,7 @@ fn event_loop(
 
         for (token, req_id, resp) in replies.drain(..) {
             if let Some(conn) = conns.get_mut(&token) {
-                conn.wbuf
-                    .push(wire::frame(&wire::encode_response(req_id, &resp)));
+                conn.wbuf.push_response(req_id, &resp);
             }
         }
 
@@ -907,22 +915,6 @@ fn event_loop(
     Ok(())
 }
 
-/// Reads available bytes and decodes every complete frame into `batch`.
-/// Returns `Ok(false)` when the connection should close (EOF or
-/// protocol error). The handshake already happened in the nursery.
-fn read_and_decode(
-    token: u64,
-    conn: &mut ConnState,
-    cfg: &ServerConfig,
-    batch: &mut Vec<(u64, u64, Request)>,
-    metrics: &Metrics,
-) -> io::Result<bool> {
-    let outcome = conn.rbuf.fill(&mut conn.stream, cfg.read_chunk_limit)?;
-    decode_pending(token, conn, cfg, batch, metrics)
-        .map_err(|()| io::Error::other("protocol error"))?;
-    Ok(outcome == FillOutcome::Open)
-}
-
 /// Decodes every complete buffered frame into `batch`.
 fn decode_pending(
     token: u64,
@@ -933,7 +925,7 @@ fn decode_pending(
 ) -> Result<(), ()> {
     loop {
         match conn.rbuf.next_frame(cfg.max_frame) {
-            Ok(Some(payload)) => match wire::decode_request(&payload) {
+            Ok(Some(payload)) => match wire::decode_request(payload) {
                 Ok((req_id, req)) => batch.push((token, req_id, req)),
                 Err(_) => {
                     metrics.inc(Counter::NetProtocolErrors);

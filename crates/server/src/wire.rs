@@ -385,26 +385,31 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), WireError> {
 /// Encodes `(req_id, response)` as a frame payload (no frame header).
 pub fn encode_response(req_id: u64, resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
-    put_u64(&mut out, req_id);
+    put_response(&mut out, req_id, resp);
+    out
+}
+
+/// Appends the payload [`encode_response`] returns to `out`.
+pub(crate) fn put_response(out: &mut Vec<u8>, req_id: u64, resp: &Response) {
+    put_u64(out, req_id);
     match resp {
         Response::Ok => out.push(0),
         Response::Tuple(t) => {
             out.push(1);
-            put_tuple(&mut out, t);
+            put_tuple(out, t);
         }
         Response::Failed => out.push(2),
         Response::Parked => out.push(3),
         Response::Cancelled => out.push(4),
         Response::Error(msg) => {
             out.push(5);
-            put_str(&mut out, msg);
+            put_str(out, msg);
         }
         Response::NotLeader(addr) => {
             out.push(6);
-            put_str(&mut out, addr);
+            put_str(out, addr);
         }
     }
-    out
 }
 
 /// Decodes a response payload produced by [`encode_response`].
@@ -449,6 +454,13 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 /// and [`WireError::Crc`] on checksum mismatch — both are
 /// unrecoverable for the connection (framing is lost).
 pub fn try_frame(buf: &[u8], max_frame: usize) -> Result<Option<(Vec<u8>, usize)>, WireError> {
+    Ok(frame_len(buf, max_frame)?.map(|used| (buf[FRAME_HEADER..used].to_vec(), used)))
+}
+
+/// The checks of [`try_frame`] without the copy: `Ok(Some(used))` when
+/// `buf` starts with a whole, intact frame of `used` bytes, whose
+/// payload is `buf[FRAME_HEADER..used]`.
+pub(crate) fn frame_len(buf: &[u8], max_frame: usize) -> Result<Option<usize>, WireError> {
     if buf.len() < FRAME_HEADER {
         return Ok(None);
     }
@@ -463,11 +475,10 @@ pub fn try_frame(buf: &[u8], max_frame: usize) -> Result<Option<(Vec<u8>, usize)
     if buf.len() < FRAME_HEADER + len {
         return Ok(None);
     }
-    let payload = &buf[FRAME_HEADER..FRAME_HEADER + len];
-    if crc32(payload) != crc {
+    if crc32(&buf[FRAME_HEADER..FRAME_HEADER + len]) != crc {
         return Err(WireError::Crc);
     }
-    Ok(Some((payload.to_vec(), FRAME_HEADER + len)))
+    Ok(Some(FRAME_HEADER + len))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use sdl_server::wire::{
     decode_request, decode_response, encode_request, encode_response, frame, try_frame, Request,
     Response, DEFAULT_MAX_FRAME,
 };
+use sdl_server::WriteBuf;
 use sdl_tuple::{Pattern, Tuple, Value};
 
 /// Deterministically builds a value from fuzz inputs, covering every
@@ -96,7 +97,9 @@ proptest! {
         prop_assert_eq!(req2, req);
     }
 
-    /// Every response round-trips too.
+    /// Every response round-trips too, and the server's in-place
+    /// framing appends exactly the bytes `frame(encode_response(..))`
+    /// would, whatever is already queued before it.
     #[test]
     fn response_roundtrip(
         kind in 0u8..6,
@@ -104,9 +107,17 @@ proptest! {
         n in any::<i64>(),
         tags in proptest::collection::vec(0u8..7, 0..5),
         bytes in proptest::collection::vec(0u8..255, 0..12),
+        prior in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let resp = response_from(kind, n, &tags, &bytes);
         let framed = frame(&encode_response(req_id, &resp));
+        let mut wb = WriteBuf::default();
+        wb.push(&prior);
+        wb.push_response(req_id, &resp);
+        let mut sent = Vec::new();
+        prop_assert!(wb.flush(&mut sent).expect("a Vec takes every byte"));
+        prop_assert_eq!(&sent[..prior.len()], &prior[..]);
+        prop_assert_eq!(&sent[prior.len()..], &framed[..]);
         let (payload, _) = try_frame(&framed, DEFAULT_MAX_FRAME)
             .expect("well-formed frame")
             .expect("complete frame");

@@ -4,7 +4,6 @@
 //! sdl-server [--addr HOST:PORT] [--metrics-addr HOST:PORT]
 //!            [--loops N] [--shards N] [--max-parked N]
 //!            [--max-frame BYTES] [--write-buf BYTES]
-//!            [--read-chunk BYTES] [--poll-timeout-ms N]
 //!            [--wal-dir DIR] [--fsync always|interval[:MS]|never]
 //!            [--snapshot-every N] [--wal-retain N]
 //!            [--repl-addr HOST:PORT] [--advertise HOST:PORT]
@@ -25,9 +24,6 @@
 //! * `--max-frame BYTES`   per-frame payload cap (default 1 MiB)
 //! * `--write-buf BYTES`   per-connection reply-buffer cap before that
 //!   connection's reads pause (default 4 MiB)
-//! * `--read-chunk BYTES`  bytes read per connection per loop pass
-//!   (default 256 KiB)
-//! * `--poll-timeout-ms N` poll timeout between passes (default 25)
 //! * `--wal-dir DIR`       log every commit to a write-ahead log in
 //!   `DIR` (created if missing); existing history is recovered and the
 //!   store seeded from it. Without this flag, state is in-memory
@@ -62,7 +58,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: sdl-server [--addr HOST:PORT] [--metrics-addr HOST:PORT] \
          [--loops N] [--shards N] [--max-parked N] \
-         [--max-frame BYTES] [--write-buf BYTES] [--read-chunk BYTES] [--poll-timeout-ms N] \
+         [--max-frame BYTES] [--write-buf BYTES] \
          [--wal-dir DIR] [--fsync always|interval[:MS]|never] \
          [--snapshot-every N] [--wal-retain N] \
          [--repl-addr HOST:PORT] [--advertise HOST:PORT] [--follow HOST:PORT]"
@@ -116,19 +112,6 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--read-chunk" => {
-                args.cfg.read_chunk_limit = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage())
-            }
-            "--poll-timeout-ms" => {
-                args.cfg.poll_timeout_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage())
             }
             "--wal-dir" => args.cfg.wal_dir = Some(it.next().unwrap_or_else(|| usage()).into()),

@@ -5,9 +5,10 @@
 
 use std::time::{Duration, Instant};
 
-use sdl::metrics::{Gauge, LoopCounter, Metrics, MetricsRegistry};
+use sdl::metrics::{Counter, Gauge, LoopCounter, Metrics, MetricsRegistry};
+use sdl::server::wire::{encode_request, DEFAULT_MAX_FRAME};
 use sdl::server::{serve, Client, Request, Response, Server, ServerConfig};
-use sdl_tuple::{pattern, tuple, Value};
+use sdl_tuple::{pattern, tuple, Tuple, Value};
 
 fn start() -> (Server, std::sync::Arc<MetricsRegistry>) {
     let (metrics, registry) = Metrics::registry();
@@ -342,6 +343,111 @@ fn pipelined_requests_on_one_connection_keep_order() {
             other => panic!("inp {k} got {other:?}"),
         }
     }
+
+    server.shutdown().expect("shutdown");
+}
+
+/// `<blob, "xxx…">` with a string of `len` bytes.
+fn blob(len: usize) -> Tuple {
+    tuple![Value::atom("blob"), Value::Str("x".repeat(len).into())]
+}
+
+#[test]
+fn a_frame_longer_than_one_read_pass_is_served() {
+    // 300 KiB is more than one pass reads from a connection but well
+    // inside the frame cap; the frame completes over several passes.
+    let (server, _registry) = start();
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    c.out(blob(300 * 1024)).expect("out of a 300 KiB tuple");
+    assert_eq!(
+        c.try_read(pattern![Value::atom("blob"), any]).expect("rdp"),
+        Some(blob(300 * 1024))
+    );
+
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_frame_at_the_cap_is_served_and_one_byte_over_closes_the_connection() {
+    let (server, registry) = start();
+    // The payload of an `out` of blob(len) is `len` plus a fixed part.
+    let fixed = encode_request(1, &Request::Out(blob(0))).len();
+    let at_cap = DEFAULT_MAX_FRAME - fixed;
+
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    c.ping().expect("ping");
+    c.out(blob(at_cap))
+        .expect("a frame of exactly the cap is served");
+    assert_eq!(
+        encode_request(1, &Request::Out(blob(at_cap))).len(),
+        DEFAULT_MAX_FRAME
+    );
+    c.ping().expect("the connection survives");
+    assert_eq!(registry.counter(Counter::NetProtocolErrors), 0);
+
+    let mut over = Client::connect(server.addr()).expect("connect");
+    over.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    over.ping().expect("ping");
+    assert!(over.out(blob(at_cap + 1)).is_err(), "one byte over the cap");
+    assert_eq!(registry.counter(Counter::NetProtocolErrors), 1);
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            registry.gauge(Gauge::NetConnections) == 1
+        }),
+        "the oversized connection was not closed"
+    );
+    c.ping().expect("other connections are unaffected");
+
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_client_that_stops_reading_stalls_until_it_drains() {
+    let (metrics, registry) = Metrics::registry();
+    let cfg = ServerConfig {
+        write_buf_limit: 64 * 1024,
+        ..ServerConfig::default()
+    };
+    let server = serve(cfg, metrics).expect("bind ephemeral server");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    c.out(blob(32 * 1024)).expect("out");
+    let before = registry.counter(Counter::NetBackpressureStalls);
+
+    // 16 MiB of replies, none read yet: far past the socket buffers and
+    // the 64 KiB cap, so the server must stop reading this connection.
+    let ids: Vec<u64> = (0..512)
+        .map(|_| {
+            c.send(&Request::Rdp(pattern![Value::atom("blob"), any]))
+                .expect("send")
+        })
+        .collect();
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            registry.counter(Counter::NetBackpressureStalls) > before
+        }),
+        "a full write buffer never stalled the connection"
+    );
+
+    // Draining brings every reply, in order, and reads resume.
+    for id in ids {
+        let (rid, resp) = c.recv().expect("reply");
+        assert_eq!(rid, id);
+        assert_eq!(resp, Response::Tuple(blob(32 * 1024)));
+    }
+    c.ping().expect("reads resumed");
+    assert_eq!(registry.gauge(Gauge::BlockedQueueDepth), 0);
+    drop(c);
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            registry.gauge(Gauge::NetConnections) == 0
+        }),
+        "connection gauge stuck at {}",
+        registry.gauge(Gauge::NetConnections)
+    );
 
     server.shutdown().expect("shutdown");
 }
