@@ -3,10 +3,9 @@
 //! [`RuntimeBuilder<R>`] configures the serial [`Runtime`] (`R =
 //! Runtime`, the default) and the threaded
 //! [`ParallelRuntime`](crate::parallel::ParallelRuntime). Every setting
-//! both read has one setter here; the few only one executor reads are set
-//! only on that executor's builder — `trace`, `trace_capacity` and
-//! `event_sink` on the serial one, `threads` and `shards` on the threaded
-//! one. Both fill their store through [`RuntimeBuilder::seed_store`].
+//! both read has one setter here; `threads` and `shards`, which only the
+//! threaded executor reads, are set only on its builder. Both fill their
+//! store through [`RuntimeBuilder::seed_store`].
 
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -24,7 +23,7 @@ use crate::builtins::Builtins;
 use crate::error::RuntimeError;
 use crate::outcome::RunLimits;
 use crate::program::CompiledProgram;
-use crate::sched::{wal_err, Runtime, Sinks};
+use crate::sched::{wal_err, Runtime};
 use crate::trace::Tracer;
 use crate::view::EnvCtx;
 
@@ -55,10 +54,6 @@ pub struct RuntimeBuilder<R = Runtime> {
     tuples: Vec<Tuple>,
     spawns: Vec<(String, Vec<Value>)>,
     recovered: Option<RecoveredState>,
-    /// Serial runtime only: the in-memory event log and streaming sinks.
-    pub(crate) trace: bool,
-    pub(crate) trace_capacity: Option<usize>,
-    pub(crate) sinks: Sinks,
     runtime: PhantomData<fn() -> R>,
 }
 
@@ -82,9 +77,6 @@ impl<R> RuntimeBuilder<R> {
             tuples: Vec::new(),
             spawns: Vec::new(),
             recovered: None,
-            trace: false,
-            trace_capacity: None,
-            sinks: Sinks::default(),
             runtime: PhantomData,
         }
     }
@@ -109,9 +101,11 @@ impl<R> RuntimeBuilder<R> {
         self
     }
 
-    /// Attaches a causal [`Tracer`]: every transaction attempt gets a
-    /// span chain and every wake/conflict a causality edge. The default
-    /// ([`Tracer::disabled`]) makes every site a single branch.
+    /// Attaches the observation stream: spawns, exits, commits with their
+    /// tuples, parks, a span chain per transaction attempt and a
+    /// causality edge per wake or conflict go to `tracer`; read them with
+    /// [`Tracer::take`]. The default ([`Tracer::disabled`]) makes every
+    /// site a single branch.
     pub fn tracer(mut self, tracer: Tracer) -> Self {
         self.config.tracer = tracer;
         self

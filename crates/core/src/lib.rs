@@ -46,7 +46,6 @@ mod builtins;
 pub mod commit;
 pub mod consensus;
 mod error;
-pub mod events;
 mod outcome;
 pub mod parallel;
 mod process;
@@ -59,7 +58,6 @@ mod view;
 
 pub use builder::RuntimeBuilder;
 pub use builtins::Builtins;
-pub use events::{Event, EventLog, EventSink, JsonlSink};
 use outcome::RunReport;
 pub use outcome::{Outcome, RunLimits};
 pub use process::ProcessInstance;

@@ -31,7 +31,6 @@ use rand::seq::SliceRandom;
 use std::sync::Arc;
 
 use crate::error::RuntimeError;
-use crate::events::Event;
 use crate::outcome::Outcome;
 use crate::process::Frame;
 use crate::program::{CompiledBranch, CompiledStmt};
@@ -95,6 +94,7 @@ impl Runtime {
             }
         }
         self.report.final_tuples = self.ds.len();
+        self.drain_parks();
         Ok(self.report.clone())
     }
 
@@ -150,7 +150,7 @@ impl Runtime {
                                     self.metrics.inc(failed_counter(t.kind));
                                     match t.kind {
                                         TxnKind::Immediate => {
-                                            self.emit(Event::TxnFailed { by: pid });
+                                            self.trace_failed(pid);
                                             self.advance_seq(pid);
                                             Ok((0, true))
                                         }

@@ -113,8 +113,6 @@ pub enum Counter {
     ConsensusImportRecomputes,
     /// Processes spawned.
     ProcessesSpawned,
-    /// Events dropped by a bounded event log or a streaming sink.
-    EventsDropped,
     /// Commit records appended to the write-ahead log.
     WalRecords,
     /// Bytes appended to the write-ahead log (frame headers included).
@@ -160,7 +158,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters in exposition order.
-    pub(crate) const ALL: [Counter; 56] = [
+    pub(crate) const ALL: [Counter; 55] = [
         Counter::TxnAttemptsImmediate,
         Counter::TxnAttemptsDelayed,
         Counter::TxnAttemptsConsensus,
@@ -198,7 +196,6 @@ impl Counter {
         Counter::ConsensusChecksIncomplete,
         Counter::ConsensusImportRecomputes,
         Counter::ProcessesSpawned,
-        Counter::EventsDropped,
         Counter::WalRecords,
         Counter::WalBytes,
         Counter::RecoveryRecordsReplayed,
@@ -261,7 +258,6 @@ impl Counter {
             }
             Counter::ConsensusImportRecomputes => "sdl_consensus_import_recomputes_total",
             Counter::ProcessesSpawned => "sdl_processes_spawned_total",
-            Counter::EventsDropped => "sdl_events_dropped_total",
             Counter::WalRecords => "sdl_wal_records_total",
             Counter::WalBytes => "sdl_wal_bytes_total",
             Counter::RecoveryRecordsReplayed => "sdl_recovery_records_replayed_total",
@@ -369,7 +365,6 @@ impl Counter {
                 "Import sets the community index recomputed from the store."
             }
             Counter::ProcessesSpawned => "Processes spawned.",
-            Counter::EventsDropped => "Events dropped by a bounded log or streaming sink.",
             Counter::WalRecords => "Commit records appended to the write-ahead log.",
             Counter::WalBytes => "Bytes appended to the write-ahead log.",
             Counter::RecoveryRecordsReplayed => "Commit records replayed during crash recovery.",

@@ -20,6 +20,7 @@ use sdl_core::commit::{Committed, Committer, Decision, Slot, WakeRouter};
 use sdl_core::Tracer;
 use sdl_dataspace::{ShardSet, ShardWriteView, ShardedDataspace, WatchKey, WatchSet};
 use sdl_durability::{Wal, WalError};
+use sdl_lang::ast::TxnKind;
 use sdl_metrics::{LoopCounter, Metrics};
 use sdl_sync::{AtomicUsize, Mutex, RelaxedCounter};
 use sdl_tuple::ProcId;
@@ -183,7 +184,8 @@ impl NetShared {
         fp: ShardSet,
         decide: impl FnOnce(&ShardWriteView<'_>) -> Decision,
     ) -> Result<Option<Committed<Target>>, WalError> {
-        self.committer.commit(&self.sds, fp, 0, ProcId::ENV, decide)
+        self.committer
+            .commit(&self.sds, fp, 0, ProcId::ENV, TxnKind::Immediate, decide)
     }
 
     // -- park / wake ------------------------------------------------------

@@ -95,6 +95,8 @@ pub fn analyze(records: &[TraceRecord]) -> Analysis {
     let mut commits: HashMap<u64, (ProcId, u64)> = HashMap::new();
     // Wake edges per woken process, in arrival order.
     let mut wakes_by_pid: HashMap<ProcId, Vec<(u64, u64, String)>> = HashMap::new();
+    // Start of each process's open park.
+    let mut parked_since: HashMap<ProcId, u64> = HashMap::new();
     let mut last_commit: Option<u64> = None;
     let mut last_commit_t = 0u64;
 
@@ -113,10 +115,10 @@ pub fn analyze(records: &[TraceRecord]) -> Analysis {
                         ..PhaseStat::default()
                     })
                     .add(*dur_us);
-                a.wall_us = a.wall_us.max(t_us + dur_us);
+                a.wall_us = a.wall_us.max(t_us.saturating_add(*dur_us));
             }
             TraceRecord::Commit {
-                pid,
+                parts,
                 commit,
                 t_us,
                 dur_us,
@@ -124,29 +126,28 @@ pub fn analyze(records: &[TraceRecord]) -> Analysis {
             } => {
                 a.commits += 1;
                 commit_stat.add(*dur_us);
-                commits.insert(*commit, (*pid, *t_us));
+                commits.insert(*commit, (parts[0].0, *t_us));
                 if *t_us >= last_commit_t {
                     last_commit_t = *t_us;
                     last_commit = Some(*commit);
                 }
-                a.wall_us = a.wall_us.max(t_us + dur_us);
+                a.wall_us = a.wall_us.max(t_us.saturating_add(*dur_us));
             }
             TraceRecord::Conflict { t_us, .. } => {
                 a.conflicts += 1;
                 a.wall_us = a.wall_us.max(*t_us);
             }
-            TraceRecord::Park {
-                t_us,
-                dur_us,
-                outcome,
-                ..
-            } => {
+            TraceRecord::Park { pid, t_us, .. } => {
+                parked_since.insert(*pid, *t_us);
+            }
+            TraceRecord::Unpark { pid, t_us, outcome } => {
                 match outcome {
                     ParkOutcome::Woken => a.parks_woken += 1,
                     ParkOutcome::Drained => a.parks_drained += 1,
                 }
-                a.parked_us += dur_us;
-                a.wall_us = a.wall_us.max(t_us + dur_us);
+                let since = parked_since.remove(pid).unwrap_or(*t_us);
+                a.parked_us += t_us.saturating_sub(since);
+                a.wall_us = a.wall_us.max(*t_us);
             }
             TraceRecord::Wake {
                 pid,
@@ -165,6 +166,7 @@ pub fn analyze(records: &[TraceRecord]) -> Analysis {
                 a.stalls += 1;
                 a.wall_us = a.wall_us.max(*t_us);
             }
+            _ => {}
         }
     }
     for v in wakes_by_pid.values_mut() {
@@ -273,20 +275,24 @@ impl fmt::Display for Analysis {
 mod tests {
     use super::*;
     use sdl_core::{SpanPhase, Track};
+    use sdl_lang::ast::TxnKind;
 
     #[test]
     fn critical_path_follows_wake_edges() {
         // p1 commits c1 (key a) -> wakes p2, which commits c2 (key b)
         // -> wakes p3, which commits c3 last.
         let mk_commit = |pid: u64, commit: u64, t_us: u64| TraceRecord::Commit {
+            step: 0,
             trace: commit,
-            pid: ProcId(pid),
+            parts: vec![(ProcId(pid), TxnKind::Delayed)],
             track: Track::Main,
             commit,
             t_us,
             dur_us: 2,
             keys: vec![],
             shards: vec![],
+            retracted: vec![],
+            asserted: vec![],
         };
         let mk_wake = |pid: u64, commit: u64, key: &str, t_us: u64| TraceRecord::Wake {
             pid: ProcId(pid),

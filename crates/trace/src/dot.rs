@@ -3,28 +3,32 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use sdl_core::{Event, EventLog};
+use sdl_core::TraceRecord;
 use sdl_tuple::{ProcId, TupleId};
 
-/// Renders the *interaction graph* from an event log: a directed edge
+/// Renders the *interaction graph* from a record stream: a directed edge
 /// `p -> q` whenever `q` retracted a tuple `p` asserted — the dataflow
 /// the paper's decoupled processes actually exhibit.
-pub fn interactions(log: &EventLog) -> String {
+pub fn interactions(records: &[TraceRecord]) -> String {
     let mut owner: BTreeMap<TupleId, ProcId> = BTreeMap::new();
     let mut edges: BTreeSet<(ProcId, ProcId)> = BTreeSet::new();
-    for (_, event) in log.iter() {
-        match event {
-            Event::TupleAsserted { by, id, .. } => {
-                owner.insert(*id, *by);
-            }
-            Event::TupleRetracted { by, id, .. } => {
-                if let Some(from) = owner.get(id) {
-                    if from != by {
-                        edges.insert((*from, *by));
-                    }
+    for r in records {
+        if let TraceRecord::Commit {
+            retracted,
+            asserted,
+            ..
+        } = r
+        {
+            for (by, id, _) in retracted {
+                if let Some(from) = owner.get(id).filter(|from| *from != by) {
+                    edges.insert((*from, *by));
                 }
             }
-            _ => {}
+            for (by, id, _) in asserted {
+                if let Some(id) = id {
+                    owner.insert(*id, *by);
+                }
+            }
         }
     }
     let mut out = String::from("digraph interactions {\n");
@@ -38,32 +42,31 @@ pub fn interactions(log: &EventLog) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdl_core::{CompiledProgram, Runtime};
+    use sdl_core::{CompiledProgram, Runtime, Tracer};
+
+    fn dot(src: &str) -> String {
+        let program = CompiledProgram::from_source(src).unwrap();
+        let tracer = Tracer::new();
+        let mut rt = Runtime::builder(program)
+            .tracer(tracer.clone())
+            .build()
+            .unwrap();
+        rt.run().unwrap();
+        interactions(&tracer.take())
+    }
 
     #[test]
     fn interactions_show_producer_consumer_edge() {
-        let program = CompiledProgram::from_source(
-            "process Producer() { -> <item, 1>; }
+        let dot = dot("process Producer() { -> <item, 1>; }
              process Consumer() { exists v : <item, v>! => ; }
-             init { spawn Producer(); spawn Consumer(); }",
-        )
-        .unwrap();
-        let mut rt = Runtime::builder(program).trace(true).build().unwrap();
-        rt.run().unwrap();
-        let dot = interactions(rt.event_log().unwrap());
+             init { spawn Producer(); spawn Consumer(); }");
         assert!(dot.contains("->"), "edge expected:\n{dot}");
     }
 
     #[test]
     fn self_retraction_is_not_an_edge() {
-        let program = CompiledProgram::from_source(
-            "process P() { -> <t>; exists v : <t>! -> ; }
-             init { spawn P(); }",
-        )
-        .unwrap();
-        let mut rt = Runtime::builder(program).trace(true).build().unwrap();
-        rt.run().unwrap();
-        let dot = interactions(rt.event_log().unwrap());
+        let dot = dot("process P() { -> <t>; exists v : <t>! -> ; }
+             init { spawn P(); }");
         assert!(!dot.contains("->"));
     }
 }

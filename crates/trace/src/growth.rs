@@ -1,6 +1,6 @@
 //! Dataspace growth over logical time.
 
-use sdl_core::{Event, EventLog};
+use sdl_core::TraceRecord;
 
 /// One sample of dataspace size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -11,33 +11,42 @@ pub struct GrowthPoint {
     pub(crate) size: i64,
 }
 
-/// Reconstructs the dataspace-size curve from an event log, starting at
-/// `initial` (tuples present before execution).
+/// Reconstructs the dataspace-size curve from a record stream, starting
+/// at `initial` (tuples present before execution): one point per
+/// retraction and assertion.
 ///
 /// # Examples
 ///
 /// ```
-/// use sdl_core::{CompiledProgram, Runtime};
+/// use sdl_core::{CompiledProgram, Runtime, Tracer};
 ///
 /// let program = CompiledProgram::from_source(
 ///     "process P() { -> <a>; exists v : <a>! -> ; } init { spawn P(); }",
 /// ).unwrap();
-/// let mut rt = Runtime::builder(program).trace(true).build().unwrap();
+/// let tracer = Tracer::new();
+/// let mut rt = Runtime::builder(program).tracer(tracer.clone()).build().unwrap();
 /// rt.run().unwrap();
-/// let curve = sdl_trace::growth(rt.event_log().unwrap(), 0);
+/// let curve = sdl_trace::growth(&tracer.take(), 0);
 /// assert_eq!(curve.len(), 3); // start, assert, retract
 /// assert!(sdl_trace::render_growth(&curve, 8).ends_with("(peak 1)"));
 /// ```
-pub fn growth(log: &EventLog, initial: usize) -> Vec<GrowthPoint> {
+pub fn growth(records: &[TraceRecord], initial: usize) -> Vec<GrowthPoint> {
     let mut size = initial as i64;
     let mut out = vec![GrowthPoint { step: 0, size }];
-    for (step, event) in log.iter() {
-        match event {
-            Event::TupleAsserted { .. } => size += 1,
-            Event::TupleRetracted { .. } => size -= 1,
-            _ => continue,
+    for r in records {
+        if let TraceRecord::Commit {
+            step,
+            retracted,
+            asserted,
+            ..
+        } = r
+        {
+            let deltas = retracted.iter().map(|_| -1);
+            for delta in deltas.chain(asserted.iter().filter(|a| a.1.is_some()).map(|_| 1)) {
+                size += delta;
+                out.push(GrowthPoint { step: *step, size });
+            }
         }
-        out.push(GrowthPoint { step: *step, size });
     }
     out
 }
@@ -62,7 +71,7 @@ pub fn render_growth(curve: &[GrowthPoint], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdl_core::{CompiledProgram, Runtime};
+    use sdl_core::{CompiledProgram, Runtime, Tracer};
 
     #[test]
     fn curve_tracks_asserts_and_retracts() {
@@ -71,9 +80,13 @@ mod tests {
              init { <seed>; spawn P(); }",
         )
         .unwrap();
-        let mut rt = Runtime::builder(program).trace(true).build().unwrap();
+        let tracer = Tracer::new();
+        let mut rt = Runtime::builder(program)
+            .tracer(tracer.clone())
+            .build()
+            .unwrap();
         rt.run().unwrap();
-        let curve = growth(rt.event_log().unwrap(), 1);
+        let curve = growth(&tracer.take(), 1);
         assert_eq!(curve.first().unwrap().size, 1);
         assert_eq!(curve.last().unwrap().size, 2, "seed + b");
         let peak = curve.iter().map(|p| p.size).max().unwrap();

@@ -4,8 +4,8 @@
 //! Chrome/Perfetto files `sdl-run --trace-out` writes without pulling a
 //! serde stack into the workspace. This covers exactly the JSON the
 //! exporter produces (objects, arrays, strings, finite numbers, bools,
-//! null) plus `\uXXXX` escapes, and rejects everything else with a
-//! byte-offset error.
+//! null) plus `\uXXXX` escapes, and rejects everything else — including
+//! nesting deeper than [`MAX_DEPTH`] — with a byte-offset error.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,11 +88,16 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest array/object nesting [`parse`] accepts: deeper input is
+/// an error, not a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -124,6 +129,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -164,8 +171,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -305,6 +323,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_the_exporter_shapes() {
@@ -337,5 +356,47 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("1e999").is_err(), "infinite number must be rejected");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+    }
+
+    /// JSON tokens and stray bytes, so generated input gets past the
+    /// first character.
+    const PIECES: &[&str] = &[
+        "{", "}", "[", "]", "\"", ":", ",", "\\", "\\u", "\\u12", "0", "-", "1.5e3", "true", "nul",
+        "\"k\"", " ", "é", "🦀", "\u{0}",
+    ];
+
+    fn arb_input() -> impl Strategy<Value = String> {
+        prop_oneof![
+            proptest::collection::vec(0..PIECES.len(), 0..64)
+                .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect::<String>()),
+            proptest::collection::vec(0u32..0x11_0000, 0..64).prop_map(|cs| cs
+                .into_iter()
+                .filter_map(char::from_u32)
+                .collect::<String>()),
+        ]
+    }
+
+    proptest! {
+        /// Whatever the text, parsing returns a result and never panics.
+        #[test]
+        fn arbitrary_input_never_panics(input in arb_input()) {
+            let _ = parse(&input);
+        }
     }
 }

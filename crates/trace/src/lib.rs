@@ -4,27 +4,29 @@
 //! other way for humans to assimilate voluminous information about the
 //! continuously changing program state", and the shared dataspace is
 //! "the only paradigm … which elegantly accommodates programmer-defined
-//! visualization". This crate is that substrate: it consumes the
-//! [`EventLog`](sdl_core::EventLog) a traced run produces and renders
+//! visualization". This crate is that substrate: every view is a function
+//! over the one [`TraceRecord`](sdl_core::TraceRecord) stream a
+//! [`Tracer`](sdl_core::Tracer) collects:
 //!
+//! * the event view: JSON Lines ([`events`]) and an ASCII [`timeline`],
 //! * per-process statistics ([`Stats`]),
-//! * an ASCII event [`timeline`],
 //! * dataspace growth curves ([`growth`]),
-//! * process-interaction and consensus-community graphs in DOT
-//!   ([`dot`]),
-//! * grouped dataspace snapshots ([`render_dataspace`]),
+//! * the process-interaction graph in DOT ([`dot::interactions`]),
 //! * causal transaction traces: Chrome/Perfetto export ([`perfetto`])
 //!   and per-phase latency / critical-path analysis ([`analysis`]).
 //!
+//! Besides, [`render_dataspace`] renders a grouped dataspace snapshot.
+//!
 //! ```
-//! use sdl_core::{CompiledProgram, Runtime};
+//! use sdl_core::{CompiledProgram, Runtime, Tracer};
 //!
 //! let program = CompiledProgram::from_source(
 //!     "process P() { exists v : <x, v>! -> <y, v>; } init { <x, 1>; spawn P(); }",
 //! ).unwrap();
-//! let mut rt = Runtime::builder(program).trace(true).build().unwrap();
+//! let tracer = Tracer::new();
+//! let mut rt = Runtime::builder(program).tracer(tracer.clone()).build().unwrap();
 //! rt.run().unwrap();
-//! let stats = sdl_trace::Stats::from_log(rt.event_log().unwrap());
+//! let stats = sdl_trace::Stats::from_records(&tracer.take());
 //! assert!(stats.to_string().contains("total: 1 commits"));
 //! ```
 
@@ -32,6 +34,7 @@
 
 pub mod analysis;
 pub mod dot;
+pub mod events;
 mod growth;
 pub mod json;
 pub mod perfetto;
@@ -42,4 +45,4 @@ pub mod timeline;
 
 pub use growth::{growth, render_growth};
 pub use render::render_dataspace;
-pub use stats::{Stats, StatsSink};
+pub use stats::Stats;

@@ -25,6 +25,7 @@ use std::io::{self, Write};
 use sdl_sync::explore::Failure;
 
 use crate::json::escape;
+use crate::perfetto::{event, meta, write_document};
 
 /// pid of the per-virtual-thread tracks.
 const PID_THREADS: u64 = 1;
@@ -38,89 +39,53 @@ const PID_DECISIONS: u64 = 2;
 ///
 /// Propagates I/O errors from `w`.
 pub(crate) fn write_schedule_trace<W: Write>(failure: &Failure, w: &mut W) -> io::Result<()> {
-    let mut out = io::BufWriter::new(w);
-    write!(out, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
-    let mut first = true;
-    let mut sep = |out: &mut io::BufWriter<&mut W>| -> io::Result<()> {
-        if first {
-            first = false;
-        } else {
-            write!(out, ",")?;
-        }
-        writeln!(out)
-    };
-
-    sep(&mut out)?;
-    write!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{PID_THREADS},\"tid\":0,\
-         \"args\":{{\"name\":\"virtual threads\"}}}}"
-    )?;
-    sep(&mut out)?;
-    write!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{PID_DECISIONS},\"tid\":0,\
-         \"args\":{{\"name\":\"decisions\"}}}}"
-    )?;
-    // The failure context rides on the decisions track's metadata.
-    sep(&mut out)?;
-    write!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{PID_DECISIONS},\"tid\":0,\
-         \"args\":{{\"name\":\"schedule {}\"}}}}",
-        escape(&failure.schedule)
-    )?;
+    let decisions = (PID_DECISIONS, 0);
+    let mut events = vec![
+        meta(PID_THREADS, 0, "process_name", "virtual threads"),
+        meta(PID_DECISIONS, 0, "process_name", "decisions"),
+        // The failure context rides on the decisions track's metadata.
+        meta(
+            PID_DECISIONS,
+            0,
+            "thread_name",
+            &format!("schedule {}", failure.schedule),
+        ),
+    ];
     let mut named: Vec<usize> = Vec::new();
     for s in &failure.steps {
         if !named.contains(&s.tid) {
             named.push(s.tid);
-            sep(&mut out)?;
-            write!(
-                out,
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{PID_THREADS},\
-                 \"tid\":{},\"args\":{{\"name\":\"t{}\"}}}}",
-                s.tid, s.tid
-            )?;
+            events.push(meta(
+                PID_THREADS,
+                s.tid as u64,
+                "thread_name",
+                &format!("t{}", s.tid),
+            ));
         }
     }
-
     for s in &failure.steps {
-        sep(&mut out)?;
-        write!(
-            out,
-            "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{PID_THREADS},\"tid\":{},\
-             \"ts\":{},\"dur\":1,\"args\":{{\"step\":{},\"decision\":{}}}}}",
-            escape(&s.label),
-            s.tid,
-            s.step,
-            s.step,
-            s.decision
-        )?;
+        let (label, at) = (escape(&s.label), (PID_THREADS, s.tid as u64));
+        let args = format!("\"step\":{},\"decision\":{}", s.step, s.decision);
+        events.push(event(at, &label, "step", s.step as u64, Some(1), &args));
         if s.decision {
-            sep(&mut out)?;
-            write!(
-                out,
-                "{{\"ph\":\"i\",\"name\":\"t{} {}\",\"pid\":{PID_DECISIONS},\"tid\":0,\
-                 \"ts\":{},\"s\":\"t\",\"args\":{{\"step\":{}}}}}",
-                s.tid,
-                escape(&s.label),
-                s.step,
-                s.step
-            )?;
+            let name = format!("t{} {label}", s.tid);
+            let args = format!("\"step\":{}", s.step);
+            events.push(event(
+                decisions,
+                &name,
+                "decision",
+                s.step as u64,
+                None,
+                &args,
+            ));
         }
     }
     // The failure itself as a terminal instant, so the crash point is
     // visible at the end of the staircase.
-    sep(&mut out)?;
-    write!(
-        out,
-        "{{\"ph\":\"i\",\"name\":\"FAILURE: {}\",\"pid\":{PID_DECISIONS},\"tid\":0,\
-         \"ts\":{},\"s\":\"g\",\"args\":{{}}}}",
-        escape(&failure.message),
-        failure.steps.len()
-    )?;
-    writeln!(out, "]}}")?;
-    out.flush()
+    let name = format!("FAILURE: {}", escape(&failure.message));
+    let end = failure.steps.len() as u64;
+    events.push(event(decisions, &name, "failure", end, None, ""));
+    write_document(w, events)
 }
 
 /// `write_schedule_trace` into a `String`.

@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
-use sdl_core::{Event, EventLog, EventSink};
+use sdl_core::TraceRecord;
+use sdl_lang::ast::TxnKind;
 use sdl_tuple::ProcId;
 
 /// Statistics for one process.
@@ -30,20 +30,21 @@ pub(crate) struct ProcStats {
     pub(crate) aborted: bool,
 }
 
-/// Aggregate statistics over a run, derived from its event log.
+/// Aggregate statistics over a run, derived from its records.
 ///
 /// # Examples
 ///
 /// ```
-/// use sdl_core::{CompiledProgram, Runtime};
+/// use sdl_core::{CompiledProgram, Runtime, Tracer};
 /// use sdl_trace::Stats;
 ///
 /// let program = CompiledProgram::from_source(
 ///     "process P() { -> <a>; -> <b>; } init { spawn P(); }",
 /// ).unwrap();
-/// let mut rt = Runtime::builder(program).trace(true).build().unwrap();
+/// let tracer = Tracer::new();
+/// let mut rt = Runtime::builder(program).tracer(tracer.clone()).build().unwrap();
 /// rt.run().unwrap();
-/// let stats = Stats::from_log(rt.event_log().unwrap()).to_string();
+/// let stats = Stats::from_records(&tracer.take()).to_string();
 /// assert!(stats.contains("2 asserts"));
 /// assert!(stats.contains("1 process(es)"));
 /// ```
@@ -65,113 +66,67 @@ pub struct Stats {
     pub(crate) total_failures: u64,
     /// All assertions dropped by export filtering.
     pub(crate) total_export_drops: u64,
-    /// Events the (bounded) log discarded; those events are *not*
-    /// reflected in the other counts.
-    pub(crate) dropped_events: u64,
 }
 
 impl Stats {
-    /// Builds statistics from an event log.
-    pub fn from_log(log: &EventLog) -> Stats {
+    /// Builds statistics from a record stream.
+    pub fn from_records(records: &[TraceRecord]) -> Stats {
         let mut s = Stats::default();
-        for (_, event) in log.iter() {
-            s.record_event(event);
-        }
-        s.dropped_events = log.dropped();
+        s.add(records);
         s
     }
 
-    /// Folds one event into the statistics. Streaming counterpart of
-    /// [`Stats::from_log`]; see [`StatsSink`] for plugging this into a
-    /// runtime directly.
-    pub(crate) fn record_event(&mut self, event: &Event) {
-        match event {
-            Event::TupleAsserted { by, .. } => {
-                self.total_asserts += 1;
-                self.proc(*by).asserts += 1;
-            }
-            Event::TupleRetracted { by, .. } => {
-                self.total_retracts += 1;
-                self.proc(*by).retracts += 1;
-            }
-            Event::ExportDropped { by, .. } => {
-                self.total_export_drops += 1;
-                self.proc(*by).export_drops += 1;
-            }
-            Event::TxnCommitted { by, kind } => {
-                self.total_commits += 1;
-                let p = self.proc(*by);
-                p.commits += 1;
-                if *kind == sdl_lang::ast::TxnKind::Consensus {
-                    p.consensus += 1;
+    /// Folds more records in — how a reader that drains the stream as
+    /// the run goes keeps a running table.
+    pub fn add(&mut self, records: &[TraceRecord]) {
+        for r in records {
+            match r {
+                TraceRecord::Commit {
+                    parts,
+                    retracted,
+                    asserted,
+                    ..
+                } => {
+                    for (by, _, _) in retracted {
+                        self.total_retracts += 1;
+                        self.proc(*by).retracts += 1;
+                    }
+                    for (by, id, _) in asserted {
+                        if id.is_some() {
+                            self.total_asserts += 1;
+                            self.proc(*by).asserts += 1;
+                        } else {
+                            self.total_export_drops += 1;
+                            self.proc(*by).export_drops += 1;
+                        }
+                    }
+                    if parts[0].1 == TxnKind::Consensus {
+                        self.consensus_rounds += 1;
+                    }
+                    for &(pid, kind) in parts {
+                        self.total_commits += 1;
+                        let p = self.proc(pid);
+                        p.commits += 1;
+                        p.consensus += u64::from(kind == TxnKind::Consensus);
+                    }
                 }
+                TraceRecord::Failed { pid, .. } => {
+                    self.total_failures += 1;
+                    self.proc(*pid).failures += 1;
+                }
+                TraceRecord::Park { pid, .. } => self.proc(*pid).blocks += 1,
+                TraceRecord::Spawn { pid, name, .. } => {
+                    self.processes_created += 1;
+                    self.proc(*pid).name = name.clone();
+                }
+                TraceRecord::Exit { pid, aborted, .. } => self.proc(*pid).aborted = *aborted,
+                _ => {}
             }
-            Event::TxnFailed { by } => {
-                self.total_failures += 1;
-                self.proc(*by).failures += 1;
-            }
-            Event::ProcessBlocked { id, .. } => self.proc(*id).blocks += 1,
-            Event::ProcessCreated { id, name, .. } => {
-                self.processes_created += 1;
-                self.proc(*id).name = name.clone();
-            }
-            Event::ProcessTerminated { id, aborted } => {
-                self.proc(*id).aborted = *aborted;
-            }
-            Event::ConsensusReached { .. } => self.consensus_rounds += 1,
         }
     }
 
     fn proc(&mut self, id: ProcId) -> &mut ProcStats {
         self.per_process.entry(id).or_default()
-    }
-}
-
-/// An [`EventSink`] that folds events into [`Stats`] as they happen, so a
-/// run can report statistics without retaining its full event log.
-///
-/// Clone the sink before handing it to the runtime and call
-/// [`StatsSink::snapshot`] afterwards:
-///
-/// ```
-/// use sdl_core::{CompiledProgram, Runtime};
-/// use sdl_trace::StatsSink;
-///
-/// let program = CompiledProgram::from_source(
-///     "process P() { -> <a>; -> <b>; } init { spawn P(); }",
-/// ).unwrap();
-/// let sink = StatsSink::new();
-/// let mut rt = Runtime::builder(program)
-///     .event_sink(Box::new(sink.clone()))
-///     .build()
-///     .unwrap();
-/// rt.run().unwrap();
-/// assert!(sink.snapshot().to_string().contains("2 asserts"));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct StatsSink(Arc<Mutex<Stats>>);
-
-impl StatsSink {
-    /// Creates an empty sink.
-    pub fn new() -> StatsSink {
-        StatsSink::default()
-    }
-
-    /// A copy of the statistics accumulated so far.
-    pub fn snapshot(&self) -> Stats {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-}
-
-impl EventSink for StatsSink {
-    fn record(&mut self, _step: u64, event: Event) {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .record_event(&event);
     }
 }
 
@@ -208,37 +163,36 @@ impl fmt::Display for Stats {
             self.total_export_drops,
             self.consensus_rounds,
             self.processes_created
-        )?;
-        if self.dropped_events > 0 {
-            write!(
-                f,
-                "\nwarning: {} event(s) dropped by the bounded log; counts are partial",
-                self.dropped_events
-            )?;
-        }
-        Ok(())
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdl_core::{CompiledProgram, Runtime};
+    use sdl_core::{CompiledProgram, Runtime, Tracer};
 
-    fn traced(src: &str) -> Runtime {
+    fn records(src: &str) -> Vec<TraceRecord> {
         let program = CompiledProgram::from_source(src).unwrap();
-        let mut rt = Runtime::builder(program).trace(true).build().unwrap();
+        let tracer = Tracer::new();
+        let mut rt = Runtime::builder(program)
+            .tracer(tracer.clone())
+            .build()
+            .unwrap();
         rt.run().unwrap();
-        rt
+        tracer.take()
+    }
+
+    fn stats(src: &str) -> Stats {
+        Stats::from_records(&records(src))
     }
 
     #[test]
     fn counts_commits_and_tuples() {
-        let rt = traced(
+        let s = stats(
             "process P() { -> <a>, <b>; exists v : <a>! -> ; }
              init { spawn P(); }",
         );
-        let s = Stats::from_log(rt.event_log().unwrap());
         assert_eq!(s.total_commits, 2);
         assert_eq!(s.total_asserts, 2);
         assert_eq!(s.total_retracts, 1);
@@ -250,12 +204,11 @@ mod tests {
 
     #[test]
     fn counts_failures_blocks_and_aborts() {
-        let rt = traced(
+        let s = stats(
             "process P() { <nope> -> <bad>; <poison>! -> abort; }
              process Q() { <never> => skip; }
              init { <poison>; spawn P(); spawn Q(); }",
         );
-        let s = Stats::from_log(rt.event_log().unwrap());
         let p: Vec<&ProcStats> = s.per_process.values().collect();
         assert_eq!(p[0].failures, 1);
         assert!(p[0].aborted);
@@ -264,11 +217,10 @@ mod tests {
 
     #[test]
     fn counts_consensus() {
-        let rt = traced(
+        let s = stats(
             "process W(me) { <ready, 1>, <ready, 2> @> skip; }
              init { <ready, 1>; <ready, 2>; spawn W(1); spawn W(2); }",
         );
-        let s = Stats::from_log(rt.event_log().unwrap());
         assert_eq!(s.consensus_rounds, 1);
         for p in s.per_process.values() {
             assert_eq!(p.consensus, 1);
@@ -276,33 +228,23 @@ mod tests {
     }
 
     #[test]
-    fn stats_sink_matches_from_log() {
-        let program = CompiledProgram::from_source(
+    fn folding_batches_matches_one_pass() {
+        let records = records(
             "process P() { -> <a>, <b>; exists v : <a>! -> ; }
              init { spawn P(); }",
-        )
-        .unwrap();
-        let sink = StatsSink::new();
-        let mut rt = Runtime::builder(program)
-            .trace(true)
-            .event_sink(Box::new(sink.clone()))
-            .build()
-            .unwrap();
-        rt.run().unwrap();
-        let from_log = Stats::from_log(rt.event_log().unwrap());
-        let live = sink.snapshot();
-        assert_eq!(live.per_process, from_log.per_process);
-        assert_eq!(live.total_commits, from_log.total_commits);
-        assert_eq!(live.total_asserts, from_log.total_asserts);
-        assert_eq!(live.total_retracts, from_log.total_retracts);
-        assert_eq!(live.total_failures, from_log.total_failures);
+        );
+        let mut folded = Stats::default();
+        for batch in records.chunks(3) {
+            folded.add(batch);
+        }
+        let whole = Stats::from_records(&records);
+        assert_eq!(folded.per_process, whole.per_process);
+        assert_eq!(folded.to_string(), whole.to_string());
     }
 
     #[test]
     fn display_renders_table() {
-        let rt = traced("process P() { -> <a>; } init { spawn P(); }");
-        let s = Stats::from_log(rt.event_log().unwrap());
-        let out = s.to_string();
+        let out = stats("process P() { -> <a>; } init { spawn P(); }").to_string();
         assert!(out.contains("commits"));
         assert!(out.contains("total:"));
         assert!(out.contains('P'));

@@ -1,73 +1,43 @@
 //! ASCII event timelines.
 
-use std::fmt::Write as _;
+use sdl_core::TraceRecord;
 
-use sdl_core::{Event, EventLog};
+use crate::events::lines;
 
-/// Renders the event log as one line per event, with logical time and a
-/// compact description — the textual ancestor of the paper's envisioned
-/// program visualization.
+/// Renders the event view of `records` as one line per event, with its
+/// logical time and a compact description — the textual ancestor of the
+/// paper's envisioned program visualization.
 ///
 /// # Examples
 ///
 /// ```
-/// use sdl_core::{CompiledProgram, Runtime};
+/// use sdl_core::{CompiledProgram, Runtime, Tracer};
 ///
 /// let program = CompiledProgram::from_source(
 ///     "process P() { -> <a>; } init { spawn P(); }",
 /// ).unwrap();
-/// let mut rt = Runtime::builder(program).trace(true).build().unwrap();
+/// let tracer = Tracer::new();
+/// let mut rt = Runtime::builder(program).tracer(tracer.clone()).build().unwrap();
 /// rt.run().unwrap();
-/// let text = sdl_trace::timeline::render(rt.event_log().unwrap());
+/// let text = sdl_trace::timeline::render(&tracer.take());
 /// assert!(text.contains("+ <a>"));
 /// ```
-pub fn render(log: &EventLog) -> String {
+pub fn render(records: &[TraceRecord]) -> String {
     let mut out = String::new();
-    for (step, event) in log.iter() {
-        let line = match event {
-            Event::TupleAsserted { by, tuple, .. } => format!("{by}  + {tuple}"),
-            Event::TupleRetracted { by, tuple, .. } => format!("{by}  - {tuple}"),
-            Event::ExportDropped { by, tuple } => format!("{by}  x {tuple} (export)"),
-            Event::TxnCommitted { by, kind } => format!("{by}  commit {kind}"),
-            Event::TxnFailed { by } => format!("{by}  fail ->"),
-            Event::ProcessBlocked { id, consensus } => {
-                format!(
-                    "{id}  blocked{}",
-                    if *consensus { " (consensus)" } else { "" }
-                )
-            }
-            Event::ProcessCreated { id, name, args, by } => {
-                let args: Vec<String> = args.iter().map(ToString::to_string).collect();
-                format!("{by}  spawn {id} = {name}({})", args.join(", "))
-            }
-            Event::ProcessTerminated { id, aborted } => {
-                format!("{id}  {}", if *aborted { "aborted" } else { "terminated" })
-            }
-            Event::ConsensusReached { participants } => {
-                let ps: Vec<String> = participants.iter().map(ToString::to_string).collect();
-                format!("**  consensus [{}]", ps.join(", "))
-            }
-        };
-        let _ = writeln!(out, "{step:>6}  {line}");
-    }
+    lines(records, false, |step, text| {
+        out.push_str(&format!("{step:>6}  {text}\n"));
+    });
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdl_core::{CompiledProgram, Runtime};
-
-    fn log_for(src: &str) -> Runtime {
-        let program = CompiledProgram::from_source(src).unwrap();
-        let mut rt = Runtime::builder(program).trace(true).build().unwrap();
-        rt.run().unwrap();
-        rt
-    }
+    use sdl_core::{CompiledProgram, Runtime, Tracer};
 
     #[test]
     fn renders_all_event_kinds() {
-        let rt = log_for(
+        let program = CompiledProgram::from_source(
             "process P() {
                 export { <ok, *>; }
                 -> <ok, 1>, <dropped>;
@@ -75,8 +45,15 @@ mod tests {
              }
              process W(me) { <go> @> skip; }
              init { <go>; spawn P(); spawn W(1); spawn W(2); }",
-        );
-        let text = render(rt.event_log().unwrap());
+        )
+        .unwrap();
+        let tracer = Tracer::new();
+        let mut rt = Runtime::builder(program)
+            .tracer(tracer.clone())
+            .build()
+            .unwrap();
+        rt.run().unwrap();
+        let text = render(&tracer.take());
         assert!(text.contains("+ <ok, 1>"));
         assert!(text.contains("(export)"));
         assert!(text.contains("fail ->"));

@@ -4,8 +4,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use sdl::core::{CompiledProgram, Runtime};
-use sdl::trace::{render_dataspace, Stats};
+use sdl::core::{CompiledProgram, Runtime, Tracer};
+use sdl::trace::{render_dataspace, timeline, Stats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's very first example, as a running program: find a year
@@ -31,18 +31,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     "#;
 
     let program = CompiledProgram::from_source(source)?;
-    let mut rt = Runtime::builder(program).seed(42).trace(true).build()?;
+    let tracer = Tracer::new();
+    let mut rt = Runtime::builder(program)
+        .seed(42)
+        .tracer(tracer.clone())
+        .build()?;
     let report = rt.run()?;
+    let records = tracer.take();
 
     println!("run report: {report}\n");
     println!("{}", render_dataspace(rt.dataspace(), 10));
     println!("per-process statistics:");
-    println!("{}", Stats::from_log(rt.event_log().expect("tracing on")));
+    println!("{}", Stats::from_records(&records));
 
     println!("\nevent timeline:");
-    print!(
-        "{}",
-        sdl::trace::timeline::render(rt.event_log().expect("tracing on"))
-    );
+    print!("{}", timeline::render(&records));
     Ok(())
 }

@@ -2,15 +2,15 @@
 //! other way for humans to assimilate voluminous information about the
 //! continuously changing program state".
 //!
-//! Runs the community-model region labeling under tracing and renders:
-//! the consensus-community graph (DOT), the process interaction graph
-//! (DOT), the dataspace growth sparkline, and per-process statistics.
+//! Runs the community-model region labeling under tracing and renders,
+//! from the one record stream: the dataspace growth sparkline,
+//! per-process statistics, and the process interaction graph (DOT).
 //!
 //! ```sh
 //! cargo run --release --example visualize
 //! ```
 
-use sdl::core::{CompiledProgram, Runtime};
+use sdl::core::{CompiledProgram, Runtime, Tracer};
 use sdl::trace::{self, render_growth, Stats};
 use sdl::workloads::{image_builtins, Image, COMMUNITY_LABELING_SRC};
 
@@ -19,9 +19,10 @@ const CUTOFF: i64 = 128;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = Image::synthetic(6, 6, 2, 11);
     let program = CompiledProgram::from_source(COMMUNITY_LABELING_SRC)?;
+    let tracer = Tracer::new();
     let mut b = Runtime::builder(program)
         .seed(4)
-        .trace(true)
+        .tracer(tracer.clone())
         .builtins(image_builtins(&image, CUTOFF));
     for (p, v) in image.pixels.iter().enumerate() {
         b = b.tuple(sdl_tuple::tuple![
@@ -31,20 +32,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ]);
     }
     let mut rt = b.spawn("Threshold", vec![]).build()?;
-
-    // Snapshot the communities mid-flight: run with a small step budget,
-    // render, then finish. (A real visualizer would re-render per event.)
-    let log_len_before = 0;
     let report = rt.run()?;
-    let log = rt.event_log().expect("tracing on");
+    let records = tracer.take();
 
     println!("== run ==\n{report}\n");
 
     println!("== dataspace growth (|D| over time) ==");
-    println!("{}\n", render_growth(&trace::growth(log, image.len()), 64));
+    println!(
+        "{}\n",
+        render_growth(&trace::growth(&records, image.len()), 64)
+    );
 
     println!("== per-process statistics (first processes) ==");
-    let stats = Stats::from_log(log);
+    let stats = Stats::from_records(&records);
     let table = stats.to_string();
     for line in table.lines().take(10) {
         println!("{line}");
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("...\n");
 
     println!("== process interaction graph (who consumed whose tuples) ==");
-    let dot = trace::dot::interactions(log);
+    let dot = trace::dot::interactions(&records);
     let lines: Vec<&str> = dot.lines().collect();
     for l in lines.iter().take(12) {
         println!("{l}");
@@ -65,7 +65,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== final dataspace ==");
     println!("{}", trace::render_dataspace(rt.dataspace(), 6));
 
-    let _ = log_len_before;
-    println!("(pipe the DOT output into `dot -Tsvg` for the pictures)");
+    println!("(pipe the DOT output into `dot -Tsvg` for the picture)");
     Ok(())
 }

@@ -17,9 +17,11 @@
 //!   CPUs; `1` reproduces the single-lock executor bit-for-bit); the
 //!   other schedulers run on one shard and reject both flags
 //! * `--trace`           print the event timeline after the run
-//! * `--trace-cap N`     keep at most N events in the trace log
+//! * `--trace-cap N`     buffer at most N trace records; the timeline and
+//!   the `--trace-out` export keep the first N, the rest are counted as
+//!   dropped
 //! * `--stats`           print per-process statistics (streams; does not
-//!   retain the event log)
+//!   retain the records)
 //! * `--metrics`         print a Prometheus text-format metrics snapshot
 //! * `--metrics-addr A`  serve live metrics over HTTP at `A` (e.g.
 //!   `127.0.0.1:9464`; port `0` picks an ephemeral port, printed to
@@ -31,10 +33,14 @@
 //!   JSON to FILE; open it at <https://ui.perfetto.dev>. Works with
 //!   every scheduler; a per-phase summary and the causal critical path
 //!   are printed after the run
+//!
+//! `--trace`, `--stats`, `--events-out` and `--trace-out` all read the one
+//! record stream: while the run executes, a second thread drains it and
+//! feeds each batch to the views asked for.
 //! * `--stall-ms N`      arm the stall watchdog: processes parked
 //!   longer than N ms are flagged in the `sdl_stalled_processes` gauge
 //!   and annotated in the trace with watch keys and near-miss commits
-//! * `--events-out FILE` stream events to FILE as JSON Lines
+//! * `--events-out FILE` stream the event view to FILE as JSON Lines
 //! * `--grid WxH`        register the `neighbor` predicate for a W×H grid
 //! * `--seed N`          scheduler seed (default 0)
 //! * `--wal DIR`         log every committed batch to a write-ahead log
@@ -49,19 +55,23 @@
 //!   without running anything; with a `.sdl` file as well, run it live
 //!   and diff the two stores bit-for-bit (exit 1 on mismatch)
 
-use std::io::BufWriter;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use sdl::core::parallel::ParallelRuntime;
-use sdl::core::{Builtins, CompiledProgram, JsonlSink, RunLimits, Runtime, RuntimeBuilder, Tracer};
+use sdl::core::{
+    Builtins, CompiledProgram, RunLimits, Runtime, RuntimeBuilder, TraceRecord, Tracer,
+};
 use sdl::dataspace::{Dataspace, MAX_SHARDS};
 use sdl::durability::{apply_log, read_log, recover, FsyncPolicy, RecoveredState, Wal, WalConfig};
 use sdl::metrics::Metrics;
 use sdl::metrics_http::MetricsServer;
-use sdl::trace::{analysis, perfetto, render_dataspace, StatsSink};
+use sdl::trace::{analysis, events, perfetto, render_dataspace, Stats};
 use sdl::tuple::{Tuple, TupleId};
 
 struct Args {
@@ -101,6 +111,21 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// The next argument as a flag's value; a missing or malformed one
+/// prints the usage.
+fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+    it.next()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// A flag's value that must be a positive count.
+fn positive(it: &mut impl Iterator<Item = String>) -> u64 {
+    Some(value(it))
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| usage())
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         file: String::new(),
@@ -129,87 +154,40 @@ fn parse_args() -> Args {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--seed" => args.seed = value(&mut it),
             "--rounds" => args.rounds = true,
             "--threaded" => args.threaded = true,
-            "--threads" => {
-                args.threads = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--shards" => {
-                args.shards = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--threads" => args.threads = Some(value(&mut it)),
+            "--shards" => args.shards = Some(value(&mut it)),
             "--trace" => args.trace = true,
-            "--trace-cap" => {
-                args.trace_cap = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--trace-cap" => args.trace_cap = Some(value(&mut it)),
             "--stats" => args.stats = true,
             "--metrics" => args.metrics = true,
-            "--metrics-addr" => args.metrics_addr = Some(it.next().unwrap_or_else(|| usage())),
-            "--serve-for-ms" => {
-                args.serve_for_ms = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--trace-out" => args.trace_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--stall-ms" => {
-                args.stall_ms = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--events-out" => args.events_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--max-attempts" => {
-                args.max_attempts = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "--metrics-addr" => args.metrics_addr = Some(value(&mut it)),
+            "--serve-for-ms" => args.serve_for_ms = value(&mut it),
+            "--trace-out" => args.trace_out = Some(value(&mut it)),
+            "--stall-ms" => args.stall_ms = Some(positive(&mut it)),
+            "--events-out" => args.events_out = Some(value(&mut it)),
+            "--max-attempts" => args.max_attempts = value(&mut it),
             "--grid" => {
-                let spec = it.next().unwrap_or_else(|| usage());
+                let spec: String = value(&mut it);
                 let (w, h) = spec.split_once('x').unwrap_or_else(|| usage());
                 args.grid = Some((
                     w.parse().unwrap_or_else(|_| usage()),
                     h.parse().unwrap_or_else(|_| usage()),
                 ));
             }
-            "--wal" => args.wal = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--wal" => args.wal = Some(value(&mut it)),
             "--fsync" => {
-                let spec = it.next().unwrap_or_else(|| usage());
+                let spec: String = value(&mut it);
                 args.fsync = spec.parse().unwrap_or_else(|e| {
                     eprintln!("sdl-run: {e}");
                     std::process::exit(2)
                 })
             }
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--snapshot-every" => args.snapshot_every = Some(positive(&mut it)),
             "--recover" => args.recover = true,
-            "--replay" => args.replay = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
+            "--replay" => args.replay = Some(value(&mut it)),
             "--help" | "-h" => usage(),
             f if args.file.is_empty() && !f.starts_with('-') => args.file = f.to_owned(),
             _ => usage(),
@@ -314,30 +292,106 @@ fn threaded(
     }
 }
 
-/// Writes the collected trace (when `--trace-out` is set) and prints
-/// the per-phase and critical-path summary.
-fn finish_trace(args: &Args, tracer: &Tracer) -> bool {
-    let Some(path) = &args.trace_out else {
-        return true;
-    };
-    let records = tracer.take();
-    let dropped = tracer.dropped();
+/// What the drained trace records feed: the `--events-out` file, the
+/// `--stats` table, and the records the `--trace` timeline and the
+/// `--trace-out` export keep.
+struct Observers {
+    /// The `--events-out` file and the lines written to it so far, or the
+    /// first write error.
+    events: Option<(BufWriter<File>, io::Result<u64>)>,
+    stats: Option<Stats>,
+    /// Kept records, at most `keep` when a view keeps any; `over` counts
+    /// the ones past it.
+    kept: Vec<TraceRecord>,
+    keep: Option<usize>,
+    over: u64,
+}
+
+impl Observers {
+    fn new(args: &Args, cap: usize) -> Result<Observers, String> {
+        let events = match &args.events_out {
+            Some(path) => {
+                let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+                Some((BufWriter::new(file), Ok(0)))
+            }
+            None => None,
+        };
+        Ok(Observers {
+            events,
+            stats: args.stats.then(Stats::default),
+            kept: Vec::new(),
+            keep: (args.trace || args.trace_out.is_some()).then_some(cap),
+            over: 0,
+        })
+    }
+
+    fn feed(&mut self, batch: Vec<TraceRecord>) {
+        if let Some((out, written)) = &mut self.events {
+            if let Ok(n) = written {
+                match events::write_jsonl(&batch, out) {
+                    Ok(k) => *n += k,
+                    Err(e) => *written = Err(e),
+                }
+            }
+        }
+        if let Some(stats) = &mut self.stats {
+            stats.add(&batch);
+        }
+        if let Some(cap) = self.keep {
+            let room = cap - self.kept.len();
+            self.over += batch.len().saturating_sub(room) as u64;
+            self.kept.extend(batch.into_iter().take(room));
+        }
+    }
+}
+
+/// Runs `run` while a second thread drains `tracer` into `obs`, so the
+/// buffer only ever holds the records of one drain interval.
+fn observed<T>(tracer: &Tracer, obs: &mut Observers, run: impl FnOnce() -> T) -> T {
+    if !tracer.enabled() {
+        return run();
+    }
+    // Publishes nothing: the last batch is drained after the join.
+    let done = AtomicBool::new(false);
+    let out = std::thread::scope(|s| {
+        let drain = s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                obs.feed(tracer.take());
+                std::thread::park_timeout(Duration::from_millis(10));
+            }
+        });
+        let out = run();
+        done.store(true, Ordering::Relaxed);
+        drain.thread().unpark();
+        out
+    });
+    obs.feed(tracer.take());
+    let dropped = tracer.dropped() + obs.over;
     if dropped > 0 {
         eprintln!("sdl-run: trace buffer full; {dropped} record(s) dropped");
     }
-    let mut file = match std::fs::File::create(path) {
+    out
+}
+
+/// Writes the kept records as a Chrome trace (when `--trace-out` is set)
+/// and prints the per-phase and critical-path summary.
+fn finish_trace(args: &Args, records: &[TraceRecord]) -> bool {
+    let Some(path) = &args.trace_out else {
+        return true;
+    };
+    let mut file = match File::create(path) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("sdl-run: cannot create {path}: {e}");
             return false;
         }
     };
-    if let Err(e) = perfetto::write_chrome_trace(&records, &mut file) {
+    if let Err(e) = perfetto::write_chrome_trace(records, &mut file) {
         eprintln!("sdl-run: cannot write {path}: {e}");
         return false;
     }
     eprintln!("sdl-run: wrote {} trace record(s) to {path}", records.len());
-    print!("{}", analysis::analyze(&records));
+    print!("{}", analysis::analyze(records));
     true
 }
 
@@ -351,14 +405,15 @@ fn finish_metrics(args: &Args, server: Option<MetricsServer>) {
     }
 }
 
+/// Runs the threaded executor and prints its report; false on failure.
 fn run_threaded(
     args: &Args,
     program: CompiledProgram,
     builtins: Builtins,
     metrics: Metrics,
-    registry: Option<std::sync::Arc<sdl::metrics::MetricsRegistry>>,
-    tracer: Tracer,
-) -> ExitCode {
+    tracer: &Tracer,
+    obs: &mut Observers,
+) -> bool {
     let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());
     // Mirror the builder's clamp so the WAL header records the shard
     // count the runtime actually uses.
@@ -367,7 +422,7 @@ fn run_threaded(
         Ok(w) => w,
         Err(e) => {
             eprintln!("sdl-run: {e}");
-            return ExitCode::FAILURE;
+            return false;
         }
     };
     let b = threaded(args, program, shards);
@@ -375,14 +430,14 @@ fn run_threaded(
         Ok(rt) => rt,
         Err(e) => {
             eprintln!("sdl-run: init failed: {e}");
-            return ExitCode::FAILURE;
+            return false;
         }
     };
-    let (report, ds) = match rt.run() {
+    let (report, ds) = match observed(tracer, obs, || rt.run()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("sdl-run: runtime error: {e}");
-            return ExitCode::FAILURE;
+            return false;
         }
     };
     println!("outcome: {}", report.outcome);
@@ -391,15 +446,70 @@ fn run_threaded(
         report.commits, report.attempts, report.conflicts, report.final_tuples
     );
     println!("{}", render_dataspace(&ds, 20));
-    if !finish_trace(args, &tracer) {
-        return ExitCode::FAILURE;
+    true
+}
+
+/// Runs the serial or rounds scheduler and prints its report and the
+/// event views asked for; false on failure.
+fn run_serial(
+    args: &Args,
+    program: CompiledProgram,
+    builtins: Builtins,
+    metrics: Metrics,
+    tracer: &Tracer,
+    obs: &mut Observers,
+) -> bool {
+    let wal_setup = match open_wal(args, 1, &metrics) {
+        Ok(w) => w,
+        Err(e) => {
+            eprintln!("sdl-run: {e}");
+            return false;
+        }
+    };
+    let b = Runtime::builder(program);
+    let mut rt = match configure(b, args, builtins, metrics, tracer.clone(), wal_setup).build() {
+        Ok(rt) => rt,
+        Err(e) => {
+            eprintln!("sdl-run: init failed: {e}");
+            return false;
+        }
+    };
+    let result = observed(tracer, obs, || {
+        if args.rounds {
+            rt.run_rounds()
+        } else {
+            rt.run()
+        }
+    });
+    let report = match result {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("sdl-run: runtime error: {e}");
+            return false;
+        }
+    };
+    println!("{report}");
+    if matches!(report.outcome, sdl::core::Outcome::Quiescent { .. }) {
+        print!("{}", rt.blocked_report());
     }
-    if args.metrics {
-        if let Some(registry) = &registry {
-            print!("{}", registry.render_prometheus());
+    println!("{}", render_dataspace(rt.dataspace(), 20));
+    if let Some(stats) = &obs.stats {
+        println!("{stats}");
+    }
+    if args.trace {
+        println!("timeline:");
+        print!("{}", sdl::trace::timeline::render(&obs.kept));
+    }
+    if let (Some(path), Some((mut out, written))) = (&args.events_out, obs.events.take()) {
+        match written.and_then(|n| out.flush().map(|()| n)) {
+            Ok(n) => eprintln!("sdl-run: {path}: {n} event(s) written"),
+            Err(e) => {
+                eprintln!("sdl-run: cannot write {path}: {e}");
+                return false;
+            }
         }
     }
-    ExitCode::SUCCESS
+    true
 }
 
 /// Runs the program with the current flags (minus any WAL) and returns
@@ -528,6 +638,12 @@ fn main() -> ExitCode {
     if args.replay.is_some() {
         return run_replay(&args);
     }
+    if args.threaded && (args.rounds || args.trace || args.stats || args.events_out.is_some()) {
+        eprintln!(
+            "sdl-run: --threaded does not support --rounds, --trace, --stats, or --events-out"
+        );
+        return ExitCode::FAILURE;
+    }
     let source = match std::fs::read_to_string(&args.file) {
         Ok(s) => s,
         Err(e) => {
@@ -569,125 +685,31 @@ fn main() -> ExitCode {
         }
         None => None,
     };
-    let tracer = if args.trace_out.is_some() {
-        Tracer::new()
-    } else {
-        Tracer::disabled()
+    let observing =
+        args.trace || args.stats || args.events_out.is_some() || args.trace_out.is_some();
+    let tracer = match (observing, args.trace_cap) {
+        (false, _) => Tracer::disabled(),
+        (true, None) => Tracer::new(),
+        (true, Some(cap)) => Tracer::with_capacity(cap),
     };
-
-    if args.threaded {
-        if args.rounds
-            || args.trace
-            || args.stats
-            || args.trace_cap.is_some()
-            || args.events_out.is_some()
-        {
-            eprintln!(
-                "sdl-run: --threaded does not support --rounds, --trace, \
-                 --stats, --trace-cap, or --events-out"
-            );
-            return ExitCode::FAILURE;
-        }
-        let code = run_threaded(&args, program, builtins, metrics, registry, tracer);
-        finish_metrics(&args, server);
-        return code;
-    }
-
-    let wal_setup = match open_wal(&args, 1, &metrics) {
-        Ok(w) => w,
+    let mut obs = match Observers::new(&args, tracer.capacity()) {
+        Ok(obs) => obs,
         Err(e) => {
             eprintln!("sdl-run: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let b = Runtime::builder(program);
-    let mut builder = configure(
-        b,
-        &args,
-        builtins,
-        metrics.clone(),
-        tracer.clone(),
-        wal_setup,
-    );
-    if let Some(cap) = args.trace_cap {
-        builder = builder.trace_capacity(cap);
-    } else if args.trace {
-        builder = builder.trace(true);
-    }
-    let stats_sink = args.stats.then(StatsSink::new);
-    if let Some(sink) = &stats_sink {
-        builder = builder.event_sink(Box::new(sink.clone()));
-    }
-    let stream_stats = match &args.events_out {
-        Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("sdl-run: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let sink = JsonlSink::new(BufWriter::new(file)).with_metrics(metrics.clone());
-            let stats = sink.stats();
-            builder = builder.event_sink(Box::new(sink));
-            Some(stats)
-        }
-        None => None,
-    };
-
-    let mut rt = match builder.build() {
-        Ok(rt) => rt,
-        Err(e) => {
-            eprintln!("sdl-run: init failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.rounds {
-        rt.run_rounds()
+    let ran = if args.threaded {
+        run_threaded(&args, program, builtins, metrics, &tracer, &mut obs)
     } else {
-        rt.run()
+        run_serial(&args, program, builtins, metrics, &tracer, &mut obs)
     };
-    // Drop the sinks first: the JSONL writer flushes on drop, so the file
-    // is complete before we report on it.
-    drop(rt.take_event_sinks());
-    let report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sdl-run: runtime error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{report}");
-    if matches!(report.outcome, sdl::core::Outcome::Quiescent { .. }) {
-        print!("{}", rt.blocked_report());
-    }
-    println!("{}", render_dataspace(rt.dataspace(), 20));
-    if let Some(sink) = &stats_sink {
-        println!("{}", sink.snapshot());
-    }
-    if args.trace {
-        println!("timeline:");
-        print!(
-            "{}",
-            sdl::trace::timeline::render(rt.event_log().expect("tracing on"))
-        );
-    }
-    if let (Some(path), Some(stats)) = (&args.events_out, &stream_stats) {
-        eprintln!(
-            "sdl-run: {}: {} event(s) written, {} dropped",
-            path,
-            stats.written(),
-            stats.dropped()
-        );
-    }
-    let trace_ok = finish_trace(&args, &tracer);
-    if args.metrics {
-        if let Some(registry) = &registry {
-            print!("{}", registry.render_prometheus());
-        }
+    let ok = ran && finish_trace(&args, &obs.kept);
+    if let (true, Some(registry)) = (ran && args.metrics, &registry) {
+        print!("{}", registry.render_prometheus());
     }
     finish_metrics(&args, server);
-    if trace_ok {
+    if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

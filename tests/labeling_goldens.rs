@@ -13,7 +13,8 @@
 //! swapped e3-36's first two (independent) firings.
 
 use sdl::workloads::{community_labeling_runtime, read_labels, Image};
-use sdl_core::Event;
+use sdl_core::{TraceRecord, Tracer};
+use sdl_lang::ast::TxnKind;
 
 const CUTOFF: i64 = 128;
 
@@ -43,15 +44,16 @@ fn image(name: &str) -> Image {
 }
 
 /// `commits/attempts/consensus_rounds` then one `a,b,c` participant list
-/// per `ConsensusReached`, in firing order.
+/// per consensus commit, in firing order.
 fn fingerprint(name: &str, seed: u64, rounds: bool) -> String {
     let img = image(name);
+    let tracer = Tracer::new();
     let mut rt = {
         let program =
             sdl_core::CompiledProgram::from_source(sdl::workloads::COMMUNITY_LABELING_SRC).unwrap();
         let mut b = sdl_core::Runtime::builder(program)
             .seed(seed)
-            .trace(true)
+            .tracer(tracer.clone())
             .builtins(sdl::workloads::image_builtins(&img, CUTOFF));
         for (p, v) in img.pixels.iter().enumerate() {
             b = b.tuple(sdl_tuple::tuple![
@@ -73,9 +75,12 @@ fn fingerprint(name: &str, seed: u64, rounds: bool) -> String {
         "{}/{}/{}",
         report.commits, report.attempts, report.consensus_rounds
     );
-    for (_, e) in rt.event_log().unwrap().iter() {
-        if let Event::ConsensusReached { participants } = e {
-            let ids: Vec<String> = participants.iter().map(|p| p.0.to_string()).collect();
+    for r in tracer.take() {
+        if let TraceRecord::Commit { parts, .. } = r {
+            if parts[0].1 != TxnKind::Consensus {
+                continue;
+            }
+            let ids: Vec<String> = parts.iter().map(|(p, _)| p.0.to_string()).collect();
             out.push(' ');
             out.push_str(&ids.join(","));
         }

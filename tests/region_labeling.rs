@@ -3,7 +3,8 @@
 //! model's consensus communities coincide with the image's regions.
 
 use sdl::workloads::{community_labeling_runtime, read_labels, worker_labeling_runtime, Image};
-use sdl_core::Event;
+use sdl_core::{TraceRecord, Tracer};
+use sdl_lang::ast::TxnKind;
 
 const CUTOFF: i64 = 128;
 
@@ -83,9 +84,10 @@ fn community_model_regions_finish_independently() {
     };
     let program =
         sdl_core::CompiledProgram::from_source(sdl::workloads::COMMUNITY_LABELING_SRC).unwrap();
+    let tracer = Tracer::new();
     let mut b = sdl_core::Runtime::builder(program)
         .seed(3)
-        .trace(true)
+        .tracer(tracer.clone())
         .builtins(sdl::workloads::image_builtins(&image, CUTOFF));
     for (p, v) in image.pixels.iter().enumerate() {
         b = b.tuple(sdl_tuple::tuple![
@@ -100,15 +102,16 @@ fn community_model_regions_finish_independently() {
         read_labels(&rt, image.len()),
         image.flood_fill_labels(CUTOFF)
     );
-    let log = rt.event_log().unwrap();
+    let log = tracer.take();
     let first_consensus = log
         .iter()
-        .position(|(_, e)| matches!(e, Event::ConsensusReached { .. }))
+        .position(
+            |r| matches!(r, TraceRecord::Commit { parts, .. } if parts[0].1 == TxnKind::Consensus),
+        )
         .expect("some region consensus");
     let last_commit = log
-        .entries()
         .iter()
-        .rposition(|(_, e)| matches!(e, Event::TxnCommitted { .. }))
+        .rposition(|r| matches!(r, TraceRecord::Commit { .. }))
         .expect("commits happened");
     assert!(
         first_consensus < last_commit,
