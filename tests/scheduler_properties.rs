@@ -91,6 +91,7 @@ fn mover_runtime(jobs: &[i64], workers: usize, seed: u64) -> Runtime {
     let program = CompiledProgram::from_source(
         "process W() {
             loop { exists j : <job, j>! -> <done, j> }
+            exists j : <job, j> -> <premature, j>;
         }",
     )
     .expect("compiles");
@@ -162,7 +163,8 @@ proptest! {
 
     /// Job moving conserves the multiset of payloads: every job becomes
     /// exactly one done tuple, under any seed, scheduler, and worker
-    /// count.
+    /// count; and no worker leaves its loop while a job remains (a guard
+    /// that loses a conflict retries rather than ending the loop).
     #[test]
     fn movers_conserve_tuples(
         jobs in proptest::collection::vec(0i64..20, 0..24),
@@ -175,6 +177,10 @@ proptest! {
         prop_assert!(report.outcome.is_completed());
         prop_assert_eq!(
             rt.dataspace().count_matches(&pattern![Value::atom("job"), any]),
+            0
+        );
+        prop_assert_eq!(
+            rt.dataspace().count_matches(&pattern![Value::atom("premature"), any]),
             0
         );
         let mut got: Vec<i64> = rt
