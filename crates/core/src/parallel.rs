@@ -47,7 +47,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use sdl_dataspace::{
@@ -63,9 +62,10 @@ use crate::builder::{Config, RuntimeBuilder};
 use crate::builtins::Builtins;
 use crate::commit::{Committer, Decision, Slot, WakeRouter};
 use crate::error::RuntimeError;
+use crate::interp::{self, Attempt, Turn};
 use crate::outcome::Outcome;
-use crate::process::{Frame, ProcessInstance};
-use crate::program::{CompiledBranch, CompiledProgram, CompiledStmt, CompiledTxn};
+use crate::process::ProcessInstance;
+use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::sched::{attempts_counter, batch_desc, committed_counter, failed_counter, wal_err};
 use crate::trace::{self, ParkOutcome, RecentCommits, SpanPhase, TraceRecord, Tracer};
 use crate::txn::{self, EvalProbe, Pending, ResolvedAtoms};
@@ -145,30 +145,25 @@ impl RuntimeBuilder<ParallelRuntime> {
 }
 
 fn check_supported(stmts: &[CompiledStmt]) -> Result<(), RuntimeError> {
+    let unsupported = |what: &str| {
+        Err(RuntimeError::Unsupported(format!(
+            "{what} in the threaded executor"
+        )))
+    };
     for s in stmts {
-        match s {
-            CompiledStmt::Txn(t) => {
-                if t.kind == TxnKind::Consensus {
-                    return Err(RuntimeError::Unsupported(
-                        "consensus transactions in the threaded executor".to_owned(),
-                    ));
-                }
+        let branches = match s {
+            CompiledStmt::Txn(t) if t.kind == TxnKind::Consensus => {
+                return unsupported("consensus transactions")
             }
-            CompiledStmt::Select(b) | CompiledStmt::Repeat(b) => {
-                for br in b.iter() {
-                    if br.guard.kind == TxnKind::Consensus {
-                        return Err(RuntimeError::Unsupported(
-                            "consensus transactions in the threaded executor".to_owned(),
-                        ));
-                    }
-                    check_supported(&br.rest)?;
-                }
+            CompiledStmt::Txn(_) => continue,
+            CompiledStmt::Replicate(_) => return unsupported("replication"),
+            CompiledStmt::Select(b) | CompiledStmt::Repeat(b) => b,
+        };
+        for br in branches.iter() {
+            if br.guard.kind == TxnKind::Consensus {
+                return unsupported("consensus transactions");
             }
-            CompiledStmt::Replicate(_) => {
-                return Err(RuntimeError::Unsupported(
-                    "replication in the threaded executor".to_owned(),
-                ));
-            }
+            check_supported(&br.rest)?;
         }
     }
     Ok(())
@@ -284,6 +279,9 @@ impl ParallelRuntime {
         let mut committer = Committer::new(router, metrics.clone(), tracer.clone());
         if let Some(wal) = wal {
             committer.attach_wal(wal);
+        }
+        for proc in &self.initial {
+            interp::spawned(&tracer, 0, proc, ProcId::ENV);
         }
         let shared = Arc::new(Shared {
             program,
@@ -543,365 +541,238 @@ fn settle_park(shared: &Shared, e: &Parked, outcome: ParkOutcome) {
     });
 }
 
-enum TxnOutcome {
-    Committed(Pending),
-    /// Query did not hold; carries the commit epoch the evaluation read,
-    /// for the race-free park protocol, and — when the caller may park —
-    /// a narrowed watch set probed *inside* the read-lock scope, so its
-    /// emptiness evidence describes exactly the state the failed
-    /// evaluation saw. The park epoch re-check invalidates it if any
-    /// commit lands after those locks drop.
-    Failed {
-        epoch: u64,
-        watch: Option<WatchSet>,
-    },
-    /// The global attempt cap was hit mid-evaluation. Distinct from
-    /// `Failed`: the query's verdict is unknown, so the process must halt
-    /// where it stands — advancing (immediate) or parking (delayed) would
-    /// corrupt the residual state the report describes.
-    StepLimited,
+/// A process as a threaded worker steps it.
+struct Worker<'a> {
+    shared: &'a Shared,
+    proc: ProcessInstance,
+    rng: &'a mut StdRng,
+    /// Set when the process terminated.
+    ended: bool,
 }
 
-/// Evaluate under the read-footprint locks, validate + apply under the
-/// write-footprint locks.
-/// `want_watch` asks for the narrowed park subscription on failure; pass
-/// it when the caller may park on this transaction (delayed, or any
-/// select/loop guard — a parked select retries every branch on wake, so
-/// even immediate guards contribute watch keys).
-fn attempt(
-    shared: &Shared,
-    proc: &ProcessInstance,
-    t: &CompiledTxn,
-    want_watch: bool,
-) -> Result<TxnOutcome, RuntimeError> {
-    // One resolution serves the footprint, the evaluation and the park
-    // subscription of every retry: the environment cannot change here.
-    let atoms = txn::resolve_atoms(t, &proc.env, &shared.builtins);
-    loop {
-        if shared.attempts.fetch_add(1) >= shared.max_attempts {
-            shared.step_limited.store(true, Ordering::SeqCst);
-            finish_done(shared);
-            return Ok(TxnOutcome::StepLimited);
-        }
-        shared.metrics.inc(attempts_counter(t.kind));
-        // One trace id per attempt loop iteration: a retry after a
-        // conflict is a fresh causal unit with its own span chain.
-        let trace_id = shared.tracer.new_trace();
-        // The epoch is read before the locks: a commit that lands after
-        // this point is either serialised behind our locks (we see its
-        // effects) or bumps the epoch (a parker re-queues). Either way no
-        // wake-up is lost.
-        let epoch = shared.committer.router.epoch();
-        // Query under the read-footprint locks; effect construction
-        // (which may run expensive host functions) outside any lock.
-        let timer = shared.metrics.start_timer();
-        let eval_span = shared.tracer.begin();
-        let mut probe = eval_span.map(|_| EvalProbe::new());
-        let (query, park_watch) = {
-            let read_fp = eval_footprint(shared, proc, &atoms);
-            let lock_timer = shared.metrics.start_timer();
-            let lock_span = shared.tracer.begin();
-            let view = shared.sds.read_shards(read_fp);
-            shared
-                .metrics
-                .observe_timer(Hist::ShardLockWaitSeconds, lock_timer);
+impl interp::Executor for Worker<'_> {
+    fn proc(&mut self) -> &mut ProcessInstance {
+        &mut self.proc
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        self.rng
+    }
+
+    fn tracer(&self) -> (&Tracer, u64) {
+        (&self.shared.tracer, 0)
+    }
+
+    /// Evaluates under the read-footprint locks, validates and applies
+    /// under the write-footprint locks, and re-evaluates when a
+    /// concurrent commit invalidated the evaluation. A failed evaluation
+    /// that is asked to subscribe probes the narrowed subscription while
+    /// its read locks are still held.
+    fn attempt(&mut self, t: &CompiledTxn, park: &[&CompiledTxn]) -> Result<Attempt, RuntimeError> {
+        let (shared, proc) = (self.shared, &mut self.proc);
+        // One resolution serves the footprint, the evaluation and the park
+        // subscription of every retry: the environment cannot change here.
+        let atoms = txn::resolve_atoms(t, &proc.env, &shared.builtins);
+        loop {
+            if shared.attempts.fetch_add(1) >= shared.max_attempts {
+                shared.step_limited.store(true, Ordering::SeqCst);
+                finish_done(shared);
+                return Ok(Attempt::Halted);
+            }
+            shared.metrics.inc(attempts_counter(t.kind));
+            // One trace id per attempt loop iteration: a retry after a
+            // conflict is a fresh causal unit with its own span chain.
+            let trace_id = shared.tracer.new_trace();
+            // The epoch is read before the locks: a commit that lands after
+            // this point is either serialised behind our locks (we see its
+            // effects) or bumps the epoch (a parker re-queues). Either way no
+            // wake-up is lost.
+            let epoch = shared.committer.router.epoch();
+            // Query under the read-footprint locks; effect construction
+            // (which may run expensive host functions) outside any lock.
+            let timer = shared.metrics.start_timer();
+            let eval_span = shared.tracer.begin();
+            let mut probe = eval_span.map(|_| EvalProbe::new());
+            let (query, park_watch) = {
+                let read_fp = eval_footprint(shared, proc, &atoms);
+                let lock_timer = shared.metrics.start_timer();
+                let lock_span = shared.tracer.begin();
+                let view = shared.sds.read_shards(read_fp);
+                shared
+                    .metrics
+                    .observe_timer(Hist::ShardLockWaitSeconds, lock_timer);
+                shared
+                    .tracer
+                    .span(lock_span, trace_id, proc.id, SpanPhase::LockWaitRead);
+                let source = proc.def.view.window(&view, &proc.env, &shared.builtins);
+                let query = txn::evaluate_resolved(
+                    t,
+                    &atoms,
+                    &source,
+                    &proc.env,
+                    &shared.builtins,
+                    SolveLimits::default(),
+                    probe.as_mut(),
+                )?;
+                // Probed while the read locks are still held, the emptiness
+                // evidence is sound for the state the evaluation just
+                // failed against; anything that commits after these locks
+                // drop bumps the epoch, making the parker re-queue instead
+                // of trusting a stale probe. `park` holds `t` alone here:
+                // its other entries would be consensus guards, rejected at
+                // build.
+                let park_watch = match query {
+                    None if !park.is_empty() => txn::watch_set_resolved(t, &atoms, &source),
+                    _ => WatchSet::new(),
+                };
+                (query, park_watch)
+            };
+            shared.metrics.observe_timer(Hist::QueryEvalSeconds, timer);
             shared
                 .tracer
-                .span(lock_span, trace_id, proc.id, SpanPhase::LockWaitRead);
-            let source = proc.def.view.window(&view, &proc.env, &shared.builtins);
-            let query = txn::evaluate_resolved(
-                t,
-                &atoms,
-                &source,
-                &proc.env,
-                &shared.builtins,
-                SolveLimits::default(),
-                probe.as_mut(),
-            )?;
-            // Probe the narrowed subscription while the read locks are
-            // still held: the emptiness evidence is sound for the state
-            // the evaluation just failed against, and anything that
-            // commits after these locks drop bumps the epoch, making
-            // the parker re-queue instead of trusting a stale probe.
-            let park_watch = if query.is_none() && want_watch {
-                Some(txn::watch_set_resolved(t, &atoms, &source))
-            } else {
-                None
+                .eval_span(eval_span, probe.as_ref(), trace_id, proc.id);
+            let Some(query) = query else {
+                shared.metrics.inc(failed_counter(t.kind));
+                return Ok(Attempt::Failed(park_watch, epoch));
             };
-            (query, park_watch)
-        };
-        shared.metrics.observe_timer(Hist::QueryEvalSeconds, timer);
-        shared
-            .tracer
-            .eval_span(eval_span, probe.as_ref(), trace_id, proc.id);
-        let Some(query) = query else {
-            shared.metrics.inc(failed_counter(t.kind));
-            return Ok(TxnOutcome::Failed {
-                epoch,
-                watch: park_watch,
-            });
-        };
-        let effects_timer = shared.metrics.start_timer();
-        let effects_span = shared.tracer.begin();
-        let p = txn::build_effects(t, &query, &proc.env, &shared.builtins)?;
-        let write_fp = commit_footprint(shared, proc, &p);
-        shared
-            .metrics
-            .observe_timer(Hist::EffectsBuildSeconds, effects_timer);
-        shared
-            .tracer
-            .span(effects_span, trace_id, proc.id, SpanPhase::Effects);
-        // Validation runs against the write footprint, which covers
-        // every shard the evidence patterns route to — by the routing
-        // invariant the answers equal the whole store's.
-        let decide = |ds: &ShardWriteView<'_>| {
-            if !p.validate(ds) {
-                return Decision::Conflict;
-            }
-            let mut actions: Vec<Action> = Vec::with_capacity(p.retracts.len() + p.asserts.len());
-            actions.extend(p.retracts.iter().map(|id| Action::Retract(*id)));
-            // Export filtering runs against the pre-retraction store, so
-            // a commit's own retractions cannot disable its exports.
-            for tu in &p.asserts {
-                if proc.def.view.exports(tu, ds, &proc.env, &shared.builtins) {
-                    actions.push(Action::Assert(proc.id, tu.clone()));
-                } else {
-                    shared.metrics.inc(Counter::ExportDropped);
-                }
-            }
-            Decision::Apply(actions)
-        };
-        let committed = shared
-            .committer
-            .commit(&shared.sds, write_fp, trace_id, proc.id, t.kind, decide)
-            .map_err(wal_err)?;
-        let Some(done) = committed else {
-            shared.conflicts.fetch_add(1);
-            continue; // somebody raced us; re-evaluate
-        };
-        shared.commits.fetch_add(1);
-        shared.metrics.inc(committed_counter(t.kind));
-        if let (Some(cfg), true) = (&shared.stall, done.commit_id != 0) {
-            cfg.recent
-                .lock()
-                .push(done.commit_id, done.changed, batch_desc(&p));
-        }
-        for (key, mut parked) in done.woken {
-            shared.metrics.inc(Counter::WakeupCommit);
+            let effects_timer = shared.metrics.start_timer();
+            let effects_span = shared.tracer.begin();
+            let p = txn::build_effects(t, &query, &proc.env, &shared.builtins)?;
+            let write_fp = commit_footprint(shared, proc, &p);
             shared
                 .metrics
-                .observe_timer(Hist::BlockedSeconds, parked.since);
-            settle_park(shared, &parked, ParkOutcome::Woken);
-            // The wake edge carries the committing transaction's id — the
-            // causality arrow the exporter draws from commit slice to wake
-            // point.
-            shared.tracer.record(|t_us| TraceRecord::Wake {
-                pid: parked.proc.id,
-                commit: done.commit_id,
-                key: key.label(),
-                t_us,
-            });
-            parked.proc.woken = true;
-            enqueue(shared, parked.proc);
+                .observe_timer(Hist::EffectsBuildSeconds, effects_timer);
+            shared
+                .tracer
+                .span(effects_span, trace_id, proc.id, SpanPhase::Effects);
+            // Validation runs against the write footprint, which covers
+            // every shard the evidence patterns route to — by the routing
+            // invariant the answers equal the whole store's.
+            let decide = |ds: &ShardWriteView<'_>| {
+                if !p.validate(ds) {
+                    return Decision::Conflict;
+                }
+                let mut actions: Vec<Action> =
+                    Vec::with_capacity(p.retracts.len() + p.asserts.len());
+                actions.extend(p.retracts.iter().map(|id| Action::Retract(*id)));
+                // Export filtering runs against the pre-retraction store, so
+                // a commit's own retractions cannot disable its exports.
+                for tu in &p.asserts {
+                    if proc.def.view.exports(tu, ds, &proc.env, &shared.builtins) {
+                        actions.push(Action::Assert(proc.id, tu.clone()));
+                    } else {
+                        shared.metrics.inc(Counter::ExportDropped);
+                    }
+                }
+                Decision::Apply(actions)
+            };
+            let committed = shared
+                .committer
+                .commit(&shared.sds, write_fp, trace_id, proc.id, t.kind, decide)
+                .map_err(wal_err)?;
+            let Some(done) = committed else {
+                shared.conflicts.fetch_add(1);
+                continue; // somebody raced us; re-evaluate
+            };
+            shared.commits.fetch_add(1);
+            shared.metrics.inc(committed_counter(t.kind));
+            if proc.woken {
+                proc.woken = false;
+                shared.metrics.inc(Counter::WakeProgress);
+            }
+            if let (Some(cfg), true) = (&shared.stall, done.commit_id != 0) {
+                cfg.recent
+                    .lock()
+                    .push(done.commit_id, done.changed, batch_desc(&p));
+            }
+            for (key, mut parked) in done.woken {
+                shared.metrics.inc(Counter::WakeupCommit);
+                shared
+                    .metrics
+                    .observe_timer(Hist::BlockedSeconds, parked.since);
+                settle_park(shared, &parked, ParkOutcome::Woken);
+                // The wake edge carries the committing transaction's id — the
+                // causality arrow the exporter draws from commit slice to wake
+                // point.
+                shared.tracer.record(|t_us| TraceRecord::Wake {
+                    pid: parked.proc.id,
+                    commit: done.commit_id,
+                    key: key.label(),
+                    t_us,
+                });
+                parked.proc.woken = true;
+                enqueue(shared, parked.proc);
+            }
+            return Ok(Attempt::Committed(p));
         }
-        return Ok(TxnOutcome::Committed(p));
     }
-}
 
-/// Applies `let`s and `spawn`s; returns true if the process terminated
-/// (exit with no enclosing loop, or abort).
-fn control(shared: &Shared, proc: &mut ProcessInstance, p: &Pending) -> Result<bool, RuntimeError> {
-    for (name, v) in &p.lets {
-        proc.env.insert(name.clone(), v.clone());
+    fn subscribe(&mut self, _: &CompiledTxn) -> WatchSet {
+        unreachable!("consensus is rejected at build")
     }
-    for (name, args) in &p.spawns {
-        let id = ProcId(shared.next_pid.fetch_add(1));
-        let proc = ProcessInstance::spawn(&shared.program, id, name, args.clone())?;
-        shared.metrics.inc(Counter::ProcessesSpawned);
-        enqueue(shared, proc);
-    }
-    if p.abort {
-        return Ok(true);
-    }
-    if p.exit {
-        return Ok(proc.unwind_exit().is_none());
-    }
-    Ok(false)
-}
 
-enum ProcFate {
-    /// Keep stepping this process.
-    Continue,
-    /// Park it on these watch keys; `epoch` is the earliest commit epoch
-    /// any of its failed evaluations read.
-    Park { watch: WatchSet, epoch: u64 },
-    /// The process is done.
-    Terminated,
-    /// The attempt cap was hit: stop stepping, leaving the process where
-    /// it stands — neither advanced nor parked — while the run winds down
-    /// with [`Outcome::StepLimit`].
-    Halted,
+    fn spawn(&mut self, name: &str, args: Vec<Value>) -> Result<(), RuntimeError> {
+        let id = ProcId(self.shared.next_pid.fetch_add(1));
+        let child = ProcessInstance::spawn(&self.shared.program, id, name, args)?;
+        self.shared.metrics.inc(Counter::ProcessesSpawned);
+        interp::spawned(&self.shared.tracer, 0, &child, self.proc.id);
+        enqueue(self.shared, child);
+        Ok(())
+    }
+
+    fn fork_helper(&mut self, _: Arc<[CompiledStmt]>, _: HashMap<String, Value>) {
+        unreachable!("replication is rejected at build")
+    }
+
+    /// Without replication there are no helpers.
+    fn cancel_helpers(&mut self) {}
+
+    fn terminate(&mut self) {
+        self.ended = true;
+    }
 }
 
 /// Runs one process until it terminates or parks.
 fn run_process(
     shared: &Shared,
-    mut proc: ProcessInstance,
+    proc: ProcessInstance,
     rng: &mut StdRng,
 ) -> Result<(), RuntimeError> {
+    let mut x = Worker {
+        shared,
+        proc,
+        rng,
+        ended: false,
+    };
     loop {
         if shared.done.load(Ordering::SeqCst) {
             // Run wound down with this process mid-flight. If a commit
             // woke it, the wake never got its progress-or-spurious
             // verdict — settle it here so the wake ledger balances.
-            if proc.woken {
+            if x.proc.woken {
                 shared.metrics.inc(Counter::WakeSpurious);
             }
             return Ok(());
         }
-        match step_once(shared, &mut proc, rng)? {
-            ProcFate::Continue => {}
-            ProcFate::Terminated => return Ok(()),
-            ProcFate::Halted => {
+        match interp::step(&mut x)? {
+            Turn::Progressed(_) | Turn::Lost if !x.ended => {}
+            Turn::Progressed(_) | Turn::Lost => return Ok(()),
+            Turn::Halted => {
                 // The attempt cap hit mid-step, so this wake's verdict
                 // is unknowable — settle it as spurious rather than
                 // leak it (found by schedule exploration: the wake
                 // ledger went unbalanced on step-limited runs).
-                if proc.woken {
+                if x.proc.woken {
                     shared.metrics.inc(Counter::WakeSpurious);
                 }
                 return Ok(());
             }
-            ProcFate::Park { watch, epoch } => {
-                park(shared, watch, epoch, proc);
+            Turn::Park { watch, epoch, .. } => {
+                park(shared, watch, epoch, x.proc);
                 return Ok(());
             }
         }
     }
-}
-
-fn step_once(
-    shared: &Shared,
-    proc: &mut ProcessInstance,
-    rng: &mut StdRng,
-) -> Result<ProcFate, RuntimeError> {
-    let top = proc.frames.last().cloned();
-    match top {
-        None => Ok(ProcFate::Terminated),
-        Some(Frame::Seq { stmts, idx }) => {
-            if idx >= stmts.len() {
-                proc.frames.pop();
-                return Ok(ProcFate::Continue);
-            }
-            match stmts[idx].clone() {
-                CompiledStmt::Txn(t) => {
-                    match attempt(shared, proc, &t, t.kind == TxnKind::Delayed)? {
-                        TxnOutcome::Committed(p) => {
-                            if proc.woken {
-                                proc.woken = false;
-                                shared.metrics.inc(Counter::WakeProgress);
-                            }
-                            advance(proc);
-                            if control(shared, proc, &p)? {
-                                return Ok(ProcFate::Terminated);
-                            }
-                            Ok(ProcFate::Continue)
-                        }
-                        TxnOutcome::StepLimited => Ok(ProcFate::Halted),
-                        TxnOutcome::Failed { epoch, watch } => match t.kind {
-                            TxnKind::Immediate => {
-                                advance(proc);
-                                Ok(ProcFate::Continue)
-                            }
-                            TxnKind::Delayed => Ok(ProcFate::Park {
-                                watch: watch.expect("a delayed attempt subscribes"),
-                                epoch,
-                            }),
-                            TxnKind::Consensus => unreachable!("rejected at build"),
-                        },
-                    }
-                }
-                CompiledStmt::Select(branches) => guards(shared, proc, &branches, true, rng),
-                CompiledStmt::Repeat(branches) => {
-                    advance(proc);
-                    proc.frames.push(Frame::Loop { branches });
-                    Ok(ProcFate::Continue)
-                }
-                CompiledStmt::Replicate(_) => unreachable!("rejected at build"),
-            }
-        }
-        Some(Frame::Loop { branches }) => guards(shared, proc, &branches, false, rng),
-        Some(Frame::Repl { .. }) => unreachable!("rejected at build"),
-    }
-}
-
-fn advance(proc: &mut ProcessInstance) {
-    if let Some(Frame::Seq { idx, .. }) = proc.frames.last_mut() {
-        *idx += 1;
-    }
-}
-
-fn guards(
-    shared: &Shared,
-    proc: &mut ProcessInstance,
-    branches: &Arc<[CompiledBranch]>,
-    is_select: bool,
-    rng: &mut StdRng,
-) -> Result<ProcFate, RuntimeError> {
-    let mut order: Vec<usize> = (0..branches.len()).collect();
-    order.shuffle(rng);
-    let mut delayed_present = false;
-    let mut earliest_epoch = u64::MAX;
-    // A parked select retries every branch on wake, so the subscription
-    // is the union of the per-guard sets — each one narrowed under its
-    // own evaluation's read locks. The park epoch re-check runs against
-    // the *earliest* epoch any guard read, so a commit racing any probe
-    // re-queues the process.
-    let mut w = WatchSet::new();
-    for &i in &order {
-        let guard = branches[i].guard.clone();
-        if guard.kind == TxnKind::Delayed {
-            delayed_present = true;
-        }
-        match attempt(shared, proc, &guard, true)? {
-            TxnOutcome::Committed(p) => {
-                if proc.woken {
-                    proc.woken = false;
-                    shared.metrics.inc(Counter::WakeProgress);
-                }
-                if is_select {
-                    advance(proc);
-                }
-                if control(shared, proc, &p)? {
-                    return Ok(ProcFate::Terminated);
-                }
-                if !p.exit && !branches[i].rest.is_empty() {
-                    proc.frames.push(Frame::Seq {
-                        stmts: branches[i].rest.clone(),
-                        idx: 0,
-                    });
-                }
-                return Ok(ProcFate::Continue);
-            }
-            TxnOutcome::Failed { epoch, watch } => {
-                earliest_epoch = earliest_epoch.min(epoch);
-                w.extend(&watch.expect("a guard attempt subscribes"));
-            }
-            TxnOutcome::StepLimited => return Ok(ProcFate::Halted),
-        }
-    }
-    if delayed_present {
-        return Ok(ProcFate::Park {
-            watch: w,
-            epoch: earliest_epoch,
-        });
-    }
-    if is_select {
-        advance(proc);
-    } else {
-        proc.frames.pop();
-    }
-    Ok(ProcFate::Continue)
 }
 
 /// Parks a blocked process in the router (whose module docs argue why no

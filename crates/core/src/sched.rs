@@ -17,7 +17,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use sdl_dataspace::{Action, Dataspace, SolveLimits, WatchKey, WatchSet};
@@ -30,33 +29,16 @@ use crate::builder::{Config, RuntimeBuilder, RuntimeStore};
 use crate::builtins::Builtins;
 use crate::consensus::CommunityIndex;
 use crate::error::RuntimeError;
+use crate::interp::{self, Attempt, GuardMode, Site, Turn};
 use crate::outcome::{Outcome, RunLimits, RunReport};
 use crate::process::{Frame, ProcessInstance};
-use crate::program::{CompiledBranch, CompiledProgram, CompiledStmt, CompiledTxn};
+use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::trace::{self, ParkOutcome, RecentCommits, TraceRecord, Tracer, Track};
 use crate::txn::{self, EvalProbe, Pending};
 
-/// What a single step did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum StepResult {
-    /// Committed, failed-and-skipped, or made control progress; the
-    /// process remains runnable (if still alive).
-    Progressed,
-    /// Blocked on a delayed or consensus transaction.
-    Blocked {
-        /// The block includes a consensus guard.
-        has_consensus: bool,
-    },
-    /// The process terminated.
-    Terminated,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum GuardMode {
-    Select,
-    Loop,
-    Repl,
-}
+/// A blocked process's enabled consensus contribution: the construct and
+/// branch body its commit enters, and its pending effects.
+type Contribution = (GuardMode, Arc<[CompiledStmt]>, Pending);
 
 #[derive(Clone, Debug)]
 pub(crate) struct BlockInfo {
@@ -132,18 +114,6 @@ pub(crate) fn failed_counter(kind: TxnKind) -> Counter {
         TxnKind::Delayed => Counter::TxnFailedDelayed,
         TxnKind::Consensus => Counter::TxnFailedConsensus,
     }
-}
-
-/// Where a blocked process will contribute its consensus transaction.
-#[derive(Clone, Debug)]
-pub(crate) enum ConsensusSite {
-    /// A bare consensus transaction statement.
-    PlainTxn,
-    /// A consensus guard of a selection/repetition/replication.
-    Guard {
-        mode: GuardMode,
-        rest: Arc<[CompiledStmt]>,
-    },
 }
 
 impl RuntimeBuilder {
@@ -244,7 +214,7 @@ pub struct Runtime {
     pub(crate) stall: Option<StallState>,
     pub(crate) metrics: Metrics,
     pub(crate) report: RunReport,
-    limits: RunLimits,
+    pub(crate) limits: RunLimits,
     /// Write-ahead log; when present, every commit appends one record
     /// before the transaction is acknowledged.
     wal: Option<Arc<Wal>>,
@@ -380,42 +350,34 @@ impl Runtime {
                 if self.try_consensus_any()? {
                     continue;
                 }
-                self.report.outcome = if self.procs.is_empty() {
-                    Outcome::Completed
-                } else {
-                    Outcome::Quiescent {
-                        blocked: {
-                            let mut b: Vec<ProcId> = self.procs.keys().copied().collect();
-                            b.sort_unstable();
-                            b
-                        },
-                    }
-                };
+                self.report.outcome = self.idle_outcome();
                 break;
             };
             if !self.procs.contains_key(&pid) {
                 continue; // cancelled while queued
             }
-            match self.step(pid)? {
-                StepResult::Progressed => {
-                    if self.procs.contains_key(&pid) && !self.blocked.contains_key(&pid) {
-                        self.ready.push_back(pid);
-                    }
-                }
-                StepResult::Blocked { has_consensus } => {
+            match interp::step(&mut self.exec(pid, None))? {
+                Turn::Park {
+                    watch, consensus, ..
+                } => {
+                    self.block(pid, watch, consensus);
                     // Fire as soon as a community is complete, even while
                     // unrelated processes are still running. Computing
                     // communities is the expensive part, so pre-filter:
                     // only bother when this process's own consensus query
                     // currently succeeds.
-                    if has_consensus && {
+                    if consensus && {
                         self.cur_trace = self.tracer.new_trace();
                         self.probe_consensus(pid)?.is_some()
                     } {
                         self.try_consensus_any()?;
                     }
                 }
-                StepResult::Terminated => {}
+                Turn::Progressed(_) | Turn::Lost | Turn::Halted => {
+                    if self.procs.contains_key(&pid) && !self.blocked.contains_key(&pid) {
+                        self.ready.push_back(pid);
+                    }
+                }
             }
         }
         self.report.final_tuples = self.ds.len();
@@ -426,6 +388,17 @@ impl Runtime {
             wal.sync().map_err(wal_err)?;
         }
         Ok(self.report.clone())
+    }
+
+    /// How a run that can make no more progress ended: completed, or
+    /// quiescent with every live process blocked.
+    pub(crate) fn idle_outcome(&self) -> Outcome {
+        if self.procs.is_empty() {
+            return Outcome::Completed;
+        }
+        let mut blocked: Vec<ProcId> = self.procs.keys().copied().collect();
+        blocked.sort_unstable();
+        Outcome::Quiescent { blocked }
     }
 
     /// Closes the park interval of every still-blocked process, so a
@@ -468,249 +441,6 @@ impl Runtime {
                 near_misses: stall.recent.near_misses(&info.watch),
             });
         }
-    }
-
-    // ---------------- stepping ----------------
-
-    pub(crate) fn step(&mut self, pid: ProcId) -> Result<StepResult, RuntimeError> {
-        loop {
-            let Some(proc) = self.procs.get(&pid) else {
-                return Ok(StepResult::Terminated);
-            };
-            let top = proc.frames.last().cloned();
-            match top {
-                None => {
-                    self.terminate(pid, false);
-                    return Ok(StepResult::Terminated);
-                }
-                Some(Frame::Seq { stmts, idx }) => {
-                    if idx >= stmts.len() {
-                        self.procs
-                            .get_mut(&pid)
-                            .expect("checked above")
-                            .frames
-                            .pop();
-                        continue;
-                    }
-                    match stmts[idx].clone() {
-                        CompiledStmt::Txn(t) => return self.step_txn(pid, &t),
-                        CompiledStmt::Select(branches) => {
-                            return self.attempt_guards(pid, &branches, GuardMode::Select)
-                        }
-                        CompiledStmt::Repeat(branches) => {
-                            self.advance_seq(pid);
-                            self.procs
-                                .get_mut(&pid)
-                                .expect("checked above")
-                                .frames
-                                .push(Frame::Loop { branches });
-                            continue;
-                        }
-                        CompiledStmt::Replicate(branches) => {
-                            self.advance_seq(pid);
-                            self.procs
-                                .get_mut(&pid)
-                                .expect("checked above")
-                                .frames
-                                .push(Frame::Repl {
-                                    branches,
-                                    active: 0,
-                                });
-                            continue;
-                        }
-                    }
-                }
-                Some(Frame::Loop { branches }) => {
-                    return self.attempt_guards(pid, &branches, GuardMode::Loop)
-                }
-                Some(Frame::Repl { branches, .. }) => {
-                    return self.attempt_guards(pid, &branches, GuardMode::Repl)
-                }
-            }
-        }
-    }
-
-    fn step_txn(&mut self, pid: ProcId, t: &Arc<CompiledTxn>) -> Result<StepResult, RuntimeError> {
-        if t.kind == TxnKind::Consensus {
-            // A bare consensus transaction blocks until its community
-            // fires it.
-            let watch = self.txn_watch(pid, t);
-            return Ok(self.block(pid, watch, true));
-        }
-        self.report.attempts += 1;
-        self.metrics.inc(attempts_counter(t.kind));
-        self.cur_trace = self.tracer.new_trace();
-        let park: &[&CompiledTxn] = if t.kind == TxnKind::Delayed {
-            &[t]
-        } else {
-            &[]
-        };
-        match self.evaluate_for(pid, t, None, park)? {
-            Ok(p) => {
-                self.advance_seq(pid);
-                let changed = self.commit_single(pid, &p, t.kind)?;
-                self.wake(&changed);
-                self.apply_control(pid, &p)?;
-                Ok(StepResult::Progressed)
-            }
-            Err(watch) => {
-                self.metrics.inc(failed_counter(t.kind));
-                match t.kind {
-                    TxnKind::Immediate => {
-                        // A failed immediate transaction "has no effect on
-                        // the dataspace"; as a statement it acts as skip.
-                        self.trace_failed(pid);
-                        self.advance_seq(pid);
-                        Ok(StepResult::Progressed)
-                    }
-                    TxnKind::Delayed => Ok(self.block(pid, watch, false)),
-                    TxnKind::Consensus => unreachable!("handled above"),
-                }
-            }
-        }
-    }
-
-    pub(crate) fn attempt_guards(
-        &mut self,
-        pid: ProcId,
-        branches: &Arc<[CompiledBranch]>,
-        mode: GuardMode,
-    ) -> Result<StepResult, RuntimeError> {
-        let mut order: Vec<usize> = (0..branches.len()).collect();
-        order.shuffle(&mut self.rng);
-        let kind_present = |k| branches.iter().any(|b| b.guard.kind == k);
-        let delayed_present = kind_present(TxnKind::Delayed);
-        let consensus_present = kind_present(TxnKind::Consensus);
-        // A parked construct retries every branch on wake, so it listens
-        // on the union of the per-guard subscriptions, each taken through
-        // a failed evaluation's window — the consensus guards', which are
-        // not evaluated here, through the first one's.
-        let may_park = mode == GuardMode::Repl || delayed_present || consensus_present;
-        let mut unsubscribed: Vec<&CompiledTxn> = branches
-            .iter()
-            .filter(|b| may_park && b.guard.kind == TxnKind::Consensus)
-            .map(|b| &*b.guard)
-            .collect();
-        let mut watch = WatchSet::new();
-
-        for &i in &order {
-            let guard = &branches[i].guard;
-            if guard.kind == TxnKind::Consensus {
-                continue;
-            }
-            self.report.attempts += 1;
-            self.metrics.inc(attempts_counter(guard.kind));
-            self.cur_trace = self.tracer.new_trace();
-            let park: Vec<&CompiledTxn> = if may_park {
-                std::iter::once(&**guard)
-                    .chain(unsubscribed.drain(..))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            match self.evaluate_for(pid, guard, None, &park)? {
-                Ok(p) => {
-                    if mode == GuardMode::Select {
-                        self.advance_seq(pid);
-                    }
-                    let changed = self.commit_single(pid, &p, guard.kind)?;
-                    self.wake(&changed);
-                    self.enter_branch(pid, &p, branches[i].rest.clone(), mode)?;
-                    return Ok(StepResult::Progressed);
-                }
-                Err(w) => watch.extend(&w),
-            }
-            self.metrics.inc(failed_counter(guard.kind));
-        }
-
-        // No guard committed.
-        let repl_active = {
-            let proc = &self.procs[&pid];
-            match proc.frames.last() {
-                Some(Frame::Repl { active, .. }) => *active,
-                _ => 0,
-            }
-        };
-        let must_wait =
-            delayed_present || consensus_present || (mode == GuardMode::Repl && repl_active > 0);
-        if must_wait {
-            for t in unsubscribed {
-                watch.extend(&self.txn_watch(pid, t));
-            }
-            return Ok(self.block(pid, watch, consensus_present));
-        }
-        match mode {
-            GuardMode::Select => {
-                // "The selection is modeled as a 'skip' statement."
-                self.advance_seq(pid);
-            }
-            GuardMode::Loop | GuardMode::Repl => {
-                self.procs
-                    .get_mut(&pid)
-                    .expect("process is live")
-                    .frames
-                    .pop();
-            }
-        }
-        Ok(StepResult::Progressed)
-    }
-
-    /// Applies a committed guard's control effects and enters the branch
-    /// body according to the construct.
-    pub(crate) fn enter_branch(
-        &mut self,
-        pid: ProcId,
-        p: &Pending,
-        rest: Arc<[CompiledStmt]>,
-        mode: GuardMode,
-    ) -> Result<(), RuntimeError> {
-        if mode == GuardMode::Repl {
-            // `let`s address the copy, not the parent.
-            for (name, args) in &p.spawns {
-                self.spawn_process(name, args.clone(), pid)?;
-            }
-            if p.abort {
-                self.cancel_helpers(pid);
-                self.terminate(pid, true);
-                return Ok(());
-            }
-            if p.exit {
-                self.exit_process(pid);
-                return Ok(());
-            }
-            if !rest.is_empty() {
-                let helper_id = self.alloc_pid();
-                let parent = self.procs.get(&pid).expect("process is live");
-                let mut env = parent.env.clone();
-                for (name, v) in &p.lets {
-                    env.insert(name.clone(), v.clone());
-                }
-                let helper = ProcessInstance::body_helper(helper_id, parent, rest, env);
-                if let Some(Frame::Repl { active, .. }) = self
-                    .procs
-                    .get_mut(&pid)
-                    .expect("process is live")
-                    .frames
-                    .last_mut()
-                {
-                    *active += 1;
-                }
-                self.adopt(helper);
-            }
-            return Ok(());
-        }
-        let terminated = self.apply_control(pid, p)?;
-        if !terminated && !p.exit && !rest.is_empty() {
-            self.procs
-                .get_mut(&pid)
-                .expect("process is live")
-                .frames
-                .push(Frame::Seq {
-                    stmts: rest,
-                    idx: 0,
-                });
-        }
-        Ok(())
     }
 
     // ---------------- evaluation & commit ----------------
@@ -937,54 +667,6 @@ impl Runtime {
         Ok(())
     }
 
-    /// Applies `let`s, `spawn`s, `exit`, `abort`. Returns true if the
-    /// process terminated.
-    pub(crate) fn apply_control(&mut self, pid: ProcId, p: &Pending) -> Result<bool, RuntimeError> {
-        if let Some(proc) = self.procs.get_mut(&pid) {
-            for (name, v) in &p.lets {
-                proc.env.insert(name.clone(), v.clone());
-            }
-            if !p.lets.is_empty() {
-                // The view's rules read the process constants.
-                self.communities.insert(proc, &self.builtins);
-            }
-        }
-        for (name, args) in &p.spawns {
-            self.spawn_process(name, args.clone(), pid)?;
-        }
-        if p.abort {
-            self.cancel_helpers(pid);
-            self.terminate(pid, true);
-            return Ok(true);
-        }
-        if p.exit {
-            return Ok(self.exit_process(pid));
-        }
-        Ok(false)
-    }
-
-    /// Applies `exit`: unwind to the nearest loop/replication; terminate
-    /// the process if there is none. Returns true if terminated.
-    fn exit_process(&mut self, pid: ProcId) -> bool {
-        let unwound = self
-            .procs
-            .get_mut(&pid)
-            .expect("process is live")
-            .unwind_exit();
-        match unwound {
-            None => {
-                self.terminate(pid, false);
-                true
-            }
-            Some(active_helpers) => {
-                if active_helpers > 0 {
-                    self.cancel_helpers(pid);
-                }
-                false
-            }
-        }
-    }
-
     // ---------------- society management ----------------
 
     fn alloc_pid(&mut self) -> ProcId {
@@ -999,27 +681,14 @@ impl Runtime {
         name: &str,
         args: Vec<Value>,
         by: ProcId,
-    ) -> Result<ProcId, RuntimeError> {
-        let id = ProcId(self.next_pid);
-        let proc = ProcessInstance::spawn(&self.program, id, name, args)?;
+    ) -> Result<(), RuntimeError> {
+        let proc = ProcessInstance::spawn(&self.program, ProcId(self.next_pid), name, args)?;
         self.next_pid += 1;
         self.metrics.inc(Counter::ProcessesSpawned);
-        self.tracer.record(|t_us| TraceRecord::Spawn {
-            step: self.report.attempts,
-            t_us,
-            pid: id,
-            name: name.to_owned(),
-            args: proc
-                .def
-                .params
-                .iter()
-                .map(|p| proc.env[p].clone())
-                .collect(),
-            by,
-        });
+        interp::spawned(&self.tracer, self.report.attempts, &proc, by);
         self.adopt(proc);
         self.report.processes_created += 1;
-        Ok(id)
+        Ok(())
     }
 
     /// Adds a process to the society, runnable.
@@ -1038,11 +707,10 @@ impl Runtime {
         Some(proc)
     }
 
-    pub(crate) fn terminate(&mut self, pid: ProcId, aborted: bool) {
+    fn terminate(&mut self, pid: ProcId) {
         let Some(proc) = self.bury(pid) else {
             return;
         };
-        self.trace_exit(pid, aborted);
         // Notify a replication parent.
         if let Some(parent_id) = proc.parent {
             if let Some(parent) = self.procs.get_mut(&parent_id) {
@@ -1071,7 +739,7 @@ impl Runtime {
                     // Remove directly — no parent notification (the Repl
                     // frame is being dismantled).
                     self.bury(v);
-                    self.trace_exit(v, true);
+                    interp::exited(&self.tracer, self.report.attempts, v, true);
                 }
                 None => break,
             }
@@ -1080,12 +748,7 @@ impl Runtime {
 
     // ---------------- blocking & waking ----------------
 
-    pub(crate) fn block(
-        &mut self,
-        pid: ProcId,
-        watch: WatchSet,
-        has_consensus: bool,
-    ) -> StepResult {
+    pub(crate) fn block(&mut self, pid: ProcId, watch: WatchSet, has_consensus: bool) {
         self.metrics.inc(Counter::ProcessesBlocked);
         // A process that re-blocks without having committed since its
         // last wakeup was woken spuriously (the key matched, the query
@@ -1122,7 +785,6 @@ impl Runtime {
                     .or_else(|| self.stall.as_ref().map(|_| Instant::now())),
             },
         );
-        StepResult::Blocked { has_consensus }
     }
 
     fn unindex_watch(&mut self, pid: ProcId, watch: &WatchSet) {
@@ -1220,24 +882,6 @@ impl Runtime {
         });
     }
 
-    /// Records a failed immediate transaction.
-    pub(crate) fn trace_failed(&self, pid: ProcId) {
-        self.tracer.record(|t_us| TraceRecord::Failed {
-            step: self.report.attempts,
-            t_us,
-            pid,
-        });
-    }
-
-    fn trace_exit(&self, pid: ProcId, aborted: bool) {
-        self.tracer.record(|t_us| TraceRecord::Exit {
-            step: self.report.attempts,
-            t_us,
-            pid,
-            aborted,
-        });
-    }
-
     fn wake_pid(&mut self, pid: ProcId) {
         // A replication parent woken by a child's exit, not by a tuple
         // commit; the attribution points at the last commit (usually the
@@ -1272,7 +916,7 @@ impl Runtime {
             for pid in &set {
                 self.cur_trace = self.tracer.new_trace();
                 match self.probe_consensus(*pid)? {
-                    Some((site, pending)) => contributions.push((*pid, site, pending)),
+                    Some(contribution) => contributions.push((*pid, contribution)),
                     None => {
                         complete = false;
                         break;
@@ -1290,54 +934,31 @@ impl Runtime {
     }
 
     /// Finds the blocked process's first enabled consensus transaction at
-    /// its current position, evaluated against the current dataspace.
-    fn probe_consensus(
-        &self,
-        pid: ProcId,
-    ) -> Result<Option<(ConsensusSite, Pending)>, RuntimeError> {
-        let proc = &self.procs[&pid];
-        match proc.frames.last() {
-            Some(Frame::Seq { stmts, idx }) => match stmts.get(*idx) {
-                Some(CompiledStmt::Txn(t)) if t.kind == TxnKind::Consensus => {
-                    self.metrics.inc(Counter::TxnAttemptsConsensus);
-                    Ok(self
-                        .evaluate_for(pid, t, None, &[])?
-                        .ok()
-                        .map(|p| (ConsensusSite::PlainTxn, p)))
-                }
-                Some(CompiledStmt::Select(branches)) => {
-                    self.probe_guards(pid, branches, GuardMode::Select)
-                }
-                _ => Ok(None),
-            },
-            Some(Frame::Loop { branches }) => self.probe_guards(pid, branches, GuardMode::Loop),
-            Some(Frame::Repl { branches, .. }) => self.probe_guards(pid, branches, GuardMode::Repl),
-            None => Ok(None),
-        }
-    }
-
-    fn probe_guards(
-        &self,
-        pid: ProcId,
-        branches: &Arc<[CompiledBranch]>,
-        mode: GuardMode,
-    ) -> Result<Option<(ConsensusSite, Pending)>, RuntimeError> {
-        for b in branches.iter() {
-            if b.guard.kind != TxnKind::Consensus {
-                continue;
-            }
+    /// its current site, evaluated against the current dataspace, with
+    /// the construct and branch body the commit enters.
+    fn probe_consensus(&self, pid: ProcId) -> Result<Option<Contribution>, RuntimeError> {
+        let probe = |t: &CompiledTxn| -> Result<Option<Pending>, RuntimeError> {
             self.metrics.inc(Counter::TxnAttemptsConsensus);
-            if let Ok(p) = self.evaluate_for(pid, &b.guard, None, &[])? {
-                return Ok(Some((
-                    ConsensusSite::Guard {
-                        mode,
-                        rest: b.rest.clone(),
-                    },
-                    p,
-                )));
+            Ok(self.evaluate_for(pid, t, None, &[])?.ok())
+        };
+        match interp::site(&self.procs[&pid]) {
+            // A bare consensus transaction enters like a one-guard
+            // selection with an empty body.
+            Some(Site::Txn(t)) if t.kind == TxnKind::Consensus => {
+                Ok(probe(&t)?.map(|p| (GuardMode::Select, Arc::from([]), p)))
             }
+            Some(Site::Guards(branches, mode)) => {
+                for b in branches.iter() {
+                    if b.guard.kind == TxnKind::Consensus {
+                        if let Some(p) = probe(&b.guard)? {
+                            return Ok(Some((mode, b.rest.clone(), p)));
+                        }
+                    }
+                }
+                Ok(None)
+            }
+            _ => Ok(None),
         }
-        Ok(None)
     }
 
     /// Commits a complete community's contributions as one composite
@@ -1346,62 +967,136 @@ impl Runtime {
     /// participant's local actions and control advance.
     fn fire_consensus(
         &mut self,
-        contributions: Vec<(ProcId, ConsensusSite, Pending)>,
+        contributions: Vec<(ProcId, Contribution)>,
     ) -> Result<(), RuntimeError> {
         self.report.consensus_rounds += 1;
         self.metrics.inc(Counter::ConsensusRounds);
 
-        let parts: Vec<(ProcId, &Pending)> =
-            contributions.iter().map(|(pid, _, p)| (*pid, p)).collect();
+        let parts: Vec<(ProcId, &Pending)> = contributions
+            .iter()
+            .map(|(pid, (_, _, p))| (*pid, p))
+            .collect();
         let (changed, commit_id) = self.commit_composite(&parts, TxnKind::Consensus, || {
             format!("consensus of {} processes", contributions.len())
         })?;
 
         // Per-participant control advance. Every participant's wake ends
         // in this commit, so it counts as progress.
-        for (pid, site, p) in &contributions {
+        for (pid, (mode, rest, p)) in &contributions {
             if self.wake_one(*pid, Counter::WakeupConsensus, commit_id, || {
                 "consensus".into()
             }) {
                 self.metrics.inc(Counter::WakeProgress);
             }
-            if let Some(proc) = self.procs.get_mut(pid) {
-                proc.woken = false;
-            }
-            match site {
-                ConsensusSite::PlainTxn => {
-                    self.advance_seq(*pid);
-                    let terminated = self.apply_control(*pid, p)?;
-                    if !terminated {
-                        self.ready.push_back(*pid);
-                    }
-                }
-                ConsensusSite::Guard { mode, rest } => {
-                    if *mode == GuardMode::Select {
-                        self.advance_seq(*pid);
-                    }
-                    self.enter_branch(*pid, p, rest.clone(), *mode)?;
-                    if self.procs.contains_key(pid) && !self.blocked.contains_key(pid) {
-                        self.ready.push_back(*pid);
-                    }
-                }
+            // An earlier participant's `abort` may have cancelled this one.
+            let Some(proc) = self.procs.get_mut(pid) else {
+                continue;
+            };
+            proc.woken = false;
+            interp::enter_branch(&mut self.exec(*pid, None), p, rest.clone(), *mode)?;
+            if self.procs.contains_key(pid) && !self.blocked.contains_key(pid) {
+                self.ready.push_back(*pid);
             }
         }
         self.wake(&changed);
         Ok(())
     }
 
-    // ---------------- small helpers ----------------
-
-    pub(crate) fn advance_seq(&mut self, pid: ProcId) {
-        if let Some(proc) = self.procs.get_mut(&pid) {
-            if let Some(Frame::Seq { idx, .. }) = proc.frames.last_mut() {
-                *idx += 1;
-            }
+    /// The interpreter's view of process `pid`, evaluating against
+    /// `snapshot` when one is given.
+    pub(crate) fn exec<'a>(
+        &'a mut self,
+        pid: ProcId,
+        snapshot: Option<&'a Dataspace>,
+    ) -> SerialExec<'a> {
+        SerialExec {
+            rt: self,
+            pid,
+            snapshot,
         }
     }
+}
 
-    pub(crate) fn limits_max_attempts(&self) -> u64 {
-        self.limits.max_attempts
+/// A process of the serial or rounds society, as the interpreter steps
+/// it. The rounds scheduler evaluates against the round's snapshot,
+/// validates against the live store before committing, and leaves waking
+/// to the next round, which re-examines every process.
+pub(crate) struct SerialExec<'a> {
+    rt: &'a mut Runtime,
+    pid: ProcId,
+    snapshot: Option<&'a Dataspace>,
+}
+
+impl interp::Executor for SerialExec<'_> {
+    fn proc(&mut self) -> &mut ProcessInstance {
+        self.rt.procs.get_mut(&self.pid).expect("process is live")
+    }
+
+    fn rng(&mut self) -> &mut StdRng {
+        &mut self.rt.rng
+    }
+
+    fn tracer(&self) -> (&Tracer, u64) {
+        (&self.rt.tracer, self.rt.report.attempts)
+    }
+
+    fn attempt(&mut self, t: &CompiledTxn, park: &[&CompiledTxn]) -> Result<Attempt, RuntimeError> {
+        let (rt, pid) = (&mut *self.rt, self.pid);
+        rt.report.attempts += 1;
+        rt.metrics.inc(attempts_counter(t.kind));
+        rt.cur_trace = rt.tracer.new_trace();
+        // A park subscribes through the failed evaluation's window, unless
+        // that window is over the snapshot: a park listens to the live
+        // store.
+        let eval_park = if self.snapshot.is_some() { &[] } else { park };
+        let p = match rt.evaluate_for(pid, t, self.snapshot, eval_park)? {
+            Ok(p) => p,
+            Err(mut watch) => {
+                rt.metrics.inc(failed_counter(t.kind));
+                if self.snapshot.is_some() {
+                    for t in park {
+                        watch.extend(&rt.txn_watch(pid, t));
+                    }
+                }
+                return Ok(Attempt::Failed(watch, 0));
+            }
+        };
+        if self.snapshot.is_some() && !p.validate(&rt.ds) {
+            rt.metrics.inc(Counter::TxnConflicts);
+            rt.trace_conflict(pid);
+            return Ok(Attempt::Lost);
+        }
+        let changed = rt.commit_single(pid, &p, t.kind)?;
+        if self.snapshot.is_none() {
+            rt.wake(&changed);
+        }
+        Ok(Attempt::Committed(p))
+    }
+
+    fn subscribe(&mut self, t: &CompiledTxn) -> WatchSet {
+        self.rt.txn_watch(self.pid, t)
+    }
+
+    fn spawn(&mut self, name: &str, args: Vec<Value>) -> Result<(), RuntimeError> {
+        self.rt.spawn_process(name, args, self.pid)
+    }
+
+    fn fork_helper(&mut self, body: Arc<[CompiledStmt]>, env: HashMap<String, Value>) {
+        let id = self.rt.alloc_pid();
+        let helper = ProcessInstance::body_helper(id, &self.rt.procs[&self.pid], body, env);
+        self.rt.adopt(helper);
+    }
+
+    fn cancel_helpers(&mut self) {
+        self.rt.cancel_helpers(self.pid);
+    }
+
+    fn terminate(&mut self) {
+        self.rt.terminate(self.pid);
+    }
+
+    fn rebound(&mut self) {
+        let rt = &mut *self.rt;
+        rt.communities.insert(&rt.procs[&self.pid], &rt.builtins);
     }
 }

@@ -159,6 +159,23 @@ fn threaded_traces_are_complete() {
         assert_eq!(tracer.dropped(), 0);
         let (commits, _) = check_records(&records, &format!("threaded/{shards}"));
         assert_eq!(commits as i64, 2 * N, "shards={shards}");
+        // One Spawn and one Exit for every process the run started.
+        let pids = |exit: bool| {
+            let mut v: Vec<_> = records
+                .iter()
+                .filter_map(|r| match r {
+                    TraceRecord::Spawn { pid, .. } if !exit => Some(*pid),
+                    TraceRecord::Exit { pid, .. } if exit => Some(*pid),
+                    _ => None,
+                })
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let spawned = pids(false);
+        assert_eq!(spawned.len() as i64, 2 * N, "shards={shards}");
+        assert!(spawned.windows(2).all(|w| w[0] != w[1]), "shards={shards}");
+        assert_eq!(spawned, pids(true), "shards={shards}");
     }
 }
 
