@@ -136,8 +136,8 @@ pub enum Counter {
     /// `sdl_net_requests_total{op="other"}` — pings, cancels, and any
     /// other housekeeping frame.
     NetReqOther,
-    /// Transitions into backpressure: the server stopped reading from
-    /// one or all connections (engine saturated or write buffer full).
+    /// Backpressure events: a connection's reads paused on a full write
+    /// buffer, or a fresh park was refused at the parked-request limit.
     NetBackpressureStalls,
     /// Frames rejected by the wire decoder (bad magic, CRC mismatch,
     /// over-limit length, malformed payload).
@@ -379,7 +379,7 @@ impl Counter {
             | Counter::NetReqTxn
             | Counter::NetReqOther => "Wire-protocol requests decoded, by operation.",
             Counter::NetBackpressureStalls => {
-                "Transitions into backpressure (server paused reads on saturated state)."
+                "Backpressure events (reads paused on a full write buffer, or a park refused at the limit)."
             }
             Counter::NetProtocolErrors => "Frames rejected by the wire decoder.",
             Counter::ReplShippedRecords => "Commit records shipped to replication followers.",

@@ -276,9 +276,9 @@ impl Engine {
     // -- commit path ------------------------------------------------------
 
     /// The engine's one way to change the store: the shared commit
-    /// function under the `fp` write footprint, then affinity touch
-    /// counts and wake delivery (this loop's wake queue, or the owner's
-    /// mailbox plus the kick mask). `None` when `decide` applied nothing.
+    /// function under the `fp` write footprint, then wake delivery (this
+    /// loop's wake queue, or the owner's mailbox plus the kick mask).
+    /// `None` when `decide` applied nothing.
     ///
     /// A WAL failure is fatal: the store has already applied the batch,
     /// so a leader that cannot log it must not stay up and acknowledge.
@@ -290,7 +290,6 @@ impl Engine {
         let done = self.shared.commit(fp, decide).unwrap_or_else(|e| {
             panic!("wal write failed; cannot acknowledge unlogged commits: {e}")
         })?;
-        self.shared.touch_shards(self.loop_id, done.changed_shards);
         let (local, kicks) = self.shared.route(self.loop_id, done.woken);
         self.wake_queue.extend(local);
         self.kick_mask |= kicks;
@@ -462,8 +461,10 @@ impl Engine {
     /// Runs a blocking-capable op to its verdict: a final reply, or a
     /// park under the commit-epoch protocol (retrying inline whenever
     /// the epoch re-check says a commit raced the registration).
-    /// `notify_park` pushes the interim `Parked` response on a fresh
-    /// park; wake retries pass `false` (the client already has one).
+    /// `notify_park` marks a fresh request: it pushes the interim
+    /// `Parked` response, and at the shared parked-request limit it is
+    /// refused with an error instead. Wake retries pass `false` (the
+    /// client already has its `Parked`) and always re-park.
     /// Returns whether the op completed with a final response.
     fn run_blocking(
         &mut self,
@@ -482,6 +483,14 @@ impl Engine {
             match self.attempt_op(conn, &op) {
                 Attempt::Done(resp) => {
                     replies.push((conn, req_id, resp));
+                    return true;
+                }
+                Attempt::Park(_)
+                    if notify_park && self.shared.parked_total() >= self.shared.max_parked =>
+                {
+                    self.metrics.inc(Counter::NetBackpressureStalls);
+                    let msg = "parked-request limit reached".to_owned();
+                    replies.push((conn, req_id, Response::Error(msg)));
                     return true;
                 }
                 Attempt::Park(keys) => {
@@ -879,6 +888,34 @@ mod tests {
             matches!(&r[0].2, Response::Error(_)),
             "spawn must be rejected: {r:?}"
         );
+    }
+
+    #[test]
+    fn a_fresh_park_at_the_limit_is_refused_and_wake_retries_are_not() {
+        let (metrics, registry) = Metrics::registry();
+        let mut shared = NetShared::new(4, 1, metrics);
+        shared.set_max_parked(1);
+        let mut e = Engine::over(Arc::new(shared), 0);
+        let mut r = Vec::new();
+        e.submit(
+            1,
+            1,
+            txn("exists a : <t, a>! : a > 1 => <got, a>", &[]),
+            &mut r,
+        );
+        e.submit(1, 2, Request::In(pattern![Value::atom("t"), any]), &mut r);
+        let refused = Response::Error("parked-request limit reached".to_owned());
+        assert_eq!(
+            drain(&mut r),
+            vec![(1, 1, Response::Parked), (1, 2, refused)]
+        );
+        // The woken txn finds no match and re-parks although at the limit.
+        e.submit(2, 1, Request::Out(tuple![Value::atom("t"), 0]), &mut r);
+        e.finish(&mut r);
+        assert_eq!(drain(&mut r), vec![(2, 1, Response::Ok)]);
+        assert_eq!(registry.counter(Counter::WakeSpurious), 1);
+        assert_eq!(e.parked_len(), 1);
+        assert_eq!(registry.counter(Counter::NetBackpressureStalls), 1);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! `poll(2)` elsewhere — see `poll`), decoding the length-prefixed
 //! `SDLNET01` protocol ([`wire`]), and mapping client operations onto
 //! one shared sharded store through the batching, park/wake
-//! [`engine`]. An acceptor thread places connections shard-affinely;
-//! cross-loop wakes travel through per-loop mailboxes
-//! and eventfd kicks ([`shared`], `wakefd`):
+//! [`engine`]. An acceptor thread places each connection on the
+//! least-loaded loop, which runs its handshake; cross-loop wakes travel
+//! through per-loop mailboxes and eventfd kicks ([`shared`], `wakefd`):
 //!
 //! | wire op | dataspace semantics                                   |
 //! |---------|-------------------------------------------------------|

@@ -13,8 +13,9 @@
 //! profile* where client `c` works relation `r{c % K}`, each connection
 //! sticks to one relation, and — because the sharded store routes by
 //! functor — connections land on disjoint shard footprints. That is the
-//! multi-loop scaling shape: with shard-affinity placement, loops end
-//! up owning disjoint relations and commit without ever contending.
+//! multi-loop scaling shape: connections spread evenly over the loops,
+//! each loop's connections work their own relations, and loops commit
+//! without contending.
 //!
 //! State is sized for millions of simulated clients: one `u32` op
 //! counter per client (sequence number and out/inp phase are both

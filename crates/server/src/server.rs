@@ -9,25 +9,22 @@
 //! belongs to another loop pushes it into that loop's mailbox and kicks
 //! its [`WakeFd`], preserving the zero-polling guarantee across loops.
 //!
-//! The acceptor performs the `SDLNET01` handshake itself and holds each
-//! new connection in a short *nursery* until its first request frame
-//! arrives, so placement can route the connection to the loop whose
-//! traffic already touches the shards that request hits (via
-//! [`NetShared::pick_loop`]); connections whose first frame carries no
-//! shard, or doesn't show up in time, fall back to least-connections
-//! round-robin. Handoff is a vector push plus a wake-fd kick.
+//! The acceptor only accepts: it places each new connection on the
+//! least-loaded loop (round-robin among ties) and hands it over with a
+//! vector push plus a wake-fd kick. Every socket read and write happens
+//! in `event_loop`, the `SDLNET01` handshake included: a connection's
+//! first 8 bytes must be the magic, which is echoed in the same pass
+//! that decodes whatever frames followed it.
 //!
 //! Each loop is shaped for pipelined load: each readiness pass reads
 //! what the socket holds straight into the connection's buffer, decodes
 //! *every* complete frame where it lies, runs the lot through the
 //! engine as one batch, frames the replies in place, and writes them
-//! with one `write` per connection. Backpressure is
-//! engine-coupled and now *global*: when the parked-request count
-//! across all loops passes [`ServerConfig::max_parked`], every loop
-//! stops reading (the kernel's TCP window queues on the client's side)
-//! instead of buffering unboundedly; same per-connection when a client
-//! stops draining replies. Both transitions count
-//! `sdl_net_backpressure_stalls_total`.
+//! with one `write` per connection. A client that stops draining
+//! replies pauses that connection's reads until its write buffer falls
+//! below half of [`ServerConfig::write_buf_limit`]; a fresh park at
+//! [`ServerConfig::max_parked`] (across all loops) is refused with an
+//! error. Both count `sdl_net_backpressure_stalls_total`.
 
 use std::collections::HashMap;
 use std::io;
@@ -51,18 +48,15 @@ use crate::engine::{Engine, Reply};
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::shared::NetShared;
 use crate::wakefd::WakeFd;
-use crate::wire::{self, Request, FRAME_HEADER, MAGIC};
+use crate::wire::{self, Request, MAGIC};
 
 const LISTENER_TOKEN: u64 = 0;
 /// Poll timeout between passes: loops are kicked through their wake fd,
-/// so this only paces shutdown checks and nursery aging.
+/// so this only paces shutdown checks.
 const POLL_TIMEOUT_MS: i32 = 25;
 /// Every loop's wake fd lives at token 0 in that loop's poller;
 /// connection tokens start at 1 and are globally unique.
 const WAKE_TOKEN: u64 = 0;
-/// Nursery passes to wait for a first frame before giving up on an
-/// affinity hint and placing round-robin.
-const NURSERY_PATIENCE: u32 = 4;
 
 /// Tuning knobs for [`serve`].
 #[derive(Clone, Debug)]
@@ -71,8 +65,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Per-frame payload cap; larger frames drop the connection.
     pub max_frame: usize,
-    /// Parked-request high watermark across all loops: at or above, all
-    /// reads pause.
+    /// Parked-request limit across all loops: at or above, a request
+    /// that would park is answered with an error instead.
     pub max_parked: usize,
     /// Per-connection write-buffer cap: at or above, that connection's
     /// reads pause until the client drains replies below half.
@@ -185,20 +179,18 @@ impl Server {
     }
 }
 
-/// A handshaken connection in flight from the acceptor to its loop.
+/// An accepted connection in flight from the acceptor to its loop.
 struct NewConn {
     token: u64,
     stream: TcpStream,
-    /// Bytes read during the nursery wait (the first frame, typically).
-    rbuf: ReadBuf,
-    /// The un-flushed tail of the MAGIC echo, if the socket pushed back.
-    wbuf: WriteBuf,
 }
 
 struct ConnState {
     stream: TcpStream,
     rbuf: ReadBuf,
     wbuf: WriteBuf,
+    // The client's magic has arrived and its echo is queued.
+    handshaken: bool,
     // Reads paused because this connection's write buffer is over cap.
     write_paused: bool,
 }
@@ -231,7 +223,7 @@ pub fn serve(cfg: ServerConfig, metrics: Metrics) -> io::Result<Server> {
     // Durability and replication decide the store's shard count and
     // seed contents, so they run before the state is shared.
     let mut follower: Option<(FollowerConn, Option<FollowEvent>, u64)> = None;
-    let shared = if let Some(leader) = &cfg.follow {
+    let mut shared = if let Some(leader) = &cfg.follow {
         let mut conn = FollowerConn::connect(leader, 0, 0)?;
         let mut shared = NetShared::new(conn.n_shards() as usize, n_loops, metrics.clone());
         shared.set_redirect(conn.leader_client_addr().to_owned());
@@ -262,6 +254,7 @@ pub fn serve(cfg: ServerConfig, metrics: Metrics) -> io::Result<Server> {
         }
         shared
     };
+    shared.set_max_parked(cfg.max_parked);
     let shared = Arc::new(shared);
     metrics.add_gauge(Gauge::NetLoops, n_loops as i64);
     let stop = Arc::new(AtomicBool::new(false));
@@ -306,7 +299,6 @@ pub fn serve(cfg: ServerConfig, metrics: Metrics) -> io::Result<Server> {
         );
     }
     {
-        let cfg = cfg.clone();
         let shared = Arc::clone(&shared);
         let wakefds = Arc::clone(&wakefds);
         let stop = Arc::clone(&stop);
@@ -314,9 +306,7 @@ pub fn serve(cfg: ServerConfig, metrics: Metrics) -> io::Result<Server> {
         handles.push(
             std::thread::Builder::new()
                 .name("sdl-accept".to_owned())
-                .spawn(move || {
-                    acceptor(listener, shared, cfg, metrics, &wakefds, &intakes, &stop)
-                })?,
+                .spawn(move || acceptor(listener, &shared, &metrics, &wakefds, &intakes, &stop))?,
         );
     }
     if let Some((conn, pending, applied)) = follower {
@@ -527,210 +517,53 @@ fn apply_shipped(
 
 // -- acceptor ------------------------------------------------------------
 
-/// A pre-placement connection: handshaken (or not yet) and waiting for
-/// its first request frame to yield an affinity hint.
-struct Nursling {
-    stream: TcpStream,
-    rbuf: ReadBuf,
-    wbuf: WriteBuf,
-    handshaken: bool,
-    passes: u32,
-}
-
+/// Accepts connections and places each on the least-loaded loop. The
+/// acceptor never reads or writes a socket: the handshake is the owning
+/// loop's first read.
 fn acceptor(
     listener: TcpListener,
-    shared: Arc<NetShared>,
-    cfg: ServerConfig,
-    metrics: Metrics,
+    shared: &NetShared,
+    metrics: &Metrics,
     wakefds: &[Arc<WakeFd>],
     intakes: &[Arc<Mutex<Vec<NewConn>>>],
     stop: &AtomicBool,
 ) -> io::Result<()> {
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-    let mut nursery: HashMap<u64, Nursling> = HashMap::new();
     // Connection tokens are minted here only, so they are unique across
     // every loop.
     let mut next_token: u64 = 1;
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut to_close: Vec<u64> = Vec::new();
-    let mut to_place: Vec<(u64, Option<usize>)> = Vec::new();
-
     while !stop.load(Ordering::SeqCst) {
         poller.wait(&mut events, POLL_TIMEOUT_MS)?;
-
-        for &ev in &events {
-            if ev.token == LISTENER_TOKEN {
-                accept_all(
-                    &listener,
-                    &mut poller,
-                    &mut nursery,
-                    &mut next_token,
-                    &metrics,
-                );
-            }
+        if events.is_empty() {
+            continue;
         }
-
-        // Advance every nursling each pass: readable ones make progress,
-        // silent ones age toward the round-robin fallback.
-        for (&token, n) in nursery.iter_mut() {
-            match nurse(n, &shared, &cfg, &metrics) {
-                NurseOutcome::Wait => {
-                    n.passes += 1;
-                    if n.passes > NURSERY_PATIENCE {
-                        to_place.push((token, None));
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
                     }
+                    let _ = stream.set_nodelay(true);
+                    let loop_id = shared.pick_loop();
+                    shared.conn_opened(loop_id);
+                    metrics.add_gauge(Gauge::NetConnections, 1);
+                    let token = next_token;
+                    next_token += 1;
+                    intakes[loop_id]
+                        .lock()
+                        .unwrap()
+                        .push(NewConn { token, stream });
+                    wakefds[loop_id].kick();
                 }
-                NurseOutcome::Place(hint) => to_place.push((token, hint)),
-                NurseOutcome::Close => to_close.push(token),
-            }
-        }
-
-        for (token, hint) in to_place.drain(..) {
-            let Some(n) = nursery.remove(&token) else {
-                continue;
-            };
-            poller.deregister(token);
-            let loop_id = shared.pick_loop(hint);
-            shared.conn_opened(loop_id);
-            intakes[loop_id].lock().unwrap().push(NewConn {
-                token,
-                stream: n.stream,
-                rbuf: n.rbuf,
-                wbuf: n.wbuf,
-            });
-            wakefds[loop_id].kick();
-        }
-
-        for token in to_close.drain(..) {
-            if nursery.remove(&token).is_some() {
-                poller.deregister(token);
-                metrics.add_gauge(Gauge::NetConnections, -1);
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // WouldBlock: drained until the next readiness event.
+                Err(_) => break,
             }
         }
     }
-    metrics.add_gauge(Gauge::NetConnections, -(nursery.len() as i64));
     Ok(())
-}
-
-enum NurseOutcome {
-    Wait,
-    Place(Option<usize>),
-    Close,
-}
-
-/// One nursery pass over a pre-placement connection: fill, handshake,
-/// echo, and peek (without consuming) at the first request frame for an
-/// affinity hint.
-fn nurse(
-    n: &mut Nursling,
-    shared: &NetShared,
-    cfg: &ServerConfig,
-    metrics: &Metrics,
-) -> NurseOutcome {
-    let outcome = match n.rbuf.fill(&mut n.stream) {
-        Ok(o) => o,
-        Err(_) => return NurseOutcome::Close,
-    };
-    if !n.handshaken {
-        let pending = n.rbuf.pending();
-        if pending.len() < MAGIC.len() {
-            return if outcome == FillOutcome::Open {
-                NurseOutcome::Wait
-            } else {
-                NurseOutcome::Close
-            };
-        }
-        if &pending[..MAGIC.len()] != MAGIC {
-            metrics.inc(Counter::NetProtocolErrors);
-            return NurseOutcome::Close;
-        }
-        n.rbuf.consume(MAGIC.len());
-        n.wbuf.push(MAGIC);
-        n.handshaken = true;
-    }
-    // The client blocks on the echo before sending its first request —
-    // flush it from here or the nursery deadlocks against the client.
-    if !n.wbuf.is_empty() && n.wbuf.flush(&mut n.stream).is_err() {
-        return NurseOutcome::Close;
-    }
-    let pending = n.rbuf.pending();
-    match wire::frame_len(pending, cfg.max_frame) {
-        Ok(Some(used)) => match wire::decode_request(&pending[FRAME_HEADER..used]) {
-            // The frame stays in rbuf; the owning loop decodes it again
-            // through its normal batch path.
-            Ok((_req_id, req)) => NurseOutcome::Place(shard_hint(shared, &req)),
-            Err(_) => {
-                metrics.inc(Counter::NetProtocolErrors);
-                NurseOutcome::Close
-            }
-        },
-        Ok(None) => {
-            if outcome == FillOutcome::Open {
-                NurseOutcome::Wait
-            } else {
-                NurseOutcome::Close
-            }
-        }
-        Err(_) => {
-            metrics.inc(Counter::NetProtocolErrors);
-            NurseOutcome::Close
-        }
-    }
-}
-
-/// The shard a request's first store touch routes to, if cheaply
-/// knowable (transactions would need compilation — not worth it in the
-/// acceptor).
-fn shard_hint(shared: &NetShared, req: &Request) -> Option<usize> {
-    match req {
-        Request::Out(t) => Some(shared.sds.shard_of_tuple(t)),
-        Request::In(p) | Request::Rd(p) | Request::Inp(p) | Request::Rdp(p) => {
-            shared.sds.shard_of_pattern(p)
-        }
-        Request::Txn { .. } | Request::Ping | Request::Cancel(_) => None,
-    }
-}
-
-fn accept_all(
-    listener: &TcpListener,
-    poller: &mut Poller,
-    nursery: &mut HashMap<u64, Nursling>,
-    next_token: &mut u64,
-    metrics: &Metrics,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let token = *next_token;
-                *next_token += 1;
-                if poller
-                    .register(stream.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    continue;
-                }
-                nursery.insert(
-                    token,
-                    Nursling {
-                        stream,
-                        rbuf: ReadBuf::default(),
-                        wbuf: WriteBuf::default(),
-                        handshaken: false,
-                        passes: 0,
-                    },
-                );
-                metrics.add_gauge(Gauge::NetConnections, 1);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
 }
 
 // -- event-loop workers --------------------------------------------------
@@ -753,9 +586,6 @@ fn event_loop(
     let mut batch: Vec<(u64, u64, Request)> = Vec::new();
     let mut replies: Vec<Reply> = Vec::new();
     let mut to_close: Vec<u64> = Vec::new();
-    // Global read pause (parked requests saturated, across all loops).
-    // Hysteresis: resume below 7/8 of the high watermark.
-    let mut stalled = false;
 
     while !stop.load(Ordering::SeqCst) {
         poller.wait(&mut events, POLL_TIMEOUT_MS)?;
@@ -781,8 +611,9 @@ fn event_loop(
                 nc.token,
                 ConnState {
                     stream: nc.stream,
-                    rbuf: nc.rbuf,
-                    wbuf: nc.wbuf,
+                    rbuf: ReadBuf::default(),
+                    wbuf: WriteBuf::default(),
+                    handshaken: false,
                     write_paused: false,
                 },
             );
@@ -801,11 +632,11 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&ev.token) else {
                 continue;
             };
-            if !ev.readable || stalled || conn.write_paused {
+            if !ev.readable || conn.write_paused {
                 continue;
             }
-            // Frames read before an EOF still run; a read error or a bad
-            // frame closes the connection.
+            // Frames read before an EOF still run; a read error, a wrong
+            // magic or a bad frame closes the connection.
             let open = match conn.rbuf.fill(&mut conn.stream) {
                 Ok(outcome) => {
                     decode_pending(ev.token, conn, &cfg, &mut batch, &metrics).is_ok()
@@ -815,20 +646,6 @@ fn event_loop(
             };
             if !open {
                 to_close.push(ev.token);
-            }
-        }
-
-        // A freshly adopted connection may already hold its first frame
-        // (read in the nursery) with no readiness event to show for it.
-        // One already closing was decoded (a bad frame counted) above.
-        for (&token, conn) in conns.iter_mut() {
-            if !conn.rbuf.pending().is_empty()
-                && !stalled
-                && !conn.write_paused
-                && !to_close.contains(&token)
-                && decode_pending(token, conn, &cfg, &mut batch, &metrics).is_err()
-            {
-                to_close.push(token);
             }
         }
 
@@ -856,15 +673,6 @@ fn event_loop(
             }
         }
 
-        // Backpressure state machine (global, engine-coupled).
-        let parked = shared.parked_total();
-        if !stalled && parked >= cfg.max_parked {
-            stalled = true;
-            metrics.inc(Counter::NetBackpressureStalls);
-        } else if stalled && parked < cfg.max_parked * 7 / 8 {
-            stalled = false;
-        }
-
         // Flush pending writes, update per-conn pause state + interest.
         for (&token, conn) in conns.iter_mut() {
             if !conn.wbuf.is_empty() {
@@ -885,7 +693,7 @@ fn event_loop(
                 conn.write_paused = false;
             }
             let interest = Interest {
-                readable: !stalled && !conn.write_paused,
+                readable: !conn.write_paused,
                 writable: !conn.wbuf.is_empty(),
             };
             let _ = poller.modify(token, interest);
@@ -915,7 +723,9 @@ fn event_loop(
     Ok(())
 }
 
-/// Decodes every complete buffered frame into `batch`.
+/// Completes the handshake once the client's first 8 bytes are in
+/// (queueing the echo), then decodes every complete buffered frame into
+/// `batch`. A wrong magic is a protocol error.
 fn decode_pending(
     token: u64,
     conn: &mut ConnState,
@@ -923,6 +733,19 @@ fn decode_pending(
     batch: &mut Vec<(u64, u64, Request)>,
     metrics: &Metrics,
 ) -> Result<(), ()> {
+    if !conn.handshaken {
+        let pending = conn.rbuf.pending();
+        if pending.len() < MAGIC.len() {
+            return Ok(());
+        }
+        if &pending[..MAGIC.len()] != MAGIC {
+            metrics.inc(Counter::NetProtocolErrors);
+            return Err(());
+        }
+        conn.rbuf.consume(MAGIC.len());
+        conn.wbuf.push(MAGIC);
+        conn.handshaken = true;
+    }
     loop {
         match conn.rbuf.next_frame(cfg.max_frame) {
             Ok(Some(payload)) => match wire::decode_request(payload) {

@@ -22,7 +22,7 @@ use sdl_dataspace::{ShardSet, ShardWriteView, ShardedDataspace, WatchKey, WatchS
 use sdl_durability::{Wal, WalError};
 use sdl_lang::ast::TxnKind;
 use sdl_metrics::{LoopCounter, Metrics};
-use sdl_sync::{AtomicUsize, Mutex, RelaxedCounter};
+use sdl_sync::{AtomicUsize, Mutex};
 use sdl_tuple::ProcId;
 
 /// Connection identifier, unique across all loops.
@@ -77,14 +77,13 @@ pub struct NetShared {
     committer: Committer<Target>,
     /// Per-loop mailboxes of cross-loop wakes.
     mailboxes: Vec<Mutex<Vec<Wake>>>,
-    /// Requests parked across every loop (global backpressure input).
+    /// Requests parked across every loop.
     parked_total: AtomicUsize,
-    /// `[loop][shard]` touch counts for affinity placement. Plain
-    /// relaxed counters: stats, not protocol.
-    touch: Vec<Vec<RelaxedCounter>>,
+    /// At or above this many parked requests, a fresh park is refused.
+    pub(crate) max_parked: usize,
     /// Open connections per loop (least-connections placement input).
     conns: Vec<AtomicUsize>,
-    /// Round-robin cursor for placement without an affinity hint.
+    /// Round-robin cursor among equally loaded loops.
     rr: AtomicUsize,
     n_loops: usize,
     /// Follower mode: the leader's client address. When set, engines
@@ -120,9 +119,7 @@ impl NetShared {
             metrics,
             mailboxes: (0..n_loops).map(|_| Mutex::new(Vec::new())).collect(),
             parked_total: AtomicUsize::new(0),
-            touch: (0..n_loops)
-                .map(|_| (0..shards).map(|_| RelaxedCounter::new(0)).collect())
-                .collect(),
+            max_parked: usize::MAX,
             conns: (0..n_loops).map(|_| AtomicUsize::new(0)).collect(),
             rr: AtomicUsize::new(0),
             n_loops,
@@ -156,6 +153,12 @@ impl NetShared {
     /// are redirected to the leader at `leader_addr`.
     pub(crate) fn set_redirect(&mut self, leader_addr: String) {
         self.redirect = Some(leader_addr);
+    }
+
+    /// Limits the requests parked across every loop: at or above `n`, a
+    /// fresh park is answered with an error.
+    pub(crate) fn set_max_parked(&mut self, n: usize) {
+        self.max_parked = n;
     }
 
     /// Number of event loops sharing this state.
@@ -255,7 +258,7 @@ impl NetShared {
         n
     }
 
-    // -- global backpressure ----------------------------------------------
+    // -- parked-request limit ---------------------------------------------
 
     /// Notes one more locally parked request.
     pub(crate) fn parked_add(&self) {
@@ -272,45 +275,19 @@ impl NetShared {
         self.parked_total.load(Ordering::SeqCst)
     }
 
-    // -- affinity placement -----------------------------------------------
+    // -- placement --------------------------------------------------------
 
-    /// Records that `loop_id`'s traffic touched `shards`.
-    pub(crate) fn touch_shards(&self, loop_id: usize, shards: ShardSet) {
-        for s in shards.iter() {
-            self.touch[loop_id][s].fetch_add(1);
-        }
-    }
-
-    /// Picks the loop for a new connection. With a shard `hint` (from
-    /// the connection's first decoded request) the loop whose traffic
-    /// touches that shard most wins, so the relations a connection works
-    /// on stay cache-local to one loop; ties and hintless placement fall
-    /// back to least connections, then round-robin.
-    pub(crate) fn pick_loop(&self, hint: Option<usize>) -> usize {
+    /// Picks the loop for a new connection: the one with the fewest open
+    /// connections, round-robin among ties.
+    pub(crate) fn pick_loop(&self) -> usize {
         if self.n_loops == 1 {
             return 0;
-        }
-        if let Some(shard) = hint {
-            let scores: Vec<u64> = (0..self.n_loops)
-                .map(|l| self.touch[l][shard].load())
-                .collect();
-            let best = *scores.iter().max().unwrap_or(&0);
-            if best > 0 {
-                // Among loops within 50% of the hottest score, take the
-                // least loaded — affinity without starving cold loops.
-                let threshold = best / 2;
-                return (0..self.n_loops)
-                    .filter(|&l| scores[l] > threshold)
-                    .min_by_key(|&l| self.conns[l].load(Ordering::SeqCst))
-                    .unwrap_or(0);
-            }
         }
         let rr = self.rr.fetch_add(1, Ordering::SeqCst);
         let min = (0..self.n_loops)
             .map(|l| self.conns[l].load(Ordering::SeqCst))
             .min()
             .unwrap_or(0);
-        // Round-robin over the least-loaded loops.
         let tied: Vec<usize> = (0..self.n_loops)
             .filter(|&l| self.conns[l].load(Ordering::SeqCst) == min)
             .collect();
@@ -396,18 +373,21 @@ mod tests {
     }
 
     #[test]
-    fn affinity_prefers_the_touching_loop() {
+    fn placement_takes_the_least_loaded_loop() {
         let sh = NetShared::new(8, 4, Metrics::disabled());
-        let mut hot = ShardSet::new();
-        hot.insert(5);
-        for _ in 0..10 {
-            sh.touch_shards(2, hot);
-        }
-        assert_eq!(sh.pick_loop(Some(5)), 2);
-        // Hintless placement round-robins across least-loaded loops.
         sh.conn_opened(0);
         sh.conn_opened(1);
-        let l = sh.pick_loop(None);
+        let l = sh.pick_loop();
         assert!(l == 2 || l == 3, "least-connections wins: got {l}");
+        // Ties go round-robin: eight placements fill the loops evenly.
+        sh.conn_opened(2);
+        sh.conn_opened(3);
+        let mut placed = [0; 4];
+        for _ in 0..8 {
+            let l = sh.pick_loop();
+            sh.conn_opened(l);
+            placed[l] += 1;
+        }
+        assert_eq!(placed, [2; 4]);
     }
 }

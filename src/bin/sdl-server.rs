@@ -18,8 +18,8 @@
 //! * `--loops N`           event-loop worker threads over the shared
 //!   sharded store (default 1; clamped to 64)
 //! * `--shards N`          store shards (default 8)
-//! * `--max-parked N`      parked-request high watermark (across all
-//!   loops) before the server stops reading new requests
+//! * `--max-parked N`      parked-request limit across all loops; a
+//!   request that would park beyond it is answered with an error
 //!   (default 100000)
 //! * `--max-frame BYTES`   per-frame payload cap (default 1 MiB)
 //! * `--write-buf BYTES`   per-connection reply-buffer cap before that

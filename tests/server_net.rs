@@ -3,10 +3,12 @@
 //! hygiene (ISSUE acceptance: a client dropping mid-park must leave no
 //! blocked-queue residue).
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use sdl::metrics::{Counter, Gauge, LoopCounter, Metrics, MetricsRegistry};
-use sdl::server::wire::{encode_request, DEFAULT_MAX_FRAME};
+use sdl::server::wire::{decode_response, encode_request, frame, DEFAULT_MAX_FRAME, MAGIC};
 use sdl::server::{serve, Client, Request, Response, Server, ServerConfig};
 use sdl_tuple::{pattern, tuple, Tuple, Value};
 
@@ -16,9 +18,9 @@ fn start() -> (Server, std::sync::Arc<MetricsRegistry>) {
     (server, registry)
 }
 
-/// A 2-loop server. A connection whose first request names no shard (a
-/// ping) goes to the loop with fewer connections, so two clients can be
-/// put on different event loops deterministically.
+/// A 2-loop server. Each connection is placed on the loop with fewer
+/// open connections when it is accepted, so two clients that connect one
+/// after the other land on different event loops deterministically.
 fn start_two_loops() -> (Server, std::sync::Arc<MetricsRegistry>) {
     let (metrics, registry) = Metrics::registry();
     let cfg = ServerConfig {
@@ -207,9 +209,7 @@ fn cross_loop_park_is_woken_by_commit_on_the_other_loop() {
     a.set_timeout(Some(Duration::from_secs(10))).unwrap();
     b.set_timeout(Some(Duration::from_secs(10))).unwrap();
 
-    // The first request each sends is what releases it from the
-    // nursery. b's ping names no shard, so b goes to the loop a is not
-    // on; an `out` first would follow a to the loop touching `bridge`.
+    // a and b were placed on different loops when they connected.
     let id = a
         .send(&Request::In(pattern![Value::atom("bridge"), any]))
         .unwrap();
@@ -217,7 +217,6 @@ fn cross_loop_park_is_woken_by_commit_on_the_other_loop() {
     assert_eq!(pid, id);
     assert!(matches!(parked, Response::Parked), "{parked:?}");
     assert_eq!(registry.gauge(Gauge::BlockedQueueDepth), 1);
-    b.ping().expect("ping");
 
     // B's commit runs on the other loop; the wake must cross through
     // the mailbox + wake-fd handoff, never by polling.
@@ -241,10 +240,9 @@ fn cross_loop_disconnect_while_parked_settles_the_blocked_gauge() {
     let baseline = registry.gauge(Gauge::BlockedQueueDepth);
     let mut b = Client::connect(server.addr()).expect("connect b");
     b.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    // Pin b to a loop before a ever parks.
-    b.ping().expect("ping");
 
     {
+        // a connects while b is open, so it lands on the other loop.
         let mut a = Client::connect(server.addr()).expect("connect a");
         a.set_timeout(Some(Duration::from_secs(10))).unwrap();
         let id = a
@@ -308,6 +306,12 @@ fn four_loop_server_survives_mixed_load() {
         .map(|l| registry.loop_counter(l, LoopCounter::Requests))
         .sum();
     assert_eq!(served, 2000);
+    // Least-connections placement puts two of the eight connections on
+    // every loop.
+    for l in 0..4 {
+        let n = registry.loop_counter(l, LoopCounter::Requests);
+        assert!(n > 0, "loop {l} served no requests");
+    }
 
     server.shutdown().expect("shutdown");
 }
@@ -448,6 +452,119 @@ fn a_client_that_stops_reading_stalls_until_it_drains() {
         "connection gauge stuck at {}",
         registry.gauge(Gauge::NetConnections)
     );
+
+    server.shutdown().expect("shutdown");
+}
+
+/// A raw socket to `server`, for driving the handshake by hand.
+fn raw(server: &Server) -> TcpStream {
+    let s = TcpStream::connect(server.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    s.set_nodelay(true).unwrap();
+    s
+}
+
+/// Reads the magic echo off a raw socket.
+fn read_echo(s: &mut TcpStream) {
+    let mut echo = [0u8; 8];
+    s.read_exact(&mut echo).expect("magic echo");
+    assert_eq!(&echo, MAGIC);
+}
+
+/// Reads one response frame off a raw socket.
+fn read_reply(s: &mut TcpStream) -> (u64, Response) {
+    let mut header = [0u8; 8];
+    s.read_exact(&mut header).expect("frame header");
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let mut payload = vec![0u8; len];
+    s.read_exact(&mut payload).expect("frame payload");
+    decode_response(&payload).expect("response")
+}
+
+#[test]
+fn a_client_slow_to_send_its_magic_is_still_served() {
+    let (server, _registry) = start();
+    let mut s = raw(&server);
+    // Many poll timeouts pass with nothing to read; the connection waits.
+    std::thread::sleep(Duration::from_millis(300));
+    s.write_all(MAGIC).unwrap();
+    read_echo(&mut s);
+    s.write_all(&frame(&encode_request(1, &Request::Ping)))
+        .unwrap();
+    assert_eq!(read_reply(&mut s), (1, Response::Ok));
+
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn magic_and_a_first_frame_in_one_write_are_both_served() {
+    let (server, _registry) = start();
+    let mut s = raw(&server);
+    let mut hello = MAGIC.to_vec();
+    hello.extend(frame(&encode_request(7, &Request::Ping)));
+    s.write_all(&hello).unwrap();
+    read_echo(&mut s);
+    assert_eq!(read_reply(&mut s), (7, Response::Ok));
+
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn a_wrong_magic_closes_the_connection() {
+    let (server, registry) = start();
+    let mut s = raw(&server);
+    s.write_all(b"HTTP/1.1").unwrap();
+    let mut buf = [0u8; 8];
+    assert_eq!(s.read(&mut buf).expect("closed"), 0, "no echo, just EOF");
+    assert_eq!(registry.counter(Counter::NetProtocolErrors), 1);
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            registry.gauge(Gauge::NetConnections) == 0
+        }),
+        "connection gauge stuck at {}",
+        registry.gauge(Gauge::NetConnections)
+    );
+
+    server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn at_the_parked_limit_a_fresh_park_is_refused_and_serving_goes_on() {
+    let (metrics, registry) = Metrics::registry();
+    let cfg = ServerConfig {
+        max_parked: 4,
+        ..ServerConfig::default()
+    };
+    let server = serve(cfg, metrics).expect("bind ephemeral server");
+    let mut a = Client::connect(server.addr()).expect("connect a");
+    let mut b = Client::connect(server.addr()).expect("connect b");
+    a.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    b.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let take = Request::In(pattern![Value::atom("slot"), any]);
+
+    let parked: Vec<u64> = (0..4)
+        .map(|_| {
+            let id = a.send(&take).unwrap();
+            assert_eq!(a.recv().expect("parked"), (id, Response::Parked));
+            id
+        })
+        .collect();
+    let fifth = a.send(&take).unwrap();
+    let refused = Response::Error("parked-request limit reached".to_owned());
+    assert_eq!(a.recv().expect("refusal"), (fifth, refused));
+    assert_eq!(registry.counter(Counter::NetBackpressureStalls), 1);
+
+    // Another client still commits, and its out wakes one of a's parks.
+    b.out(tuple![Value::atom("slot"), 1i64])
+        .expect("out is acked");
+    let (id, resp) = a.recv().expect("wake");
+    assert!(parked.contains(&id), "woke {id}");
+    assert_eq!(resp, Response::Tuple(tuple![Value::atom("slot"), 1i64]));
+
+    // Below the limit again: a new `in` parks.
+    let id = a.send(&take).unwrap();
+    assert_eq!(a.recv().expect("parked"), (id, Response::Parked));
+    assert_eq!(registry.gauge(Gauge::BlockedQueueDepth), 4);
 
     server.shutdown().expect("shutdown");
 }
