@@ -344,10 +344,7 @@ impl<T> Committer<T> {
             }
         };
         let mut changed = WatchSet::new();
-        let apply_timer = self.metrics.start_timer();
         let (out, changed_shards) = view.apply_batch(actions, &mut changed);
-        self.metrics
-            .observe_timer(Hist::CommitApplySeconds, apply_timer);
         // Mint the commit id inside the lock scope and publish it on the
         // footprint: any attempt that later aborts against this batch
         // holds an overlapping write lock, so it reads a marker

@@ -10,6 +10,10 @@
 //! a snapshot, commits and wakes, and reports one [`Attempt`] outcome; the
 //! interpreter branches on that outcome, never on who drives it. Parking
 //! is the driver's: a turn that must wait returns [`Turn::Park`].
+//!
+//! The wake ledger is settled here too ([`settle_wake`]): each wake a
+//! process receives ends as one `sdl_wakes_total` verdict, decided by
+//! the turn it leads to.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,6 +23,7 @@ use rand::seq::SliceRandom;
 
 use sdl_dataspace::WatchSet;
 use sdl_lang::ast::TxnKind;
+use sdl_metrics::{Counter, Metrics};
 use sdl_tuple::{ProcId, Value};
 
 use crate::error::RuntimeError;
@@ -87,6 +92,8 @@ pub(crate) trait Executor {
     /// The observation stream and the step number its lifecycle records
     /// carry.
     fn tracer(&self) -> (&Tracer, u64);
+    /// Where wake verdicts are counted.
+    fn metrics(&self) -> &Metrics;
     /// Evaluates `t` and, when its query holds, commits it. On failure
     /// the watch set is the subscription of the transactions in `park`:
     /// empty, or `t` first and then unevaluated consensus guards.
@@ -181,14 +188,38 @@ pub(crate) fn step<X: Executor>(x: &mut X) -> Result<Turn, RuntimeError> {
 }
 
 /// Attempts `site` (what [`walk`] returned); `None` ends the process.
+/// Settles the wake the process carried into the turn.
 pub(crate) fn at<X: Executor>(x: &mut X, site: Option<Site>) -> Result<Turn, RuntimeError> {
-    match site {
+    let mut woken = std::mem::take(&mut x.proc().woken);
+    let turn = match site {
         None => {
             finish(x, false);
-            Ok(Turn::Progressed(false))
+            Turn::Progressed(false)
         }
-        Some(Site::Txn(t)) => txn(x, &t),
-        Some(Site::Guards(branches, mode)) => guards(x, &branches, mode),
+        Some(Site::Txn(t)) => txn(x, &t)?,
+        Some(Site::Guards(branches, mode)) => guards(x, &branches, mode)?,
+    };
+    settle_wake(x.metrics(), &mut woken, Some(&turn));
+    if woken {
+        x.proc().woken = true;
+    }
+    Ok(turn)
+}
+
+/// The wake ledger's one rule: settles the wake a process carries
+/// (`woken`, cleared here) by the turn it took next. A turn that moved
+/// it on (a commit, a skip, a completed construct or its termination) is
+/// progress; parking again, or the run or the process ending first
+/// (`None`, or the attempt cap mid-turn), is spurious. A lost conflict
+/// decides nothing: the wake stays pending until the retry.
+pub(crate) fn settle_wake(metrics: &Metrics, woken: &mut bool, turn: Option<&Turn>) {
+    if !std::mem::take(woken) {
+        return;
+    }
+    match turn {
+        Some(Turn::Lost) => *woken = true,
+        Some(Turn::Progressed(_)) => metrics.inc(Counter::WakeProgress),
+        Some(Turn::Park { .. } | Turn::Halted) | None => metrics.inc(Counter::WakeSpurious),
     }
 }
 

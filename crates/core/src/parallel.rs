@@ -239,8 +239,8 @@ struct Shared {
 struct Parked {
     proc: ProcessInstance,
     watch: WatchSet,
-    /// When it parked (for the blocked-time histogram and the stall
-    /// watchdog; `None` when neither metrics nor the watchdog is on).
+    /// When it parked, for the stall watchdog (`None` when it is not
+    /// armed).
     since: Option<Instant>,
     /// Set once by the watchdog, under the slot lock, so the gauge and
     /// the trace flag each stalled park exactly once.
@@ -321,13 +321,9 @@ impl ParallelRuntime {
             return Err(e);
         }
         // Wakes enqueued after the run wound down (done raced a wake)
-        // are never re-run; classify them so the wake ledger balances:
-        // every WakeupCommit ends as exactly one WakeProgress or
-        // WakeSpurious.
-        for p in shared.queue.lock().drain(..) {
-            if p.woken {
-                shared.metrics.inc(Counter::WakeSpurious);
-            }
+        // are never re-run: the run ended first.
+        for mut p in shared.queue.lock().drain(..) {
+            interp::settle_wake(&shared.metrics, &mut p.woken, None);
         }
         let mut blocked_pids: Vec<ProcId> = Vec::new();
         for parked in shared.committer.router.drain() {
@@ -563,6 +559,10 @@ impl interp::Executor for Worker<'_> {
         (&self.shared.tracer, 0)
     }
 
+    fn metrics(&self) -> &Metrics {
+        &self.shared.metrics
+    }
+
     /// Evaluates under the read-footprint locks, validates and applies
     /// under the write-footprint locks, and re-evaluates when a
     /// concurrent commit invalidated the evaluation. A failed evaluation
@@ -590,7 +590,6 @@ impl interp::Executor for Worker<'_> {
             let epoch = shared.committer.router.epoch();
             // Query under the read-footprint locks; effect construction
             // (which may run expensive host functions) outside any lock.
-            let timer = shared.metrics.start_timer();
             let eval_span = shared.tracer.begin();
             let mut probe = eval_span.map(|_| EvalProbe::new());
             let (query, park_watch) = {
@@ -627,7 +626,6 @@ impl interp::Executor for Worker<'_> {
                 };
                 (query, park_watch)
             };
-            shared.metrics.observe_timer(Hist::QueryEvalSeconds, timer);
             shared
                 .tracer
                 .eval_span(eval_span, probe.as_ref(), trace_id, proc.id);
@@ -635,13 +633,9 @@ impl interp::Executor for Worker<'_> {
                 shared.metrics.inc(failed_counter(t.kind));
                 return Ok(Attempt::Failed(park_watch, epoch));
             };
-            let effects_timer = shared.metrics.start_timer();
             let effects_span = shared.tracer.begin();
             let p = txn::build_effects(t, &query, &proc.env, &shared.builtins)?;
             let write_fp = commit_footprint(shared, proc, &p);
-            shared
-                .metrics
-                .observe_timer(Hist::EffectsBuildSeconds, effects_timer);
             shared
                 .tracer
                 .span(effects_span, trace_id, proc.id, SpanPhase::Effects);
@@ -676,10 +670,6 @@ impl interp::Executor for Worker<'_> {
             };
             shared.commits.fetch_add(1);
             shared.metrics.inc(committed_counter(t.kind));
-            if proc.woken {
-                proc.woken = false;
-                shared.metrics.inc(Counter::WakeProgress);
-            }
             if let (Some(cfg), true) = (&shared.stall, done.commit_id != 0) {
                 cfg.recent
                     .lock()
@@ -687,9 +677,6 @@ impl interp::Executor for Worker<'_> {
             }
             for (key, mut parked) in done.woken {
                 shared.metrics.inc(Counter::WakeupCommit);
-                shared
-                    .metrics
-                    .observe_timer(Hist::BlockedSeconds, parked.since);
                 settle_park(shared, &parked, ParkOutcome::Woken);
                 // The wake edge carries the committing transaction's id — the
                 // causality arrow the exporter draws from commit slice to wake
@@ -746,27 +733,14 @@ fn run_process(
     };
     loop {
         if shared.done.load(Ordering::SeqCst) {
-            // Run wound down with this process mid-flight. If a commit
-            // woke it, the wake never got its progress-or-spurious
-            // verdict — settle it here so the wake ledger balances.
-            if x.proc.woken {
-                shared.metrics.inc(Counter::WakeSpurious);
-            }
+            // Run wound down with this process mid-flight: a wake it
+            // carries ended with the run.
+            interp::settle_wake(&shared.metrics, &mut x.proc.woken, None);
             return Ok(());
         }
         match interp::step(&mut x)? {
             Turn::Progressed(_) | Turn::Lost if !x.ended => {}
-            Turn::Progressed(_) | Turn::Lost => return Ok(()),
-            Turn::Halted => {
-                // The attempt cap hit mid-step, so this wake's verdict
-                // is unknowable — settle it as spurious rather than
-                // leak it (found by schedule exploration: the wake
-                // ledger went unbalanced on step-limited runs).
-                if x.proc.woken {
-                    shared.metrics.inc(Counter::WakeSpurious);
-                }
-                return Ok(());
-            }
+            Turn::Progressed(_) | Turn::Lost | Turn::Halted => return Ok(()),
             Turn::Park { watch, epoch, .. } => {
                 park(shared, watch, epoch, x.proc);
                 return Ok(());
@@ -777,13 +751,7 @@ fn run_process(
 
 /// Parks a blocked process in the router (whose module docs argue why no
 /// wake-up is lost), or re-queues it when a commit raced the park.
-fn park(shared: &Shared, watch: WatchSet, eval_epoch: u64, mut proc: ProcessInstance) {
-    // Parking after a wakeup means the wake key matched but the query
-    // still failed — classify the wake as spurious.
-    if proc.woken {
-        proc.woken = false;
-        shared.metrics.inc(Counter::WakeSpurious);
-    }
+fn park(shared: &Shared, watch: WatchSet, eval_epoch: u64, proc: ProcessInstance) {
     let keys: Vec<WatchKey> = watch.iter().copied().collect();
     // Recorded before the slot is claimable, so its unpark comes after.
     shared.tracer.record(|t_us| TraceRecord::Park {
@@ -794,10 +762,7 @@ fn park(shared: &Shared, watch: WatchSet, eval_epoch: u64, mut proc: ProcessInst
         keys: trace::watch_labels(&watch),
     });
     let slot = Slot::new(Parked {
-        since: shared
-            .metrics
-            .start_timer()
-            .or_else(|| shared.stall.as_ref().map(|_| Instant::now())),
+        since: shared.stall.as_ref().map(|_| Instant::now()),
         stalled: false,
         proc,
         watch,

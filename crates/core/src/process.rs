@@ -48,8 +48,7 @@ pub struct ProcessInstance {
     /// waiting on this helper.
     pub(crate) parent: Option<ProcId>,
     /// Set when a wakeup moved this process from blocked to ready, and
-    /// cleared at its next commit (progress) or re-block (spurious) —
-    /// the schedulers use it to classify wake precision.
+    /// cleared when `interp::settle_wake` classifies the wake.
     pub(crate) woken: bool,
 }
 

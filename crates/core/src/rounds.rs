@@ -58,7 +58,7 @@ impl Runtime {
             pids.sort_unstable();
             pids.shuffle(&mut self.rng);
 
-            let mut commits = 0u64;
+            let mut committed = false;
             let mut progressed = false;
             for pid in pids {
                 // One turn per live process: its next construct, or a
@@ -68,23 +68,26 @@ impl Runtime {
                 };
                 let site = interp::walk(proc);
                 self.unblock(pid);
-                let (c, p) = match site {
+                let turn = match site {
                     Some(Site::Guards(branches, GuardMode::Repl)) => {
-                        self.round_repl(pid, &branches, &snapshot)?
+                        let proc = self.procs.get_mut(&pid).expect("process is live");
+                        let mut woken = std::mem::take(&mut proc.woken);
+                        let turn = self.round_repl(pid, &branches, &snapshot)?;
+                        interp::settle_wake(&self.metrics, &mut woken, Some(&turn));
+                        turn
                     }
-                    site => match interp::at(&mut self.exec(pid, Some(&snapshot)), site)? {
-                        Turn::Progressed(committed) => (committed.into(), true),
-                        Turn::Park {
-                            watch, consensus, ..
-                        } => {
-                            self.block(pid, watch, consensus);
-                            (0, false)
-                        }
-                        Turn::Lost | Turn::Halted => (0, false),
-                    },
+                    site => interp::at(&mut self.exec(pid, Some(&snapshot)), site)?,
                 };
-                commits += c;
-                progressed |= p;
+                match turn {
+                    Turn::Progressed(c) => {
+                        committed |= c;
+                        progressed = true;
+                    }
+                    Turn::Park {
+                        watch, consensus, ..
+                    } => self.block(pid, watch, consensus),
+                    Turn::Lost | Turn::Halted => {}
+                }
             }
             // End-of-round barrier: fire every complete community.
             let mut fired = false;
@@ -93,7 +96,7 @@ impl Runtime {
             }
             self.ready.clear(); // rounds mode iterates the society directly
 
-            if commits > 0 || fired {
+            if committed || fired {
                 self.report.rounds += 1;
             } else if progressed {
                 // Control-only progress (frame pops, skips, terminations)
@@ -117,9 +120,9 @@ impl Runtime {
         pid: ProcId,
         branches: &Arc<[CompiledBranch]>,
         snap: &Dataspace,
-    ) -> Result<(u64, bool), RuntimeError> {
+    ) -> Result<Turn, RuntimeError> {
         let mut local = snap.clone();
-        let mut commits = 0u64;
+        let mut committed = false;
         let mut order: Vec<usize> = (0..branches.len()).collect();
         order.shuffle(&mut self.rng);
         let kind_present = |k| branches.iter().any(|b| b.guard.kind == k);
@@ -132,7 +135,7 @@ impl Runtime {
             }
             loop {
                 if !self.procs.contains_key(&pid) {
-                    return Ok((commits, true)); // aborted mid-construct
+                    return Ok(Turn::Progressed(committed)); // aborted mid-construct
                 }
                 self.report.attempts += 1;
                 self.metrics.inc(attempts_counter(guard.kind));
@@ -143,7 +146,7 @@ impl Runtime {
                 };
                 if p.validate(&self.ds) {
                     self.commit_single(pid, &p, guard.kind)?;
-                    commits += 1;
+                    committed = true;
                     for id in &p.retracts {
                         local.retract(*id);
                     }
@@ -151,7 +154,7 @@ impl Runtime {
                     let rest = branches[i].rest.clone();
                     interp::enter_branch(&mut self.exec(pid, None), &p, rest, GuardMode::Repl)?;
                     if exited {
-                        return Ok((commits, true));
+                        return Ok(Turn::Progressed(true));
                     }
                     if p.retracts.is_empty() {
                         // A read-only guard matches the same solution
@@ -176,26 +179,29 @@ impl Runtime {
             }
         }
 
-        if commits > 0 {
-            return Ok((commits, true));
+        if committed {
+            return Ok(Turn::Progressed(true));
         }
         let helpers = match self.procs[&pid].frames.last() {
             Some(Frame::Repl { active, .. }) => *active,
             _ => 0,
         };
         if consensus || kind_present(TxnKind::Delayed) || helpers > 0 {
-            let mut w = sdl_dataspace::WatchSet::new();
+            let mut watch = sdl_dataspace::WatchSet::new();
             for b in branches.iter() {
-                w.extend(&self.txn_watch(pid, &b.guard));
+                watch.extend(&self.txn_watch(pid, &b.guard));
             }
-            self.block(pid, w, consensus);
-            return Ok((0, false));
+            return Ok(Turn::Park {
+                watch,
+                epoch: u64::MAX,
+                consensus,
+            });
         }
         self.procs
             .get_mut(&pid)
             .expect("process is live")
             .frames
             .pop();
-        Ok((commits, true))
+        Ok(Turn::Progressed(false))
     }
 }

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use sdl_dataspace::{Action, Dataspace, SolveLimits, WatchKey, WatchSet};
 use sdl_durability::Wal;
 use sdl_lang::ast::TxnKind;
-use sdl_metrics::{Counter, Gauge, Hist, Metrics};
+use sdl_metrics::{Counter, Gauge, Metrics};
 use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
 use crate::builder::{Config, RuntimeBuilder, RuntimeStore};
@@ -44,8 +44,8 @@ type Contribution = (GuardMode, Arc<[CompiledStmt]>, Pending);
 pub(crate) struct BlockInfo {
     pub(crate) watch: WatchSet,
     pub(crate) has_consensus: bool,
-    /// When the process blocked; populated when metrics or the stall
-    /// watchdog are enabled.
+    /// When the process blocked; populated when the stall watchdog is
+    /// armed.
     pub(crate) since: Option<Instant>,
 }
 
@@ -402,8 +402,12 @@ impl Runtime {
     }
 
     /// Closes the park interval of every still-blocked process, so a
-    /// finished run leaves no open park in the stream.
-    pub(crate) fn drain_parks(&self) {
+    /// finished run leaves no open park in the stream, and settles the
+    /// wakes the run ended before.
+    pub(crate) fn drain_parks(&mut self) {
+        for proc in self.procs.values_mut() {
+            interp::settle_wake(&self.metrics, &mut proc.woken, None);
+        }
         for &pid in self.blocked.keys() {
             self.tracer.record(|t_us| TraceRecord::Unpark {
                 pid,
@@ -461,7 +465,6 @@ impl Runtime {
     ) -> Result<Result<Pending, WatchSet>, RuntimeError> {
         let proc = &self.procs[&pid];
         let ds = source_ds.unwrap_or(&self.ds);
-        let timer = self.metrics.start_timer();
         let span = self.tracer.begin();
         let mut probe = span.map(|_| EvalProbe::new());
         let source = proc.def.view.window(ds, &proc.env, &self.builtins);
@@ -486,7 +489,6 @@ impl Runtime {
                 Ok(Err(watch))
             }
         });
-        self.metrics.observe_timer(Hist::QueryEvalSeconds, timer);
         self.tracer
             .eval_span(span, probe.as_ref(), self.cur_trace, pid);
         result
@@ -518,12 +520,6 @@ impl Runtime {
         kind: TxnKind,
     ) -> Result<WatchSet, RuntimeError> {
         let (changed, _) = self.commit_composite(&[(pid, p)], kind, || batch_desc(p))?;
-        if let Some(proc) = self.procs.get_mut(&pid) {
-            if proc.woken {
-                proc.woken = false;
-                self.metrics.inc(Counter::WakeProgress);
-            }
-        }
         Ok(changed)
     }
 
@@ -535,9 +531,9 @@ impl Runtime {
     /// keys and the commit id.
     ///
     /// The whole commit goes through [`Dataspace::apply_batch`], so index
-    /// maintenance is grouped per index entry and the store version bumps
-    /// once — a high-fanout `forall` commit touches each `(functor,
-    /// arity)` bucket a single time instead of once per tuple.
+    /// maintenance is grouped per index entry — a high-fanout `forall`
+    /// commit touches each `(functor, arity)` bucket a single time
+    /// instead of once per tuple.
     fn commit_composite(
         &mut self,
         parts: &[(ProcId, &Pending)],
@@ -577,7 +573,6 @@ impl Runtime {
                     .map(|(t, _)| Action::Assert(*pid, t.clone())),
             );
         }
-        let apply_timer = self.metrics.start_timer();
         let commit_span = self.tracer.begin();
         let mut changed = WatchSet::new();
         let out = self.ds.apply_batch(&actions, &mut changed);
@@ -612,8 +607,6 @@ impl Runtime {
                 .collect();
             self.wal_append(&retracts, &asserts)?;
         }
-        self.metrics
-            .observe_timer(Hist::CommitApplySeconds, apply_timer);
         let commit_id = self.tracer.new_commit();
         if commit_id != 0 {
             self.last_commit_id = commit_id;
@@ -699,9 +692,10 @@ impl Runtime {
     }
 
     /// Removes a process from the society, the blocked set and the
-    /// community index.
+    /// community index, settling a wake it never took a turn on.
     fn bury(&mut self, pid: ProcId) -> Option<ProcessInstance> {
-        let proc = self.procs.remove(&pid)?;
+        let mut proc = self.procs.remove(&pid)?;
+        interp::settle_wake(&self.metrics, &mut proc.woken, None);
         self.communities.remove(pid);
         self.unblock(pid);
         Some(proc)
@@ -750,15 +744,6 @@ impl Runtime {
 
     pub(crate) fn block(&mut self, pid: ProcId, watch: WatchSet, has_consensus: bool) {
         self.metrics.inc(Counter::ProcessesBlocked);
-        // A process that re-blocks without having committed since its
-        // last wakeup was woken spuriously (the key matched, the query
-        // still failed).
-        if let Some(proc) = self.procs.get_mut(&pid) {
-            if proc.woken {
-                proc.woken = false;
-                self.metrics.inc(Counter::WakeSpurious);
-            }
-        }
         self.tracer.record(|t_us| TraceRecord::Park {
             step: self.report.attempts,
             pid,
@@ -779,10 +764,7 @@ impl Runtime {
             BlockInfo {
                 watch,
                 has_consensus,
-                since: self
-                    .metrics
-                    .start_timer()
-                    .or_else(|| self.stall.as_ref().map(|_| Instant::now())),
+                since: self.stall.as_ref().map(|_| Instant::now()),
             },
         );
     }
@@ -799,10 +781,13 @@ impl Runtime {
     }
 
     /// Removes `pid` from the blocked set, unsubscribing its watch keys
-    /// and settling the queue-depth gauge. All unparking goes through
-    /// here so the wake index never holds stale subscriptions.
-    pub(crate) fn unblock(&mut self, pid: ProcId) -> Option<BlockInfo> {
-        let info = self.blocked.remove(&pid)?;
+    /// and settling the queue-depth gauge; false when `pid` was not
+    /// parked. All unparking goes through here so the wake index never
+    /// holds stale subscriptions.
+    pub(crate) fn unblock(&mut self, pid: ProcId) -> bool {
+        let Some(info) = self.blocked.remove(&pid) else {
+            return false;
+        };
         self.unindex_watch(pid, &info.watch);
         self.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
         if let Some(stall) = &mut self.stall {
@@ -815,7 +800,7 @@ impl Runtime {
             t_us,
             outcome: ParkOutcome::Woken,
         });
-        Some(info)
+        true
     }
 
     pub(crate) fn wake(&mut self, changed: &WatchSet) {
@@ -856,11 +841,10 @@ impl Runtime {
         commit: u64,
         key: impl FnOnce() -> String,
     ) -> bool {
-        let Some(info) = self.unblock(pid) else {
+        if !self.unblock(pid) {
             return false;
-        };
+        }
         self.metrics.inc(counter);
-        self.metrics.observe_timer(Hist::BlockedSeconds, info.since);
         self.tracer.record(|t_us| TraceRecord::Wake {
             pid,
             commit,
@@ -970,7 +954,6 @@ impl Runtime {
         contributions: Vec<(ProcId, Contribution)>,
     ) -> Result<(), RuntimeError> {
         self.report.consensus_rounds += 1;
-        self.metrics.inc(Counter::ConsensusRounds);
 
         let parts: Vec<(ProcId, &Pending)> = contributions
             .iter()
@@ -989,10 +972,9 @@ impl Runtime {
                 self.metrics.inc(Counter::WakeProgress);
             }
             // An earlier participant's `abort` may have cancelled this one.
-            let Some(proc) = self.procs.get_mut(pid) else {
+            if !self.procs.contains_key(pid) {
                 continue;
-            };
-            proc.woken = false;
+            }
             interp::enter_branch(&mut self.exec(*pid, None), p, rest.clone(), *mode)?;
             if self.procs.contains_key(pid) && !self.blocked.contains_key(pid) {
                 self.ready.push_back(*pid);
@@ -1038,6 +1020,10 @@ impl interp::Executor for SerialExec<'_> {
 
     fn tracer(&self) -> (&Tracer, u64) {
         (&self.rt.tracer, self.rt.report.attempts)
+    }
+
+    fn metrics(&self) -> &Metrics {
+        &self.rt.metrics
     }
 
     fn attempt(&mut self, t: &CompiledTxn, park: &[&CompiledTxn]) -> Result<Attempt, RuntimeError> {

@@ -28,7 +28,7 @@ use sdl_dataspace::solve::resolve_pattern;
 use sdl_dataspace::{AtomMode, QueryAtom, SolveLimits, Solver, TupleSource, WatchSet};
 use sdl_lang::ast::Expr;
 use sdl_lang::expr::{eval, EvalContext};
-use sdl_metrics::{Counter, Hist, Metrics};
+use sdl_metrics::{Counter, Metrics};
 use sdl_tuple::{Bindings, Field, Pattern, Tuple, TupleId, Value, VarId};
 
 use crate::builtins::Builtins;
@@ -282,13 +282,7 @@ impl CompiledView {
         metrics.inc(Counter::WindowsBuilt);
         match self.resolve_import(env, builtins) {
             Some(rules) => QuerySource::Lazy(Lazy::new(ds, rules, env, builtins)),
-            None => {
-                // A full window's size is just the store size; lazy
-                // windows are deliberately not counted (materialising
-                // them would defeat their purpose).
-                metrics.observe(Hist::WindowSize, ds.tuple_count() as f64);
-                QuerySource::Full(ds)
-            }
+            None => QuerySource::Full(ds),
         }
     }
 

@@ -5,7 +5,7 @@
 //! and modified by atomic transactions. It provides:
 //!
 //! * [`Dataspace`] — the multiset store with tuple-instance identity,
-//!   ownership, a two-posting index (head, slot 1) and a version counter;
+//!   ownership and a two-posting index (head, slot 1);
 //! * [`solve`] — the conjunctive query solver used by
 //!   transactions: existential/universal quantification, per-atom
 //!   retraction tags, negation, and an arbitrary test predicate over

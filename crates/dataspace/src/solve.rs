@@ -404,7 +404,6 @@ impl<'a, S: TupleSource + ?Sized> Solver<'a, S> {
                 return true; // retract atoms take pairwise-distinct instances
             }
             let mark = branch.bindings.mark();
-            metrics.inc(Counter::MatchAttempts);
             if !atom.pattern.matches(tuple, &mut branch.bindings) {
                 return true;
             }
@@ -638,7 +637,6 @@ mod tests {
         let sols = solver.all_staged(None, &mut |_, _| true, SolveLimits::default());
         assert_eq!(sols.len(), 3);
         assert!(reg.counter(Counter::MatchCandidates) >= 3);
-        assert!(reg.counter(Counter::MatchAttempts) >= 3);
         assert!(reg.counter(Counter::SolverBacktracks) >= 3);
     }
 }

@@ -269,7 +269,6 @@ impl Dataspace {
         let id = self.mint(owner);
         self.index.insert(id, tuple);
         self.metrics.inc(Counter::TuplesAsserted);
-        self.metrics.inc(Counter::StoreVersionBumps);
         id
     }
 
@@ -277,7 +276,6 @@ impl Dataspace {
     pub fn retract(&mut self, id: TupleId) -> Option<Tuple> {
         let (tuple, _) = self.index.remove(id)?;
         self.metrics.inc(Counter::TuplesRetracted);
-        self.metrics.inc(Counter::StoreVersionBumps);
         Some(tuple)
     }
 
@@ -350,10 +348,8 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Counts the batch's mutations into `metrics`, once per batch.
     pub(crate) fn record(&self, metrics: &Metrics) {
-        let (retracted, asserted) = (self.retracted.len() as u64, self.asserted.len() as u64);
-        metrics.add(Counter::TuplesRetracted, retracted);
-        metrics.add(Counter::TuplesAsserted, asserted);
-        metrics.add(Counter::StoreVersionBumps, retracted + asserted);
+        metrics.add(Counter::TuplesRetracted, self.retracted.len() as u64);
+        metrics.add(Counter::TuplesAsserted, self.asserted.len() as u64);
     }
 }
 
@@ -501,16 +497,15 @@ mod tests {
     }
 
     #[test]
-    fn version_bumps_on_mutation() {
+    fn noop_retract_counts_nothing() {
         let (m, reg) = Metrics::registry();
         let mut d = Dataspace::new();
         d.set_metrics(m);
         let id = d.assert_tuple(ProcId(1), tuple![1]);
-        assert_eq!(reg.counter(Counter::StoreVersionBumps), 1);
-        d.retract(id);
-        assert_eq!(reg.counter(Counter::StoreVersionBumps), 2);
-        d.retract(id);
-        assert_eq!(reg.counter(Counter::StoreVersionBumps), 2, "no-op retract");
+        assert_eq!(d.retract(id), Some(tuple![1]));
+        assert_eq!(reg.counter(Counter::TuplesRetracted), 1);
+        assert_eq!(d.retract(id), None);
+        assert_eq!(reg.counter(Counter::TuplesRetracted), 1, "no-op retract");
     }
 
     #[test]
@@ -592,7 +587,6 @@ mod tests {
         d.retract(id);
         assert_eq!(reg.counter(Counter::TuplesAsserted), 1);
         assert_eq!(reg.counter(Counter::TuplesRetracted), 1);
-        assert_eq!(reg.counter(Counter::StoreVersionBumps), 2);
         d.assert_tuple(ProcId(1), tuple![atom("k"), 2]);
         d.candidate_ids(&pattern![atom("k"), 2]); // arg1 point lookup
         d.candidate_ids(&pattern![atom("k"), any]); // functor index
@@ -697,7 +691,6 @@ mod tests {
         );
         assert_eq!(reg.counter(Counter::TuplesAsserted), 3);
         assert_eq!(reg.counter(Counter::TuplesRetracted), 1);
-        assert_eq!(reg.counter(Counter::StoreVersionBumps), 4);
     }
 
     #[test]

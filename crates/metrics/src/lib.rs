@@ -10,8 +10,10 @@
 //! [`Counter`] flattens the Prometheus (name, labels) pair into one
 //! discriminant (e.g. [`Counter::TxnCommittedConsensus`] renders as
 //! `sdl_txn_committed_total{mode="consensus"}`), so recording a metric is
-//! an array index, not a hash lookup. [`Hist`] does the same for the three
-//! fixed-bucket histograms.
+//! an array index, not a hash lookup. [`Hist`] does the same for the
+//! fixed-bucket histograms. Time spent in a transaction's phases (guard
+//! evaluation, effects, commit, parking) is the trace stream's to
+//! report, not a histogram's: each observation is recorded once.
 //!
 //! [`MetricsRegistry::render_prometheus`] produces the standard text
 //! exposition format (`# HELP` / `# TYPE` + one line per series), which
@@ -58,8 +60,6 @@ pub enum Counter {
     TuplesRetracted,
     /// Asserts suppressed by a view's export filter.
     ExportDropped,
-    /// Dataspace version-counter increments.
-    StoreVersionBumps,
     /// Candidate lookups served by the (functor, arity, arg1) index.
     IndexHitArg1,
     /// Candidate lookups served by the (functor, arity) index.
@@ -70,8 +70,6 @@ pub enum Counter {
     IndexHitValue,
     /// Candidate lookups answered by intersecting two point indexes.
     IndexHitIntersect,
-    /// Pattern-match tests performed by the solver.
-    MatchAttempts,
     /// Candidate tuples enumerated by the solver.
     MatchCandidates,
     /// Solver binding rollbacks (one per exhausted candidate).
@@ -93,15 +91,13 @@ pub enum Counter {
     WakeupCommit,
     /// `sdl_wakeups_total{cause="consensus"}`
     WakeupConsensus,
-    /// `sdl_wakes_total{result="progress"}` — a woken process committed
-    /// before blocking again.
+    /// `sdl_wakes_total{result="progress"}` — a woken process's next turn
+    /// moved it on: a commit, a skip, a completed construct or its end.
     WakeProgress,
-    /// `sdl_wakes_total{result="spurious"}` — a woken process re-blocked
-    /// without committing (the wake key matched but the query still
-    /// failed).
+    /// `sdl_wakes_total{result="spurious"}` — a woken process parked
+    /// again (the wake key matched but the query still failed), or the
+    /// run ended before its turn.
     WakeSpurious,
-    /// Consensus transactions fired.
-    ConsensusRounds,
     /// `sdl_consensus_checks_total{result="fired"}` — a community check
     /// that found a complete community and fired it.
     ConsensusChecksFired,
@@ -158,7 +154,7 @@ pub enum Counter {
 
 impl Counter {
     /// All counters in exposition order.
-    pub(crate) const ALL: [Counter; 55] = [
+    pub(crate) const ALL: [Counter; 52] = [
         Counter::TxnAttemptsImmediate,
         Counter::TxnAttemptsDelayed,
         Counter::TxnAttemptsConsensus,
@@ -172,13 +168,11 @@ impl Counter {
         Counter::TuplesAsserted,
         Counter::TuplesRetracted,
         Counter::ExportDropped,
-        Counter::StoreVersionBumps,
         Counter::IndexHitArg1,
         Counter::IndexHitFunctor,
         Counter::IndexHitArity,
         Counter::IndexHitValue,
         Counter::IndexHitIntersect,
-        Counter::MatchAttempts,
         Counter::MatchCandidates,
         Counter::SolverBacktracks,
         Counter::PlanCacheHit,
@@ -191,7 +185,6 @@ impl Counter {
         Counter::WakeupConsensus,
         Counter::WakeProgress,
         Counter::WakeSpurious,
-        Counter::ConsensusRounds,
         Counter::ConsensusChecksFired,
         Counter::ConsensusChecksIncomplete,
         Counter::ConsensusImportRecomputes,
@@ -235,13 +228,11 @@ impl Counter {
             Counter::TuplesAsserted => "sdl_tuples_asserted_total",
             Counter::TuplesRetracted => "sdl_tuples_retracted_total",
             Counter::ExportDropped => "sdl_export_dropped_total",
-            Counter::StoreVersionBumps => "sdl_store_version_bumps_total",
             Counter::IndexHitArg1
             | Counter::IndexHitFunctor
             | Counter::IndexHitArity
             | Counter::IndexHitValue
             | Counter::IndexHitIntersect => "sdl_index_lookups_total",
-            Counter::MatchAttempts => "sdl_match_attempts_total",
             Counter::MatchCandidates => "sdl_match_candidates_total",
             Counter::SolverBacktracks => "sdl_solver_backtracks_total",
             Counter::PlanCacheHit | Counter::PlanCacheMiss | Counter::PlanReplans => {
@@ -252,7 +243,6 @@ impl Counter {
             Counter::ProcessesBlocked => "sdl_process_blocked_total",
             Counter::WakeupCommit | Counter::WakeupConsensus => "sdl_wakeups_total",
             Counter::WakeProgress | Counter::WakeSpurious => "sdl_wakes_total",
-            Counter::ConsensusRounds => "sdl_consensus_rounds_total",
             Counter::ConsensusChecksFired | Counter::ConsensusChecksIncomplete => {
                 "sdl_consensus_checks_total"
             }
@@ -334,13 +324,11 @@ impl Counter {
             Counter::TuplesAsserted => "Tuples asserted into the dataspace.",
             Counter::TuplesRetracted => "Tuples retracted from the dataspace.",
             Counter::ExportDropped => "Asserts suppressed by a view's export filter.",
-            Counter::StoreVersionBumps => "Dataspace version increments (mutations).",
             Counter::IndexHitArg1
             | Counter::IndexHitFunctor
             | Counter::IndexHitArity
             | Counter::IndexHitValue
             | Counter::IndexHitIntersect => "Candidate lookups, by index used.",
-            Counter::MatchAttempts => "Tuple pattern-match tests performed by the solver.",
             Counter::MatchCandidates => "Candidate tuples enumerated by the solver.",
             Counter::SolverBacktracks => "Solver binding rollbacks during search.",
             Counter::PlanCacheHit | Counter::PlanCacheMiss | Counter::PlanReplans => {
@@ -355,9 +343,8 @@ impl Counter {
                 "Blocked-process wakeups, by cause."
             }
             Counter::WakeProgress | Counter::WakeSpurious => {
-                "Wake outcomes: the woken process committed (progress) or re-blocked (spurious)."
+                "Wake outcomes: the woken process moved on (progress) or parked again (spurious)."
             }
-            Counter::ConsensusRounds => "Consensus transactions fired.",
             Counter::ConsensusChecksFired | Counter::ConsensusChecksIncomplete => {
                 "Consensus community checks, by whether one fired."
             }
@@ -399,25 +386,11 @@ impl Counter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Hist {
-    /// Wall-clock seconds per transaction guard evaluation.
-    QueryEvalSeconds,
-    /// Tuples admitted per constructed window.
-    WindowSize,
-    /// Wall-clock seconds a process spent blocked before waking.
-    BlockedSeconds,
     /// Wall-clock seconds spent acquiring shard locks (per footprint
     /// acquisition, summed over the shards in the footprint).
     ShardLockWaitSeconds,
     /// Wall-clock seconds per write-ahead-log fsync.
     WalFsyncSeconds,
-    /// Wall-clock seconds spent building a committed transaction's effect
-    /// set (substituting bindings into asserts/retracts) after the guard
-    /// succeeded.
-    EffectsBuildSeconds,
-    /// Wall-clock seconds spent inside the commit critical section
-    /// (validation + batch application + WAL append, under write locks in
-    /// the threaded executor).
-    CommitApplySeconds,
     /// Requests committed per engine batch by the networked server (one
     /// observation per `apply_batch` flush).
     NetBatchSize,
@@ -435,14 +408,9 @@ const SIZE_BUCKETS: &[f64] = &[
 
 impl Hist {
     /// All histograms in exposition order.
-    pub(crate) const ALL: [Hist; 9] = [
-        Hist::QueryEvalSeconds,
-        Hist::WindowSize,
-        Hist::BlockedSeconds,
+    pub(crate) const ALL: [Hist; 4] = [
         Hist::ShardLockWaitSeconds,
         Hist::WalFsyncSeconds,
-        Hist::EffectsBuildSeconds,
-        Hist::CommitApplySeconds,
         Hist::NetBatchSize,
         Hist::ReplApplySeconds,
     ];
@@ -450,13 +418,8 @@ impl Hist {
     /// The Prometheus metric name.
     pub(crate) fn name(self) -> &'static str {
         match self {
-            Hist::QueryEvalSeconds => "sdl_query_eval_seconds",
-            Hist::WindowSize => "sdl_window_size",
-            Hist::BlockedSeconds => "sdl_process_blocked_seconds",
             Hist::ShardLockWaitSeconds => "sdl_shard_lock_wait_seconds",
             Hist::WalFsyncSeconds => "sdl_wal_fsync_seconds",
-            Hist::EffectsBuildSeconds => "sdl_effects_build_seconds",
-            Hist::CommitApplySeconds => "sdl_commit_apply_seconds",
             Hist::NetBatchSize => "sdl_net_batch_size",
             Hist::ReplApplySeconds => "sdl_repl_apply_seconds",
         }
@@ -465,15 +428,8 @@ impl Hist {
     /// Help text.
     pub(crate) fn help(self) -> &'static str {
         match self {
-            Hist::QueryEvalSeconds => "Latency of transaction guard evaluation.",
-            Hist::WindowSize => "Tuples admitted per constructed window.",
-            Hist::BlockedSeconds => "Time processes spent blocked before waking.",
             Hist::ShardLockWaitSeconds => "Time spent acquiring shard-lock footprints.",
             Hist::WalFsyncSeconds => "Latency of write-ahead-log fsyncs.",
-            Hist::EffectsBuildSeconds => "Time spent building committed effect sets.",
-            Hist::CommitApplySeconds => {
-                "Time inside the commit critical section (validate + apply + WAL append)."
-            }
             Hist::NetBatchSize => "Requests committed per networked-server engine batch.",
             Hist::ReplApplySeconds => "Time a follower spent applying one shipped commit record.",
         }
@@ -482,14 +438,10 @@ impl Hist {
     /// Upper bounds of the cumulative buckets (exclusive of `+Inf`).
     pub(crate) fn buckets(self) -> &'static [f64] {
         match self {
-            Hist::QueryEvalSeconds
-            | Hist::BlockedSeconds
-            | Hist::ShardLockWaitSeconds
-            | Hist::WalFsyncSeconds
-            | Hist::EffectsBuildSeconds
-            | Hist::CommitApplySeconds
-            | Hist::ReplApplySeconds => LATENCY_BUCKETS,
-            Hist::WindowSize | Hist::NetBatchSize => SIZE_BUCKETS,
+            Hist::ShardLockWaitSeconds | Hist::WalFsyncSeconds | Hist::ReplApplySeconds => {
+                LATENCY_BUCKETS
+            }
+            Hist::NetBatchSize => SIZE_BUCKETS,
         }
     }
 }
@@ -538,9 +490,9 @@ impl ShardCounter {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum LoopCounter {
-    /// `sdl_net_requests_total{loop="i"}` — wire requests decoded and
-    /// executed by event loop *i* (the per-loop decomposition of the
-    /// `op=`-labelled request series).
+    /// `sdl_net_loop_requests_total{loop="i"}` — wire requests decoded
+    /// and executed by event loop *i*; summed over loops, the same total
+    /// as `sdl_net_requests_total` over `op`.
     Requests,
     /// `sdl_net_loop_wake_handoffs_total{loop="i"}` — wakes claimed by a
     /// commit on another loop and handed to loop *i* through its mailbox
@@ -558,7 +510,7 @@ impl LoopCounter {
     /// The Prometheus metric name (family).
     pub(crate) fn name(self) -> &'static str {
         match self {
-            LoopCounter::Requests => "sdl_net_requests_total",
+            LoopCounter::Requests => "sdl_net_loop_requests_total",
             LoopCounter::WakeHandoffs => "sdl_net_loop_wake_handoffs_total",
         }
     }
@@ -907,41 +859,6 @@ impl MetricsRegistry {
         self.hists[hist as usize].count.load(Ordering::Relaxed)
     }
 
-    /// Renders the touched series of one per-loop counter into `out`.
-    /// `headers` emits HELP/TYPE (families of their own); the request
-    /// series instead joins the op-labelled family's existing block.
-    fn render_loop_series(&self, out: &mut String, lc: LoopCounter, headers: bool) {
-        use std::fmt::Write;
-        let nonzero: Vec<usize> = (0..LOOP_SLOTS)
-            .filter(|&l| self.loop_counter(l, lc) != 0)
-            .collect();
-        if nonzero.is_empty() {
-            return;
-        }
-        if headers {
-            let _ = writeln!(out, "# HELP {} {}", lc.name(), lc.help());
-            let _ = writeln!(out, "# TYPE {} counter", lc.name());
-        }
-        for l in nonzero {
-            if l == MAX_LOOP_SERIES {
-                let _ = writeln!(
-                    out,
-                    "{}{{loop=\"overflow\"}} {}",
-                    lc.name(),
-                    self.loop_counter(l, lc)
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{}{{loop=\"{}\"}} {}",
-                    lc.name(),
-                    l,
-                    self.loop_counter(l, lc)
-                );
-            }
-        }
-    }
-
     /// Renders the whole registry in Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write;
@@ -960,12 +877,6 @@ impl MetricsRegistry {
             } else {
                 let _ = writeln!(out, "{}{{{}}} {}", c.name(), labels, self.counter(c));
             }
-            if c == Counter::NetReqOther {
-                // The per-loop request series shares the
-                // sdl_net_requests_total family with the op= series, so
-                // its samples must stay inside this family block.
-                self.render_loop_series(&mut out, LoopCounter::Requests, false);
-            }
         }
         for &g in &Gauge::ALL {
             let _ = writeln!(out, "# HELP {} {}", g.name(), g.help());
@@ -973,38 +884,13 @@ impl MetricsRegistry {
             let _ = writeln!(out, "{} {}", g.name(), self.gauge(g));
         }
         for &sc in &ShardCounter::ALL {
-            // Only shards the run actually touched get a series; an idle
-            // 64-shard tail would drown the exposition in zeros.
-            let nonzero: Vec<usize> = (0..SHARD_SLOTS)
-                .filter(|&s| self.shard_counter(s, sc) != 0)
-                .collect();
-            if nonzero.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "# HELP {} {}", sc.name(), sc.help());
-            let _ = writeln!(out, "# TYPE {} counter", sc.name());
-            for s in nonzero {
-                if s == MAX_SHARD_SERIES {
-                    let _ = writeln!(
-                        out,
-                        "{}{{shard=\"overflow\"}} {}",
-                        sc.name(),
-                        self.shard_counter(s, sc)
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "{}{{shard=\"{}\"}} {}",
-                        sc.name(),
-                        s,
-                        self.shard_counter(s, sc)
-                    );
-                }
-            }
+            let slots = &self.shard_counters[sc as usize * SHARD_SLOTS..][..SHARD_SLOTS];
+            render_slots(&mut out, sc.name(), sc.help(), "shard", slots);
         }
-        // Per-loop families that don't merge into an existing counter
-        // family get their own block (requests rendered above).
-        self.render_loop_series(&mut out, LoopCounter::WakeHandoffs, true);
+        for &lc in &LoopCounter::ALL {
+            let slots = &self.loop_counters[lc as usize * LOOP_SLOTS..][..LOOP_SLOTS];
+            render_slots(&mut out, lc.name(), lc.help(), "loop", slots);
+        }
         for &h in &Hist::ALL {
             let store = &self.hists[h as usize];
             let _ = writeln!(out, "# HELP {} {}", h.name(), h.help());
@@ -1031,6 +917,32 @@ impl MetricsRegistry {
             );
         }
         out
+    }
+}
+
+/// Renders one family with a dynamic `label` (one slot per index, the
+/// last one the `"overflow"` aggregate). Only slots the run touched get
+/// a series, and an untouched family none: an idle 64-shard tail would
+/// drown the exposition in zeros.
+fn render_slots(out: &mut String, name: &str, help: &str, label: &str, slots: &[AtomicU64]) {
+    use std::fmt::Write;
+    let touched: Vec<(usize, u64)> = slots
+        .iter()
+        .map(|v| v.load(Ordering::Relaxed))
+        .enumerate()
+        .filter(|&(_, v)| v != 0)
+        .collect();
+    if touched.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} counter");
+    for (i, v) in touched {
+        if i == slots.len() - 1 {
+            let _ = writeln!(out, "{name}{{{label}=\"overflow\"}} {v}");
+        } else {
+            let _ = writeln!(out, "{name}{{{label}=\"{i}\"}} {v}");
+        }
     }
 }
 
@@ -1073,9 +985,9 @@ mod tests {
         let m = Metrics::disabled();
         assert!(!m.enabled());
         m.inc(Counter::TuplesAsserted);
-        m.observe(Hist::WindowSize, 3.0);
+        m.observe(Hist::NetBatchSize, 3.0);
         assert!(m.start_timer().is_none());
-        m.observe_timer(Hist::QueryEvalSeconds, None);
+        m.observe_timer(Hist::WalFsyncSeconds, None);
     }
 
     #[test]
@@ -1092,16 +1004,16 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_in_exposition() {
         let (m, reg) = Metrics::registry();
-        m.observe(Hist::WindowSize, 0.0);
-        m.observe(Hist::WindowSize, 3.0);
-        m.observe(Hist::WindowSize, 1e9); // lands in +Inf
-        assert_eq!(reg.hist_count(Hist::WindowSize), 3);
+        m.observe(Hist::NetBatchSize, 0.0);
+        m.observe(Hist::NetBatchSize, 3.0);
+        m.observe(Hist::NetBatchSize, 1e9); // lands in +Inf
+        assert_eq!(reg.hist_count(Hist::NetBatchSize), 3);
         let text = reg.render_prometheus();
-        assert!(text.contains("sdl_window_size_bucket{le=\"0\"} 1"));
-        assert!(text.contains("sdl_window_size_bucket{le=\"4\"} 2"));
-        assert!(text.contains("sdl_window_size_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("sdl_window_size_sum 1000000003"));
-        assert!(text.contains("sdl_window_size_count 3"));
+        assert!(text.contains("sdl_net_batch_size_bucket{le=\"0\"} 1"));
+        assert!(text.contains("sdl_net_batch_size_bucket{le=\"4\"} 2"));
+        assert!(text.contains("sdl_net_batch_size_bucket{le=\"+Inf\"} 3"));
+        assert!(text.contains("sdl_net_batch_size_sum 1000000003"));
+        assert!(text.contains("sdl_net_batch_size_count 3"));
     }
 
     #[test]
@@ -1182,7 +1094,7 @@ mod tests {
     }
 
     #[test]
-    fn loop_counters_clamp_and_share_the_request_family() {
+    fn loop_counters_clamp_and_render_their_own_families() {
         let (m, reg) = Metrics::registry();
         m.inc(Counter::NetReqOut);
         m.add_loop(0, LoopCounter::Requests, 5);
@@ -1195,20 +1107,18 @@ mod tests {
             1
         );
         let text = reg.render_prometheus();
-        // One family header for sdl_net_requests_total, with both op=
-        // and loop= series inside it.
-        assert_eq!(
-            text.matches("# TYPE sdl_net_requests_total counter")
-                .count(),
-            1
-        );
+        // The per-loop request series are a family of their own, so
+        // summing sdl_net_requests_total counts each request once.
         assert!(text.contains("sdl_net_requests_total{op=\"out\"} 1"));
-        assert!(text.contains("sdl_net_requests_total{loop=\"0\"} 5"));
-        assert!(text.contains("sdl_net_requests_total{loop=\"3\"} 2"));
-        let op_block = text.find("sdl_net_requests_total{op=\"out\"}").unwrap();
-        let loop_line = text.find("sdl_net_requests_total{loop=\"0\"}").unwrap();
-        let next_type = text[op_block..].find("# TYPE").unwrap() + op_block;
-        assert!(loop_line < next_type, "loop series stay inside the family");
+        assert!(
+            text.lines()
+                .filter(|l| l.starts_with("sdl_net_requests_total{"))
+                .all(|l| l.starts_with("sdl_net_requests_total{op=")),
+            "no loop= sample inside the op family"
+        );
+        assert!(text.contains("# TYPE sdl_net_loop_requests_total counter"));
+        assert!(text.contains("sdl_net_loop_requests_total{loop=\"0\"} 5"));
+        assert!(text.contains("sdl_net_loop_requests_total{loop=\"3\"} 2"));
         assert!(text.contains("# TYPE sdl_net_loop_wake_handoffs_total counter"));
         assert!(text.contains("sdl_net_loop_wake_handoffs_total{loop=\"1\"} 4"));
         assert!(text.contains("sdl_net_loop_wake_handoffs_total{loop=\"overflow\"} 1"));
@@ -1222,16 +1132,16 @@ mod tests {
         let (m, reg) = Metrics::registry();
         m.add_gauge(Gauge::StalledProcesses, 2);
         m.add_gauge(Gauge::StalledProcesses, -1);
-        m.observe(Hist::CommitApplySeconds, 3e-6);
-        m.observe(Hist::EffectsBuildSeconds, 2e-6);
+        m.observe(Hist::ReplApplySeconds, 3e-6);
+        m.observe(Hist::WalFsyncSeconds, 2e-6);
         assert_eq!(reg.gauge(Gauge::StalledProcesses), 1);
-        assert_eq!(reg.hist_count(Hist::CommitApplySeconds), 1);
-        assert_eq!(reg.hist_count(Hist::EffectsBuildSeconds), 1);
+        assert_eq!(reg.hist_count(Hist::ReplApplySeconds), 1);
+        assert_eq!(reg.hist_count(Hist::WalFsyncSeconds), 1);
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE sdl_stalled_processes gauge"));
         assert!(text.contains("sdl_stalled_processes 1"));
-        assert!(text.contains("# TYPE sdl_commit_apply_seconds histogram"));
-        assert!(text.contains("sdl_effects_build_seconds_count 1"));
+        assert!(text.contains("# TYPE sdl_repl_apply_seconds histogram"));
+        assert!(text.contains("sdl_wal_fsync_seconds_count 1"));
     }
 
     #[test]
@@ -1279,13 +1189,50 @@ mod tests {
                 let m = m.clone();
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        m.inc(Counter::MatchAttempts);
-                        m.observe(Hist::QueryEvalSeconds, 1e-5);
+                        m.inc(Counter::MatchCandidates);
+                        m.observe(Hist::ShardLockWaitSeconds, 1e-5);
                     }
                 });
             }
         });
-        assert_eq!(reg.counter(Counter::MatchAttempts), 40_000);
-        assert_eq!(reg.hist_count(Hist::QueryEvalSeconds), 40_000);
+        assert_eq!(reg.counter(Counter::MatchCandidates), 40_000);
+        assert_eq!(reg.hist_count(Hist::ShardLockWaitSeconds), 40_000);
+    }
+
+    /// `docs/OBSERVABILITY.md`'s metric tables (rows opening with a
+    /// backquoted `sdl_` name) list exactly what the registry emits.
+    #[test]
+    fn observability_doc_lists_exactly_the_emitted_families() {
+        let (m, reg) = Metrics::registry();
+        for c in Counter::ALL {
+            m.inc(c);
+        }
+        for g in Gauge::ALL {
+            m.add_gauge(g, 1);
+        }
+        for h in Hist::ALL {
+            m.observe(h, 1.0);
+        }
+        for sc in ShardCounter::ALL {
+            m.add_shard(0, sc, 1);
+        }
+        for lc in LoopCounter::ALL {
+            m.add_loop(0, lc, 1);
+        }
+        let text = reg.render_prometheus();
+        let headers: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE sdl_"))
+            .filter_map(|rest| rest.split(' ').next())
+            .collect();
+        let emitted: std::collections::BTreeSet<&str> = headers.iter().copied().collect();
+        assert_eq!(headers.len(), emitted.len(), "one block per family");
+        let documented: std::collections::BTreeSet<&str> =
+            include_str!("../../../docs/OBSERVABILITY.md")
+                .lines()
+                .filter_map(|l| l.strip_prefix("| `sdl_"))
+                .filter_map(|rest| rest.split('`').next())
+                .collect();
+        assert_eq!(emitted, documented);
     }
 }

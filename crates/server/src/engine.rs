@@ -597,12 +597,13 @@ mod tests {
         e.finish(&mut r);
         assert_eq!(e.store_len(), 1);
         // The flush and the take went through the instrumented commit
-        // function: one shard's commit counter and the apply timer moved.
+        // function: one shard's commit counter and the lock-wait timer
+        // moved, once per commit.
         let shard_commits: u64 = (0..4)
             .map(|s| registry.shard_counter(s, ShardCounter::Commits))
             .sum();
         assert_eq!(shard_commits, 2);
-        assert_eq!(registry.hist_count(Hist::CommitApplySeconds), 2);
+        assert_eq!(registry.hist_count(Hist::ShardLockWaitSeconds), 2);
     }
 
     #[test]

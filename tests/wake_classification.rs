@@ -1,7 +1,9 @@
-//! Property: under the threaded executor every commit-driven wakeup is
-//! classified exactly once — `sdl_wakes_total{result="progress"}` +
-//! `sdl_wakes_total{result="spurious"}` equals
-//! `sdl_wakeups_total{kind="commit"}` on completed runs. (The
+//! Property: every wakeup is classified exactly once —
+//! `sdl_wakes_total{result="progress"}` +
+//! `sdl_wakes_total{result="spurious"}` equals `sdl_wakeups_total` —
+//! under the threaded executor on completed runs, and under the serial
+//! and rounds schedulers on a replication parent woken by its last
+//! child and on a run cut at the attempt cap. (The threaded
 //! epoch-requeue path, where a commit races past the blocked lists
 //! before a parking process becomes visible, counts as neither: the
 //! process never actually parked.)
@@ -9,7 +11,7 @@
 use proptest::prelude::*;
 
 use sdl::core::parallel::ParallelRuntime;
-use sdl::core::CompiledProgram;
+use sdl::core::{CompiledProgram, RunLimits, Runtime};
 use sdl::metrics::{Counter, Metrics};
 use sdl_tuple::{tuple, Value};
 
@@ -100,4 +102,56 @@ fn chain_actually_parks_and_wakes() {
         spurious > 0,
         "the unkeyed chain never woke a consumer spuriously"
     );
+}
+
+/// Runs `src` on the serial scheduler, or the rounds scheduler when
+/// `rounds`, cut after `max_attempts`; returns (wakeups, verdicts).
+fn serial_ledger(src: &str, rounds: bool, max_attempts: u64) -> (u64, u64) {
+    let (metrics, registry) = Metrics::registry();
+    let mut rt = Runtime::builder(CompiledProgram::from_source(src).expect("compiles"))
+        .metrics(metrics)
+        .limits(RunLimits { max_attempts })
+        .build()
+        .expect("builds");
+    if rounds {
+        rt.run_rounds().expect("runs");
+    } else {
+        rt.run().expect("runs");
+    }
+    (
+        registry.counter(Counter::WakeupCommit) + registry.counter(Counter::WakeupConsensus),
+        registry.counter(Counter::WakeProgress) + registry.counter(Counter::WakeSpurious),
+    )
+}
+
+/// A `par` parent parks while its helpers run, is woken by the last
+/// one's exit, and pops its construct without committing or parking
+/// again: that turn moved it on, so the wake is progress.
+#[test]
+fn serial_and_rounds_settle_a_wake_that_pops_a_construct() {
+    let src = "process P() {
+            par { exists x : <job, x>! -> <working, x>;
+                  exists y : <working, y>! -> <done, y> }
+        }
+        init { <job, 1>; <job, 2>; spawn P(); }";
+    for rounds in [false, true] {
+        let (wakeups, verdicts) = serial_ledger(src, rounds, RunLimits::default().max_attempts);
+        assert!(wakeups > 0, "rounds={rounds}: the parent never woke");
+        assert_eq!(verdicts, wakeups, "rounds={rounds}");
+    }
+}
+
+/// The attempt cap stops the serial run with three woken consumers
+/// still queued: the run ended before their turns, so each wake is
+/// spurious.
+#[test]
+fn serial_and_rounds_settle_wakes_the_step_limit_cuts_off() {
+    let src = "process C() { exists v : <item, v>! => <got, v>; }
+        process P() { -> <item, 1>, <item, 2>, <item, 3>; }
+        init { spawn C(); spawn C(); spawn C(); spawn P(); }";
+    let (wakeups, verdicts) = serial_ledger(src, false, 4);
+    assert_eq!(wakeups, 3, "every consumer parked, then woke");
+    assert_eq!(verdicts, 3);
+    let (wakeups, verdicts) = serial_ledger(src, true, 4);
+    assert_eq!(verdicts, wakeups);
 }
