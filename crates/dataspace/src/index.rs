@@ -1,19 +1,24 @@
 //! The tuple index behind [`Dataspace`](crate::Dataspace).
 //!
-//! A tuple lives in `instances` (a hash map: no order) and in at most two
-//! *postings* (ascending id lists): a **coarse** one for its head —
-//! `(arity, functor)`, or `(arity, hash of the non-atom value in slot
-//! 0)` — and, from arity 2 up, a **fine** one for slot 1 — `(arity,
-//! functor, hash of slot 1)`, the functor left out when the head is not
-//! an atom. Every ascending order the index hands out comes from the
+//! A tuple lives in `instances` (a hash map: no order), is counted under
+//! a **coarse** key for its head — `(arity, functor)`, or `(arity, hash
+//! of the non-atom value in slot 0)` — and, from arity 2 up, is posted
+//! under a **fine** key for slot 1 — `(arity, functor, hash of slot 1)`,
+//! the functor left out when the head is not an atom. A *posting* is an
+//! ascending id list. Fine postings are kept from the start; a coarse
+//! key's posting is built on the first read that needs it, one *class*
+//! at a time — `(arity, functor)`, or all non-atom heads of an arity —
+//! and kept from then on, so a store read only by key never maintains
+//! one. Every ascending order the index hands out comes from the
 //! postings or from a sort. Values enter the keys as their
 //! [`value_hash`], computed once per tuple and handed back so the
 //! commit's [`WatchKey::Value`](crate::WatchKey) keys reuse it. Two
-//! values that share a hash share a posting; that only widens
+//! values that share a hash share a key; that only widens
 //! `candidate_ids`, whose contract is "superset, caller re-matches".
 
 use std::collections::{btree_map, hash_map, BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use sdl_metrics::Counter;
 use sdl_tuple::{Atom, Field, Pattern, Tuple, TupleId, Value};
@@ -73,8 +78,18 @@ enum Posting {
 }
 
 impl Posting {
+    /// The posting of `ids`, which are ascending.
+    fn from_sorted(ids: Vec<TupleId>) -> Posting {
+        match ids[..] {
+            [one] => Posting::One(one),
+            _ if ids.len() <= FEW_MAX => Posting::Few(ids),
+            _ => Posting::Many(ids.into_iter().collect()),
+        }
+    }
+
     fn insert(&mut self, id: TupleId) {
         match self {
+            Posting::Few(v) if v.is_empty() => *self = Posting::One(id),
             Posting::One(a) => {
                 *self = Posting::Few(if *a < id { vec![*a, id] } else { vec![id, *a] });
             }
@@ -160,15 +175,53 @@ type FineKey = (u32, Option<Atom>, u64);
 
 type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// `instances` plus the two posting maps; see the module docs.
+/// One coarse key: how many live tuples it has, and — once its class is
+/// posted — which. A posted functor keeps its entry when it empties, so
+/// a relation that drains and refills is not scanned again.
+#[derive(Clone, Debug)]
+struct Coarse {
+    live: usize,
+    ids: OnceLock<Posting>,
+}
+
+/// One arity: its live tuples, and which of its classes are posted as
+/// a whole, so that a key first seen afterwards is born posted.
+#[derive(Clone, Debug, Default)]
+struct Arity {
+    live: usize,
+    /// The non-atom heads, by a read of one of them.
+    values: OnceLock<()>,
+    /// Every head, by a variable-head read.
+    every: OnceLock<()>,
+}
+
+impl Arity {
+    /// Whether a key new to this arity is born posted.
+    fn posts(&self, head: Head) -> bool {
+        self.every.get().is_some() || (head.functor().is_none() && self.values.get().is_some())
+    }
+}
+
+/// Taken only while a class is built, so that concurrent first reads
+/// scan once; it guards the number of scans made. A clone starts anew.
+#[derive(Default)]
+struct BuildLock(Mutex<usize>);
+
+impl Clone for BuildLock {
+    fn clone(&self) -> BuildLock {
+        BuildLock::default()
+    }
+}
+
+/// `instances` plus the key maps; see the module docs.
 #[derive(Clone)]
 pub(crate) struct TupleIndex {
     instances: KeyMap<TupleId, Tuple>,
-    coarse: BTreeMap<(u32, Head), Posting>,
+    coarse: BTreeMap<(u32, Head), Coarse>,
     fine: KeyMap<FineKey, Posting>,
-    /// Live tuples per arity (position = arity): what a variable-head
-    /// pattern's estimate reads now that no posting lists them.
-    arity_counts: Vec<usize>,
+    /// Position = arity.
+    arities: Vec<Arity>,
+    building: BuildLock,
     /// ANDed onto every value hash before it enters a key. All ones,
     /// except in the test that forces distinct values onto one key.
     hash_mask: u64,
@@ -180,7 +233,8 @@ impl Default for TupleIndex {
             instances: HashMap::default(),
             coarse: BTreeMap::new(),
             fine: HashMap::default(),
-            arity_counts: Vec::new(),
+            arities: Vec::new(),
+            building: BuildLock::default(),
             hash_mask: u64::MAX,
         }
     }
@@ -196,10 +250,21 @@ impl TupleIndex {
         }
     }
 
-    /// Number of postings held (coarse + fine).
+    /// Number of non-empty postings held (coarse + fine).
     #[cfg(test)]
     pub(crate) fn posting_count(&self) -> usize {
-        self.coarse.len() + self.fine.len()
+        let coarse = self.coarse.values().filter(|key| key.live > 0);
+        coarse.filter(|key| key.ids.get().is_some()).count() + self.fine.len()
+    }
+
+    /// Number of scans of `instances` that built coarse postings.
+    #[cfg(test)]
+    pub(crate) fn scans(&self) -> usize {
+        *self
+            .building
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -263,14 +328,28 @@ impl TupleIndex {
             panic!("instance {id:?} already live");
         };
         let tuple = slot.insert(tuple);
-        if self.arity_counts.len() <= arity {
-            self.arity_counts.resize(arity + 1, 0);
+        if self.arities.len() <= arity {
+            self.arities.resize_with(arity + 1, Arity::default);
         }
-        self.arity_counts[arity] += 1;
-        self.coarse
-            .entry(coarse)
-            .and_modify(|p| p.insert(id))
-            .or_insert(Posting::One(id));
+        let class = &mut self.arities[arity];
+        class.live += 1;
+        match self.coarse.entry(coarse) {
+            btree_map::Entry::Occupied(e) => {
+                let key = e.into_mut();
+                key.live += 1;
+                if let Some(ids) = key.ids.get_mut() {
+                    ids.insert(id);
+                }
+            }
+            btree_map::Entry::Vacant(e) => {
+                let ids = if class.posts(coarse.1) {
+                    OnceLock::from(Posting::One(id))
+                } else {
+                    OnceLock::new()
+                };
+                e.insert(Coarse { live: 1, ids });
+            }
+        }
         let slot1 = fine.map(|(fine, slot1)| {
             self.fine
                 .entry(fine)
@@ -285,11 +364,21 @@ impl TupleIndex {
     /// [`TupleIndex::insert`] does) the hash of slot 1.
     pub(crate) fn remove(&mut self, id: TupleId) -> Option<(Tuple, Option<u64>)> {
         let tuple = self.instances.remove(&id)?;
-        self.arity_counts[tuple.arity()] -= 1;
+        self.arities[tuple.arity()].live -= 1;
         let (coarse, fine) = self.keys_of(&tuple);
         if let btree_map::Entry::Occupied(mut e) = self.coarse.entry(coarse) {
-            if e.get_mut().remove(id) {
-                e.remove();
+            let key = e.get_mut();
+            key.live -= 1;
+            match (key.live, key.ids.get_mut(), coarse.1) {
+                // A posted functor stays posted: a refill is not rescanned.
+                (0, Some(ids), Head::Atom(_)) => *ids = Posting::Few(Vec::new()),
+                (0, ..) => {
+                    e.remove();
+                }
+                (_, Some(ids), _) => {
+                    ids.remove(id);
+                }
+                (_, None, _) => {}
             }
         }
         let slot1 = fine.map(|(fine, slot1)| {
@@ -317,13 +406,85 @@ impl TupleIndex {
         (head, slot1)
     }
 
-    /// The coarse postings of one arity, from `from` on: `Head::Value(0)`
+    /// The live coarse keys of one arity, from `from` on: `Head::Value(0)`
     /// for all of them, `Head::Value(u64::MAX)` for the functors.
-    fn coarse_of_arity(&self, arity: u32, from: Head) -> impl Iterator<Item = (Head, &Posting)> {
+    fn coarse_of_arity(&self, arity: u32, from: Head) -> impl Iterator<Item = (Head, &Coarse)> {
         self.coarse
             .range((arity, from)..)
             .take_while(move |((a, _), _)| *a == arity)
-            .map(|((_, head), posting)| (*head, posting))
+            .filter(|(_, key)| key.live > 0)
+            .map(|((_, head), key)| (*head, key))
+    }
+
+    /// The ids under the live coarse key `(arity, head)`, its class
+    /// posted first if no read has yet.
+    fn coarse_ids(&self, arity: u32, head: Head) -> Option<&Posting> {
+        let key = self.coarse.get(&(arity, head)).filter(|key| key.live > 0)?;
+        if key.ids.get().is_none() {
+            self.post(arity, Some(head));
+        }
+        key.ids.get()
+    }
+
+    /// The postings of every live coarse key of `arity`, each class
+    /// posted first if no read has yet.
+    fn arity_ids(&self, arity: u32) -> impl Iterator<Item = &Posting> {
+        let every = self.arities.get(arity as usize).map(|a| &a.every);
+        if every.is_some_and(|every| every.get().is_none()) {
+            self.post(arity, None);
+        }
+        self.coarse_of_arity(arity, Head::Value(0))
+            .filter_map(|(_, key)| key.ids.get())
+    }
+
+    /// Posts the class of `head` in `arity` — every class of the arity
+    /// when `head` is `None` — in one scan of `instances`. A concurrent
+    /// first read waits on the build lock and finds the class posted.
+    /// `arity` has held a tuple.
+    fn post(&self, arity: u32, head: Option<Head>) {
+        // A build that panicked set whole postings or none, and the
+        // class marks last: the next build picks up what is missing.
+        let mut scans = self
+            .building
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let values = head.is_none_or(|h| h.functor().is_none());
+        let in_class = |h: Head| match head {
+            None => true,
+            Some(Head::Atom(_)) => Some(h) == head,
+            Some(Head::Value(_)) => h.functor().is_none(),
+        };
+        let mut lists: BTreeMap<Head, Vec<TupleId>> = self
+            .coarse_of_arity(arity, Head::Value(0))
+            .filter(|(h, key)| in_class(*h) && key.ids.get().is_none())
+            .map(|(h, key)| (h, Vec::with_capacity(key.live)))
+            .collect();
+        if !lists.is_empty() {
+            *scans += 1;
+            for (id, tuple) in &self.instances {
+                let h = match tuple.get(0) {
+                    _ if tuple.arity() as u32 != arity => continue,
+                    Some(Value::Atom(f)) => Head::Atom(*f),
+                    slot0 if values => self.head_of(slot0),
+                    _ => continue,
+                };
+                if let Some(list) = lists.get_mut(&h) {
+                    list.push(*id);
+                }
+            }
+            for (h, mut list) in lists {
+                list.sort_unstable();
+                let _ = self.coarse[&(arity, h)].ids.set(Posting::from_sorted(list));
+            }
+        }
+        let class = &self.arities[arity as usize];
+        if values {
+            let _ = class.values.set(());
+        }
+        if head.is_none() {
+            let _ = class.every.set(());
+        }
     }
 
     /// The fine postings a variable-head pattern with this constant
@@ -374,7 +535,7 @@ impl TupleIndex {
                 Counter::IndexHitArg1
             }
             (Some(head), None) => {
-                let posting = self.coarse.get(&(arity, head));
+                let posting = self.coarse_ids(arity, head);
                 posting.into_iter().flat_map(Posting::iter).all(visit);
                 match head {
                     Head::Atom(_) => Counter::IndexHitFunctor,
@@ -385,8 +546,7 @@ impl TupleIndex {
             // smaller posting, keep what the larger one holds.
             (Some(head), Some(slot1)) => {
                 let pair = self
-                    .coarse
-                    .get(&(arity, head))
+                    .coarse_ids(arity, head)
                     .zip(self.fine.get(&(arity, None, slot1)));
                 if let Some((a, b)) = pair {
                     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
@@ -403,8 +563,7 @@ impl TupleIndex {
             // lists them together — every assert would pay for it — so
             // this pattern shape pays with a sort.
             (None, None) => {
-                let postings = self.coarse_of_arity(arity, Head::Value(0));
-                Self::visit_union(postings.map(|(_, p)| p), visit);
+                Self::visit_union(self.arity_ids(arity), visit);
                 Counter::IndexHitArity
             }
         }
@@ -436,14 +595,14 @@ impl TupleIndex {
     /// out, from posting lengths alone.
     pub(crate) fn estimate(&self, pattern: &Pattern) -> usize {
         let arity = pattern.arity() as u32;
-        let coarse = |head| self.coarse.get(&(arity, head)).map_or(0, Posting::len);
+        let coarse = |head| self.coarse.get(&(arity, head)).map_or(0, |key| key.live);
         let fine = |f, slot1| self.fine.get(&(arity, f, slot1)).map_or(0, Posting::len);
         match self.pattern_keys(pattern) {
             (Some(Head::Atom(f)), Some(slot1)) => fine(Some(f), slot1),
             (Some(head), None) => coarse(head),
             (Some(head), Some(slot1)) => coarse(head).min(fine(None, slot1)),
             (None, Some(slot1)) => self.fine_across_heads(arity, slot1).map(Posting::len).sum(),
-            (None, None) => self.arity_counts.get(arity as usize).copied().unwrap_or(0),
+            (None, None) => self.arities.get(arity as usize).map_or(0, |a| a.live),
         }
     }
 }
@@ -451,7 +610,9 @@ impl TupleIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedDataspace, TupleSource};
     use sdl_tuple::{pattern, tuple, ProcId};
+    use std::sync::Barrier;
 
     fn id(owner: u64, seq: u64) -> TupleId {
         TupleId {
@@ -465,26 +626,95 @@ mod tests {
     }
 
     #[test]
-    fn a_tuple_enters_at_most_two_postings() {
+    fn a_coarse_posting_waits_for_its_first_read() {
+        // Only the fine posting exists at insert; each tuple's coarse
+        // posting appears with the first read of its head.
         let mut ix = TupleIndex::default();
-        for (seq, (t, postings)) in [
-            (tuple![], 1),
-            (tuple![Value::atom("flag")], 1),
-            (tuple![7], 1),
-            (tuple![Value::atom("mbox"), 1, 2], 2),
-            (tuple![7, 8, 9, 10], 2),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        let stored = [
+            (tuple![], pattern![], 0),
+            (
+                tuple![Value::atom("flag")],
+                pattern![Value::atom("flag")],
+                0,
+            ),
+            (tuple![7], pattern![7], 0),
+            (
+                tuple![Value::atom("mbox"), 1, 2],
+                pattern![Value::atom("mbox"), any, any],
+                1,
+            ),
+            (tuple![7, 8, 9, 10], pattern![7, any, any, any], 1),
+        ];
+        for (seq, (t, _, fine)) in stored.iter().enumerate() {
             let before = ix.posting_count();
             ix.insert(id(1, seq as u64), t.clone());
-            assert_eq!(ix.posting_count() - before, postings, "{t}");
+            assert_eq!(ix.posting_count() - before, *fine, "{t}");
         }
+        assert_eq!(ix.scans(), 0);
+        for (seq, (t, head, _)) in stored.iter().enumerate() {
+            let before = ix.posting_count();
+            assert_eq!(candidates(&ix, head), vec![id(1, seq as u64)], "{t}");
+            assert_eq!(ix.posting_count() - before, 1, "{t}");
+        }
+        assert_eq!(ix.scans(), stored.len());
         for seq in 0..5 {
             ix.remove(id(1, seq));
         }
         assert_eq!(ix.posting_count(), 0);
+    }
+
+    /// A store of 100 000 `<bg, i, i>` beside a relation that empties and
+    /// refills 1 000 times, read each time it is full: one scan, at the
+    /// first read, whether the relation is one functor or the non-atom
+    /// heads of its arity (a new head each cycle).
+    #[test]
+    fn a_draining_relation_is_scanned_once() {
+        for functor in [true, false] {
+            let mut ix = TupleIndex::default();
+            for i in 0..100_000 {
+                ix.insert(id(1, i), tuple![Value::atom("bg"), i as i64, i as i64]);
+            }
+            for cycle in 0..1_000 {
+                let (t, p) = if functor {
+                    (
+                        tuple![Value::atom("token"), cycle],
+                        pattern![Value::atom("token"), any],
+                    )
+                } else {
+                    (tuple![cycle, cycle], pattern![cycle, any])
+                };
+                ix.insert(id(2, cycle as u64), t);
+                assert_eq!(candidates(&ix, &p), vec![id(2, cycle as u64)]);
+                ix.remove(id(2, cycle as u64));
+            }
+            assert_eq!(ix.scans(), 1, "functor: {functor}");
+        }
+    }
+
+    #[test]
+    fn concurrent_first_reads_scan_once() {
+        let sds = ShardedDataspace::new(4);
+        for i in 0..10_000i64 {
+            sds.assert_tuple(ProcId::ENV, tuple![Value::atom("job"), i, i]);
+            sds.assert_tuple(ProcId::ENV, tuple![Value::atom("done"), i, i]);
+        }
+        let p = pattern![Value::atom("job"), any, any];
+        let start = Barrier::new(4);
+        let lists: Vec<Vec<TupleId>> = std::thread::scope(|s| {
+            let read = || {
+                let view = sds.read_shards(sds.all_shards());
+                start.wait();
+                view.candidate_ids(&p)
+            };
+            let threads: Vec<_> = (0..4).map(|_| s.spawn(read)).collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        for list in &lists {
+            assert_eq!(list.len(), 10_000);
+            assert!(list.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(list, &lists[0]);
+        }
+        assert_eq!(sds.coarse_scans(), 1);
     }
 
     #[test]
@@ -504,7 +734,7 @@ mod tests {
         let some = candidates(&ix, &pattern![Value::atom("k"), 1]);
         assert_eq!(some.len(), 67);
         assert!(some.windows(2).all(|w| w[0] < w[1]));
-        // Draining a tree-form posting drops its entry too.
+        // Draining a tree-form posting leaves no id held.
         for seq in 0..200u64 {
             ix.remove(id(1 + seq % 2, seq));
         }

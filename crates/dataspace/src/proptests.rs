@@ -422,6 +422,61 @@ proptest! {
 }
 
 proptest! {
+    /// Reads interleaved with writes: after every assert or retract, a
+    /// read of every pattern shape (so a class is first posted mid-history
+    /// and maintained from then on) lists ascending candidates among
+    /// which are exactly the model's matches. Where only the head is
+    /// constant, or nothing is, the estimate is the match count — unless
+    /// every value shares one key, when it may only exceed it.
+    #[test]
+    fn reads_between_writes_agree_with_the_model(
+        steps in proptest::collection::vec(
+            (prop_oneof![
+                arb_tuple().prop_map(Op::Assert),
+                arb_tuple().prop_map(Op::Assert),
+                (0usize..64).prop_map(Op::RetractNth),
+            ], arb_tuple(), arb_pattern()),
+            0..48,
+        ),
+    ) {
+        for (exact, mut d) in [(true, Dataspace::new()), (false, Dataspace::colliding())] {
+            let mut model = Vec::new();
+            for (i, (op, probe, free)) in steps.iter().enumerate() {
+                match op {
+                    Op::Assert(t) => {
+                        let id = d.assert_tuple(ProcId(1 + i as u64 % 2), t.clone());
+                        model.push((id, t.clone()));
+                    }
+                    Op::RetractNth(n) if !model.is_empty() => {
+                        let (id, t) = model.remove(n % model.len());
+                        prop_assert_eq!(d.retract(id), Some(t));
+                    }
+                    Op::RetractNth(_) => {}
+                }
+                let shapes = pattern_shapes(probe, free.clone());
+                for (shape, p) in shapes.iter().enumerate() {
+                    let expected = model_matches(&model, p);
+                    let candidates = d.candidate_ids(p);
+                    prop_assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{:?}", p);
+                    let matched: Vec<TupleId> = candidates
+                        .into_iter()
+                        .filter(|id| p.matches(d.tuple(*id).expect("live"), &mut Bindings::new(3)))
+                        .collect();
+                    prop_assert_eq!(&matched, &expected, "{:?}", p);
+                    // Shapes 2 and 4 of `pattern_shapes`: head alone, nothing.
+                    let estimate = d.estimate_candidates(p);
+                    if exact && (shape == 2 || shape == 4) {
+                        prop_assert_eq!(estimate, expected.len(), "{:?}", p);
+                    } else {
+                        prop_assert!(estimate >= expected.len(), "{:?}", p);
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// For every pattern shape the index serves differently, the store

@@ -347,6 +347,12 @@ impl ShardedDataspace {
         }
     }
 
+    /// How many scans of any shard built coarse postings.
+    #[cfg(test)]
+    pub(crate) fn coarse_scans(&self) -> usize {
+        self.shards.iter().map(|s| s.read().coarse_scans()).sum()
+    }
+
     /// Drains every shard into one merged [`Dataspace`] (ids preserved),
     /// leaving the shards empty. Used to hand the final store back to the
     /// caller when a run ends.

@@ -186,6 +186,21 @@ impl Dataspace {
         }
     }
 
+    /// An empty dataspace whose index keys every value by one hash.
+    #[cfg(test)]
+    pub(crate) fn colliding() -> Dataspace {
+        Dataspace {
+            index: TupleIndex::colliding(),
+            ..Dataspace::new()
+        }
+    }
+
+    /// How many scans of the store built coarse postings.
+    #[cfg(test)]
+    pub(crate) fn coarse_scans(&self) -> usize {
+        self.index.scans()
+    }
+
     /// Installs a metrics handle; subsequent mutations and candidate
     /// lookups are counted. Clones of this dataspace share the sink.
     pub fn set_metrics(&mut self, metrics: Metrics) {
@@ -697,10 +712,7 @@ mod tests {
     fn colliding_index_keys_only_widen_candidates() {
         // Every value hashes to one key: <k, 1> and <k, 2> share a fine
         // posting, <5, 1> and <6, 1> share a coarse one.
-        let mut d = Dataspace {
-            index: TupleIndex::colliding(),
-            ..Dataspace::new()
-        };
+        let mut d = Dataspace::colliding();
         let one = d.assert_tuple(ProcId(1), tuple![atom("k"), 1]);
         let two = d.assert_tuple(ProcId(1), tuple![atom("k"), 2]);
         let five = d.assert_tuple(ProcId(1), tuple![5, 1]);
