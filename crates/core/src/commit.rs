@@ -9,8 +9,9 @@
 //! ([`crate::parallel`]), the networked server's per-loop engines and the
 //! follower's apply thread each supply a footprint, a closure deciding
 //! the batch under the locks, and what to do with the payloads a commit
-//! wakes. (The serial scheduler keeps its own `&mut self` block/wake:
-//! single-threaded, there is no race to argue.)
+//! wakes. The serial and rounds schedulers park in a one-shard router
+//! too, pid-ordered through their own registry: they commit in place and
+//! never bump its epoch, so their parks take the re-check's quiet path.
 //!
 //! ## The commit sequence
 //!
@@ -50,9 +51,10 @@
 //! [`WakeRouter::testing_skip_park_recheck`] reverts step 1's re-check,
 //! seeding the lost-wakeup mutant the exploration suites must catch.
 //!
-//! Keys are registered and scanned in sorted order and every index is an
-//! ordered map, so the lock-acquisition and claim sequence is a function
-//! of the schedule alone — what the `sdl-sync` explorer's replay needs.
+//! Keys are registered shard by shard and scanned in sorted order, and
+//! every index is an ordered map, so the lock-acquisition and claim
+//! sequence is a function of the schedule alone — what the `sdl-sync`
+//! explorer's replay needs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -71,8 +73,8 @@ use crate::trace::{self, SpanPhase, TraceRecord, Tracer, Track};
 
 /// A parked payload, shared between every router list its watch keys
 /// route to. Exactly one claimant takes the payload; what stays behind
-/// in the lists is a stale stub, dropped the next time its list is
-/// scanned or grown.
+/// in the lists is a stale stub, dropped when its key wakes or its
+/// shard is swept.
 #[derive(Debug)]
 pub struct Slot<T>(Mutex<Option<T>>);
 
@@ -86,17 +88,38 @@ impl<T> Slot<T> {
     pub fn claim(&self) -> Option<T> {
         self.0.lock().take()
     }
+
+    /// Runs `f` on the payload under the slot's lock; `None` once it is
+    /// claimed. A claimant takes the payload under the same lock, so
+    /// what `f` writes is seen by whoever claims next.
+    pub(crate) fn peek<R>(&self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
+        self.0.lock().as_mut().map(f)
+    }
+
+    fn live(self: &Arc<Self>) -> bool {
+        self.0.lock().is_some()
+    }
 }
 
 type SlotList<T> = Vec<Arc<Slot<T>>>;
 
-fn push_live<T>(list: &mut SlotList<T>, slot: &Arc<Slot<T>>) {
-    list.retain(|s| s.0.lock().is_some());
-    list.push(Arc::clone(slot));
+/// A shard sweeps before a park registers in it once it holds this many
+/// registrations beyond twice what its last sweep kept.
+const SWEEP_SLACK: usize = 64;
+
+/// One shard's reverse index with its registration counts.
+#[derive(Debug)]
+struct Shard<T> {
+    lists: BTreeMap<WatchKey, SlotList<T>>,
+    /// Registrations held, claimed stubs included.
+    stubs: usize,
+    /// Registrations the last sweep kept.
+    kept: usize,
 }
 
 /// The park/wake protocol over per-shard reverse indexes, generic over
 /// what a wake delivers (see the module docs for the protocol argument).
+#[derive(Debug)]
 pub struct WakeRouter<T> {
     /// Bumped (SeqCst) after every commit's locks drop, before its wake
     /// scan.
@@ -105,7 +128,7 @@ pub struct WakeRouter<T> {
     /// partition: a commit that changed shard *s* looks up only its
     /// published keys in `shards[s]`. A key-indexed hit already implies
     /// the watch intersects the change, so no per-entry test remains.
-    shards: Vec<Mutex<BTreeMap<WatchKey, SlotList<T>>>>,
+    shards: Vec<Mutex<Shard<T>>>,
     /// Parks with no watch key. No commit can wake them; they are held
     /// so [`Self::visit`] and [`Self::drain`] still find them.
     keyless: Mutex<SlotList<T>>,
@@ -117,7 +140,15 @@ impl<T> WakeRouter<T> {
     pub fn new(n_shards: usize) -> WakeRouter<T> {
         WakeRouter {
             epoch: AtomicU64::new(0),
-            shards: (0..n_shards).map(|_| Mutex::default()).collect(),
+            shards: (0..n_shards)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        lists: BTreeMap::new(),
+                        stubs: 0,
+                        kept: 0,
+                    })
+                })
+                .collect(),
             keyless: Mutex::default(),
             skip_park_recheck: false,
         }
@@ -151,16 +182,37 @@ impl<T> WakeRouter<T> {
     /// the epoch moved and this call claimed it back: the caller must
     /// re-evaluate instead of sleeping. `None` means parked (or already
     /// claimed by a waking commit, whose delivery is on its way).
+    ///
+    /// A `wake` drops only its published key's list, so a claimed slot's
+    /// stubs under its other keys stay behind. Before registering in a
+    /// shard that holds 64 registrations beyond twice what its last
+    /// sweep kept, the park drops every claimed stub and emptied key
+    /// there: the sweep's cost is paid for by the parks since the last.
     pub fn park(&self, slot: &Arc<Slot<T>>, mut keys: Vec<WatchKey>, eval_epoch: u64) -> Option<T> {
         let n = self.shards.len();
         keys.sort_unstable();
-        for key in &keys {
-            for s in shards_of_watch_key(key, n).iter() {
-                push_live(self.shards[s].lock().entry(*key).or_default(), slot);
+        let mut routed = ShardSet::new();
+        keys.iter()
+            .for_each(|k| routed.extend(shards_of_watch_key(k, n)));
+        for s in routed.iter() {
+            let mut shard = self.shards[s].lock();
+            if shard.stubs >= 2 * shard.kept + SWEEP_SLACK {
+                shard.lists.retain(|_, list| {
+                    list.retain(Slot::live);
+                    !list.is_empty()
+                });
+                shard.stubs = shard.lists.values().map(Vec::len).sum();
+                shard.kept = shard.stubs;
+            }
+            for key in keys.iter().filter(|k| routes_to(k, n, s)) {
+                shard.stubs += 1;
+                shard.lists.entry(*key).or_default().push(Arc::clone(slot));
             }
         }
         if keys.is_empty() {
-            push_live(&mut self.keyless.lock(), slot);
+            let mut keyless = self.keyless.lock();
+            keyless.retain(Slot::live);
+            keyless.push(Arc::clone(slot));
         }
         if !self.skip_park_recheck && self.epoch() != eval_epoch {
             return slot.claim();
@@ -177,46 +229,37 @@ impl<T> WakeRouter<T> {
             return woken;
         }
         let n = self.shards.len();
-        let routed: Vec<(&WatchKey, Option<usize>)> = changed
-            .iter()
-            .map(|k| (k, shard_of_watch_key(k, n)))
-            .collect();
         for s in changed_shards.iter() {
-            let mut index = self.shards[s].lock();
-            for &(key, route) in &routed {
-                // A routable key wakes through its own shard's index; an
-                // arity key is registered in every shard, so any changed
-                // shard's index covers it — later shards just drop the
-                // stubs the first one claimed.
-                if route.is_some_and(|r| r != s) {
+            let mut shard = self.shards[s].lock();
+            // A routable key wakes through its own shard's index; an
+            // arity key is registered in every shard, so any changed
+            // shard's index covers it — later shards just drop the stubs
+            // the first one claimed.
+            for key in changed.iter().filter(|k| routes_to(k, n, s)) {
+                let Some(list) = shard.lists.remove(key) else {
                     continue;
-                }
-                for slot in index.remove(key).into_iter().flatten() {
-                    if let Some(payload) = slot.claim() {
-                        woken.push((*key, payload));
-                    }
-                }
+                };
+                shard.stubs -= list.len();
+                woken.extend(list.iter().filter_map(|slot| Some((*key, slot.claim()?))));
             }
         }
         woken
     }
 
     fn for_each_slot(&self, mut f: impl FnMut(&Slot<T>)) {
-        for index in &self.shards {
-            index.lock().values().flatten().for_each(|s| f(s));
+        for shard in &self.shards {
+            shard.lock().lists.values().flatten().for_each(|s| f(s));
         }
         self.keyless.lock().iter().for_each(|s| f(s));
     }
 
     /// Visits every unclaimed registration under its slot's lock, once
-    /// per key and shard it sits under (the stall watchdog's scan; a
-    /// claimant takes the payload under the same lock, so what `f`
-    /// writes is seen by whoever claims next).
+    /// per key and shard it sits under (a claimant takes the payload
+    /// under the same lock, so what `f` writes is seen by whoever claims
+    /// next).
     pub fn visit(&self, mut f: impl FnMut(&mut T)) {
         self.for_each_slot(|slot| {
-            if let Some(payload) = slot.0.lock().as_mut() {
-                f(payload);
-            }
+            slot.peek(&mut f);
         });
     }
 
@@ -226,6 +269,11 @@ impl<T> WakeRouter<T> {
         self.for_each_slot(|slot| out.extend(slot.claim()));
         out
     }
+}
+
+/// True if `key`'s registrations live in shard `s` of `n`.
+fn routes_to(key: &WatchKey, n: usize, s: usize) -> bool {
+    shard_of_watch_key(key, n).is_none_or(|r| r == s)
 }
 
 /// What a commit closure decided under the write locks.
@@ -445,5 +493,42 @@ impl<T> Committer<T> {
         let snapshot = snapshotter.map_or(Ok(0), Snapshotter::finish);
         let sync = self.wal.as_ref().map_or(Ok(()), |wal| wal.sync());
         snapshot.and(sync)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sdl_tuple::Atom;
+
+    /// Each slot parks on `<a, i>` and `<b, i>` and is woken through
+    /// `<a, i>`, which leaves a claimed stub under `<b, i>` that no
+    /// commit will ever clear.
+    #[test]
+    fn stubs_of_woken_slots_are_swept() {
+        let key = |f: &str, i| WatchKey::Value(Atom::new(f), 2, 1, i);
+        for shards in [1, 4] {
+            let router = WakeRouter::<u64>::new(shards);
+            for i in 0..10_000 {
+                let slot = Slot::new(i);
+                let keys = vec![key("a", i), key("b", i)];
+                assert!(router.park(&slot, keys, router.epoch()).is_none());
+                let mut changed = WatchSet::new();
+                changed.add_key(key("a", i));
+                let woken = router.wake(&changed, ShardSet::all(shards));
+                assert_eq!(woken, vec![(key("a", i), i)]);
+            }
+            let mut live = 0;
+            router.visit(|_| live += 1);
+            let held: usize = router.shards.iter().map(|s| s.lock().stubs).sum();
+            let listed: usize = (router.shards.iter())
+                .map(|s| s.lock().lists.values().map(Vec::len).sum::<usize>())
+                .sum();
+            assert_eq!(held, listed, "the count follows the lists");
+            assert!(
+                held <= 2 * live + SWEEP_SLACK,
+                "{shards} shards hold {held}"
+            );
+        }
     }
 }

@@ -13,23 +13,28 @@
 //!
 //! The wake ledger is settled here too ([`settle_wake`]): each wake a
 //! process receives ends as one `sdl_wakes_total` verdict, decided by
-//! the turn it leads to.
+//! the turn it leads to. So is a park's record ([`Parked`]) and the
+//! stall watchdog that reads it ([`StallWatch`]): every executor parks
+//! in a [`crate::commit::WakeRouter`] and opens, flags and closes the
+//! park through them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use sdl_dataspace::WatchSet;
 use sdl_lang::ast::TxnKind;
-use sdl_metrics::{Counter, Metrics};
+use sdl_metrics::{Counter, Gauge, Metrics};
+use sdl_sync::Mutex;
 use sdl_tuple::{ProcId, Value};
 
 use crate::error::RuntimeError;
 use crate::process::{Frame, ProcessInstance};
 use crate::program::{CompiledBranch, CompiledStmt, CompiledTxn};
-use crate::trace::{TraceRecord, Tracer};
+use crate::trace::{self, ParkOutcome, RecentCommits, TraceRecord, Tracer};
 use crate::txn::Pending;
 
 /// The construct a set of guards belongs to.
@@ -111,6 +116,136 @@ pub(crate) trait Executor {
     fn terminate(&mut self);
     /// The process's constants changed (a `let` committed).
     fn rebound(&mut self) {}
+}
+
+/// A parked process as the wake router holds it: `proc` is what a claim
+/// hands back (`()` for the serial and rounds schedulers, whose society
+/// keeps the process; the process itself for the threaded executor).
+#[derive(Debug)]
+pub(crate) struct Parked<P> {
+    pub(crate) pid: ProcId,
+    pub(crate) proc: P,
+    pub(crate) watch: WatchSet,
+    /// The park includes a consensus guard.
+    pub(crate) consensus: bool,
+    /// When it parked; `None` unless the stall watchdog is armed.
+    since: Option<Instant>,
+    /// Set once by [`StallWatch::check`], so each park is flagged once.
+    stalled: bool,
+}
+
+impl<P> Parked<P> {
+    /// Opens a park: its trace record (`step` as [`Executor::tracer`]
+    /// gives it) and the depth gauge. Call it before the park is
+    /// claimable, so its close comes after.
+    pub(crate) fn new(
+        (tracer, step): (&Tracer, u64),
+        metrics: &Metrics,
+        pid: ProcId,
+        proc: P,
+        watch: WatchSet,
+        consensus: bool,
+        armed: bool,
+    ) -> Parked<P> {
+        tracer.record(|t_us| TraceRecord::Park {
+            step,
+            pid,
+            t_us,
+            consensus,
+            keys: trace::watch_labels(&watch),
+        });
+        metrics.add_gauge(Gauge::BlockedQueueDepth, 1);
+        let since = armed.then(Instant::now);
+        Parked {
+            pid,
+            proc,
+            watch,
+            consensus,
+            since,
+            stalled: false,
+        }
+    }
+
+    /// Closes a claimed park: the depth and stall gauges come down and
+    /// the park interval ends in the trace.
+    pub(crate) fn settle(&self, tracer: &Tracer, metrics: &Metrics, outcome: ParkOutcome) {
+        metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
+        if self.stalled {
+            metrics.add_gauge(Gauge::StalledProcesses, -1);
+        }
+        tracer.record(|t_us| TraceRecord::Unpark {
+            pid: self.pid,
+            t_us,
+            outcome,
+        });
+    }
+
+    /// Closes a claimed park that `commit` woke by publishing `key` (or a
+    /// synthetic cause): the wake is counted under `counter` and its
+    /// causality edge recorded.
+    pub(crate) fn woken(
+        &self,
+        tracer: &Tracer,
+        metrics: &Metrics,
+        counter: Counter,
+        commit: u64,
+        key: impl FnOnce() -> String,
+    ) {
+        self.settle(tracer, metrics, ParkOutcome::Woken);
+        metrics.inc(counter);
+        tracer.record(|t_us| TraceRecord::Wake {
+            pid: self.pid,
+            commit,
+            key: key(),
+            t_us,
+        });
+    }
+}
+
+/// The stall watchdog (`--stall-ms`): a park older than `threshold` is
+/// flagged once, in the `sdl_stalled_processes` gauge and with a trace
+/// annotation naming its watch keys and the nearest-miss commits.
+#[derive(Debug)]
+pub(crate) struct StallWatch {
+    pub(crate) threshold: Duration,
+    /// Recent commits, for nearest-miss reporting.
+    pub(crate) recent: Mutex<RecentCommits>,
+}
+
+impl StallWatch {
+    pub(crate) fn new(threshold: Duration) -> StallWatch {
+        StallWatch {
+            threshold,
+            recent: Mutex::default(),
+        }
+    }
+
+    /// Flags `e` if, at `now`, it has been parked for the threshold and
+    /// is not flagged yet. Runs under the park's slot lock, so exactly
+    /// one side settles the flag: flagged before a claim, the claimant
+    /// brings the gauge down; claimed first, the park is never checked.
+    pub(crate) fn check<P>(
+        &self,
+        e: &mut Parked<P>,
+        now: Instant,
+        tracer: &Tracer,
+        metrics: &Metrics,
+    ) {
+        let Some(since) = e.since else { return };
+        let waited = now.saturating_duration_since(since);
+        if e.stalled || waited < self.threshold {
+            return;
+        }
+        e.stalled = true;
+        metrics.add_gauge(Gauge::StalledProcesses, 1);
+        tracer.record(|t_us| TraceRecord::Stall {
+            pid: e.pid,
+            t_us,
+            waited_us: waited.as_micros() as u64,
+            keys: trace::watch_labels(&e.watch),
+            near_misses: self.recent.lock().near_misses(&e.watch),
+        });
+    }
 }
 
 /// Records a process creation.

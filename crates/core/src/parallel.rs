@@ -54,7 +54,7 @@ use sdl_dataspace::{
     WatchKey, WatchSet,
 };
 use sdl_lang::ast::TxnKind;
-use sdl_metrics::{Counter, Gauge, Hist, Metrics};
+use sdl_metrics::{Counter, Hist, Metrics};
 use sdl_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, RelaxedCounter};
 use sdl_tuple::{ProcId, Value};
 
@@ -62,12 +62,12 @@ use crate::builder::{Config, RuntimeBuilder};
 use crate::builtins::Builtins;
 use crate::commit::{Committer, Decision, Slot, WakeRouter};
 use crate::error::RuntimeError;
-use crate::interp::{self, Attempt, Turn};
+use crate::interp::{self, Attempt, Parked, StallWatch, Turn};
 use crate::outcome::Outcome;
 use crate::process::ProcessInstance;
 use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::sched::{attempts_counter, batch_desc, committed_counter, failed_counter, wal_err};
-use crate::trace::{self, ParkOutcome, RecentCommits, SpanPhase, TraceRecord, Tracer};
+use crate::trace::{self, ParkOutcome, SpanPhase, Tracer};
 use crate::txn::{self, EvalProbe, Pending, ResolvedAtoms};
 
 /// Outcome and statistics of a parallel run.
@@ -202,20 +202,12 @@ pub struct ParallelRuntime {
     initial: Vec<ProcessInstance>,
 }
 
-/// Stall-watchdog configuration shared by the workers and the watchdog
-/// thread: the park threshold plus the recent commits for nearest-miss
-/// reporting.
-struct StallCfg {
-    threshold: Duration,
-    recent: Mutex<RecentCommits>,
-}
-
 struct Shared {
     program: Arc<CompiledProgram>,
     builtins: Arc<Builtins>,
     sds: ShardedDataspace,
     /// The commit function and the router blocked processes park in.
-    committer: Committer<Parked>,
+    committer: Committer<Parked<ProcessInstance>>,
     queue: Mutex<VecDeque<ProcessInstance>>,
     cv: Condvar,
     /// Tasks enqueued or being processed; 0 ⇒ nothing can ever wake.
@@ -230,21 +222,7 @@ struct Shared {
     error: Mutex<Option<RuntimeError>>,
     metrics: Metrics,
     tracer: Tracer,
-    stall: Option<StallCfg>,
-}
-
-/// A blocked process with its park metadata: what the router hands to
-/// whoever claims it (a waking commit, the parker re-queueing itself,
-/// or the final drain).
-struct Parked {
-    proc: ProcessInstance,
-    watch: WatchSet,
-    /// When it parked, for the stall watchdog (`None` when it is not
-    /// armed).
-    since: Option<Instant>,
-    /// Set once by the watchdog, under the slot lock, so the gauge and
-    /// the trace flag each stalled park exactly once.
-    stalled: bool,
+    stall: Option<StallWatch>,
 }
 
 impl ParallelRuntime {
@@ -301,10 +279,7 @@ impl ParallelRuntime {
             error: Mutex::new(None),
             metrics,
             tracer,
-            stall: stall_threshold.map(|threshold| StallCfg {
-                threshold,
-                recent: Mutex::default(),
-            }),
+            stall: stall_threshold.map(StallWatch::new),
         });
         sdl_sync::scope(|scope| {
             for w in 0..threads {
@@ -327,8 +302,8 @@ impl ParallelRuntime {
         }
         let mut blocked_pids: Vec<ProcId> = Vec::new();
         for parked in shared.committer.router.drain() {
-            settle_park(&shared, &parked, ParkOutcome::Drained);
-            blocked_pids.push(parked.proc.id);
+            parked.settle(&shared.tracer, &shared.metrics, ParkOutcome::Drained);
+            blocked_pids.push(parked.pid);
         }
         blocked_pids.sort_unstable();
         let outcome = if shared.step_limited.load(Ordering::SeqCst) {
@@ -383,39 +358,19 @@ fn worker(shared: &Shared, seed: u64, index: usize) {
     }
 }
 
-/// Periodically scans the parked processes, flagging those parked beyond
-/// the configured threshold: gauge `sdl_stalled_processes` goes up, and
-/// the trace gets a [`TraceRecord::Stall`] carrying the watch keys plus
-/// the nearest-miss recent commits (same relation, different values).
+/// Checks every parked process against the stall watchdog at half its
+/// threshold (at most every 20 ms) until the run is done.
 fn watchdog(shared: &Shared) {
-    let cfg = shared.stall.as_ref().expect("watchdog spawned with config");
-    let tick = cfg.threshold.div_f64(2.0).min(Duration::from_millis(20));
-    loop {
-        if shared.done.load(Ordering::SeqCst) {
-            return;
-        }
+    let stall = shared.stall.as_ref().expect("watchdog spawned armed");
+    let tick = stall.threshold.div_f64(2.0).min(Duration::from_millis(20));
+    while !shared.done.load(Ordering::SeqCst) {
         sdl_sync::sleep(tick);
         let now = Instant::now();
-        // The visit runs under each slot's lock and a claimant takes the
-        // slot under the same lock, so exactly one side settles the
-        // gauge: flag set before a claim ⇒ the claimant decrements;
-        // claim first ⇒ the stub is never visited.
-        shared.committer.router.visit(|e| {
-            let Some(since) = e.since else { return };
-            let waited = now.saturating_duration_since(since);
-            if e.stalled || waited < cfg.threshold {
-                return;
-            }
-            e.stalled = true;
-            shared.metrics.add_gauge(Gauge::StalledProcesses, 1);
-            shared.tracer.record(|t_us| TraceRecord::Stall {
-                pid: e.proc.id,
-                t_us,
-                waited_us: waited.as_micros() as u64,
-                keys: trace::watch_labels(&e.watch),
-                near_misses: cfg.recent.lock().near_misses(&e.watch),
-            });
-        });
+        let (tracer, metrics) = (&shared.tracer, &shared.metrics);
+        shared
+            .committer
+            .router
+            .visit(|e| stall.check(e, now, tracer, metrics));
     }
 }
 
@@ -521,20 +476,6 @@ fn commit_footprint(shared: &Shared, proc: &ProcessInstance, p: &Pending) -> Sha
         return shared.sds.all_shards();
     }
     pending_write_footprint(&shared.sds, p)
-}
-
-/// Settles a park whose slot was just claimed: the depth and stall
-/// gauges come down and the park interval closes in the trace.
-fn settle_park(shared: &Shared, e: &Parked, outcome: ParkOutcome) {
-    shared.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
-    if e.stalled {
-        shared.metrics.add_gauge(Gauge::StalledProcesses, -1);
-    }
-    shared.tracer.record(|t_us| TraceRecord::Unpark {
-        pid: e.proc.id,
-        t_us,
-        outcome,
-    });
 }
 
 /// A process as a threaded worker steps it.
@@ -670,23 +611,24 @@ impl interp::Executor for Worker<'_> {
             };
             shared.commits.fetch_add(1);
             shared.metrics.inc(committed_counter(t.kind));
-            if let (Some(cfg), true) = (&shared.stall, done.commit_id != 0) {
-                cfg.recent
+            if let (Some(stall), true) = (&shared.stall, done.commit_id != 0) {
+                stall
+                    .recent
                     .lock()
                     .push(done.commit_id, done.changed, batch_desc(&p));
             }
             for (key, mut parked) in done.woken {
-                shared.metrics.inc(Counter::WakeupCommit);
-                settle_park(shared, &parked, ParkOutcome::Woken);
                 // The wake edge carries the committing transaction's id — the
                 // causality arrow the exporter draws from commit slice to wake
                 // point.
-                shared.tracer.record(|t_us| TraceRecord::Wake {
-                    pid: parked.proc.id,
-                    commit: done.commit_id,
-                    key: key.label(),
-                    t_us,
-                });
+                let (tracer, metrics) = (&shared.tracer, &shared.metrics);
+                parked.woken(
+                    tracer,
+                    metrics,
+                    Counter::WakeupCommit,
+                    done.commit_id,
+                    || key.label(),
+                );
                 parked.proc.woken = true;
                 enqueue(shared, parked.proc);
             }
@@ -753,30 +695,26 @@ fn run_process(
 /// wake-up is lost), or re-queues it when a commit raced the park.
 fn park(shared: &Shared, watch: WatchSet, eval_epoch: u64, proc: ProcessInstance) {
     let keys: Vec<WatchKey> = watch.iter().copied().collect();
-    // Recorded before the slot is claimable, so its unpark comes after.
-    shared.tracer.record(|t_us| TraceRecord::Park {
-        step: 0,
-        pid: proc.id,
-        t_us,
-        consensus: false,
-        keys: trace::watch_labels(&watch),
-    });
-    let slot = Slot::new(Parked {
-        since: shared.stall.as_ref().map(|_| Instant::now()),
-        stalled: false,
+    // Opened before the slot is claimable: a waker that beats the epoch
+    // re-check closes it on claim, and a late open would dip the depth
+    // gauge negative.
+    let (tracer, metrics) = (&shared.tracer, &shared.metrics);
+    let armed = shared.stall.is_some();
+    let slot = Slot::new(Parked::new(
+        (tracer, 0),
+        metrics,
+        proc.id,
         proc,
         watch,
-    });
-    // The depth gauge goes up *before* the slot becomes claimable: a
-    // waker that beats the epoch re-check decrements on claim, and if
-    // that ran ahead of a late increment the gauge would dip negative.
-    shared.metrics.add_gauge(Gauge::BlockedQueueDepth, 1);
+        false,
+        armed,
+    ));
     if let Some(parked) = shared.committer.router.park(&slot, keys, eval_epoch) {
         // A commit published while we were parking; whether or not its
         // wake saw us, re-evaluating is the safe answer. The park never
         // stuck: close it immediately so spans stay balanced (no wake
         // edge — the commit raced past before this slot was visible).
-        settle_park(shared, &parked, ParkOutcome::Woken);
+        parked.settle(tracer, metrics, ParkOutcome::Woken);
         enqueue(shared, parked.proc);
         return;
     }

@@ -95,6 +95,7 @@ impl Runtime {
                 fired = true;
             }
             self.ready.clear(); // rounds mode iterates the society directly
+            self.stall_scan();
 
             if committed || fired {
                 self.report.rounds += 1;

@@ -12,66 +12,34 @@
 //! fairness: an indefinitely-enabled delayed transaction is eventually
 //! executed.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdl_dataspace::{Action, Dataspace, SolveLimits, WatchKey, WatchSet};
+use sdl_dataspace::{Action, Dataspace, ShardSet, SolveLimits, WatchSet};
 use sdl_durability::Wal;
 use sdl_lang::ast::TxnKind;
-use sdl_metrics::{Counter, Gauge, Metrics};
+use sdl_metrics::{Counter, Metrics};
 use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
 use crate::builder::{Config, RuntimeBuilder, RuntimeStore};
 use crate::builtins::Builtins;
+use crate::commit::{Slot, WakeRouter};
 use crate::consensus::CommunityIndex;
 use crate::error::RuntimeError;
-use crate::interp::{self, Attempt, GuardMode, Site, Turn};
+use crate::interp::{self, Attempt, GuardMode, Parked, Site, StallWatch, Turn};
 use crate::outcome::{Outcome, RunLimits, RunReport};
 use crate::process::{Frame, ProcessInstance};
 use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
-use crate::trace::{self, ParkOutcome, RecentCommits, TraceRecord, Tracer, Track};
+use crate::trace::{self, ParkOutcome, TraceRecord, Tracer, Track};
 use crate::txn::{self, EvalProbe, Pending};
 
 /// A blocked process's enabled consensus contribution: the construct and
 /// branch body its commit enters, and its pending effects.
 type Contribution = (GuardMode, Arc<[CompiledStmt]>, Pending);
-
-#[derive(Clone, Debug)]
-pub(crate) struct BlockInfo {
-    pub(crate) watch: WatchSet,
-    pub(crate) has_consensus: bool,
-    /// When the process blocked; populated when the stall watchdog is
-    /// armed.
-    pub(crate) since: Option<Instant>,
-}
-
-/// Serial-scheduler state of the stall watchdog (`--stall-ms`).
-#[derive(Debug)]
-pub(crate) struct StallState {
-    /// Parked-beyond-this flags a process as stalled.
-    pub(crate) threshold: Duration,
-    /// Last blocked-set scan, to keep the watchdog off the hot path.
-    pub(crate) last_scan: Instant,
-    /// Processes already flagged (and counted in the gauge).
-    pub(crate) flagged: HashSet<ProcId>,
-    /// Recent commits, for nearest-miss reporting.
-    pub(crate) recent: RecentCommits,
-}
-
-impl StallState {
-    pub(crate) fn new(threshold: Duration) -> StallState {
-        StallState {
-            threshold,
-            last_scan: Instant::now(),
-            flagged: HashSet::new(),
-            recent: RecentCommits::default(),
-        }
-    }
-}
 
 /// A one-line description of a committed batch for nearest-miss output:
 /// its first asserted tuple plus a remainder count.
@@ -147,14 +115,15 @@ impl RuntimeBuilder {
             procs: HashMap::new(),
             ready: VecDeque::new(),
             blocked: BTreeMap::new(),
-            wake_index: HashMap::new(),
+            router: WakeRouter::new(1),
             next_pid: 1,
             rng: StdRng::seed_from_u64(seed),
             builtins,
             tracer,
             cur_trace: 0,
             last_commit_id: 0,
-            stall: stall_threshold.map(StallState::new),
+            stall: stall_threshold.map(StallWatch::new),
+            stall_scanned: Instant::now(),
             metrics,
             report: RunReport::new(),
             limits,
@@ -192,14 +161,14 @@ pub struct Runtime {
     pub(crate) ds: Dataspace,
     pub(crate) procs: HashMap<ProcId, ProcessInstance>,
     pub(crate) ready: VecDeque<ProcId>,
-    pub(crate) blocked: BTreeMap<ProcId, BlockInfo>,
-    /// Reverse subscription index: watch key → blocked processes
-    /// subscribed to it. Lets a commit wake only the subscribers of the
-    /// keys it published instead of scanning the whole blocked set —
-    /// with value-level keys that is O(1) per commit on keyed-park
-    /// workloads. Maintained by `block`/`unblock`; `BTreeSet` keeps
-    /// wake order (ascending pid) identical to a blocked-set scan.
-    wake_index: HashMap<WatchKey, BTreeSet<ProcId>>,
+    /// The parked processes in pid order: what the blocked report, the
+    /// stall scan and the end-of-run drain walk. Each slot is also
+    /// registered under its watch keys in `router`.
+    pub(crate) blocked: BTreeMap<ProcId, Arc<Slot<Parked<()>>>>,
+    /// Lets a commit wake only the subscribers of the keys it published
+    /// instead of scanning the whole blocked set. One shard, and no
+    /// epoch bump: every commit runs on this thread.
+    router: WakeRouter<Parked<()>>,
     next_pid: u64,
     pub(crate) rng: StdRng,
     builtins: Builtins,
@@ -210,8 +179,9 @@ pub struct Runtime {
     /// Commit id of the most recent committed batch (0 = none yet) —
     /// the attribution target for wake edges and rounds conflicts.
     pub(crate) last_commit_id: u64,
-    /// Stall watchdog, when armed.
-    pub(crate) stall: Option<StallState>,
+    /// Stall watchdog, when armed, and when it last scanned.
+    stall: Option<StallWatch>,
+    stall_scanned: Instant,
     pub(crate) metrics: Metrics,
     pub(crate) report: RunReport,
     pub(crate) limits: RunLimits,
@@ -273,19 +243,22 @@ impl Runtime {
             names.join(", ")
         };
         // A report may not disturb the run: partition a copy.
-        let communities = if self.blocked.values().any(|info| info.has_consensus) {
+        let communities = if self.blocked.keys().any(|pid| self.at_consensus(*pid)) {
             self.communities.clone().partition(&self.ds, &self.builtins)
         } else {
             Vec::new()
         };
         let mut out = String::new();
-        for (pid, info) in &self.blocked {
+        for (pid, slot) in &self.blocked {
+            let Some((consensus, keys)) = slot.peek(|e| (e.consensus, e.watch.len())) else {
+                continue;
+            };
             let name = self
                 .procs
                 .get(pid)
                 .map(|p| p.def.name.as_str())
                 .unwrap_or("?");
-            let kind = if info.has_consensus {
+            let kind = if consensus {
                 let set = communities
                     .iter()
                     .find(|set| set.contains(pid))
@@ -293,7 +266,7 @@ impl Runtime {
                 let absent: Vec<ProcId> = set
                     .iter()
                     .copied()
-                    .filter(|m| !self.blocked.get(m).is_some_and(|b| b.has_consensus))
+                    .filter(|m| !self.at_consensus(*m))
                     .collect();
                 if absent.is_empty() {
                     format!(
@@ -310,7 +283,6 @@ impl Runtime {
             } else {
                 "delayed transaction (query never enabled)".to_owned()
             };
-            let keys = info.watch.iter().count();
             let _ = writeln!(
                 out,
                 "{pid} {name}: blocked on {kind}; watching {keys} key(s)"
@@ -323,6 +295,12 @@ impl Runtime {
             );
         }
         out
+    }
+
+    /// True if `pid` is parked at a consensus guard.
+    fn at_consensus(&self, pid: ProcId) -> bool {
+        let slot = self.blocked.get(&pid);
+        slot.and_then(|s| s.peek(|e| e.consensus)).unwrap_or(false)
     }
 
     /// Live processes, in id order.
@@ -421,29 +399,18 @@ impl Runtime {
     /// every process parked beyond the threshold, moving the
     /// `sdl_stalled_processes` gauge and annotating the trace with the
     /// watch keys waited on and the nearest-miss commits.
-    fn stall_scan(&mut self) {
-        let Some(stall) = &mut self.stall else {
+    pub(crate) fn stall_scan(&mut self) {
+        let Some(stall) = &self.stall else {
             return;
         };
         // Scan at half-threshold granularity, not every iteration.
-        if stall.last_scan.elapsed() < stall.threshold / 2 {
+        if self.stall_scanned.elapsed() < stall.threshold / 2 {
             return;
         }
-        stall.last_scan = Instant::now();
-        for (pid, info) in &self.blocked {
-            let Some(since) = info.since else { continue };
-            let waited = since.elapsed();
-            if waited < stall.threshold || !stall.flagged.insert(*pid) {
-                continue;
-            }
-            self.metrics.add_gauge(Gauge::StalledProcesses, 1);
-            self.tracer.record(|t_us| TraceRecord::Stall {
-                pid: *pid,
-                t_us,
-                waited_us: waited.as_micros() as u64,
-                keys: trace::watch_labels(&info.watch),
-                near_misses: stall.recent.near_misses(&info.watch),
-            });
+        let now = Instant::now();
+        self.stall_scanned = now;
+        for slot in self.blocked.values() {
+            slot.peek(|e| stall.check(e, now, &self.tracer, &self.metrics));
         }
     }
 
@@ -632,8 +599,8 @@ impl Runtime {
                         .collect(),
                 }
             });
-            if let Some(stall) = &mut self.stall {
-                stall.recent.push(commit_id, changed.clone(), desc());
+            if let Some(stall) = &self.stall {
+                stall.recent.lock().push(commit_id, changed.clone(), desc());
             }
         }
         Ok((changed, commit_id))
@@ -742,116 +709,57 @@ impl Runtime {
 
     // ---------------- blocking & waking ----------------
 
-    pub(crate) fn block(&mut self, pid: ProcId, watch: WatchSet, has_consensus: bool) {
+    /// Parks `pid` on `watch`: in the pid-ordered registry and, under
+    /// each watch key, in the router.
+    pub(crate) fn block(&mut self, pid: ProcId, watch: WatchSet, consensus: bool) {
         self.metrics.inc(Counter::ProcessesBlocked);
-        self.tracer.record(|t_us| TraceRecord::Park {
-            step: self.report.attempts,
-            pid,
-            t_us,
-            consensus: has_consensus,
-            keys: trace::watch_labels(&watch),
-        });
-        if let Some(old) = self.blocked.remove(&pid) {
-            self.unindex_watch(pid, &old.watch);
-        } else {
-            self.metrics.add_gauge(Gauge::BlockedQueueDepth, 1);
-        }
-        for key in watch.iter() {
-            self.wake_index.entry(*key).or_default().insert(pid);
-        }
-        self.blocked.insert(
-            pid,
-            BlockInfo {
-                watch,
-                has_consensus,
-                since: self.stall.as_ref().map(|_| Instant::now()),
-            },
-        );
+        let keys = watch.iter().copied().collect();
+        let traced = (&self.tracer, self.report.attempts);
+        let armed = self.stall.is_some();
+        let e = Parked::new(traced, &self.metrics, pid, (), watch, consensus, armed);
+        let slot = Slot::new(e);
+        self.router.park(&slot, keys, self.router.epoch());
+        let old = self.blocked.insert(pid, slot);
+        debug_assert!(old.is_none(), "{pid} parked twice");
     }
 
-    fn unindex_watch(&mut self, pid: ProcId, watch: &WatchSet) {
-        for key in watch.iter() {
-            if let Some(subs) = self.wake_index.get_mut(key) {
-                subs.remove(&pid);
-                if subs.is_empty() {
-                    self.wake_index.remove(key);
-                }
-            }
-        }
+    /// Takes `pid` out of the registry and claims its park; `None` when
+    /// it was not parked. Its stubs stay in the router until their key
+    /// wakes or the shard is swept.
+    fn unpark(&mut self, pid: ProcId) -> Option<Parked<()>> {
+        self.blocked.remove(&pid)?.claim()
     }
 
-    /// Removes `pid` from the blocked set, unsubscribing its watch keys
-    /// and settling the queue-depth gauge; false when `pid` was not
-    /// parked. All unparking goes through here so the wake index never
-    /// holds stale subscriptions.
+    /// Unparks `pid` (a rounds turn, or its removal from the society),
+    /// closing its park; false when it was not parked.
     pub(crate) fn unblock(&mut self, pid: ProcId) -> bool {
-        let Some(info) = self.blocked.remove(&pid) else {
+        let Some(e) = self.unpark(pid) else {
             return false;
         };
-        self.unindex_watch(pid, &info.watch);
-        self.metrics.add_gauge(Gauge::BlockedQueueDepth, -1);
-        if let Some(stall) = &mut self.stall {
-            if stall.flagged.remove(&pid) {
-                self.metrics.add_gauge(Gauge::StalledProcesses, -1);
-            }
-        }
-        self.tracer.record(|t_us| TraceRecord::Unpark {
-            pid,
-            t_us,
-            outcome: ParkOutcome::Woken,
-        });
+        e.settle(&self.tracer, &self.metrics, ParkOutcome::Woken);
         true
     }
 
+    /// Wakes every process parked on a key `changed` holds, in ascending
+    /// pid order, each by the smallest such key.
     pub(crate) fn wake(&mut self, changed: &WatchSet) {
-        if changed.is_empty() {
-            return;
-        }
-        // Union of subscribers over the published keys — exactly the
-        // blocked processes whose watch set intersects `changed`, in
-        // ascending pid order (matching the old full scan). Each pid
-        // remembers the first key that matched it, so the trace can say
-        // *which* subscription the commit satisfied.
-        let mut woken: BTreeMap<ProcId, WatchKey> = BTreeMap::new();
-        for key in changed.iter() {
-            if let Some(subs) = self.wake_index.get(key) {
-                for pid in subs {
-                    woken.entry(*pid).or_insert(*key);
-                }
-            }
-        }
-        for (pid, key) in woken {
-            let commit = self.last_commit_id;
-            if self.wake_one(pid, Counter::WakeupCommit, commit, || key.label()) {
-                if let Some(proc) = self.procs.get_mut(&pid) {
-                    proc.woken = true;
-                }
-            }
-            self.ready.push_back(pid);
+        let mut woken = self.router.wake(changed, ShardSet::all(1));
+        woken.sort_unstable_by_key(|(_, e)| e.pid);
+        for (key, e) in woken {
+            self.blocked.remove(&e.pid);
+            self.requeue(e, || key.label());
         }
     }
 
-    /// Unparks `pid` because `commit` published `key` (or for a synthetic
-    /// cause), counting the wake under `counter` and recording its edge.
-    /// False when `pid` was not parked.
-    fn wake_one(
-        &mut self,
-        pid: ProcId,
-        counter: Counter,
-        commit: u64,
-        key: impl FnOnce() -> String,
-    ) -> bool {
-        if !self.unblock(pid) {
-            return false;
+    /// Closes a park the last commit woke and queues its process, which
+    /// carries the wake into its next turn.
+    fn requeue(&mut self, e: Parked<()>, key: impl FnOnce() -> String) {
+        let (commit, counter) = (self.last_commit_id, Counter::WakeupCommit);
+        e.woken(&self.tracer, &self.metrics, counter, commit, key);
+        if let Some(proc) = self.procs.get_mut(&e.pid) {
+            proc.woken = true;
         }
-        self.metrics.inc(counter);
-        self.tracer.record(|t_us| TraceRecord::Wake {
-            pid,
-            commit,
-            key: key(),
-            t_us,
-        });
-        true
+        self.ready.push_back(e.pid);
     }
 
     /// Records a validation-conflict edge: the current attempt aborted
@@ -870,12 +778,8 @@ impl Runtime {
         // A replication parent woken by a child's exit, not by a tuple
         // commit; the attribution points at the last commit (usually the
         // child's final action).
-        let commit = self.last_commit_id;
-        if self.wake_one(pid, Counter::WakeupCommit, commit, || "child-exit".into()) {
-            if let Some(proc) = self.procs.get_mut(&pid) {
-                proc.woken = true;
-            }
-            self.ready.push_back(pid);
+        if let Some(e) = self.unpark(pid) {
+            self.requeue(e, || "child-exit".into());
         }
     }
 
@@ -888,10 +792,7 @@ impl Runtime {
         }
         for set in self.communities.partition(&self.ds, &self.builtins) {
             // Every member must be blocked with a consensus guard.
-            if !set
-                .iter()
-                .all(|pid| self.blocked.get(pid).is_some_and(|info| info.has_consensus))
-            {
+            if !set.iter().all(|pid| self.at_consensus(*pid)) {
                 continue;
             }
             // Probe every member's contribution against the same D.
@@ -966,9 +867,11 @@ impl Runtime {
         // Per-participant control advance. Every participant's wake ends
         // in this commit, so it counts as progress.
         for (pid, (mode, rest, p)) in &contributions {
-            if self.wake_one(*pid, Counter::WakeupConsensus, commit_id, || {
-                "consensus".into()
-            }) {
+            if let Some(e) = self.unpark(*pid) {
+                let counter = Counter::WakeupConsensus;
+                e.woken(&self.tracer, &self.metrics, counter, commit_id, || {
+                    "consensus".into()
+                });
                 self.metrics.inc(Counter::WakeProgress);
             }
             // An earlier participant's `abort` may have cancelled this one.

@@ -201,3 +201,51 @@ fn keyless_park_is_returned_only_by_the_drain() {
     assert_eq!(router.drain(), vec![7]);
     assert!(router.drain().is_empty());
 }
+
+/// A park that sweeps its shard — 64 claimed stubs already sit there —
+/// races a waking commit and a cancel's claim. The sweep takes slot
+/// locks under the shard lock, as a wake scan does; a cancel takes the
+/// slot lock alone. Exactly one claimant gets the payload, and no lock
+/// order deadlocks.
+#[test]
+fn sweeping_park_races_wake_and_cancel() {
+    let report = explore().run(|| {
+        let router = WakeRouter::<u32>::new(1);
+        for i in 0..64 {
+            let stale = Slot::new(i);
+            let key = WatchKey::Value(Atom::new("old"), 2, 1, u64::from(i));
+            assert!(router.park(&stale, vec![key], router.epoch()).is_none());
+            assert_eq!(stale.claim(), Some(i));
+        }
+        let slot = Slot::new(7);
+        let got = Mutex::new(Vec::new());
+        let epoch = router.epoch();
+        sdl_sync::scope(|s| {
+            s.spawn(|| {
+                let reclaimed = router.park(&slot, vec![item_key()], epoch);
+                got.lock().extend(reclaimed.map(|p| ("reclaim", p)));
+            });
+            s.spawn(|| {
+                router.bump_epoch();
+                let mut changed = WatchSet::new();
+                changed.add_key(item_key());
+                let woken = router.wake(&changed, ShardSet::all(1));
+                got.lock()
+                    .extend(woken.into_iter().map(|(_, p)| ("wake", p)));
+            });
+            s.spawn(|| {
+                got.lock().extend(slot.claim().map(|p| ("cancel", p)));
+            });
+        });
+        let got = got.lock().clone();
+        assert_eq!(got.len(), 1, "delivered {got:?}");
+        assert_eq!(got[0].1, 7);
+        assert!(router.drain().is_empty());
+    });
+    assert!(
+        report.failure.is_none(),
+        "sweeping park failed under exploration:\n{}",
+        report.failure.unwrap()
+    );
+    assert!(report.complete, "exploration did not exhaust the tree");
+}
