@@ -15,16 +15,18 @@
 //! every process that imports anything (and with each other whenever the
 //! dataspace is non-empty).
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use sdl_dataspace::{Dataspace, TupleSource};
+use sdl_dataspace::{Dataspace, TupleSource, WatchSet};
 use sdl_metrics::Counter;
 use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
 use crate::builtins::Builtins;
 use crate::error::RuntimeError;
 use crate::process::ProcessInstance;
-use crate::view::ResolvedRules;
+use crate::view::{Admitted, Lazy, QuerySource, ResolvedRules};
 
 struct UnionFind {
     parent: Vec<usize>,
@@ -81,13 +83,27 @@ struct Member {
     rules: ResolvedRules,
     /// The process constants the rules and their predicates read.
     env: HashMap<String, Value>,
-    /// `Import(p) ∩ D` as of the last commit, ascending — unless `stale`.
+    /// Per resolved rule, its expansion over the store, once a window or
+    /// a recompute reached it.
+    cells: Vec<OnceCell<Vec<Admitted>>>,
+    /// `Import(p) ∩ D` as of the last commit, ascending — unless stale.
     ids: Vec<TupleId>,
-    /// A tuple covered by a rule *condition* came or went — under bindings
-    /// the rule's predicates do not already rule out — or the member is
-    /// new: tuples already in the store may have changed sides, so `ids`
-    /// is recomputed from the store at the next query.
-    stale: bool,
+    /// The exact keys of the expansion's admitted patterns and of the
+    /// rules' tuple conditions ([`Lazy::interest`]); a commit publishing
+    /// none of them changes neither `ids` nor `cells`. `None` marks the
+    /// member stale: it is new, or a tuple covered by a rule *condition*
+    /// came or went — under bindings the rule's predicates do not already
+    /// rule out — so tuples already in the store may have changed sides,
+    /// and `ids` is recomputed from the store at the next query.
+    interest: Option<WatchSet>,
+}
+
+impl Member {
+    /// The member's window over `ds`, expanding into its kept cells.
+    fn window<'a>(&'a self, ds: &'a dyn TupleSource, builtins: &'a Builtins) -> Lazy<'a> {
+        let (rules, cells) = (Cow::Borrowed(&self.rules), Cow::Borrowed(&self.cells[..]));
+        Lazy::new(ds, rules, cells, &self.env, builtins)
+    }
 }
 
 /// The society's import sets, maintained from commit deltas.
@@ -95,11 +111,13 @@ struct Member {
 /// Invariant, for every member that is not stale: `ids` equals
 /// `rules.import_ids(D)` for the store `D` passed to the latest
 /// [`CommunityIndex::commit`], and `importers` holds exactly the pairs
-/// `(id, pid)` with `id ∈ members[pid].ids`, stale members included.
-/// Membership of a tuple depends on the store only through the rules'
-/// tuple conditions, so a commit that touches no condition-covered tuple
-/// changes a set by exactly its own retractions and admitted assertions;
-/// any other commit marks the member stale instead of guessing.
+/// `(id, pid)` with `id ∈ members[pid].ids`, stale members included. For
+/// every member, each filled cell holds its rule's expansion over `D`.
+/// Membership of a tuple and a rule's expansion depend on the store only
+/// through the rules' tuple conditions, so a commit that touches no
+/// condition-covered tuple changes a set by exactly its own retractions
+/// and admitted assertions; any other commit empties the cells and marks
+/// the member stale instead of guessing.
 #[derive(Clone, Debug, Default)]
 pub struct CommunityIndex {
     members: BTreeMap<ProcId, Member>,
@@ -133,10 +151,11 @@ impl CommunityIndex {
         self.members.insert(
             p.id,
             Member {
+                cells: rules.cells(),
                 rules,
                 env: p.env.clone(),
                 ids,
-                stale: true,
+                interest: None,
             },
         );
     }
@@ -162,7 +181,8 @@ impl CommunityIndex {
 
     /// Applies one committed batch: `ds` is the store *after* it,
     /// `retracted` the instances it removed and `asserted` the ids it
-    /// minted.
+    /// minted. Only the members whose interest meets the batch's keys
+    /// look at its tuples.
     pub fn commit(
         &mut self,
         retracted: &[(TupleId, Tuple)],
@@ -185,24 +205,60 @@ impl CommunityIndex {
             .iter()
             .filter_map(|id| Some((*id, ds.tuple(*id)?)))
             .collect();
+        let mut keys = WatchSet::new();
+        for (_, t) in retracted {
+            keys.add_tuple(t);
+        }
+        for (_, t) in &asserted {
+            keys.add_tuple(t);
+        }
         for (pid, m) in &mut self.members {
-            if m.stale {
-                continue;
+            match &m.interest {
+                Some(interest) if !interest.intersects(&keys) => continue,
+                // Stale with nothing expanded: nothing to keep or reset.
+                None if m.cells.iter().all(|c| c.get().is_none()) => continue,
+                _ => {}
             }
             let covers = |t: &Tuple| m.rules.condition_covers(t, &m.env, builtins);
             if retracted.iter().any(|(_, t)| covers(t)) || asserted.iter().any(|(_, t)| covers(t)) {
-                m.stale = true;
+                m.cells.iter_mut().for_each(|c| drop(c.take()));
+                m.interest = None;
                 continue;
             }
-            for (id, t) in &asserted {
-                ds.metrics().inc(Counter::WindowAdmitChecks);
-                if m.rules.admits(t, ds, &m.env, builtins) {
-                    if let Err(at) = m.ids.binary_search(id) {
-                        m.ids.insert(at, *id);
-                        self.importers.entry(*id).or_default().push(*pid);
-                    }
+            if m.interest.is_none() {
+                continue;
+            }
+            ds.metrics()
+                .add(Counter::WindowAdmitChecks, asserted.len() as u64);
+            let window = m.window(ds, builtins);
+            let admitted: Vec<TupleId> = asserted
+                .iter()
+                .filter(|(_, t)| window.expansion_admits(t))
+                .map(|(id, _)| *id)
+                .collect();
+            drop(window);
+            for id in admitted {
+                if let Err(at) = m.ids.binary_search(&id) {
+                    m.ids.insert(at, id);
+                    self.importers.entry(id).or_default().push(*pid);
                 }
             }
+        }
+    }
+
+    /// The window `pid` queries `ds` through: a member's expands into
+    /// its kept cells, a hub's is the whole store. `ds` must be the store
+    /// the index's commits were applied to.
+    pub(crate) fn window<'a>(
+        &'a self,
+        pid: ProcId,
+        ds: &'a Dataspace,
+        builtins: &'a Builtins,
+    ) -> QuerySource<'a> {
+        ds.metrics().inc(Counter::WindowsBuilt);
+        match self.members.get(&pid) {
+            Some(m) => QuerySource::Lazy(m.window(ds, builtins)),
+            None => QuerySource::Full(ds),
         }
     }
 
@@ -211,15 +267,18 @@ impl CommunityIndex {
         let stale: Vec<ProcId> = self
             .members
             .iter()
-            .filter(|(_, m)| m.stale)
+            .filter(|(_, m)| m.interest.is_none())
             .map(|(pid, _)| *pid)
             .collect();
         for pid in stale {
             ds.metrics().inc(Counter::ConsensusImportRecomputes);
             let m = self.members.get_mut(&pid).expect("listed above");
-            let fresh = m.rules.import_ids(ds, &m.env, builtins);
+            let (fresh, interest) = {
+                let window = m.window(ds, builtins);
+                (window.all_ids(), window.interest())
+            };
+            m.interest = Some(interest);
             let old = std::mem::replace(&mut m.ids, fresh.clone());
-            m.stale = false;
             for id in old.iter().filter(|id| fresh.binary_search(id).is_err()) {
                 self.forget_importer(*id, pid);
             }
@@ -448,7 +507,7 @@ mod tests {
         let mut index = CommunityIndex::build(&[&procs[0]], &b);
         let mut ds = Dataspace::new();
         index.import_sets(&ds, &b);
-        let stale = |index: &CommunityIndex| index.members[&procs[0].id].stale;
+        let stale = |index: &CommunityIndex| index.members[&procs[0].id].interest.is_none();
         assert!(!stale(&index));
         let mut assert = |index: &mut CommunityIndex, t: Tuple| {
             let id = ds.assert_tuple(ProcId::ENV, t);

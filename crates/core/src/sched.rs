@@ -416,9 +416,10 @@ impl Runtime {
 
     // ---------------- evaluation & commit ----------------
 
-    /// Evaluates `t` for `pid`, building the process window over
-    /// `source_ds` (defaults to the live dataspace — the rounds scheduler
-    /// passes the round snapshot). `Ok(Err(watch))` is a failed query;
+    /// Evaluates `t` for `pid` through its window over `source_ds`, built
+    /// afresh (the rounds scheduler passes the round snapshot), or over
+    /// the live dataspace, taken from the community index with the
+    /// expansion it keeps (`None`). `Ok(Err(watch))` is a failed query;
     /// `watch` is what a park after it listens on: the subscriptions of
     /// the transactions in `park` (`t` itself, and the unevaluated guards
     /// of its construct, or none), taken through the window the
@@ -431,10 +432,12 @@ impl Runtime {
         park: &[&CompiledTxn],
     ) -> Result<Result<Pending, WatchSet>, RuntimeError> {
         let proc = &self.procs[&pid];
-        let ds = source_ds.unwrap_or(&self.ds);
         let span = self.tracer.begin();
         let mut probe = span.map(|_| EvalProbe::new());
-        let source = proc.def.view.window(ds, &proc.env, &self.builtins);
+        let source = match source_ds {
+            Some(ds) => proc.def.view.window(ds, &proc.env, &self.builtins),
+            None => self.communities.window(pid, &self.ds, &self.builtins),
+        };
         let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
         let result = txn::evaluate_resolved(
             t,
@@ -473,7 +476,7 @@ impl Runtime {
     /// recomputed on every re-park.
     pub(crate) fn txn_watch(&self, pid: ProcId, t: &CompiledTxn) -> WatchSet {
         let proc = &self.procs[&pid];
-        let source = proc.def.view.window(&self.ds, &proc.env, &self.builtins);
+        let source = self.communities.window(pid, &self.ds, &self.builtins);
         let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
         txn::watch_set_resolved(t, &atoms, &source)
     }

@@ -965,10 +965,32 @@ fn blocked_report_names_the_community_and_who_is_missing() {
 }
 
 /// The community index the runtime maintained equals one built from the
-/// society and the store as they stand.
+/// society and the store as they stand, and every process's kept window
+/// shows and subscribes what a window built afresh does.
 fn assert_index_current(rt: &Runtime, ctx: &str) {
+    use crate::interp::{site, Site};
+    use sdl_dataspace::WatchSet;
+
     let mut rebuilt = crate::consensus::CommunityIndex::build(&rt.processes(), rt.builtins());
     let mut kept = rt.communities.clone();
+    for p in rt.processes() {
+        let window = kept.window(p.id, &rt.ds, rt.builtins());
+        let fresh = p.def.view.window(&rt.ds, &p.env, rt.builtins());
+        assert_eq!(window.all_ids(), fresh.all_ids(), "{} window {ctx}", p.id);
+        let txns: Vec<_> = match site(p) {
+            Some(Site::Txn(t)) => vec![t],
+            Some(Site::Guards(branches, _)) => branches.iter().map(|b| b.guard.clone()).collect(),
+            None => Vec::new(),
+        };
+        for t in txns {
+            for atom in crate::txn::resolve_atoms(&t, &p.env, rt.builtins()).unwrap_or_default() {
+                let (mut a, mut b) = (WatchSet::new(), WatchSet::new());
+                window.subscribe(&atom, &mut a);
+                fresh.subscribe(&atom, &mut b);
+                assert_eq!(a, b, "{} subscribes to {} {ctx}", p.id, atom.pattern);
+            }
+        }
+    }
     assert_eq!(
         kept.import_sets(&rt.ds, rt.builtins()),
         rebuilt.import_sets(&rt.ds, rt.builtins()),
@@ -1028,6 +1050,22 @@ fn runtime_keeps_the_community_index_current() {
         init { <cell, 1, 2>; <cell, 2, 3>; <cell, 3, 3>; <cell, 5, 6>; <cell, 5, 7>;
                <prize, 3, 0>; <prize, 2, 0>;
                spawn Walker(1); spawn Walker(2); spawn Batch(5); }";
+    // Reader expands its rule before the first partition; Ticker's
+    // consensus then moves Reader's condition right after a partition
+    // refreshed it, and Opener moves it again while Reader is stale with
+    // its rule expanded.
+    let gates = "
+        process Reader() {
+            import { forall v : <open, v> => <item, v>; }
+            loop {
+                exists v : <item, v>! -> <took, v>
+              | not <item, *> @> exit
+            }
+        }
+        process Ticker() { import { <tick>; } <tick>! @> <open, 2>; }
+        process Opener() { import { <none>; } true -> skip; true -> <open, 3>; }
+        init { <open, 1>; <item, 1>; <item, 2>; <item, 3>; <tick>;
+               spawn Reader(); spawn Ticker(); spawn Opener(); }";
     let mut b = Builtins::standard();
     b.register_grid_neighbor(3, 2);
     b.register("T", |args: &[Value]| {
@@ -1039,6 +1077,8 @@ fn runtime_keeps_the_community_index_current() {
         (labeling, true),
         (walkers, false),
         (walkers, true),
+        (gates, false),
+        (gates, true),
     ] {
         let mut finished = false;
         for limit in 1..400 {

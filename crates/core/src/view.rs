@@ -281,7 +281,10 @@ impl CompiledView {
         let metrics = ds.metrics();
         metrics.inc(Counter::WindowsBuilt);
         match self.resolve_import(env, builtins) {
-            Some(rules) => QuerySource::Lazy(Lazy::new(ds, rules, env, builtins)),
+            Some(rules) => {
+                let cells = rules.cells().into();
+                QuerySource::Lazy(Lazy::new(ds, Cow::Owned(rules), cells, env, builtins))
+            }
             None => QuerySource::Full(ds),
         }
     }
@@ -355,8 +358,10 @@ struct ResolvedRule {
 
 /// A view's import or export rules as they read for one process: every
 /// environment expression evaluated under its constants, rule variables
-/// left free. Built once per window by [`CompiledView::window`] and kept
-/// per process by the consensus community index.
+/// left free. The community index keeps them per process, with their
+/// expansion, for the serial schedulers' windows over the live store;
+/// [`CompiledView::window`] resolves them afresh for a snapshot or a
+/// footprint.
 ///
 /// A rule whose pattern or tuple condition does not evaluate is left
 /// out: it admits nothing, for the test of a tuple in hand
@@ -401,9 +406,14 @@ impl ResolvedRules {
         }
     }
 
+    /// One empty expansion cell per resolved rule.
+    pub(crate) fn cells(&self) -> Vec<OnceCell<Vec<Admitted>>> {
+        self.resolved.iter().map(|_| OnceCell::new()).collect()
+    }
+
     /// True if some rule covers `tuple` and that rule's conditions hold
     /// in `ds` — the test of one tuple in hand (export filtering, a
-    /// window's `tuple(id)`, a commit's asserted tuples).
+    /// window's `tuple(id)`).
     pub(crate) fn admits<S: TupleSource + ?Sized>(
         &self,
         tuple: &Tuple,
@@ -449,7 +459,7 @@ impl ResolvedRules {
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> Vec<TupleId> {
-        Lazy::new(ds, self.clone(), env, builtins).all_ids()
+        Lazy::new(ds, Cow::Borrowed(self), self.cells().into(), env, builtins).all_ids()
     }
 
     /// What rule `r` admits over `ds`, as patterns: the rule pattern
@@ -590,8 +600,8 @@ fn probe_key(pattern: &Pattern, admitted: &Pattern) -> Pattern {
 
 /// One way a rule admits tuples: its pattern resolved under one solution
 /// of its tuple conditions, and that solution.
-#[derive(Debug)]
-struct Admitted {
+#[derive(Clone, Debug)]
+pub(crate) struct Admitted {
     /// Position of the rule in the rule list.
     rule: usize,
     pattern: Pattern,
@@ -602,34 +612,64 @@ struct Admitted {
 /// see it.
 ///
 /// Each rule is expanded ([`ResolvedRules::expand`]) the first time a
-/// query reaches it and kept for the window's life — a transaction's
-/// evaluation context, over which the store does not change. A query for
-/// a pattern then probes the store once per admitted pattern of each
-/// rule that can meet it, instead of testing each of the pattern's
-/// candidates against every rule.
+/// query reaches it and kept in its cell — for the window's life when the
+/// window owns its cells, or for as long as the community index keeps a
+/// process's cells: until a commit moves a tuple a rule condition covers,
+/// the only way the store can change an expansion. A query for a pattern
+/// then probes the store once per admitted pattern of each rule that can
+/// meet it, instead of testing each of the pattern's candidates against
+/// every rule.
 pub(crate) struct Lazy<'a> {
     ds: &'a dyn TupleSource,
-    rules: ResolvedRules,
+    rules: Cow<'a, ResolvedRules>,
     /// Per resolved rule, its admitted patterns once expanded.
-    expanded: Vec<OnceCell<Vec<Admitted>>>,
+    expanded: Cow<'a, [OnceCell<Vec<Admitted>>]>,
     env: &'a HashMap<String, Value>,
     builtins: &'a Builtins,
 }
 
 impl<'a> Lazy<'a> {
-    fn new(
+    /// A window over `ds` expanding `rules` into `expanded`, one cell per
+    /// resolved rule ([`ResolvedRules::cells`]).
+    pub(crate) fn new(
         ds: &'a dyn TupleSource,
-        rules: ResolvedRules,
+        rules: Cow<'a, ResolvedRules>,
+        expanded: Cow<'a, [OnceCell<Vec<Admitted>>]>,
         env: &'a HashMap<String, Value>,
         builtins: &'a Builtins,
     ) -> Lazy<'a> {
         Lazy {
             ds,
-            expanded: rules.resolved.iter().map(|_| OnceCell::new()).collect(),
             rules,
+            expanded,
             env,
             builtins,
         }
+    }
+
+    /// The exact keys of every admitted pattern and every tuple condition,
+    /// expanding each rule: a tuple that publishes none of them can
+    /// neither enter nor leave the window, nor move its expansion.
+    pub(crate) fn interest(&self) -> WatchSet {
+        let mut keys = WatchSet::new();
+        for (i, r) in self.rules.resolved.iter().enumerate() {
+            for p in self.admitted(i).iter().map(|a| &a.pattern).chain(&r.conds) {
+                keys.add_pattern_exact(p);
+            }
+        }
+        keys
+    }
+
+    /// True if the expansion admits `tuple`: the test of a tuple in hand
+    /// against the admitted patterns, without probing the conditions.
+    pub(crate) fn expansion_admits(&self, tuple: &Tuple) -> bool {
+        self.rules.resolved.iter().enumerate().any(|(i, r)| {
+            may_match(&r.pattern, tuple)
+                && self
+                    .admitted(i)
+                    .iter()
+                    .any(|adm| self.admitted_by(adm, tuple, &mut adm.bindings.clone()))
+        })
     }
 
     /// The admitted patterns of resolved rule `i`.

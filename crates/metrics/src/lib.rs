@@ -80,10 +80,12 @@ pub enum Counter {
     PlanCacheMiss,
     /// `sdl_plan_cache_total{event="replan"}`
     PlanReplans,
-    /// Query windows (views) constructed.
+    /// Query windows (views) a query runs through, built afresh or
+    /// taken from the community index.
     WindowsBuilt,
     /// Import-clause admission tests: on lazy windows, and by the
-    /// consensus community index on asserted tuples.
+    /// consensus community index on asserted tuples a member's interest
+    /// keys meet.
     WindowAdmitChecks,
     /// Processes that entered the blocked set.
     ProcessesBlocked,
@@ -334,9 +336,11 @@ impl Counter {
             Counter::PlanCacheHit | Counter::PlanCacheMiss | Counter::PlanReplans => {
                 "Query-plan cache lookups, by event."
             }
-            Counter::WindowsBuilt => "Query windows (view intersections) constructed.",
+            Counter::WindowsBuilt => {
+                "Query windows (view intersections) queried through, built or kept."
+            }
             Counter::WindowAdmitChecks => {
-                "Import-clause admission tests (lazy windows and the consensus community index)."
+                "Import-clause admission tests (lazy windows, and the consensus community index on the members a commit's keys reach)."
             }
             Counter::ProcessesBlocked => "Processes that entered the blocked set.",
             Counter::WakeupCommit | Counter::WakeupConsensus => {

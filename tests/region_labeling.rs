@@ -166,3 +166,36 @@ fn checkerboard_stresses_many_regions() {
     assert_eq!(read_labels(&rt2, 16), expected);
     assert_eq!(report.consensus_rounds, 16, "one consensus per singleton");
 }
+
+#[test]
+fn community_model_routes_each_commit_to_the_members_it_concerns() {
+    // A commit's asserted labels are checked only by the Label processes
+    // whose kept interest its keys meet (the pixel and its same-class
+    // neighbours), against their kept expansion: a handful of admit
+    // checks per commit, not one per process in the society.
+    use sdl_metrics::{Counter, Metrics};
+    let image = Image::synthetic(6, 6, 2, 5);
+    let (metrics, registry) = Metrics::registry();
+    let program =
+        sdl_core::CompiledProgram::from_source(sdl::workloads::COMMUNITY_LABELING_SRC).unwrap();
+    let mut b = sdl_core::Runtime::builder(program)
+        .seed(5)
+        .metrics(metrics)
+        .builtins(sdl::workloads::image_builtins(&image, CUTOFF));
+    for (p, v) in image.pixels.iter().enumerate() {
+        b = b.tuple(sdl_tuple::tuple![
+            sdl_tuple::Value::atom("image"),
+            p as i64,
+            *v
+        ]);
+    }
+    let mut rt = b.spawn("Threshold", vec![]).build().unwrap();
+    let report = rt.run().unwrap();
+    assert!(report.outcome.is_completed(), "{:?}", report.outcome);
+    assert_eq!(
+        read_labels(&rt, image.len()),
+        image.flood_fill_labels(CUTOFF)
+    );
+    let checks = registry.counter(Counter::WindowAdmitChecks) as f64 / report.commits as f64;
+    assert!(checks <= 6.0, "{checks:.2} admit checks per commit");
+}
