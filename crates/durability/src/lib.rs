@@ -22,7 +22,9 @@
 //! `(id, tuple)` store contents.
 //!
 //! Every frame is `[u32 len][u32 crc][payload]`, both little-endian,
-//! with the CRC taken over the payload alone. Recovery tolerates a torn
+//! with the CRC taken over the payload alone. [`codec`] is the one
+//! definition of these bytes, which the `SDLNET01` client protocol and
+//! the `SDLREPL1` replication protocol share. Recovery tolerates a torn
 //! tail in the newest segment — truncate at the first bad frame and
 //! count it — but treats damage anywhere else as corruption.
 //!
@@ -40,7 +42,7 @@
 //! (the paper's §2 semantics), but the process society itself is
 //! rebuilt fresh on restart.
 
-mod codec;
+pub mod codec;
 mod recover;
 mod ship;
 mod snapshotter;
@@ -52,11 +54,8 @@ use std::str::FromStr;
 use std::time::Duration;
 
 pub use codec::crc32;
-pub use recover::{apply_log, read_log, recover, CommitRecord, RecoveredState};
-pub use ship::{
-    decode_commit_record, decode_instances, encode_commit_record, encode_instances, read_snapshot,
-    SegmentTailer,
-};
+pub use recover::{apply_log, read_log, read_snapshot, recover, CommitRecord, RecoveredState};
+pub use ship::SegmentTailer;
 pub use snapshotter::Snapshotter;
 pub use wal::Wal;
 

@@ -1,5 +1,4 @@
-//! Log shipping: incremental tail-reading of live WAL segments and the
-//! commit-record byte codec replication frames reuse.
+//! Log shipping: incremental tail-reading of live WAL segments.
 //!
 //! A [`SegmentTailer`] is the read half of log-shipping replication: it
 //! follows the segment files the [`crate::Wal`] writer is appending to,
@@ -15,124 +14,9 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use sdl_tuple::{Tuple, TupleId};
-
-use crate::codec::{crc32, Dec, Enc, FRAME_HEADER};
-use crate::recover::{list_files, load_snapshot, segment_path, CommitRecord};
-use crate::wal::{FORMAT_VERSION, REC_COMMIT, REC_HEADER, SEGMENT_MAGIC};
+use crate::codec::{decode, split_frame, Dec, FRAME_HEADER, SEGMENT_MAGIC};
+use crate::recover::{list_files, segment_path, CommitRecord};
 use crate::WalError;
-
-/// A parsed snapshot file: the base state a follower loads before
-/// replaying shipped records.
-#[derive(Clone, Debug)]
-pub struct SnapshotContents {
-    /// Commit number the snapshot captures.
-    pub commit: u64,
-    /// Shard count the log was written under.
-    pub n_shards: u64,
-    /// Per-shard id-mint cursors at the snapshot.
-    pub cursors: Vec<u64>,
-    /// Store contents at the snapshot, in id order.
-    pub tuples: Vec<(TupleId, Tuple)>,
-}
-
-/// Reads and validates one snapshot file (magic, CRC, commit-vs-name
-/// agreement).
-///
-/// # Errors
-///
-/// I/O failure or a snapshot that fails validation.
-pub fn read_snapshot(path: &Path, commit: u64) -> Result<SnapshotContents, WalError> {
-    let snap = load_snapshot(path, commit)?;
-    Ok(SnapshotContents {
-        commit: snap.commit,
-        n_shards: snap.n_shards,
-        cursors: snap.cursors,
-        tuples: snap.tuples,
-    })
-}
-
-/// Encodes a commit record as bytes — the same payload layout the WAL
-/// uses on disk, so replication frames and log frames stay one format.
-pub fn encode_commit_record(rec: &CommitRecord) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.u8(REC_COMMIT);
-    enc.u64(rec.commit);
-    enc.u32(rec.retracts.len() as u32);
-    for id in &rec.retracts {
-        enc.id(*id);
-    }
-    enc.u32(rec.asserts.len() as u32);
-    for (id, tuple) in &rec.asserts {
-        enc.id(*id);
-        enc.tuple(tuple);
-    }
-    enc.buf
-}
-
-/// Decodes a commit record from [`encode_commit_record`] bytes.
-///
-/// # Errors
-///
-/// [`WalError::Corrupt`] on any structural mismatch.
-pub fn decode_commit_record(payload: &[u8]) -> Result<CommitRecord, WalError> {
-    let corrupt = |what: String| WalError::Corrupt(format!("commit record: {what}"));
-    let mut dec = Dec::new(payload);
-    let tag = dec.u8().map_err(corrupt)?;
-    if tag != REC_COMMIT {
-        return Err(corrupt(format!("unexpected record tag {tag}")));
-    }
-    let commit = dec.u64().map_err(corrupt)?;
-    let n_retracts = dec.u32().map_err(corrupt)? as usize;
-    let mut retracts = Vec::with_capacity(n_retracts.min(payload.len()));
-    for _ in 0..n_retracts {
-        retracts.push(dec.id().map_err(corrupt)?);
-    }
-    let n_asserts = dec.u32().map_err(corrupt)? as usize;
-    let mut asserts = Vec::with_capacity(n_asserts.min(payload.len()));
-    for _ in 0..n_asserts {
-        let id = dec.id().map_err(corrupt)?;
-        let tuple = dec.tuple().map_err(corrupt)?;
-        asserts.push((id, tuple));
-    }
-    dec.done().map_err(corrupt)?;
-    Ok(CommitRecord {
-        commit,
-        retracts,
-        asserts,
-    })
-}
-
-/// Encodes a list of `(id, tuple)` instances — the payload of a
-/// replication snapshot chunk.
-pub fn encode_instances(items: &[(TupleId, Tuple)]) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.u32(items.len() as u32);
-    for (id, tuple) in items {
-        enc.id(*id);
-        enc.tuple(tuple);
-    }
-    enc.buf
-}
-
-/// Decodes [`encode_instances`] bytes.
-///
-/// # Errors
-///
-/// [`WalError::Corrupt`] on any structural mismatch.
-pub fn decode_instances(payload: &[u8]) -> Result<Vec<(TupleId, Tuple)>, WalError> {
-    let corrupt = |what: String| WalError::Corrupt(format!("instance list: {what}"));
-    let mut dec = Dec::new(payload);
-    let n = dec.u32().map_err(corrupt)? as usize;
-    let mut items = Vec::with_capacity(n.min(payload.len()));
-    for _ in 0..n {
-        let id = dec.id().map_err(corrupt)?;
-        let tuple = dec.tuple().map_err(corrupt)?;
-        items.push((id, tuple));
-    }
-    dec.done().map_err(corrupt)?;
-    Ok(items)
-}
 
 /// An incremental reader following live WAL segments in commit order.
 pub struct SegmentTailer {
@@ -277,7 +161,7 @@ impl SegmentTailer {
             if self.buf.len() < SEGMENT_MAGIC.len() {
                 return Ok(None);
             }
-            if &self.buf[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+            if !self.buf.starts_with(SEGMENT_MAGIC) {
                 return Err(WalError::Corrupt(format!(
                     "segment starting at {} has bad magic",
                     self.segment_first
@@ -285,40 +169,33 @@ impl SegmentTailer {
             }
             pos = SEGMENT_MAGIC.len();
         }
-        if self.buf.len() < pos + FRAME_HEADER {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(self.buf[pos + 4..pos + 8].try_into().unwrap());
-        if self.buf.len() < pos + FRAME_HEADER + len {
-            return Ok(None);
-        }
-        let payload = &self.buf[pos + FRAME_HEADER..pos + FRAME_HEADER + len];
-        if crc32(payload) != crc {
-            // Behind the shippable watermark every frame is complete;
-            // a bad CRC here is damage, not an unfinished write.
-            return Err(WalError::Corrupt(format!(
-                "crc mismatch in segment starting at {} (offset {})",
-                self.segment_first,
-                self.offset + pos as u64
-            )));
-        }
-        let frame = if !self.saw_header {
-            let hdr = parse_header(payload, self.segment_first)?;
-            if let Some(n) = self.n_shards {
-                if n != hdr {
-                    return Err(WalError::Corrupt(format!(
-                        "segment header says {hdr} shard(s) but earlier history says {n}"
-                    )));
-                }
+        // The tailer's policy: a partial frame is one the writer has not
+        // finished, but behind the shippable watermark a bad CRC is damage.
+        let used = match split_frame(&self.buf[pos..], usize::MAX) {
+            Ok(Some(used)) => used,
+            Ok(None) => return Ok(None),
+            Err(_) => {
+                return Err(WalError::Corrupt(format!(
+                    "crc mismatch in segment starting at {} (offset {})",
+                    self.segment_first,
+                    self.offset + pos as u64
+                )))
             }
-            self.n_shards = Some(hdr);
+        };
+        let payload = &self.buf[pos + FRAME_HEADER..pos + used];
+        let corrupt =
+            |e| WalError::Corrupt(format!("segment starting at {}: {e}", self.segment_first));
+        let frame = if self.saw_header {
+            Frame::Commit(decode(payload, Dec::commit_record).map_err(corrupt)?)
+        } else {
+            let header = decode(payload, |d| {
+                d.segment_header(self.segment_first, self.n_shards)
+            });
+            self.n_shards = Some(header.map_err(corrupt)?);
             self.saw_header = true;
             Frame::Header
-        } else {
-            Frame::Commit(decode_commit_record(payload)?)
         };
-        let consumed = pos + FRAME_HEADER + len;
+        let consumed = pos + used;
         self.buf.drain(..consumed);
         self.offset += consumed as u64;
         Ok(Some(frame))
@@ -328,28 +205,4 @@ impl SegmentTailer {
 enum Frame {
     Header,
     Commit(CommitRecord),
-}
-
-/// Validates a header-frame payload, returning its shard count.
-fn parse_header(payload: &[u8], segment_first: u64) -> Result<u64, WalError> {
-    let corrupt =
-        |what: String| WalError::Corrupt(format!("segment starting at {segment_first}: {what}"));
-    let mut dec = Dec::new(payload);
-    let tag = dec.u8().map_err(corrupt)?;
-    if tag != REC_HEADER {
-        return Err(corrupt("segment does not start with a header frame".into()));
-    }
-    let version = dec.u32().map_err(corrupt)?;
-    if version != FORMAT_VERSION {
-        return Err(corrupt(format!("unsupported format version {version}")));
-    }
-    let shards = dec.u64().map_err(corrupt)?;
-    let header_first = dec.u64().map_err(corrupt)?;
-    if header_first != segment_first {
-        return Err(corrupt(format!(
-            "header first-commit {header_first} does not match file name"
-        )));
-    }
-    dec.done().map_err(corrupt)?;
-    Ok(shards)
 }

@@ -12,20 +12,9 @@ use std::time::Instant;
 use sdl_metrics::{Counter, Hist, Metrics};
 use sdl_tuple::{Tuple, TupleId};
 
-use crate::codec::{crc32, frame, Enc, FRAME_HEADER};
+use crate::codec::{frame_with, SEGMENT_MAGIC, SNAPSHOT_MAGIC};
 use crate::recover::{list_files, segment_path, snapshot_path, RecoveredState};
 use crate::{FsyncPolicy, WalConfig, WalError};
-
-/// Magic bytes opening every segment file.
-pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"SDLWAL01";
-/// Magic bytes opening every snapshot file.
-pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"SDLSNAP1";
-/// Segment-header frame payload tag.
-pub(crate) const REC_HEADER: u8 = 0;
-/// Commit-record frame payload tag.
-pub(crate) const REC_COMMIT: u8 = 1;
-/// On-disk format version.
-pub(crate) const FORMAT_VERSION: u32 = 1;
 
 /// A write-ahead log open for appending. Shared across executor
 /// threads behind an `Arc`; all mutation goes through one internal
@@ -75,7 +64,7 @@ struct WalInner {
     /// Next retention-pin id.
     next_pin: u64,
     /// Reused encode buffer — appends are hot on every commit, so the
-    /// record payload is built here instead of a fresh allocation.
+    /// record frame is built here instead of a fresh allocation.
     scratch: Vec<u8>,
 }
 
@@ -125,19 +114,11 @@ impl Wal {
         since_snapshot: u64,
         mut segments: Vec<u64>,
     ) -> Result<Wal, WalError> {
-        let mut file = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(segment_path(&config.dir, first_commit))?,
-        );
-        let header = segment_header(n_shards, first_commit);
-        file.write_all(SEGMENT_MAGIC)?;
-        file.write_all(&header)?;
+        let (file, segment_written) = open_segment(&config.dir, n_shards, first_commit)?;
         segments.push(first_commit);
         let inner = WalInner {
             file,
-            segment_written: (SEGMENT_MAGIC.len() + header.len()) as u64,
+            segment_written,
             segments,
             next_commit: first_commit,
             appended: first_commit - 1,
@@ -274,35 +255,18 @@ impl Wal {
         let mut inner = self.inner.lock().unwrap();
         let commit = inner.next_commit;
 
-        let mut enc = Enc {
-            buf: std::mem::take(&mut inner.scratch),
-        };
-        enc.buf.clear();
-        enc.u8(REC_COMMIT);
-        enc.u64(commit);
-        enc.u32(retracts.len() as u32);
-        for id in retracts {
-            enc.id(*id);
-        }
-        enc.u32(asserts.len() as u32);
-        for (id, tuple) in asserts {
-            enc.id(*id);
-            enc.tuple(tuple);
-        }
-        let framed_len = (FRAME_HEADER + enc.buf.len()) as u64;
+        let mut buf = std::mem::take(&mut inner.scratch);
+        buf.clear();
+        frame_with(&mut buf, |e| e.commit_record(commit, retracts, asserts));
+        let framed_len = buf.len() as u64;
 
         if inner.segment_written + framed_len > self.config.segment_bytes
             && inner.appended >= inner.segments[inner.segments.len() - 1]
         {
             self.rotate(&mut inner, commit)?;
         }
-        // Write the frame in place instead of materialising a framed copy.
-        inner
-            .file
-            .write_all(&(enc.buf.len() as u32).to_le_bytes())?;
-        inner.file.write_all(&crc32(&enc.buf).to_le_bytes())?;
-        inner.file.write_all(&enc.buf)?;
-        inner.scratch = enc.buf;
+        inner.file.write_all(&buf)?;
+        inner.scratch = buf;
         inner.segment_written += framed_len;
         inner.next_commit = commit + 1;
         inner.appended = commit;
@@ -359,15 +323,8 @@ impl Wal {
         inner.file.flush()?;
         inner.file.get_ref().sync_data()?;
         inner.synced = inner.appended;
-        let file = OpenOptions::new()
-            .create_new(true)
-            .write(true)
-            .open(segment_path(&self.config.dir, next_commit))?;
-        inner.file = BufWriter::new(file);
-        let header = segment_header(self.n_shards, next_commit);
-        inner.file.write_all(SEGMENT_MAGIC)?;
-        inner.file.write_all(&header)?;
-        inner.segment_written = (SEGMENT_MAGIC.len() + header.len()) as u64;
+        (inner.file, inner.segment_written) =
+            open_segment(&self.config.dir, self.n_shards, next_commit)?;
         inner.segments.push(next_commit);
         Ok(())
     }
@@ -417,18 +374,10 @@ impl Wal {
         cursors: &[u64],
         tuples: &[(TupleId, Tuple)],
     ) -> Result<(), WalError> {
-        let mut enc = Enc::new();
-        enc.u32(FORMAT_VERSION);
-        enc.u64(commit);
-        enc.u64(self.n_shards);
-        for &c in cursors {
-            enc.u64(c);
-        }
-        enc.u64(tuples.len() as u64);
-        for (id, tuple) in tuples {
-            enc.id(*id);
-            enc.tuple(tuple);
-        }
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        frame_with(&mut bytes, |e| {
+            e.snapshot(commit, self.n_shards, cursors, tuples)
+        });
 
         // The file write happens outside the log mutex on purpose: a
         // background snapshotter streaming a large store out must not
@@ -436,8 +385,7 @@ impl Wal {
         let path = snapshot_path(&self.config.dir, commit);
         let tmp = path.with_extension("tmp");
         let mut f = File::create(&tmp)?;
-        f.write_all(SNAPSHOT_MAGIC)?;
-        f.write_all(&frame(&enc.buf))?;
+        f.write_all(&bytes)?;
         f.sync_data()?;
         fs::rename(&tmp, &path)?;
         // Make the rename itself durable before pruning what the new
@@ -502,11 +450,20 @@ pub struct BootstrapPlan {
     pub snapshot: Option<(u64, PathBuf)>,
 }
 
-fn segment_header(n_shards: u64, first_commit: u64) -> Vec<u8> {
-    let mut enc = Enc::new();
-    enc.u8(REC_HEADER);
-    enc.u32(FORMAT_VERSION);
-    enc.u64(n_shards);
-    enc.u64(first_commit);
-    frame(&enc.buf)
+/// Creates the segment file for `first_commit` and writes its magic
+/// and header frame, returning the writer and the bytes written.
+fn open_segment(
+    dir: &Path,
+    n_shards: u64,
+    first_commit: u64,
+) -> Result<(BufWriter<File>, u64), WalError> {
+    let file = OpenOptions::new()
+        .create_new(true)
+        .write(true)
+        .open(segment_path(dir, first_commit))?;
+    let mut preamble = SEGMENT_MAGIC.to_vec();
+    frame_with(&mut preamble, |e| e.segment_header(n_shards, first_commit));
+    let mut file = BufWriter::new(file);
+    file.write_all(&preamble)?;
+    Ok((file, preamble.len() as u64))
 }

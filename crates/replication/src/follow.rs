@@ -10,14 +10,15 @@
 //! what lets the leader move its retention pin and prune shipped
 //! history.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use sdl_durability::CommitRecord;
 use sdl_tuple::{Tuple, TupleId};
 
-use crate::proto::{self, Msg, MAGIC, VERSION};
+use crate::proto::{Msg, MAGIC, VERSION};
+use crate::ship::{bad_proto, Conn};
 
 /// One replication event delivered to the follower's apply thread.
 #[derive(Debug)]
@@ -46,8 +47,7 @@ pub struct SnapshotBase {
 
 /// A follower's connection to a leader's replication listener.
 pub struct FollowerConn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
+    conn: Conn,
     n_shards: u64,
     watermark: u64,
     leader_addr: String,
@@ -77,19 +77,18 @@ impl FollowerConn {
             return Err(bad_proto("bad replication magic from leader"));
         }
         let mut conn = FollowerConn {
-            stream,
-            inbuf: Vec::new(),
+            conn: Conn::new(stream),
             n_shards: 0,
             watermark: 0,
             leader_addr: String::new(),
             pending_snapshot: None,
         };
-        conn.send(&Msg::Hello {
+        conn.conn.send(&Msg::Hello {
             version: VERSION,
             last_commit,
             n_shards,
         })?;
-        match conn.read_msg_blocking()? {
+        match conn.conn.read_msg_blocking()? {
             Msg::HelloAck {
                 version,
                 n_shards,
@@ -110,7 +109,8 @@ impl FollowerConn {
         }
         // Post-handshake the apply loop wants short timeouts so it can
         // interleave stop-flag checks.
-        conn.stream
+        conn.conn
+            .stream
             .set_read_timeout(Some(Duration::from_millis(100)))?;
         Ok(conn)
     }
@@ -141,7 +141,7 @@ impl FollowerConn {
     /// Connection loss, protocol violation, or a leader-reported error.
     pub fn next_event(&mut self) -> io::Result<Option<FollowEvent>> {
         loop {
-            let Some(msg) = self.try_read_msg()? else {
+            let Some(msg) = self.conn.try_read_msg()? else {
                 return Ok(None);
             };
             match msg {
@@ -189,55 +189,7 @@ impl FollowerConn {
     /// locally. The leader moves this follower's retention pin forward
     /// in response.
     pub fn ack(&mut self, applied: u64) -> io::Result<()> {
-        self.send(&Msg::Ack(applied))?;
+        self.conn.send(&Msg::Ack(applied))?;
         Ok(())
     }
-
-    fn send(&mut self, msg: &Msg) -> io::Result<()> {
-        let framed = proto::frame(&proto::encode_msg(msg));
-        self.stream.write_all(&framed)
-    }
-
-    fn read_msg_blocking(&mut self) -> io::Result<Msg> {
-        loop {
-            if let Some(msg) = self.try_read_msg()? {
-                return Ok(msg);
-            }
-        }
-    }
-
-    fn try_read_msg(&mut self) -> io::Result<Option<Msg>> {
-        loop {
-            match proto::try_frame(&self.inbuf).map_err(|e| bad_proto(&e))? {
-                Some((payload, used)) => {
-                    self.inbuf.drain(..used);
-                    let msg = proto::decode_msg(&payload).map_err(|e| bad_proto(&e))?;
-                    return Ok(Some(msg));
-                }
-                None => {
-                    let mut chunk = [0u8; 64 * 1024];
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            return Err(io::Error::new(
-                                ErrorKind::UnexpectedEof,
-                                "leader closed the replication stream",
-                            ))
-                        }
-                        Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                        Err(e)
-                            if e.kind() == ErrorKind::WouldBlock
-                                || e.kind() == ErrorKind::TimedOut =>
-                        {
-                            return Ok(None)
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn bad_proto(what: &str) -> io::Error {
-    io::Error::new(ErrorKind::InvalidData, what.to_string())
 }

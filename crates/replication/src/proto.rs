@@ -2,8 +2,9 @@
 //!
 //! A follower connects to the leader's replication listener, sends the
 //! 8-byte magic (the leader echoes it), and the connection switches to
-//! the same `[u32 len][u32 crc][payload]` framing the client protocol
-//! and the on-disk WAL use. Messages:
+//! the `[u32 len][u32 crc][payload]` frame of [`sdl_durability::codec`],
+//! the one byte format the client protocol and the on-disk WAL use too.
+//! This module holds only the message layouts. Messages:
 //!
 //! | tag | dir | message | payload |
 //! |-----|-----|---------|---------|
@@ -25,10 +26,8 @@
 //! retention pin forward on each ack, which is what makes snapshot
 //! pruning safe while followers are attached.
 
-use sdl_durability::{
-    crc32, decode_commit_record, decode_instances, encode_commit_record, encode_instances,
-    CommitRecord,
-};
+use sdl_durability::codec::{self, DecodeError, Enc};
+use sdl_durability::CommitRecord;
 use sdl_tuple::{Tuple, TupleId};
 
 /// Protocol magic exchanged at connection open.
@@ -36,9 +35,6 @@ pub(crate) const MAGIC: &[u8; 8] = b"SDLREPL1";
 
 /// Protocol version inside `Hello`/`HelloAck`.
 pub(crate) const VERSION: u32 = 1;
-
-/// Frame header size: length + CRC.
-pub(crate) const FRAME_HEADER: usize = 8;
 
 /// Cap on a replication frame's payload. Snapshot chunks are sized well
 /// below this; the cap only guards against a corrupt length prefix.
@@ -95,16 +91,17 @@ pub(crate) enum Msg {
 /// Encodes a message as a frame payload (no frame header).
 pub(crate) fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
+    let e = &mut Enc(&mut out);
     match msg {
         Msg::Hello {
             version,
             last_commit,
             n_shards,
         } => {
-            out.push(0);
-            put_u32(&mut out, *version);
-            put_u64(&mut out, *last_commit);
-            put_u64(&mut out, *n_shards);
+            e.u8(0);
+            e.u32(*version);
+            e.u64(*last_commit);
+            e.u64(*n_shards);
         }
         Msg::HelloAck {
             version,
@@ -112,11 +109,11 @@ pub(crate) fn encode_msg(msg: &Msg) -> Vec<u8> {
             watermark,
             leader_addr,
         } => {
-            out.push(1);
-            put_u32(&mut out, *version);
-            put_u64(&mut out, *n_shards);
-            put_u64(&mut out, *watermark);
-            put_str(&mut out, leader_addr);
+            e.u8(1);
+            e.u32(*version);
+            e.u64(*n_shards);
+            e.u64(*watermark);
+            e.str(leader_addr);
         }
         Msg::SnapBegin {
             commit,
@@ -124,35 +121,35 @@ pub(crate) fn encode_msg(msg: &Msg) -> Vec<u8> {
             cursors,
             n_tuples,
         } => {
-            out.push(2);
-            put_u64(&mut out, *commit);
-            put_u64(&mut out, *n_shards);
-            put_u32(&mut out, cursors.len() as u32);
+            e.u8(2);
+            e.u64(*commit);
+            e.u64(*n_shards);
+            e.u32(cursors.len() as u32);
             for c in cursors {
-                put_u64(&mut out, *c);
+                e.u64(*c);
             }
-            put_u64(&mut out, *n_tuples);
+            e.u64(*n_tuples);
         }
         Msg::SnapChunk(items) => {
-            out.push(3);
-            out.extend_from_slice(&encode_instances(items));
+            e.u8(3);
+            e.instances(items);
         }
-        Msg::SnapEnd => out.push(4),
+        Msg::SnapEnd => e.u8(4),
         Msg::Commit(rec) => {
-            out.push(5);
-            out.extend_from_slice(&encode_commit_record(rec));
+            e.u8(5);
+            e.commit_record(rec.commit, &rec.retracts, &rec.asserts);
         }
         Msg::Heartbeat(watermark) => {
-            out.push(6);
-            put_u64(&mut out, *watermark);
+            e.u8(6);
+            e.u64(*watermark);
         }
         Msg::Ack(applied) => {
-            out.push(7);
-            put_u64(&mut out, *applied);
+            e.u8(7);
+            e.u64(*applied);
         }
         Msg::Error(reason) => {
-            out.push(8);
-            put_str(&mut out, reason);
+            e.u8(8);
+            e.str(reason);
         }
     }
     out
@@ -162,157 +159,51 @@ pub(crate) fn encode_msg(msg: &Msg) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// A human-readable reason on any structural problem; never panics.
-pub(crate) fn decode_msg(payload: &[u8]) -> Result<Msg, String> {
-    let mut c = Cursor::new(payload);
-    let msg = match c.u8()? {
-        0 => Msg::Hello {
-            version: c.u32()?,
-            last_commit: c.u64()?,
-            n_shards: c.u64()?,
-        },
-        1 => Msg::HelloAck {
-            version: c.u32()?,
-            n_shards: c.u64()?,
-            watermark: c.u64()?,
-            leader_addr: c.str()?.to_owned(),
-        },
-        2 => {
-            let commit = c.u64()?;
-            let n_shards = c.u64()?;
-            let n_cursors = c.u32()? as usize;
-            if n_cursors.saturating_mul(8) > payload.len() {
-                return Err("snapshot cursor count exceeds payload".into());
+/// [`DecodeError`] on any structural problem; never panics.
+pub(crate) fn decode_msg(payload: &[u8]) -> Result<Msg, DecodeError> {
+    codec::decode(payload, |d| {
+        Ok(match d.u8()? {
+            0 => Msg::Hello {
+                version: d.u32()?,
+                last_commit: d.u64()?,
+                n_shards: d.u64()?,
+            },
+            1 => Msg::HelloAck {
+                version: d.u32()?,
+                n_shards: d.u64()?,
+                watermark: d.u64()?,
+                leader_addr: d.str()?.to_owned(),
+            },
+            2 => {
+                let commit = d.u64()?;
+                let n_shards = d.u64()?;
+                let n = d.count(8)?;
+                let mut cursors = Vec::with_capacity(n);
+                for _ in 0..n {
+                    cursors.push(d.u64()?);
+                }
+                Msg::SnapBegin {
+                    commit,
+                    n_shards,
+                    cursors,
+                    n_tuples: d.u64()?,
+                }
             }
-            let mut cursors = Vec::with_capacity(n_cursors);
-            for _ in 0..n_cursors {
-                cursors.push(c.u64()?);
-            }
-            Msg::SnapBegin {
-                commit,
-                n_shards,
-                cursors,
-                n_tuples: c.u64()?,
-            }
-        }
-        3 => Msg::SnapChunk(decode_instances(c.rest()).map_err(|e| e.to_string())?),
-        4 => Msg::SnapEnd,
-        5 => Msg::Commit(decode_commit_record(c.rest()).map_err(|e| e.to_string())?),
-        6 => Msg::Heartbeat(c.u64()?),
-        7 => Msg::Ack(c.u64()?),
-        8 => Msg::Error(c.str()?.to_owned()),
-        tag => return Err(format!("unknown replication message tag {tag}")),
-    };
-    c.done()?;
-    Ok(msg)
-}
-
-/// Wraps a payload in the `[len][crc][payload]` frame.
-pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    put_u32(&mut out, payload.len() as u32);
-    put_u32(&mut out, crc32(payload));
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Attempts to extract one frame's payload from the front of `buf`:
-/// `Ok(None)` when only a partial frame is buffered,
-/// `Ok(Some((payload, consumed)))` on success.
-///
-/// # Errors
-///
-/// A reason string on an over-limit length or CRC mismatch — both fatal
-/// for the connection.
-pub(crate) fn try_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, String> {
-    if buf.len() < FRAME_HEADER {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(format!("replication frame of {len} bytes exceeds cap"));
-    }
-    let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if buf.len() < FRAME_HEADER + len {
-        return Ok(None);
-    }
-    let payload = &buf[FRAME_HEADER..FRAME_HEADER + len];
-    if crc32(payload) != crc {
-        return Err("replication frame crc mismatch".into());
-    }
-    Ok(Some((payload.to_vec(), FRAME_HEADER + len)))
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        if end > self.buf.len() {
-            return Err("truncated replication payload".into());
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes).map_err(|_| "invalid utf-8".to_string())
-    }
-
-    /// Everything not yet consumed; ends the cursor.
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    fn done(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes in replication payload".into())
-        }
-    }
+            3 => Msg::SnapChunk(d.instances()?),
+            4 => Msg::SnapEnd,
+            5 => Msg::Commit(d.commit_record()?),
+            6 => Msg::Heartbeat(d.u64()?),
+            7 => Msg::Ack(d.u64()?),
+            8 => Msg::Error(d.str()?.to_owned()),
+            _ => return Err(DecodeError::Malformed("replication message tag")),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdl_durability::codec::{frame, split_frame, FRAME_HEADER};
     use sdl_tuple::{tuple, ProcId, Value};
 
     fn tid(owner: u64, seq: u64) -> TupleId {
@@ -358,11 +249,13 @@ mod tests {
             assert_eq!(decode_msg(&payload).expect("decodes"), msg);
             // And through the framing layer.
             let framed = frame(&payload);
-            let (got, used) = try_frame(&framed).expect("ok").expect("complete");
-            assert_eq!(got, payload);
+            let used = split_frame(&framed, MAX_FRAME)
+                .expect("ok")
+                .expect("complete");
+            assert_eq!(framed[FRAME_HEADER..used], payload);
             assert_eq!(used, framed.len());
             for cut in 0..FRAME_HEADER {
-                assert_eq!(try_frame(&framed[..cut]), Ok(None));
+                assert_eq!(split_frame(&framed[..cut], MAX_FRAME), Ok(None));
             }
         }
     }
@@ -373,7 +266,7 @@ mod tests {
         let mut framed = frame(&payload);
         let last = framed.len() - 1;
         framed[last] ^= 0xff;
-        assert!(try_frame(&framed).is_err());
+        assert!(split_frame(&framed, MAX_FRAME).is_err());
         assert!(decode_msg(&[99]).is_err());
         assert!(decode_msg(&[]).is_err());
     }
@@ -393,7 +286,7 @@ mod tests {
             if steer && !bytes.is_empty() {
                 bytes[0] = tag;
             }
-            let _ = try_frame(&bytes);
+            let _ = split_frame(&bytes, MAX_FRAME);
             let _ = decode_msg(&bytes);
         }
     }

@@ -28,10 +28,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use sdl_durability::codec::{frame, split_frame, FRAME_HEADER};
 use sdl_durability::{read_snapshot, SegmentTailer, Wal};
 use sdl_metrics::{Counter, Gauge, Metrics};
 
-use crate::proto::{self, Msg, MAGIC, VERSION};
+use crate::proto::{self, Msg, MAGIC, MAX_FRAME, VERSION};
 
 /// How long the tail loop sleeps when the log has nothing new.
 const IDLE_POLL: Duration = Duration::from_millis(5);
@@ -250,7 +251,7 @@ impl Follower {
                 let mut out = Vec::new();
                 let mut n_records = 0u64;
                 for rec in records {
-                    out.extend_from_slice(&proto::frame(&proto::encode_msg(&Msg::Commit(rec))));
+                    out.extend_from_slice(&frame(&proto::encode_msg(&Msg::Commit(rec))));
                     n_records += 1;
                 }
                 if n_records > 0 {
@@ -319,14 +320,14 @@ impl Drop for PinGuard<'_> {
     }
 }
 
-/// A framed `SDLREPL1` connection (post-handshake).
-struct Conn {
-    stream: TcpStream,
+/// A framed `SDLREPL1` connection (post-handshake), either end.
+pub(crate) struct Conn {
+    pub(crate) stream: TcpStream,
     inbuf: Vec<u8>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             inbuf: Vec::new(),
@@ -334,14 +335,14 @@ impl Conn {
     }
 
     /// Sends one message, returning the framed byte count.
-    fn send(&mut self, msg: &Msg) -> io::Result<usize> {
-        let framed = proto::frame(&proto::encode_msg(msg));
+    pub(crate) fn send(&mut self, msg: &Msg) -> io::Result<usize> {
+        let framed = frame(&proto::encode_msg(msg));
         self.stream.write_all(&framed)?;
         Ok(framed.len())
     }
 
     /// Reads one message, waiting through read timeouts.
-    fn read_msg_blocking(&mut self) -> io::Result<Msg> {
+    pub(crate) fn read_msg_blocking(&mut self) -> io::Result<Msg> {
         loop {
             if let Some(msg) = self.try_read_msg()? {
                 return Ok(msg);
@@ -351,16 +352,16 @@ impl Conn {
 
     /// Reads one message if the socket has one buffered; `None` when
     /// the read would block past the socket timeout.
-    fn try_read_msg(&mut self) -> io::Result<Option<Msg>> {
+    pub(crate) fn try_read_msg(&mut self) -> io::Result<Option<Msg>> {
         loop {
-            match proto::try_frame(&self.inbuf).map_err(|e| bad_proto(&e))? {
-                Some((payload, used)) => {
+            match split_frame(&self.inbuf, MAX_FRAME).map_err(|e| bad_proto(&e.to_string()))? {
+                Some(used) => {
+                    let msg = proto::decode_msg(&self.inbuf[FRAME_HEADER..used]);
                     self.inbuf.drain(..used);
-                    let msg = decode(&payload)?;
-                    return Ok(Some(msg));
+                    return Ok(Some(msg.map_err(|e| bad_proto(&e.to_string()))?));
                 }
                 None => {
-                    let mut chunk = [0u8; 16 * 1024];
+                    let mut chunk = [0u8; 64 * 1024];
                     match self.stream.read(&mut chunk) {
                         Ok(0) => {
                             return Err(io::Error::new(
@@ -383,11 +384,7 @@ impl Conn {
     }
 }
 
-fn decode(payload: &[u8]) -> io::Result<Msg> {
-    proto::decode_msg(payload).map_err(|e| bad_proto(&e))
-}
-
-fn bad_proto(what: &str) -> io::Error {
+pub(crate) fn bad_proto(what: &str) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, what.to_string())
 }
 

@@ -13,10 +13,12 @@ use std::time::Duration;
 
 use sdl_tuple::{Pattern, Tuple, Value};
 
-use crate::wire::{self, Request, Response, WireError, FRAME_HEADER, MAGIC};
+use sdl_durability::codec::{split_frame, Dec, FRAME_HEADER};
 
-fn wire_err(e: WireError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
+use crate::wire::{self, Request, Response, WireError, MAGIC};
+
+fn wire_err(e: impl Into<WireError>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.into())
 }
 
 /// A connected SDL client.
@@ -93,20 +95,18 @@ impl Client {
     }
 
     fn read_frame(&mut self) -> io::Result<(u64, Response)> {
-        let mut header = [0u8; FRAME_HEADER];
-        self.stream.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap()) as usize;
-        if len > self.max_frame {
-            return Err(wire_err(WireError::TooLarge {
-                len,
-                max: self.max_frame,
-            }));
+        let mut framed = vec![0u8; FRAME_HEADER];
+        self.stream.read_exact(&mut framed)?;
+        // A partial frame's length is within the cap; read its payload.
+        if split_frame(&framed, self.max_frame)
+            .map_err(wire_err)?
+            .is_none()
+        {
+            let len = Dec::new(&framed).u32().map_err(wire_err)? as usize;
+            framed.resize(FRAME_HEADER + len, 0);
+            self.stream.read_exact(&mut framed[FRAME_HEADER..])?;
         }
-        let mut framed = Vec::with_capacity(FRAME_HEADER + len);
-        framed.extend_from_slice(&header);
-        framed.resize(FRAME_HEADER + len, 0);
-        self.stream.read_exact(&mut framed[FRAME_HEADER..])?;
-        match wire::frame_len(&framed, self.max_frame).map_err(wire_err)? {
+        match split_frame(&framed, self.max_frame).map_err(wire_err)? {
             Some(used) => wire::decode_response(&framed[FRAME_HEADER..used]).map_err(wire_err),
             None => Err(wire_err(WireError::Truncated)),
         }

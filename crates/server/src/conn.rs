@@ -8,9 +8,9 @@
 
 use std::io::{self, Read, Write};
 
-use sdl_durability::crc32;
+use sdl_durability::codec::{frame_with, split_frame, FRAME_HEADER};
 
-use crate::wire::{self, Response, WireError, FRAME_HEADER};
+use crate::wire::{self, Response, WireError};
 
 /// A connection's first read room; a full buffer doubles (`make_room`).
 const MIN_ROOM: usize = 4 * 1024;
@@ -113,7 +113,7 @@ impl ReadBuf {
     /// Propagates [`WireError`] from the framing layer (drop the
     /// connection — framing is lost).
     pub(crate) fn next_frame(&mut self, max_frame: usize) -> Result<Option<&[u8]>, WireError> {
-        let Some(used) = wire::frame_len(self.pending(), max_frame)? else {
+        let Some(used) = split_frame(self.pending(), max_frame)? else {
             return Ok(None);
         };
         let at = self.start;
@@ -138,17 +138,9 @@ impl WriteBuf {
     }
 
     /// Queues the frame `wire::frame(&wire::encode_response(req_id,
-    /// resp))`, encoded in place: a header placeholder, the payload
-    /// after it, then the length and CRC patched in.
+    /// resp))`, encoded and sealed in place.
     pub fn push_response(&mut self, req_id: u64, resp: &Response) {
-        let at = self.buf.len();
-        self.buf.extend_from_slice(&[0; FRAME_HEADER]);
-        wire::put_response(&mut self.buf, req_id, resp);
-        let payload = &self.buf[at + FRAME_HEADER..];
-        let len = (payload.len() as u32).to_le_bytes();
-        let crc = crc32(payload).to_le_bytes();
-        self.buf[at..at + 4].copy_from_slice(&len);
-        self.buf[at + 4..at + FRAME_HEADER].copy_from_slice(&crc);
+        frame_with(&mut self.buf, |e| wire::put_response(e, req_id, resp));
     }
 
     /// Bytes queued and not yet written.

@@ -18,7 +18,9 @@ use proptest::prelude::*;
 
 use sdl_core::parallel::ParallelRuntime;
 use sdl_core::{CompiledProgram, Runtime};
-use sdl_durability::{read_log, recover, FsyncPolicy, Wal, WalConfig};
+use sdl_durability::{
+    crc32, read_log, recover, FsyncPolicy, SegmentTailer, Wal, WalConfig, WalError,
+};
 use sdl_metrics::{Counter, Metrics};
 use sdl_tuple::{tuple, ProcId, Tuple, TupleId, Value};
 
@@ -259,6 +261,65 @@ fn half_written_frame_is_a_torn_tail_not_corruption() {
     let state = recover(&dir, &Metrics::disabled()).expect("recovers");
     assert!(state.torn_tail);
     assert_eq!(state.last_commit, 3, "all complete records survive");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Writes segment `wal-1` holding `payloads`, each framed by hand
+/// (`[u32 len][u32 crc32][payload]`), so the test pins the format.
+fn hand_segment(dir: &Path, payloads: &[Vec<u8>]) {
+    fs::create_dir_all(dir).expect("mkdir");
+    let mut bytes = b"SDLWAL01".to_vec();
+    for p in payloads {
+        bytes.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(p).to_le_bytes());
+        bytes.extend_from_slice(p);
+    }
+    fs::write(dir.join(format!("wal-{:020}.log", 1)), bytes).expect("writes");
+}
+
+/// A segment header payload: tag 0, format version 1, shard count,
+/// first commit 1.
+fn header_payload(n_shards: u64) -> Vec<u8> {
+    let mut p = vec![0, 1, 0, 0, 0];
+    p.extend_from_slice(&n_shards.to_le_bytes());
+    p.extend_from_slice(&1u64.to_le_bytes());
+    p
+}
+
+#[test]
+fn a_header_claiming_too_many_shards_is_corrupt() {
+    let dir = temp_dir("shards");
+    hand_segment(&dir, &[header_payload(u64::MAX)]);
+    assert!(matches!(read_log(&dir), Err(WalError::Corrupt(_))));
+    assert!(matches!(
+        recover(&dir, &Metrics::disabled()),
+        Err(WalError::Corrupt(_))
+    ));
+    let mut tailer = SegmentTailer::new(&dir, 0).expect("opens");
+    assert!(matches!(
+        tailer.poll(u64::MAX, 16),
+        Err(WalError::Corrupt(_))
+    ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_asserted_id_with_seq_zero_is_corrupt() {
+    let dir = temp_dir("seq0");
+    // Commit 1: no retracts, one assert of id (owner 7, seq 0) = <5>.
+    let mut commit = vec![1];
+    commit.extend_from_slice(&1u64.to_le_bytes());
+    commit.extend_from_slice(&0u32.to_le_bytes());
+    commit.extend_from_slice(&1u32.to_le_bytes());
+    commit.extend_from_slice(&7u64.to_le_bytes());
+    commit.extend_from_slice(&0u64.to_le_bytes());
+    commit.extend_from_slice(&[1, 0, 0, 0, 1]); // arity 1, Int tag
+    commit.extend_from_slice(&5i64.to_le_bytes());
+    hand_segment(&dir, &[header_payload(1), commit]);
+    assert!(matches!(
+        recover(&dir, &Metrics::disabled()),
+        Err(WalError::Corrupt(_))
+    ));
     fs::remove_dir_all(&dir).ok();
 }
 

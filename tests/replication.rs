@@ -13,9 +13,10 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use sdl_durability::{read_log, CommitRecord, FsyncPolicy, SegmentTailer, Wal, WalConfig};
+use sdl_durability::{crc32, read_log, CommitRecord, FsyncPolicy, SegmentTailer, Wal, WalConfig};
 use sdl_metrics::Metrics;
 use sdl_replication::{serve_ship, FollowEvent, FollowerConn, ShipConfig};
+use sdl_server::wire::{encode_request, Request};
 use sdl_tuple::{tuple, ProcId, Tuple, TupleId, Value};
 
 /// A fresh, unique scratch directory for one test case.
@@ -101,6 +102,119 @@ fn tail_contiguous(dir: &Path, after: u64, up_to: u64) -> Vec<CommitRecord> {
     let expected: Vec<u64> = (after + 1..=up_to).collect();
     assert_eq!(commits, expected, "tailer saw a gap after commit {after}");
     records
+}
+
+/// Splits one `[u32 len][u32 crc32][payload]` frame off the front of
+/// `bytes`, checking its CRC: `(payload, rest)`.
+fn split_checked(bytes: &[u8]) -> (&[u8], &[u8]) {
+    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+    let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let (payload, rest) = bytes[8..].split_at(len);
+    assert_eq!(crc32(payload), crc, "frame CRC");
+    (payload, rest)
+}
+
+/// Reads one frame's payload off a socket.
+fn read_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut header = [0u8; 8];
+    stream.read_exact(&mut header).expect("frame header");
+    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let mut framed = header.to_vec();
+    framed.resize(8 + len, 0);
+    stream.read_exact(&mut framed[8..]).expect("frame payload");
+    split_checked(&framed).0.to_vec()
+}
+
+/// One tuple holding every value variant is the same bytes in an
+/// `SDLNET01` `Out`, a WAL commit record and an `SDLREPL1` `Commit`,
+/// and those bytes are the layout logs have been written in.
+#[test]
+fn one_tuple_is_the_same_bytes_in_all_three_protocols() {
+    use std::io::Write;
+    let t = Tuple::new(vec![
+        Value::Bool(true),
+        Value::Int(-2),
+        Value::Float(1.5),
+        Value::atom("a"),
+        Value::Str("s".into()),
+        Value::Pid(ProcId(3)),
+        Value::Tid(TupleId {
+            owner: ProcId(4),
+            seq: 5,
+        }),
+    ]);
+    #[rustfmt::skip]
+    let pinned: &[u8] = &[
+        7, 0, 0, 0, // arity
+        0, 1, // Bool true
+        1, 0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // Int -2
+        2, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // Float 1.5 (bits)
+        3, 1, 0, 0, 0, b'a', // Atom "a"
+        4, 1, 0, 0, 0, b's', // Str "s"
+        5, 3, 0, 0, 0, 0, 0, 0, 0, // Pid 3
+        6, 4, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, // Tid (4, 5)
+    ];
+    // A commit record's one assert: tag, commit, 0 retracts, 1 assert,
+    // id (owner, seq), then the tuple.
+    let record_prefix = 1 + 8 + 4 + 4 + 16;
+
+    // SDLNET01: req id, opcode, tuple.
+    let net = encode_request(9, &Request::Out(t.clone()));
+    assert_eq!(&net[9..], pinned, "SDLNET01 Out");
+
+    // WAL: the commit frame after the magic and the header frame.
+    let dir = temp_dir("layout");
+    let wal = Arc::new(Wal::create(config(&dir), 1, Metrics::disabled()).expect("create"));
+    let id = TupleId {
+        owner: ProcId(3),
+        seq: 1,
+    };
+    wal.append(&[], &[(id, t)]).expect("append");
+    wal.sync().expect("sync");
+    let segment = fs::read(dir.join(format!("wal-{:020}.log", 1))).expect("segment");
+    assert_eq!(&segment[..8], b"SDLWAL01");
+    let (_header, rest) = split_checked(&segment[8..]);
+    let (record, rest) = split_checked(rest);
+    assert!(rest.is_empty());
+    assert_eq!(&record[record_prefix..], pinned, "WAL commit record");
+
+    // SDLREPL1: a fresh follower resumes from the log; after `HelloAck`
+    // comes the `Commit` (tag 5, then the record).
+    let mut ship = serve_ship(
+        ShipConfig::new("127.0.0.1:0", "unused"),
+        Arc::clone(&wal),
+        Metrics::disabled(),
+    )
+    .expect("ship server");
+    let mut stream = std::net::TcpStream::connect(ship.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(b"SDLREPL1").expect("magic");
+    let mut hello = vec![0, 1, 0, 0, 0]; // Hello, version 1
+    hello.extend_from_slice(&0u64.to_le_bytes()); // last commit
+    hello.extend_from_slice(&0u64.to_le_bytes()); // no store yet
+    let mut framed = (hello.len() as u32).to_le_bytes().to_vec();
+    framed.extend_from_slice(&crc32(&hello).to_le_bytes());
+    framed.extend_from_slice(&hello);
+    stream.write_all(&framed).expect("hello");
+    let mut magic = [0u8; 8];
+    std::io::Read::read_exact(&mut stream, &mut magic).expect("magic echo");
+    assert_eq!(&magic, b"SDLREPL1");
+    assert_eq!(read_frame(&mut stream)[0], 1, "HelloAck");
+    let commit = read_frame(&mut stream);
+    assert_eq!(commit[0], 5, "Commit");
+    assert_eq!(
+        &commit[1..],
+        record,
+        "Commit carries the log frame's payload"
+    );
+    assert_eq!(&commit[1 + record_prefix..], pinned, "SDLREPL1 Commit");
+
+    drop(stream);
+    ship.shutdown();
+    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
