@@ -7,7 +7,8 @@ use std::path::{Path, PathBuf};
 use sdl_metrics::{Counter, Metrics};
 use sdl_tuple::{Tuple, TupleId};
 
-use crate::codec::{decode, split_frame, Dec, FRAME_HEADER, SEGMENT_MAGIC, SNAPSHOT_MAGIC};
+use crate::codec::{decode, split_frame, FRAME_HEADER, SNAPSHOT_MAGIC};
+use crate::ship::{SegmentReader, Step, Tail};
 use crate::WalError;
 
 pub(crate) fn segment_path(dir: &Path, first_commit: u64) -> PathBuf {
@@ -212,65 +213,67 @@ pub fn apply_log(log: &LogContents) -> Result<RecoveredState, WalError> {
 
 fn scan(dir: &Path, truncate: bool) -> Result<LogContents, WalError> {
     let (segments, snapshots) = list_files(dir)?;
-    if segments.is_empty() && snapshots.is_empty() {
-        return Err(WalError::Empty(dir.to_path_buf()));
-    }
-
     // Newest snapshot that parses cleanly wins; damaged ones are
     // skipped (an older snapshot plus more records covers the same
     // history).
-    let mut base = None;
-    for (commit, path) in snapshots.iter().rev() {
-        if let Ok(snap) = read_snapshot(path, *commit) {
-            base = Some(snap);
-            break;
-        }
-    }
+    let base = snapshots
+        .iter()
+        .rev()
+        .find_map(|(commit, path)| read_snapshot(path, *commit).ok());
 
     let snapshot_commit = base.as_ref().map_or(0, |s| s.commit);
-    let mut n_shards = base.as_ref().map(|s| s.n_shards);
-    let mut records: Vec<CommitRecord> = Vec::new();
-    let mut expected_commit: Option<u64> = None;
-    let mut torn_tail = false;
-
-    for (i, (first_commit, path)) in segments.iter().enumerate() {
-        let is_last = i == segments.len() - 1;
-        match read_segment(path, *first_commit, &mut n_shards, &mut expected_commit)? {
-            SegmentRead::Clean(recs) => records.extend(recs),
-            SegmentRead::Torn { recs, offset } => {
-                if !is_last {
-                    return Err(WalError::Corrupt(format!(
-                        "{} is damaged at byte {offset} but is not the newest segment",
-                        path.display()
-                    )));
-                }
-                torn_tail = true;
-                if truncate {
-                    // A segment torn before its first record holds none
-                    // and goes, so `Wal::resume` can reuse its name.
-                    truncate_segment(path, offset, !recs.is_empty())?;
-                }
-                records.extend(recs);
-            }
-        }
-    }
-
-    let Some(n_shards) = n_shards else {
-        return Err(WalError::Empty(dir.to_path_buf()));
-    };
-
-    // Drop records the snapshot already covers, then check the
-    // remaining history starts right after it.
-    records.retain(|r| r.commit > snapshot_commit);
-    if let Some(first) = records.first() {
-        if first.commit != snapshot_commit + 1 {
+    // History must run on from the snapshot: the oldest segment starts
+    // at or before the commit after it, and the reader holds the rest
+    // to one unbroken sequence.
+    if let Some(&(oldest, _)) = segments.first() {
+        if oldest > snapshot_commit.saturating_add(1) {
             return Err(WalError::Corrupt(format!(
                 "history gap: snapshot covers commit {snapshot_commit} but the oldest \
-                 replayable record is commit {}",
-                first.commit
+                 segment starts at commit {oldest}"
             )));
         }
     }
+    let mut reader = SegmentReader::new(dir, base.as_ref().map(|s| s.n_shards));
+    let mut records: Vec<CommitRecord> = Vec::new();
+    let mut torn_tail = false;
+    for (i, (first_commit, path)) in segments.iter().enumerate() {
+        reader.enter(*first_commit)?;
+        let kept = records.len();
+        let tail = loop {
+            match reader.next()? {
+                Step::Record(rec) => records.push(rec),
+                Step::End(tail) => break tail,
+            }
+        };
+        // Recovery's policy: a partial or damaged end is a torn tail in
+        // the newest segment and corruption in any other.
+        if tail == Tail::Clean {
+            continue;
+        }
+        if i + 1 < segments.len() {
+            let what = format!(
+                "{tail:?} at byte {}, not the newest segment",
+                reader.offset()
+            );
+            return Err(reader.corrupt(what));
+        }
+        torn_tail = true;
+        // A segment torn before its first record holds none and goes,
+        // so `Wal::resume` can reuse its name.
+        if truncate && records.len() == kept {
+            fs::remove_file(path)?;
+        } else if truncate {
+            let f = OpenOptions::new().write(true).open(path)?;
+            f.set_len(reader.offset())?;
+            f.sync_data()?;
+        }
+    }
+    let Some(n_shards) = reader.n_shards else {
+        return Err(WalError::Empty(dir.to_path_buf()));
+    };
+
+    // Drop records the snapshot already covers.
+    records.retain(|r| r.commit > snapshot_commit);
 
     let (snapshot_cursors, snapshot_tuples) = match base {
         // The snapshot's decoder read one cursor per shard.
@@ -288,72 +291,6 @@ fn scan(dir: &Path, truncate: bool) -> Result<LogContents, WalError> {
         records,
         torn_tail,
     })
-}
-
-enum SegmentRead {
-    Clean(Vec<CommitRecord>),
-    /// Damage found at `offset`; everything before it parsed cleanly.
-    Torn {
-        recs: Vec<CommitRecord>,
-        offset: u64,
-    },
-}
-
-fn read_segment(
-    path: &Path,
-    first_commit: u64,
-    n_shards: &mut Option<u64>,
-    expected_commit: &mut Option<u64>,
-) -> Result<SegmentRead, WalError> {
-    let bytes = fs::read(path)?;
-    let mut recs = Vec::new();
-    if !bytes.starts_with(SEGMENT_MAGIC) {
-        return Ok(SegmentRead::Torn { recs, offset: 0 });
-    }
-    let corrupt = |what: String| WalError::Corrupt(format!("{}: {what}", path.display()));
-    let mut pos = SEGMENT_MAGIC.len();
-    while pos < bytes.len() {
-        // Recovery's policy: a partial frame or a bad CRC is a torn tail.
-        let Ok(Some(used)) = split_frame(&bytes[pos..], usize::MAX) else {
-            return Ok(SegmentRead::Torn {
-                recs,
-                offset: pos as u64,
-            });
-        };
-        // A frame with a valid CRC that fails to decode is writer-side
-        // corruption, not a torn tail.
-        let payload = &bytes[pos + FRAME_HEADER..pos + used];
-        if pos == SEGMENT_MAGIC.len() {
-            let header = decode(payload, |d| d.segment_header(first_commit, *n_shards));
-            *n_shards = Some(header.map_err(|e| corrupt(e.to_string()))?);
-        } else {
-            let rec = decode(payload, Dec::commit_record).map_err(|e| corrupt(e.to_string()))?;
-            let expected = expected_commit.unwrap_or(first_commit);
-            if rec.commit != expected {
-                return Err(corrupt(format!(
-                    "record is commit {}, expected commit {expected}",
-                    rec.commit
-                )));
-            }
-            *expected_commit = Some(rec.commit + 1);
-            recs.push(rec);
-        }
-        pos += used;
-    }
-    Ok(SegmentRead::Clean(recs))
-}
-
-/// Truncates a torn segment at `offset`, or removes it when no record
-/// survives (`keep_any` false).
-fn truncate_segment(path: &Path, offset: u64, keep_any: bool) -> Result<(), WalError> {
-    if !keep_any {
-        fs::remove_file(path)?;
-        return Ok(());
-    }
-    let f = OpenOptions::new().write(true).open(path)?;
-    f.set_len(offset)?;
-    f.sync_data()?;
-    Ok(())
 }
 
 /// Reads and validates one snapshot file: magic, one CRC-valid frame
@@ -384,7 +321,7 @@ mod tests {
     use sdl_metrics::Metrics;
 
     use crate::codec::frame;
-    use crate::{read_log, recover};
+    use crate::{read_log, recover, SegmentTailer};
 
     /// Shard counts and id seqs at and around every bound the reader
     /// checks. Drawn from this set, not uniformly: a uniform `u64`
@@ -399,12 +336,14 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// A segment of CRC-valid frames, built by hand: a header with an
-        /// edge-case shard count, commit records retracting and asserting
-        /// ids with edge-case seqs, then random trailing bytes. Reading and
-        /// recovering it give a state or an error, never a panic.
+        /// edge-case shard count and first commit, commit records numbered
+        /// on from it, retracting and asserting ids with edge-case seqs,
+        /// then random trailing bytes. Reading, recovering and tailing it
+        /// give records or an error, never a panic.
         #[test]
         fn hostile_segments_never_panic(
             shards in 0usize..6,
+            first in 0usize..6,
             records in proptest::collection::vec(
                 (proptest::any::<bool>(), 0usize..6, 0usize..6),
                 0..4,
@@ -418,14 +357,15 @@ mod tests {
                 N.fetch_add(1, Ordering::Relaxed)
             ));
             std::fs::create_dir_all(&dir).unwrap();
+            let first = EDGES[first];
             let mut header = vec![0u8, 1, 0, 0, 0]; // tag 0, format version 1
             le(&mut header, EDGES[shards]);
-            le(&mut header, 1); // first commit
+            le(&mut header, first);
             let mut bytes = b"SDLWAL01".to_vec();
             bytes.extend(frame(&header));
             for (i, &(retract, r, a)) in records.iter().enumerate() {
                 let mut rec = vec![1u8]; // tag 1
-                le(&mut rec, i as u64 + 1);
+                le(&mut rec, first.wrapping_add(i as u64));
                 rec.extend_from_slice(&u32::from(retract).to_le_bytes());
                 if retract {
                     le(&mut rec, 9); // owner
@@ -439,8 +379,11 @@ mod tests {
                 bytes.extend(frame(&rec));
             }
             bytes.extend_from_slice(&tail);
-            std::fs::write(dir.join(format!("wal-{:020}.log", 1)), &bytes).unwrap();
+            std::fs::write(dir.join(format!("wal-{first:020}.log")), &bytes).unwrap();
             let _ = read_log(&dir);
+            if let Ok(mut tailer) = SegmentTailer::new(&dir, first.saturating_sub(1)) {
+                let _ = tailer.poll(u64::MAX, 16);
+            }
             let _ = recover(&dir, &Metrics::disabled());
             std::fs::remove_dir_all(&dir).ok();
         }

@@ -216,7 +216,7 @@ impl Wal {
         let mut inner = self.inner.lock().unwrap();
         let oldest_first = inner.segments[0];
         let (start_after, snapshot) =
-            if follower_last + 1 >= oldest_first && follower_last <= inner.appended {
+            if follower_last.saturating_add(1) >= oldest_first && follower_last <= inner.appended {
                 (follower_last, None)
             } else {
                 // The newest snapshot always has its suffix records

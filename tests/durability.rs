@@ -264,9 +264,9 @@ fn half_written_frame_is_a_torn_tail_not_corruption() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Writes segment `wal-1` holding `payloads`, each framed by hand
+/// Writes segment `wal-<first>` holding `payloads`, each framed by hand
 /// (`[u32 len][u32 crc32][payload]`), so the test pins the format.
-fn hand_segment(dir: &Path, payloads: &[Vec<u8>]) {
+fn hand_segment(dir: &Path, first: u64, payloads: &[Vec<u8>]) -> PathBuf {
     fs::create_dir_all(dir).expect("mkdir");
     let mut bytes = b"SDLWAL01".to_vec();
     for p in payloads {
@@ -274,22 +274,68 @@ fn hand_segment(dir: &Path, payloads: &[Vec<u8>]) {
         bytes.extend_from_slice(&crc32(p).to_le_bytes());
         bytes.extend_from_slice(p);
     }
-    fs::write(dir.join(format!("wal-{:020}.log", 1)), bytes).expect("writes");
+    let path = dir.join(format!("wal-{first:020}.log"));
+    fs::write(&path, bytes).expect("writes");
+    path
 }
 
 /// A segment header payload: tag 0, format version 1, shard count,
-/// first commit 1.
-fn header_payload(n_shards: u64) -> Vec<u8> {
+/// first commit.
+fn header_payload(n_shards: u64, first: u64) -> Vec<u8> {
     let mut p = vec![0, 1, 0, 0, 0];
     p.extend_from_slice(&n_shards.to_le_bytes());
-    p.extend_from_slice(&1u64.to_le_bytes());
+    p.extend_from_slice(&first.to_le_bytes());
     p
+}
+
+/// Frame length of an [`empty_commit`]: 8 header bytes, tag, commit,
+/// two zero counts.
+const EMPTY_COMMIT_FRAME: u64 = 8 + 1 + 8 + 4 + 4;
+
+/// A commit record payload that retracts and asserts nothing.
+fn empty_commit(commit: u64) -> Vec<u8> {
+    let mut p = vec![1];
+    p.extend_from_slice(&commit.to_le_bytes());
+    p.extend_from_slice(&[0; 8]);
+    p
+}
+
+/// A one-shard segment `wal-<first>` holding empty commits `first..=last`.
+fn commits_segment(dir: &Path, first: u64, last: u64) -> PathBuf {
+    let mut payloads = vec![header_payload(1, first)];
+    payloads.extend((first..=last).map(empty_commit));
+    hand_segment(dir, first, &payloads)
+}
+
+/// Flips the last byte of record `commit`'s payload in segment `path`,
+/// whose first commit is `first`.
+fn flip_record(path: &Path, first: u64, commit: u64) {
+    let mut bytes = fs::read(path).expect("readable");
+    let end = 37 + (commit - first + 1) * EMPTY_COMMIT_FRAME; // magic + header frame
+    bytes[end as usize - 1] ^= 0xFF;
+    fs::write(path, bytes).expect("writable");
+}
+
+/// Appends `junk` to the file at `path`.
+fn append_bytes(path: &Path, junk: &[u8]) {
+    let mut bytes = fs::read(path).expect("readable");
+    bytes.extend_from_slice(junk);
+    fs::write(path, bytes).expect("writable");
+}
+
+/// Commit numbers of everything one tailer poll returns.
+fn poll_commits(tailer: &mut SegmentTailer, up_to: u64) -> Result<Vec<u64>, WalError> {
+    Ok(tailer.poll(up_to, 64)?.iter().map(|r| r.commit).collect())
+}
+
+fn is_corrupt<T>(r: Result<T, WalError>) -> bool {
+    matches!(r, Err(WalError::Corrupt(_)))
 }
 
 #[test]
 fn a_header_claiming_too_many_shards_is_corrupt() {
     let dir = temp_dir("shards");
-    hand_segment(&dir, &[header_payload(u64::MAX)]);
+    hand_segment(&dir, 1, &[header_payload(u64::MAX, 1)]);
     assert!(matches!(read_log(&dir), Err(WalError::Corrupt(_))));
     assert!(matches!(
         recover(&dir, &Metrics::disabled()),
@@ -315,11 +361,180 @@ fn an_asserted_id_with_seq_zero_is_corrupt() {
     commit.extend_from_slice(&0u64.to_le_bytes());
     commit.extend_from_slice(&[1, 0, 0, 0, 1]); // arity 1, Int tag
     commit.extend_from_slice(&5i64.to_le_bytes());
-    hand_segment(&dir, &[header_payload(1), commit]);
+    hand_segment(&dir, 1, &[header_payload(1, 1), commit]);
     assert!(matches!(
         recover(&dir, &Metrics::disabled()),
         Err(WalError::Corrupt(_))
     ));
+    fs::remove_dir_all(&dir).ok();
+}
+
+// Where a segment's clean prefix ends, recovery and the tailer each
+// apply their own policy: the tests below pin every case.
+
+#[test]
+fn recovery_truncates_a_partial_frame_in_the_newest_segment() {
+    let dir = temp_dir("partial-newest");
+    let seg = commits_segment(&dir, 1, 3);
+    let clean_len = fs::metadata(&seg).expect("meta").len();
+    append_bytes(&seg, &[0x40, 0, 0, 0, 1, 2]);
+    let state = recover(&dir, &Metrics::disabled()).expect("recovers");
+    assert!(state.torn_tail);
+    assert_eq!(state.last_commit, 3);
+    assert_eq!(fs::metadata(&seg).expect("meta").len(), clean_len);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn recovery_refuses_a_partial_frame_before_a_successor() {
+    let dir = temp_dir("partial-older");
+    let seg = commits_segment(&dir, 1, 3);
+    append_bytes(&seg, &[0x40, 0, 0, 0, 1, 2]);
+    commits_segment(&dir, 4, 5);
+    assert!(is_corrupt(read_log(&dir)));
+    assert!(is_corrupt(recover(&dir, &Metrics::disabled())));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn recovery_truncates_a_damaged_frame_in_the_newest_segment() {
+    let dir = temp_dir("damaged-newest");
+    let two = fs::metadata(commits_segment(&dir, 1, 2))
+        .expect("meta")
+        .len();
+    let seg = commits_segment(&dir, 1, 3);
+    flip_record(&seg, 1, 3);
+    let state = recover(&dir, &Metrics::disabled()).expect("recovers");
+    assert!(state.torn_tail);
+    assert_eq!(state.last_commit, 2);
+    assert_eq!(fs::metadata(&seg).expect("meta").len(), two);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn recovery_refuses_a_damaged_older_segment() {
+    let dir = temp_dir("damaged-older");
+    let seg = commits_segment(&dir, 1, 3);
+    flip_record(&seg, 1, 2);
+    commits_segment(&dir, 4, 5);
+    assert!(is_corrupt(read_log(&dir)));
+    assert!(is_corrupt(recover(&dir, &Metrics::disabled())));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn recovery_refuses_a_missing_middle_segment() {
+    let dir = temp_dir("missing");
+    commits_segment(&dir, 1, 3);
+    commits_segment(&dir, 7, 8);
+    assert!(is_corrupt(read_log(&dir)));
+    assert!(is_corrupt(recover(&dir, &Metrics::disabled())));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn recovery_refuses_a_history_gap_after_the_snapshot() {
+    let dir = temp_dir("gap");
+    // Snapshot of commit 3: format version 1, commit, one shard whose
+    // cursor is 1, no tuples. The log resumes at commit 6.
+    let mut snap = vec![1, 0, 0, 0];
+    for v in [3u64, 1, 1, 0] {
+        snap.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut bytes = b"SDLSNAP1".to_vec();
+    bytes.extend_from_slice(&(snap.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&snap).to_le_bytes());
+    bytes.extend_from_slice(&snap);
+    commits_segment(&dir, 6, 7);
+    fs::write(dir.join(format!("snap-{:020}.snap", 3)), bytes).expect("writes");
+    assert!(is_corrupt(read_log(&dir)));
+    assert!(is_corrupt(recover(&dir, &Metrics::disabled())));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bad_magic_in_the_newest_segment_is_a_torn_tail_and_goes() {
+    let dir = temp_dir("magic");
+    commits_segment(&dir, 1, 3);
+    let seg = commits_segment(&dir, 4, 5);
+    let mut bytes = fs::read(&seg).expect("readable");
+    bytes[0] ^= 0xFF;
+    fs::write(&seg, bytes).expect("writable");
+    let state = recover(&dir, &Metrics::disabled()).expect("recovers");
+    assert!(state.torn_tail);
+    assert_eq!(state.last_commit, 3);
+    assert!(!seg.exists(), "a segment torn before its first record goes");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tailer_waits_on_a_half_written_frame_then_ships_it() {
+    let dir = temp_dir("tail-half");
+    let seg = commits_segment(&dir, 1, 1);
+    let mut frame = Vec::new();
+    let payload = empty_commit(2);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    append_bytes(&seg, &frame[..11]);
+    let mut tailer = SegmentTailer::new(&dir, 0).expect("opens");
+    assert_eq!(poll_commits(&mut tailer, u64::MAX).expect("polls"), [1]);
+    assert!(poll_commits(&mut tailer, u64::MAX)
+        .expect("polls")
+        .is_empty());
+    append_bytes(&seg, &frame[11..]);
+    assert_eq!(poll_commits(&mut tailer, u64::MAX).expect("polls"), [2]);
+    assert_eq!(tailer.next_commit(), 3);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tailer_refuses_a_crc_flip_behind_the_watermark() {
+    for older in [false, true] {
+        let dir = temp_dir("tail-crc");
+        let seg = commits_segment(&dir, 1, 3);
+        flip_record(&seg, 1, 2);
+        if older {
+            commits_segment(&dir, 4, 5);
+        }
+        let mut tailer = SegmentTailer::new(&dir, 0).expect("opens");
+        assert!(is_corrupt(tailer.poll(3, 64)), "older={older}");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn tailer_refuses_trailing_bytes_before_a_successor() {
+    let dir = temp_dir("tail-trailing");
+    let seg = commits_segment(&dir, 1, 3);
+    append_bytes(&seg, &[0x40, 0, 0, 0, 1]);
+    commits_segment(&dir, 4, 5);
+    let mut tailer = SegmentTailer::new(&dir, 0).expect("opens");
+    assert!(is_corrupt(tailer.poll(u64::MAX, 64)));
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tailer_crosses_into_the_successor_segment() {
+    let dir = temp_dir("tail-cross");
+    commits_segment(&dir, 1, 2);
+    commits_segment(&dir, 3, 4);
+    let mut tailer = SegmentTailer::new(&dir, 0).expect("opens");
+    assert_eq!(
+        poll_commits(&mut tailer, u64::MAX).expect("polls"),
+        [1, 2, 3, 4]
+    );
+    assert_eq!(tailer.next_commit(), 5);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn tailer_skips_records_below_its_start() {
+    let dir = temp_dir("tail-skip");
+    commits_segment(&dir, 1, 5);
+    let mut tailer = SegmentTailer::new(&dir, 3).expect("opens");
+    assert_eq!(tailer.next_commit(), 4);
+    assert_eq!(poll_commits(&mut tailer, u64::MAX).expect("polls"), [4, 5]);
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use sdl_durability::{crc32, read_log, CommitRecord, FsyncPolicy, SegmentTailer, Wal, WalConfig};
+use sdl_durability::{
+    crc32, read_log, CommitRecord, FsyncPolicy, SegmentTailer, Wal, WalConfig, WalError,
+};
 use sdl_metrics::Metrics;
 use sdl_replication::{serve_ship, FollowEvent, FollowerConn, ShipConfig};
 use sdl_server::wire::{encode_request, Request};
@@ -298,6 +300,30 @@ fn wal_retain_keeps_a_log_tail_for_detached_followers() {
         "history at commit 2 was pruned; bootstrap must use a snapshot"
     );
     wal.release_retention(plan.pin);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_follower_claiming_the_last_commit_number_leaves_the_wal_usable() {
+    let dir = temp_dir("claim-max");
+    let mut cfg = config(&dir);
+    cfg.snapshot_every = Some(4);
+    let wal = Arc::new(Wal::create(cfg, 1, Metrics::disabled()).expect("create"));
+    let mut leader = Leader::new(Arc::clone(&wal));
+    for _ in 0..6 {
+        leader.commit(false, 1);
+    }
+    // A `Hello` may claim any position; one past the end of history
+    // gets the snapshot, never a resume from the log.
+    match wal.pin_for_bootstrap(u64::MAX) {
+        Ok(plan) => {
+            assert!(plan.snapshot.is_some(), "bootstraps from the snapshot");
+            wal.release_retention(plan.pin);
+        }
+        Err(e) => assert!(matches!(e, WalError::Corrupt(_)), "{e}"),
+    }
+    leader.commit(false, 1);
+    assert_eq!(wal.last_appended(), 7);
     fs::remove_dir_all(&dir).ok();
 }
 
