@@ -1,4 +1,5 @@
-//! The one sharded commit function and the one park/wake router.
+//! The one sharded commit function, the one transaction attempt over
+//! shard locks, and the one park/wake router.
 //!
 //! The paper has one state-changing primitive — the atomic transaction —
 //! and one way to wait — a delayed transaction blocks until some commit
@@ -9,7 +10,12 @@
 //! ([`crate::parallel`]), the networked server's per-loop engines and the
 //! follower's apply thread each supply a footprint, a closure deciding
 //! the batch under the locks, and what to do with the payloads a commit
-//! wakes. The serial and rounds schedulers park in a one-shard router
+//! wakes. A transaction attempt is two halves both the threaded executor
+//! and the server run: [`Committer::evaluate`] (read locks, window,
+//! evaluation, park probe, then effects outside the locks) and
+//! [`Committer::decide`] (the write footprint and the closure that
+//! validates and builds the batch); each caller keeps its own retry
+//! loop. The serial and rounds schedulers park in a one-shard router
 //! too, pid-ordered through their own registry: they commit in place and
 //! never bump its epoch, so their parks take the re-check's quiet path.
 //!
@@ -56,20 +62,26 @@
 //! sequence is a function of the schedule alone — what the `sdl-sync`
 //! explorer's replay needs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sdl_dataspace::{
     shard_of_watch_key, shards_of_watch_key, Action, BatchOutcome, ShardSet, ShardWriteView,
-    ShardedDataspace, TupleSource, WatchKey, WatchSet,
+    ShardedDataspace, SolveLimits, TupleSource, WatchKey, WatchSet,
 };
 use sdl_durability::{Snapshotter, Wal, WalError};
 use sdl_lang::ast::TxnKind;
 use sdl_metrics::{Counter, Hist, Metrics, ShardCounter};
 use sdl_sync::{AtomicU64, Mutex, Ordering};
-use sdl_tuple::{ProcId, Tuple, TupleId};
+use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
+use crate::builtins::Builtins;
+use crate::error::RuntimeError;
+use crate::parallel::{pending_write_footprint, read_footprint};
+use crate::program::CompiledTxn;
 use crate::trace::{self, SpanPhase, TraceRecord, Tracer, Track};
+use crate::txn::{self, EvalProbe, Pending, ResolvedAtoms};
+use crate::view::{CompiledView, QuerySource};
 
 /// A parked payload, shared between every router list its watch keys
 /// route to. Exactly one claimant takes the payload; what stays behind
@@ -305,6 +317,22 @@ pub struct Committed<T> {
     pub woken: Vec<(WatchKey, T)>,
 }
 
+/// Who a transaction attempt runs for: the owner of what it asserts,
+/// its constants, its view and the host functions. `view` is `None` for
+/// a transaction with no process (a wire request): it reads the whole
+/// store and exports everything.
+#[derive(Debug)]
+pub struct Runner<'a> {
+    /// Owner of the asserted tuples.
+    pub pid: ProcId,
+    /// The process's view, if there is a process.
+    pub view: Option<&'a CompiledView>,
+    /// The process's constants.
+    pub env: &'a HashMap<String, Value>,
+    /// Host functions.
+    pub builtins: &'a Builtins,
+}
+
 /// Everything a sharded commit touches besides the store itself: the
 /// wake router it publishes to, the write-ahead log with its background
 /// snapshot writer, and the instrumentation.
@@ -460,6 +488,125 @@ impl<T> Committer<T> {
             commit_id,
             woken,
         }))
+    }
+
+    /// The read half of one optimistic attempt of `t` over atoms resolved
+    /// once per attempt loop: reads the epoch, read-locks the footprint
+    /// (every shard for a restricted import, whose admission tests query
+    /// patterns outside the atom list), evaluates through `run`'s window
+    /// and, on failure when `park` is set, probes the park subscription
+    /// while the locks are held. Effects (which may run expensive host
+    /// functions) are built after the locks drop. `trace` attributes the
+    /// spans.
+    ///
+    /// `Ok(Err((watch, epoch)))` is a failed query: what a park listens
+    /// on (empty unless `park`) and the epoch read before the evaluation,
+    /// for [`WakeRouter::park`].
+    ///
+    /// # Errors
+    ///
+    /// A pattern field or an action argument that cannot evaluate.
+    pub fn evaluate(
+        &self,
+        sds: &ShardedDataspace,
+        t: &CompiledTxn,
+        atoms: &ResolvedAtoms,
+        run: &Runner<'_>,
+        park: bool,
+        trace: u64,
+    ) -> Result<Result<Pending, (WatchSet, u64)>, RuntimeError> {
+        // The epoch is read before the locks: a commit that lands after
+        // this point is either serialised behind our locks (we see its
+        // effects) or bumps the epoch (a parker re-checks). Either way no
+        // wake-up is lost.
+        let epoch = self.router.epoch();
+        let eval_span = self.tracer.begin();
+        let mut probe = eval_span.map(|_| EvalProbe::new());
+        let fp = match run.view {
+            Some(v) if !v.imports_everything() => sds.all_shards(),
+            _ => read_footprint(sds, atoms),
+        };
+        let lock_timer = self.metrics.start_timer();
+        let lock_span = self.tracer.begin();
+        let view = sds.read_shards(fp);
+        self.metrics
+            .observe_timer(Hist::ShardLockWaitSeconds, lock_timer);
+        self.tracer
+            .span(lock_span, trace, run.pid, SpanPhase::LockWaitRead);
+        let source = match run.view {
+            Some(v) => v.window(&view, run.env, run.builtins),
+            None => QuerySource::Full(&view),
+        };
+        let query = txn::evaluate_resolved(
+            t,
+            atoms,
+            &source,
+            run.env,
+            run.builtins,
+            SolveLimits::default(),
+            probe.as_mut(),
+        )?;
+        // Probed while the read locks are still held, the emptiness
+        // evidence is sound for the state the evaluation just failed
+        // against; anything that commits after these locks drop bumps the
+        // epoch, so the park re-check retries instead of trusting a stale
+        // probe.
+        let watch = match query {
+            None if park => txn::watch_set_resolved(t, atoms, &source),
+            _ => WatchSet::new(),
+        };
+        drop(view);
+        self.tracer
+            .eval_span(eval_span, probe.as_ref(), trace, run.pid);
+        let Some(query) = query else {
+            return Ok(Err((watch, epoch)));
+        };
+        let effects_span = self.tracer.begin();
+        let p = txn::build_effects(t, &query, run.env, run.builtins)?;
+        self.tracer
+            .span(effects_span, trace, run.pid, SpanPhase::Effects);
+        Ok(Ok(p))
+    }
+
+    /// The write half of an attempt: the footprint `p` commits under
+    /// (every shard when a restricted export must filter assertions: its
+    /// condition queries range over the whole store) and the closure
+    /// [`Self::commit`] runs under those locks. The closure validates
+    /// `p` — by the routing invariant the footprint answers as the whole
+    /// store would — then retracts, then asserts the tuples `run`'s
+    /// export rules admit, owned by `run.pid`. The asserted tuples move
+    /// out of `p`.
+    pub fn decide<'a>(
+        &'a self,
+        sds: &ShardedDataspace,
+        run: &'a Runner<'a>,
+        p: &'a mut Pending,
+    ) -> (ShardSet, impl FnOnce(&ShardWriteView<'_>) -> Decision + 'a) {
+        let filter = run.view.filter(|v| !v.exports_everything());
+        let fp = match filter {
+            Some(_) if !p.asserts.is_empty() => sds.all_shards(),
+            _ => pending_write_footprint(sds, p),
+        };
+        let asserts = std::mem::take(&mut p.asserts);
+        let p = &*p;
+        let decide = move |ds: &ShardWriteView<'_>| {
+            if !p.validate(ds) {
+                return Decision::Conflict;
+            }
+            let mut actions = Vec::with_capacity(p.retracts.len() + asserts.len());
+            actions.extend(p.retracts.iter().map(|&id| Action::Retract(id)));
+            // Export filtering runs against the pre-retraction store, so
+            // a commit's own retractions cannot disable its exports.
+            for tu in asserts {
+                if filter.is_none_or(|v| v.exports(&tu, ds, run.env, run.builtins)) {
+                    actions.push(Action::Assert(run.pid, tu));
+                } else {
+                    self.metrics.inc(Counter::ExportDropped);
+                }
+            }
+            Decision::Apply(actions)
+        };
+        (fp, decide)
     }
 
     /// Hands a due snapshot to the background writer, paying for the

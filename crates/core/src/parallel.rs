@@ -24,10 +24,12 @@
 //! unsharded for that attempt. With one shard this executor behaves
 //! bit-for-bit like the previous single-lock design.
 //!
-//! Commits go through [`crate::commit::Committer::commit`]; blocked
-//! processes park in its [`crate::commit::WakeRouter`], whose per-shard
-//! reverse indexes follow the same partition (a commit only looks at the
-//! shards it changed) and whose commit epoch closes the park/wake race.
+//! An attempt is [`Committer::evaluate`], then [`Committer::decide`]'s
+//! closure committed through [`Committer::commit`]: the same code the
+//! networked server's `Txn` runs. Blocked processes park in the
+//! committer's [`crate::commit::WakeRouter`], whose per-shard reverse
+//! indexes follow the same partition (a commit only looks at the shards
+//! it changed) and whose commit epoch closes the park/wake race.
 //!
 //! ## Supported fragment
 //!
@@ -49,26 +51,23 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdl_dataspace::{
-    shard_of_pattern, Action, Dataspace, ShardSet, ShardWriteView, ShardedDataspace, SolveLimits,
-    WatchKey, WatchSet,
-};
+use sdl_dataspace::{shard_of_pattern, Dataspace, ShardSet, ShardedDataspace, WatchKey, WatchSet};
 use sdl_lang::ast::TxnKind;
-use sdl_metrics::{Counter, Hist, Metrics};
+use sdl_metrics::{Counter, Metrics};
 use sdl_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, RelaxedCounter};
 use sdl_tuple::{ProcId, Value};
 
 use crate::builder::{Config, RuntimeBuilder};
 use crate::builtins::Builtins;
-use crate::commit::{Committer, Decision, Slot, WakeRouter};
+use crate::commit::{Committer, Runner, Slot, WakeRouter};
 use crate::error::RuntimeError;
 use crate::interp::{self, Attempt, Parked, StallWatch, Turn};
 use crate::outcome::Outcome;
 use crate::process::ProcessInstance;
 use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::sched::{attempts_counter, batch_desc, committed_counter, failed_counter, wal_err};
-use crate::trace::{self, ParkOutcome, SpanPhase, Tracer};
-use crate::txn::{self, EvalProbe, Pending, ResolvedAtoms};
+use crate::trace::{self, ParkOutcome, Tracer};
+use crate::txn::{self, Pending, ResolvedAtoms};
 
 /// Outcome and statistics of a parallel run.
 #[derive(Clone, Debug)]
@@ -391,11 +390,10 @@ fn enqueue(shared: &Shared, proc: ProcessInstance) {
 /// view: those of its resolved atom patterns. Falls back to every shard
 /// when a pattern cannot be resolved or routed.
 ///
-/// Shared footprint-lock entry point: both this executor (through
-/// `eval_footprint`, which adds the view-restriction fallback) and the
-/// networked server's per-loop engines route their read-lock
-/// acquisitions through this computation, so a `read_shards` over the
-/// result is guaranteed to cover everything the evaluation can touch.
+/// The footprint-lock entry point every attempt's read locks go through
+/// (`Committer::evaluate`, which adds the view-restriction fallback), so
+/// a `read_shards` over the result covers everything the evaluation can
+/// touch.
 pub fn txn_read_footprint(
     sds: &ShardedDataspace,
     t: &CompiledTxn,
@@ -406,7 +404,7 @@ pub fn txn_read_footprint(
 }
 
 /// [`txn_read_footprint`] over atoms the caller already resolved.
-pub fn read_footprint(sds: &ShardedDataspace, atoms: &ResolvedAtoms) -> ShardSet {
+pub(crate) fn read_footprint(sds: &ShardedDataspace, atoms: &ResolvedAtoms) -> ShardSet {
     let n = sds.num_shards();
     let all = sds.all_shards();
     let Ok(atoms) = atoms else { return all };
@@ -459,25 +457,6 @@ pub fn pending_write_footprint(sds: &ShardedDataspace, p: &Pending) -> ShardSet 
     fp
 }
 
-/// [`read_footprint`] plus the executor's view-restriction fallback
-/// (admission tests run rule-condition queries over patterns outside the
-/// transaction's own atom list).
-fn eval_footprint(shared: &Shared, proc: &ProcessInstance, atoms: &ResolvedAtoms) -> ShardSet {
-    if !proc.def.view.imports_everything() {
-        return shared.sds.all_shards();
-    }
-    read_footprint(&shared.sds, atoms)
-}
-
-/// [`pending_write_footprint`] plus the executor's export-rule fallback
-/// (export condition queries range over the whole store).
-fn commit_footprint(shared: &Shared, proc: &ProcessInstance, p: &Pending) -> ShardSet {
-    if !proc.def.view.exports_everything() && !p.asserts.is_empty() {
-        return shared.sds.all_shards();
-    }
-    pending_write_footprint(&shared.sds, p)
-}
-
 /// A process as a threaded worker steps it.
 struct Worker<'a> {
     shared: &'a Shared,
@@ -504,124 +483,61 @@ impl interp::Executor for Worker<'_> {
         &self.shared.metrics
     }
 
-    /// Evaluates under the read-footprint locks, validates and applies
-    /// under the write-footprint locks, and re-evaluates when a
-    /// concurrent commit invalidated the evaluation. A failed evaluation
-    /// that is asked to subscribe probes the narrowed subscription while
-    /// its read locks are still held.
+    /// Runs the shared attempt halves ([`Committer::evaluate`],
+    /// [`Committer::decide`]) and re-evaluates when a concurrent commit
+    /// invalidated the evaluation. A failed evaluation that is asked to
+    /// subscribe probes its subscription under the read locks; `park`
+    /// holds `t` alone here: its other entries would be consensus guards,
+    /// rejected at build.
     fn attempt(&mut self, t: &CompiledTxn, park: &[&CompiledTxn]) -> Result<Attempt, RuntimeError> {
-        let (shared, proc) = (self.shared, &mut self.proc);
+        let (shared, proc) = (self.shared, &self.proc);
+        let (sds, committer) = (&shared.sds, &shared.committer);
+        let (metrics, tracer) = (&shared.metrics, &shared.tracer);
+        let run = Runner {
+            pid: proc.id,
+            view: Some(&proc.def.view),
+            env: &proc.env,
+            builtins: &shared.builtins,
+        };
         // One resolution serves the footprint, the evaluation and the park
         // subscription of every retry: the environment cannot change here.
-        let atoms = txn::resolve_atoms(t, &proc.env, &shared.builtins);
+        let atoms = txn::resolve_atoms(t, run.env, run.builtins);
         loop {
             if shared.attempts.fetch_add(1) >= shared.max_attempts {
                 shared.step_limited.store(true, Ordering::SeqCst);
                 finish_done(shared);
                 return Ok(Attempt::Halted);
             }
-            shared.metrics.inc(attempts_counter(t.kind));
+            metrics.inc(attempts_counter(t.kind));
             // One trace id per attempt loop iteration: a retry after a
             // conflict is a fresh causal unit with its own span chain.
-            let trace_id = shared.tracer.new_trace();
-            // The epoch is read before the locks: a commit that lands after
-            // this point is either serialised behind our locks (we see its
-            // effects) or bumps the epoch (a parker re-queues). Either way no
-            // wake-up is lost.
-            let epoch = shared.committer.router.epoch();
-            // Query under the read-footprint locks; effect construction
-            // (which may run expensive host functions) outside any lock.
-            let eval_span = shared.tracer.begin();
-            let mut probe = eval_span.map(|_| EvalProbe::new());
-            let (query, park_watch) = {
-                let read_fp = eval_footprint(shared, proc, &atoms);
-                let lock_timer = shared.metrics.start_timer();
-                let lock_span = shared.tracer.begin();
-                let view = shared.sds.read_shards(read_fp);
-                shared
-                    .metrics
-                    .observe_timer(Hist::ShardLockWaitSeconds, lock_timer);
-                shared
-                    .tracer
-                    .span(lock_span, trace_id, proc.id, SpanPhase::LockWaitRead);
-                let source = proc.def.view.window(&view, &proc.env, &shared.builtins);
-                let query = txn::evaluate_resolved(
-                    t,
-                    &atoms,
-                    &source,
-                    &proc.env,
-                    &shared.builtins,
-                    SolveLimits::default(),
-                    probe.as_mut(),
-                )?;
-                // Probed while the read locks are still held, the emptiness
-                // evidence is sound for the state the evaluation just
-                // failed against; anything that commits after these locks
-                // drop bumps the epoch, making the parker re-queue instead
-                // of trusting a stale probe. `park` holds `t` alone here:
-                // its other entries would be consensus guards, rejected at
-                // build.
-                let park_watch = match query {
-                    None if !park.is_empty() => txn::watch_set_resolved(t, &atoms, &source),
-                    _ => WatchSet::new(),
-                };
-                (query, park_watch)
-            };
-            shared
-                .tracer
-                .eval_span(eval_span, probe.as_ref(), trace_id, proc.id);
-            let Some(query) = query else {
-                shared.metrics.inc(failed_counter(t.kind));
-                return Ok(Attempt::Failed(park_watch, epoch));
-            };
-            let effects_span = shared.tracer.begin();
-            let p = txn::build_effects(t, &query, &proc.env, &shared.builtins)?;
-            let write_fp = commit_footprint(shared, proc, &p);
-            shared
-                .tracer
-                .span(effects_span, trace_id, proc.id, SpanPhase::Effects);
-            // Validation runs against the write footprint, which covers
-            // every shard the evidence patterns route to — by the routing
-            // invariant the answers equal the whole store's.
-            let decide = |ds: &ShardWriteView<'_>| {
-                if !p.validate(ds) {
-                    return Decision::Conflict;
-                }
-                let mut actions: Vec<Action> =
-                    Vec::with_capacity(p.retracts.len() + p.asserts.len());
-                actions.extend(p.retracts.iter().map(|id| Action::Retract(*id)));
-                // Export filtering runs against the pre-retraction store, so
-                // a commit's own retractions cannot disable its exports.
-                for tu in &p.asserts {
-                    if proc.def.view.exports(tu, ds, &proc.env, &shared.builtins) {
-                        actions.push(Action::Assert(proc.id, tu.clone()));
-                    } else {
-                        shared.metrics.inc(Counter::ExportDropped);
+            let trace_id = tracer.new_trace();
+            let mut p =
+                match committer.evaluate(sds, t, &atoms, &run, !park.is_empty(), trace_id)? {
+                    Ok(p) => p,
+                    Err((watch, epoch)) => {
+                        metrics.inc(failed_counter(t.kind));
+                        return Ok(Attempt::Failed(watch, epoch));
                     }
-                }
-                Decision::Apply(actions)
-            };
-            let committed = shared
-                .committer
-                .commit(&shared.sds, write_fp, trace_id, proc.id, t.kind, decide)
+                };
+            let stall = shared.stall.as_ref().map(|stall| (stall, batch_desc(&p)));
+            let (fp, decide) = committer.decide(sds, &run, &mut p);
+            let committed = committer
+                .commit(sds, fp, trace_id, run.pid, t.kind, decide)
                 .map_err(wal_err)?;
             let Some(done) = committed else {
                 shared.conflicts.fetch_add(1);
                 continue; // somebody raced us; re-evaluate
             };
             shared.commits.fetch_add(1);
-            shared.metrics.inc(committed_counter(t.kind));
-            if let (Some(stall), true) = (&shared.stall, done.commit_id != 0) {
-                stall
-                    .recent
-                    .lock()
-                    .push(done.commit_id, done.changed, batch_desc(&p));
+            metrics.inc(committed_counter(t.kind));
+            if let (Some((stall, desc)), true) = (stall, done.commit_id != 0) {
+                stall.recent.lock().push(done.commit_id, done.changed, desc);
             }
             for (key, mut parked) in done.woken {
                 // The wake edge carries the committing transaction's id — the
                 // causality arrow the exporter draws from commit slice to wake
                 // point.
-                let (tracer, metrics) = (&shared.tracer, &shared.metrics);
                 parked.woken(
                     tracer,
                     metrics,

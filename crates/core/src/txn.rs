@@ -51,7 +51,7 @@ pub struct Pending {
     /// `let` bindings to install in the process environment, in order.
     pub(crate) lets: Vec<(String, Value)>,
     /// Processes to create.
-    pub spawns: Vec<(String, Vec<Value>)>,
+    pub(crate) spawns: Vec<(String, Vec<Value>)>,
     /// `exit` was executed.
     pub(crate) exit: bool,
     /// `abort` was executed.
@@ -89,10 +89,10 @@ pub struct QueryOutcome {
 /// evaluated ([`resolve_atoms`]), or why a pattern field did not evaluate.
 pub(crate) type ResolvedAtoms = Result<Vec<QueryAtom>, RuntimeError>;
 
-/// Resolves `txn`'s atoms against `env` — once per attempt: the read
-/// footprint ([`crate::parallel::read_footprint`]), the evaluation
-/// ([`evaluate_resolved`]) and, should it fail, the watch set
-/// ([`watch_set_resolved`]) all read this one result.
+/// Resolves `txn`'s atoms against `env` — once per attempt loop: the
+/// read footprint, the evaluation and, should it fail, the watch set of
+/// every retry ([`crate::commit::Committer::evaluate`]) read this one
+/// result.
 pub fn resolve_atoms(
     txn: &CompiledTxn,
     env: &HashMap<String, Value>,
@@ -120,7 +120,7 @@ pub fn resolve_atoms(
 /// span. Disabled runs pass no probe, so the hot path never reads the
 /// clock for it.
 #[derive(Debug)]
-pub struct EvalProbe {
+pub(crate) struct EvalProbe {
     anchor: std::time::Instant,
     /// `(offset_us, dur_us)` of the plan-cache lookup / planning step.
     pub(crate) plan_us: Option<(u64, u64)>,
@@ -133,12 +133,6 @@ impl EvalProbe {
             anchor: std::time::Instant::now(),
             plan_us: None,
         }
-    }
-}
-
-impl Default for EvalProbe {
-    fn default() -> Self {
-        EvalProbe::new()
     }
 }
 
@@ -173,7 +167,7 @@ pub fn evaluate_query(
 /// When a pattern field cannot evaluate; an `Err` in `atoms` surfaces
 /// here, after the tests that need no quantified variable had their
 /// chance to fail the query.
-pub fn evaluate_resolved(
+pub(crate) fn evaluate_resolved(
     txn: &CompiledTxn,
     atoms: &ResolvedAtoms,
     source: &dyn TupleSource,
@@ -418,7 +412,7 @@ fn apply_action(
 ///
 /// When the atoms did not resolve, the subscription is every atom's
 /// arity channel: any change of that arity re-examines the transaction.
-pub fn watch_set_resolved(
+pub(crate) fn watch_set_resolved(
     txn: &CompiledTxn,
     atoms: &ResolvedAtoms,
     source: &dyn TupleSource,

@@ -92,9 +92,13 @@ impl Wal {
         state: &RecoveredState,
         metrics: Metrics,
     ) -> Result<Wal, WalError> {
+        let corrupt = |what: &str| WalError::Corrupt(format!("{}: {what}", config.dir.display()));
+        let first = (state.last_commit.checked_add(1))
+            .ok_or_else(|| corrupt("no commit number follows the recovered history"))?;
+        let since = (state.last_commit.checked_sub(state.snapshot_commit))
+            .ok_or_else(|| corrupt("the snapshot is newer than the last commit"))?;
         let (segments, _) = list_files(&config.dir)?;
         let mut existing: Vec<u64> = segments.into_iter().map(|(c, _)| c).collect();
-        let first = state.last_commit + 1;
         // A run that crashed after opening a segment but before its
         // first append leaves a header-only file named for `first`;
         // recovery took no records from it, so replace it.
@@ -102,7 +106,6 @@ impl Wal {
             fs::remove_file(segment_path(&config.dir, first))?;
             existing.remove(i);
         }
-        let since = state.last_commit - state.snapshot_commit;
         Wal::open_at(config, state.n_shards, metrics, first, since, existing)
     }
 
@@ -466,4 +469,31 @@ fn open_segment(
     let mut file = BufWriter::new(file);
     file.write_all(&preamble)?;
     Ok((file, preamble.len() as u64))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::recover;
+
+    /// A CRC-valid snapshot numbered `u64::MAX` recovers to a history no
+    /// commit number can follow: resuming it is corrupt, not a panic or
+    /// a log that wraps to commit 0.
+    #[test]
+    fn resuming_after_the_last_commit_number_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("sdl-wal-resume-max-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        frame_with(&mut bytes, |e| e.snapshot(u64::MAX, 1, &[1], &[]));
+        fs::write(snapshot_path(&dir, u64::MAX), bytes).unwrap();
+        let state = recover(&dir, &Metrics::disabled()).unwrap();
+        assert_eq!(state.last_commit, u64::MAX);
+        let resumed = Wal::resume(WalConfig::new(&dir), &state, Metrics::disabled());
+        fs::remove_dir_all(&dir).ok();
+        match resumed {
+            Err(WalError::Corrupt(_)) => {}
+            Err(e) => panic!("expected a corrupt log, got {e}"),
+            Ok(_) => panic!("resumed past the last commit number"),
+        }
+    }
 }

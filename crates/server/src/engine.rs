@@ -29,15 +29,13 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use sdl_core::commit::Decision;
-use sdl_core::parallel::{pending_write_footprint, read_footprint};
+use sdl_core::commit::{Decision, Runner};
 use sdl_core::program::{compile_txn, CompiledTxn};
-use sdl_core::txn::{build_effects, evaluate_resolved, resolve_atoms, watch_set_resolved};
-use sdl_core::Builtins;
+use sdl_core::txn::resolve_atoms;
 use sdl_dataspace::{
-    first_match, Action, BatchOutcome, ShardSet, ShardWriteView, SolveLimits, TupleSource,
-    WatchKey, WatchSet,
+    first_match, Action, BatchOutcome, ShardSet, ShardWriteView, TupleSource, WatchKey, WatchSet,
 };
+use sdl_lang::ast::TxnKind;
 use sdl_lang::parse_transaction;
 use sdl_metrics::{Counter, Gauge, Hist, LoopCounter, Metrics};
 use sdl_tuple::{Pattern, ProcId, Tuple, Value};
@@ -79,18 +77,16 @@ struct ParkedLocal {
 /// One op attempt's verdict.
 enum Attempt {
     Done(Response),
-    /// Query does not (currently) hold; park on these keys. For
-    /// transactions the set was probed inside the read-lock scope, so
-    /// the epoch re-check in [`NetShared::park`] validates it.
-    Park(Vec<WatchKey>),
+    /// Query does not (currently) hold; park on these keys, re-checking
+    /// the epoch read before the probe that failed ([`NetShared::park`]).
+    /// For transactions the set was probed inside the read-lock scope.
+    Park(Vec<WatchKey>, u64),
 }
 
 /// The per-loop request engine over the shared sharded store.
 pub struct Engine {
     shared: Arc<NetShared>,
     loop_id: usize,
-    builtins: Builtins,
-    limits: SolveLimits,
     metrics: Metrics,
     // Buffered `out` asserts awaiting the next flush, plus their acks.
     pending: Vec<Action>,
@@ -123,8 +119,6 @@ impl Engine {
         Engine {
             shared,
             loop_id,
-            builtins: Builtins::standard(),
-            limits: SolveLimits::default(),
             metrics,
             pending: Vec::new(),
             pending_acks: Vec::new(),
@@ -367,76 +361,44 @@ impl Engine {
         Ok(txn)
     }
 
-    /// One optimistic attempt loop for a transaction: evaluate under the
-    /// read footprint, build effects outside any lock, validate + apply
-    /// under the write footprint, retry on conflict.
+    /// One transaction to its verdict through the shared attempt halves
+    /// ([`sdl_core::commit::Committer::evaluate`] and `decide`), retrying
+    /// on conflict. A wire transaction has no process: it reads the whole
+    /// store, exports everything, and an `abort` applies nothing.
     fn attempt_txn(
         &mut self,
         conn: ConnId,
         txn: &CompiledTxn,
         env: &HashMap<String, Value>,
     ) -> Attempt {
+        // Held apart from `self`: the closure `decide` returns borrows it
+        // across `self.commit`.
+        let shared = Arc::clone(&self.shared);
+        let run = Runner {
+            pid: conn_pid(conn),
+            view: None,
+            env,
+            builtins: &shared.builtins,
+        };
         // Resolved once: footprint, evaluation and park subscription of
         // every retry read the same patterns.
-        let atoms = resolve_atoms(txn, env, &self.builtins);
+        let atoms = resolve_atoms(txn, env, run.builtins);
+        let delayed = txn.kind == TxnKind::Delayed;
+        let (sds, committer) = (&shared.sds, &shared.committer);
         loop {
-            let query = {
-                let view = self
-                    .shared
-                    .sds
-                    .read_shards(read_footprint(&self.shared.sds, &atoms));
-                let evaluated =
-                    evaluate_resolved(txn, &atoms, &view, env, &self.builtins, self.limits, None);
-                match evaluated {
-                    Err(e) => return Attempt::Done(Response::Error(format!("eval error: {e}"))),
-                    Ok(None) => {
-                        if txn.kind == sdl_lang::ast::TxnKind::Delayed {
-                            // Probe the narrowed subscription inside the
-                            // read-lock scope: the emptiness evidence
-                            // describes exactly the state the failed
-                            // evaluation saw, and the park epoch
-                            // re-check invalidates it if stale.
-                            let watch = watch_set_resolved(txn, &atoms, &view);
-                            return Attempt::Park(watch.iter().copied().collect());
-                        }
-                        return Attempt::Done(Response::Failed);
-                    }
-                    Ok(Some(q)) => q,
-                }
-            };
-            // Effects (which may run host functions) outside any lock.
-            let mut p = match build_effects(txn, &query, env, &self.builtins) {
+            let mut p = match committer.evaluate(sds, txn, &atoms, &run, delayed, 0) {
                 Err(e) => return Attempt::Done(Response::Error(format!("eval error: {e}"))),
-                Ok(p) => p,
+                Ok(Err((watch, epoch))) if delayed => {
+                    return Attempt::Park(watch.iter().copied().collect(), epoch)
+                }
+                Ok(Err(_)) => return Attempt::Done(Response::Failed),
+                Ok(Ok(p)) => p,
             };
-            if !p.spawns.is_empty() {
-                return Attempt::Done(Response::Error(
-                    "spawn is not supported over the wire".to_owned(),
-                ));
-            }
             if p.abort {
                 return Attempt::Done(Response::Failed);
             }
-            let cfp = pending_write_footprint(&self.shared.sds, &p);
-            let mut actions: Vec<Action> = Vec::with_capacity(p.retracts.len() + p.asserts.len());
-            actions.extend(p.retracts.iter().map(|&id| Action::Retract(id)));
-            // Validation reads the evidence only; the tuples move.
-            let asserts = std::mem::take(&mut p.asserts);
-            actions.extend(
-                asserts
-                    .into_iter()
-                    .map(|t| Action::Assert(conn_pid(conn), t)),
-            );
-            let committed = self.commit(cfp, |view| {
-                if p.validate(view) {
-                    Decision::Apply(actions)
-                } else {
-                    // A concurrent commit invalidated the evaluation's
-                    // evidence: classic optimistic conflict.
-                    Decision::Conflict
-                }
-            });
-            if committed.is_some() {
+            let (fp, decide) = committer.decide(sds, &run, &mut p);
+            if self.commit(fp, decide).is_some() {
                 return Attempt::Done(Response::Ok);
             }
         }
@@ -445,16 +407,18 @@ impl Engine {
     // -- park / wake ------------------------------------------------------
 
     fn attempt_op(&mut self, conn: ConnId, op: &ParkedOp) -> Attempt {
-        match op {
-            ParkedOp::In(p) => match self.take_match(p) {
-                Some(t) => Attempt::Done(Response::Tuple(t)),
-                None => Attempt::Park(exact_keys(p)),
-            },
-            ParkedOp::Rd(p) => match self.read_match(p) {
-                Some(t) => Attempt::Done(Response::Tuple(t)),
-                None => Attempt::Park(exact_keys(p)),
-            },
-            ParkedOp::Txn { txn, env } => self.attempt_txn(conn, txn, env),
+        // The epoch is read before the probe's locks (tuple fields
+        // evaluate left to right): a commit landing after this read either
+        // serialises behind them (the probe sees its effects) or bumps the
+        // epoch (the park re-check retries). Either way no wakeup is lost.
+        let (epoch, found, p) = match op {
+            ParkedOp::Txn { txn, env } => return self.attempt_txn(conn, txn, env),
+            ParkedOp::In(p) => (self.shared.epoch(), self.take_match(p), p),
+            ParkedOp::Rd(p) => (self.shared.epoch(), self.read_match(p), p),
+        };
+        match found {
+            Some(t) => Attempt::Done(Response::Tuple(t)),
+            None => Attempt::Park(exact_keys(p), epoch),
         }
     }
 
@@ -475,17 +439,12 @@ impl Engine {
         replies: &mut Vec<Reply>,
     ) -> bool {
         loop {
-            // Epoch before the probe's locks: a commit landing after
-            // this read either serialises behind them (the probe sees
-            // its effects) or bumps the epoch (the park re-check
-            // retries). Either way no wakeup is lost.
-            let eval_epoch = self.shared.epoch();
             match self.attempt_op(conn, &op) {
                 Attempt::Done(resp) => {
                     replies.push((conn, req_id, resp));
                     return true;
                 }
-                Attempt::Park(_)
+                Attempt::Park(..)
                     if notify_park && self.shared.parked_total() >= self.shared.max_parked =>
                 {
                     self.metrics.inc(Counter::NetBackpressureStalls);
@@ -493,7 +452,7 @@ impl Engine {
                     replies.push((conn, req_id, Response::Error(msg)));
                     return true;
                 }
-                Attempt::Park(keys) => {
+                Attempt::Park(keys, eval_epoch) => {
                     self.park_seq += 1;
                     let seq = self.park_seq * self.shared.n_loops() as u64 + self.loop_id as u64;
                     let waiter = Arc::new(Waiter::new(self.loop_id, conn, req_id, seq));
@@ -889,6 +848,56 @@ mod tests {
             matches!(&r[0].2, Response::Error(_)),
             "spawn must be rejected: {r:?}"
         );
+    }
+
+    // A wire transaction has no process: `abort` applies nothing and
+    // answers Failed, `exit` and `let` have nothing to act on.
+
+    #[test]
+    fn abort_over_wire_fails_and_applies_nothing() {
+        let mut e = engine();
+        let mut r = Vec::new();
+        e.submit(1, 1, Request::Out(tuple![Value::atom("poison")]), &mut r);
+        e.submit(1, 2, txn("<poison>! -> abort", &[]), &mut r);
+        e.submit(1, 3, Request::Rdp(pattern![Value::atom("poison")]), &mut r);
+        assert_eq!(
+            drain(&mut r),
+            vec![
+                (1, 1, Response::Ok),
+                (1, 2, Response::Failed),
+                (1, 3, Response::Tuple(tuple![Value::atom("poison")])),
+            ]
+        );
+    }
+
+    #[test]
+    fn exit_over_wire_commits_the_actions() {
+        let mut e = engine();
+        let mut r = Vec::new();
+        e.submit(1, 1, Request::Out(tuple![Value::atom("a")]), &mut r);
+        e.submit(1, 2, txn("<a>! -> <b>, exit", &[]), &mut r);
+        e.submit(1, 3, Request::Rdp(pattern![Value::atom("a")]), &mut r);
+        e.submit(1, 4, Request::Rdp(pattern![Value::atom("b")]), &mut r);
+        assert_eq!(
+            drain(&mut r),
+            vec![
+                (1, 1, Response::Ok),
+                (1, 2, Response::Ok),
+                (1, 3, Response::Failed),
+                (1, 4, Response::Tuple(tuple![Value::atom("b")])),
+            ]
+        );
+        assert_eq!(e.store_len(), 1);
+    }
+
+    #[test]
+    fn let_over_wire_changes_nothing() {
+        let mut e = engine();
+        let mut r = Vec::new();
+        e.submit(1, 1, txn("-> let N = 1", &[]), &mut r);
+        e.finish(&mut r);
+        assert_eq!(drain(&mut r), vec![(1, 1, Response::Ok)]);
+        assert_eq!(e.store_len(), 0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Readiness polling over raw fds: epoll on Linux, POSIX `poll(2)`
-//! elsewhere (or when `SDL_NET_FORCE_POLL=1`).
+//! elsewhere. Tests drive the `poll(2)` backend on Linux too.
 //!
 //! The vendored dependency set has no `libc` crate, so the two syscall
 //! surfaces are declared directly; std already links libc on every unix
@@ -38,18 +38,12 @@ impl Interest {
     };
 }
 
-enum Backend {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    Poll,
-}
-
 /// A readiness poller over registered fds.
 pub(crate) struct Poller {
-    backend: Backend,
+    #[cfg(target_os = "linux")]
+    epoll: epoll::Epoll,
     // token → (fd, interest). The poll backend builds its pollfd array
-    // from this; the epoll backend keeps it for bookkeeping parity and
-    // diagnostics.
+    // from this; with epoll it catches duplicate and unknown tokens.
     registered: HashMap<u64, (RawFd, Interest)>,
 }
 
@@ -60,24 +54,9 @@ impl Poller {
     ///
     /// Propagates `epoll_create1` failure.
     pub(crate) fn new() -> io::Result<Poller> {
-        let force_poll = std::env::var_os("SDL_NET_FORCE_POLL").is_some_and(|v| v == "1");
-        let backend = {
-            #[cfg(target_os = "linux")]
-            {
-                if force_poll {
-                    Backend::Poll
-                } else {
-                    Backend::Epoll(epoll::Epoll::new()?)
-                }
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                let _ = force_poll;
-                Backend::Poll
-            }
-        };
         Ok(Poller {
-            backend,
+            #[cfg(target_os = "linux")]
+            epoll: epoll::Epoll::new()?,
             registered: HashMap::new(),
         })
     }
@@ -95,9 +74,7 @@ impl Poller {
             ));
         }
         #[cfg(target_os = "linux")]
-        if let Backend::Epoll(ep) = &self.backend {
-            ep.add(fd, token, interest)?;
-        }
+        self.epoll.add(fd, token, interest)?;
         self.registered.insert(token, (fd, interest));
         Ok(())
     }
@@ -116,9 +93,7 @@ impl Poller {
             return Ok(());
         }
         #[cfg(target_os = "linux")]
-        if let Backend::Epoll(ep) = &self.backend {
-            ep.modify(*fd, token, interest)?;
-        }
+        self.epoll.modify(*fd, token, interest)?;
         let _ = fd;
         *cur = interest;
         Ok(())
@@ -128,9 +103,7 @@ impl Poller {
     pub(crate) fn deregister(&mut self, token: u64) {
         if let Some((_fd, _)) = self.registered.remove(&token) {
             #[cfg(target_os = "linux")]
-            if let Backend::Epoll(ep) = &self.backend {
-                ep.delete(_fd);
-            }
+            self.epoll.delete(_fd);
         }
     }
 
@@ -143,10 +116,13 @@ impl Poller {
     /// returning zero events instead).
     pub(crate) fn wait(&mut self, events: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
         events.clear();
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => ep.wait(events, timeout_ms),
-            Backend::Poll => poll_backend::wait(&self.registered, events, timeout_ms),
+        #[cfg(target_os = "linux")]
+        {
+            self.epoll.wait(events, timeout_ms)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            poll_backend::wait(&self.registered, events, timeout_ms)
         }
     }
 }
@@ -296,6 +272,7 @@ mod epoll {
     }
 }
 
+#[cfg(any(test, not(target_os = "linux")))]
 mod poll_backend {
     use super::{Interest, PollEvent};
     use std::collections::HashMap;
@@ -406,6 +383,26 @@ mod tests {
         let mut b2 = &b;
         b2.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"hi");
+    }
+
+    #[test]
+    fn poll_backend_reports_readable_and_writable() {
+        let (mut a, b) = pair();
+        let read = HashMap::from([(7, (b.as_raw_fd(), Interest::READ))]);
+        let mut events = Vec::new();
+        poll_backend::wait(&read, &mut events, 0).unwrap();
+        assert!(events.is_empty(), "{events:?}");
+        a.write_all(b"hi").unwrap();
+        poll_backend::wait(&read, &mut events, 1000).unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        let write = Interest {
+            readable: false,
+            writable: true,
+        };
+        let writable = HashMap::from([(1, (a.as_raw_fd(), write))]);
+        events.clear();
+        poll_backend::wait(&writable, &mut events, 1000).unwrap();
+        assert!(events.iter().any(|e| e.token == 1 && !e.readable));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use sdl_core::commit::{Committed, Committer, Decision, Slot, WakeRouter};
-use sdl_core::Tracer;
+use sdl_core::{Builtins, Tracer};
 use sdl_dataspace::{ShardSet, ShardWriteView, ShardedDataspace, WatchKey, WatchSet};
 use sdl_durability::{Wal, WalError};
 use sdl_lang::ast::TxnKind;
@@ -74,7 +74,9 @@ pub struct NetShared {
     /// The commit function, its wake router and (on a durable leader)
     /// the write-ahead log. A follower's state is the shipped log, so it
     /// runs without one.
-    committer: Committer<Target>,
+    pub(crate) committer: Committer<Target>,
+    /// The host functions wire transactions call.
+    pub(crate) builtins: Builtins,
     /// Per-loop mailboxes of cross-loop wakes.
     mailboxes: Vec<Mutex<Vec<Wake>>>,
     /// Requests parked across every loop.
@@ -116,6 +118,7 @@ impl NetShared {
         NetShared {
             sds,
             committer: Committer::new(router, metrics.clone(), Tracer::disabled()),
+            builtins: Builtins::standard(),
             metrics,
             mailboxes: (0..n_loops).map(|_| Mutex::new(Vec::new())).collect(),
             parked_total: AtomicUsize::new(0),

@@ -13,12 +13,14 @@
 //!
 //! The seeded mutant (`NetShared::with_mutant` skipping the park epoch
 //! re-check) must be caught, replay deterministically, and export a
-//! replayable schedule artifact for CI.
+//! replayable schedule artifact for CI. Two wire transactions racing
+//! for one tuple exercise the optimistic conflict path: validation must
+//! let exactly one of them commit.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use sdl_metrics::{Gauge, Metrics};
+use sdl_metrics::{Counter, Gauge, Metrics};
 use sdl_server::engine::Reply;
 use sdl_server::wire::{Request, Response};
 use sdl_server::{Engine, NetShared};
@@ -203,5 +205,61 @@ fn disconnect_races_cross_loop_wake_without_residue() {
         report.failure.is_none(),
         "disconnect race leaked under exploration:\n{}",
         report.failure.unwrap()
+    );
+}
+
+/// Two loops each submit a transaction claiming the one `<job, 1>`. On
+/// every interleaving exactly one commits and the other fails (after
+/// losing validation, or by evaluating after the winner committed), the
+/// store holds only the winner's `<done, 1>`, and nothing stays parked.
+/// Some schedule must make the loser lose validation.
+#[test]
+fn racing_txns_for_one_tuple_commit_exactly_once() {
+    let conflicted = std::cell::Cell::new(false);
+    let report = Explore::new()
+        .max_schedules(50_000)
+        .max_steps(50_000)
+        .run(|| {
+            let (metrics, registry) = Metrics::registry();
+            let shared = Arc::new(NetShared::new(2, 2, metrics));
+            let mut e0 = Engine::over(Arc::clone(&shared), 0);
+            let mut e1 = Engine::over(Arc::clone(&shared), 1);
+            let (mut r0, mut r1): (Vec<Reply>, Vec<Reply>) = (Vec::new(), Vec::new());
+            e0.submit(1, 1, Request::Out(tuple![Value::atom("job"), 1]), &mut r0);
+            e0.finish(&mut r0);
+            r0.clear();
+
+            sdl_sync::scope(|s| {
+                for (conn, (e, r)) in [(10, (&mut e0, &mut r0)), (20, (&mut e1, &mut r1))] {
+                    s.spawn(move || {
+                        let source = "exists j : <job, j>! -> <done, j>".to_owned();
+                        let env = Vec::new();
+                        e.submit(conn, 1, Request::Txn { source, env }, r);
+                        e.finish(r);
+                    });
+                }
+            });
+
+            let mut verdicts: Vec<_> = r0.iter().chain(&r1).map(|(_, _, v)| v).collect();
+            verdicts.sort_by_key(|v| **v != Response::Ok);
+            assert_eq!(verdicts, [&Response::Ok, &Response::Failed]);
+            assert_eq!(e0.store_len(), 1);
+            let done = Request::Rdp(pattern![Value::atom("done"), 1]);
+            e0.submit(1, 2, done, &mut r0);
+            assert!(matches!(r0.last(), Some((1, 2, Response::Tuple(_)))));
+            assert_eq!(shared.live_stubs(), 0, "router stubs leaked");
+            if registry.counter(Counter::TxnConflicts) > 0 {
+                conflicted.set(true);
+            }
+        });
+    assert!(
+        report.failure.is_none(),
+        "racing transactions misbehaved under exploration:\n{}",
+        report.failure.unwrap()
+    );
+    assert!(report.complete, "exploration did not exhaust the tree");
+    assert!(
+        conflicted.get(),
+        "no schedule made a transaction lose validation"
     );
 }

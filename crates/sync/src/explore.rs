@@ -198,7 +198,7 @@ struct Sched {
     locks: HashMap<ObjId, LockModel>,
     readers: HashMap<ObjId, HashSet<usize>>,
     cv_waiters: HashMap<ObjId, VecDeque<usize>>,
-    /// Threads in the sleep set (sleep-set DPOR).
+    /// Threads in the sleep set (sleep-set pruning).
     sleeping: HashSet<usize>,
     /// Replay prefix: decision choices to force, in order.
     prefix: Vec<u32>,
