@@ -11,11 +11,13 @@
 //! follower's apply thread each supply a footprint, a closure deciding
 //! the batch under the locks, and what to do with the payloads a commit
 //! wakes. A transaction attempt is two halves both the threaded executor
-//! and the server run: [`Committer::evaluate`] (read locks, window,
-//! evaluation, park probe, then effects outside the locks) and
-//! [`Committer::decide`] (the write footprint and the closure that
-//! validates and builds the batch); each caller keeps its own retry
-//! loop. The serial and rounds schedulers park in a one-shard router
+//! and the server run: [`Committer::evaluate`] (read locks, window, the
+//! read step, then effects outside the locks) and [`Committer::decide`]
+//! (the write footprint and the closure that validates, builds and
+//! counts the batch); each caller keeps its own retry loop. The read
+//! step — evaluation, park subscription, attempt and failure counts —
+//! is `Runner::read` on every executor: the serial and rounds schedulers
+//! run it through the window they keep. They park in a one-shard router
 //! too, pid-ordered through their own registry: they commit in place and
 //! never bump its epoch, so their parks take the re-check's quiet path.
 //!
@@ -80,7 +82,7 @@ use crate::error::RuntimeError;
 use crate::parallel::{pending_write_footprint, read_footprint};
 use crate::program::CompiledTxn;
 use crate::trace::{self, SpanPhase, TraceRecord, Tracer, Track};
-use crate::txn::{self, EvalProbe, Pending, ResolvedAtoms};
+use crate::txn::{self, EvalProbe, Pending, QueryOutcome, ResolvedAtoms};
 use crate::view::{CompiledView, QuerySource};
 
 /// A parked payload, shared between every router list its watch keys
@@ -333,6 +335,78 @@ pub struct Runner<'a> {
     pub builtins: &'a Builtins,
 }
 
+impl Runner<'_> {
+    /// The one read step of a transaction attempt, on every executor:
+    /// evaluates `t` over its resolved `atoms` through `source`, the
+    /// window the caller chose (over a sharded store, under its read
+    /// locks), and on failure takes the subscriptions of the transactions
+    /// in `park` through the same window, reusing `atoms` for `t` itself.
+    /// Counts the attempt, and a failure, by mode; `trace` attributes the
+    /// eval span.
+    ///
+    /// `Ok(Err(watch))` is a failed query: what a park after it listens
+    /// on.
+    ///
+    /// # Errors
+    ///
+    /// A pattern field that cannot evaluate.
+    pub(crate) fn read(
+        &self,
+        t: &CompiledTxn,
+        atoms: &ResolvedAtoms,
+        source: &dyn TupleSource,
+        park: &[&CompiledTxn],
+        (metrics, tracer, trace): (&Metrics, &Tracer, u64),
+    ) -> Result<Result<QueryOutcome, WatchSet>, RuntimeError> {
+        metrics.inc(attempts_counter(t.kind));
+        let span = tracer.begin();
+        let mut probe = span.map(|_| EvalProbe::new());
+        let (env, builtins) = (self.env, self.builtins);
+        let limits = SolveLimits::default();
+        let query =
+            txn::evaluate_resolved(t, atoms, source, env, builtins, limits, probe.as_mut())?;
+        let query = query.ok_or_else(|| {
+            metrics.inc(failed_counter(t.kind));
+            let mut watch = WatchSet::new();
+            for &p in park {
+                let own = (!std::ptr::eq(p, t)).then(|| txn::resolve_atoms(p, env, builtins));
+                let atoms = own.as_ref().unwrap_or(atoms);
+                watch.extend(&txn::watch_set_resolved(p, atoms, source));
+            }
+            watch
+        });
+        tracer.eval_span(span, probe.as_ref(), trace, self.pid);
+        Ok(query)
+    }
+}
+
+/// The `sdl_txn_attempts_total` series for a transaction mode.
+fn attempts_counter(kind: TxnKind) -> Counter {
+    match kind {
+        TxnKind::Immediate => Counter::TxnAttemptsImmediate,
+        TxnKind::Delayed => Counter::TxnAttemptsDelayed,
+        TxnKind::Consensus => Counter::TxnAttemptsConsensus,
+    }
+}
+
+/// The `sdl_txn_committed_total` series for a transaction mode.
+pub(crate) fn committed_counter(kind: TxnKind) -> Counter {
+    match kind {
+        TxnKind::Immediate => Counter::TxnCommittedImmediate,
+        TxnKind::Delayed => Counter::TxnCommittedDelayed,
+        TxnKind::Consensus => Counter::TxnCommittedConsensus,
+    }
+}
+
+/// The `sdl_txn_failed_total` series for a transaction mode.
+fn failed_counter(kind: TxnKind) -> Counter {
+    match kind {
+        TxnKind::Immediate => Counter::TxnFailedImmediate,
+        TxnKind::Delayed => Counter::TxnFailedDelayed,
+        TxnKind::Consensus => Counter::TxnFailedConsensus,
+    }
+}
+
 /// Everything a sharded commit touches besides the store itself: the
 /// wake router it publishes to, the write-ahead log with its background
 /// snapshot writer, and the instrumentation.
@@ -493,15 +567,14 @@ impl<T> Committer<T> {
     /// The read half of one optimistic attempt of `t` over atoms resolved
     /// once per attempt loop: reads the epoch, read-locks the footprint
     /// (every shard for a restricted import, whose admission tests query
-    /// patterns outside the atom list), evaluates through `run`'s window
-    /// and, on failure when `park` is set, probes the park subscription
-    /// while the locks are held. Effects (which may run expensive host
-    /// functions) are built after the locks drop. `trace` attributes the
-    /// spans.
+    /// patterns outside the atom list) and runs `Runner::read` through
+    /// `run`'s window while the locks are held. Effects (which may run
+    /// expensive host functions) are built after the locks drop. `trace`
+    /// attributes the spans.
     ///
     /// `Ok(Err((watch, epoch)))` is a failed query: what a park listens
-    /// on (empty unless `park`) and the epoch read before the evaluation,
-    /// for [`WakeRouter::park`].
+    /// on (the subscriptions of `park`) and the epoch read before the
+    /// evaluation, for [`WakeRouter::park`].
     ///
     /// # Errors
     ///
@@ -512,7 +585,7 @@ impl<T> Committer<T> {
         t: &CompiledTxn,
         atoms: &ResolvedAtoms,
         run: &Runner<'_>,
-        park: bool,
+        park: &[&CompiledTxn],
         trace: u64,
     ) -> Result<Result<Pending, (WatchSet, u64)>, RuntimeError> {
         // The epoch is read before the locks: a commit that lands after
@@ -520,8 +593,6 @@ impl<T> Committer<T> {
         // effects) or bumps the epoch (a parker re-checks). Either way no
         // wake-up is lost.
         let epoch = self.router.epoch();
-        let eval_span = self.tracer.begin();
-        let mut probe = eval_span.map(|_| EvalProbe::new());
         let fp = match run.view {
             Some(v) if !v.imports_everything() => sds.all_shards(),
             _ => read_footprint(sds, atoms),
@@ -537,30 +608,17 @@ impl<T> Committer<T> {
             Some(v) => v.window(&view, run.env, run.builtins),
             None => QuerySource::Full(&view),
         };
-        let query = txn::evaluate_resolved(
-            t,
-            atoms,
-            &source,
-            run.env,
-            run.builtins,
-            SolveLimits::default(),
-            probe.as_mut(),
-        )?;
         // Probed while the read locks are still held, the emptiness
         // evidence is sound for the state the evaluation just failed
         // against; anything that commits after these locks drop bumps the
         // epoch, so the park re-check retries instead of trusting a stale
         // probe.
-        let watch = match query {
-            None if park => txn::watch_set_resolved(t, atoms, &source),
-            _ => WatchSet::new(),
+        let obs = (&self.metrics, &self.tracer, trace);
+        let query = match run.read(t, atoms, &source, park, obs)? {
+            Ok(query) => query,
+            Err(watch) => return Ok(Err((watch, epoch))),
         };
         drop(view);
-        self.tracer
-            .eval_span(eval_span, probe.as_ref(), trace, run.pid);
-        let Some(query) = query else {
-            return Ok(Err((watch, epoch)));
-        };
         let effects_span = self.tracer.begin();
         let p = txn::build_effects(t, &query, run.env, run.builtins)?;
         self.tracer
@@ -575,11 +633,13 @@ impl<T> Committer<T> {
     /// `p` — by the routing invariant the footprint answers as the whole
     /// store would — then retracts, then asserts the tuples `run`'s
     /// export rules admit, owned by `run.pid`. The asserted tuples move
-    /// out of `p`.
+    /// out of `p`. A batch the closure applies counts as one commit of
+    /// `kind`.
     pub fn decide<'a>(
         &'a self,
         sds: &ShardedDataspace,
         run: &'a Runner<'a>,
+        kind: TxnKind,
         p: &'a mut Pending,
     ) -> (ShardSet, impl FnOnce(&ShardWriteView<'_>) -> Decision + 'a) {
         let filter = run.view.filter(|v| !v.exports_everything());
@@ -604,6 +664,7 @@ impl<T> Committer<T> {
                     self.metrics.inc(Counter::ExportDropped);
                 }
             }
+            self.metrics.inc(committed_counter(kind));
             Decision::Apply(actions)
         };
         (fp, decide)

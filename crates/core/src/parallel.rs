@@ -65,7 +65,7 @@ use crate::interp::{self, Attempt, Parked, StallWatch, Turn};
 use crate::outcome::Outcome;
 use crate::process::ProcessInstance;
 use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
-use crate::sched::{attempts_counter, batch_desc, committed_counter, failed_counter, wal_err};
+use crate::sched::{batch_desc, wal_err};
 use crate::trace::{self, ParkOutcome, Tracer};
 use crate::txn::{self, Pending, ResolvedAtoms};
 
@@ -508,20 +508,15 @@ impl interp::Executor for Worker<'_> {
                 finish_done(shared);
                 return Ok(Attempt::Halted);
             }
-            metrics.inc(attempts_counter(t.kind));
             // One trace id per attempt loop iteration: a retry after a
             // conflict is a fresh causal unit with its own span chain.
             let trace_id = tracer.new_trace();
-            let mut p =
-                match committer.evaluate(sds, t, &atoms, &run, !park.is_empty(), trace_id)? {
-                    Ok(p) => p,
-                    Err((watch, epoch)) => {
-                        metrics.inc(failed_counter(t.kind));
-                        return Ok(Attempt::Failed(watch, epoch));
-                    }
-                };
+            let mut p = match committer.evaluate(sds, t, &atoms, &run, park, trace_id)? {
+                Ok(p) => p,
+                Err((watch, epoch)) => return Ok(Attempt::Failed(watch, epoch)),
+            };
             let stall = shared.stall.as_ref().map(|stall| (stall, batch_desc(&p)));
-            let (fp, decide) = committer.decide(sds, &run, &mut p);
+            let (fp, decide) = committer.decide(sds, &run, t.kind, &mut p);
             let committed = committer
                 .commit(sds, fp, trace_id, run.pid, t.kind, decide)
                 .map_err(wal_err)?;
@@ -530,7 +525,6 @@ impl interp::Executor for Worker<'_> {
                 continue; // somebody raced us; re-evaluate
             };
             shared.commits.fetch_add(1);
-            metrics.inc(committed_counter(t.kind));
             if let (Some((stall, desc)), true) = (stall, done.commit_id != 0) {
                 stall.recent.lock().push(done.commit_id, done.changed, desc);
             }

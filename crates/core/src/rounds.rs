@@ -34,11 +34,9 @@ use crate::error::RuntimeError;
 use crate::interp::{self, GuardMode, Site, Turn};
 use crate::outcome::Outcome;
 use crate::process::Frame;
-use crate::program::CompiledBranch;
-use crate::sched::{attempts_counter, failed_counter, Runtime};
+use crate::program::{CompiledBranch, CompiledTxn};
+use crate::sched::{batch_desc, Runtime};
 use crate::RunReport;
-
-use sdl_metrics::Counter;
 
 impl Runtime {
     /// Runs with round-level parallelism and reports logical parallel
@@ -107,9 +105,7 @@ impl Runtime {
                 break;
             }
         }
-        self.report.final_tuples = self.ds.len();
-        self.drain_parks();
-        Ok(self.report.clone())
+        self.finish_run()
     }
 
     /// Replication in a round: commit every non-conflicting guard
@@ -139,14 +135,12 @@ impl Runtime {
                     return Ok(Turn::Progressed(committed)); // aborted mid-construct
                 }
                 self.report.attempts += 1;
-                self.metrics.inc(attempts_counter(guard.kind));
                 self.cur_trace = self.tracer.new_trace();
                 let Ok(p) = self.evaluate_for(pid, &guard, Some(&local), &[])? else {
-                    self.metrics.inc(failed_counter(guard.kind));
                     break;
                 };
-                if p.validate(&self.ds) {
-                    self.commit_single(pid, &p, guard.kind)?;
+                if self.validate_live(pid, &p) {
+                    self.commit_composite(&[(pid, &p)], guard.kind, || batch_desc(&p))?;
                     committed = true;
                     for id in &p.retracts {
                         local.retract(*id);
@@ -165,8 +159,6 @@ impl Runtime {
                 } else {
                     // The solution used instances a sibling already took;
                     // drop them from the local view and retry.
-                    self.metrics.inc(Counter::TxnConflicts);
-                    self.trace_conflict(pid);
                     let mut removed = false;
                     for id in p.reads.iter().chain(p.retracts.iter()) {
                         if !self.ds.contains_id(*id) && local.retract(*id).is_some() {
@@ -188,10 +180,8 @@ impl Runtime {
             _ => 0,
         };
         if consensus || kind_present(TxnKind::Delayed) || helpers > 0 {
-            let mut watch = sdl_dataspace::WatchSet::new();
-            for b in branches.iter() {
-                watch.extend(&self.txn_watch(pid, &b.guard));
-            }
+            let guards: Vec<&CompiledTxn> = branches.iter().map(|b| &*b.guard).collect();
+            let watch = self.txn_watch(pid, &guards);
             return Ok(Turn::Park {
                 watch,
                 epoch: u64::MAX,

@@ -19,7 +19,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sdl_dataspace::{Action, Dataspace, ShardSet, SolveLimits, WatchSet};
+use sdl_dataspace::{Action, Dataspace, ShardSet, WatchSet};
 use sdl_durability::Wal;
 use sdl_lang::ast::TxnKind;
 use sdl_metrics::{Counter, Metrics};
@@ -27,7 +27,7 @@ use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
 use crate::builder::{Config, RuntimeBuilder, RuntimeStore};
 use crate::builtins::Builtins;
-use crate::commit::{Slot, WakeRouter};
+use crate::commit::{committed_counter, Runner, Slot, WakeRouter};
 use crate::consensus::CommunityIndex;
 use crate::error::RuntimeError;
 use crate::interp::{self, Attempt, GuardMode, Parked, Site, StallWatch, Turn};
@@ -35,7 +35,7 @@ use crate::outcome::{Outcome, RunLimits, RunReport};
 use crate::process::{Frame, ProcessInstance};
 use crate::program::{CompiledProgram, CompiledStmt, CompiledTxn};
 use crate::trace::{self, ParkOutcome, TraceRecord, Tracer, Track};
-use crate::txn::{self, EvalProbe, Pending};
+use crate::txn::{self, Pending};
 
 /// A blocked process's enabled consensus contribution: the construct and
 /// branch body its commit enters, and its pending effects.
@@ -54,33 +54,6 @@ pub(crate) fn batch_desc(p: &Pending) -> String {
             }
         }
         None => format!("{} retracts", p.retracts.len()),
-    }
-}
-
-/// The `sdl_txn_attempts_total` series for a transaction mode.
-pub(crate) fn attempts_counter(kind: TxnKind) -> Counter {
-    match kind {
-        TxnKind::Immediate => Counter::TxnAttemptsImmediate,
-        TxnKind::Delayed => Counter::TxnAttemptsDelayed,
-        TxnKind::Consensus => Counter::TxnAttemptsConsensus,
-    }
-}
-
-/// The `sdl_txn_committed_total` series for a transaction mode.
-pub(crate) fn committed_counter(kind: TxnKind) -> Counter {
-    match kind {
-        TxnKind::Immediate => Counter::TxnCommittedImmediate,
-        TxnKind::Delayed => Counter::TxnCommittedDelayed,
-        TxnKind::Consensus => Counter::TxnCommittedConsensus,
-    }
-}
-
-/// The `sdl_txn_failed_total` series for a transaction mode.
-pub(crate) fn failed_counter(kind: TxnKind) -> Counter {
-    match kind {
-        TxnKind::Immediate => Counter::TxnFailedImmediate,
-        TxnKind::Delayed => Counter::TxnFailedDelayed,
-        TxnKind::Consensus => Counter::TxnFailedConsensus,
     }
 }
 
@@ -358,10 +331,15 @@ impl Runtime {
                 }
             }
         }
+        self.finish_run()
+    }
+
+    /// The end of a serial or rounds run: records the final tuple count,
+    /// closes the parks still open, and makes whatever the fsync policy
+    /// deferred durable before the run is reported back.
+    pub(crate) fn finish_run(&mut self) -> Result<RunReport, RuntimeError> {
         self.report.final_tuples = self.ds.len();
         self.drain_parks();
-        // Whatever the fsync policy deferred becomes durable before the
-        // run is reported back.
         if let Some(wal) = &self.wal {
             wal.sync().map_err(wal_err)?;
         }
@@ -382,7 +360,7 @@ impl Runtime {
     /// Closes the park interval of every still-blocked process, so a
     /// finished run leaves no open park in the stream, and settles the
     /// wakes the run ended before.
-    pub(crate) fn drain_parks(&mut self) {
+    fn drain_parks(&mut self) {
         for proc in self.procs.values_mut() {
             interp::settle_wake(&self.metrics, &mut proc.woken, None);
         }
@@ -419,11 +397,12 @@ impl Runtime {
     /// Evaluates `t` for `pid` through its window over `source_ds`, built
     /// afresh (the rounds scheduler passes the round snapshot), or over
     /// the live dataspace, taken from the community index with the
-    /// expansion it keeps (`None`). `Ok(Err(watch))` is a failed query;
-    /// `watch` is what a park after it listens on: the subscriptions of
-    /// the transactions in `park` (`t` itself, and the unevaluated guards
-    /// of its construct, or none), taken through the window the
-    /// evaluation failed against.
+    /// expansion it keeps (`None`), by the one read step
+    /// (`Runner::read`). `Ok(Err(watch))` is a failed query; `watch` is
+    /// what a park after it listens on: the subscriptions of the
+    /// transactions in `park` (`t` itself, and the unevaluated guards of
+    /// its construct, or none), taken through the window the evaluation
+    /// failed against.
     pub(crate) fn evaluate_for(
         &self,
         pid: ProcId,
@@ -432,39 +411,25 @@ impl Runtime {
         park: &[&CompiledTxn],
     ) -> Result<Result<Pending, WatchSet>, RuntimeError> {
         let proc = &self.procs[&pid];
-        let span = self.tracer.begin();
-        let mut probe = span.map(|_| EvalProbe::new());
         let source = match source_ds {
             Some(ds) => proc.def.view.window(ds, &proc.env, &self.builtins),
             None => self.communities.window(pid, &self.ds, &self.builtins),
         };
-        let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
-        let result = txn::evaluate_resolved(
-            t,
-            &atoms,
-            &source,
-            &proc.env,
-            &self.builtins,
-            SolveLimits::default(),
-            probe.as_mut(),
-        )
-        .and_then(|query| match query {
-            Some(query) => txn::build_effects(t, &query, &proc.env, &self.builtins).map(Ok),
-            None => {
-                let mut watch = WatchSet::new();
-                for p in park {
-                    let atoms = txn::resolve_atoms(p, &proc.env, &self.builtins);
-                    watch.extend(&txn::watch_set_resolved(p, &atoms, &source));
-                }
-                Ok(Err(watch))
-            }
-        });
-        self.tracer
-            .eval_span(span, probe.as_ref(), self.cur_trace, pid);
-        result
+        let run = Runner {
+            pid,
+            view: Some(&proc.def.view),
+            env: &proc.env,
+            builtins: &self.builtins,
+        };
+        let atoms = txn::resolve_atoms(t, run.env, run.builtins);
+        let obs = (&self.metrics, &self.tracer, self.cur_trace);
+        Ok(match run.read(t, &atoms, &source, park, obs)? {
+            Ok(query) => Ok(txn::build_effects(t, &query, run.env, run.builtins)?),
+            Err(watch) => Err(watch),
+        })
     }
 
-    /// The watch subscription for a transaction about to park that was
+    /// The watch subscription for transactions about to park that were
     /// not just evaluated (a consensus transaction waits without one; the
     /// rounds scheduler evaluated against the round snapshot), through
     /// the process window over the live store.
@@ -474,23 +439,15 @@ impl Runtime {
     /// rounds schedulers run park and probe on one thread against the
     /// same store (no commit can interleave) and the subscription is
     /// recomputed on every re-park.
-    pub(crate) fn txn_watch(&self, pid: ProcId, t: &CompiledTxn) -> WatchSet {
+    pub(crate) fn txn_watch(&self, pid: ProcId, park: &[&CompiledTxn]) -> WatchSet {
         let proc = &self.procs[&pid];
         let source = self.communities.window(pid, &self.ds, &self.builtins);
-        let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
-        txn::watch_set_resolved(t, &atoms, &source)
-    }
-
-    /// Applies one process's pending commit: the one-contribution case
-    /// of [`Runtime::commit_composite`]. Returns the changed watch keys.
-    pub(crate) fn commit_single(
-        &mut self,
-        pid: ProcId,
-        p: &Pending,
-        kind: TxnKind,
-    ) -> Result<WatchSet, RuntimeError> {
-        let (changed, _) = self.commit_composite(&[(pid, p)], kind, || batch_desc(p))?;
-        Ok(changed)
+        let mut watch = WatchSet::new();
+        for t in park {
+            let atoms = txn::resolve_atoms(t, &proc.env, &self.builtins);
+            watch.extend(&txn::watch_set_resolved(t, &atoms, &source));
+        }
+        watch
     }
 
     /// Commits the contributions of one or more processes as one atomic
@@ -504,7 +461,7 @@ impl Runtime {
     /// maintenance is grouped per index entry — a high-fanout `forall`
     /// commit touches each `(functor, arity)` bucket a single time
     /// instead of once per tuple.
-    fn commit_composite(
+    pub(crate) fn commit_composite(
         &mut self,
         parts: &[(ProcId, &Pending)],
         kind: TxnKind,
@@ -765,16 +722,22 @@ impl Runtime {
         self.ready.push_back(e.pid);
     }
 
-    /// Records a validation-conflict edge: the current attempt aborted
-    /// because of the most recently committed batch.
-    pub(crate) fn trace_conflict(&self, pid: ProcId) {
-        self.tracer.record(|t_us| TraceRecord::Conflict {
-            trace: self.cur_trace,
-            pid,
-            track: Track::current(),
-            against: self.last_commit_id,
-            t_us,
-        });
+    /// Validates `p`, evaluated against a round snapshot, against the
+    /// live store. A failure is a conflict: counted, and traced against
+    /// the most recently committed batch.
+    pub(crate) fn validate_live(&self, pid: ProcId, p: &Pending) -> bool {
+        let valid = p.validate(&self.ds);
+        if !valid {
+            self.metrics.inc(Counter::TxnConflicts);
+            self.tracer.record(|t_us| TraceRecord::Conflict {
+                trace: self.cur_trace,
+                pid,
+                track: Track::current(),
+                against: self.last_commit_id,
+                t_us,
+            });
+        }
+        valid
     }
 
     fn wake_pid(&mut self, pid: ProcId) {
@@ -826,7 +789,6 @@ impl Runtime {
     /// the construct and branch body the commit enters.
     fn probe_consensus(&self, pid: ProcId) -> Result<Option<Contribution>, RuntimeError> {
         let probe = |t: &CompiledTxn| -> Result<Option<Pending>, RuntimeError> {
-            self.metrics.inc(Counter::TxnAttemptsConsensus);
             Ok(self.evaluate_for(pid, t, None, &[])?.ok())
         };
         match interp::site(&self.procs[&pid]) {
@@ -935,7 +897,6 @@ impl interp::Executor for SerialExec<'_> {
     fn attempt(&mut self, t: &CompiledTxn, park: &[&CompiledTxn]) -> Result<Attempt, RuntimeError> {
         let (rt, pid) = (&mut *self.rt, self.pid);
         rt.report.attempts += 1;
-        rt.metrics.inc(attempts_counter(t.kind));
         rt.cur_trace = rt.tracer.new_trace();
         // A park subscribes through the failed evaluation's window, unless
         // that window is over the snapshot: a park listens to the live
@@ -943,22 +904,15 @@ impl interp::Executor for SerialExec<'_> {
         let eval_park = if self.snapshot.is_some() { &[] } else { park };
         let p = match rt.evaluate_for(pid, t, self.snapshot, eval_park)? {
             Ok(p) => p,
-            Err(mut watch) => {
-                rt.metrics.inc(failed_counter(t.kind));
-                if self.snapshot.is_some() {
-                    for t in park {
-                        watch.extend(&rt.txn_watch(pid, t));
-                    }
-                }
-                return Ok(Attempt::Failed(watch, 0));
+            Err(watch) if self.snapshot.is_none() || park.is_empty() => {
+                return Ok(Attempt::Failed(watch, 0))
             }
+            Err(_) => return Ok(Attempt::Failed(rt.txn_watch(pid, park), 0)),
         };
-        if self.snapshot.is_some() && !p.validate(&rt.ds) {
-            rt.metrics.inc(Counter::TxnConflicts);
-            rt.trace_conflict(pid);
+        if self.snapshot.is_some() && !rt.validate_live(pid, &p) {
             return Ok(Attempt::Lost);
         }
-        let changed = rt.commit_single(pid, &p, t.kind)?;
+        let (changed, _) = rt.commit_composite(&[(pid, &p)], t.kind, || batch_desc(&p))?;
         if self.snapshot.is_none() {
             rt.wake(&changed);
         }
@@ -966,7 +920,7 @@ impl interp::Executor for SerialExec<'_> {
     }
 
     fn subscribe(&mut self, t: &CompiledTxn) -> WatchSet {
-        self.rt.txn_watch(self.pid, t)
+        self.rt.txn_watch(self.pid, &[t])
     }
 
     fn spawn(&mut self, name: &str, args: Vec<Value>) -> Result<(), RuntimeError> {

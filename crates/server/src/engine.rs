@@ -384,9 +384,10 @@ impl Engine {
         // every retry read the same patterns.
         let atoms = resolve_atoms(txn, env, run.builtins);
         let delayed = txn.kind == TxnKind::Delayed;
+        let park: &[&CompiledTxn] = if delayed { &[txn] } else { &[] };
         let (sds, committer) = (&shared.sds, &shared.committer);
         loop {
-            let mut p = match committer.evaluate(sds, txn, &atoms, &run, delayed, 0) {
+            let mut p = match committer.evaluate(sds, txn, &atoms, &run, park, 0) {
                 Err(e) => return Attempt::Done(Response::Error(format!("eval error: {e}"))),
                 Ok(Err((watch, epoch))) if delayed => {
                     return Attempt::Park(watch.iter().copied().collect(), epoch)
@@ -397,7 +398,7 @@ impl Engine {
             if p.abort {
                 return Attempt::Done(Response::Failed);
             }
-            let (fp, decide) = committer.decide(sds, &run, &mut p);
+            let (fp, decide) = committer.decide(sds, &run, txn.kind, &mut p);
             if self.commit(fp, decide).is_some() {
                 return Attempt::Done(Response::Ok);
             }
@@ -667,6 +668,56 @@ mod tests {
         );
         e.finish(&mut r);
         assert!(matches!(r[0].2, Response::Tuple(_)));
+    }
+
+    /// Wire transactions count their attempts, commits and failures by
+    /// mode, as every executor does.
+    #[test]
+    fn txn_counts_attempts_commits_and_failures() {
+        let (metrics, registry) = Metrics::registry();
+        let mut e = Engine::new(metrics);
+        let mut r = Vec::new();
+        e.submit(1, 1, Request::Out(tuple![Value::atom("year"), 80]), &mut r);
+        e.submit(
+            1,
+            2,
+            txn("exists a : <year, a>! -> <found, a>", &[]),
+            &mut r,
+        );
+        e.submit(
+            1,
+            3,
+            txn("exists a : <year, a>! -> <found, a>", &[]),
+            &mut r,
+        );
+        e.submit(
+            1,
+            4,
+            txn("exists a : <year, a>! => <found, a>", &[]),
+            &mut r,
+        );
+        e.finish(&mut r);
+        e.submit(2, 1, Request::Out(tuple![Value::atom("year"), 90]), &mut r);
+        e.finish(&mut r);
+        let got = drain(&mut r);
+        for reply in [
+            (1, 2, Response::Ok),
+            (1, 3, Response::Failed),
+            (1, 4, Response::Ok),
+        ] {
+            assert!(got.contains(&reply), "{got:?}");
+        }
+        let counts = [
+            (Counter::TxnAttemptsImmediate, 2),
+            (Counter::TxnCommittedImmediate, 1),
+            (Counter::TxnFailedImmediate, 1),
+            (Counter::TxnAttemptsDelayed, 2),
+            (Counter::TxnCommittedDelayed, 1),
+            (Counter::TxnFailedDelayed, 1),
+        ];
+        for (c, n) in counts {
+            assert_eq!(registry.counter(c), n, "{c:?}");
+        }
     }
 
     fn txn(source: &str, env: &[(&str, i64)]) -> Request {

@@ -223,8 +223,11 @@ struct Sched {
 struct Opts {
     max_steps: usize,
     preemption_bound: Option<u32>,
-    sleep_budget: u32,
 }
+
+/// Grants of `sleep()` per thread before the sleeper only runs when
+/// nothing else can.
+const SLEEP_BUDGET: u32 = 2;
 
 pub(crate) struct ExplorerInner {
     sched: Mutex<Sched>,
@@ -278,7 +281,7 @@ impl Sched {
             Op::RwWrite(o) => {
                 !self.locks.contains_key(&o) && self.readers.get(&o).is_none_or(|r| r.is_empty())
             }
-            Op::Sleep => allow_over_sleep || self.threads[tid].sleeps_done < self.opts.sleep_budget,
+            Op::Sleep => allow_over_sleep || self.threads[tid].sleeps_done < SLEEP_BUDGET,
             Op::Join => self.threads[tid]
                 .children
                 .iter()
@@ -954,9 +957,6 @@ pub struct Explore {
     pub max_steps: usize,
     /// CHESS-style preemption bound; `None` = unbounded.
     pub preemption_bound: Option<u32>,
-    /// Grants of `sleep()` per thread before the sleeper only runs when
-    /// nothing else can.
-    pub sleep_budget: u32,
     pub time_budget: Option<Duration>,
 }
 
@@ -966,7 +966,6 @@ impl Default for Explore {
             max_schedules: 10_000,
             max_steps: 20_000,
             preemption_bound: None,
-            sleep_budget: 2,
             time_budget: None,
         }
     }
@@ -992,11 +991,6 @@ impl Explore {
         self
     }
 
-    pub fn sleep_budget(mut self, n: u32) -> Self {
-        self.sleep_budget = n;
-        self
-    }
-
     pub fn time_budget(mut self, d: Duration) -> Self {
         self.time_budget = Some(d);
         self
@@ -1006,7 +1000,6 @@ impl Explore {
         Opts {
             max_steps: self.max_steps,
             preemption_bound: self.preemption_bound,
-            sleep_budget: self.sleep_budget,
         }
     }
 

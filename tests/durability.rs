@@ -142,6 +142,40 @@ fn threaded_full_log_recovery_matches_the_live_store() {
     }
 }
 
+/// A rounds run ends with the same sync as a serial one: what the fsync
+/// policy deferred is on disk before the run returns, so recovery with
+/// the runtime (and its buffered log) still alive sees every commit.
+#[test]
+fn rounds_run_syncs_the_log_at_its_end() {
+    for fsync in [
+        FsyncPolicy::Interval(Duration::from_secs(60)),
+        FsyncPolicy::Never,
+    ] {
+        let dir = temp_dir("rounds");
+        let program = CompiledProgram::from_source(SUM).expect("compiles");
+        let cfg = config(&dir, fsync, None);
+        let wal = Arc::new(Wal::create(cfg, 1, Metrics::disabled()).expect("wal creates"));
+        let mut rt = Runtime::builder(program)
+            .tuples(sum_tuples(16))
+            .spawn("W", vec![])
+            .wal(wal)
+            .build()
+            .expect("builds");
+        let report = rt.run_rounds().expect("runs");
+        assert_eq!(report.commits, 15);
+        let state = recover(&dir, &Metrics::disabled()).expect("recovers");
+        assert_eq!(state.last_commit, 15, "fsync={fsync}");
+        let live: Vec<_> = rt
+            .dataspace()
+            .iter()
+            .map(|(id, t)| (id, t.clone()))
+            .collect();
+        assert_eq!(sorted(state.tuples), sorted(live), "fsync={fsync}");
+        drop(rt);
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn rotation_spreads_history_over_segments_and_recovery_reads_them_all() {
     let dir = temp_dir("rotate");
