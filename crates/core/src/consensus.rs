@@ -264,28 +264,76 @@ impl CommunityIndex {
 
     /// Recomputes the stale import sets from `ds`.
     fn refresh(&mut self, ds: &Dataspace, builtins: &Builtins) {
-        let stale: Vec<ProcId> = self
-            .members
-            .iter()
-            .filter(|(_, m)| m.interest.is_none())
-            .map(|(pid, _)| *pid)
-            .collect();
-        for pid in stale {
-            ds.metrics().inc(Counter::ConsensusImportRecomputes);
-            let m = self.members.get_mut(&pid).expect("listed above");
-            let (fresh, interest) = {
-                let window = m.window(ds, builtins);
-                (window.all_ids(), window.interest())
-            };
-            m.interest = Some(interest);
-            let old = std::mem::replace(&mut m.ids, fresh.clone());
-            for id in old.iter().filter(|id| fresh.binary_search(id).is_err()) {
-                self.forget_importer(*id, pid);
+        let pids: Vec<ProcId> = self.members.keys().copied().collect();
+        for pid in pids {
+            self.refresh_member(pid, ds, builtins);
+        }
+    }
+
+    /// Recomputes `pid`'s import set from `ds`, if it is stale.
+    fn refresh_member(&mut self, pid: ProcId, ds: &Dataspace, builtins: &Builtins) {
+        let Some(m) = self.members.get_mut(&pid).filter(|m| m.interest.is_none()) else {
+            return;
+        };
+        ds.metrics().inc(Counter::ConsensusImportRecomputes);
+        let (fresh, interest) = {
+            let window = m.window(ds, builtins);
+            (window.all_ids(), window.interest())
+        };
+        m.interest = Some(interest);
+        let old = std::mem::replace(&mut m.ids, fresh.clone());
+        for id in old.iter().filter(|id| fresh.binary_search(id).is_err()) {
+            self.forget_importer(*id, pid);
+        }
+        for id in fresh.iter().filter(|id| old.binary_search(id).is_err()) {
+            self.importers.entry(*id).or_default().push(pid);
+        }
+    }
+
+    /// `pid`'s consensus set over `ds`, sorted, if every member passes
+    /// `ready`; `None` as soon as one does not.
+    ///
+    /// Only `pid`'s own import set is refreshed before the hubs are
+    /// consulted: when `pid` joins them, one hub that is not ready
+    /// settles the answer without a partition, and when all are ready
+    /// the partition does. Without hubs the community is walked from
+    /// `pid` over shared instances, after every stale set is refreshed —
+    /// a stale member may overlap where `importers` does not show it yet.
+    pub fn ready_community(
+        &mut self,
+        pid: ProcId,
+        ds: &Dataspace,
+        builtins: &Builtins,
+        ready: impl Fn(ProcId) -> bool,
+    ) -> Option<Vec<ProcId>> {
+        self.refresh_member(pid, ds, builtins);
+        let alone = (self.members.get(&pid)).map_or(ds.is_empty(), |m| m.ids.is_empty());
+        if alone {
+            return ready(pid).then(|| vec![pid]);
+        }
+        // `pid` imports something, or is a hub over a non-empty store:
+        // every hub is in its community.
+        if !self.hubs.is_empty() {
+            if !self.hubs.iter().all(|hub| ready(*hub)) {
+                return None;
             }
-            for id in fresh.iter().filter(|id| old.binary_search(id).is_err()) {
-                self.importers.entry(*id).or_default().push(pid);
+            let set = self
+                .partition(ds, builtins)
+                .into_iter()
+                .find(|s| s.contains(&pid))?;
+            return set.iter().all(|p| ready(*p)).then_some(set);
+        }
+        self.refresh(ds, builtins);
+        let (mut seen, mut queue) = (BTreeSet::from([pid]), vec![pid]);
+        while let Some(p) = queue.pop() {
+            if !ready(p) {
+                return None;
+            }
+            for id in &self.members[&p].ids {
+                queue.extend(self.importers[id].iter().filter(|q| seen.insert(**q)));
             }
         }
+        Some(seen.into_iter().collect())
     }
 
     /// Every restricted-view process with its current import set.
@@ -491,6 +539,82 @@ mod tests {
         let sets = consensus_sets(&refs, &ds, &Builtins::new()).unwrap();
         assert_eq!(sets.len(), 1);
         assert_eq!(sets[0].len(), 100_000);
+    }
+
+    #[test]
+    fn hundred_thousand_member_chain_is_walked_whole() {
+        // Sort(i, i+1) links to Sort(i+1, i+2) through <i+1, *>: the walk
+        // from one end crosses 100 000 members, one queue entry each.
+        let src = "process Sort(this, next) { import { <this, *>; <next, *>; } -> skip; }";
+        let prog = sdl_lang::parse_program(src).unwrap();
+        let def = CompiledProgram::compile(&prog)
+            .unwrap()
+            .def("Sort")
+            .unwrap()
+            .clone();
+        let procs: Vec<ProcessInstance> = (1..=100_000i64)
+            .map(|i| {
+                let args = vec![Value::Int(i), Value::Int(i + 1)];
+                ProcessInstance::new(ProcId(i as u64), def.clone(), args)
+            })
+            .collect();
+        let refs: Vec<&ProcessInstance> = procs.iter().collect();
+        let b = Builtins::new();
+        let mut ds = Dataspace::new();
+        for i in 1..=100_001i64 {
+            ds.assert_tuple(ProcId::ENV, tuple![i, i * 10]);
+        }
+        let mut index = CommunityIndex::build(&refs, &b);
+        let set = index.ready_community(ProcId(1), &ds, &b, |_| true).unwrap();
+        assert_eq!(set.len(), 100_000);
+        assert!(set.windows(2).all(|w| w[0] < w[1]), "sorted");
+        let last = ProcId(100_000);
+        assert_eq!(
+            index.ready_community(ProcId(1), &ds, &b, |p| p != last),
+            None
+        );
+    }
+
+    #[test]
+    fn a_waiting_hub_answers_without_a_partition() {
+        // 99 999 W(i) import <i, *>, one per tuple; the hub P imports
+        // everything. P is not ready, so W(1)'s community is not: only
+        // W(1)'s own set may be computed, not the society's.
+        let src = "process W(x) { import { <x, *>; } -> skip; } process P() { -> skip; }";
+        let c = CompiledProgram::compile(&sdl_lang::parse_program(src).unwrap()).unwrap();
+        let hub = ProcId(100_000);
+        let procs: Vec<ProcessInstance> = (1..100_000i64)
+            .map(|i| {
+                ProcessInstance::new(
+                    ProcId(i as u64),
+                    c.def("W").unwrap().clone(),
+                    vec![Value::Int(i)],
+                )
+            })
+            .chain([ProcessInstance::new(
+                hub,
+                c.def("P").unwrap().clone(),
+                vec![],
+            )])
+            .collect();
+        let refs: Vec<&ProcessInstance> = procs.iter().collect();
+        let b = Builtins::new();
+        let (metrics, registry) = sdl_metrics::Metrics::registry();
+        let mut ds = Dataspace::new();
+        ds.set_metrics(metrics);
+        for i in 1..100_000i64 {
+            ds.assert_tuple(ProcId::ENV, tuple![i, 0]);
+        }
+        let mut index = CommunityIndex::build(&refs, &b);
+        assert_eq!(
+            index.ready_community(ProcId(1), &ds, &b, |p| p != hub),
+            None
+        );
+        assert_eq!(registry.counter(Counter::ConsensusImportRecomputes), 1);
+        assert!(
+            index.members[&ProcId(2)].interest.is_none(),
+            "W(2) untouched"
+        );
     }
 
     #[test]

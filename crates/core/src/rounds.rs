@@ -89,7 +89,7 @@ impl Runtime {
             }
             // End-of-round barrier: fire every complete community.
             let mut fired = false;
-            while self.try_consensus_any()? {
+            while self.try_consensus(None)? {
                 fired = true;
             }
             self.ready.clear(); // rounds mode iterates the society directly

@@ -102,6 +102,7 @@ impl RuntimeBuilder {
             limits,
             wal,
             communities: CommunityIndex::default(),
+            rescan: false,
         };
         for (name, args) in spawns {
             rt.spawn_process(&name, args, ProcId::ENV)?;
@@ -165,6 +166,16 @@ pub struct Runtime {
     /// [`Runtime::bury`], `let` and the one serial commit — what
     /// consensus detection reads instead of re-deriving the partition.
     pub(crate) communities: CommunityIndex,
+    /// A process left the society, which may have completed a community
+    /// none of whose members parks again: consensus parks scan every
+    /// community, as idle does, until such a scan fires nothing.
+    rescan: bool,
+}
+
+/// True if `pid` is parked at a consensus guard.
+fn at_consensus(blocked: &BTreeMap<ProcId, Arc<Slot<Parked<()>>>>, pid: ProcId) -> bool {
+    let slot = blocked.get(&pid);
+    slot.and_then(|s| s.peek(|e| e.consensus)).unwrap_or(false)
 }
 
 /// Stringifies a durability error into the runtime's error type.
@@ -216,7 +227,11 @@ impl Runtime {
             names.join(", ")
         };
         // A report may not disturb the run: partition a copy.
-        let communities = if self.blocked.keys().any(|pid| self.at_consensus(*pid)) {
+        let communities = if self
+            .blocked
+            .keys()
+            .any(|pid| at_consensus(&self.blocked, *pid))
+        {
             self.communities.clone().partition(&self.ds, &self.builtins)
         } else {
             Vec::new()
@@ -239,7 +254,7 @@ impl Runtime {
                 let absent: Vec<ProcId> = set
                     .iter()
                     .copied()
-                    .filter(|m| !self.at_consensus(*m))
+                    .filter(|m| !at_consensus(&self.blocked, *m))
                     .collect();
                 if absent.is_empty() {
                     format!(
@@ -270,12 +285,6 @@ impl Runtime {
         out
     }
 
-    /// True if `pid` is parked at a consensus guard.
-    fn at_consensus(&self, pid: ProcId) -> bool {
-        let slot = self.blocked.get(&pid);
-        slot.and_then(|s| s.peek(|e| e.consensus)).unwrap_or(false)
-    }
-
     /// Live processes, in id order.
     pub fn processes(&self) -> Vec<&ProcessInstance> {
         let mut v: Vec<&ProcessInstance> = self.procs.values().collect();
@@ -298,7 +307,7 @@ impl Runtime {
             }
             self.stall_scan();
             let Some(pid) = self.ready.pop_front() else {
-                if self.try_consensus_any()? {
+                if self.try_consensus(None)? {
                     continue;
                 }
                 self.report.outcome = self.idle_outcome();
@@ -313,15 +322,16 @@ impl Runtime {
                 } => {
                     self.block(pid, watch, consensus);
                     // Fire as soon as a community is complete, even while
-                    // unrelated processes are still running. Computing
-                    // communities is the expensive part, so pre-filter:
-                    // only bother when this process's own consensus query
-                    // currently succeeds.
+                    // unrelated processes are still running. Pre-filter:
+                    // only look when this process's own consensus query
+                    // currently succeeds, and then only at its community —
+                    // unless an exit may have completed another one.
                     if consensus && {
                         self.cur_trace = self.tracer.new_trace();
                         self.probe_consensus(pid)?.is_some()
                     } {
-                        self.try_consensus_any()?;
+                        let fired = self.try_consensus((!self.rescan).then_some(pid))?;
+                        self.rescan &= fired;
                     }
                 }
                 Turn::Progressed(_) | Turn::Lost | Turn::Halted => {
@@ -624,6 +634,7 @@ impl Runtime {
         let mut proc = self.procs.remove(&pid)?;
         interp::settle_wake(&self.metrics, &mut proc.woken, None);
         self.communities.remove(pid);
+        self.rescan = true;
         self.unblock(pid);
         Some(proc)
     }
@@ -752,33 +763,38 @@ impl Runtime {
     // ---------------- consensus ----------------
 
     /// Attempts to fire one complete consensus community; true if fired.
-    pub(crate) fn try_consensus_any(&mut self) -> Result<bool, RuntimeError> {
+    /// With `from`, only that process's community is a candidate, found
+    /// by walking from it; without, the whole society is partitioned and
+    /// scanned lowest community first.
+    pub(crate) fn try_consensus(&mut self, from: Option<ProcId>) -> Result<bool, RuntimeError> {
         if self.procs.is_empty() {
             return Ok(false);
         }
-        for set in self.communities.partition(&self.ds, &self.builtins) {
+        let blocked = &self.blocked;
+        let sets = match from {
+            Some(pid) => (self.communities)
+                .ready_community(pid, &self.ds, &self.builtins, |q| at_consensus(blocked, q))
+                .into_iter()
+                .collect(),
+            None => self.communities.partition(&self.ds, &self.builtins),
+        };
+        'sets: for set in sets {
             // Every member must be blocked with a consensus guard.
-            if !set.iter().all(|pid| self.at_consensus(*pid)) {
+            if !set.iter().all(|pid| at_consensus(&self.blocked, *pid)) {
                 continue;
             }
             // Probe every member's contribution against the same D.
             let mut contributions = Vec::with_capacity(set.len());
-            let mut complete = true;
             for pid in &set {
                 self.cur_trace = self.tracer.new_trace();
                 match self.probe_consensus(*pid)? {
                     Some(contribution) => contributions.push((*pid, contribution)),
-                    None => {
-                        complete = false;
-                        break;
-                    }
+                    None => continue 'sets,
                 }
             }
-            if complete {
-                self.metrics.inc(Counter::ConsensusChecksFired);
-                self.fire_consensus(contributions)?;
-                return Ok(true);
-            }
+            self.metrics.inc(Counter::ConsensusChecksFired);
+            self.fire_consensus(contributions)?;
+            return Ok(true);
         }
         self.metrics.inc(Counter::ConsensusChecksIncomplete);
         Ok(false)

@@ -704,6 +704,47 @@ fn consensus_communities_fire_independently() {
 }
 
 #[test]
+fn a_community_completed_by_an_exit_fires_at_idle() {
+    // A(1) and A(2) park at their consensus with C still running; all
+    // three import <pool, 1>. C never reaches a consensus guard: it
+    // commits and exits, which leaves {A(1), A(2)} complete with no
+    // member parking again. Only the idle scan can fire it.
+    use crate::trace::{TraceRecord, Tracer};
+    use sdl_lang::ast::TxnKind;
+
+    let program = CompiledProgram::from_source(
+        "process A(me) { import { <pool, *>; } <pool, 1> @> <fired, me>; }
+         process C() { import { <pool, *>; } -> <c_done>; }
+         init { <pool, 1>; spawn A(1); spawn A(2); spawn C(); }",
+    )
+    .unwrap();
+    let tracer = Tracer::new();
+    let mut rt = Runtime::builder(program)
+        .tracer(tracer.clone())
+        .build()
+        .unwrap();
+    let report = rt.run().unwrap();
+    assert!(report.outcome.is_completed(), "{:?}", report.outcome);
+    assert_eq!(report.consensus_rounds, 1);
+    assert_eq!(
+        rt.dataspace().count_matches(&pattern![atom("fired"), any]),
+        2
+    );
+    let records = tracer.take();
+    let at = |found: &dyn Fn(&TraceRecord) -> bool| records.iter().position(found).unwrap();
+    let c_exit = at(&|r| matches!(r, TraceRecord::Exit { pid, .. } if pid.0 == 3));
+    let fired =
+        at(&|r| matches!(r, TraceRecord::Commit { parts, .. } if parts[0].1 == TxnKind::Consensus));
+    assert!(c_exit < fired, "the exit completes the community");
+    assert!(
+        !records[c_exit..fired]
+            .iter()
+            .any(|r| matches!(r, TraceRecord::Park { .. })),
+        "nothing parks between the exit and the firing"
+    );
+}
+
+#[test]
 fn processes_method_lists_society() {
     let program = CompiledProgram::from_source(
         "process P() { <never> => skip; } init { spawn P(); spawn P(); }",

@@ -2,7 +2,9 @@
 //! of a random history the import sets and the partition the index
 //! *maintains* equal what a from-scratch rebuild derives from the store —
 //! and both equal an oracle that knows neither: a per-tuple
-//! `CompiledView::imports` sweep and a naive overlap closure.
+//! `CompiledView::imports` sweep and a naive overlap closure. The
+//! community walked from each process is its oracle class, and comes
+//! back only when every member is ready.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -95,6 +97,8 @@ fn arb_step() -> impl Strategy<Value = Step> {
 }
 
 struct World {
+    /// Seeds which processes count as ready in the walk checks.
+    seed: u64,
     program: CompiledProgram,
     builtins: Builtins,
     ds: Dataspace,
@@ -104,8 +108,9 @@ struct World {
 }
 
 impl World {
-    fn new() -> World {
+    fn new(seed: u64) -> World {
         World {
+            seed,
             program: CompiledProgram::from_source(SOCIETY).unwrap(),
             builtins: builtins(),
             ds: Dataspace::new(),
@@ -216,6 +221,9 @@ impl World {
     }
 
     fn check(&mut self, after: &Step) {
+        // The walks start from the index as the step left it, stale sets
+        // and all, as a parked process finds it.
+        let unrefreshed = self.index.clone();
         let refs: Vec<&ProcessInstance> = self.procs.iter().collect();
         let restricted: Vec<(ProcId, Vec<TupleId>)> = self
             .procs
@@ -240,12 +248,42 @@ impl World {
             oracle,
             "rebuilt partition, after {after:?}"
         );
+        self.seed = splitmix(self.seed);
+        let seed = self.seed;
+        let ready = |pid: ProcId| !splitmix(seed ^ pid.0).is_multiple_of(4);
+        for class in &oracle {
+            for &pid in class {
+                let mut index = unrefreshed.clone();
+                let walked = index.ready_community(pid, &self.ds, &self.builtins, |_| true);
+                assert_eq!(
+                    walked.as_ref(),
+                    Some(class),
+                    "{pid}'s community, after {after:?}"
+                );
+                let mut index = unrefreshed.clone();
+                let walked = index.ready_community(pid, &self.ds, &self.builtins, ready);
+                let expected = class.iter().all(|p| ready(*p)).then_some(class);
+                assert_eq!(
+                    walked.as_ref(),
+                    expected,
+                    "{pid}'s community when ready, after {after:?}"
+                );
+            }
+        }
         assert_eq!(
             self.index.partition(&self.ds, &self.builtins),
             oracle,
             "maintained partition, after {after:?}"
         );
     }
+}
+
+/// One step of SplitMix64: a well-spread function of `x`.
+fn splitmix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// A history: one process per definition over a seeded store first (so
@@ -270,8 +308,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn maintained_index_equals_a_rebuild_after_every_step(steps in arb_history(40)) {
-        let mut world = World::new();
+    fn maintained_index_equals_a_rebuild_after_every_step(
+        steps in arb_history(40),
+        seed in any::<u64>(),
+    ) {
+        let mut world = World::new(seed);
         for step in &steps {
             world.apply(step);
             world.check(step);
@@ -282,8 +323,11 @@ proptest! {
     /// then only at the end: exact updates and stale marks pile up across
     /// many commits before one refresh settles them.
     #[test]
-    fn maintained_index_survives_long_gaps_between_queries(steps in arb_history(60)) {
-        let mut world = World::new();
+    fn maintained_index_survives_long_gaps_between_queries(
+        steps in arb_history(60),
+        seed in any::<u64>(),
+    ) {
+        let mut world = World::new(seed);
         let (society, rest) = steps.split_at(1 + DEFS.len());
         for step in society {
             world.apply(step);

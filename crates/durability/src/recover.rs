@@ -186,7 +186,12 @@ pub fn apply_log(log: &LogContents) -> Result<RecoveredState, WalError> {
                     found: id.seq,
                 });
             }
-            cursors[shard as usize] = expected + n;
+            cursors[shard as usize] = expected.checked_add(n).ok_or_else(|| {
+                WalError::Corrupt(format!(
+                    "commit {} asserts {id:?}, the last id shard {shard} can mint",
+                    rec.commit
+                ))
+            })?;
             if store.insert(*id, tuple.clone()).is_some() {
                 return Err(WalError::Corrupt(format!(
                     "commit {} asserts {id:?}, which is already live",
@@ -316,12 +321,14 @@ pub fn read_snapshot(path: &Path, commit: u64) -> Result<SnapshotContents, WalEr
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use sdl_metrics::Metrics;
+    use sdl_tuple::{ProcId, Tuple, TupleId, Value};
 
-    use crate::codec::frame;
-    use crate::{read_log, recover, SegmentTailer};
+    use crate::codec::{frame, frame_with, SNAPSHOT_MAGIC};
+    use crate::{read_log, recover, SegmentTailer, Wal, WalConfig};
 
     /// Shard counts and id seqs at and around every bound the reader
     /// checks. Drawn from this set, not uniformly: a uniform `u64`
@@ -332,14 +339,54 @@ mod tests {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A fresh, empty directory for one case.
+    fn case_dir() -> PathBuf {
+        static N: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "sdl-durability-hostile-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A segment of CRC-valid frames, built by hand: a header with
+    /// `shards` and `first`, then one commit record per `(retract,
+    /// retracted seq, asserted seq)`, numbered on from `first`, the seqs
+    /// indexing `seqs`.
+    fn segment(shards: u64, first: u64, records: &[(bool, usize, usize)], seqs: &[u64]) -> Vec<u8> {
+        let mut header = vec![0u8, 1, 0, 0, 0]; // tag 0, format version 1
+        le(&mut header, shards);
+        le(&mut header, first);
+        let mut bytes = b"SDLWAL01".to_vec();
+        bytes.extend(frame(&header));
+        for (i, &(retract, r, a)) in records.iter().enumerate() {
+            let mut rec = vec![1u8]; // tag 1
+            le(&mut rec, first.wrapping_add(i as u64));
+            rec.extend_from_slice(&u32::from(retract).to_le_bytes());
+            if retract {
+                le(&mut rec, 9); // owner
+                le(&mut rec, seqs[r]);
+            }
+            rec.extend_from_slice(&1u32.to_le_bytes());
+            le(&mut rec, 9);
+            le(&mut rec, seqs[a]);
+            rec.extend_from_slice(&[1, 0, 0, 0, 1]); // arity 1, Int tag
+            le(&mut rec, 7);
+            bytes.extend(frame(&rec));
+        }
+        bytes
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// A segment of CRC-valid frames, built by hand: a header with an
-        /// edge-case shard count and first commit, commit records numbered
-        /// on from it, retracting and asserting ids with edge-case seqs,
-        /// then random trailing bytes. Reading, recovering and tailing it
-        /// give records or an error, never a panic.
+        /// A hand-built segment with an edge-case shard count and first
+        /// commit, commit records retracting and asserting ids with
+        /// edge-case seqs, then random trailing bytes. Reading,
+        /// recovering and tailing it give records or an error, never a
+        /// panic.
         #[test]
         fn hostile_segments_never_panic(
             shards in 0usize..6,
@@ -350,34 +397,9 @@ mod tests {
             ),
             tail in proptest::collection::vec(proptest::any::<u8>(), 0..24),
         ) {
-            static N: AtomicUsize = AtomicUsize::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "sdl-durability-hostile-{}-{}",
-                std::process::id(),
-                N.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir).unwrap();
+            let dir = case_dir();
             let first = EDGES[first];
-            let mut header = vec![0u8, 1, 0, 0, 0]; // tag 0, format version 1
-            le(&mut header, EDGES[shards]);
-            le(&mut header, first);
-            let mut bytes = b"SDLWAL01".to_vec();
-            bytes.extend(frame(&header));
-            for (i, &(retract, r, a)) in records.iter().enumerate() {
-                let mut rec = vec![1u8]; // tag 1
-                le(&mut rec, first.wrapping_add(i as u64));
-                rec.extend_from_slice(&u32::from(retract).to_le_bytes());
-                if retract {
-                    le(&mut rec, 9); // owner
-                    le(&mut rec, EDGES[r]);
-                }
-                rec.extend_from_slice(&1u32.to_le_bytes());
-                le(&mut rec, 9);
-                le(&mut rec, EDGES[a]);
-                rec.extend_from_slice(&[1, 0, 0, 0, 1]); // arity 1, Int tag
-                le(&mut rec, 7);
-                bytes.extend(frame(&rec));
-            }
+            let mut bytes = segment(EDGES[shards], first, &records, &EDGES);
             bytes.extend_from_slice(&tail);
             std::fs::write(dir.join(format!("wal-{first:020}.log")), &bytes).unwrap();
             let _ = read_log(&dir);
@@ -385,6 +407,55 @@ mod tests {
                 let _ = tailer.poll(u64::MAX, 16);
             }
             let _ = recover(&dir, &Metrics::disabled());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    proptest::proptest! {
+        // A panic needs a cursor, a seq and commit numbers to line up,
+        // so this one draws more cases.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// A CRC-valid snapshot whose commit number, id-mint cursors and
+        /// instance seqs are edge cases, beside segments whose first
+        /// commits are too; their records retract and assert edge seqs or
+        /// the ones the snapshot names (its instance's, its cursor).
+        /// Recovering the directory and resuming a log on what
+        /// it recovered give a state or an error, never a panic.
+        #[test]
+        fn hostile_snapshots_never_panic(
+            commit in 0usize..6,
+            shards in 0usize..2,
+            cursor in 0usize..6,
+            seq in 0usize..6,
+            segments in proptest::collection::vec(
+                (0usize..6, proptest::collection::vec(
+                    (proptest::any::<bool>(), 0usize..8, 0usize..8),
+                    1..4,
+                )),
+                1..3,
+            ),
+        ) {
+            let dir = case_dir();
+            let commit = EDGES[commit];
+            let shards = [1u64, 4][shards];
+            let cursors = vec![EDGES[cursor]; shards as usize];
+            let id = TupleId { owner: ProcId(9), seq: EDGES[seq] };
+            let tuples = [(id, Tuple::new(vec![Value::Int(7)]))];
+            let mut seqs = EDGES.to_vec();
+            seqs.extend([id.seq, cursors[0]]);
+            let mut snap = SNAPSHOT_MAGIC.to_vec();
+            frame_with(&mut snap, |e| e.snapshot(commit, shards, &cursors, &tuples));
+            std::fs::write(dir.join(format!("snap-{commit:020}.snap")), &snap).unwrap();
+            for (first, records) in &segments {
+                let first = EDGES[*first];
+                let bytes = segment(shards, first, records, &seqs);
+                std::fs::write(dir.join(format!("wal-{first:020}.log")), &bytes).unwrap();
+            }
+            let _ = read_log(&dir);
+            if let Ok(state) = recover(&dir, &Metrics::disabled()) {
+                let _ = Wal::resume(WalConfig::new(&dir), &state, Metrics::disabled());
+            }
             std::fs::remove_dir_all(&dir).ok();
         }
     }
