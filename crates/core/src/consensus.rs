@@ -9,15 +9,16 @@
 //!
 //! i.e. communities formed by import-set overlap *on the current
 //! dataspace configuration*. [`CommunityIndex`] keeps every restricted
-//! view's import set current from commit deltas; the partition of the
-//! process society into consensus sets is then a union-find over those
-//! sets. Processes with unrestricted views act as hubs: they overlap with
-//! every process that imports anything (and with each other whenever the
-//! dataspace is non-empty).
+//! view's import set current from commit deltas, and one walk over those
+//! sets finds a process's community: from a parked process for a
+//! consensus check, from each process in turn for a partition. Processes
+//! with unrestricted views act as hubs: they overlap with every process
+//! that imports anything (and with each other whenever the dataspace is
+//! non-empty).
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use sdl_dataspace::{Dataspace, TupleSource, WatchSet};
 use sdl_metrics::Counter;
@@ -27,54 +28,6 @@ use crate::builtins::Builtins;
 use crate::error::RuntimeError;
 use crate::process::ProcessInstance;
 use crate::view::{Admitted, Lazy, QuerySource, ResolvedRules};
-
-struct UnionFind {
-    parent: Vec<usize>,
-    rank: Vec<u8>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> UnionFind {
-        UnionFind {
-            parent: (0..n).collect(),
-            rank: vec![0; n],
-        }
-    }
-
-    /// Iterative find with full path compression — `find` recursed once
-    /// per parent link, so the chain unions a large process society
-    /// builds (one per consecutive pair) overflowed the stack.
-    fn find(&mut self, i: usize) -> usize {
-        let mut root = i;
-        while self.parent[root] != root {
-            root = self.parent[root];
-        }
-        let mut cur = i;
-        while self.parent[cur] != root {
-            let next = self.parent[cur];
-            self.parent[cur] = root;
-            cur = next;
-        }
-        root
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        // Union by rank keeps trees logarithmic even before compression
-        // touches them.
-        match self.rank[ra].cmp(&self.rank[rb]) {
-            std::cmp::Ordering::Less => self.parent[ra] = rb,
-            std::cmp::Ordering::Greater => self.parent[rb] = ra,
-            std::cmp::Ordering::Equal => {
-                self.parent[ra] = rb;
-                self.rank[rb] += 1;
-            }
-        }
-    }
-}
 
 /// One restricted-view process in the index.
 #[derive(Clone, Debug)]
@@ -295,10 +248,9 @@ impl CommunityIndex {
     ///
     /// Only `pid`'s own import set is refreshed before the hubs are
     /// consulted: when `pid` joins them, one hub that is not ready
-    /// settles the answer without a partition, and when all are ready
-    /// the partition does. Without hubs the community is walked from
-    /// `pid` over shared instances, after every stale set is refreshed —
-    /// a stale member may overlap where `importers` does not show it yet.
+    /// settles the answer. Otherwise every stale set is refreshed — a
+    /// stale member may overlap where `importers` does not show it yet —
+    /// and the community is walked from `pid`.
     pub fn ready_community(
         &mut self,
         pid: ProcId,
@@ -313,27 +265,50 @@ impl CommunityIndex {
         }
         // `pid` imports something, or is a hub over a non-empty store:
         // every hub is in its community.
-        if !self.hubs.is_empty() {
-            if !self.hubs.iter().all(|hub| ready(*hub)) {
-                return None;
-            }
-            let set = self
-                .partition(ds, builtins)
-                .into_iter()
-                .find(|s| s.contains(&pid))?;
-            return set.iter().all(|p| ready(*p)).then_some(set);
+        if !self.hubs.iter().all(|hub| ready(*hub)) {
+            return None;
         }
         self.refresh(ds, builtins);
-        let (mut seen, mut queue) = (BTreeSet::from([pid]), vec![pid]);
+        self.walk(pid, ds, ready)
+    }
+
+    /// `pid`'s consensus set over `ds`, sorted, if every member passes
+    /// `ready`; `None` at the first member that does not. Every import
+    /// set must be fresh.
+    ///
+    /// When there are hubs, the hubs of a non-empty store and every
+    /// member that imports anything overlap pairwise, and nobody else
+    /// overlaps anyone: that class is the community of each of its
+    /// members, taken whole rather than hub by hub, which would be
+    /// quadratic. Without hubs, members meet only through shared
+    /// instances, and the walk follows `ids → importers` from `pid`.
+    fn walk(
+        &self,
+        pid: ProcId,
+        ds: &Dataspace,
+        ready: impl Fn(ProcId) -> bool,
+    ) -> Option<Vec<ProcId>> {
+        let imports = |m: &Member| !m.ids.is_empty();
+        if !self.hubs.is_empty() && self.members.get(&pid).map_or(!ds.is_empty(), imports) {
+            let importing = self.members.iter().filter(|(_, m)| imports(m));
+            let mut class: Vec<ProcId> = (self.hubs.iter().copied())
+                .chain(importing.map(|(q, _)| *q))
+                .collect();
+            class.sort_unstable();
+            return class.iter().all(|q| ready(*q)).then_some(class);
+        }
+        let (mut seen, mut queue) = (HashSet::from([pid]), vec![pid]);
         while let Some(p) = queue.pop() {
             if !ready(p) {
                 return None;
             }
-            for id in &self.members[&p].ids {
+            for id in self.members.get(&p).map_or(&[][..], |m| &m.ids[..]) {
                 queue.extend(self.importers[id].iter().filter(|q| seen.insert(**q)));
             }
         }
-        Some(seen.into_iter().collect())
+        let mut community: Vec<ProcId> = seen.into_iter().collect();
+        community.sort_unstable();
+        Some(community)
     }
 
     /// Every restricted-view process with its current import set.
@@ -355,49 +330,22 @@ impl CommunityIndex {
     /// their smallest member, so the output is deterministic.
     pub fn partition(&mut self, ds: &Dataspace, builtins: &Builtins) -> Vec<Vec<ProcId>> {
         self.refresh(ds, builtins);
-        let pids: Vec<ProcId> = {
-            let mut v: Vec<ProcId> = self
-                .hubs
-                .iter()
-                .chain(self.members.keys())
-                .copied()
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let at = |pid: &ProcId| pids.binary_search(pid).expect("every process is listed");
-        let mut uf = UnionFind::new(pids.len());
-
-        // Unrestricted-import processes overlap with each other whenever
-        // the dataspace is non-empty.
-        let hubs: Vec<usize> = self.hubs.iter().map(at).collect();
-        if !ds.is_empty() {
-            for w in hubs.windows(2) {
-                uf.union(w[0], w[1]);
+        let mut rest: BTreeSet<ProcId> = self
+            .hubs
+            .iter()
+            .chain(self.members.keys())
+            .copied()
+            .collect();
+        let mut out = Vec::new();
+        while let Some(pid) = rest.pop_first() {
+            let set = self
+                .walk(pid, ds, |_| true)
+                .expect("every process is ready");
+            for p in &set {
+                rest.remove(p);
             }
+            out.push(set);
         }
-        // Restricted-import processes join the hub if they import
-        // anything at all, and each other through shared instances.
-        if let Some(&hub) = hubs.first() {
-            for (pid, m) in &self.members {
-                if !m.ids.is_empty() {
-                    uf.union(at(pid), hub);
-                }
-            }
-        }
-        for sharers in self.importers.values() {
-            for pid in &sharers[1..] {
-                uf.union(at(&sharers[0]), at(pid));
-            }
-        }
-
-        let mut classes: BTreeMap<usize, Vec<ProcId>> = BTreeMap::new();
-        for (i, pid) in pids.iter().enumerate() {
-            classes.entry(uf.find(i)).or_default().push(*pid);
-        }
-        // `pids` ascends, so every class is sorted already.
-        let mut out: Vec<Vec<ProcId>> = classes.into_values().collect();
-        out.sort_by_key(|s| s[0]);
         out
     }
 }
@@ -573,6 +521,7 @@ mod tests {
             index.ready_community(ProcId(1), &ds, &b, |p| p != last),
             None
         );
+        assert_eq!(index.partition(&ds, &b), vec![set], "one set, walked once");
     }
 
     #[test]
@@ -614,6 +563,12 @@ mod tests {
         assert!(
             index.members[&ProcId(2)].interest.is_none(),
             "W(2) untouched"
+        );
+        let everyone: Vec<ProcId> = (1..=100_000).map(ProcId).collect();
+        assert_eq!(
+            index.ready_community(ProcId(1), &ds, &b, |_| true),
+            Some(everyone),
+            "a ready hub joins every importer, once"
         );
     }
 

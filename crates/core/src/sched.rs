@@ -236,6 +236,9 @@ impl Runtime {
         } else {
             Vec::new()
         };
+        let community: HashMap<ProcId, &[ProcId]> = (communities.iter())
+            .flat_map(|set| set.iter().map(move |pid| (*pid, &set[..])))
+            .collect();
         let mut out = String::new();
         for (pid, slot) in &self.blocked {
             let Some((consensus, keys)) = slot.peek(|e| (e.consensus, e.watch.len())) else {
@@ -247,10 +250,7 @@ impl Runtime {
                 .map(|p| p.def.name.as_str())
                 .unwrap_or("?");
             let kind = if consensus {
-                let set = communities
-                    .iter()
-                    .find(|set| set.contains(pid))
-                    .expect("every process is in one community");
+                let set = community[pid];
                 let absent: Vec<ProcId> = set
                     .iter()
                     .copied()

@@ -24,6 +24,8 @@
 //! commit-record byte layout verbatim — a shipped `Commit` frame's
 //! payload is byte-identical to the record's on-disk log frame.
 
+#![deny(clippy::arithmetic_side_effects)]
+
 mod follow;
 mod proto;
 mod ship;

@@ -120,7 +120,7 @@ pub fn serve_ship(cfg: ShipConfig, wal: Arc<Wal>, metrics: Metrics) -> io::Resul
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    follower_seq += 1;
+                    follower_seq = follower_seq.saturating_add(1);
                     let follower = Follower {
                         id: follower_seq,
                         cfg: cfg.clone(),
@@ -249,10 +249,9 @@ impl Follower {
                 // One write for the whole batch: per-frame writes cost a
                 // syscall (and a TCP segment, with NODELAY) per commit.
                 let mut out = Vec::new();
-                let mut n_records = 0u64;
+                let n_records = records.len() as u64;
                 for rec in records {
                     out.extend_from_slice(&frame(&proto::encode_msg(&Msg::Commit(rec))));
-                    n_records += 1;
                 }
                 if n_records > 0 {
                     conn.stream.write_all(&out)?;
@@ -281,7 +280,7 @@ impl Follower {
             if shipped {
                 idle_polls = 0;
             } else {
-                idle_polls += 1;
+                idle_polls = idle_polls.saturating_add(1);
                 if idle_polls >= HEARTBEAT_EVERY_IDLE {
                     conn.send(&Msg::Heartbeat(watermark))?;
                     idle_polls = 0;

@@ -160,4 +160,27 @@ fn quiescent_society_reports_every_blocked_process() {
         Outcome::Quiescent { blocked } => assert_eq!(blocked.len(), 100),
         other => panic!("expected quiescence, got {other:?}"),
     }
+
+    // Consensus-blocked processes that import nothing are 100
+    // communities of one; the report names each one's own.
+    let program = CompiledProgram::from_source(
+        "process Agreer(k) { import { <k, *>; } <never, k> @> skip; }",
+    )
+    .unwrap();
+    let mut b = Runtime::builder(program);
+    for k in 0..100i64 {
+        b = b.spawn("Agreer", vec![Value::Int(k)]);
+    }
+    let mut rt = b.build().unwrap();
+    let Outcome::Quiescent { blocked } = rt.run().unwrap().outcome else {
+        panic!("expected quiescence");
+    };
+    assert_eq!(blocked.len(), 100);
+    let text = rt.blocked_report();
+    for pid in blocked {
+        let line = format!(
+            "{pid} Agreer: blocked on consensus (community {{{pid}}} is all at a consensus guard"
+        );
+        assert!(text.contains(&line), "no `{line}` in {text}");
+    }
 }
