@@ -322,14 +322,12 @@ impl Runtime {
                 } => {
                     self.block(pid, watch, consensus);
                     // Fire as soon as a community is complete, even while
-                    // unrelated processes are still running. Pre-filter:
-                    // only look when this process's own consensus query
-                    // currently succeeds, and then only at its community —
-                    // unless an exit may have completed another one.
-                    if consensus && {
-                        self.cur_trace = self.tracer.new_trace();
-                        self.probe_consensus(pid)?.is_some()
-                    } {
+                    // unrelated processes are still running. Walk first,
+                    // probe last: look only at this process's community
+                    // (unless an exit may have completed another one),
+                    // and probe its queries only once every member is
+                    // parked at a consensus guard.
+                    if consensus {
                         let fired = self.try_consensus((!self.rescan).then_some(pid))?;
                         self.rescan &= fired;
                     }

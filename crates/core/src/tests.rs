@@ -745,6 +745,39 @@ fn a_community_completed_by_an_exit_fires_at_idle() {
 }
 
 #[test]
+fn a_complete_community_whose_probe_fails_does_not_fire() {
+    // A(1) and A(2) park while only <pool, 1> is there, so their queries
+    // fail. A(2)'s park still walks to a complete community, probes it,
+    // and the failing probe keeps it from firing. E's <pool, 2> then
+    // wakes both; the next complete walk fires.
+    use sdl_metrics::{Counter, Metrics};
+
+    let program = CompiledProgram::from_source(
+        "process A(me) { import { <pool, *>; } exists v : <pool, v> : v > 1 @> <fired, me>; }
+         process E() { import { <x, *>; } -> <pool, 2>; <never> => skip; }
+         init { <pool, 1>; spawn A(1); spawn A(2); spawn E(); }",
+    )
+    .unwrap();
+    let (metrics, registry) = Metrics::registry();
+    let mut rt = Runtime::builder(program).metrics(metrics).build().unwrap();
+    let report = rt.run().unwrap();
+    assert_eq!(
+        report.outcome,
+        Outcome::Quiescent {
+            blocked: vec![sdl_tuple::ProcId(3)]
+        }
+    );
+    assert_eq!(report.consensus_rounds, 1);
+    assert_eq!(
+        rt.dataspace().count_matches(&pattern![atom("fired"), any]),
+        2
+    );
+    assert_eq!(registry.counter(Counter::ConsensusChecksFired), 1);
+    assert_eq!(registry.counter(Counter::ConsensusChecksIncomplete), 4);
+    assert_eq!(registry.counter(Counter::TxnAttemptsConsensus), 3);
+}
+
+#[test]
 fn processes_method_lists_society() {
     let program = CompiledProgram::from_source(
         "process P() { <never> => skip; } init { spawn P(); spawn P(); }",
