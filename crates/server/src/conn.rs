@@ -6,6 +6,8 @@
 //! writes everything unwritten at once. A lone request costs one `read`
 //! and its reply one `write`.
 
+#![deny(clippy::arithmetic_side_effects)]
+
 use std::io::{self, Read, Write};
 
 use sdl_durability::codec::{frame_with, split_frame, FRAME_HEADER};
@@ -52,15 +54,20 @@ impl ReadBuf {
     /// Real socket errors only; `WouldBlock` and `Interrupted` are
     /// absorbed, EOF/reset surface as [`FillOutcome::Closed`].
     pub(crate) fn fill(&mut self, stream: &mut impl Read) -> io::Result<FillOutcome> {
-        let mut read = 0;
+        let mut read: usize = 0;
         loop {
             self.make_room();
+            #[allow(clippy::arithmetic_side_effects)] // end <= buf.len()
             let room = self.buf.len() - self.end;
             match stream.read(&mut self.buf[self.end..]) {
                 Ok(0) => return Ok(FillOutcome::Closed),
                 Ok(n) => {
-                    self.end += n;
-                    read += n;
+                    // `Read` returns n <= room, so end stays <= buf.len().
+                    #[allow(clippy::arithmetic_side_effects)]
+                    {
+                        self.end += n;
+                    }
+                    read = read.saturating_add(n);
                     if n < room || read >= PASS_BYTES {
                         return Ok(FillOutcome::Open);
                     }
@@ -87,6 +94,7 @@ impl ReadBuf {
     /// is no room at all; only a buffer still full grows (and only the
     /// growth is zeroed).
     fn make_room(&mut self) {
+        #[allow(clippy::arithmetic_side_effects)] // start <= end
         let pending = self.end - self.start;
         if self.start > 0 && (pending <= self.start || self.end == self.buf.len()) {
             self.buf.copy_within(self.start..self.end, 0);
@@ -94,12 +102,16 @@ impl ReadBuf {
             self.end = pending;
         }
         if self.end == self.buf.len() {
+            // A `Vec<u8>` holds at most isize::MAX bytes: twice that fits.
+            #[allow(clippy::arithmetic_side_effects)]
             let len = (self.buf.len() * 2).max(MIN_ROOM);
             self.buf.resize(len, 0);
         }
     }
 
     /// Consumes `n` bytes from the front.
+    // Callers consume at most `pending()`, so start stays <= end.
+    #[allow(clippy::arithmetic_side_effects)]
     pub(crate) fn consume(&mut self, n: usize) {
         self.start += n;
         debug_assert!(self.start <= self.end);
@@ -112,6 +124,9 @@ impl ReadBuf {
     ///
     /// Propagates [`WireError`] from the framing layer (drop the
     /// connection — framing is lost).
+    // `split_frame` returns FRAME_HEADER <= used <= pending().len(), so
+    // start + used <= end <= buf.len().
+    #[allow(clippy::arithmetic_side_effects)]
     pub(crate) fn next_frame(&mut self, max_frame: usize) -> Result<Option<&[u8]>, WireError> {
         let Some(used) = split_frame(self.pending(), max_frame)? else {
             return Ok(None);
@@ -144,6 +159,7 @@ impl WriteBuf {
     }
 
     /// Bytes queued and not yet written.
+    #[allow(clippy::arithmetic_side_effects)] // written <= buf.len()
     pub(crate) fn len(&self) -> usize {
         self.buf.len() - self.written
     }
@@ -163,6 +179,9 @@ impl WriteBuf {
         while self.written < self.buf.len() {
             match stream.write(&self.buf[self.written..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                // `Write` returns n <= the tail's length, so written
+                // stays <= buf.len().
+                #[allow(clippy::arithmetic_side_effects)]
                 Ok(n) => self.written += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -181,6 +200,8 @@ impl WriteBuf {
 }
 
 #[cfg(test)]
+// The test socket counts calls and offsets into inputs of a few KiB.
+#[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
     use crate::wire::{decode_request, encode_request, frame, Request};

@@ -193,6 +193,8 @@ struct ConnState {
     handshaken: bool,
     // Reads paused because this connection's write buffer is over cap.
     write_paused: bool,
+    // The interest the poller holds for this connection's fd.
+    interest: Interest,
 }
 
 /// Binds the listener and spawns the acceptor plus
@@ -615,6 +617,7 @@ fn event_loop(
                     wbuf: WriteBuf::default(),
                     handshaken: false,
                     write_paused: false,
+                    interest: Interest::READ,
                 },
             );
         }
@@ -696,7 +699,13 @@ fn event_loop(
                 readable: !conn.write_paused,
                 writable: !conn.wbuf.is_empty(),
             };
-            let _ = poller.modify(token, interest);
+            if interest != conn.interest
+                && poller
+                    .modify(conn.stream.as_raw_fd(), token, interest)
+                    .is_ok()
+            {
+                conn.interest = interest;
+            }
         }
 
         if !to_close.is_empty() {
@@ -704,7 +713,7 @@ fn event_loop(
             to_close.dedup();
             for token in to_close.drain(..) {
                 if let Some(conn) = conns.remove(&token) {
-                    poller.deregister(token);
+                    poller.deregister(conn.stream.as_raw_fd());
                     drop(conn);
                     engine.disconnect(token);
                     shared.conn_closed(loop_id);

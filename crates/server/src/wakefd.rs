@@ -1,56 +1,37 @@
-//! Cross-thread wakeup fd: `eventfd(2)` on Linux, a non-blocking pipe
-//! elsewhere.
+//! Cross-thread wakeup fd: one non-blocking `eventfd(2)`.
 //!
 //! Each event loop registers one [`WakeFd`] in its poller; any other
 //! thread (a committing loop handing off a wake, the acceptor handing
 //! off a connection) calls [`WakeFd::kick`] to make the target loop's
-//! `poll`/`epoll_wait` return immediately. The fd carries no data — the
+//! `epoll_wait` return immediately. The fd carries no data — the
 //! actual payload travels through the [`crate::shared::NetShared`]
 //! mailboxes / intake queues — so a kick is idempotent and coalescing
-//! (eventfd adds, pipes fill) is harmless.
+//! (the eventfd counter adds) is harmless.
 //!
 //! As in [`crate::poll`], the syscalls are declared directly: the
 //! vendored dependency set has no `libc` crate, and std already links
-//! libc on every unix target.
+//! libc.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use std::io;
 use std::os::fd::RawFd;
 use std::os::raw::c_int;
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::c_int;
-    pub(crate) const EFD_NONBLOCK: c_int = 0o4000;
-    pub(crate) const EFD_CLOEXEC: c_int = 0o2000000;
-    extern "C" {
-        pub(crate) fn eventfd(initval: u32, flags: c_int) -> c_int;
-    }
-}
+const EFD_NONBLOCK: c_int = 0o4000;
+const EFD_CLOEXEC: c_int = 0o2000000;
 
-mod common {
-    use super::c_int;
-    extern "C" {
-        pub(crate) fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        pub(crate) fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-        pub(crate) fn close(fd: c_int) -> c_int;
-        #[cfg(not(target_os = "linux"))]
-        pub(crate) fn pipe(fds: *mut c_int) -> c_int;
-        #[cfg(not(target_os = "linux"))]
-        pub(crate) fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    }
-    #[cfg(not(target_os = "linux"))]
-    pub(crate) const F_SETFL: c_int = 4;
-    #[cfg(not(target_os = "linux"))]
-    pub(crate) const O_NONBLOCK: c_int = 0o4000;
+extern "C" {
+    fn eventfd(initval: u32, flags: c_int) -> c_int;
+    fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
+    fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+    fn close(fd: c_int) -> c_int;
 }
 
 /// A level-ish wakeup primitive: readable after any un-drained kick.
 #[derive(Debug)]
 pub(crate) struct WakeFd {
-    read_fd: RawFd,
-    write_fd: RawFd,
-    /// eventfd uses one fd for both ends; don't close it twice.
-    single: bool,
+    fd: RawFd,
 }
 
 // Raw fds are just integers; kick() is the whole point of sharing.
@@ -58,77 +39,48 @@ unsafe impl Send for WakeFd {}
 unsafe impl Sync for WakeFd {}
 
 impl WakeFd {
-    /// Creates the wakeup fd pair (or single eventfd).
+    /// Creates the eventfd.
     ///
     /// # Errors
     ///
-    /// `eventfd`/`pipe` failure.
+    /// `eventfd` failure.
     pub(crate) fn new() -> io::Result<WakeFd> {
-        #[cfg(target_os = "linux")]
-        {
-            let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(WakeFd {
-                read_fd: fd,
-                write_fd: fd,
-                single: true,
-            })
+        // SAFETY: plain syscall, no pointers.
+        let fd = unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        #[cfg(not(target_os = "linux"))]
-        {
-            let mut fds = [0 as c_int; 2];
-            if unsafe { common::pipe(fds.as_mut_ptr()) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            for fd in fds {
-                unsafe { common::fcntl(fd, common::F_SETFL, common::O_NONBLOCK) };
-            }
-            Ok(WakeFd {
-                read_fd: fds[0],
-                write_fd: fds[1],
-                single: false,
-            })
-        }
+        Ok(WakeFd { fd })
     }
 
     /// The fd to register for read interest in a poller.
     pub(crate) fn poll_fd(&self) -> RawFd {
-        self.read_fd
+        self.fd
     }
 
     /// Wakes the owning loop. Callable from any thread; never blocks
-    /// (a full pipe / saturated eventfd already guarantees a pending
-    /// wake, so `EAGAIN` is success).
+    /// (a saturated eventfd already guarantees a pending wake, so
+    /// `EAGAIN` is success).
     pub(crate) fn kick(&self) {
         let one: [u8; 8] = 1u64.to_ne_bytes();
-        unsafe { common::write(self.write_fd, one.as_ptr(), one.len()) };
+        // SAFETY: `one` is a live 8-byte buffer; `fd` is owned by self.
+        unsafe { write(self.fd, one.as_ptr(), one.len()) };
     }
 
-    /// Drains pending kicks so the fd stops polling readable.
+    /// Drains pending kicks so the fd stops polling readable: one 8-byte
+    /// read takes the whole counter.
     pub(crate) fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { common::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-            if n <= 0 {
-                return;
-            }
-            // eventfd returns the whole counter in one 8-byte read.
-            if self.single {
-                return;
-            }
-        }
+        let mut buf = [0u8; 8];
+        // SAFETY: `buf` is a live 8-byte buffer; `fd` is owned by self.
+        unsafe { read(self.fd, buf.as_mut_ptr(), buf.len()) };
     }
 }
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `fd` is owned by this struct.
         unsafe {
-            common::close(self.read_fd);
-            if !self.single {
-                common::close(self.write_fd);
-            }
+            close(self.fd);
         }
     }
 }
@@ -145,11 +97,12 @@ mod tests {
         wf.kick();
         wf.kick();
         let mut buf = [0u8; 8];
-        // Readable now: a direct read sees the counter/bytes.
-        let n = unsafe { common::read(wf.poll_fd(), buf.as_mut_ptr(), buf.len()) };
+        // Readable now: a direct read of the eventfd sees the counter.
+        let n = unsafe { read(wf.poll_fd(), buf.as_mut_ptr(), buf.len()) };
         assert!(n > 0, "kicked fd must be readable");
+        wf.kick();
         wf.drain();
-        let n = unsafe { common::read(wf.poll_fd(), buf.as_mut_ptr(), buf.len()) };
+        let n = unsafe { read(wf.poll_fd(), buf.as_mut_ptr(), buf.len()) };
         assert!(n <= 0, "drained fd must not be readable");
     }
 
