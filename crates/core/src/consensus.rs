@@ -52,10 +52,12 @@ struct Member {
 }
 
 impl Member {
-    /// The member's window over `ds`, expanding into its kept cells.
+    /// The member's window over `ds`, expanding into its kept cells and,
+    /// unless it is stale, reading its kept import set.
     fn window<'a>(&'a self, ds: &'a dyn TupleSource, builtins: &'a Builtins) -> Lazy<'a> {
         let (rules, cells) = (Cow::Borrowed(&self.rules), Cow::Borrowed(&self.cells[..]));
-        Lazy::new(ds, rules, cells, &self.env, builtins)
+        let kept = self.interest.is_some().then_some(&self.ids[..]);
+        Lazy::new(ds, rules, cells, kept, &self.env, builtins)
     }
 }
 
@@ -183,14 +185,10 @@ impl CommunityIndex {
             }
             ds.metrics()
                 .add(Counter::WindowAdmitChecks, asserted.len() as u64);
-            let window = m.window(ds, builtins);
-            let admitted: Vec<TupleId> = asserted
-                .iter()
-                .filter(|(_, t)| window.expansion_admits(t))
-                .map(|(id, _)| *id)
-                .collect();
-            drop(window);
-            for id in admitted {
+            for &(id, t) in &asserted {
+                if !m.window(ds, builtins).expansion_admits(t) {
+                    continue;
+                }
                 if let Err(at) = m.ids.binary_search(&id) {
                     m.ids.insert(at, id);
                     self.importers.entry(id).or_default().push(*pid);
@@ -200,7 +198,8 @@ impl CommunityIndex {
     }
 
     /// The window `pid` queries `ds` through: a member's expands into
-    /// its kept cells, a hub's is the whole store. `ds` must be the store
+    /// its kept cells and, unless stale, scans its kept import set; a
+    /// hub's is the whole store. `ds` must be the store
     /// the index's commits were applied to.
     pub(crate) fn window<'a>(
         &'a self,

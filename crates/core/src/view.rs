@@ -76,14 +76,25 @@ impl RulePred {
             vars: b.slots(),
             builtins,
         };
-        let vals = self
-            .args
-            .iter()
-            .map(|a| eval(a, &ctx).ok())
-            .collect::<Option<Vec<Value>>>()?;
-        Some(builtins.call(&self.name, &vals) == Some(Value::Bool(true)))
+        let holds = |vals: &[Value]| builtins.call(&self.name, vals) == Some(Value::Bool(true));
+        let n = self.args.len();
+        if n > INLINE_ARGS {
+            let vals = (self.args.iter())
+                .map(|a| eval(a, &ctx).ok())
+                .collect::<Option<Vec<Value>>>()?;
+            return Some(holds(&vals));
+        }
+        let mut vals = [const { Value::Bool(false) }; INLINE_ARGS];
+        for (slot, a) in vals.iter_mut().zip(&self.args) {
+            *slot = eval(a, &ctx).ok()?;
+        }
+        Some(holds(&vals[..n]))
     }
 }
+
+/// The most arguments a predicate evaluates into a buffer on the stack;
+/// a longer call collects them into a `Vec`.
+const INLINE_ARGS: usize = 4;
 
 /// A compiled import/export rule.
 #[derive(Clone, Debug)]
@@ -283,7 +294,7 @@ impl CompiledView {
         match self.resolve_import(env, builtins) {
             Some(rules) => {
                 let cells = rules.cells().into();
-                QuerySource::Lazy(Lazy::new(ds, Cow::Owned(rules), cells, env, builtins))
+                QuerySource::Lazy(Lazy::new(ds, Cow::Owned(rules), cells, None, env, builtins))
             }
             None => QuerySource::Full(ds),
         }
@@ -440,13 +451,12 @@ impl ResolvedRules {
         self.resolved.iter().any(|r| {
             let rule = &self.rules[r.rule];
             r.conds.iter().any(|c| {
+                if !may_match(c, tuple) {
+                    return false;
+                }
                 let mut b = Bindings::new(rule.n_vars);
-                may_match(c, tuple)
-                    && c.matches(tuple, &mut b)
-                    && rule
-                        .preds
-                        .iter()
-                        .all(|p| p.verdict(&b, env, builtins) != Some(false))
+                c.matches(tuple, &mut b)
+                    && (rule.preds.iter()).all(|p| p.verdict(&b, env, builtins) != Some(false))
             })
         })
     }
@@ -459,7 +469,15 @@ impl ResolvedRules {
         env: &HashMap<String, Value>,
         builtins: &Builtins,
     ) -> Vec<TupleId> {
-        Lazy::new(ds, Cow::Borrowed(self), self.cells().into(), env, builtins).all_ids()
+        Lazy::new(
+            ds,
+            Cow::Borrowed(self),
+            self.cells().into(),
+            None,
+            env,
+            builtins,
+        )
+        .all_ids()
     }
 
     /// What rule `r` admits over `ds`, as patterns: the rule pattern
@@ -563,12 +581,14 @@ impl ResolvedRules {
     }
 }
 
-/// False if arity or leading constant already rule the match out — the
+/// False if arity or a constant already rules the match out — the
 /// common case when a tuple in hand is tried against every rule of a
-/// view, decided before any bindings are allocated.
+/// view or a kept import set is scanned for a query, decided before any
+/// bindings are allocated.
 fn may_match(pattern: &Pattern, tuple: &Tuple) -> bool {
     pattern.arity() == tuple.arity()
-        && !matches!(pattern.fields().first(), Some(Field::Const(c)) if *c != tuple[0])
+        && (pattern.fields().iter().zip(tuple.fields()))
+            .all(|(f, v)| !matches!(f, Field::Const(c) if c != v))
 }
 
 /// False if no tuple can match both patterns as far as their constants
@@ -586,16 +606,14 @@ fn may_meet(a: &Pattern, b: &Pattern) -> bool {
 /// `pattern` has none. Every candidate of `pattern` the admitted pattern
 /// matches is a candidate of the probe.
 fn probe_key(pattern: &Pattern, admitted: &Pattern) -> Pattern {
-    pattern
-        .fields()
-        .iter()
-        .zip(admitted.fields())
-        .map(|(p, a)| match (p, a) {
-            (Field::Const(_), _) => p.clone(),
-            (_, Field::Const(_)) => a.clone(),
-            _ => Field::Any,
-        })
+    (0..pattern.arity())
+        .map(|i| probe_const(pattern, admitted, i).map_or(Field::Any, |v| Field::Const(v.clone())))
         .collect()
+}
+
+/// The constant [`probe_key`] holds at position `i`, if any.
+fn probe_const<'p>(pattern: &'p Pattern, admitted: &'p Pattern, i: usize) -> Option<&'p Value> {
+    (pattern.fields()[i].as_const()).or_else(|| admitted.fields()[i].as_const())
 }
 
 /// One way a rule admits tuples: its pattern resolved under one solution
@@ -618,23 +636,29 @@ pub(crate) struct Admitted {
 /// the only way the store can change an expansion. A query for a pattern
 /// then probes the store once per admitted pattern of each rule that can
 /// meet it, instead of testing each of the pattern's candidates against
-/// every rule.
+/// every rule — unless the index also keeps the import set itself
+/// current, when the query scans that set and probes nothing.
 pub(crate) struct Lazy<'a> {
     ds: &'a dyn TupleSource,
     rules: Cow<'a, ResolvedRules>,
     /// Per resolved rule, its admitted patterns once expanded.
     expanded: Cow<'a, [OnceCell<Vec<Admitted>>]>,
+    /// `Import(p) ∩ D`, ascending, when the community index keeps it
+    /// exact for `ds`: queries, `tuple` and the counts read it.
+    kept: Option<&'a [TupleId]>,
     env: &'a HashMap<String, Value>,
     builtins: &'a Builtins,
 }
 
 impl<'a> Lazy<'a> {
     /// A window over `ds` expanding `rules` into `expanded`, one cell per
-    /// resolved rule ([`ResolvedRules::cells`]).
+    /// resolved rule ([`ResolvedRules::cells`]), reading `kept` when it
+    /// is the window's import set over `ds`.
     pub(crate) fn new(
         ds: &'a dyn TupleSource,
         rules: Cow<'a, ResolvedRules>,
         expanded: Cow<'a, [OnceCell<Vec<Admitted>>]>,
+        kept: Option<&'a [TupleId]>,
         env: &'a HashMap<String, Value>,
         builtins: &'a Builtins,
     ) -> Lazy<'a> {
@@ -642,6 +666,7 @@ impl<'a> Lazy<'a> {
             ds,
             rules,
             expanded,
+            kept,
             env,
             builtins,
         }
@@ -665,10 +690,10 @@ impl<'a> Lazy<'a> {
     pub(crate) fn expansion_admits(&self, tuple: &Tuple) -> bool {
         self.rules.resolved.iter().enumerate().any(|(i, r)| {
             may_match(&r.pattern, tuple)
-                && self
-                    .admitted(i)
-                    .iter()
-                    .any(|adm| self.admitted_by(adm, tuple, &mut adm.bindings.clone()))
+                && self.admitted(i).iter().any(|adm| {
+                    may_match(&adm.pattern, tuple)
+                        && self.admitted_by(adm, tuple, &mut adm.bindings.clone())
+                })
         })
     }
 
@@ -680,24 +705,27 @@ impl<'a> Lazy<'a> {
         })
     }
 
+    /// The admitted patterns of every rule whose pattern can meet
+    /// `pattern` (of every rule, for `None`).
+    fn meeting<'s, 'p>(
+        &'s self,
+        pattern: Option<&'p Pattern>,
+    ) -> impl Iterator<Item = &'s Admitted> + use<'s, 'p, 'a> {
+        (self.rules.resolved.iter().enumerate())
+            .filter(move |(_, r)| pattern.is_none_or(|p| may_meet(&r.pattern, p)))
+            .flat_map(move |(i, _)| self.admitted(i))
+    }
+
     /// The store probes that together list the admitted candidates of
     /// `pattern` (of every instance, for `None`), each with the admitted
     /// pattern whose tuples it looks for.
     fn probes(&self, pattern: Option<&Pattern>) -> Vec<(Cow<'_, Pattern>, &Admitted)> {
-        let mut out = Vec::new();
-        for (i, r) in self.rules.resolved.iter().enumerate() {
-            if pattern.is_some_and(|p| !may_meet(&r.pattern, p)) {
-                continue;
-            }
-            for adm in self.admitted(i) {
-                let key = match pattern {
-                    Some(p) => Cow::Owned(probe_key(p, &adm.pattern)),
-                    None => Cow::Borrowed(&adm.pattern),
-                };
-                out.push((key, adm));
-            }
-        }
-        out
+        (self.meeting(pattern))
+            .map(|adm| match pattern {
+                Some(p) => (Cow::Owned(probe_key(p, &adm.pattern)), adm),
+                None => (Cow::Borrowed(&adm.pattern), adm),
+            })
+            .collect()
     }
 
     /// True if `adm`'s rule admits `tuple` through it: the tuple matches
@@ -713,12 +741,22 @@ impl<'a> Lazy<'a> {
 
     /// Hands `visit` the admitted candidates of `pattern` (every admitted
     /// instance, for `None`), ascending and each once, until it returns
-    /// `false`.
+    /// `false`. A kept import set is scanned, its ids prefiltered by
+    /// `pattern`'s arity and constants; otherwise the store is probed.
     fn visit_admitted(
         &self,
         pattern: Option<&Pattern>,
         visit: &mut dyn FnMut(TupleId, &Tuple) -> bool,
     ) {
+        if let Some(kept) = self.kept {
+            for &id in kept {
+                let tuple = self.ds.tuple(id).expect("a kept id is live");
+                if pattern.is_none_or(|p| may_match(p, tuple)) && !visit(id, tuple) {
+                    break;
+                }
+            }
+            return;
+        }
         let probes = self.probes(pattern);
         if let [(key, adm)] = &probes[..] {
             let mut b = adm.bindings.clone();
@@ -781,30 +819,46 @@ impl TupleSource for Lazy<'_> {
     fn tuple(&self, id: TupleId) -> Option<&Tuple> {
         let t = self.ds.tuple(id)?;
         self.ds.metrics().inc(Counter::WindowAdmitChecks);
-        self.rules
-            .admits(t, self.ds, self.env, self.builtins)
-            .then_some(t)
+        let admitted = match self.kept {
+            Some(kept) => kept.binary_search(&id).is_ok(),
+            None => (self.rules).admits(t, self.ds, self.env, self.builtins),
+        };
+        admitted.then_some(t)
     }
 
     fn tuple_count(&self) -> usize {
-        self.admitted_ids(None).len()
+        self.kept
+            .map_or_else(|| self.admitted_ids(None).len(), <[TupleId]>::len)
     }
 
     fn all_ids(&self) -> Vec<TupleId> {
-        self.admitted_ids(None)
+        self.kept
+            .map_or_else(|| self.admitted_ids(None), <[TupleId]>::to_vec)
     }
 
     /// Match first, admit second: any probe's match will do, in any
-    /// order.
+    /// order. A kept import set is scanned instead.
     fn contains_match(&self, pattern: &Pattern) -> bool {
         let n_vars = pattern.vars().map(|v| v.0 as usize + 1).max().unwrap_or(0);
         let mut matched = Bindings::new(n_vars);
+        let mut matches = |t: &Tuple| {
+            let found = pattern.matches(t, &mut matched);
+            matched.undo_to(0);
+            found
+        };
+        if self.kept.is_some() {
+            let mut found = false;
+            self.visit_admitted(Some(pattern), &mut |_, t| {
+                found = matches(t);
+                !found
+            });
+            return found;
+        }
         self.probes(Some(pattern)).iter().any(|(key, adm)| {
             let mut b = adm.bindings.clone();
             let mut found = false;
             self.ds.visit_candidates(key, &mut |_, t| {
-                found = pattern.matches(t, &mut matched) && self.admitted_by(adm, t, &mut b);
-                matched.undo_to(0);
+                found = matches(t) && self.admitted_by(adm, t, &mut b);
                 !found
             });
             found
@@ -824,30 +878,35 @@ impl TupleSource for Lazy<'_> {
     /// negated atom keeps its coarse channel), plus, for every rule that
     /// can admit a match of the atom, its tuple conditions narrowed by the
     /// atom's constants: a condition tuple that comes or goes moves tuples
-    /// already in the store into or out of the window.
+    /// already in the store into or out of the window. Keys come from
+    /// constants in place; no probe or narrowed pattern is built.
     fn subscribe(&self, atom: &QueryAtom, watch: &mut WatchSet) {
         let p = &atom.pattern;
         if atom.mode == AtomMode::Neg {
             watch.add_pattern(p);
         } else {
-            for (key, _) in self.probes(Some(p)) {
-                watch.add_pattern_exact(&key);
+            for adm in self.meeting(Some(p)) {
+                watch.add_exact(p.arity(), |i| probe_const(p, &adm.pattern, i));
             }
         }
         for r in &self.rules.resolved {
             if r.conds.is_empty() || !may_meet(&r.pattern, p) {
                 continue;
             }
-            let mut b = Bindings::new(self.rules.rules[r.rule].n_vars);
-            for (f, c) in r.pattern.fields().iter().zip(p.fields()) {
-                if let (Field::Var(v), Field::Const(c)) = (f, c) {
-                    if !b.is_bound(*v) {
-                        b.bind(*v, c.clone());
-                    }
-                }
-            }
+            // A rule variable reads the atom's constant at the first
+            // position the rule pattern holds it.
+            let bound = |v: &VarId| {
+                (r.pattern.fields().iter().zip(p.fields())).find_map(|(f, c)| match f {
+                    Field::Var(w) if w == v => c.as_const(),
+                    _ => None,
+                })
+            };
             for c in &r.conds {
-                watch.add_pattern_exact(&resolve_pattern(c, &b));
+                watch.add_exact(c.arity(), |i| match &c.fields()[i] {
+                    Field::Const(v) => Some(v),
+                    Field::Var(v) => bound(v),
+                    Field::Any => None,
+                });
             }
         }
     }
@@ -931,6 +990,38 @@ mod tests {
     use super::*;
     use sdl_dataspace::Dataspace;
     use sdl_tuple::{tuple, ProcId};
+
+    impl Lazy<'_> {
+        /// [`Lazy::subscribe`] as built from patterns: each probe key and
+        /// each narrowed condition through `add_pattern_exact`. The
+        /// oracle of the keys `subscribe` reads off constants.
+        pub(crate) fn subscribe_by_patterns(&self, atom: &QueryAtom, watch: &mut WatchSet) {
+            let p = &atom.pattern;
+            if atom.mode == AtomMode::Neg {
+                watch.add_pattern(p);
+            } else {
+                for (key, _) in self.probes(Some(p)) {
+                    watch.add_pattern_exact(&key);
+                }
+            }
+            for r in &self.rules.resolved {
+                if r.conds.is_empty() || !may_meet(&r.pattern, p) {
+                    continue;
+                }
+                let mut b = Bindings::new(self.rules.rules[r.rule].n_vars);
+                for (f, c) in r.pattern.fields().iter().zip(p.fields()) {
+                    if let (Field::Var(v), Field::Const(c)) = (f, c) {
+                        if !b.is_bound(*v) {
+                            b.bind(*v, c.clone());
+                        }
+                    }
+                }
+                for c in &r.conds {
+                    watch.add_pattern_exact(&resolve_pattern(c, &b));
+                }
+            }
+        }
+    }
 
     fn env(pairs: &[(&str, Value)]) -> HashMap<String, Value> {
         pairs

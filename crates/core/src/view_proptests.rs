@@ -1,6 +1,8 @@
 //! Property tests of the window's rule expansion: it lists exactly the
-//! candidates the per-tuple import test admits, and a parked process's
-//! subscription hears every commit that changes what the window shows.
+//! candidates the per-tuple import test admits, a parked process's
+//! subscription hears every commit that changes what the window shows,
+//! and a window reading the community index's kept import set answers
+//! as a fresh one does.
 
 use std::collections::HashMap;
 
@@ -10,8 +12,10 @@ use sdl_dataspace::{Action, Dataspace, QueryAtom, ShardedDataspace, TupleSource,
 use sdl_tuple::{tuple, Bindings, Field, Pattern, ProcId, Tuple, TupleId, Value, VarId};
 
 use crate::builtins::Builtins;
+use crate::consensus::CommunityIndex;
+use crate::process::ProcessInstance;
 use crate::program::{compile_txn, CompiledProgram};
-use crate::view::CompiledView;
+use crate::view::{CompiledView, QuerySource};
 
 /// Every view shape the expansion has to reproduce: the paper's Label
 /// view (six rules, a conditional one, predicates on either side of the
@@ -180,6 +184,71 @@ fn window_is_the_admit_filter(src: &dyn TupleSource, case: &ViewCase, pattern: &
     assert_eq!(rules.import_ids(src, &case.env, &b), imported);
 }
 
+/// `pid`'s window from the community index — reading its kept import
+/// set unless the member is stale — answers every query as a window
+/// built afresh over `ds` does.
+fn kept_window_is_fresh(
+    index: &CommunityIndex,
+    proc: &ProcessInstance,
+    ds: &Dataspace,
+    pattern: &Pattern,
+    k: usize,
+) {
+    let b = builtins();
+    let kept = index.window(proc.id, ds, &b);
+    let fresh = proc.def.view.window(ds, &proc.env, &b);
+    let matching = |w: &QuerySource, stop: usize| {
+        let mut seen = Vec::new();
+        w.visit_candidates(pattern, &mut |id, t| {
+            if matches(pattern, t) {
+                seen.push(id);
+            }
+            seen.len() < stop
+        });
+        seen
+    };
+    assert_eq!(matching(&kept, usize::MAX), matching(&fresh, usize::MAX));
+    assert_eq!(matching(&kept, k), matching(&fresh, k));
+    assert_eq!(kept.contains_match(pattern), fresh.contains_match(pattern));
+    for id in ds.all_ids() {
+        assert_eq!(kept.tuple(id), fresh.tuple(id), "{id:?}");
+    }
+    assert_eq!(kept.all_ids(), fresh.all_ids());
+    assert_eq!(kept.tuple_count(), fresh.tuple_count());
+    for mode in [sdl_dataspace::AtomMode::Read, sdl_dataspace::AtomMode::Neg] {
+        let atom = QueryAtom {
+            pattern: pattern.clone(),
+            mode,
+        };
+        let (mut heard, mut expected) = (WatchSet::new(), WatchSet::new());
+        kept.subscribe(&atom, &mut heard);
+        fresh.subscribe(&atom, &mut expected);
+        assert_eq!(heard, expected);
+    }
+}
+
+/// A society of one to four members of [`VIEWS`], by definition and
+/// arguments.
+fn arb_society() -> impl Strategy<Value = Vec<(usize, Value, Value)>> {
+    let arg = prop_oneof![
+        (0i64..4).prop_map(Value::Int),
+        (0i64..4).prop_map(Value::Int),
+        (0i64..4).prop_map(Value::Int),
+        Just(Value::atom("oops")),
+    ];
+    proptest::collection::vec((0usize..DEFS.len(), arg.clone(), arg), 1..5)
+}
+
+/// One commit: retractions by position among the live ids, assertions,
+/// and whether every stale import set is recomputed after it.
+fn arb_step() -> impl Strategy<Value = (Vec<usize>, Vec<Tuple>, bool)> {
+    (
+        proptest::collection::vec(0usize..64, 0..3),
+        proptest::collection::vec(arb_tuple(), 0..3),
+        any::<bool>(),
+    )
+}
+
 /// The ids of the instances the window over `ds` shows matching `pattern`.
 fn shown(ds: &Dataspace, case: &ViewCase, pattern: &Pattern) -> Vec<TupleId> {
     let program = CompiledProgram::from_source(VIEWS).unwrap();
@@ -256,6 +325,85 @@ proptest! {
                 actions, case, pattern
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Through a commit history the community index applies, every
+    /// member's window — a fresh member's scanning its kept import set —
+    /// answers as a window built afresh does.
+    #[test]
+    fn a_kept_import_set_window_is_a_fresh_window(
+        society in arb_society(),
+        tuples in arb_store(),
+        steps in proptest::collection::vec(arb_step(), 0..6),
+        pattern in arb_pattern(),
+        k in 1usize..4,
+    ) {
+        let program = CompiledProgram::from_source(VIEWS).unwrap();
+        let b = builtins();
+        let procs: Vec<ProcessInstance> = (society.into_iter().enumerate())
+            .map(|(i, (d, x, y))| {
+                let def = program.def(DEFS[d]).unwrap().clone();
+                let args = [x, y].into_iter().take(def.params.len()).collect();
+                ProcessInstance::new(ProcId(100 + i as u64), def, args)
+            })
+            .collect();
+        let mut ds = dataspace(&tuples);
+        let mut index = CommunityIndex::build(&procs.iter().collect::<Vec<_>>(), &b);
+        index.import_sets(&ds, &b);
+        for (retracts, asserts, refresh) in steps {
+            for p in &procs {
+                kept_window_is_fresh(&index, p, &ds, &pattern, k);
+            }
+            let live = ds.all_ids();
+            let mut actions: Vec<Action> = (retracts.iter())
+                .filter(|_| !live.is_empty())
+                .map(|n| Action::Retract(live[n % live.len()]))
+                .collect();
+            actions.sort_by_key(|a| match a {
+                Action::Retract(id) => Some(*id),
+                _ => None,
+            });
+            actions.dedup();
+            actions.extend(asserts.into_iter().map(|t| Action::Assert(ProcId::ENV, t)));
+            let out = ds.apply_batch(&actions, &mut WatchSet::new());
+            index.commit(&out.retracted, &out.asserted, &ds, &b);
+            if refresh {
+                index.import_sets(&ds, &b);
+            }
+        }
+        for p in &procs {
+            kept_window_is_fresh(&index, p, &ds, &pattern, k);
+        }
+    }
+
+    /// A subscription read off constants in place is the one built from
+    /// probe patterns and narrowed conditions.
+    #[test]
+    fn subscribing_by_constants_builds_no_other_keys(
+        case in arb_view(),
+        tuples in arb_store(),
+        pattern in arb_pattern(),
+        negated in any::<bool>(),
+    ) {
+        let program = CompiledProgram::from_source(VIEWS).unwrap();
+        let b = builtins();
+        let view = case.view(&program);
+        let ds = dataspace(&tuples);
+        let atom = QueryAtom {
+            pattern,
+            mode: if negated { sdl_dataspace::AtomMode::Neg } else { sdl_dataspace::AtomMode::Read },
+        };
+        let QuerySource::Lazy(w) = view.window(&ds, &case.env, &b) else {
+            unreachable!("every view of VIEWS restricts its imports")
+        };
+        let (mut heard, mut expected) = (WatchSet::new(), WatchSet::new());
+        w.subscribe(&atom, &mut heard);
+        w.subscribe_by_patterns(&atom, &mut expected);
+        prop_assert_eq!(heard, expected);
     }
 }
 

@@ -8,7 +8,7 @@ use crate::plan::plan_query;
 use crate::shard::{ShardSet, ShardedDataspace};
 use crate::solve::{AtomMode, QueryAtom, SolveLimits, Solver};
 use crate::store::{Action, Dataspace, TupleSource};
-use crate::watch::WatchSet;
+use crate::watch::{WatchKey, WatchSet};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -356,6 +356,21 @@ proptest! {
             exact.add_pattern_exact(&p);
             prop_assert!(exact.intersects(&publication));
         }
+    }
+
+    /// One exact-key derivation: a pattern subscribed by its constants
+    /// alone listens on `value_of_pattern`'s key, or else on
+    /// `add_pattern`'s keys.
+    #[test]
+    fn add_exact_is_the_value_key_or_the_coarse_keys(p in arb_pattern()) {
+        let mut by_constants = WatchSet::new();
+        by_constants.add_exact(p.arity(), |i| p.fields()[i].as_const());
+        let mut expected = WatchSet::new();
+        match WatchKey::value_of_pattern(&p) {
+            Some(k) => expected.add_key(k),
+            None => expected.add_pattern(&p),
+        }
+        prop_assert_eq!(by_constants, expected);
     }
 
     /// Batched application is observationally identical to per-tuple

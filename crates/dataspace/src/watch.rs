@@ -211,10 +211,22 @@ impl WatchSet {
     /// conservative keys otherwise. Exactness narrows wakeups without
     /// losing completeness: tuples publish a value key per argument slot.
     pub fn add_pattern_exact(&mut self, pattern: &Pattern) {
-        match WatchKey::value_of_pattern(pattern) {
-            Some(k) => self.add_key(k),
-            None => self.add_pattern(pattern),
-        }
+        self.add_exact(pattern.arity(), |i| pattern.fields()[i].as_const());
+    }
+
+    /// [`WatchSet::add_pattern_exact`] of a pattern of `arity` fields
+    /// given only by its constants: `konst(i)` is the constant at
+    /// position `i`, if any. A caller whose pattern is a merge or a
+    /// narrowing of others subscribes without building it.
+    pub fn add_exact<'v>(&mut self, arity: usize, konst: impl Fn(usize) -> Option<&'v Value>) {
+        let head = if arity > 0 { konst(0) } else { None };
+        let key = match head.and_then(Value::as_atom) {
+            Some(f) => (1..arity)
+                .find_map(|slot| Some(WatchKey::Value(f, arity, slot, value_hash(konst(slot)?))))
+                .unwrap_or(WatchKey::Functor(f, arity)),
+            None => WatchKey::Arity(arity),
+        };
+        self.add_key(key);
     }
 
     /// Publishes the keys of `tuple`. Each key is an insertion into the

@@ -41,6 +41,14 @@ impl Field {
     pub fn is_const(&self) -> bool {
         matches!(self, Field::Const(_))
     }
+
+    /// The constant, if the field is one.
+    pub fn as_const(&self) -> Option<&Value> {
+        match self {
+            Field::Const(v) => Some(v),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Field {
